@@ -2,12 +2,12 @@
 per-stage run reports."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateEdge, ValidationError
-from .graph import GraphNode, SurfaceGraph
+from .graph import SurfaceGraph, relabel_dense
 from .trees import RootedTree
 
 
@@ -17,38 +17,19 @@ def forest_to_graph(forest: list[RootedTree]) -> SurfaceGraph:
 
     `node_index` maps each original node id to its new dense id.
     """
-    originals: list[int] = []
     payloads = {}
+    edges = []
     for tree in forest:
         for v in tree.node_ids():
             if v in payloads:
                 raise ValidationError(f"node {v} appears in more than one tree")
             payloads[v] = tree.payloads[v]
-            originals.append(v)
-    originals.sort()
-    index = {orig: k for k, orig in enumerate(originals)}
-    nodes = [
-        GraphNode(
-            id=index[orig],
-            position=payloads[orig].position,
-            normal=payloads[orig].normal,
-            on_navmesh=payloads[orig].on_navmesh,
-            source=payloads[orig].source,
-        )
-        for orig in originals
-    ]
-    edges = []
-    for tree in forest:
         for p, c in tree.edge_list():
-            i, j = index[p], index[c]
-            if i > j:
-                i, j = j, i
-            w = float(np.linalg.norm(payloads[p].position - payloads[c].position))
+            w = float(np.linalg.norm(tree.payloads[p].position - tree.payloads[c].position))
             if w < 1e-12:
                 raise DegenerateEdge(f"tree edge ({p}, {c}) has zero length")
-            edges.append((i, j, w))
-    edges.sort()
-    return SurfaceGraph(nodes=nodes, edges=edges, node_index=index)
+            edges.append((p, c, w))
+    return relabel_dense(payloads, edges)
 
 
 @dataclass
@@ -115,23 +96,6 @@ class AnalysisReport:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-
-def stage_metrics(
-    experiment: str,
-    stages: list[StageRecord],
-    total_millis: float,
-    node_analysis: list[dict] | None = None,
-    density_thresholds: list[float] | None = None,
-) -> AnalysisReport:
-    """Assemble the run report from pipeline instrumentation."""
-    return AnalysisReport(
-        experiment=experiment,
-        stages=list(stages),
-        total_millis=float(total_millis),
-        node_analysis=node_analysis,
-        density_thresholds=density_thresholds,
-    )
 
 
 def render_report_text(report: AnalysisReport) -> str:

@@ -53,52 +53,54 @@ def _setup_logging() -> None:
     log.setLevel(level)
 
 
-def _add_pipeline_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value file pre-setting any flag")
-    p.add_argument("--surface", help="walkable surface (.obj or .json)")
-    p.add_argument("--blockers", help="blocker triangle mesh (.obj or .json)")
-    p.add_argument("--graph", help="pre-built graph (.json) instead of a surface")
-    p.add_argument("--weld-eps", type=float, default=0.0,
-                   help="merge surface vertices closer than this (0 disables)")
-    p.add_argument("--plane-eps", type=float, default=1e-4,
-                   help="planarity/convexity tolerance")
-    p.add_argument("--terminals", choices=["entry-exit", "leaves", "metric"],
-                   default="entry-exit", help="terminal selection method")
-    p.add_argument("--metric", choices=["degree", "betweenness", "eigenvector", "katz"],
-                   default="degree", help="centrality for --terminals metric")
-    p.add_argument("--k", type=int, default=4,
-                   help="terminal count for --terminals metric")
-    p.add_argument("--interval", type=float, default=0.5,
-                   help="boundary sampling interval (world units)")
-    p.add_argument("--radius", type=float, default=1.0,
-                   help="classification ray length")
-    p.add_argument("--ray-count", type=int, default=5,
-                   help="rays per classification fan")
-    p.add_argument("--sharpness-deg", type=float, default=45.0,
-                   help="segment-breaking turn angle")
-    p.add_argument("--exit-offset", type=float, default=0.0,
-                   help="push entry/exit nodes outward by this distance")
-    p.add_argument("--normal-tol-deg", type=float, default=15.0,
-                   help="collapse normal-angle tolerance")
-    p.add_argument("--los-height-tol", type=float, default=0.5,
-                   help="line-of-sight height tolerance")
-    p.add_argument("--root-metric",
-                   choices=["degree", "betweenness", "eigenvector", "katz"],
-                   default="betweenness", help="centrality used to pick roots")
-    p.add_argument("--centrality-weights", choices=["euclidean", "unit"],
-                   default="euclidean",
-                   help="edge weighting for betweenness/shortest paths")
-    p.add_argument("--katz-alpha", type=float, default=None,
-                   help="attenuation for katz centrality (default 0.9/spectral-radius)")
-    p.add_argument("--density-buckets", type=int, default=3,
-                   help="density class count for analyze mode")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", action="append", choices=["json", "dot", "obj"],
-                   default=None, help="structure export format (repeatable; default json)")
-    p.add_argument("--experiment", default=None,
-                   help="experiment name in reports (default: input stem)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for synthetic fixture generation")
+def _add_pipeline_options(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Add the pipeline flags to `p` and return them by destination name."""
+    actions = [
+        p.add_argument("--config", help="flat key=value file pre-setting any flag"),
+        p.add_argument("--surface", help="walkable surface (.obj or .json)"),
+        p.add_argument("--blockers", help="blocker triangle mesh (.obj or .json)"),
+        p.add_argument("--graph", help="pre-built graph (.json) instead of a surface"),
+        p.add_argument("--weld-eps", type=float, default=0.0,
+                       help="merge surface vertices closer than this (0 disables)"),
+        p.add_argument("--plane-eps", type=float, default=1e-4,
+                       help="planarity/convexity tolerance"),
+        p.add_argument("--terminals", choices=["entry-exit", "leaves", "metric"],
+                       default="entry-exit", help="terminal selection method"),
+        p.add_argument("--metric", choices=["degree", "betweenness", "eigenvector", "katz"],
+                       default="degree", help="centrality for --terminals metric"),
+        p.add_argument("--k", type=int, default=4,
+                       help="terminal count for --terminals metric"),
+        p.add_argument("--interval", type=float, default=0.5,
+                       help="boundary sampling interval (world units)"),
+        p.add_argument("--radius", type=float, default=1.0,
+                       help="classification ray length"),
+        p.add_argument("--ray-count", type=int, default=5,
+                       help="rays per classification fan"),
+        p.add_argument("--sharpness-deg", type=float, default=45.0,
+                       help="segment-breaking turn angle"),
+        p.add_argument("--exit-offset", type=float, default=0.0,
+                       help="push entry/exit nodes outward by this distance"),
+        p.add_argument("--normal-tol-deg", type=float, default=15.0,
+                       help="collapse normal-angle tolerance"),
+        p.add_argument("--los-height-tol", type=float, default=0.5,
+                       help="line-of-sight height tolerance"),
+        p.add_argument("--root-metric",
+                       choices=["degree", "betweenness", "eigenvector", "katz"],
+                       default="betweenness", help="centrality used to pick roots"),
+        p.add_argument("--centrality-weights", choices=["euclidean", "unit"],
+                       default="euclidean",
+                       help="edge weighting for betweenness/shortest paths"),
+        p.add_argument("--katz-alpha", type=float, default=None,
+                       help="attenuation for katz centrality (default 0.9/spectral-radius)"),
+        p.add_argument("--density-buckets", type=int, default=3,
+                       help="density class count for analyze mode"),
+        p.add_argument("--out", default=".", help="output directory"),
+        p.add_argument("--format", action="append", choices=["json", "dot", "obj"],
+                       default=[], help="structure export format (repeatable; default json)"),
+        p.add_argument("--experiment", default=None,
+                       help="experiment name in reports (default: input stem)"),
+    ]
+    return {a.dest: a for a in actions}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,10 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("bench", "print per-stage timing tables"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        _add_pipeline_options(sp)
+        options = _add_pipeline_options(sp)
         if name == "bench":
-            sp.add_argument("--repeat", type=int, default=1,
-                            help="number of timed runs")
+            options["repeat"] = sp.add_argument("--repeat", type=int, default=1,
+                                                help="number of timed runs")
+        sp.set_defaults(options=options)
 
     op = sub.add_parser("oracle", help="run brute-force verification suites")
     op.add_argument("--seed", type=int, default=0)
@@ -140,31 +143,32 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser_actions, config: dict[str, str]) -> None:
+def _apply_config(
+    args: argparse.Namespace, options: dict[str, argparse.Action], config: dict[str, str]
+) -> None:
     """Fill parsed args from the config file wherever the command line left
-    the default in place (explicit flags therefore win)."""
-    by_dest = {a.dest: a for a in parser_actions}
+    the default in place (explicit flags therefore win).  A list-valued flag
+    (one whose default is a list) takes a comma-separated value."""
     for key, raw in config.items():
-        if key not in by_dest:
+        if key not in options:
             raise ValidationError(f"unknown config key {key!r}")
-        action = by_dest[key]
+        action = options[key]
         if getattr(args, key) != action.default:
             continue  # explicitly set on the command line
-        if action.type is not None:
-            try:
-                value = action.type(raw)
-            except ValueError as exc:
-                raise ValidationError(f"config key {key!r}: bad value {raw!r}") from exc
-        elif isinstance(action, argparse._AppendAction):
-            value = [v.strip() for v in raw.split(",")]
-            for v in value:
-                if action.choices and v not in action.choices:
-                    raise ValidationError(f"config key {key!r}: bad value {v!r}")
-        else:
-            value = raw
-        if action.choices and not isinstance(value, list) and value not in action.choices:
-            raise ValidationError(f"config key {key!r}: bad value {raw!r}")
-        setattr(args, key, value)
+        is_list = isinstance(action.default, list)
+        values = [_config_value(key, action, text.strip())
+                  for text in (raw.split(",") if is_list else [raw])]
+        setattr(args, key, values if is_list else values[0])
+
+
+def _config_value(key: str, action: argparse.Action, text: str):
+    try:
+        value = action.type(text) if action.type is not None else text
+    except ValueError as exc:
+        raise ValidationError(f"config key {key!r}: bad value {text!r}") from exc
+    if action.choices and value not in action.choices:
+        raise ValidationError(f"config key {key!r}: bad value {text!r}")
+    return value
 
 
 def _config_from_args(args: argparse.Namespace, analyze: bool) -> PipelineConfig:
@@ -193,7 +197,6 @@ def _config_from_args(args: argparse.Namespace, analyze: bool) -> PipelineConfig
         katz_alpha=args.katz_alpha,
         density_buckets=args.density_buckets,
         analyze=analyze,
-        seed=args.seed,
         experiment=experiment,
     )
 
@@ -247,14 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            config = _read_config_file(args.config)
-            sub_actions = [
-                a
-                for sp in parser._subparsers._group_actions
-                for a in sp.choices[args.command]._actions
-                if hasattr(a, "dest")
-            ]
-            _apply_config(args, sub_actions, config)
+            _apply_config(args, args.options, _read_config_file(args.config))
         if args.command == "extract":
             return _run_pipeline_command(args, analyze=False)
         if args.command == "analyze":

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .trees import RootedTree, TreeNode
+from .graph import GraphNode, _finite_vector
+from .trees import RootedTree
 
 STRUCTURE_FORMAT = "navstruct-structure/1"
 
@@ -119,32 +120,36 @@ def load_structure_json(path: str | Path) -> list[RootedTree]:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != STRUCTURE_FORMAT:
         raise ParseError(f"{p}: not a {STRUCTURE_FORMAT} file")
-    forest = []
-    for trec in data["trees"]:
-        children: dict[int, list[int]] = {}
-        depth: dict[int, int] = {}
-        parent: dict[int, int | None] = {}
-        payloads: dict[int, TreeNode] = {}
-        for nrec in trec["nodes"]:
-            v = int(nrec["id"])
-            children[v] = [int(c) for c in nrec["children"]]
-            depth[v] = int(nrec["depth"])
-            parent[v] = None if nrec["parent"] is None else int(nrec["parent"])
-            payloads[v] = TreeNode(
-                id=v,
-                position=np.array(nrec["position"], dtype=float),
-                normal=np.array(nrec["normal"], dtype=float),
-                on_navmesh=bool(nrec["on_navmesh"]),
-                terminal=bool(nrec["terminal"]),
-                source=str(nrec["source"]),
-            )
-        forest.append(
-            RootedTree(
-                root=int(trec["root"]), children=children, depth=depth,
-                payloads=payloads, parent=parent,
-            )
+    if not isinstance(data.get("trees"), list):
+        raise ParseError(f"{p}: 'trees' must be a list")
+    try:
+        return [_tree_from_dict(trec, p) for trec in data["trees"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{p}: malformed tree record: {exc!r}") from exc
+
+
+def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
+    children: dict[int, list[int]] = {}
+    depth: dict[int, int] = {}
+    parent: dict[int, int | None] = {}
+    payloads: dict[int, GraphNode] = {}
+    for nrec in trec["nodes"]:
+        v = int(nrec["id"])
+        children[v] = [int(c) for c in nrec["children"]]
+        depth[v] = int(nrec["depth"])
+        parent[v] = None if nrec["parent"] is None else int(nrec["parent"])
+        payloads[v] = GraphNode(
+            id=v,
+            position=_finite_vector(nrec["position"], f"{p}: node {v} 'position'"),
+            normal=_finite_vector(nrec["normal"], f"{p}: node {v} 'normal'"),
+            on_navmesh=bool(nrec["on_navmesh"]),
+            terminal=bool(nrec["terminal"]),
+            source=str(nrec["source"]),
         )
-    return forest
+    return RootedTree(
+        root=int(trec["root"]), children=children, depth=depth,
+        payloads=payloads, parent=parent,
+    )
 
 
 # ---------------------------------------------------------------------------

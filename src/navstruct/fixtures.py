@@ -10,10 +10,10 @@ import random
 
 import numpy as np
 
+from .algorithms import kruskal_edges
 from .graph import GraphNode, SOURCE_SAMPLE, SurfaceGraph, _canonical_edges
 from .mesh import (
     BlockerMesh,
-    MeshConfig,
     WalkableSurface,
     build_blocker_mesh,
     build_walkable_surface,
@@ -209,21 +209,7 @@ def random_connected_graph(
             for j in range(i + 1, n):
                 if rng.random() < p:
                     edges.append((i, j, 1.0 - rng.random()))
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged = 0
-        for i, j, _ in edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                merged += 1
-        if merged == n - 1:
+        if kruskal_edges(range(n), edges).component_count == 1:
             break
     positions = [(rng.uniform(0, 10), rng.uniform(0, 10), 0.0) for _ in range(n)]
     return graph_from_edges(positions, edges)

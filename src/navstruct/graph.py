@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -26,6 +26,7 @@ class GraphNode:
     normal: np.ndarray    # (3,) unit
     on_navmesh: bool = True
     source: str = SOURCE_POLYGON
+    terminal: bool = False
 
 
 @dataclass
@@ -89,6 +90,22 @@ def _canonical_edges(edges: Iterable[tuple[int, int, float]]) -> list[tuple[int,
         out.append((a, b, float(w)))
     out.sort()
     return out
+
+
+def relabel_dense(
+    nodes: dict[int, GraphNode], edges: Iterable[tuple[int, int, float]]
+) -> SurfaceGraph:
+    """Standalone graph over a subset of nodes, renumbered densely.
+
+    `nodes` maps original ids to payloads and `edges` uses original ids.  New
+    ids follow ascending original id; `node_index` maps original to new id.
+    """
+    index = {orig: k for k, orig in enumerate(sorted(nodes))}
+    return SurfaceGraph(
+        nodes=[replace(nodes[orig], id=k) for orig, k in index.items()],
+        edges=_canonical_edges((index[i], index[j], w) for i, j, w in edges),
+        node_index=index,
+    )
 
 
 def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
@@ -189,16 +206,14 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise ParseError(f"{p}: 'nodes' and 'edges' must be lists")
     nodes = []
     for k, rec in enumerate(data["nodes"]):
         if not isinstance(rec, dict) or "pos" not in rec:
             raise ParseError(f"{p}: node {k} must be an object with 'pos'")
-        pos = np.asarray(rec["pos"], dtype=float)
-        if pos.shape != (3,):
-            raise ParseError(f"{p}: node {k} 'pos' must have 3 components")
-        normal = np.asarray(rec.get("normal", UP), dtype=float)
-        if normal.shape != (3,):
-            raise ParseError(f"{p}: node {k} 'normal' must have 3 components")
+        pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
+        normal = _finite_vector(rec.get("normal", UP), f"{p}: node {k} 'normal'")
         nodes.append(
             GraphNode(id=k, position=pos, normal=normal, on_navmesh=True, source=SOURCE_SAMPLE)
         )
@@ -206,17 +221,34 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
     for rec in data["edges"]:
         if not isinstance(rec, list) or len(rec) not in (2, 3):
             raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
-        i, j = int(rec[0]), int(rec[1])
+        try:
+            i, j = int(rec[0]), int(rec[1])
+            w = float(rec[2]) if len(rec) == 3 else None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{p}: edge {rec!r} must hold integer ids and a number") from exc
         if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
             raise ParseError(f"{p}: edge ({i}, {j}) out of range")
-        if len(rec) == 3:
-            w = float(rec[2])
-        else:
+        if w is None:
             w = float(np.linalg.norm(nodes[i].position - nodes[j].position))
+        if not math.isfinite(w):
+            raise ParseError(f"{p}: edge ({i}, {j}) has non-finite weight")
         if w <= 0.0:
             raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
         edges.append((i, j, w))
     return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
+
+
+def _finite_vector(value, what: str) -> np.ndarray:
+    """`value` as a finite 3-vector, or ParseError naming `what`."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} must hold 3 numbers") from exc
+    if vec.shape != (3,):
+        raise ParseError(f"{what} must have 3 components")
+    if not np.isfinite(vec).all():
+        raise ParseError(f"{what} must be finite")
+    return vec
 
 
 # -- sampling helpers -------------------------------------------------------

@@ -56,6 +56,18 @@ class WalkableSurface:
         n = self.polygon_normals[poly_id]
         return n, float(np.dot(n, self.polygon_centers[poly_id]))
 
+    def projected_ring(self, poly_id: int, keep: list[int]) -> tuple[np.ndarray, float]:
+        """The polygon's ring projected onto the two axes in `keep`, and the
+        sign of its signed area there (+1.0 counter-clockwise, -1.0 clockwise)."""
+        ring = self.vertices[self.polygons[poly_id]][:, keep]
+        area2 = 0.0
+        k = len(ring)
+        for i in range(k):
+            a = ring[i]
+            b = ring[(i + 1) % k]
+            area2 += a[0] * b[1] - b[0] * a[1]
+        return ring, 1.0 if area2 >= 0.0 else -1.0
+
     def contains_point(self, poly_id: int, point, height_tol: float = 0.5) -> bool:
         """True when `point` projects inside the polygon and sits within
         `height_tol` of its plane (measured along the plane normal)."""
@@ -65,9 +77,8 @@ class WalkableSurface:
             return False
         axis = int(np.argmax(np.abs(n)))
         keep = [i for i in range(3) if i != axis]
-        ring = self.vertices[self.polygons[poly_id]][:, keep]
+        ring, sign = self.projected_ring(poly_id, keep)
         q = p[keep]
-        sign = _ring_winding_sign(ring)
         # convex containment: q on the interior side of every directed edge
         for i in range(len(ring)):
             a = ring[i]
@@ -113,9 +124,12 @@ def _parse_obj(path: Path) -> tuple[list[list[float]], list[list[int]]]:
             if len(fields) < 4:
                 raise ParseError(f"{path}:{lineno}: vertex record needs 3 coordinates")
             try:
-                verts.append([float(x) for x in fields[1:4]])
+                coords = [float(x) for x in fields[1:4]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
+            if not all(math.isfinite(x) for x in coords):
+                raise ParseError(f"{path}:{lineno}: vertex coordinates must be finite")
+            verts.append(coords)
         elif tag == "f":
             ring = []
             for tok in fields[1:]:
@@ -152,7 +166,14 @@ def _parse_surface_json(path: Path) -> tuple[list[list[float]], list[list[int]]]
         raise ParseError(f"{path}: 'vertices' must be a list of [x, y, z] triples")
     if not isinstance(polys, list) or not all(isinstance(p, list) for p in polys):
         raise ParseError(f"{path}: 'polygons' must be a list of index rings")
-    return [[float(x) for x in v] for v in verts], [[int(i) for i in p] for p in polys]
+    try:
+        coords = [[float(x) for x in v] for v in verts]
+        rings = [[int(i) for i in p] for p in polys]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: vertices and polygon indices must be numbers") from exc
+    if not all(math.isfinite(x) for v in coords for x in v):
+        raise ParseError(f"{path}: vertex coordinates must be finite")
+    return coords, rings
 
 
 def _parse_geometry(path: str | Path) -> tuple[list[list[float]], list[list[int]]]:
@@ -182,43 +203,30 @@ def _newell_normal(ring_pts: np.ndarray) -> np.ndarray:
     return n
 
 
-def _ring_winding_sign(ring2d: np.ndarray) -> float:
-    area2 = 0.0
-    k = len(ring2d)
-    for i in range(k):
-        a = ring2d[i]
-        b = ring2d[(i + 1) % k]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    return 1.0 if area2 >= 0.0 else -1.0
-
-
 def _weld(verts: np.ndarray, polys: list[list[int]], eps: float):
-    """Merge vertices closer than eps; remap rings and drop repeats."""
-    tree = cKDTree(verts)
-    pairs = tree.query_pairs(eps)
-    parent = list(range(len(verts)))
+    """Merge vertices closer than eps; remap rings and drop repeats.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Each cluster of vertices linked by pairs closer than eps becomes one
+    vertex at the position of its lowest index; clusters keep index order.
+    """
+    # imported here: csgraph is only needed when welding is on
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(i) for i in range(len(verts))})
-    remap = {r: k for k, r in enumerate(roots)}
-    new_verts = verts[roots]
+    n = len(verts)
+    pairs = cKDTree(verts).query_pairs(eps, output_type="ndarray")
+    links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    labels = connected_components(links, directed=False)[1]
+    # components are labelled in order of their lowest vertex index
+    first = np.unique(labels, return_index=True)[1]
+    labels = labels.tolist()
+    new_verts = verts[first]
     new_polys = []
     for ring in polys:
-        mapped = [remap[find(i)] for i in ring]
-        cleaned = [v for k, v in enumerate(mapped) if v != mapped[(k - 1) % len(mapped)]]
-        if len(cleaned) == len(mapped):
-            cleaned = mapped
-        new_polys.append(cleaned)
+        mapped = [labels[i] for i in ring]
+        new_polys.append(
+            [v for k, v in enumerate(mapped) if v != mapped[(k - 1) % len(mapped)]]
+        )
     return new_verts, new_polys
 
 

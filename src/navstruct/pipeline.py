@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from .algorithms import compute_centrality, CentralityScores, CENTRALITY_METRICS
-from .analysis import (
-    AnalysisReport,
-    StageRecord,
-    density_classes,
-    forest_to_graph,
-    stage_metrics,
-)
+from .analysis import AnalysisReport, StageRecord, density_classes, forest_to_graph
 from .errors import ValidationError
-from .graph import GraphNode, SurfaceGraph, graph_from_navmesh, load_graph_json
+from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json, relabel_dense
 from .mesh import BlockerMesh, MeshConfig, WalkableSurface, load_blocker_mesh, load_walkable_surface
 from .raycast import segment_clear
 from .steiner import SteinerTree, build_steiner_tree
@@ -63,7 +56,6 @@ class PipelineConfig:
     katz_alpha: float | None = None
     density_buckets: int = 3
     analyze: bool = False
-    seed: int = 0                        # synthetic fixture generation only
     experiment: str = "run"
 
     def validate(self, *, loaded: bool = False) -> None:
@@ -117,44 +109,31 @@ class PipelineResult:
     analysis_graph: SurfaceGraph | None = None
 
 
-def steiner_subgraph(g: SurfaceGraph, tree: SteinerTree) -> tuple[SurfaceGraph, dict[int, int]]:
-    """Dense relabeling of the Steiner tree as a standalone graph.
-
-    Returns the graph and the original-id -> dense-id map (also stored as the
-    graph's node_index).
-    """
-    index = {orig: k for k, orig in enumerate(tree.nodes)}
-    nodes = [
-        GraphNode(
-            id=index[orig],
-            position=g.nodes[orig].position,
-            normal=g.nodes[orig].normal,
-            on_navmesh=g.nodes[orig].on_navmesh,
-            source=g.nodes[orig].source,
-        )
-        for orig in tree.nodes
-    ]
-    edges = sorted(
-        (min(index[i], index[j]), max(index[i], index[j]), w)
-        for i, j, w in tree.edges
-    )
-    return SurfaceGraph(nodes=nodes, edges=edges, node_index=index), index
-
-
 def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> CentralityScores:
     """Centrality of the Steiner tree's own nodes, scattered into an array
     indexed by the full graph's node ids."""
-    sub, index = steiner_subgraph(g, tree)
+    sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
     weighted = cfg.centrality_weights == "euclidean"
     sub_scores = compute_centrality(
         sub, cfg.root_metric, weighted=weighted, alpha=cfg.katz_alpha
     )
     values = [0.0] * len(g.nodes)
-    for orig, dense in index.items():
+    for orig, dense in sub.node_index.items():
         values[orig] = sub_scores.values[dense]
     return CentralityScores(
         metric=sub_scores.metric, values=values, params=sub_scores.params
     )
+
+
+@contextmanager
+def _stage(stages: list[StageRecord], name: str):
+    """Time the block as stage `name`; the block may fill in the record's
+    node, edge and terminal counts.  The record is appended on success."""
+    record = StageRecord(name=name, millis=0.0)
+    t0 = time.perf_counter_ns()
+    yield record
+    record.millis = (time.perf_counter_ns() - t0) / 1e6
+    stages.append(record)
 
 
 def run_pipeline(
@@ -171,111 +150,74 @@ def run_pipeline(
         raise ValidationError("entry-exit terminals require a surface input")
 
     stages: list[StageRecord] = []
-    t_start = time.perf_counter_ns()
 
-    # --- initial graph ----------------------------------------------------
-    t0 = time.perf_counter_ns()
-    g = graph_from_navmesh(surface) if surface is not None else graph
-    t1 = time.perf_counter_ns()
-    stages.append(
-        StageRecord(
-            name=STAGE_INITIAL, millis=(t1 - t0) / 1e6,
-            nodes=len(g.nodes), edges=len(g.edges),
-        )
-    )
+    with _stage(stages, STAGE_INITIAL) as rec:
+        g = graph_from_navmesh(surface) if surface is not None else graph
+        rec.nodes, rec.edges = len(g.nodes), len(g.edges)
 
-    # --- terminals --------------------------------------------------------
-    t0 = time.perf_counter_ns()
-    if cfg.terminals == "entry-exit":
-        g, term_set = entry_exit_terminals(
-            g, surface, blockers,
-            interval=cfg.interval, radius=cfg.radius, ray_count=cfg.ray_count,
-            sharpness_deg=cfg.sharpness_deg, exit_offset=cfg.exit_offset,
-            height_tol=cfg.los_height_tol,
-        )
-    else:
-        term_set = terminals_from_metric(
-            g, cfg.terminals, metric=cfg.metric, k=cfg.k,
-            weighted=cfg.centrality_weights == "euclidean",
-        )
-    t1 = time.perf_counter_ns()
-    stages.append(
-        StageRecord(
-            name=STAGE_TERMINALS, millis=(t1 - t0) / 1e6,
-            nodes=len(g.nodes), edges=len(g.edges),
-            terminals=len(term_set.node_ids),
-        )
-    )
+    with _stage(stages, STAGE_TERMINALS) as rec:
+        if cfg.terminals == "entry-exit":
+            g, term_set = entry_exit_terminals(
+                g, surface, blockers,
+                interval=cfg.interval, radius=cfg.radius, ray_count=cfg.ray_count,
+                sharpness_deg=cfg.sharpness_deg, exit_offset=cfg.exit_offset,
+                height_tol=cfg.los_height_tol,
+            )
+        else:
+            term_set = terminals_from_metric(
+                g, cfg.terminals, metric=cfg.metric, k=cfg.k,
+                weighted=cfg.centrality_weights == "euclidean",
+            )
+        rec.nodes, rec.edges = len(g.nodes), len(g.edges)
+        rec.terminals = len(term_set.node_ids)
 
-    # --- steiner ----------------------------------------------------------
-    t0 = time.perf_counter_ns()
-    stree = build_steiner_tree(g, term_set)
-    t1 = time.perf_counter_ns()
-    stages.append(
-        StageRecord(
-            name=STAGE_STEINER, millis=(t1 - t0) / 1e6,
-            nodes=len(stree.nodes), edges=len(stree.edges),
-        )
-    )
+    with _stage(stages, STAGE_STEINER) as rec:
+        stree = build_steiner_tree(g, term_set)
+        rec.nodes, rec.edges = len(stree.nodes), len(stree.edges)
 
-    # --- rooting ----------------------------------------------------------
-    t0 = time.perf_counter_ns()
-    scores = _root_scores(g, stree, cfg)
-    forest = find_rooted_trees(stree, g, scores, centroid=g.centroid())
-    t1 = time.perf_counter_ns()
-    stages.append(StageRecord(name=STAGE_ROOTING, millis=(t1 - t0) / 1e6))
+    with _stage(stages, STAGE_ROOTING):
+        scores = _root_scores(g, stree, cfg)
+        forest = find_rooted_trees(stree, g, scores, centroid=g.centroid())
 
-    # --- simplify ---------------------------------------------------------
-    t0 = time.perf_counter_ns()
-    simplify_cfg = cfg.simplify_config()
-    if surface is not None:
-        forest = [simplify_tree(t, surface, simplify_cfg) for t in forest]
-    elif blockers is not None:
-        los = lambda a, c: segment_clear(blockers, a, c)  # noqa: E731
-        forest = [simplify_tree(t, None, simplify_cfg, los=los) for t in forest]
-    else:
-        log.warning("no surface or blocker mesh: simplification skipped")
-    t1 = time.perf_counter_ns()
-    n_simpl = sum(t.size() for t in forest)
-    e_simpl = sum(t.size() - 1 for t in forest)
-    stages.append(
-        StageRecord(
-            name=STAGE_SIMPLIFY, millis=(t1 - t0) / 1e6,
-            nodes=n_simpl, edges=e_simpl,
-        )
-    )
+    with _stage(stages, STAGE_SIMPLIFY) as rec:
+        simplify_cfg = cfg.simplify_config()
+        if surface is not None:
+            forest = [simplify_tree(t, surface, simplify_cfg) for t in forest]
+        elif blockers is not None:
+            los = lambda a, c: segment_clear(blockers, a, c)  # noqa: E731
+            forest = [simplify_tree(t, None, simplify_cfg, los=los) for t in forest]
+        else:
+            log.warning("no surface or blocker mesh: simplification skipped")
+        rec.nodes = sum(t.size() for t in forest)
+        rec.edges = rec.nodes - len(forest)
 
-    # --- analysis mode ----------------------------------------------------
     node_analysis = None
     thresholds = None
     analysis_graph = None
-    t0 = time.perf_counter_ns()
-    if cfg.analyze:
-        analysis_graph = forest_to_graph(forest)
-        between = compute_centrality(
-            analysis_graph, "betweenness",
-            weighted=cfg.centrality_weights == "euclidean",
-        )
-        classes = density_classes(between.values, cfg.density_buckets)
-        thresholds = classes.thresholds
-        reverse = {dense: orig for orig, dense in analysis_graph.node_index.items()}
-        node_analysis = [
-            {
-                "id": reverse[k],
-                "position": [float(x) for x in analysis_graph.nodes[k].position],
-                "betweenness": between.values[k],
-                "density": classes.labels[k],
-            }
-            for k in range(len(analysis_graph.nodes))
-        ]
-    t1 = time.perf_counter_ns()
-    stages.append(StageRecord(name=STAGE_POST, millis=(t1 - t0) / 1e6))
-    total_ms = (t1 - t_start) / 1e6
+    with _stage(stages, STAGE_POST):
+        if cfg.analyze:
+            analysis_graph = forest_to_graph(forest)
+            between = compute_centrality(
+                analysis_graph, "betweenness",
+                weighted=cfg.centrality_weights == "euclidean",
+            )
+            classes = density_classes(between.values, cfg.density_buckets)
+            thresholds = classes.thresholds
+            reverse = {dense: orig for orig, dense in analysis_graph.node_index.items()}
+            node_analysis = [
+                {
+                    "id": reverse[k],
+                    "position": [float(x) for x in analysis_graph.nodes[k].position],
+                    "betweenness": between.values[k],
+                    "density": classes.labels[k],
+                }
+                for k in range(len(analysis_graph.nodes))
+            ]
 
-    report = stage_metrics(
+    report = AnalysisReport(
         experiment=cfg.experiment,
         stages=stages,
-        total_millis=total_ms,
+        total_millis=sum(s.millis for s in stages),
         node_analysis=node_analysis,
         density_thresholds=thresholds,
     )

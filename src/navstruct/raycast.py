@@ -8,21 +8,14 @@ from .mesh import BlockerMesh
 EPS = 1e-9
 
 
-def ray_hits(
-    blockers: BlockerMesh | None, origin, direction, max_t: float
-) -> bool:
-    """True when the ray origin + t*direction hits any blocker triangle with
-    t in (EPS, max_t].  `direction` need not be unit length; `max_t` is in
-    multiples of it.  A missing/empty blocker mesh never hits."""
-    t = first_hit(blockers, origin, direction, max_t)
-    return t is not None
-
-
 def first_hit(
     blockers: BlockerMesh | None, origin, direction, max_t: float
 ) -> float | None:
-    """Smallest hit parameter in (EPS, max_t], or None.  Vectorized over all
-    triangles; boundary hits (on a triangle edge) count as hits."""
+    """Smallest t in (EPS, max_t] at which the ray origin + t*direction hits a
+    blocker triangle, or None.  `direction` need not be unit length; `max_t`
+    is in multiples of it.  A missing/empty blocker mesh never hits.
+    Vectorized over all triangles; boundary hits (on a triangle edge) count
+    as hits."""
     if blockers is None or len(blockers.triangles) == 0:
         return None
     o = np.asarray(origin, dtype=float)
@@ -57,4 +50,4 @@ def segment_clear(blockers: BlockerMesh | None, a, c) -> bool:
     length = float(np.linalg.norm(d))
     if length < EPS:
         return True
-    return not ray_hits(blockers, a, d, 1.0)
+    return first_hit(blockers, a, d, 1.0) is None

@@ -17,7 +17,7 @@ from .algorithms import compute_centrality
 from .errors import EmptyTerminalSet, ValidationError
 from .graph import SOURCE_ENTRY_EXIT, GraphNode, SurfaceGraph
 from .mesh import BlockerMesh, WalkableSurface
-from .raycast import ray_hits
+from . import raycast
 
 log = logging.getLogger("navstruct")
 
@@ -134,7 +134,7 @@ def _fan_hits(
         ]
     for ang in angles:
         d = _rotate_about(normal, direction, ang)
-        if ray_hits(blockers, origin, d, radius):
+        if raycast.first_hit(blockers, origin, d, radius) is not None:
             return True
     return False
 

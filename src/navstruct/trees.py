@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PointOffMesh, ValidationError
-from .graph import SurfaceGraph
+from .graph import GraphNode, SurfaceGraph
 from .mesh import WalkableSurface
 from .steiner import SteinerTree
 from .algorithms import CentralityScores
@@ -28,7 +28,6 @@ LosFn = Callable[[np.ndarray, np.ndarray], bool]
 class SimplifyConfig:
     normal_tolerance_deg: float = 15.0
     los_height_tolerance: float = 0.5
-    max_walk_steps: int = 0  # 0 selects an automatic per-surface bound
 
     def __post_init__(self):
         if not (0.0 < self.normal_tolerance_deg < 90.0):
@@ -39,18 +38,6 @@ class SimplifyConfig:
             raise ValidationError(
                 f"line-of-sight height tolerance must be positive, got {self.los_height_tolerance}"
             )
-
-
-@dataclass
-class TreeNode:
-    """Per-node payload copied out of the source graph."""
-
-    id: int
-    position: np.ndarray
-    normal: np.ndarray
-    on_navmesh: bool
-    terminal: bool
-    source: str = "sample"
 
 
 @dataclass
@@ -65,7 +52,7 @@ class RootedTree:
     root: int
     children: dict[int, list[int]]      # ascending child ids
     depth: dict[int, int]
-    payloads: dict[int, TreeNode]
+    payloads: dict[int, GraphNode]
     parent: dict[int, int | None]
     removals: list[RemovalRecord] = field(default_factory=list)
 
@@ -143,20 +130,12 @@ def find_rooted_trees(
         children: dict[int, list[int]] = {}
         parent: dict[int, int | None] = {root: None}
         depth = {root: 0}
-        payloads: dict[int, TreeNode] = {}
+        payloads: dict[int, GraphNode] = {}
         stack = [root]
         unvisited.discard(root)
         while stack:
             v = stack.pop()
-            gnode = graph.nodes[v]
-            payloads[v] = TreeNode(
-                id=v,
-                position=gnode.position,
-                normal=gnode.normal,
-                on_navmesh=gnode.on_navmesh,
-                terminal=v in term_set,
-                source=gnode.source,
-            )
+            payloads[v] = replace(graph.nodes[v], id=v, terminal=v in term_set)
             kids = sorted(u for u, _w in adj[v] if u in unvisited)
             children[v] = kids
             for u in reversed(kids):
@@ -209,7 +188,7 @@ def surface_los(
         # segment is vertical in this projection; only a same-polygon hop works
         return surface.contains_point(start, c, tol)
 
-    max_steps = cfg.max_walk_steps or (4 * len(surface.polygons) + 8)
+    max_steps = 4 * len(surface.polygons) + 8
     seg = c - a
     current = start
     t = 0.0
@@ -252,8 +231,7 @@ def _clip_to_polygon(surface, pid, keep, a2, d2):
     """Clip the 2D parametric line a2 + t*d2 against the polygon's projected
     convex region.  Returns (t_in, t_out, exit_edges)."""
     ring = surface.polygons[pid]
-    pts = surface.vertices[ring][:, keep]
-    sign = _winding_sign(pts)
+    pts, sign = surface.projected_ring(pid, keep)
     t_in = -math.inf
     t_out = math.inf
     exit_edges: list[tuple[int, int]] = []
@@ -280,16 +258,6 @@ def _clip_to_polygon(surface, pid, keep, a2, d2):
     return t_in, t_out, exit_edges
 
 
-def _winding_sign(pts) -> float:
-    area2 = 0.0
-    k = len(pts)
-    for i in range(k):
-        a = pts[i]
-        b = pts[(i + 1) % k]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    return 1.0 if area2 >= 0.0 else -1.0
-
-
 # ---------------------------------------------------------------------------
 # collapse predicate and simplification
 # ---------------------------------------------------------------------------
@@ -303,9 +271,9 @@ def normal_angle_deg(n1, n2) -> float:
 
 
 def can_simplify(
-    a: TreeNode,
-    b: TreeNode,
-    c: TreeNode,
+    a: GraphNode,
+    b: GraphNode,
+    c: GraphNode,
     surface: WalkableSurface | None,
     cfg: SimplifyConfig | None = None,
     c_is_leaf: bool = True,

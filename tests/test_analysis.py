@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from navstruct.analysis import (
+    AnalysisReport,
     StageRecord,
     density_classes,
     forest_to_graph,
     render_report_text,
     report_to_dict,
-    stage_metrics,
 )
 from navstruct.errors import DegenerateEdge, ParseError, ValidationError
 from navstruct.export import (
@@ -23,16 +23,18 @@ from navstruct.export import (
     structure_json_bytes,
     structure_obj,
 )
-from navstruct.trees import RootedTree, TreeNode
+from navstruct.graph import SOURCE_SAMPLE, GraphNode
+from navstruct.trees import RootedTree
 
 
 def tnode(v, pos, terminal=False, on_navmesh=True):
-    return TreeNode(
+    return GraphNode(
         id=v,
         position=np.asarray(pos, dtype=float),
         normal=np.array([0.0, 0.0, 1.0]),
         on_navmesh=on_navmesh,
         terminal=terminal,
+        source=SOURCE_SAMPLE,
     )
 
 
@@ -157,7 +159,7 @@ def test_density_distinct_values_balance_bucket_sizes(rng):
 # --- run reports ------------------------------------------------------------
 
 def demo_report():
-    return stage_metrics(
+    return AnalysisReport(
         "demo",
         [
             StageRecord("graph", 12.6, nodes=10, edges=9),
@@ -199,7 +201,7 @@ def test_report_dict_keeps_fractional_milliseconds():
 
 
 def test_report_dict_rounds_to_three_decimals():
-    report = stage_metrics(
+    report = AnalysisReport(
         "demo", [StageRecord("graph", 1.23456)], 1.23456,
         node_analysis=[{"id": 0, "density": "low"}],
     )
@@ -280,6 +282,10 @@ def test_structure_json_rejects_bad_files(tmp_path):
     other.write_text(json.dumps({"format": "something-else/9", "trees": []}))
     with pytest.raises(ParseError, match="not a"):
         load_structure_json(other)
+    treeless = tmp_path / "treeless.json"
+    treeless.write_text(json.dumps({"format": STRUCTURE_FORMAT}))
+    with pytest.raises(ParseError, match="'trees'"):
+        load_structure_json(treeless)
 
 
 def test_structure_dot_marks_roots_depths_and_terminals():

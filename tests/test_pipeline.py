@@ -7,6 +7,7 @@ import pytest
 from navstruct.cli import main
 from navstruct.errors import ValidationError
 from navstruct.fixtures import graph_from_edges
+from navstruct.graph import relabel_dense
 from navstruct.mesh import build_blocker_mesh
 from navstruct.pipeline import (
     STAGE_INITIAL,
@@ -18,7 +19,6 @@ from navstruct.pipeline import (
     PipelineConfig,
     run_extract,
     run_pipeline,
-    steiner_subgraph,
 )
 from navstruct.steiner import build_steiner_tree
 from navstruct.terminals import TerminalSet
@@ -124,7 +124,8 @@ def test_steiner_subgraph_renumbers_densely():
     tree = build_steiner_tree(
         g, TerminalSet(node_ids=[0, 3, 5], selection_method="metric")
     )
-    sub, index = steiner_subgraph(g, tree)
+    sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
+    index = sub.node_index
     assert index == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4}
     assert sub.node_index == index
     assert sub.edges == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)]
@@ -318,6 +319,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["extract", "--graph", str(ring), "--terminals", "leaves",
                  "--out", str(tmp_path)]) == 2
     assert "degree-1" in capsys.readouterr().err
+
+
+_CHAIN = {"nodes": [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0]}], "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("name, text", [
+    ("nodes.json", json.dumps({"nodes": 5, "edges": []})),
+    ("edge.json", json.dumps({**_CHAIN, "edges": [[0, "x"]]})),
+    ("pos.json", json.dumps({**_CHAIN, "nodes": [{"pos": ["nan", 0, 0]}, {"pos": [1, 0, 0]}]})),
+    ("weight.json", json.dumps({**_CHAIN, "edges": [[0, 1, "nan"]]})),
+    ("surface.obj", "v 0 0 0\nv 1 0 0\nv 2 0 0\nv 0 1 0\nv 1 1 nan\nv 2 1 0\n"
+                    "f 1 2 5 4\nf 2 3 6 5\n"),
+])
+def test_cli_rejects_malformed_inputs_with_one_error_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    if name.endswith(".obj"):
+        inputs = ["--surface", str(path)]
+    else:
+        inputs = ["--graph", str(path), "--terminals", "leaves"]
+    code = main(["extract", *inputs, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
 def test_cli_oracle_suites_pass(capsys):

@@ -1,0 +1,47 @@
+"""The benchmark's tracer patches navstruct names from outside and silently
+skips any that no longer exist, which would zero that layer's metrics.  This
+test fails instead when a refactor moves or renames a patch point."""
+import importlib.util
+from pathlib import Path
+
+from navstruct import raycast
+from navstruct.fixtures import straight_corridor
+from navstruct.graph import graph_from_navmesh
+from navstruct.terminals import entry_exit_terminals
+
+TRACING = Path(__file__).resolve().parents[1] / "navbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("navbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_patch_point_resolves():
+    tracing = _load_tracing()
+    points = [(owner, attr) for owner, attr, *_ in tracing.SPANS + tracing.COUNTED]
+    assert points
+    missing = []
+    for owner, attr in points:
+        obj = tracing._resolve(owner)
+        # the tracer reads class attributes from __dict__, module names with getattr
+        found = attr in obj.__dict__ if isinstance(obj, type) else hasattr(obj, attr)
+        if not found:
+            missing.append(f"{owner}.{attr}")
+    assert missing == []
+
+
+def test_fan_rays_look_up_first_hit_through_the_raycast_module(monkeypatch):
+    calls = []
+    original = raycast.first_hit
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(raycast, "first_hit", counting)
+    surface, blockers = straight_corridor(4)
+    entry_exit_terminals(graph_from_navmesh(surface), surface, blockers, interval=1.0)
+    assert calls

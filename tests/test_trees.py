@@ -11,12 +11,11 @@ from navstruct.fixtures import (
     straight_corridor,
     surface_from_squares,
 )
-from navstruct.graph import graph_from_navmesh
+from navstruct.graph import SOURCE_SAMPLE, GraphNode, graph_from_navmesh
 from navstruct.steiner import SteinerTree, build_steiner_tree
 from navstruct.terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
 from navstruct.trees import (
     SimplifyConfig,
-    TreeNode,
     can_simplify,
     find_rooted_trees,
     normal_angle_deg,
@@ -45,12 +44,13 @@ def path_graph(xs):
 
 
 def payload(node_id, pos, normal=Z, on_navmesh=True, terminal=False):
-    return TreeNode(
+    return GraphNode(
         id=node_id,
         position=np.asarray(pos, dtype=float),
         normal=np.asarray(normal, dtype=float),
         on_navmesh=on_navmesh,
         terminal=terminal,
+        source=SOURCE_SAMPLE,
     )
 
 
