@@ -5,189 +5,26 @@ The pipeline builds a surface graph from a polygon mesh (or a sampled /
 pre-built graph), selects terminal nodes, connects them with an approximate
 Steiner tree, roots the tree at its most central node, and collapses interior
 nodes that are redundant under line-of-sight and surface-normal constraints.
+
+The package exports the pipeline and its stages; every other name lives in
+its module (`navstruct.mesh`, `navstruct.graph`, `navstruct.errors`, ...).
 """
-from .algorithms import (
-    CENTRALITY_METRICS,
-    CentralityScores,
-    SpanningForest,
-    betweenness_centrality,
-    compute_centrality,
-    connected_components,
-    degree_centrality,
-    dijkstra_tree,
-    eigenvector_centrality,
-    katz_centrality,
-    kruskal_edges,
-    minimum_spanning_tree,
-    shortest_path,
-    spectral_radius,
-)
-from .analysis import (
-    AnalysisReport,
-    DensityClasses,
-    StageRecord,
-    density_classes,
-    forest_to_graph,
-    render_report_text,
-    report_to_dict,
-)
-from .errors import (
-    AlphaTooLarge,
-    AsymmetricNeighborhood,
-    DegenerateEdge,
-    DisconnectedTerminals,
-    EmptyGraph,
-    EmptyTerminalSet,
-    NavStructError,
-    NoConvergence,
-    NoPath,
-    ParseError,
-    PointOffMesh,
-    ValidationError,
-)
-from .export import (
-    STRUCTURE_FORMAT,
-    canonical_json,
-    export_structure,
-    forest_to_dict,
-    load_structure_json,
-    structure_dot,
-    structure_json_bytes,
-    structure_obj,
-)
-from .graph import (
-    GraphNode,
-    SurfaceGraph,
-    graph_from_navmesh,
-    graph_from_sampling,
-    grid_neighbor_pairs,
-    grid_points,
-    load_graph_json,
-)
-from .mesh import (
-    BlockerMesh,
-    MeshConfig,
-    WalkableSurface,
-    boundary_loops,
-    build_blocker_mesh,
-    build_walkable_surface,
-    load_blocker_mesh,
-    load_walkable_surface,
-)
-from .pipeline import (
-    PipelineConfig,
-    PipelineResult,
-    run_extract,
-    run_pipeline,
-)
-from .raycast import first_hit, segment_clear
-from .steiner import SteinerTree, build_steiner_tree
-from .terminals import (
-    BoundarySample,
-    EntryExitSegment,
-    TerminalSet,
-    classify_samples,
-    entry_exit_terminals,
-    extract_segments,
-    register_terminals,
-    sample_boundary,
-    terminals_from_metric,
-)
-from .trees import (
-    RemovalRecord,
-    RootedTree,
-    SimplifyConfig,
-    can_simplify,
-    find_rooted_trees,
-    normal_angle_deg,
-    simplify_tree,
-    surface_los,
-    verify_removals,
-)
+from .graph import graph_from_navmesh
+from .pipeline import PipelineConfig, run_pipeline
+from .steiner import build_steiner_tree
+from .terminals import entry_exit_terminals, terminals_from_metric
+from .trees import find_rooted_trees, simplify_tree, verify_removals
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTooLarge",
-    "AnalysisReport",
-    "AsymmetricNeighborhood",
-    "BlockerMesh",
-    "BoundarySample",
-    "CENTRALITY_METRICS",
-    "CentralityScores",
-    "DegenerateEdge",
-    "DensityClasses",
-    "DisconnectedTerminals",
-    "EmptyGraph",
-    "EmptyTerminalSet",
-    "EntryExitSegment",
-    "GraphNode",
-    "MeshConfig",
-    "NavStructError",
-    "NoConvergence",
-    "NoPath",
-    "ParseError",
     "PipelineConfig",
-    "PipelineResult",
-    "PointOffMesh",
-    "RemovalRecord",
-    "RootedTree",
-    "STRUCTURE_FORMAT",
-    "SimplifyConfig",
-    "SpanningForest",
-    "StageRecord",
-    "SteinerTree",
-    "SurfaceGraph",
-    "TerminalSet",
-    "ValidationError",
-    "WalkableSurface",
-    "betweenness_centrality",
-    "boundary_loops",
-    "build_blocker_mesh",
     "build_steiner_tree",
-    "build_walkable_surface",
-    "can_simplify",
-    "canonical_json",
-    "classify_samples",
-    "compute_centrality",
-    "connected_components",
-    "degree_centrality",
-    "density_classes",
-    "dijkstra_tree",
-    "eigenvector_centrality",
     "entry_exit_terminals",
-    "export_structure",
-    "extract_segments",
     "find_rooted_trees",
-    "first_hit",
-    "forest_to_dict",
-    "forest_to_graph",
     "graph_from_navmesh",
-    "graph_from_sampling",
-    "grid_neighbor_pairs",
-    "grid_points",
-    "katz_centrality",
-    "kruskal_edges",
-    "load_blocker_mesh",
-    "load_graph_json",
-    "load_structure_json",
-    "load_walkable_surface",
-    "minimum_spanning_tree",
-    "normal_angle_deg",
-    "register_terminals",
-    "render_report_text",
-    "report_to_dict",
-    "run_extract",
     "run_pipeline",
-    "sample_boundary",
-    "segment_clear",
-    "shortest_path",
     "simplify_tree",
-    "spectral_radius",
-    "structure_dot",
-    "structure_json_bytes",
-    "structure_obj",
-    "surface_los",
     "terminals_from_metric",
     "verify_removals",
 ]

@@ -12,22 +12,18 @@ Exit codes: 0 success, 2 validation failure, 3 disconnected terminals,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .analysis import render_report_text, report_to_dict
-from .errors import (
-    DisconnectedTerminals,
-    EmptyTerminalSet,
-    NavStructError,
-    NoPath,
-    ParseError,
-    ValidationError,
-)
+from .errors import DisconnectedTerminals, NavStructError, NoPath, ValidationError
 from .export import canonical_json, export_structure
-from .pipeline import PipelineConfig, run_extract
+from .mesh import read_text
+from .pipeline import TUNING_FIELDS, PipelineConfig, run_extract
 
 log = logging.getLogger("navstruct")
 
@@ -53,47 +49,23 @@ def _setup_logging() -> None:
     log.setLevel(level)
 
 
+def _tuning_option(p: argparse.ArgumentParser, f: dataclasses.Field, hint) -> argparse.Action:
+    """The flag of one tuning field; its type is the annotation less any `| None`."""
+    return p.add_argument(
+        f"--{f.name.replace('_', '-')}", type=(typing.get_args(hint) or (hint,))[0],
+        default=f.default, choices=f.metadata["choices"], help=f.metadata["help"],
+    )
+
+
 def _add_pipeline_options(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """Add the pipeline flags to `p` and return them by destination name."""
+    hints = typing.get_type_hints(PipelineConfig)
     actions = [
         p.add_argument("--config", help="flat key=value file pre-setting any flag"),
         p.add_argument("--surface", help="walkable surface (.obj or .json)"),
         p.add_argument("--blockers", help="blocker triangle mesh (.obj or .json)"),
         p.add_argument("--graph", help="pre-built graph (.json) instead of a surface"),
-        p.add_argument("--weld-eps", type=float, default=0.0,
-                       help="merge surface vertices closer than this (0 disables)"),
-        p.add_argument("--plane-eps", type=float, default=1e-4,
-                       help="planarity/convexity tolerance"),
-        p.add_argument("--terminals", choices=["entry-exit", "leaves", "metric"],
-                       default="entry-exit", help="terminal selection method"),
-        p.add_argument("--metric", choices=["degree", "betweenness", "eigenvector", "katz"],
-                       default="degree", help="centrality for --terminals metric"),
-        p.add_argument("--k", type=int, default=4,
-                       help="terminal count for --terminals metric"),
-        p.add_argument("--interval", type=float, default=0.5,
-                       help="boundary sampling interval (world units)"),
-        p.add_argument("--radius", type=float, default=1.0,
-                       help="classification ray length"),
-        p.add_argument("--ray-count", type=int, default=5,
-                       help="rays per classification fan"),
-        p.add_argument("--sharpness-deg", type=float, default=45.0,
-                       help="segment-breaking turn angle"),
-        p.add_argument("--exit-offset", type=float, default=0.0,
-                       help="push entry/exit nodes outward by this distance"),
-        p.add_argument("--normal-tol-deg", type=float, default=15.0,
-                       help="collapse normal-angle tolerance"),
-        p.add_argument("--los-height-tol", type=float, default=0.5,
-                       help="line-of-sight height tolerance"),
-        p.add_argument("--root-metric",
-                       choices=["degree", "betweenness", "eigenvector", "katz"],
-                       default="betweenness", help="centrality used to pick roots"),
-        p.add_argument("--centrality-weights", choices=["euclidean", "unit"],
-                       default="euclidean",
-                       help="edge weighting for betweenness/shortest paths"),
-        p.add_argument("--katz-alpha", type=float, default=None,
-                       help="attenuation for katz centrality (default 0.9/spectral-radius)"),
-        p.add_argument("--density-buckets", type=int, default=3,
-                       help="density class count for analyze mode"),
+        *(_tuning_option(p, f, hints[f.name]) for f in TUNING_FIELDS),
         p.add_argument("--out", default=".", help="output directory"),
         p.add_argument("--format", action="append", choices=["json", "dot", "obj"],
                        default=[], help="structure export format (repeatable; default json)"),
@@ -130,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    text = Path(path).read_text()
+    text = read_text(Path(path))
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -180,24 +152,9 @@ def _config_from_args(args: argparse.Namespace, analyze: bool) -> PipelineConfig
         surface_path=args.surface,
         blockers_path=args.blockers,
         graph_path=args.graph,
-        weld_eps=args.weld_eps,
-        plane_eps=args.plane_eps,
-        terminals=args.terminals,
-        metric=args.metric,
-        k=args.k,
-        interval=args.interval,
-        radius=args.radius,
-        ray_count=args.ray_count,
-        sharpness_deg=args.sharpness_deg,
-        exit_offset=args.exit_offset,
-        normal_tol_deg=args.normal_tol_deg,
-        los_height_tol=args.los_height_tol,
-        root_metric=args.root_metric,
-        centrality_weights=args.centrality_weights,
-        katz_alpha=args.katz_alpha,
-        density_buckets=args.density_buckets,
         analyze=analyze,
         experiment=experiment,
+        **{f.name: getattr(args, f.name) for f in TUNING_FIELDS},
     )
 
 
@@ -257,17 +214,11 @@ def main(argv: list[str] | None = None) -> int:
             return _run_pipeline_command(args, analyze=True)
         if args.command == "bench":
             return _run_bench(args)
-        if args.command == "oracle":
-            return _run_oracle(args)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return _run_oracle(args)
     except (DisconnectedTerminals, NoPath) as exc:
         log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DISCONNECTED
-    except (ParseError, ValidationError, EmptyTerminalSet) as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
     except NavStructError as exc:
         log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import GraphNode, _finite_vector
+from .mesh import read_json
 from .trees import RootedTree
 
 STRUCTURE_FORMAT = "navstruct-structure/1"
@@ -114,10 +115,7 @@ def structure_json_bytes(forest: list[RootedTree]) -> bytes:
 def load_structure_json(path: str | Path) -> list[RootedTree]:
     """Rebuild a forest from a structure JSON file."""
     p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}: invalid JSON: {exc}") from exc
+    data = read_json(p)
     if not isinstance(data, dict) or data.get("format") != STRUCTURE_FORMAT:
         raise ParseError(f"{p}: not a {STRUCTURE_FORMAT} file")
     if not isinstance(data.get("trees"), list):

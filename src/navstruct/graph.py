@@ -1,7 +1,6 @@
 """Surface-derived graphs: polygon-center graphs, sampled-point graphs, JSON I/O."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -10,7 +9,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import AsymmetricNeighborhood, DegenerateEdge, ParseError, ValidationError
-from .mesh import WalkableSurface
+from .mesh import WalkableSurface, as_index, read_json
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -200,10 +199,7 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
     "edges": [[i, j, w], ...]}.  `normal` defaults to +Z; a 2-element edge
     entry gets a Euclidean weight."""
     p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}: invalid JSON: {exc}") from exc
+    data = read_json(p)
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
@@ -221,11 +217,11 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
     for rec in data["edges"]:
         if not isinstance(rec, list) or len(rec) not in (2, 3):
             raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
+        i, j = as_index(rec[0], p), as_index(rec[1], p)
         try:
-            i, j = int(rec[0]), int(rec[1])
             w = float(rec[2]) if len(rec) == 3 else None
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"{p}: edge {rec!r} must hold integer ids and a number") from exc
+            raise ParseError(f"{p}: edge {rec!r} weight must be a number") from exc
         if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
             raise ParseError(f"{p}: edge ({i}, {j}) out of range")
         if w is None:

@@ -108,13 +108,44 @@ class BlockerMesh:
 # parsing
 # ---------------------------------------------------------------------------
 
+def read_text(path: Path) -> str:
+    """The text of an input file, which must be UTF-8.
+
+    Raises:
+        ParseError: the bytes are not UTF-8.
+        OSError: unreadable path.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: Path):
+    """The JSON document in an input file; ParseError when it is not UTF-8 JSON."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def as_index(value, path: Path) -> int:
+    """An index read from the JSON file `path`, which must be an integral
+    number (2 or 2.0, not 2.7, "2" or true); ParseError otherwise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{path}: index {value!r} is not an integer")
+
+
 _OBJ_IGNORED = {"vn", "vt", "vp", "o", "g", "s", "mtllib", "usemtl"}
 
 
 def _parse_obj(path: Path) -> tuple[list[list[float]], list[list[int]]]:
     verts: list[list[float]] = []
     faces: list[list[int]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -151,38 +182,43 @@ def _parse_obj(path: Path) -> tuple[list[list[float]], list[list[int]]]:
     return verts, faces
 
 
-def _parse_surface_json(path: Path) -> tuple[list[list[float]], list[list[int]]]:
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "vertices" not in data or "polygons" not in data:
-        raise ParseError(f"{path}: expected object with 'vertices' and 'polygons'")
+def _parse_surface_json(
+    path: Path, face_keys: tuple[str, ...]
+) -> tuple[list[list[float]], list[list[int]]]:
+    """Vertices and index rings from a JSON object; the rings are under the
+    first of `face_keys` the object has."""
+    data = read_json(path)
+    key = next((k for k in face_keys if isinstance(data, dict) and k in data), None)
+    if key is None or "vertices" not in data:
+        raise ParseError(f"{path}: expected object with 'vertices' and {face_keys[0]!r}")
     verts = data["vertices"]
-    polys = data["polygons"]
+    polys = data[key]
     if not isinstance(verts, list) or not all(
         isinstance(v, list) and len(v) == 3 for v in verts
     ):
         raise ParseError(f"{path}: 'vertices' must be a list of [x, y, z] triples")
     if not isinstance(polys, list) or not all(isinstance(p, list) for p in polys):
-        raise ParseError(f"{path}: 'polygons' must be a list of index rings")
+        raise ParseError(f"{path}: {key!r} must be a list of index rings")
     try:
         coords = [[float(x) for x in v] for v in verts]
-        rings = [[int(i) for i in p] for p in polys]
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: vertices and polygon indices must be numbers") from exc
+        raise ParseError(f"{path}: vertex coordinates must be numbers") from exc
     if not all(math.isfinite(x) for v in coords for x in v):
         raise ParseError(f"{path}: vertex coordinates must be finite")
+    rings = [[as_index(i, path) for i in ring] for ring in polys]
     return coords, rings
 
 
-def _parse_geometry(path: str | Path) -> tuple[list[list[float]], list[list[int]]]:
+def _parse_geometry(
+    path: str | Path, face_keys: tuple[str, ...] = ("polygons",)
+) -> tuple[list[list[float]], list[list[int]]]:
+    """Vertices and faces from OBJ, or from JSON with faces under `face_keys`."""
     p = Path(path)
     suffix = p.suffix.lower()
     if suffix == ".obj":
         return _parse_obj(p)
     if suffix == ".json":
-        return _parse_surface_json(p)
+        return _parse_surface_json(p, face_keys)
     raise ParseError(f"{p}: unsupported file extension {suffix!r} (expected .obj or .json)")
 
 
@@ -400,7 +436,10 @@ def load_walkable_surface(path: str | Path, config: MeshConfig | None = None) ->
 
 def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
     verts = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangles, dtype=int)
+    try:
+        tris = np.asarray(triangles, dtype=int)
+    except OverflowError as exc:
+        raise ValidationError("blocker triangle index out of range") from exc
     if tris.size == 0:
         tris = tris.reshape(0, 3)
     if verts.ndim != 2 or verts.shape[1] != 3:
@@ -417,24 +456,12 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
 
 
 def load_blocker_mesh(path: str | Path) -> BlockerMesh:
-    """Load a triangles-only blocker mesh from OBJ or JSON."""
-    p = Path(path)
-    if p.suffix.lower() == ".json":
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict) or "vertices" not in data:
-            raise ParseError(f"{p}: expected object with 'vertices' and 'triangles'")
-        faces = data.get("triangles", data.get("polygons"))
-        if faces is None:
-            raise ParseError(f"{p}: expected object with 'vertices' and 'triangles'")
-        verts = data["vertices"]
-    else:
-        verts, faces = _parse_obj(p)
+    """Load a triangles-only blocker mesh from OBJ, or from JSON with the
+    faces under ``triangles`` (``polygons`` is accepted too)."""
+    verts, faces = _parse_geometry(path, ("triangles", "polygons"))
     for f in faces:
         if len(f) != 3:
-            raise ParseError(f"{p}: blocker faces must be triangles")
+            raise ParseError(f"{path}: blocker faces must be triangles")
     return build_blocker_mesh(verts, faces)
 
 

@@ -10,21 +10,27 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .algorithms import compute_centrality, CentralityScores, CENTRALITY_METRICS
 from .analysis import AnalysisReport, StageRecord, density_classes, forest_to_graph
 from .errors import ValidationError
 from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json, relabel_dense
-from .mesh import BlockerMesh, MeshConfig, WalkableSurface, load_blocker_mesh, load_walkable_surface
+from .mesh import (
+    PLANE_EPS, BlockerMesh, MeshConfig, WalkableSurface, load_blocker_mesh, load_walkable_surface,
+)
 from .raycast import segment_clear
 from .steiner import SteinerTree, build_steiner_tree
-from .terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
+from .terminals import (
+    DEFAULT_HEIGHT_TOL, DEFAULT_INTERVAL, DEFAULT_RADIUS, DEFAULT_RAY_COUNT, DEFAULT_SHARPNESS_DEG,
+    TerminalSet, entry_exit_terminals, terminals_from_metric,
+)
 from .trees import RootedTree, SimplifyConfig, find_rooted_trees, simplify_tree
 
 log = logging.getLogger("navstruct")
 
 TERMINAL_METHODS = ("entry-exit", "leaves", "metric")
+CENTRALITY_WEIGHTS = ("euclidean", "unit")
 
 STAGE_INITIAL = "initial-graph"
 STAGE_TERMINALS = "terminals"
@@ -34,27 +40,38 @@ STAGE_SIMPLIFY = "simplify"
 STAGE_POST = "post-process"
 
 
+def _option(default, help_text: str, choices: tuple[str, ...] | None = None):
+    """A tuning field; the CLI makes one flag of it with this help text."""
+    return field(default=default, metadata={"help": help_text, "choices": choices})
+
+
 @dataclass
 class PipelineConfig:
     surface_path: str | None = None
     blockers_path: str | None = None
     graph_path: str | None = None
-    weld_eps: float = 0.0
-    plane_eps: float = 1e-4
-    terminals: str = "entry-exit"        # entry-exit | leaves | metric
-    metric: str = "degree"               # terminal-selection centrality
-    k: int = 4                           # terminal count for metric selection
-    interval: float = 0.5
-    radius: float = 1.0
-    ray_count: int = 5
-    sharpness_deg: float = 45.0
-    exit_offset: float = 0.0
-    normal_tol_deg: float = 15.0
-    los_height_tol: float = 0.5
-    root_metric: str = "betweenness"
-    centrality_weights: str = "euclidean"  # euclidean | unit
-    katz_alpha: float | None = None
-    density_buckets: int = 3
+    weld_eps: float = _option(0.0, "merge surface vertices closer than this (0 disables)")
+    plane_eps: float = _option(PLANE_EPS, "planarity/convexity tolerance")
+    terminals: str = _option("entry-exit", "terminal selection method", TERMINAL_METHODS)
+    metric: str = _option("degree", "centrality for --terminals metric", CENTRALITY_METRICS)
+    k: int = _option(4, "terminal count for --terminals metric")
+    interval: float = _option(DEFAULT_INTERVAL, "boundary sampling interval (world units)")
+    radius: float = _option(DEFAULT_RADIUS, "classification ray length")
+    ray_count: int = _option(DEFAULT_RAY_COUNT, "rays per classification fan")
+    sharpness_deg: float = _option(DEFAULT_SHARPNESS_DEG, "segment-breaking turn angle")
+    exit_offset: float = _option(0.0, "push entry/exit nodes outward by this distance")
+    normal_tol_deg: float = _option(15.0, "collapse normal-angle tolerance")
+    los_height_tol: float = _option(DEFAULT_HEIGHT_TOL, "line-of-sight height tolerance")
+    root_metric: str = _option(
+        "betweenness", "centrality used to pick roots", CENTRALITY_METRICS
+    )
+    centrality_weights: str = _option(
+        "euclidean", "edge weighting for betweenness/shortest paths", CENTRALITY_WEIGHTS
+    )
+    katz_alpha: float | None = _option(
+        None, "attenuation for katz centrality (default 0.9/spectral-radius)"
+    )
+    density_buckets: int = _option(3, "density class count for analyze mode")
     analyze: bool = False
     experiment: str = "run"
 
@@ -72,7 +89,7 @@ class PipelineConfig:
             raise ValidationError(f"unknown terminal metric {self.metric!r}")
         if self.root_metric not in CENTRALITY_METRICS:
             raise ValidationError(f"unknown root metric {self.root_metric!r}")
-        if self.centrality_weights not in ("euclidean", "unit"):
+        if self.centrality_weights not in CENTRALITY_WEIGHTS:
             raise ValidationError(
                 f"centrality weights must be 'euclidean' or 'unit', got {self.centrality_weights!r}"
             )
@@ -97,6 +114,10 @@ class PipelineConfig:
             normal_tolerance_deg=self.normal_tol_deg,
             los_height_tolerance=self.los_height_tol,
         )
+
+
+# the options a user tunes, one CLI flag each, in flag order
+TUNING_FIELDS = tuple(f for f in fields(PipelineConfig) if "help" in f.metadata)
 
 
 @dataclass

@@ -294,6 +294,9 @@ def test_blocker_load_json(tmp_path):
     )
     mesh = load_blocker_mesh(path)
     assert len(mesh.triangles) == 1
+    # an integral float is an index; "polygons" is read when "triangles" is absent
+    path.write_text('{"vertices": [[0,0,0],[1,0,0],[1,1,0]], "polygons": [[0,1,2.0]]}')
+    assert load_blocker_mesh(path).triangles.tolist() == [[0, 1, 2]]
     path.write_text('{"vertices": [[0,0,0]]}')
     with pytest.raises(ParseError, match="'vertices' and 'triangles'"):
         load_blocker_mesh(path)

@@ -1,10 +1,11 @@
 import json
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from navstruct.cli import main
+from navstruct.cli import _config_from_args, build_parser, main
 from navstruct.errors import ValidationError
 from navstruct.fixtures import graph_from_edges
 from navstruct.graph import relabel_dense
@@ -284,6 +285,20 @@ def test_cli_explicit_flags_beat_the_config_file(tmp_path):
     assert len(structure["trees"][0]["nodes"]) == 4  # leaves route, not top-2 metric
 
 
+def test_cli_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["extract", "--surface", "s.obj"])
+    assert _config_from_args(args, analyze=False) == PipelineConfig(
+        surface_path="s.obj", experiment="s"
+    )
+    inputs = {"surface_path", "blockers_path", "graph_path", "analyze", "experiment"}
+    tuning = [f.name for f in fields(PipelineConfig) if f.name not in inputs]
+    assert len(tuning) == 16
+    io_flags = {"config", "surface", "blockers", "graph", "out", "format", "experiment"}
+    assert set(args.options) == io_flags | set(tuning)
+    for name in tuning:  # one flag per field, named after it
+        assert args.options[name].option_strings == ["--" + name.replace("_", "-")]
+
+
 @pytest.mark.parametrize("text, message", [
     ("bogus = 1\n", "unknown config key"),
     ("k = abc\n", "bad value"),
@@ -324,6 +339,20 @@ def test_cli_exit_codes(tmp_path, capsys):
 _CHAIN = {"nodes": [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0]}], "edges": [[0, 1]]}
 
 
+def _edit(key, value, at=None):
+    """An edit of the corridor's surface or wall JSON: set `key`, or entry
+    `at` of its first record, to `value`."""
+    def edit(data):
+        if at is None:
+            data[key] = value
+        else:
+            data[key][0][at] = value
+    return edit
+
+
+# A name starting with "surface" or "walls" is read as --surface or
+# --blockers next to the corridor's valid files, a .cfg as --config, and any
+# other name as --graph.  A callable edits the corridor's own JSON file.
 @pytest.mark.parametrize("name, text", [
     ("nodes.json", json.dumps({"nodes": 5, "edges": []})),
     ("edge.json", json.dumps({**_CHAIN, "edges": [[0, "x"]]})),
@@ -331,12 +360,33 @@ _CHAIN = {"nodes": [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0]}], "edges": [[0, 1]]}
     ("weight.json", json.dumps({**_CHAIN, "edges": [[0, 1, "nan"]]})),
     ("surface.obj", "v 0 0 0\nv 1 0 0\nv 2 0 0\nv 0 1 0\nv 1 1 nan\nv 2 1 0\n"
                     "f 1 2 5 4\nf 2 3 6 5\n"),
+    ("index.json", json.dumps({**_CHAIN, "edges": [[0, 1.9]]})),
+    ("latin1.json", b'{"nodes": [], "edges": [], "name": "caf\xe9"}'),
+    ("surface-latin1.obj", b"# caf\xe9\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+    ("surface-ring.json", _edit("polygons", 1.4, at=1)),
+    ("walls-nan.json", _edit("vertices", float("nan"), at=0)),
+    ("walls-text.json", _edit("vertices", "x", at=0)),
+    ("walls-number.json", _edit("triangles", 5)),
+    ("walls-letter.json", _edit("triangles", "a", at=2)),
+    ("walls-fraction.json", _edit("triangles", 2.7, at=2)),
+    ("walls-huge.json", _edit("triangles", 10**20, at=2)),
+    ("latin1.cfg", b"# caf\xe9\nk = 2\n"),
 ])
-def test_cli_rejects_malformed_inputs_with_one_error_line(tmp_path, capsys, name, text):
+def test_cli_rejects_malformed_inputs_with_one_error_line(corridor, tmp_path, capsys, name, text):
+    surf, walls = write_corridor_files(corridor, tmp_path)
+    if callable(text):
+        data = json.loads((surf if name.startswith("surface") else walls).read_text())
+        text(data)
+        text = json.dumps(data)
     path = tmp_path / name
-    path.write_text(text)
-    if name.endswith(".obj"):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if name.startswith("surface"):
         inputs = ["--surface", str(path)]
+    elif name.startswith("walls"):
+        inputs = ["--surface", str(surf), "--blockers", str(path)]
+    elif name.endswith(".cfg"):
+        chain = write_chain_json(tmp_path / "chain.json")
+        inputs = ["--graph", str(chain), "--terminals", "leaves", "--config", str(path)]
     else:
         inputs = ["--graph", str(path), "--terminals", "leaves"]
     code = main(["extract", *inputs, "--out", str(tmp_path / "out")])
