@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .analysis import render_report_text, report_to_dict
 from .errors import DisconnectedTerminals, NavStructError, NoPath, ValidationError
-from .export import canonical_json, export_structure
+from .export import STRUCTURE_FORMATS, canonical_json, export_structure
 from .mesh import read_text
 from .pipeline import TUNING_FIELDS, PipelineConfig, run_extract
 
@@ -67,7 +67,7 @@ def _add_pipeline_options(p: argparse.ArgumentParser) -> dict[str, argparse.Acti
         p.add_argument("--graph", help="pre-built graph (.json) instead of a surface"),
         *(_tuning_option(p, f, hints[f.name]) for f in TUNING_FIELDS),
         p.add_argument("--out", default=".", help="output directory"),
-        p.add_argument("--format", action="append", choices=["json", "dot", "obj"],
+        p.add_argument("--format", action="append", choices=list(STRUCTURE_FORMATS),
                        default=[], help="structure export format (repeatable; default json)"),
         p.add_argument("--experiment", default=None,
                        help="experiment name in reports (default: input stem)"),
@@ -158,9 +158,6 @@ def _config_from_args(args: argparse.Namespace, analyze: bool) -> PipelineConfig
     )
 
 
-_STRUCTURE_NAMES = {"json": "structure.json", "dot": "structure.dot", "obj": "overlay.obj"}
-
-
 def _run_pipeline_command(args: argparse.Namespace, analyze: bool) -> int:
     cfg = _config_from_args(args, analyze)
     result = run_extract(cfg)
@@ -168,7 +165,7 @@ def _run_pipeline_command(args: argparse.Namespace, analyze: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     formats = args.format or ["json"]
     for fmt in formats:
-        export_structure(result.forest, fmt, out_dir / _STRUCTURE_NAMES[fmt])
+        export_structure(result.forest, fmt, out_dir / STRUCTURE_FORMATS[fmt][0])
     report_dict = report_to_dict(result.report)
     (out_dir / "report.json").write_text(canonical_json(report_dict) + "\n")
     (out_dir / "report.txt").write_text(render_report_text(result.report))

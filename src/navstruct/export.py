@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import GraphNode, _finite_vector
-from .mesh import read_json
+from .mesh import as_index, read_json
 from .trees import RootedTree
 
 STRUCTURE_FORMAT = "navstruct-structure/1"
@@ -132,10 +132,10 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
     parent: dict[int, int | None] = {}
     payloads: dict[int, GraphNode] = {}
     for nrec in trec["nodes"]:
-        v = int(nrec["id"])
-        children[v] = [int(c) for c in nrec["children"]]
-        depth[v] = int(nrec["depth"])
-        parent[v] = None if nrec["parent"] is None else int(nrec["parent"])
+        v = as_index(nrec["id"], p)
+        children[v] = [as_index(c, p) for c in nrec["children"]]
+        depth[v] = as_index(nrec["depth"], p)
+        parent[v] = None if nrec["parent"] is None else as_index(nrec["parent"], p)
         payloads[v] = GraphNode(
             id=v,
             position=_finite_vector(nrec["position"], f"{p}: node {v} 'position'"),
@@ -145,7 +145,7 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
             source=str(nrec["source"]),
         )
     return RootedTree(
-        root=int(trec["root"]), children=children, depth=depth,
+        root=as_index(trec["root"], p), children=children, depth=depth,
         payloads=payloads, parent=parent,
     )
 
@@ -191,14 +191,17 @@ def structure_obj(forest: list[RootedTree]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# export format -> (file name in an output directory, renderer)
+STRUCTURE_FORMATS = {
+    "json": ("structure.json", structure_json_bytes),
+    "dot": ("structure.dot", structure_dot),
+    "obj": ("overlay.obj", structure_obj),
+}
+
+
 def export_structure(forest: list[RootedTree], fmt: str, path: str | Path) -> None:
-    """Write the forest to `path` as 'json', 'dot' or 'obj'."""
-    p = Path(path)
-    if fmt == "json":
-        p.write_bytes(structure_json_bytes(forest))
-    elif fmt == "dot":
-        p.write_text(structure_dot(forest))
-    elif fmt == "obj":
-        p.write_text(structure_obj(forest))
-    else:
+    """Write the forest to `path` in one of the STRUCTURE_FORMATS."""
+    if fmt not in STRUCTURE_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
+    data = STRUCTURE_FORMATS[fmt][1](forest)
+    Path(path).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))

@@ -21,11 +21,8 @@ from .errors import ParseError, ValidationError
 # default tolerance for planarity / convexity checks, in world units
 PLANE_EPS = 1e-4
 
-
-@dataclass
-class MeshConfig:
-    plane_eps: float = PLANE_EPS
-    weld_eps: float = 0.0  # 0 disables vertex welding
+# tolerance of the convex clip and of the line-of-sight walk, in world units
+GEOM_EPS = 1e-9
 
 
 @dataclass
@@ -36,6 +33,11 @@ class WalkableSurface:
     polygons: list[list[int]]     # vertex-index rings, CCW along outward normal
     polygon_normals: np.ndarray   # (P, 3) unit normals
     polygon_centers: np.ndarray   # (P, 3) ring centroids
+    polygon_offsets: np.ndarray   # (P,) plane offsets n.center
+    # (P, 2) the axes kept when projecting along the normal's dominant axis
+    polygon_axes: np.ndarray
+    # (P, 3) winding of the ring projected along each axis: +1.0 CCW, -1.0 CW
+    polygon_winding: np.ndarray
     # per polygon: sorted (neighbor polygon id, shared undirected edge) pairs
     adjacency: list[list[tuple[int, tuple[int, int]]]]
     # loops of directed (a, b) edges; interior lies to the left of each edge
@@ -53,40 +55,52 @@ class WalkableSurface:
 
     def polygon_plane(self, poly_id: int) -> tuple[np.ndarray, float]:
         """Return (unit normal n, offset d) with n.p = d for points on the plane."""
-        n = self.polygon_normals[poly_id]
-        return n, float(np.dot(n, self.polygon_centers[poly_id]))
+        return self.polygon_normals[poly_id], float(self.polygon_offsets[poly_id])
 
-    def projected_ring(self, poly_id: int, keep: list[int]) -> tuple[np.ndarray, float]:
-        """The polygon's ring projected onto the two axes in `keep`, and the
-        sign of its signed area there (+1.0 counter-clockwise, -1.0 clockwise)."""
-        ring = self.vertices[self.polygons[poly_id]][:, keep]
-        area2 = 0.0
+    def clip_line(self, poly_id: int, keep, origin, direction) -> tuple[float, float, list]:
+        """Clip the 2D line origin + t*direction, on the axes `keep`, against
+        the polygon's convex ring projected there.  Returns (t_in, t_out,
+        exit_edges), with t_in > t_out when the line misses; a zero direction
+        gives (-inf, inf, []) for a point inside or on the ring."""
+        ring = self.polygons[poly_id]
+        sign = float(self.polygon_winding[poly_id, 3 - keep[0] - keep[1]])
+        pts = self.vertices[ring][:, keep].tolist()
+        ox, oy = float(origin[0]), float(origin[1])
+        dx, dy = float(direction[0]), float(direction[1])
+        t_in = -math.inf
+        t_out = math.inf
+        exit_edges: list[tuple[int, int]] = []
         k = len(ring)
         for i in range(k):
-            a = ring[i]
-            b = ring[(i + 1) % k]
-            area2 += a[0] * b[1] - b[0] * a[1]
-        return ring, 1.0 if area2 >= 0.0 else -1.0
+            pa = pts[i]
+            pb = pts[(i + 1) % k]
+            ex, ey = pb[0] - pa[0], pb[1] - pa[1]
+            f0 = sign * (ex * (oy - pa[1]) - ey * (ox - pa[0]))
+            fd = sign * (ex * dy - ey * dx)
+            if abs(fd) <= GEOM_EPS:
+                if f0 < -GEOM_EPS:
+                    return math.inf, -math.inf, []  # parallel and outside
+                continue
+            bound = -f0 / fd
+            if fd > 0.0:
+                t_in = max(t_in, bound)
+            elif bound < t_out - GEOM_EPS:
+                t_out = bound
+                exit_edges = [(ring[i], ring[(i + 1) % k])]
+            elif bound <= t_out + GEOM_EPS:
+                exit_edges.append((ring[i], ring[(i + 1) % k]))
+        return t_in, t_out, exit_edges
 
     def contains_point(self, poly_id: int, point, height_tol: float = 0.5) -> bool:
-        """True when `point` projects inside the polygon and sits within
-        `height_tol` of its plane (measured along the plane normal)."""
+        """True when `point` projects inside the polygon (edges included) and
+        sits within `height_tol` of its plane (measured along the normal)."""
         p = np.asarray(point, dtype=float)
         n, d = self.polygon_plane(poly_id)
         if abs(float(np.dot(n, p)) - d) > height_tol:
             return False
-        axis = int(np.argmax(np.abs(n)))
-        keep = [i for i in range(3) if i != axis]
-        ring, sign = self.projected_ring(poly_id, keep)
-        q = p[keep]
-        # convex containment: q on the interior side of every directed edge
-        for i in range(len(ring)):
-            a = ring[i]
-            b = ring[(i + 1) % len(ring)]
-            cross = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-            if sign * cross < -1e-9:
-                return False
-        return True
+        keep = self.polygon_axes[poly_id]
+        t_in, t_out, _ = self.clip_line(poly_id, keep, p[keep], (0.0, 0.0))
+        return t_in <= t_out
 
     def locate_point(self, point, height_tol: float = 0.5) -> int | None:
         """Lowest polygon id containing `point`, or None when off-mesh."""
@@ -102,6 +116,10 @@ class BlockerMesh:
 
     vertices: np.ndarray   # (V, 3) float64
     triangles: np.ndarray  # (T, 3) int
+    # (T, 3) each: every triangle's first corner and its two edges from there
+    v0: np.ndarray = field(repr=False)
+    e1: np.ndarray = field(repr=False)
+    e2: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +289,29 @@ def _weld(verts: np.ndarray, polys: list[list[int]], eps: float):
 # ---------------------------------------------------------------------------
 
 def build_walkable_surface(
-    vertices, polygons, config: MeshConfig | None = None
+    vertices, polygons, *, plane_eps: float = PLANE_EPS, weld_eps: float = 0.0
 ) -> WalkableSurface:
-    """Validate raw vertices/rings and assemble the full surface structure.
+    """Validate raw vertices/rings and assemble the full surface structure;
+    vertices closer than `weld_eps` are merged first (0 disables welding).
 
     Raises ValidationError naming the offending polygon or edge when a ring is
     degenerate, non-planar, non-convex, or when an edge is shared by more than
     two polygons.
     """
-    cfg = config or MeshConfig()
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("vertices must be an (N, 3) array")
     polys = [list(map(int, ring)) for ring in polygons]
 
-    if cfg.weld_eps > 0.0 and len(verts):
-        verts, polys = _weld(verts, polys, cfg.weld_eps)
+    if weld_eps > 0.0 and len(verts):
+        verts, polys = _weld(verts, polys, weld_eps)
 
     if not polys:
         raise ValidationError("surface has no polygons")
 
     normals = np.zeros((len(polys), 3))
     centers = np.zeros((len(polys), 3))
+    offsets = np.zeros(len(polys))
     for pid, ring in enumerate(polys):
         if len(ring) < 3:
             raise ValidationError(f"polygon {pid}: ring has fewer than 3 vertices")
@@ -312,9 +331,9 @@ def build_walkable_surface(
         center = pts.mean(axis=0)
         # planarity: every vertex within plane_eps of the centroid plane
         dev = np.abs((pts - center) @ n)
-        if dev.max() > cfg.plane_eps:
+        if dev.max() > plane_eps:
             raise ValidationError(
-                f"polygon {pid}: non-planar (deviation {dev.max():.3e} > {cfg.plane_eps:.3e})"
+                f"polygon {pid}: non-planar (deviation {dev.max():.3e} > {plane_eps:.3e})"
             )
         # convexity: consecutive edge turns must not flip against the normal
         for k in range(len(ring)):
@@ -322,14 +341,20 @@ def build_walkable_surface(
             e1 = pts[(k + 2) % len(ring)] - pts[(k + 1) % len(ring)]
             turn = float(np.dot(np.cross(e0, e1), n))
             scale = float(np.linalg.norm(e0) * np.linalg.norm(e1))
-            if turn < -cfg.plane_eps * scale:
+            if turn < -plane_eps * scale:
                 raise ValidationError(f"polygon {pid}: non-convex at ring position {k}")
         normals[pid] = n
         centers[pid] = center
+        offsets[pid] = float(np.dot(n, center))
+    # the two axes kept when projecting along each normal's dominant axis
+    axes = np.array([[1, 2], [0, 2], [0, 1]])[np.argmax(np.abs(normals), axis=1)]
+    # a ring's shoelace sum projected along axis k is its Newell n[k], negated
+    # for k = 1 (kept axes x, z run against the cyclic order); zero counts as CCW
+    winding = np.where(normals * [1.0, -1.0, 1.0] >= 0.0, 1.0, -1.0)
 
     # edge bookkeeping: undirected identity is the sorted vertex pair
     edge_polygons: dict[tuple[int, int], list[int]] = {}
-    directed_owner: dict[tuple[int, int], int] = {}
+    directed: set[tuple[int, int]] = set()
     for pid, ring in enumerate(polys):
         for k in range(len(ring)):
             a, b = ring[k], ring[(k + 1) % len(ring)]
@@ -340,7 +365,7 @@ def build_walkable_surface(
                 raise ValidationError(
                     f"edge {key}: shared by more than two polygons (non-manifold)"
                 )
-            directed_owner[(a, b)] = pid
+            directed.add((a, b))
 
     adjacency: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in polys]
     boundary_directed: list[tuple[int, int]] = []
@@ -349,13 +374,8 @@ def build_walkable_surface(
             p, q = owners
             adjacency[p].append((q, key))
             adjacency[q].append((p, key))
-        else:
-            a, b = key
-            # recover the direction the owning ring uses
-            if (a, b) in directed_owner:
-                boundary_directed.append((a, b))
-            else:
-                boundary_directed.append((b, a))
+        else:  # in the direction the owning ring uses
+            boundary_directed.append(key if key in directed else key[::-1])
     for lst in adjacency:
         lst.sort()
 
@@ -366,6 +386,9 @@ def build_walkable_surface(
         polygons=polys,
         polygon_normals=normals,
         polygon_centers=centers,
+        polygon_offsets=offsets,
+        polygon_axes=axes,
+        polygon_winding=winding,
         adjacency=adjacency,
         boundary_edges=loops,
         edge_polygons=edge_polygons,
@@ -418,12 +441,15 @@ def _stitch_boundary_loops(directed: list[tuple[int, int]]) -> list[list[tuple[i
     return canonical
 
 
-def load_walkable_surface(path: str | Path, config: MeshConfig | None = None) -> WalkableSurface:
+def load_walkable_surface(
+    path: str | Path, *, plane_eps: float = PLANE_EPS, weld_eps: float = 0.0
+) -> WalkableSurface:
     """Load and validate a walkable surface from an OBJ or JSON file.
 
     Args:
         path: ``.obj`` (v/f records) or ``.json`` with ``vertices``/``polygons``.
-        config: planarity tolerance and optional weld epsilon.
+        plane_eps: planarity/convexity tolerance.
+        weld_eps: merge vertices closer than this (0 disables welding).
 
     Raises:
         ParseError: malformed file.
@@ -431,7 +457,7 @@ def load_walkable_surface(path: str | Path, config: MeshConfig | None = None) ->
         OSError: unreadable path.
     """
     verts, polys = _parse_geometry(path)
-    return build_walkable_surface(verts, polys, config)
+    return build_walkable_surface(verts, polys, plane_eps=plane_eps, weld_eps=weld_eps)
 
 
 def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
@@ -448,11 +474,13 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
         raise ValidationError("blocker triangles must be an (M, 3) index array")
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
         raise ValidationError("blocker triangle index out of range")
-    for t, (i, j, k) in enumerate(tris):
-        area2 = np.linalg.norm(np.cross(verts[j] - verts[i], verts[k] - verts[i]))
-        if area2 < 1e-12:
-            raise ValidationError(f"blocker triangle {t}: degenerate (zero area)")
-    return BlockerMesh(vertices=verts, triangles=tris)
+    corners = verts[tris]
+    v0 = corners[:, 0]
+    e1, e2 = corners[:, 1] - v0, corners[:, 2] - v0
+    degenerate = np.flatnonzero(np.linalg.norm(np.cross(e1, e2), axis=1) < 1e-12)
+    if len(degenerate):
+        raise ValidationError(f"blocker triangle {degenerate[0]}: degenerate (zero area)")
+    return BlockerMesh(vertices=verts, triangles=tris, v0=v0, e1=e1, e2=e2)
 
 
 def load_blocker_mesh(path: str | Path) -> BlockerMesh:

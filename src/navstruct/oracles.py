@@ -235,6 +235,14 @@ def tree_path_interior_counts(g: SurfaceGraph) -> list[float]:
     return cb
 
 
+def shoelace_sign(ring2d) -> float:
+    """Winding of a 2D ring from its shoelace sum, where the surface reads it
+    off the Newell normal: +1.0 counter-clockwise (or zero area), -1.0 clockwise."""
+    pts = [tuple(p) for p in ring2d]
+    area2 = sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
+    return 1.0 if area2 >= 0.0 else -1.0
+
+
 # ---------------------------------------------------------------------------
 # self-check suites (CLI `oracle` subcommand)
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .analysis import AnalysisReport, StageRecord, density_classes, forest_to_gr
 from .errors import ValidationError
 from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json, relabel_dense
 from .mesh import (
-    PLANE_EPS, BlockerMesh, MeshConfig, WalkableSurface, load_blocker_mesh, load_walkable_surface,
+    PLANE_EPS, BlockerMesh, WalkableSurface, load_blocker_mesh, load_walkable_surface,
 )
 from .raycast import segment_clear
 from .steiner import SteinerTree, build_steiner_tree
@@ -256,7 +256,7 @@ def run_extract(cfg: PipelineConfig) -> PipelineResult:
     graph = None
     if cfg.surface_path is not None:
         surface = load_walkable_surface(
-            cfg.surface_path, MeshConfig(plane_eps=cfg.plane_eps, weld_eps=cfg.weld_eps)
+            cfg.surface_path, plane_eps=cfg.plane_eps, weld_eps=cfg.weld_eps
         )
     if cfg.blockers_path is not None:
         blockers = load_blocker_mesh(cfg.blockers_path)

@@ -14,22 +14,18 @@ def first_hit(
     """Smallest t in (EPS, max_t] at which the ray origin + t*direction hits a
     blocker triangle, or None.  `direction` need not be unit length; `max_t`
     is in multiples of it.  A missing/empty blocker mesh never hits.
-    Vectorized over all triangles; boundary hits (on a triangle edge) count
-    as hits."""
+    Vectorized over all triangles, reading the edge arrays the mesh holds;
+    boundary hits (on a triangle edge) count as hits."""
     if blockers is None or len(blockers.triangles) == 0:
         return None
     o = np.asarray(origin, dtype=float)
     d = np.asarray(direction, dtype=float)
-    v0 = blockers.vertices[blockers.triangles[:, 0]]
-    v1 = blockers.vertices[blockers.triangles[:, 1]]
-    v2 = blockers.vertices[blockers.triangles[:, 2]]
-    e1 = v1 - v0
-    e2 = v2 - v0
+    e1, e2 = blockers.e1, blockers.e2
     pvec = np.cross(d[None, :], e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > EPS
     inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = o[None, :] - v0
+    tvec = o[None, :] - blockers.v0
     u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
     ok &= (u >= -EPS) & (u <= 1.0 + EPS)
     qvec = np.cross(tvec, e1)

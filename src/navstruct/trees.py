@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PointOffMesh, ValidationError
 from .graph import GraphNode, SurfaceGraph
-from .mesh import WalkableSurface
+from .mesh import GEOM_EPS, WalkableSurface
 from .steiner import SteinerTree
 from .algorithms import CentralityScores
 
@@ -156,9 +156,6 @@ def find_rooted_trees(
 # surface line of sight
 # ---------------------------------------------------------------------------
 
-_GEOM_EPS = 1e-9
-
-
 def surface_los(
     surface: WalkableSurface, a, c, cfg: SimplifyConfig | None = None
 ) -> bool:
@@ -177,14 +174,13 @@ def surface_los(
     start = surface.locate_point(a, tol)
     if start is None:
         raise PointOffMesh(f"point {a.tolist()} lies on no walkable polygon")
-    if float(np.linalg.norm(c - a)) < _GEOM_EPS:
+    if float(np.linalg.norm(c - a)) < GEOM_EPS:
         return True
 
-    axis = int(np.argmax(np.abs(surface.polygon_normals[start])))
-    keep = [i for i in range(3) if i != axis]
+    keep = surface.polygon_axes[start]
     a2 = a[keep]
     d2 = (c - a)[keep]
-    if float(np.linalg.norm(d2)) < _GEOM_EPS:
+    if float(np.linalg.norm(d2)) < GEOM_EPS:
         # segment is vertical in this projection; only a same-polygon hop works
         return surface.contains_point(start, c, tol)
 
@@ -193,8 +189,8 @@ def surface_los(
     current = start
     t = 0.0
     for _ in range(max_steps):
-        t_in, t_out, exit_edges = _clip_to_polygon(surface, current, keep, a2, d2)
-        if t_out < t - _GEOM_EPS or t_in > t_out + _GEOM_EPS:
+        t_in, t_out, exit_edges = surface.clip_line(current, keep, a2, d2)
+        if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
             return False  # projection misses this polygon: walk broke down
         lo = max(t, t_in)
         hi = min(1.0, t_out)
@@ -203,21 +199,19 @@ def surface_los(
             p = a + seg * param
             if abs(float(np.dot(n, p)) - d_plane) > tol:
                 return False  # segment strays too far above/below the surface
-        if t_out >= 1.0 - _GEOM_EPS:
+        if t_out >= 1.0 - GEOM_EPS:
             return True
-        candidates = []
-        for va, vb in exit_edges:
-            key = (va, vb) if va < vb else (vb, va)
-            for q in surface.edge_polygons.get(key, ()):  # crossing needs a shared edge
-                if q != current:
-                    candidates.append(q)
+        candidates = {  # crossing needs a shared edge
+            q for va, vb in exit_edges
+            for q in surface.edge_polygons.get((min(va, vb), max(va, vb)), ()) if q != current
+        }
         if not candidates:
             return False  # exits through a boundary edge
         nxt = None
         best_out = t_out
-        for q in sorted(set(candidates)):
-            q_in, q_out, _ = _clip_to_polygon(surface, q, keep, a2, d2)
-            if q_in <= t_out + _GEOM_EPS and q_out > best_out + _GEOM_EPS:
+        for q in sorted(candidates):
+            q_in, q_out, _ = surface.clip_line(q, keep, a2, d2)
+            if q_in <= t_out + GEOM_EPS and q_out > best_out + GEOM_EPS:
                 nxt = q
                 best_out = q_out
         if nxt is None:
@@ -225,37 +219,6 @@ def surface_los(
         current = nxt
         t = t_out
     return False  # step guard exhausted (degenerate geometry)
-
-
-def _clip_to_polygon(surface, pid, keep, a2, d2):
-    """Clip the 2D parametric line a2 + t*d2 against the polygon's projected
-    convex region.  Returns (t_in, t_out, exit_edges)."""
-    ring = surface.polygons[pid]
-    pts, sign = surface.projected_ring(pid, keep)
-    t_in = -math.inf
-    t_out = math.inf
-    exit_edges: list[tuple[int, int]] = []
-    k = len(ring)
-    for i in range(k):
-        pa = pts[i]
-        pb = pts[(i + 1) % k]
-        ex, ey = pb[0] - pa[0], pb[1] - pa[1]
-        f0 = sign * (ex * (a2[1] - pa[1]) - ey * (a2[0] - pa[0]))
-        fd = sign * (ex * d2[1] - ey * d2[0])
-        if abs(fd) <= _GEOM_EPS:
-            if f0 < -_GEOM_EPS:
-                return math.inf, -math.inf, []  # parallel and outside
-            continue
-        bound = -f0 / fd
-        if fd > 0.0:
-            t_in = max(t_in, bound)
-        else:
-            if bound < t_out - _GEOM_EPS:
-                t_out = bound
-                exit_edges = [(ring[i], ring[(i + 1) % k])]
-            elif bound <= t_out + _GEOM_EPS:
-                exit_edges.append((ring[i], ring[(i + 1) % k]))
-    return t_in, t_out, exit_edges
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,17 @@ def test_structure_json_rejects_bad_files(tmp_path):
     treeless.write_text(json.dumps({"format": STRUCTURE_FORMAT}))
     with pytest.raises(ParseError, match="'trees'"):
         load_structure_json(treeless)
+    # ids, parents, children, depths and roots follow the one index rule
+    for node, key, value in [
+        (None, "root", 5.7), (0, "depth", "0"), (0, "children", [True, 2]), (1, "parent", 0.5),
+    ]:
+        data = json.loads(structure_json_bytes(small_forest()))
+        record = data["trees"][0] if node is None else data["trees"][0]["nodes"][node]
+        record[key] = value
+        edited = tmp_path / f"edited-{key}.json"
+        edited.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="is not an integer"):
+            load_structure_json(edited)
 
 
 def test_structure_dot_marks_roots_depths_and_terminals():

@@ -4,7 +4,6 @@ import pytest
 from navstruct.errors import ParseError, ValidationError
 from navstruct.fixtures import grid_surface, ring_surface, surface_from_squares
 from navstruct.mesh import (
-    MeshConfig,
     boundary_loops,
     build_blocker_mesh,
     build_walkable_surface,
@@ -116,7 +115,7 @@ def test_validation_rejects_nonplanar_ring():
     with pytest.raises(ValidationError, match="non-planar"):
         build_walkable_surface(verts, [[0, 1, 2, 3]])
     # a looser tolerance admits the same ring
-    surface = build_walkable_surface(verts, [[0, 1, 2, 3]], MeshConfig(plane_eps=0.1))
+    surface = build_walkable_surface(verts, [[0, 1, 2, 3]], plane_eps=0.1)
     assert len(surface.polygons) == 1
 
 
@@ -219,7 +218,7 @@ def test_weld_merges_duplicate_vertices():
     assert unwelded.interior_edge_count == 0
     assert len(unwelded.boundary_edges) == 2
 
-    welded = build_walkable_surface(verts, polys, MeshConfig(weld_eps=1e-3))
+    welded = build_walkable_surface(verts, polys, weld_eps=1e-3)
     assert len(welded.vertices) == 6
     assert welded.interior_edge_count == 1
     assert len(welded.boundary_edges) == 1
@@ -230,7 +229,7 @@ def test_weld_collapses_repeated_ring_vertices():
         (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0 + 1e-7, 1e-7, 0.0),
         (1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
     ]
-    surface = build_walkable_surface(verts, [[0, 1, 2, 3, 4]], MeshConfig(weld_eps=1e-3))
+    surface = build_walkable_surface(verts, [[0, 1, 2, 3, 4]], weld_eps=1e-3)
     assert len(surface.polygons[0]) == 4
 
 
