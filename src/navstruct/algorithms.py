@@ -25,34 +25,15 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 def dijkstra_tree(g: SurfaceGraph, src: int) -> tuple[list[float], list[int]]:
-    """Single-source distances and predecessors.
+    """Single-source distances and predecessors, read off the betweenness
+    search, which records every equal-cost predecessor.
 
     Ties between equal-cost paths keep the smallest predecessor id, so the
-    recovered paths do not depend on heap internals.
+    recovered paths do not depend on heap internals; -1 marks the source and
+    unreached nodes.
     """
-    adj = g.adjacency()
-    n = len(adj)
-    dist = [INF] * n
-    pred = [-1] * n
-    done = [False] * n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            if done[v]:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heappush(heap, (nd, v))
-            elif nd == dist[v] and u < pred[v]:
-                pred[v] = u
-    return dist, pred
+    _order, preds, _sigma, dist = _sssp_dijkstra(g.adjacency(), src)
+    return dist, [min(p) if p else -1 for p in preds]
 
 
 def path_from_predecessors(pred: list[int], src: int, dst: int) -> list[int]:
@@ -64,19 +45,6 @@ def path_from_predecessors(pred: list[int], src: int, dst: int) -> list[int]:
         path.append(p)
     path.reverse()
     return path
-
-
-def shortest_path(g: SurfaceGraph, src: int, dst: int) -> tuple[list[int], float]:
-    """Minimum-weight path between two nodes; raises NoPath when disconnected."""
-    n = len(g.nodes)
-    if not (0 <= src < n and 0 <= dst < n):
-        raise NoPath(f"node out of range: {src} or {dst}")
-    if src == dst:
-        return [src], 0.0
-    dist, pred = dijkstra_tree(g, src)
-    if dist[dst] == INF:
-        raise NoPath(f"nodes {src} and {dst} are in different components")
-    return path_from_predecessors(pred, src, dst), dist[dst]
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +81,6 @@ class SpanningForest:
     component_count: int
 
     @property
-    def is_spanning_tree(self) -> bool:
-        return self.component_count == 1
-
-    @property
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
 
@@ -135,33 +99,6 @@ def kruskal_edges(nodes, edges) -> SpanningForest:
     components = len({uf.find(x) for x in uf.parent})
     chosen.sort(key=lambda e: (e[0], e[1]))
     return SpanningForest(edges=chosen, component_count=components)
-
-
-def minimum_spanning_tree(g: SurfaceGraph) -> SpanningForest:
-    """Minimum spanning tree (forest when disconnected, flagged via
-    component_count)."""
-    return kruskal_edges(range(len(g.nodes)), g.edges)
-
-
-def connected_components(g: SurfaceGraph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen = [False] * len(adj)
-    comps = []
-    for s in range(len(adj)):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +145,7 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
         if uniform:
             order, preds, sigma = _sssp_uniform(adj_w, s)
         else:
-            order, preds, sigma = _sssp_dijkstra(adj_w, s)
+            order, preds, sigma, _dist = _sssp_dijkstra(adj_w, s)
         delta = [0.0] * n
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
@@ -251,7 +188,7 @@ def _sssp_dijkstra(adj, s):
             elif nd == dist[v]:
                 sigma[v] += sigma[u]
                 preds[v].append(u)
-    return order, preds, sigma
+    return order, preds, sigma, dist
 
 
 def _sssp_uniform(adj, s):

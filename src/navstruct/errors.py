@@ -18,10 +18,6 @@ class DegenerateEdge(ValidationError):
     """An edge with zero (or negative) length/weight was produced."""
 
 
-class AsymmetricNeighborhood(ValidationError):
-    """A sampling neighborhood rule yielded a directed pair without its reverse."""
-
-
 class NoPath(NavStructError):
     """Two queried nodes live in different connected components."""
 

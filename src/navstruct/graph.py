@@ -1,14 +1,14 @@
-"""Surface-derived graphs: polygon-center graphs, sampled-point graphs, JSON I/O."""
+"""Surface-derived graphs: polygon-center graphs and JSON I/O."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .errors import AsymmetricNeighborhood, DegenerateEdge, ParseError, ValidationError
+from .errors import DegenerateEdge, ParseError, ValidationError
 from .mesh import WalkableSurface, as_index, read_json
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -142,58 +142,6 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
     )
 
 
-def graph_from_sampling(
-    points,
-    neighbor_pairs: Iterable[tuple[int, int]],
-    normals=None,
-    weight_fn: Callable[[np.ndarray, np.ndarray], float] | None = None,
-) -> SurfaceGraph:
-    """Build a graph from sampled points and a symmetric neighborhood rule.
-
-    `neighbor_pairs` lists directed pairs (i, j); every pair must have its
-    reverse present or AsymmetricNeighborhood is raised.  Each undirected pair
-    becomes one edge, weighted by `weight_fn` (Euclidean by default).  Sampled
-    nodes default to a +Z normal when `normals` is None.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValidationError("points must be an (N, 3) array")
-    n = len(pts)
-    pair_set = set()
-    for i, j in neighbor_pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"neighbor pair ({i}, {j}) out of range")
-        if i == j:
-            raise ValidationError(f"neighborhood rule yields self-pair ({i}, {i})")
-        pair_set.add((i, j))
-    for i, j in sorted(pair_set):
-        if (j, i) not in pair_set:
-            raise AsymmetricNeighborhood(f"pair ({i}, {j}) has no reverse ({j}, {i})")
-
-    if normals is None:
-        norm_arr = np.tile(UP, (n, 1))
-    else:
-        norm_arr = np.asarray(normals, dtype=float)
-        if norm_arr.shape != (n, 3):
-            raise ValidationError("normals must match points in shape")
-
-    wf = weight_fn or (lambda p, q: float(np.linalg.norm(p - q)))
-    edges = []
-    for i, j in sorted(pair_set):
-        if i < j:
-            w = float(wf(pts[i], pts[j]))
-            if w <= 0.0:
-                raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
-            edges.append((i, j, w))
-
-    nodes = [
-        GraphNode(id=k, position=pts[k].copy(), normal=norm_arr[k].copy(),
-                  on_navmesh=True, source=SOURCE_SAMPLE)
-        for k in range(n)
-    ]
-    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
-
-
 def load_graph_json(path: str | Path) -> SurfaceGraph:
     """Load a graph from JSON: {"nodes": [{"pos": [...], "normal": [...]}],
     "edges": [[i, j, w], ...]}.  `normal` defaults to +Z; a 2-element edge
@@ -245,24 +193,3 @@ def _finite_vector(value, what: str) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise ParseError(f"{what} must be finite")
     return vec
-
-
-# -- sampling helpers -------------------------------------------------------
-
-def grid_points(nx: int, ny: int, spacing: float = 1.0) -> np.ndarray:
-    """Row-major lattice of nx*ny points in the z=0 plane."""
-    pts = [(x * spacing, y * spacing, 0.0) for y in range(ny) for x in range(nx)]
-    return np.array(pts, dtype=float)
-
-
-def grid_neighbor_pairs(nx: int, ny: int) -> list[tuple[int, int]]:
-    """Symmetric 4-neighborhood pairs for a row-major nx*ny lattice."""
-    pairs = []
-    for y in range(ny):
-        for x in range(nx):
-            i = y * nx + x
-            if x + 1 < nx:
-                pairs += [(i, i + 1), (i + 1, i)]
-            if y + 1 < ny:
-                pairs += [(i, i + nx), (i + nx, i)]
-    return pairs

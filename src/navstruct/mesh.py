@@ -24,6 +24,9 @@ PLANE_EPS = 1e-4
 # tolerance of the convex clip and of the line-of-sight walk, in world units
 GEOM_EPS = 1e-9
 
+# default distance a point may sit off a polygon's plane and still be on it
+DEFAULT_HEIGHT_TOL = 0.5
+
 
 @dataclass
 class WalkableSurface:
@@ -38,6 +41,8 @@ class WalkableSurface:
     polygon_axes: np.ndarray
     # (P, 3) winding of the ring projected along each axis: +1.0 CCW, -1.0 CW
     polygon_winding: np.ndarray
+    # per axis x, y, z: every vertex's coordinate, as Python floats
+    axis_coords: list[list[float]]
     # per polygon: sorted (neighbor polygon id, shared undirected edge) pairs
     adjacency: list[list[tuple[int, tuple[int, int]]]]
     # loops of directed (a, b) edges; interior lies to the left of each edge
@@ -63,8 +68,9 @@ class WalkableSurface:
         exit_edges), with t_in > t_out when the line misses; a zero direction
         gives (-inf, inf, []) for a point inside or on the ring."""
         ring = self.polygons[poly_id]
-        sign = float(self.polygon_winding[poly_id, 3 - keep[0] - keep[1]])
-        pts = self.vertices[ring][:, keep].tolist()
+        kx, ky = int(keep[0]), int(keep[1])
+        sign = float(self.polygon_winding[poly_id, 3 - kx - ky])
+        xs, ys = self.axis_coords[kx], self.axis_coords[ky]
         ox, oy = float(origin[0]), float(origin[1])
         dx, dy = float(direction[0]), float(direction[1])
         t_in = -math.inf
@@ -72,10 +78,9 @@ class WalkableSurface:
         exit_edges: list[tuple[int, int]] = []
         k = len(ring)
         for i in range(k):
-            pa = pts[i]
-            pb = pts[(i + 1) % k]
-            ex, ey = pb[0] - pa[0], pb[1] - pa[1]
-            f0 = sign * (ex * (oy - pa[1]) - ey * (ox - pa[0]))
+            a, b = ring[i], ring[(i + 1) % k]
+            ex, ey = xs[b] - xs[a], ys[b] - ys[a]
+            f0 = sign * (ex * (oy - ys[a]) - ey * (ox - xs[a]))
             fd = sign * (ex * dy - ey * dx)
             if abs(fd) <= GEOM_EPS:
                 if f0 < -GEOM_EPS:
@@ -86,12 +91,14 @@ class WalkableSurface:
                 t_in = max(t_in, bound)
             elif bound < t_out - GEOM_EPS:
                 t_out = bound
-                exit_edges = [(ring[i], ring[(i + 1) % k])]
+                exit_edges = [(a, b)]
             elif bound <= t_out + GEOM_EPS:
-                exit_edges.append((ring[i], ring[(i + 1) % k]))
+                exit_edges.append((a, b))
         return t_in, t_out, exit_edges
 
-    def contains_point(self, poly_id: int, point, height_tol: float = 0.5) -> bool:
+    def contains_point(
+        self, poly_id: int, point, height_tol: float = DEFAULT_HEIGHT_TOL
+    ) -> bool:
         """True when `point` projects inside the polygon (edges included) and
         sits within `height_tol` of its plane (measured along the normal)."""
         p = np.asarray(point, dtype=float)
@@ -102,7 +109,7 @@ class WalkableSurface:
         t_in, t_out, _ = self.clip_line(poly_id, keep, p[keep], (0.0, 0.0))
         return t_in <= t_out
 
-    def locate_point(self, point, height_tol: float = 0.5) -> int | None:
+    def locate_point(self, point, height_tol: float = DEFAULT_HEIGHT_TOL) -> int | None:
         """Lowest polygon id containing `point`, or None when off-mesh."""
         for pid in range(len(self.polygons)):
             if self.contains_point(pid, point, height_tol):
@@ -389,6 +396,7 @@ def build_walkable_surface(
         polygon_offsets=offsets,
         polygon_axes=axes,
         polygon_winding=winding,
+        axis_coords=verts.T.tolist(),
         adjacency=adjacency,
         boundary_edges=loops,
         edge_polygons=edge_polygons,

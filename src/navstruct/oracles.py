@@ -256,7 +256,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         betweenness_centrality,
         eigenvector_centrality,
         katz_centrality,
-        minimum_spanning_tree,
+        kruskal_edges,
         spectral_radius,
     )
     from .fixtures import random_connected_graph
@@ -294,7 +294,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         g = random_connected_graph(rng, rng.randint(4, 9), 0.4)
         if len(g.edges) > 14:
             continue
-        mst = minimum_spanning_tree(g)
+        mst = kruskal_edges(range(len(g.nodes)), g.edges)
         ref = mst_weight_exhaustive(len(g.nodes), g.edges)
         if abs(mst.total_weight - ref) > 1e-9:
             ok = False

@@ -25,7 +25,9 @@ from .terminals import (
     DEFAULT_HEIGHT_TOL, DEFAULT_INTERVAL, DEFAULT_RADIUS, DEFAULT_RAY_COUNT, DEFAULT_SHARPNESS_DEG,
     TerminalSet, entry_exit_terminals, terminals_from_metric,
 )
-from .trees import RootedTree, SimplifyConfig, find_rooted_trees, simplify_tree
+from .trees import (
+    DEFAULT_NORMAL_TOL_DEG, RootedTree, SimplifyConfig, find_rooted_trees, simplify_tree,
+)
 
 log = logging.getLogger("navstruct")
 
@@ -60,7 +62,7 @@ class PipelineConfig:
     ray_count: int = _option(DEFAULT_RAY_COUNT, "rays per classification fan")
     sharpness_deg: float = _option(DEFAULT_SHARPNESS_DEG, "segment-breaking turn angle")
     exit_offset: float = _option(0.0, "push entry/exit nodes outward by this distance")
-    normal_tol_deg: float = _option(15.0, "collapse normal-angle tolerance")
+    normal_tol_deg: float = _option(DEFAULT_NORMAL_TOL_DEG, "collapse normal-angle tolerance")
     los_height_tol: float = _option(DEFAULT_HEIGHT_TOL, "line-of-sight height tolerance")
     root_metric: str = _option(
         "betweenness", "centrality used to pick roots", CENTRALITY_METRICS
@@ -187,7 +189,7 @@ def run_pipeline(
         else:
             term_set = terminals_from_metric(
                 g, cfg.terminals, metric=cfg.metric, k=cfg.k,
-                weighted=cfg.centrality_weights == "euclidean",
+                weighted=cfg.centrality_weights == "euclidean", alpha=cfg.katz_alpha,
             )
         rec.nodes, rec.edges = len(g.nodes), len(g.edges)
         rec.terminals = len(term_set.node_ids)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import compute_centrality
+from .algorithms import compute_centrality, degree_centrality
 from .errors import EmptyTerminalSet, ValidationError
 from .graph import SOURCE_ENTRY_EXIT, GraphNode, SurfaceGraph
-from .mesh import BlockerMesh, WalkableSurface
+from .mesh import DEFAULT_HEIGHT_TOL, BlockerMesh, WalkableSurface
 from . import raycast
 
 log = logging.getLogger("navstruct")
@@ -25,7 +25,6 @@ DEFAULT_INTERVAL = 0.5
 DEFAULT_RADIUS = 1.0
 DEFAULT_RAY_COUNT = 5
 DEFAULT_SHARPNESS_DEG = 45.0
-DEFAULT_HEIGHT_TOL = 0.5
 
 
 @dataclass
@@ -309,25 +308,24 @@ def terminals_from_metric(
     metric: str = "degree",
     k: int = 1,
     weighted: bool = True,
+    alpha: float | None = None,
 ) -> TerminalSet:
     """Terminal selection without boundary geometry.
 
     method "leaves": every node of degree 1.  method "metric": the k nodes
-    with the highest centrality scores (ties prefer the lower id).
+    with the highest centrality scores (ties prefer the lower id); `weighted`
+    and `alpha` are passed to `compute_centrality`.
     """
     if method == "leaves":
-        degs = [0] * len(g.nodes)
-        for i, j, _ in g.edges:
-            degs[i] += 1
-            degs[j] += 1
-        ids = [v for v, d in enumerate(degs) if d == 1]
+        degs = degree_centrality(g).values
+        ids = [v for v, d in enumerate(degs) if d == 1.0]
         if not ids:
             raise EmptyTerminalSet("graph has no degree-1 nodes")
         return TerminalSet(node_ids=ids, selection_method="leaves")
     if method == "metric":
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        scores = compute_centrality(g, metric, weighted=weighted)
+        scores = compute_centrality(g, metric, weighted=weighted, alpha=alpha)
         ranked = sorted(
             range(len(g.nodes)), key=lambda v: (-scores.values[v], v)
         )

@@ -17,17 +17,20 @@ import numpy as np
 
 from .errors import PointOffMesh, ValidationError
 from .graph import GraphNode, SurfaceGraph
-from .mesh import GEOM_EPS, WalkableSurface
+from .mesh import DEFAULT_HEIGHT_TOL, GEOM_EPS, WalkableSurface
 from .steiner import SteinerTree
 from .algorithms import CentralityScores
 
 LosFn = Callable[[np.ndarray, np.ndarray], bool]
 
+# default largest angle between the normals of a collapsed node and its parent
+DEFAULT_NORMAL_TOL_DEG = 15.0
+
 
 @dataclass
 class SimplifyConfig:
-    normal_tolerance_deg: float = 15.0
-    los_height_tolerance: float = 0.5
+    normal_tolerance_deg: float = DEFAULT_NORMAL_TOL_DEG
+    los_height_tolerance: float = DEFAULT_HEIGHT_TOL
 
     def __post_init__(self):
         if not (0.0 < self.normal_tolerance_deg < 90.0):

@@ -6,14 +6,12 @@ import pytest
 from navstruct.algorithms import (
     betweenness_centrality,
     compute_centrality,
-    connected_components,
     degree_centrality,
     dijkstra_tree,
     eigenvector_centrality,
     katz_centrality,
     kruskal_edges,
-    minimum_spanning_tree,
-    shortest_path,
+    path_from_predecessors,
     spectral_radius,
 )
 from navstruct.errors import AlphaTooLarge, EmptyGraph, NoPath, ValidationError
@@ -58,11 +56,11 @@ def test_dijkstra_distances_on_kite():
 
 def test_shortest_path_route_and_weight():
     g = kite_graph()
-    path, weight = shortest_path(g, 0, 3)
-    assert path == [0, 1, 2, 3]
-    assert weight == pytest.approx(4.0)
-    path, weight = shortest_path(g, 2, 2)
-    assert path == [2] and weight == 0.0
+    dist, pred = dijkstra_tree(g, 0)
+    assert path_from_predecessors(pred, 0, 3) == [0, 1, 2, 3]
+    assert dist[3] == pytest.approx(4.0)
+    dist, pred = dijkstra_tree(g, 2)
+    assert path_from_predecessors(pred, 2, 2) == [2] and dist[2] == 0.0
 
 
 def test_dijkstra_tie_prefers_smaller_predecessor():
@@ -73,8 +71,25 @@ def test_dijkstra_tie_prefers_smaller_predecessor():
     )
     _dist, pred = dijkstra_tree(g, 0)
     assert pred[3] == 1
-    path, _w = shortest_path(g, 0, 3)
-    assert path == [0, 1, 3]
+    assert path_from_predecessors(pred, 0, 3) == [0, 1, 3]
+
+
+def test_dijkstra_tree_keeps_the_smallest_tied_predecessor(rng):
+    # integer weights force equal-cost ties; each node's recorded predecessor
+    # must be the smallest neighbor that lies on some shortest path to it
+    for _ in range(40):
+        n = rng.randint(3, 14)
+        g = random_connected_graph(rng, n, rng.uniform(0.3, 0.8))
+        g = graph_from_edges(
+            [tuple(node.position) for node in g.nodes],
+            [(i, j, float(rng.randint(1, 3))) for i, j, _w in g.edges],
+        )
+        adj = g.adjacency()
+        for src in range(n):
+            dist, pred = dijkstra_tree(g, src)
+            for v in range(n):
+                tied = [u for u, w in adj[v] if dist[u] + w == dist[v]]
+                assert pred[v] == (min(tied) if tied else -1)
 
 
 def test_no_path_raised_across_components():
@@ -82,16 +97,18 @@ def test_no_path_raised_across_components():
         [(0, 0, 0), (1, 0, 0), (5, 0, 0), (6, 0, 0)],
         unit([(0, 1), (2, 3)]),
     )
+    dist, pred = dijkstra_tree(g, 0)
+    assert dist[3] == math.inf
     with pytest.raises(NoPath):
-        shortest_path(g, 0, 3)
+        path_from_predecessors(pred, 0, 3)
 
 
 # --- spanning trees ---------------------------------------------------------
 
 def test_kruskal_weight_matches_exhaustive_oracle():
     g = kite_graph()
-    forest = minimum_spanning_tree(g)
-    assert forest.is_spanning_tree
+    forest = kruskal_edges(range(len(g)), g.edges)
+    assert forest.component_count == 1
     # 4.0 frozen from enumerating every 3-edge spanning subset
     assert forest.total_weight == pytest.approx(4.0)
     assert mst_weight_exhaustive(len(g), g.edges) == pytest.approx(4.0)
@@ -112,9 +129,8 @@ def test_kruskal_forest_on_disconnected_graph():
         [(0, 0, 0), (1, 0, 0), (5, 0, 0), (6, 0, 0)],
         unit([(0, 1), (2, 3)]),
     )
-    forest = minimum_spanning_tree(g)
+    forest = kruskal_edges(range(len(g)), g.edges)
     assert forest.component_count == 2
-    assert not forest.is_spanning_tree
     assert len(forest.edges) == 2
 
 
@@ -124,16 +140,8 @@ def test_random_mst_weights_match_exhaustive(rng):
         if len(g.edges) > 14:
             continue  # exhaustive enumeration budget
         expected = mst_weight_exhaustive(len(g), g.edges)
-        got = minimum_spanning_tree(g).total_weight
+        got = kruskal_edges(range(len(g)), g.edges).total_weight
         assert got == pytest.approx(expected, abs=1e-9)
-
-
-def test_connected_components_sorted():
-    g = graph_from_edges(
-        [(0, 0, 0), (1, 0, 0), (5, 0, 0), (6, 0, 0), (9, 0, 0)],
-        unit([(3, 2), (0, 1)]),
-    )
-    assert connected_components(g) == [[0, 1], [2, 3], [4]]
 
 
 # --- degree and betweenness -------------------------------------------------

@@ -3,12 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from navstruct.errors import (
-    AsymmetricNeighborhood,
-    DegenerateEdge,
-    ParseError,
-    ValidationError,
-)
+from navstruct.errors import DegenerateEdge, ParseError, ValidationError
 from navstruct.fixtures import graph_from_edges, grid_surface
 from navstruct.graph import (
     SOURCE_POLYGON,
@@ -16,9 +11,6 @@ from navstruct.graph import (
     GraphNode,
     SurfaceGraph,
     graph_from_navmesh,
-    graph_from_sampling,
-    grid_neighbor_pairs,
-    grid_points,
     load_graph_json,
 )
 
@@ -87,50 +79,6 @@ def test_centroid():
     assert np.allclose(g.centroid(), [1.0, 1.0, 0.0])
 
 
-# --- sampling ---------------------------------------------------------------
-
-def test_sampling_grid_shape():
-    pts = grid_points(3, 3, spacing=2.0)
-    pairs = grid_neighbor_pairs(3, 3)
-    g = graph_from_sampling(pts, pairs)
-    assert len(g) == 9
-    assert len(g.edges) == 12
-    assert all(w == pytest.approx(2.0) for _i, _j, w in g.edges)
-    assert all(n.source == SOURCE_SAMPLE for n in g.nodes)
-    assert all(np.allclose(n.normal, [0, 0, 1]) for n in g.nodes)
-
-
-def test_sampling_rejects_asymmetric_pairs():
-    pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    with pytest.raises(AsymmetricNeighborhood, match="no reverse"):
-        graph_from_sampling(pts, [(0, 1)])
-    g = graph_from_sampling(pts, [(0, 1), (1, 0)])
-    assert len(g.edges) == 1
-
-
-def test_sampling_rejects_bad_pairs():
-    pts = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
-    with pytest.raises(ValidationError, match="out of range"):
-        graph_from_sampling(pts, [(0, 5), (5, 0)])
-    with pytest.raises(ValidationError, match="self-pair"):
-        graph_from_sampling(pts, [(0, 0)])
-    with pytest.raises(DegenerateEdge, match="non-positive"):
-        graph_from_sampling(pts, [(0, 1), (1, 0)])  # coincident points
-
-
-def test_sampling_custom_weight_and_normals():
-    pts = [(0.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
-    normals = [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]
-    g = graph_from_sampling(
-        pts, [(0, 1), (1, 0)], normals=normals,
-        weight_fn=lambda p, q: float(abs(p[0] - q[0])) / 3.0,
-    )
-    assert g.edges == [(0, 1, 1.0)]
-    assert np.allclose(g.nodes[1].normal, [0.0, 1.0, 0.0])
-    with pytest.raises(ValidationError, match="match points in shape"):
-        graph_from_sampling(pts, [(0, 1), (1, 0)], normals=[(0.0, 0.0, 1.0)])
-
-
 # --- JSON I/O ---------------------------------------------------------------
 
 def test_load_graph_json(tmp_path):
@@ -169,14 +117,3 @@ def test_load_graph_json_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(exc, match=needle):
             load_graph_json(path)
-
-
-def test_grid_helpers_row_major():
-    pts = grid_points(2, 3)
-    assert pts.shape == (6, 3)
-    assert np.allclose(pts[1], [1.0, 0.0, 0.0])
-    assert np.allclose(pts[2], [0.0, 1.0, 0.0])
-    pairs = grid_neighbor_pairs(2, 3)
-    assert (0, 1) in pairs and (1, 0) in pairs
-    assert (0, 2) in pairs and (2, 0) in pairs
-    assert len(pairs) == 2 * (3 * 1 + 2 * 2)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from navstruct.cli import _config_from_args, build_parser, main
-from navstruct.errors import ValidationError
-from navstruct.fixtures import graph_from_edges
+from navstruct.errors import AlphaTooLarge, ValidationError
+from navstruct.fixtures import graph_from_edges, maze_graph
 from navstruct.graph import relabel_dense
 from navstruct.mesh import build_blocker_mesh
 from navstruct.pipeline import (
@@ -23,6 +23,7 @@ from navstruct.pipeline import (
 )
 from navstruct.steiner import build_steiner_tree
 from navstruct.terminals import TerminalSet
+from navstruct.trees import SimplifyConfig
 
 STAGE_ORDER = [
     STAGE_INITIAL, STAGE_TERMINALS, STAGE_STEINER,
@@ -102,6 +103,18 @@ def test_config_validation_rejects(overrides, message):
 
 def test_config_validation_with_loaded_inputs_skips_path_checks():
     PipelineConfig(terminals="leaves").validate(loaded=True)
+
+
+def test_simplify_defaults_are_the_pipeline_defaults():
+    assert SimplifyConfig() == PipelineConfig().simplify_config()
+
+
+def test_metric_terminals_use_the_katz_alpha():
+    # alpha 10 is far beyond 1/spectral-radius of any maze; rooting uses
+    # betweenness, so only the terminal stage can raise
+    cfg = PipelineConfig(terminals="metric", metric="katz", katz_alpha=10.0)
+    with pytest.raises(AlphaTooLarge):
+        run_pipeline(cfg, graph=maze_graph(6, 6))
 
 
 def test_run_pipeline_requires_exactly_one_input():

@@ -4,10 +4,10 @@ test fails instead when a refactor moves or renames a patch point."""
 import importlib.util
 from pathlib import Path
 
-from navstruct import raycast
-from navstruct.fixtures import straight_corridor
+from navstruct import raycast, steiner
+from navstruct.fixtures import maze_graph, straight_corridor
 from navstruct.graph import graph_from_navmesh
-from navstruct.terminals import entry_exit_terminals
+from navstruct.terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
 
 TRACING = Path(__file__).resolve().parents[1] / "navbench" / "tracing.py"
 
@@ -45,3 +45,20 @@ def test_fan_rays_look_up_first_hit_through_the_raycast_module(monkeypatch):
     surface, blockers = straight_corridor(4)
     entry_exit_terminals(graph_from_navmesh(surface), surface, blockers, interval=1.0)
     assert calls
+
+
+def test_steiner_looks_up_dijkstra_tree_once_per_terminal(monkeypatch):
+    sources = []
+    original = steiner.dijkstra_tree
+
+    def counting(g, src):
+        sources.append(src)
+        return original(g, src)
+
+    monkeypatch.setattr(steiner, "dijkstra_tree", counting)
+    g = maze_graph(6, 6)
+    leaves = terminals_from_metric(g, "leaves").node_ids
+    terminals = TerminalSet(node_ids=leaves + leaves[:2], selection_method="leaves")
+    steiner.build_steiner_tree(g, terminals)
+    assert len(leaves) > 2
+    assert sorted(sources) == sorted(leaves)
