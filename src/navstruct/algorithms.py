@@ -125,13 +125,24 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
     """Exact betweenness: fractional shortest-path credit over unordered
     pairs, unnormalized.
 
-    Uses the standard two-phase accumulation (forward shortest-path counting,
-    reverse dependency propagation).  The inner loop is a priority-queue
-    Dijkstra; when every edge carries the same weight the queue degenerates to
-    FIFO order, so a plain breadth-first queue is used there — path structure
-    and credits are identical, only faster.
+    On a forest (edge count = node count - component count) every path is
+    unique, so the scores come in closed form in O(n): a node whose removal
+    splits its m-node component into pieces of sizes s_i lies inside
+    ((m-1)^2 - sum s_i^2) / 2 paths, whatever the (positive) edge weights.
+    The counts are integers, so they equal the Brandes result bit for bit.
+
+    Graphs with a cycle use Brandes' two-phase accumulation (forward
+    shortest-path counting, reverse dependency propagation) from every node.
+    The inner loop is a priority-queue Dijkstra; when every edge carries the
+    same weight the queue degenerates to FIFO order, so a plain breadth-first
+    queue is used there — path structure and credits are identical, only
+    faster.
     """
     adj = g.adjacency()
+    params = {"weighted": weighted}
+    vals = _forest_betweenness(adj, len(g.edges))
+    if vals is not None:
+        return CentralityScores(metric="betweenness", values=vals, params=params)
     n = len(adj)
     if weighted:
         weights = {w for _, _, w in g.edges}
@@ -155,9 +166,45 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
                 cb[w] += delta[w]
     # undirected: each unordered pair was counted from both endpoints
     vals = [x / 2.0 for x in cb]
-    return CentralityScores(
-        metric="betweenness", values=vals, params={"weighted": weighted}
-    )
+    return CentralityScores(metric="betweenness", values=vals, params=params)
+
+
+def _forest_betweenness(adj, edge_count: int) -> list[float] | None:
+    """Closed-form betweenness from subtree sizes, or None when the graph has
+    a cycle.  One breadth-first pass per component; the piece above v has
+    m - size[v] nodes."""
+    n = len(adj)
+    parent = [-1] * n
+    seen = [False] * n
+    components = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for u in order:  # grows while it is walked: breadth-first order
+            for v, _ in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    order.append(v)
+        components.append(order)
+    if edge_count != n - len(components):
+        return None
+    size = [1] * n
+    child_sq = [0] * n  # sum of squared child subtree sizes
+    cb = [0.0] * n
+    for order in components:
+        m = len(order)
+        for v in reversed(order):
+            s = size[v]
+            above = m - s
+            cb[v] = float(((m - 1) ** 2 - child_sq[v] - above * above) // 2)
+            p = parent[v]
+            if p >= 0:
+                size[p] += s
+                child_sq[p] += s * s
+    return cb
 
 
 def _sssp_dijkstra(adj, s):

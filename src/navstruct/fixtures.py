@@ -223,3 +223,16 @@ def random_tree_graph(rng: random.Random, n: int) -> SurfaceGraph:
         edges.append((u, v, 1.0 - rng.random()))
     positions = [(rng.uniform(0, 10), rng.uniform(0, 10), 0.0) for _ in range(n)]
     return graph_from_edges(positions, edges)
+
+
+def random_forest_graph(rng: random.Random, sizes: list[int]) -> SurfaceGraph:
+    """Disjoint union of random trees with the given node counts (a size of 1
+    is an isolated node); tree k's ids follow tree k-1's."""
+    positions: list = []
+    edges = []
+    for m in sizes:
+        tree = random_tree_graph(rng, m)
+        base = len(positions)
+        positions += [node.position for node in tree.nodes]
+        edges += [(base + i, base + j, w) for i, j, w in tree.edges]
+    return graph_from_edges(positions, edges)

@@ -259,7 +259,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         kruskal_edges,
         spectral_radius,
     )
-    from .fixtures import random_connected_graph
+    from .fixtures import random_connected_graph, random_forest_graph
     from .steiner import build_steiner_tree
     from .terminals import TerminalSet
 
@@ -313,4 +313,14 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         kerr = max(kerr, max(abs(a - b) for a, b in zip(kz, kz_ref)))
     results.append(("eigenvector-dense", err <= 1e-6, f"max abs err {err:.2e}"))
     results.append(("katz-series", kerr <= 1e-6, f"max abs err {kerr:.2e}"))
+
+    err = 0.0
+    for _ in range(instances):
+        sizes = [rng.randint(1, 10) for _ in range(rng.randint(2, 5))]
+        g = random_forest_graph(rng, sizes)
+        weighted = rng.random() < 0.5
+        fast = betweenness_centrality(g, weighted=weighted).values
+        slow = betweenness_oracle(g, weighted=weighted)
+        err = max(err, max(abs(a - b) for a, b in zip(fast, slow)))
+    results.append(("betweenness-forest", err <= 1e-9, f"max abs err {err:.2e}"))
     return results

@@ -15,20 +15,29 @@ def first_hit(
     blocker triangle, or None.  `direction` need not be unit length; `max_t`
     is in multiples of it.  A missing/empty blocker mesh never hits.
     Vectorized over all triangles, reading the edge arrays the mesh holds;
-    boundary hits (on a triangle edge) count as hits."""
+    boundary hits (on a triangle edge) count as hits.  The two cross products
+    are written out with the expressions np.cross evaluates, so the results
+    match it bit for bit without its per-call argument handling."""
     if blockers is None or len(blockers.triangles) == 0:
         return None
     o = np.asarray(origin, dtype=float)
     d = np.asarray(direction, dtype=float)
+    dx, dy, dz = d
     e1, e2 = blockers.e1, blockers.e2
-    pvec = np.cross(d[None, :], e2)
+    pvec = np.empty_like(e2)  # d x e2
+    pvec[:, 0] = dy * e2[:, 2] - dz * e2[:, 1]
+    pvec[:, 1] = dz * e2[:, 0] - dx * e2[:, 2]
+    pvec[:, 2] = dx * e2[:, 1] - dy * e2[:, 0]
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > EPS
     inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     tvec = o[None, :] - blockers.v0
     u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
     ok &= (u >= -EPS) & (u <= 1.0 + EPS)
-    qvec = np.cross(tvec, e1)
+    qvec = np.empty_like(e1)  # tvec x e1
+    qvec[:, 0] = tvec[:, 1] * e1[:, 2] - tvec[:, 2] * e1[:, 1]
+    qvec[:, 1] = tvec[:, 2] * e1[:, 0] - tvec[:, 0] * e1[:, 2]
+    qvec[:, 2] = tvec[:, 0] * e1[:, 1] - tvec[:, 1] * e1[:, 0]
     v = np.einsum("j,ij->i", d, qvec) * inv_det
     ok &= (v >= -EPS) & (u + v <= 1.0 + EPS)
     t = np.einsum("ij,ij->i", e2, qvec) * inv_det

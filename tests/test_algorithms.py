@@ -1,8 +1,8 @@
 import math
-import random
 
 import pytest
 
+from navstruct import algorithms
 from navstruct.algorithms import (
     betweenness_centrality,
     compute_centrality,
@@ -15,12 +15,19 @@ from navstruct.algorithms import (
     spectral_radius,
 )
 from navstruct.errors import AlphaTooLarge, EmptyGraph, NoPath, ValidationError
-from navstruct.fixtures import graph_from_edges, random_connected_graph
+from navstruct.fixtures import (
+    graph_from_edges,
+    maze_graph,
+    random_connected_graph,
+    random_forest_graph,
+    random_tree_graph,
+)
 from navstruct.oracles import (
     betweenness_oracle,
     eigenvector_oracle,
     katz_oracle,
     mst_weight_exhaustive,
+    tree_path_interior_counts,
 )
 
 
@@ -224,6 +231,39 @@ def test_betweenness_unweighted_flag_ignores_weights():
     # under hop counting the kite's direct edges 0-2 and 1-3 matter:
     # frozen from the path-counting oracle with unit weights
     assert hops == pytest.approx(betweenness_oracle(g, weighted=False), abs=1e-9)
+
+
+
+def test_betweenness_on_forests_skips_the_shortest_path_searches(monkeypatch, rng):
+    searches = []
+    for name in ("_sssp_uniform", "_sssp_dijkstra"):
+        real = getattr(algorithms, name)
+        monkeypatch.setattr(
+            algorithms, name, lambda *args, _real=real: searches.append(1) or _real(*args)
+        )
+    for _ in range(10):
+        tree = random_tree_graph(rng, rng.randint(2, 30))
+        for weighted in (True, False):
+            got = betweenness_centrality(tree, weighted=weighted).values
+            assert got == tree_path_interior_counts(tree)
+    for _ in range(10):
+        # size-1 parts are isolated nodes
+        sizes = [1] + [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        forest = random_forest_graph(rng, sizes)
+        for weighted in (True, False):
+            got = betweenness_centrality(forest, weighted=weighted).values
+            assert got == pytest.approx(betweenness_oracle(forest, weighted), abs=1e-9)
+    maze = maze_graph(50, 50)
+    assert len(maze.edges) == len(maze.nodes) - 1
+    assert max(betweenness_centrality(maze).values) > 0.0
+    assert searches == []
+
+    square = graph_from_edges(
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)],
+        unit([(0, 1), (1, 2), (2, 3), (0, 3)]),
+    )
+    assert betweenness_centrality(square).values == [0.5] * 4
+    assert searches
 
 
 # --- eigenvector and katz ---------------------------------------------------

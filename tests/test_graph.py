@@ -9,7 +9,6 @@ from navstruct.graph import (
     SOURCE_POLYGON,
     SOURCE_SAMPLE,
     GraphNode,
-    SurfaceGraph,
     graph_from_navmesh,
     load_graph_json,
 )

@@ -413,6 +413,7 @@ def test_cli_oracle_suites_pass(capsys):
     assert main(["oracle", "--instances", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 4
+    assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
     for line in lines:
         assert line.startswith("oracle ")
         assert ": PASS (" in line

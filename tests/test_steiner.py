@@ -1,6 +1,6 @@
 import pytest
 
-from navstruct.errors import DisconnectedTerminals, EmptyTerminalSet, ValidationError
+from navstruct.errors import DisconnectedTerminals, EmptyTerminalSet
 from navstruct.fixtures import graph_from_edges, random_connected_graph
 from navstruct.oracles import steiner_exhaustive
 from navstruct.steiner import SteinerTree, build_steiner_tree

@@ -7,13 +7,11 @@ from navstruct.errors import EmptyTerminalSet, ValidationError
 from navstruct.fixtures import (
     boundary_walls,
     graph_from_edges,
-    straight_corridor,
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
 from navstruct.terminals import (
     BoundarySample,
-    EntryExitSegment,
     TerminalSet,
     classify_samples,
     entry_exit_terminals,

@@ -8,7 +8,6 @@ from navstruct.fixtures import (
     l_corridor,
     ramp_corridor,
     ring_surface,
-    straight_corridor,
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_SAMPLE, GraphNode, graph_from_navmesh
