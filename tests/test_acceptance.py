@@ -370,9 +370,8 @@ def test_criterion_9_thousand_node_graph_under_ten_seconds(capsys):
 
 
 def test_criterion_10_2500_node_analyze_under_ten_seconds(capsys):
-    # rooting and post-process betweenness run on forests, so this size is
-    # within reach only through the closed form (one Brandes search per node
-    # spent about 9 s in rooting alone)
+    # rooting and post-process betweenness run on forests; at this size only
+    # their closed form fits the bound, a search per node does not
     ok = False
     try:
         g = maze_graph(50, 50)
