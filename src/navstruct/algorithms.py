@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import AlphaTooLarge, EmptyGraph, NoConvergence, NoPath, ValidationError
 from .graph import SurfaceGraph
@@ -262,13 +263,33 @@ def _sssp_uniform(adj, s):
     return order, preds, sigma
 
 
-def _adjacency_matrix(g: SurfaceGraph) -> np.ndarray:
+def _sparse_adjacency(g: SurfaceGraph) -> csr_matrix:
+    """Unweighted symmetric adjacency in CSR form, O(edges) memory.
+
+    Each edge is stored in both directions; a repeated edge or a self-loop
+    still reads 1.0, which is why the summed duplicates are reset."""
     n = len(g.nodes)
-    a = np.zeros((n, n))
-    for i, j, _ in g.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    ends = np.array([(i, j) for i, j, _ in g.edges], dtype=np.intp).reshape(-1, 2)
+    both = np.concatenate([ends, ends[:, ::-1]])
+    a = coo_matrix((np.ones(len(both)), (both[:, 0], both[:, 1])), shape=(n, n)).tocsr()
+    a.data[:] = 1.0
     return a
+
+
+def _power_iteration(a: csr_matrix, max_iter: int):
+    """Shifted power iteration on A + I from the all-ones vector.
+
+    Each step yields the unit max-norm vector x, the next one
+    y = (x + A x) / peak and peak = max(x + A x), which tends to the largest
+    eigenvalue of A + I.  The shift keeps the iteration from oscillating on
+    bipartite graphs.  Callers stop it with their own rule."""
+    x = np.ones(a.shape[0])
+    for _ in range(max_iter):
+        y = x + a @ x
+        peak = float(y.max())
+        y /= peak
+        yield x, y, peak
+        x = y
 
 
 def eigenvector_centrality(
@@ -276,43 +297,44 @@ def eigenvector_centrality(
 ) -> CentralityScores:
     """Principal-eigenvector scores of the unweighted adjacency matrix.
 
-    Power iteration with an identity shift (A + I keeps the iteration from
-    oscillating on bipartite graphs), normalized to unit max-norm.  Requires a
-    connected graph with at least one edge.
+    Power iteration with an identity shift on a sparse adjacency (O(edges)
+    memory), normalized to unit max-norm.  Requires a connected graph with at
+    least one edge.
     """
     if not g.edges:
         raise EmptyGraph("eigenvector centrality needs at least one edge")
-    a = _adjacency_matrix(g)
-    x = np.ones(len(g.nodes))
-    x /= x.max()
     residual = INF
-    for _ in range(max_iter):
-        y = x + a @ x
-        y /= y.max()
+    for x, y, _peak in _power_iteration(_sparse_adjacency(g), max_iter):
         residual = float(np.abs(y - x).max())
-        x = y
         if residual < tol:
             return CentralityScores(
                 metric="eigenvector",
-                values=[float(v) for v in x],
+                values=[float(v) for v in y],
                 params={"tol": tol, "max_iter": max_iter},
             )
     raise NoConvergence("eigenvector power iteration did not converge", residual)
 
 
-def spectral_radius(g: SurfaceGraph, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest adjacency eigenvalue via shifted power iteration."""
-    if not g.edges:
+# spectral_radius's stopping rule, which Katz's default alpha also uses
+_RADIUS_TOL = 1e-12
+_RADIUS_MAX_ITER = 10000
+
+
+def spectral_radius(
+    g: SurfaceGraph, tol: float = _RADIUS_TOL, max_iter: int = _RADIUS_MAX_ITER
+) -> float:
+    """Largest adjacency eigenvalue via shifted power iteration on a sparse
+    adjacency (O(edges) memory)."""
+    return _spectral_radius(_sparse_adjacency(g), tol, max_iter)
+
+
+def _spectral_radius(a: csr_matrix, tol: float, max_iter: int) -> float:
+    if a.nnz == 0:
         return 0.0
-    a = _adjacency_matrix(g)
-    x = np.ones(len(g.nodes))
     est = 1.0
-    for _ in range(max_iter):
-        y = x + a @ x
-        new_est = float(y.max() / x.max())
-        y /= y.max()
-        shift = abs(new_est - est)
-        x, est = y, new_est
+    for _x, _y, peak in _power_iteration(a, max_iter):
+        shift = abs(peak - est)
+        est = peak
         if shift < tol * max(1.0, est):
             break
     return est - 1.0
@@ -325,13 +347,15 @@ def katz_centrality(
     max_iter: int = 100000,
 ) -> CentralityScores:
     """Katz scores: sum over path lengths i of alpha^i * (A^i 1), evaluated
-    term by term until the added term drops below `tol`.
+    term by term until the added term drops below `tol`.  One sparse
+    adjacency (O(edges) memory) serves the spectral radius and the series.
 
     `alpha` must satisfy 0 < alpha < 1/spectral_radius; None selects
     0.9/spectral_radius.  AlphaTooLarge is raised when the series diverges.
     """
     n = len(g.nodes)
-    radius = spectral_radius(g)
+    a = _sparse_adjacency(g)
+    radius = _spectral_radius(a, _RADIUS_TOL, _RADIUS_MAX_ITER)
     if alpha is None:
         alpha = 0.9 / radius if radius > 1e-12 else 0.5
     if alpha <= 0.0:
@@ -340,7 +364,6 @@ def katz_centrality(
         raise AlphaTooLarge(
             f"alpha {alpha:.6g} >= 1/spectral_radius {1.0 / radius:.6g}; series diverges"
         )
-    a = _adjacency_matrix(g)
     term = alpha * (a @ np.ones(n))
     total = term.copy()
     growth_streak = 0

@@ -327,9 +327,11 @@ def build_walkable_surface(
         if len(set(ring)) != len(ring):
             raise ValidationError(f"polygon {pid}: ring repeats a vertex")
         pts = verts[ring]
-        for k in range(len(ring)):
-            if np.linalg.norm(pts[(k + 1) % len(ring)] - pts[k]) < 1e-12:
-                raise ValidationError(f"polygon {pid}: zero-length edge")
+        # edges[k] runs from ring position k to k + 1, turning into edges[k + 1]
+        edges = np.roll(pts, -1, axis=0) - pts
+        lengths = np.sqrt((edges * edges).sum(axis=1))
+        if lengths.min() < 1e-12:
+            raise ValidationError(f"polygon {pid}: zero-length edge")
         n = _newell_normal(pts)
         norm = np.linalg.norm(n)
         if norm < 1e-12:
@@ -342,14 +344,13 @@ def build_walkable_surface(
             raise ValidationError(
                 f"polygon {pid}: non-planar (deviation {dev.max():.3e} > {plane_eps:.3e})"
             )
-        # convexity: consecutive edge turns must not flip against the normal
-        for k in range(len(ring)):
-            e0 = pts[(k + 1) % len(ring)] - pts[k]
-            e1 = pts[(k + 2) % len(ring)] - pts[(k + 1) % len(ring)]
-            turn = float(np.dot(np.cross(e0, e1), n))
-            scale = float(np.linalg.norm(e0) * np.linalg.norm(e1))
-            if turn < -plane_eps * scale:
-                raise ValidationError(f"polygon {pid}: non-convex at ring position {k}")
+        # convexity: consecutive edge turns must not flip against the normal;
+        # the cross product is written out with np.cross's own expressions
+        (ax, ay, az), (bx, by, bz) = edges.T, np.roll(edges, -1, axis=0).T
+        turn = (ay * bz - az * by) * n[0] + (az * bx - ax * bz) * n[1] + (ax * by - ay * bx) * n[2]
+        flipped = np.flatnonzero(turn < -plane_eps * (lengths * np.roll(lengths, -1)))
+        if len(flipped):
+            raise ValidationError(f"polygon {pid}: non-convex at ring position {flipped[0]}")
         normals[pid] = n
         centers[pid] = center
         offsets[pid] = float(np.dot(n, center))

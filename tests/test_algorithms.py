@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from navstruct import algorithms
@@ -17,11 +19,13 @@ from navstruct.algorithms import (
 from navstruct.errors import AlphaTooLarge, EmptyGraph, NoPath, ValidationError
 from navstruct.fixtures import (
     graph_from_edges,
+    grid_surface,
     maze_graph,
     random_connected_graph,
     random_forest_graph,
     random_tree_graph,
 )
+from navstruct.graph import SurfaceGraph, graph_from_navmesh
 from navstruct.oracles import (
     betweenness_oracle,
     eigenvector_oracle,
@@ -341,6 +345,41 @@ def test_katz_rejects_alpha_at_or_beyond_threshold():
     scores = katz_centrality(triangle, alpha=0.4)
     assert scores.values == pytest.approx(katz_oracle(triangle, 0.4), abs=1e-6)
 
+
+def test_spectral_scores_stay_sparse_on_a_large_grid():
+    # one dense float64 adjacency of this graph would take 4900^2 * 8 B = 192 MB
+    g = graph_from_navmesh(grid_surface(70, 70))
+    assert len(g.nodes) == 4900
+    tracemalloc.start()
+    try:
+        eigenvector_centrality(g)
+        spectral_radius(g)
+        katz_centrality(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # grids tie heavily, as the benchmark's metric terminals do
+    small = graph_from_navmesh(grid_surface(12, 12))
+    assert eigenvector_centrality(small).values == pytest.approx(
+        eigenvector_oracle(small), abs=1e-6
+    )
+    katz = katz_centrality(small)
+    assert katz.values == pytest.approx(katz_oracle(small, katz.params["alpha"]), abs=1e-6)
+
+
+def test_repeated_edges_and_self_loops_count_once():
+    # the oracles' dense build sets each entry to 1.0 however often it appears
+    g = SurfaceGraph(
+        nodes=line_graph(4).nodes,
+        edges=[(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 2.0), (2, 2, 1.0)],
+    )
+    assert eigenvector_centrality(g).values == pytest.approx(eigenvector_oracle(g), abs=1e-6)
+    dense = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0]]
+    assert spectral_radius(g) == pytest.approx(max(np.linalg.eigvalsh(dense)), abs=1e-6)
+    katz = katz_centrality(g)
+    assert katz.values == pytest.approx(katz_oracle(g, katz.params["alpha"]), abs=1e-6)
+    assert katz_centrality(g, alpha=0.3).values == pytest.approx(katz_oracle(g, 0.3), abs=1e-6)
 
 # --- dispatcher -------------------------------------------------------------
 

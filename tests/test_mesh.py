@@ -128,6 +128,49 @@ def test_validation_rejects_nonconvex_ring():
         build_walkable_surface(verts, [[0, 1, 2, 3, 4, 5]])
 
 
+def _ring_fault_per_vertex(pts, plane_eps=1e-4):
+    """Reference: the first ring fault, found one vertex at a time."""
+    k = len(pts)
+    for i in range(k):
+        if np.linalg.norm(pts[(i + 1) % k] - pts[i]) < 1e-12:
+            return "zero-length edge"
+    n = sum(np.cross(pts[i], pts[(i + 1) % k]) for i in range(k))
+    n = n / np.linalg.norm(n)
+    for i in range(k):
+        e0 = pts[(i + 1) % k] - pts[i]
+        e1 = pts[(i + 2) % k] - pts[(i + 1) % k]
+        if np.dot(np.cross(e0, e1), n) < -plane_eps * np.linalg.norm(e0) * np.linalg.norm(e1):
+            return f"non-convex at ring position {i}"
+    return None
+
+
+CONVEX_PENTAGON = [
+    (0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (3.0, 1.0, 0.0), (2.0, 2.0, 0.0), (0.0, 2.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("verts, fault", [
+    # one reflex vertex, at ring position 5
+    (CONVEX_PENTAGON + [(0.5, 1.0, 0.0)], "non-convex at ring position"),
+    # reflex vertices at ring positions 1 and 4: the first flipped turn is named
+    (
+        [(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.0, 0.0),
+         (2.0, 2.0, 0.0), (1.0, 1.5, 0.0), (0.0, 2.0, 0.0)],
+        "non-convex at ring position",
+    ),
+    # ring positions 5 and 0 sit on the same point
+    (CONVEX_PENTAGON + [(0.0, 0.0, 0.0)], "zero-length edge"),
+])
+def test_validation_names_the_first_faulty_ring_position(verts, fault):
+    for start in range(6):
+        ring = [(start + i) % 6 for i in range(6)]
+        expected = _ring_fault_per_vertex(np.array(verts)[ring])
+        assert expected.startswith(fault)
+        with pytest.raises(ValidationError) as info:
+            build_walkable_surface(verts, [ring])
+        assert str(info.value) == f"polygon 0: {expected}"
+
+
 def test_validation_rejects_nonmanifold_edge():
     verts = [
         (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
