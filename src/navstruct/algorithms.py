@@ -329,12 +329,17 @@ def spectral_radius(
 
 
 def _spectral_radius(a: csr_matrix, tol: float, max_iter: int) -> float:
+    """Stops when the Rayleigh quotient x.(A + I)x / x.x moves by less than
+    `tol` relative.  The max-norm peak is no stopping rule: on a grid it
+    repeats at the second step, long before it converges."""
     if a.nnz == 0:
         return 0.0
-    est = 1.0
-    for _x, _y, peak in _power_iteration(a, max_iter):
-        shift = abs(peak - est)
-        est = peak
+    est = INF
+    for x, y, peak in _power_iteration(a, max_iter):
+        # y * peak is (A + I) x
+        quotient = peak * float(x @ y) / float(x @ x)
+        shift = abs(quotient - est)
+        est = quotient
         if shift < tol * max(1.0, est):
             break
     return est - 1.0

@@ -150,6 +150,20 @@ def ramp_corridor(angle_deg: float = 30.0) -> WalkableSurface:
     return build_walkable_surface(pool.verts, polys)
 
 
+def stacked_floors() -> WalkableSurface:
+    """A strip of 5 unit squares at z = 0 (polygons 0-4) under a strip at
+    z = 0.3 whose middle square is missing (polygons 5-8).  The floors are
+    closer than the default height tolerance, so a point of either floor
+    lies within it of both."""
+    pool = _VertexPool()
+    polys = []
+    for z, columns in ((0.0, range(5)), (0.3, (0, 1, 3, 4))):
+        for x in columns:
+            corners = [(x, 0.0, z), (x + 1, 0.0, z), (x + 1, 1.0, z), (x, 1.0, z)]
+            polys.append([pool.add(c) for c in corners])
+    return build_walkable_surface(pool.verts, polys)
+
+
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
@@ -198,12 +212,17 @@ def maze_graph(nx: int, ny: int, seed: int = 0) -> SurfaceGraph:
     return graph_from_edges(pts, edges)
 
 
+# draws random_connected_graph makes before it gives up on (n, p)
+_MAX_DRAWS = 1000
+
+
 def random_connected_graph(
     rng: random.Random, n: int, p: float
 ) -> SurfaceGraph:
     """Random graph with edge probability p and weights uniform in (0, 1];
-    resamples until connected."""
-    while True:
+    resamples until connected.  Raises ValueError after 1000 disconnected
+    draws, as with p well below ln(n) / n."""
+    for _ in range(_MAX_DRAWS):
         edges = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -211,6 +230,10 @@ def random_connected_graph(
                     edges.append((i, j, 1.0 - rng.random()))
         if kruskal_edges(range(n), edges).component_count == 1:
             break
+    else:
+        raise ValueError(
+            f"no connected graph with n={n}, p={p} in {_MAX_DRAWS} draws"
+        )
     positions = [(rng.uniform(0, 10), rng.uniform(0, 10), 0.0) for _ in range(n)]
     return graph_from_edges(positions, edges)
 

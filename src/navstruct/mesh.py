@@ -8,6 +8,7 @@ to the LEFT of each directed boundary edge.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,6 +48,11 @@ class WalkableSurface:
     adjacency: list[list[tuple[int, tuple[int, int]]]]
     # loops of directed (a, b) edges; interior lies to the left of each edge
     boundary_edges: list[list[tuple[int, int]]]
+    # KD-tree over polygon_centers; and over all polygons, the farthest from
+    # its polygon's centre that a point contains_point accepts can project
+    # along the normal's dominant axis
+    polygon_tree: cKDTree = field(repr=False)
+    polygon_reach: float
     # undirected (min, max) edge -> owning polygon ids
     edge_polygons: dict[tuple[int, int], list[int]] = field(repr=False, default_factory=dict)
 
@@ -110,9 +116,20 @@ class WalkableSurface:
         return t_in <= t_out
 
     def locate_point(self, point, height_tol: float = DEFAULT_HEIGHT_TOL) -> int | None:
-        """Lowest polygon id containing `point`, or None when off-mesh."""
-        for pid in range(len(self.polygons)):
-            if self.contains_point(pid, point, height_tol):
+        """Lowest polygon id containing `point`, or None when off-mesh.
+
+        Only the polygons whose centre lies within polygon_reach +
+        sqrt(3) * height_tol of the point are tested, in id order.  That is
+        enough: a point that contains_point accepts is at most
+        height_tol / |n_k| <= sqrt(3) * height_tol from its projection along
+        the normal's dominant axis k, and the projection is within
+        polygon_reach of the centre."""
+        p = np.asarray(point, dtype=float)
+        radius = self.polygon_reach + math.sqrt(3.0) * height_tol
+        # rounding in the plane test and the tree's distances is far below this
+        radius += 1e-9 * (radius + float(np.abs(p).max()))
+        for pid in self.polygon_tree.query_ball_point(p, radius, return_sorted=True):
+            if self.contains_point(pid, p, height_tol):
                 return pid
         return None
 
@@ -127,6 +144,9 @@ class BlockerMesh:
     v0: np.ndarray = field(repr=False)
     e1: np.ndarray = field(repr=False)
     e2: np.ndarray = field(repr=False)
+    # KD-tree over the triangle centroids, and the largest centroid-corner distance
+    triangle_tree: cKDTree = field(repr=False)
+    reach: float
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +375,28 @@ def build_walkable_surface(
         centers[pid] = center
         offsets[pid] = float(np.dot(n, center))
     # the two axes kept when projecting along each normal's dominant axis
-    axes = np.array([[1, 2], [0, 2], [0, 1]])[np.argmax(np.abs(normals), axis=1)]
+    dominant = np.argmax(np.abs(normals), axis=1)
+    axes = np.array([[1, 2], [0, 2], [0, 1]])[dominant]
     # a ring's shoelace sum projected along axis k is its Newell n[k], negated
     # for k = 1 (kept axes x, z run against the cyclic order); zero counts as CCW
     winding = np.where(normals * [1.0, -1.0, 1.0] >= 0.0, 1.0, -1.0)
+
+    # locate_point's reach, over all ring corners at once.  A corner lies
+    # within plane_eps of its polygon's plane, so within sqrt(3) * plane_eps
+    # of it along the dominant axis.  The clip's GEOM_EPS grows the projected
+    # ring about its centre by a factor of at most 1 + GEOM_EPS / (twice the
+    # smallest projected area of a centre-edge triangle).
+    sizes = np.fromiter(map(len, polys), dtype=np.intp, count=len(polys))
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(polys)), sizes)
+    rel = verts[np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp)] - centers[owner]
+    kept = np.take_along_axis(rel, axes[owner], axis=1)
+    succ = np.arange(len(rel)) + 1  # the next corner around the ring
+    succ[starts + sizes - 1] = starts
+    area2 = np.abs(kept[:, 0] * kept[succ, 1] - kept[:, 1] * kept[succ, 0])
+    reach = (
+        np.maximum.reduceat(np.linalg.norm(rel, axis=1), starts) + math.sqrt(3.0) * plane_eps
+    ) * (1.0 + GEOM_EPS / np.minimum.reduceat(area2, starts))
 
     # edge bookkeeping: undirected identity is the sorted vertex pair
     edge_polygons: dict[tuple[int, int], list[int]] = {}
@@ -400,6 +438,8 @@ def build_walkable_surface(
         axis_coords=verts.T.tolist(),
         adjacency=adjacency,
         boundary_edges=loops,
+        polygon_tree=cKDTree(centers),
+        polygon_reach=float(reach.max()),
         edge_polygons=edge_polygons,
     )
 
@@ -489,7 +529,12 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
     degenerate = np.flatnonzero(np.linalg.norm(np.cross(e1, e2), axis=1) < 1e-12)
     if len(degenerate):
         raise ValidationError(f"blocker triangle {degenerate[0]}: degenerate (zero area)")
-    return BlockerMesh(vertices=verts, triangles=tris, v0=v0, e1=e1, e2=e2)
+    centroids = corners.mean(axis=1)
+    reach = np.linalg.norm(corners - centroids[:, None], axis=2).max(initial=0.0)
+    return BlockerMesh(
+        vertices=verts, triangles=tris, v0=v0, e1=e1, e2=e2,
+        triangle_tree=cKDTree(centroids), reach=float(reach),
+    )
 
 
 def load_blocker_mesh(path: str | Path) -> BlockerMesh:

@@ -14,6 +14,14 @@ import random
 import numpy as np
 
 from .graph import SurfaceGraph
+from .mesh import (
+    DEFAULT_HEIGHT_TOL,
+    BlockerMesh,
+    WalkableSurface,
+    build_blocker_mesh,
+    build_walkable_surface,
+)
+from .raycast import EPS
 
 _TIE_TOL = 1e-12
 
@@ -235,6 +243,38 @@ def tree_path_interior_counts(g: SurfaceGraph) -> list[float]:
     return cb
 
 
+def locate_point_linear(surface: WalkableSurface, point, height_tol: float) -> int | None:
+    """Point location by testing every polygon in id order."""
+    for pid in range(len(surface.polygons)):
+        if surface.contains_point(pid, point, height_tol):
+            return pid
+    return None
+
+
+def first_hit_all_triangles(
+    blockers: BlockerMesh, origin, direction, max_t: float
+) -> float | None:
+    """Moller-Trumbore over every triangle of the mesh, with np.cross."""
+    o = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    e1, e2 = blockers.e1, blockers.e2
+    pvec = np.cross(d[None, :], e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > EPS
+    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = o[None, :] - blockers.v0
+    u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+    ok &= (u >= -EPS) & (u <= 1.0 + EPS)
+    qvec = np.cross(tvec, e1)
+    v = np.einsum("j,ij->i", d, qvec) * inv_det
+    ok &= (v >= -EPS) & (u + v <= 1.0 + EPS)
+    t = np.einsum("ij,ij->i", e2, qvec) * inv_det
+    ok &= (t > EPS) & (t <= max_t + EPS)
+    if not ok.any():
+        return None
+    return float(t[ok].min())
+
+
 def shoelace_sign(ring2d) -> float:
     """Winding of a 2D ring from its shoelace sum, where the surface reads it
     off the Newell normal: +1.0 counter-clockwise (or zero area), -1.0 clockwise."""
@@ -259,7 +299,16 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         kruskal_edges,
         spectral_radius,
     )
-    from .fixtures import random_connected_graph, random_forest_graph
+    from .fixtures import (
+        grid_surface,
+        ramp_corridor,
+        random_connected_graph,
+        random_forest_graph,
+        ring_surface,
+        stacked_floors,
+        straight_corridor,
+    )
+    from .raycast import first_hit
     from .steiner import build_steiner_tree
     from .terminals import TerminalSet
 
@@ -323,4 +372,94 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         slow = betweenness_oracle(g, weighted=weighted)
         err = max(err, max(abs(a - b) for a, b in zip(fast, slow)))
     results.append(("betweenness-forest", err <= 1e-9, f"max abs err {err:.2e}"))
+
+    grid = grid_surface(6, 6)
+    # the grid turned so that its normal is (1, 1, 1) / sqrt(3), the most
+    # a point may sit off its projection along the dominant axis
+    turn = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0], [1.0, 1.0, 1.0]])
+    turn /= np.linalg.norm(turn, axis=1)[:, None]
+    surfaces = [
+        stacked_floors(), ring_surface(), grid,
+        build_walkable_surface(grid.vertices @ turn, grid.polygons),
+    ] + [ramp_corridor(angle) for angle in (30.0, 60.0, 80.0)]
+    tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
+    checked = wrong = 0
+    for surface in surfaces:
+        verts = surface.vertices
+        points = [*verts] + [(verts[a] + verts[b]) / 2.0 for a, b in surface.edge_polygons]
+        cases = [(p, rng.choice(tols)) for p in points]
+        # each corner and centre, moved along the dominant axis to just
+        # inside the height tolerance: as far from the centre as it gets
+        for pid, ring in enumerate(surface.polygons):
+            normal = surface.polygon_normals[pid]
+            k = int(np.argmax(np.abs(normal)))
+            for p in [*verts[ring], surface.polygon_centers[pid]]:
+                tol = rng.choice(tols)
+                shift = rng.choice((-0.999, 0.999)) * tol / abs(normal[k])
+                cases.append((p + shift * np.eye(3)[k], tol))
+        for _ in range(instances):
+            center = surface.polygon_centers[rng.randrange(len(surface.polygons))]
+            point = center + np.array([rng.uniform(-0.8, 0.8) for _ in range(3)])
+            cases.append((point, rng.choice(tols)))
+        for p, tol in cases:
+            checked += 1
+            wrong += surface.locate_point(p, tol) != locate_point_linear(surface, p, tol)
+    results.append(("locate-linear", wrong == 0, f"{wrong} of {checked} points differ"))
+
+    checked = hits = wrong = 0
+    for _ in range(instances):
+        nprng = np.random.default_rng(rng.randrange(2**32))
+        for blockers in (_random_soup(nprng), straight_corridor(rng.randint(2, 12))[1]):
+            for o, d, max_t in _probe_rays(blockers, nprng):
+                got = first_hit(blockers, o, d, max_t)
+                checked += 1
+                hits += got is not None
+                wrong += got != first_hit_all_triangles(blockers, o, d, max_t)
+    empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    checked += 1
+    wrong += first_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1e6) is not None
+    results.append(
+        ("raycast-full", wrong == 0, f"{wrong} of {checked} rays differ, {hits} hit")
+    )
     return results
+
+
+def _random_soup(nprng: np.random.Generator) -> BlockerMesh:
+    """About 40 random non-degenerate triangles in a 10-unit cube."""
+    verts = nprng.uniform(-5.0, 5.0, size=(60, 3))
+    tris = nprng.integers(0, len(verts), size=(40, 3))
+    distinct = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
+    return build_blocker_mesh(verts, tris[distinct])
+
+
+def _probe_rays(blockers: BlockerMesh, nprng: np.random.Generator):
+    """(origin, direction, max_t) rays at a blocker mesh: random rays; rays
+    aimed at corners and at points on edges; rays grazing a triangle's
+    plane, in it or tilted by 1e-12 to 1e-5; rays ending at a corner; and
+    the box diagonals."""
+    lo = blockers.vertices.min(axis=0) - 1.0
+    hi = blockers.vertices.max(axis=0) + 1.0
+    rays = [(lo, hi - lo, 1.0), (hi, lo - hi, 1.0)]
+    for _ in range(8):
+        rays.append((nprng.uniform(lo, hi), nprng.normal(size=3), nprng.uniform(0.5, 4.0)))
+    for _ in range(8):
+        tri = blockers.vertices[blockers.triangles[nprng.integers(len(blockers.triangles))]]
+        a, b = nprng.choice(3, size=2, replace=False)
+        target = tri[a] + nprng.choice((0.0, 0.5, nprng.uniform())) * (tri[b] - tri[a])
+        o = nprng.uniform(lo, hi)
+        rays.append((o, target - o, nprng.choice((1.0, nprng.uniform(0.5, 2.0)))))
+        normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        normal /= np.linalg.norm(normal)
+        along = (tri[b] - tri[a]) / np.linalg.norm(tri[b] - tri[a])
+        tilt = nprng.choice((0.0, 1e-12, -1e-9, 1e-7, -1e-5))
+        lift = nprng.choice((0.0, 1e-12, -1e-9))
+        o = tri.mean(axis=0) - 2.0 * along + lift * normal
+        rays.append((o, along + tilt * normal, 4.0))
+        # ending at corner a (just inside, or outside within EPS), arriving
+        # from beyond it, away from the centroid: the centroid is then as far
+        # from the segment as it gets
+        inward = tri.mean(axis=0) - tri[a]
+        target = tri[a] + nprng.choice((1e-6, -1e-10)) * inward
+        o = target - 2.0 * inward / np.linalg.norm(inward) + nprng.choice((1e-5, -0.05)) * normal
+        rays.append((o, target - o, 1.0))
+    return rays

@@ -8,6 +8,7 @@ with betweenness and density classes.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -96,8 +97,8 @@ class PipelineConfig:
                 f"centrality weights must be 'euclidean' or 'unit', got {self.centrality_weights!r}"
             )
         for name in ("interval", "radius", "sharpness_deg", "los_height_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if self.ray_count < 1:
             raise ValidationError("ray_count must be >= 1")
         if self.k < 1:

@@ -109,9 +109,13 @@ def sample_boundary(
 
 
 def _rotate_about(axis: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
-    # Rodrigues rotation; axis must be unit length
+    # Rodrigues rotation; axis must be unit length.  axis x v is written out
+    # with np.cross's own expressions: the same bits, without its per-call
+    # argument handling.
     c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
+    (ax, ay, az), (vx, vy, vz) = axis.tolist(), v.tolist()
+    cross = np.array([ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx])
+    return v * c + cross * s + axis * float(np.dot(axis, v)) * (1.0 - c)
 
 
 def _fan_hits(

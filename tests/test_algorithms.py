@@ -1,4 +1,6 @@
 import math
+import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -366,6 +368,23 @@ def test_spectral_scores_stay_sparse_on_a_large_grid():
     )
     katz = katz_centrality(small)
     assert katz.values == pytest.approx(katz_oracle(small, katz.params["alpha"]), abs=1e-6)
+
+
+@pytest.mark.parametrize("size", [12, 45])
+def test_spectral_radius_of_a_grid_matches_the_dense_eigenvalue(size):
+    # the max-norm peak repeats at the second step on grids and read 4.0 here
+    g = graph_from_navmesh(grid_surface(size, size))
+    dense = np.zeros((len(g.nodes), len(g.nodes)))
+    for i, j, _ in g.edges:
+        dense[i, j] = dense[j, i] = 1.0
+    assert abs(spectral_radius(g) - np.linalg.eigvalsh(dense).max()) <= 1e-9
+
+
+def test_random_connected_graph_gives_up_on_a_hopeless_edge_probability():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="n=29, p=0.014"):
+        random_connected_graph(random.Random(0), 29, 0.014)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_repeated_edges_and_self_loops_count_once():

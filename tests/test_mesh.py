@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from navstruct.errors import ParseError, ValidationError
-from navstruct.fixtures import grid_surface, ring_surface, surface_from_squares
+from navstruct.fixtures import (
+    grid_surface,
+    ramp_corridor,
+    ring_surface,
+    stacked_floors,
+    surface_from_squares,
+)
 from navstruct.mesh import (
     boundary_loops,
     build_blocker_mesh,
@@ -10,6 +16,8 @@ from navstruct.mesh import (
     load_blocker_mesh,
     load_walkable_surface,
 )
+from navstruct.oracles import locate_point_linear
+from test_geometry import vertical_strip
 
 UNIT_SQUARE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
 
@@ -295,6 +303,42 @@ def test_locate_point_prefers_lowest_polygon_id():
     assert surface.locate_point((0.5, 0.5, 0.1)) == 0
     assert surface.locate_point((0.5, 0.5, 0.29), height_tol=0.05) == 1
     assert surface.locate_point((5.0, 5.0, 0.0)) is None
+
+
+def test_stacked_floors_overlap_within_the_default_height_tolerance():
+    surface = stacked_floors()
+    assert len(surface.polygons) == 9
+    # over the upper floor's gap only the lower floor holds the point
+    assert surface.locate_point((2.5, 0.5, 0.3)) == 2
+    # on the upper floor the lowest id still wins: polygon 0 below it
+    assert surface.locate_point((0.5, 0.5, 0.3)) == 0
+    assert surface.locate_point((0.5, 0.5, 0.3), height_tol=0.1) == 5
+
+
+@pytest.mark.parametrize("make", [
+    stacked_floors,
+    lambda: ramp_corridor(30.0),
+    lambda: ramp_corridor(60.0),
+    lambda: ramp_corridor(80.0),
+    vertical_strip,
+    # more polygons than a KD-tree leaf holds, up to four sharing a corner
+    lambda: grid_surface(8, 8),
+], ids=["stacked", "ramp30", "ramp60", "ramp80", "strip", "grid8x8"])
+def test_indexed_locate_point_equals_a_linear_scan(make):
+    surface = make()
+    verts = surface.vertices
+    points = [*surface.polygon_centers, *verts]
+    points += [(verts[a] + verts[b]) / 2.0 for a, b in surface.edge_polygons]
+    rng = np.random.default_rng(5)
+    # the same points moved off their polygon's plane, near and past each tolerance
+    points += [p + rng.uniform(-0.7, 0.7, size=3) for p in points]
+    found = 0
+    for p in points:
+        for tol in (0.05, 0.3, 0.5, 1.0):
+            want = locate_point_linear(surface, p, tol)
+            assert surface.locate_point(p, tol) == want
+            found += want is not None
+    assert 0 < found < 4 * len(points)
 
 
 def test_polygon_plane_and_centers():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from dataclasses import fields
@@ -7,9 +8,9 @@ import pytest
 
 from navstruct.cli import _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, ValidationError
-from navstruct.fixtures import graph_from_edges, maze_graph
+from navstruct.fixtures import graph_from_edges, maze_graph, straight_corridor
 from navstruct.graph import relabel_dense
-from navstruct.mesh import build_blocker_mesh
+from navstruct.mesh import WalkableSurface, build_blocker_mesh
 from navstruct.pipeline import (
     STAGE_INITIAL,
     STAGE_POST,
@@ -95,6 +96,8 @@ def write_corridor_files(corridor, tmp_path):
     (dict(surface_path="s.obj", plane_eps=0.0), "plane_eps"),
     (dict(surface_path="s.obj", density_buckets=1), "density_buckets"),
     (dict(surface_path="s.obj", exit_offset=-0.1), "exit_offset"),
+    (dict(surface_path="s.obj", radius=float("inf")), "radius must be positive and finite"),
+    (dict(surface_path="s.obj", los_height_tol=float("nan")), "los_height_tol must be"),
 ])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -414,6 +417,8 @@ def test_cli_oracle_suites_pass(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 4
     assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
+    assert lines[-2].startswith("oracle locate-linear: ")
+    assert lines[-1].startswith("oracle raycast-full: ")
     for line in lines:
         assert line.startswith("oracle ")
         assert ": PASS (" in line
@@ -426,3 +431,49 @@ def test_cli_bench_repeats_the_run(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("experiment: chain") == 2
+
+
+class _CountingTree:
+    """A KD-tree that records how many ids each ball query returns."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def query_ball_point(self, *args, **kwargs):
+        ids = self.tree.query_ball_point(*args, **kwargs)
+        self.sizes.append(len(ids))
+        return ids
+
+
+def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
+    # a whole-mesh scan tests about 100 polygons per locate and 800 triangles per ray
+    surface, blockers = straight_corridor(200)
+    assert len(blockers.triangles) == 800
+    contains, locate = WalkableSurface.contains_point, WalkableSurface.locate_point
+    contains_calls = []
+    per_locate = []
+
+    def counting_contains(self, *args):
+        contains_calls.append(args[0])
+        return contains(self, *args)
+
+    def counting_locate(self, *args):
+        before = len(contains_calls)
+        found = locate(self, *args)
+        per_locate.append(len(contains_calls) - before)
+        return found
+
+    monkeypatch.setattr(WalkableSurface, "contains_point", counting_contains)
+    monkeypatch.setattr(WalkableSurface, "locate_point", counting_locate)
+    tree = _CountingTree(blockers.triangle_tree)
+    blockers = dataclasses.replace(blockers, triangle_tree=tree)
+    run_pipeline(PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers)
+    assert len(per_locate) > 200
+    assert max(per_locate) <= 10
+    # every first_hit here is a fan ray, and each makes one ball query
+    assert len(tree.sizes) > 4000
+    assert max(tree.sizes) <= 64

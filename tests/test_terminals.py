@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from navstruct.fixtures import (
 from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
 from navstruct.terminals import (
     BoundarySample,
+    _rotate_about,
     TerminalSet,
     classify_samples,
     entry_exit_terminals,
@@ -91,6 +93,18 @@ def test_sample_boundary_covers_every_loop():
 
 
 # --- classification ---------------------------------------------------------
+
+def test_rotate_about_equals_the_np_cross_reference_exactly():
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        v = rng.normal(size=3)
+        angle = float(rng.uniform(-np.pi, np.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        want = v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
+        assert (_rotate_about(axis, v, angle) == want).all()
+
 
 def test_classify_no_blockers_flags_everything(caplog):
     surface = surface_from_squares([(0, 0)])
