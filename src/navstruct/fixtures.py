@@ -164,6 +164,19 @@ def stacked_floors() -> WalkableSurface:
     return build_walkable_surface(pool.verts, polys)
 
 
+def vertical_strip(nx: int = 4, nz: int = 2, reverse: bool = False) -> WalkableSurface:
+    """nx*nz unit squares in the y=0 plane; `reverse` flips every ring."""
+    verts = [(float(x), 0.0, float(z)) for z in range(nz + 1) for x in range(nx + 1)]
+    polys = []
+    for z in range(nz):
+        for x in range(nx):
+            lo = z * (nx + 1) + x
+            hi = lo + nx + 1
+            ring = [lo, lo + 1, hi + 1, hi]
+            polys.append(ring[::-1] if reverse else ring)
+    return build_walkable_surface(verts, polys)
+
+
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------

@@ -140,13 +140,17 @@ class BlockerMesh:
 
     vertices: np.ndarray   # (V, 3) float64
     triangles: np.ndarray  # (T, 3) int
-    # (T, 3) each: every triangle's first corner and its two edges from there
-    v0: np.ndarray = field(repr=False)
-    e1: np.ndarray = field(repr=False)
-    e2: np.ndarray = field(repr=False)
+    # per triangle, its first corner v0 and its two edges e1, e2 from there,
+    # as one tuple of 9 Python floats (v0x, v0y, v0z, e1x, ..., e2z)
+    corner_edges: list[tuple[float, ...]] = field(repr=False)
     # KD-tree over the triangle centroids, and the largest centroid-corner distance
     triangle_tree: cKDTree = field(repr=False)
     reach: float
+    # the centre and half-diagonal of the tree's centroid box, and 2 * reach,
+    # which bounds every edge length
+    box_center: tuple[float, float, float] = field(repr=False)
+    box_spread: float = field(repr=False)
+    max_edge: float = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +534,15 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
     if len(degenerate):
         raise ValidationError(f"blocker triangle {degenerate[0]}: degenerate (zero area)")
     centroids = corners.mean(axis=1)
-    reach = np.linalg.norm(corners - centroids[:, None], axis=2).max(initial=0.0)
+    reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max(initial=0.0))
+    tree = cKDTree(centroids)
     return BlockerMesh(
-        vertices=verts, triangles=tris, v0=v0, e1=e1, e2=e2,
-        triangle_tree=cKDTree(centroids), reach=float(reach),
+        vertices=verts, triangles=tris,
+        corner_edges=list(map(tuple, np.hstack([v0, e1, e2]).tolist())),
+        triangle_tree=tree, reach=reach,
+        box_center=tuple((0.5 * (tree.mins + tree.maxes)).tolist()),
+        box_spread=0.5 * math.dist(tree.mins, tree.maxes),
+        max_edge=2.0 * reach,
     )
 
 

@@ -19,45 +19,47 @@ def first_hit(
     """Smallest t in (EPS, max_t] at which the ray origin + t*direction hits a
     blocker triangle, or None.  `direction` need not be unit length; `max_t`
     is in multiples of it.  A missing/empty blocker mesh never hits.
-    Vectorized over the triangles the mesh's centroid tree finds near the
-    segment (see `_query_ball`), reading the edge arrays the mesh holds;
-    boundary hits (on a triangle edge) count as hits.  The two cross products
-    are written out with the expressions np.cross evaluates, so the results
-    match it bit for bit without its per-call argument handling."""
+    One ball query on the mesh's centroid tree (see `_query_ball`) picks the
+    triangles near the segment, and one loop in Python floats tests them,
+    reading each triangle's corner and edges from the mesh's table; boundary
+    hits (on a triangle edge) count as hits.  The cross products are
+    np.cross's expressions and each dot product adds x, z, then y, as
+    `oracles.first_hit_all_triangles` does, so the two agree bit for bit.
+    A ball that holds every centroid (an infinite `max_t`, a NaN direction,
+    a segment as long as the mesh) tests the whole mesh in the loop."""
     if blockers is None:
         return None
-    o = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    dx, dy, dz = d
-    ids = blockers.triangle_tree.query_ball_point(*_query_ball(blockers, o, d, max_t))
-    if not ids:
-        return None
-    rows = np.asarray(ids)
-    e1, e2 = blockers.e1[rows], blockers.e2[rows]
-    pvec = np.empty_like(e2)  # d x e2
-    pvec[:, 0] = dy * e2[:, 2] - dz * e2[:, 1]
-    pvec[:, 1] = dz * e2[:, 0] - dx * e2[:, 2]
-    pvec[:, 2] = dx * e2[:, 1] - dy * e2[:, 0]
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > EPS
-    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = o[None, :] - blockers.v0[rows]
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
-    ok &= (u >= -EPS) & (u <= 1.0 + EPS)
-    qvec = np.empty_like(e1)  # tvec x e1
-    qvec[:, 0] = tvec[:, 1] * e1[:, 2] - tvec[:, 2] * e1[:, 1]
-    qvec[:, 1] = tvec[:, 2] * e1[:, 0] - tvec[:, 0] * e1[:, 2]
-    qvec[:, 2] = tvec[:, 0] * e1[:, 1] - tvec[:, 1] * e1[:, 0]
-    v = np.einsum("j,ij->i", d, qvec) * inv_det
-    ok &= (v >= -EPS) & (u + v <= 1.0 + EPS)
-    t = np.einsum("ij,ij->i", e2, qvec) * inv_det
-    ok &= (t > EPS) & (t <= max_t + EPS)
-    if not ok.any():
-        return None
-    return float(t[ok].min())
+    o = ox, oy, oz = [float(a) for a in origin]
+    d = dx, dy, dz = [float(a) for a in direction]
+    limit = max_t + EPS
+    table = blockers.corner_edges
+    best = None
+    for i in blockers.triangle_tree.query_ball_point(*_query_ball(blockers, o, d, max_t)):
+        ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = table[i]
+        px = dy * e2z - dz * e2y  # d x e2
+        py = dz * e2x - dx * e2z
+        pz = dx * e2y - dy * e2x
+        det = e1x * px + e1z * pz + e1y * py
+        if not abs(det) > EPS:
+            continue
+        inv_det = 1.0 / det
+        tx, ty, tz = ox - ax, oy - ay, oz - az
+        u = (tx * px + tz * pz + ty * py) * inv_det
+        if not (u >= -EPS and u <= 1.0 + EPS):
+            continue
+        qx = ty * e1z - tz * e1y  # (o - v0) x e1
+        qy = tz * e1x - tx * e1z
+        qz = tx * e1y - ty * e1x
+        v = (dx * qx + dz * qz + dy * qy) * inv_det
+        if not (v >= -EPS and u + v <= 1.0 + EPS):
+            continue
+        t = (e2x * qx + e2z * qz + e2y * qy) * inv_det
+        if t > EPS and t <= limit and (best is None or t < best):
+            best = t
+    return best
 
 
-def _query_ball(blockers: BlockerMesh, o: np.ndarray, d: np.ndarray, max_t: float):
+def _query_ball(blockers: BlockerMesh, o: list[float], d: list[float], max_t: float):
     """Centre and radius of a ball that holds the centroid of every triangle
     first_hit's test accepts for the segment o + t*d, t in [0, max_t + EPS].
 
@@ -67,17 +69,17 @@ def _query_ball(blockers: BlockerMesh, o: np.ndarray, d: np.ndarray, max_t: floa
     64 eps |d| L^2 (|o - v0| + L + segment length) / EPS, with |det| > EPS,
     an edge length L <= 2 * reach and eps the machine epsilon; |o - v0| is
     bounded through the box of all centroids.  So grazing and near-parallel
-    hits are never dropped."""
-    tree = blockers.triangle_tree
-    mid = 0.5 * (tree.mins + tree.maxes)
-    spread = 0.5 * math.dist(tree.mins, tree.maxes)  # every centroid is this close to mid
+    hits are never dropped.  The box's centre and spread and the edge bound
+    are stored on the mesh; only the per-ray arithmetic is done here."""
+    mid = blockers.box_center
+    spread = blockers.box_spread  # every centroid is this close to mid
     reach = blockers.reach
-    edge = 2.0 * reach
+    edge = blockers.max_edge
     length = math.hypot(*d)
     segment = (max_t + EPS) * length
     # in Python floats, where an infinite max_t times a zero component is NaN
     # without a warning
-    center = [a + 0.5 * (max_t + EPS) * b for a, b in zip(o.tolist(), d.tolist())]
+    center = [a + 0.5 * (max_t + EPS) * b for a, b in zip(o, d)]
     far = math.dist(o, mid) + spread + reach
     rounding = 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
     radius = 0.5 * segment + (1.0 + 3.0 * EPS) * reach + rounding

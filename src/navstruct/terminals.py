@@ -108,14 +108,24 @@ def sample_boundary(
     return samples
 
 
-def _rotate_about(axis: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
-    # Rodrigues rotation; axis must be unit length.  axis x v is written out
-    # with np.cross's own expressions: the same bits, without its per-call
-    # argument handling.
+def _rotate_about(
+    axis: np.ndarray, v: np.ndarray, angle: float
+) -> tuple[float, float, float]:
+    # Rodrigues rotation; axis must be unit length.  It is written out in
+    # Python floats with the numpy expression's order,
+    # v * c + cross(axis, v) * s + axis * dot(axis, v) * (1 - c), and
+    # np.cross's own expressions: the same bits without numpy's per-call
+    # cost.  The dot product stays np.dot, whose rounding a written-out sum
+    # does not always match.
     c, s = math.cos(angle), math.sin(angle)
     (ax, ay, az), (vx, vy, vz) = axis.tolist(), v.tolist()
-    cross = np.array([ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx])
-    return v * c + cross * s + axis * float(np.dot(axis, v)) * (1.0 - c)
+    dot = float(np.dot(axis, v))
+    w = 1.0 - c
+    return (
+        vx * c + (ay * vz - az * vy) * s + ax * dot * w,
+        vy * c + (az * vx - ax * vz) * s + ay * dot * w,
+        vz * c + (ax * vy - ay * vx) * s + az * dot * w,
+    )
 
 
 def _fan_hits(

@@ -8,6 +8,7 @@ from navstruct.fixtures import (
     ring_surface,
     stacked_floors,
     surface_from_squares,
+    vertical_strip,
 )
 from navstruct.mesh import (
     boundary_loops,
@@ -17,7 +18,6 @@ from navstruct.mesh import (
     load_walkable_surface,
 )
 from navstruct.oracles import locate_point_linear
-from test_geometry import vertical_strip
 
 UNIT_SQUARE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
 
@@ -313,6 +313,18 @@ def test_stacked_floors_overlap_within_the_default_height_tolerance():
     # on the upper floor the lowest id still wins: polygon 0 below it
     assert surface.locate_point((0.5, 0.5, 0.3)) == 0
     assert surface.locate_point((0.5, 0.5, 0.3), height_tol=0.1) == 5
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["as-built", "reversed"])
+def test_vertical_strip_fixture_equals_the_geometry_test_copy(reverse):
+    # tests/test_geometry.py keeps its own copy of the fixture
+    from test_geometry import vertical_strip as pinned_copy
+
+    for nx, nz in ((4, 2), (1, 1), (3, 5)):
+        want = pinned_copy(nx, nz, reverse=reverse)
+        got = vertical_strip(nx, nz, reverse=reverse)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert got.polygons == want.polygons
 
 
 @pytest.mark.parametrize("make", [
