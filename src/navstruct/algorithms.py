@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -26,15 +26,60 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 def dijkstra_tree(g: SurfaceGraph, src: int) -> tuple[list[float], list[int]]:
-    """Single-source distances and predecessors, read off the betweenness
-    search, which records every equal-cost predecessor.
+    """Single-source distances and predecessors: one C Dijkstra over the
+    graph's arcs, then each predecessor read off the arcs the distances leave
+    tight (dist[u] + w == dist[v]).
 
-    Ties between equal-cost paths keep the smallest predecessor id, so the
-    recovered paths do not depend on heap internals; -1 marks the source and
-    unreached nodes.
+    The predecessor of v is the smallest such u that a heap search settles
+    before v, as `oracles.dijkstra_tree_heap` records it, so recovered paths
+    do not depend on heap internals; -1 marks the source and unreached
+    nodes.  A reached u settles before v when dist[u] < dist[v]; the arcs
+    whose weight vanishes in rounding (dist[u] == dist[v]) go to
+    `_settle_level_arcs`.
     """
-    _order, preds, _sigma, dist = _sssp_dijkstra(g.adjacency(), src)
-    return dist, [min(p) if p else -1 for p in preds]
+    # imported on the first search, so importing the CLI does not pay for it
+    from scipy.sparse.csgraph import dijkstra
+
+    arcs = g.arcs()
+    dist = dijkstra(arcs.matrix, indices=src)
+    n = len(dist)
+    d_tail = dist[arcs.tail]
+    d_head = dist[arcs.head]
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
+        tight = d_tail + arcs.weight == d_head
+    pred = np.full(n, n, dtype=np.intp)
+    earlier = tight & (d_tail < d_head)
+    np.minimum.at(pred, arcs.head[earlier], arcs.tail[earlier])
+    level = tight & (d_tail == d_head) & (d_tail < INF)
+    if level.any():
+        _settle_level_arcs(pred, src, dist, arcs.tail[level], arcs.head[level])
+    return dist.tolist(), arcs.node_ids[pred].tolist()  # n reads as -1
+
+
+def _settle_level_arcs(pred, src, dist, tail, head) -> None:
+    """Lower `pred` along tight arcs between nodes of equal distance.
+
+    Such an arc u -> v counts only when the heap settles u before v.  Among
+    equal distances the heap pops the smallest id it holds; a node is held
+    once the source, a closer tight neighbour or a settled equal neighbour
+    has reached it.  This replays that order on the nodes these arcs touch.
+    """
+    n = len(pred)
+    out: dict[int, list[int]] = {}
+    for u, v in zip(tail.tolist(), head.tolist()):
+        out.setdefault(u, []).append(v)
+    heap = [(dist[u], u) for u in out if u == src or pred[u] < n]
+    heapify(heap)
+    settled = set()
+    while heap:
+        _d, u = heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        for v in out[u]:
+            if v not in settled:
+                pred[v] = min(pred[v], u)
+                heappush(heap, (dist[v], v))
 
 
 def path_from_predecessors(pred: list[int], src: int, dst: int) -> list[int]:
@@ -157,7 +202,7 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
         if uniform:
             order, preds, sigma = _sssp_uniform(adj_w, s)
         else:
-            order, preds, sigma, _dist = _sssp_dijkstra(adj_w, s)
+            order, preds, sigma = _sssp_dijkstra(adj_w, s)
         delta = [0.0] * n
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
@@ -236,7 +281,7 @@ def _sssp_dijkstra(adj, s):
             elif nd == dist[v]:
                 sigma[v] += sigma[u]
                 preds[v].append(u)
-    return order, preds, sigma, dist
+    return order, preds, sigma
 
 
 def _sssp_uniform(adj, s):
@@ -266,12 +311,11 @@ def _sssp_uniform(adj, s):
 def _sparse_adjacency(g: SurfaceGraph) -> csr_matrix:
     """Unweighted symmetric adjacency in CSR form, O(edges) memory.
 
-    Each edge is stored in both directions; a repeated edge or a self-loop
-    still reads 1.0, which is why the summed duplicates are reset."""
+    Built from the graph's arcs; a repeated edge or a self-loop still reads
+    1.0, which is why the summed duplicates are reset."""
     n = len(g.nodes)
-    ends = np.array([(i, j) for i, j, _ in g.edges], dtype=np.intp).reshape(-1, 2)
-    both = np.concatenate([ends, ends[:, ::-1]])
-    a = coo_matrix((np.ones(len(both)), (both[:, 0], both[:, 1])), shape=(n, n)).tocsr()
+    arcs = g.arcs()
+    a = coo_matrix((np.ones(len(arcs.tail)), (arcs.tail, arcs.head)), shape=(n, n)).tocsr()
     a.data[:] = 1.0
     return a
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DegenerateEdge, ParseError, ValidationError
 from .mesh import WalkableSurface, as_index, read_json
@@ -28,6 +29,23 @@ class GraphNode:
     terminal: bool = False
 
 
+class Arcs(NamedTuple):
+    """Every edge in both directions: arc k runs tail[k] -> head[k] with
+    weight[k].  `matrix` is the same arcs as a weighted CSR matrix, row by
+    tail; `head` and `weight` are its `indices` and `data`.  A repeated edge
+    stays one entry per copy, so no weights are summed.
+
+    `node_ids` is an object array of the Python ints 0..n-1, then -1: a list
+    read through it shares one int object per node, so the per-terminal
+    predecessor lists Steiner keeps cost a pointer per entry."""
+
+    matrix: csr_matrix
+    tail: np.ndarray
+    head: np.ndarray
+    weight: np.ndarray
+    node_ids: np.ndarray
+
+
 @dataclass
 class SurfaceGraph:
     """Undirected simple graph with 3D node payloads.
@@ -43,6 +61,7 @@ class SurfaceGraph:
     _adjacency: list[list[tuple[int, float]]] | None = field(
         default=None, repr=False, compare=False
     )
+    _arcs: Arcs | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -58,6 +77,23 @@ class SurfaceGraph:
                 lst.sort()
             self._adjacency = adj
         return self._adjacency
+
+    def arcs(self) -> Arcs:
+        """The directed arcs and their CSR matrix, built lazily."""
+        if self._arcs is None:
+            n = len(self.nodes)
+            ends = np.array([(i, j) for i, j, _ in self.edges], dtype=np.intp).reshape(-1, 2)
+            weights = np.array([w for _, _, w in self.edges], dtype=float)
+            tail = np.concatenate([ends[:, 0], ends[:, 1]])
+            order = np.argsort(tail, kind="stable")
+            tail = tail[order]
+            head = np.concatenate([ends[:, 1], ends[:, 0]])[order]
+            weight = np.concatenate([weights, weights])[order]
+            indptr = np.searchsorted(tail, np.arange(n + 1))
+            matrix = csr_matrix((weight, head, indptr), shape=(n, n))
+            node_ids = np.array([*range(n), -1], dtype=object)
+            self._arcs = Arcs(matrix, tail, matrix.indices, matrix.data, node_ids)
+        return self._arcs
 
     def positions(self) -> np.ndarray:
         return np.array([n.position for n in self.nodes])

@@ -9,7 +9,9 @@ matrix powers instead of vector recurrences.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -33,6 +35,52 @@ def weight_matrix(g: SurfaceGraph, weighted: bool = True) -> np.ndarray:
     for i, j, wt in g.edges:
         w[i, j] = w[j, i] = wt if weighted else 1.0
     return w
+
+
+def dijkstra_tree_heap(g: SurfaceGraph, src: int) -> tuple[list[float], list[int]]:
+    """Single-source distances and predecessors by a binary-heap search in
+    Python.  Settling u offers d + w to each unsettled neighbour v: a smaller
+    value replaces v's predecessor list, an equal one joins it.  Each node
+    keeps the smallest id of its list, -1 when the list is empty."""
+    n = len(g.nodes)
+    dist = [math.inf] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    done = [False] * n
+    dist[src] = 0.0
+    adj = g.adjacency()
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            if done[v]:
+                continue
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                preds[v] = [u]
+                heappush(heap, (nd, v))
+            elif nd == dist[v]:
+                preds[v].append(u)
+    return dist, [min(p) if p else -1 for p in preds]
+
+
+def sub_ulp_graphs() -> list[SurfaceGraph]:
+    """Graphs where a weight vanishes in the rounding of a distance, so two
+    neighbours end at the same distance and the heap's settle order decides
+    which is the other's predecessor.  In the second, reading both equal
+    arcs as tight would make nodes 1 and 2 each other's predecessor."""
+    from .fixtures import graph_from_edges
+
+    return [
+        graph_from_edges([(float(k), 0.0, 0.0) for k in range(n)], edges)
+        for n, edges in (
+            (3, [(0, 2, 1e17), (1, 2, 1.0)]),
+            (5, [(0, 3, 1.0), (0, 4, 1.0), (1, 3, 1e17), (2, 4, 1e17), (1, 2, 1.0)]),
+        )
+    ]
 
 
 def floyd_warshall(w: np.ndarray) -> np.ndarray:
@@ -306,6 +354,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     """
     from .algorithms import (
         betweenness_centrality,
+        dijkstra_tree,
         eigenvector_centrality,
         katz_centrality,
         kruskal_edges,
@@ -435,7 +484,33 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     results.append(
         ("raycast-full", wrong == 0, f"{wrong} of {checked} rays differ, {hits} hit")
     )
+
+    graphs = sub_ulp_graphs()
+    for _ in range(instances):
+        graphs.append(_tie_heavy_graph(rng, (0.1, 0.2, 0.3)))
+        # 1e-18 is below half an ulp of every distance from 0.1 up
+        graphs.append(_tie_heavy_graph(rng, (0.1, 0.2, 0.3, 1e-18)))
+    checked = wrong = 0
+    for g in graphs:
+        for src in range(len(g.nodes)):
+            checked += 1
+            wrong += dijkstra_tree(g, src) != dijkstra_tree_heap(g, src)
+    results.append(("dijkstra-tree", wrong == 0, f"{wrong} of {checked} sources differ"))
     return results
+
+
+def _tie_heavy_graph(rng: random.Random, weights) -> SurfaceGraph:
+    """2 to 16 nodes, each pair joined with one probability drawn per graph
+    (often too low to connect it), every weight picked from `weights`."""
+    from .fixtures import graph_from_edges
+
+    n = rng.randint(2, 16)
+    p = rng.uniform(0.05, 0.6)
+    edges = [
+        (i, j, rng.choice(weights))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    ]
+    return graph_from_edges([(float(k), 0.0, 0.0) for k in range(n)], edges)
 
 
 def _random_soup(nprng: np.random.Generator) -> BlockerMesh:

@@ -190,9 +190,10 @@ def surface_los(
     max_steps = 4 * len(surface.polygons) + 8
     seg = c - a
     current = start
+    clip = surface.clip_line(current, keep, a2, d2)
     t = 0.0
     for _ in range(max_steps):
-        t_in, t_out, exit_edges = surface.clip_line(current, keep, a2, d2)
+        t_in, t_out, exit_edges = clip
         if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
             return False  # projection misses this polygon: walk broke down
         lo = max(t, t_in)
@@ -213,10 +214,10 @@ def surface_los(
         nxt = None
         best_out = t_out
         for q in sorted(candidates):
-            q_in, q_out, _ = surface.clip_line(q, keep, a2, d2)
+            q_clip = surface.clip_line(q, keep, a2, d2)
+            q_in, q_out, _ = q_clip
             if q_in <= t_out + GEOM_EPS and q_out > best_out + GEOM_EPS:
-                nxt = q
-                best_out = q_out
+                nxt, clip, best_out = q, q_clip, q_out  # nxt's clip serves the next step
         if nxt is None:
             return False  # no neighbor continues the segment
         current = nxt

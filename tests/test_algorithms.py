@@ -30,11 +30,15 @@ from navstruct.fixtures import (
 from navstruct.graph import SurfaceGraph, graph_from_navmesh
 from navstruct.oracles import (
     betweenness_oracle,
+    dijkstra_tree_heap,
     eigenvector_oracle,
     katz_oracle,
     mst_weight_exhaustive,
+    sub_ulp_graphs,
     tree_path_interior_counts,
 )
+from navstruct.steiner import build_steiner_tree
+from navstruct.terminals import TerminalSet, terminals_from_metric
 
 
 def unit(pairs):
@@ -114,6 +118,101 @@ def test_no_path_raised_across_components():
     assert dist[3] == math.inf
     with pytest.raises(NoPath):
         path_from_predecessors(pred, 0, 3)
+
+
+def test_dijkstra_tree_leaves_unreached_nodes_without_predecessor():
+    # a tight-arc test reads inf + w == inf as tight: the unreached component
+    # {0, 1, 2} must still get no predecessors
+    g = graph_from_edges(
+        [(float(k), 0.0, 0.0) for k in range(6)],
+        unit([(0, 1), (1, 2), (3, 5), (3, 4)]),
+    )
+    dist, pred = dijkstra_tree(g, 5)
+    assert dist == [math.inf, math.inf, math.inf, 1.0, 2.0, 0.0]
+    assert pred == [-1, -1, -1, 5, 3, -1]
+    assert (dist, pred) == dijkstra_tree_heap(g, 5)
+
+
+def test_dijkstra_tree_follows_the_heap_where_a_weight_vanishes_in_rounding():
+    # 1e17 + 1.0 == 1e17: both ends of the 1.0 edge share a distance, and
+    # only the end the heap settles first may be the other's predecessor
+    first, second = sub_ulp_graphs()
+    assert dijkstra_tree(first, 0)[1] == [-1, 2, 0]
+    assert dijkstra_tree(second, 0)[1] == [-1, 3, 1, 0, 0]
+    for g in (first, second):
+        for src in range(len(g.nodes)):
+            dist, pred = dijkstra_tree(g, src)
+            assert (dist, pred) == dijkstra_tree_heap(g, src)
+            for dst in range(len(g.nodes)):
+                path = path_from_predecessors(pred, src, dst)
+                assert path[0] == src and path[-1] == dst and len(set(path)) == len(path)
+
+
+def test_dijkstra_tree_equals_the_heap_oracle_on_awkward_graphs(rng):
+    # tie-heavy and vanishing weights, zero weights, weights whose sums pass
+    # the float range, and repeated edges and self-loops built directly
+    nodes = line_graph(12).nodes
+    weight_sets = [
+        (0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 1e-18), (0.0, 0.5, 1.0),
+        (1e17, 1.0, 3.0), (1e308, 1.5e308, 1.0), (5e-324, 1e-300, 1.0),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        weights = rng.choice(weight_sets)
+        p = rng.uniform(0.05, 0.8)
+        edges = [
+            (i, j, rng.choice(weights))
+            for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        ]
+        if edges and rng.random() < 0.3:
+            edges += [(j, i, rng.choice(weights)) for i, j, _w in rng.sample(edges, 1)]
+            edges.append((n - 1, n - 1, rng.choice(weights)))
+        rng.shuffle(edges)
+        g = SurfaceGraph(nodes=nodes[:n], edges=edges)
+        for src in range(n):
+            assert dijkstra_tree(g, src) == dijkstra_tree_heap(g, src)
+
+
+def test_graph_arcs_hold_each_edge_both_ways_and_are_built_once():
+    g = SurfaceGraph(
+        nodes=line_graph(4).nodes,
+        edges=[(0, 1, 1.0), (0, 1, 2.0), (2, 1, 0.5), (3, 3, 4.0)],
+    )
+    arcs = g.arcs()
+    assert g.arcs() is arcs
+    got = sorted(zip(arcs.tail.tolist(), arcs.head.tolist(), arcs.weight.tolist()))
+    assert got == [
+        (0, 1, 1.0), (0, 1, 2.0), (1, 0, 1.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 0.5),
+        (3, 3, 4.0), (3, 3, 4.0),
+    ]
+    # the matrix holds the same arcs, one entry per copy, none summed
+    assert arcs.matrix.nnz == len(got)
+    assert list(arcs.tail) == sorted(arcs.tail)
+    assert np.array_equal(np.diff(arcs.matrix.indptr), np.bincount(arcs.tail, minlength=4))
+
+
+def test_dijkstra_tree_predecessors_share_one_int_object_per_node():
+    # Steiner holds one predecessor list per terminal; new int objects in
+    # each would add 32 bytes per node and terminal to peak memory
+    g = maze_graph(20, 20)
+    ids = g.arcs().node_ids
+    assert ids.tolist() == [*range(400), -1]
+    for src in (0, 399):
+        _dist, pred = dijkstra_tree(g, src)
+        assert all(p is ids[p] for p in pred)
+
+
+def test_steiner_on_a_maze_runs_no_python_heap_search(monkeypatch):
+    searches = []
+    real = algorithms._sssp_dijkstra
+    monkeypatch.setattr(
+        algorithms, "_sssp_dijkstra", lambda *args: searches.append(1) or real(*args)
+    )
+    g = maze_graph(12, 12)
+    leaves = terminals_from_metric(g, "leaves")
+    tree = build_steiner_tree(g, leaves)
+    assert len(leaves.node_ids) > 2 and set(leaves.node_ids) <= set(tree.nodes)
+    assert searches == []
 
 
 # --- spanning trees ---------------------------------------------------------

@@ -417,8 +417,9 @@ def test_cli_oracle_suites_pass(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 4
     assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
-    assert lines[-2].startswith("oracle locate-linear: ")
-    assert lines[-1].startswith("oracle raycast-full: ")
+    assert lines[-3].startswith("oracle locate-linear: ")
+    assert lines[-2].startswith("oracle raycast-full: ")
+    assert lines[-1].startswith("oracle dijkstra-tree: ")
     for line in lines:
         assert line.startswith("oracle ")
         assert ": PASS (" in line
