@@ -83,10 +83,12 @@ def _settle_level_arcs(pred, src, dist, tail, head) -> None:
 
 
 def path_from_predecessors(pred: list[int], src: int, dst: int) -> list[int]:
+    """The path src..dst read back along `pred`; NoPath when the walk from
+    dst ends, or cycles for len(pred) steps, without reaching src."""
     path = [dst]
     while path[-1] != src:
         p = pred[path[-1]]
-        if p < 0:
+        if p < 0 or len(path) > len(pred):
             raise NoPath(f"no path recorded from {src} to {dst}")
         path.append(p)
     path.reverse()

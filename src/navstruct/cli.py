@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: `extract` (structure outputs), `analyze` (adds betweenness and
-density recoloring), `bench` (stage timing tables), `oracle` (brute-force
-self-checks).  A flat key=value config file can pre-set any flag; explicit
-command-line flags win.  The STRUCT_LOG environment variable
-(error|warn|info|debug) controls diagnostic verbosity.
+Subcommands: `extract` (structure outputs, plus report.json and the stage
+timing table in report.txt), `analyze` (adds betweenness and density
+recoloring), `oracle` (brute-force self-checks).  A flat key=value config
+file can pre-set any flag; explicit command-line flags win.  The STRUCT_LOG
+environment variable (error|warn|info|debug) controls diagnostic verbosity.
 
 Exit codes: 0 success, 2 validation failure, 3 disconnected terminals,
 4 I/O failure.
@@ -85,14 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("extract", "extract the simplified structure and write exports"),
         ("analyze", "extract plus betweenness/density recoloring"),
-        ("bench", "print per-stage timing tables"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        options = _add_pipeline_options(sp)
-        if name == "bench":
-            options["repeat"] = sp.add_argument("--repeat", type=int, default=1,
-                                                help="number of timed runs")
-        sp.set_defaults(options=options)
+        sp.set_defaults(options=_add_pipeline_options(sp))
 
     op = sub.add_parser("oracle", help="run brute-force verification suites")
     op.add_argument("--seed", type=int, default=0)
@@ -176,16 +171,6 @@ def _run_pipeline_command(args: argparse.Namespace, analyze: bool) -> int:
     return EXIT_OK
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, analyze=True)
-    for run in range(max(1, args.repeat)):
-        result = run_extract(cfg)
-        sys.stdout.write(render_report_text(result.report))
-        if run + 1 < args.repeat:
-            sys.stdout.write("\n")
-    return EXIT_OK
-
-
 def _run_oracle(args: argparse.Namespace) -> int:
     from .oracles import run_oracle_suites
 
@@ -209,8 +194,6 @@ def main(argv: list[str] | None = None) -> int:
             return _run_pipeline_command(args, analyze=False)
         if args.command == "analyze":
             return _run_pipeline_command(args, analyze=True)
-        if args.command == "bench":
-            return _run_bench(args)
         return _run_oracle(args)
     except (DisconnectedTerminals, NoPath) as exc:
         log.error("%s", exc)

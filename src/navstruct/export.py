@@ -85,31 +85,35 @@ def _emit(obj, parts: list[str]) -> None:
 # structure JSON
 # ---------------------------------------------------------------------------
 
-def forest_to_dict(forest: list[RootedTree]) -> dict:
+# one node record, its keys in sorted order as canonical_json would emit them
+_NODE_RECORD = (
+    '{{"children":[{}],"depth":{},"id":{},"normal":[{}],"on_navmesh":{},'
+    '"parent":{},"position":[{}],"source":{},"terminal":{}}}'
+)
+
+
+def _fmt_vector(vec) -> str:
+    return ",".join(_fmt_float(float(x)) for x in vec)
+
+
+def structure_json_bytes(forest: list[RootedTree]) -> bytes:
+    """The forest as canonical JSON: what canonical_json writes for
+    {"format": STRUCTURE_FORMAT, "trees": [{"root": r, "nodes": [...]}]}."""
     trees = []
     for tree in forest:
         nodes = []
         for v in tree.node_ids():
             p = tree.payloads[v]
-            nodes.append(
-                {
-                    "id": v,
-                    "parent": tree.parent[v],
-                    "depth": tree.depth[v],
-                    "children": list(tree.children[v]),
-                    "position": [float(x) for x in p.position],
-                    "normal": [float(x) for x in p.normal],
-                    "on_navmesh": bool(p.on_navmesh),
-                    "terminal": bool(p.terminal),
-                    "source": p.source,
-                }
-            )
-        trees.append({"root": tree.root, "nodes": nodes})
-    return {"format": STRUCTURE_FORMAT, "trees": trees}
-
-
-def structure_json_bytes(forest: list[RootedTree]) -> bytes:
-    return (canonical_json(forest_to_dict(forest)) + "\n").encode("utf-8")
+            parent = tree.parent[v]
+            nodes.append(_NODE_RECORD.format(
+                ",".join(map(str, tree.children[v])), tree.depth[v], v,
+                _fmt_vector(p.normal), "true" if p.on_navmesh else "false",
+                "null" if parent is None else parent, _fmt_vector(p.position),
+                json.dumps(p.source), "true" if p.terminal else "false",
+            ))
+        trees.append(f'{{"nodes":[{",".join(nodes)}],"root":{tree.root}}}')
+    text = f'{{"format":"{STRUCTURE_FORMAT}","trees":[{",".join(trees)}]}}\n'
+    return text.encode("utf-8")
 
 
 def load_structure_json(path: str | Path) -> list[RootedTree]:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateEdge, ParseError, ValidationError
-from .mesh import WalkableSurface, as_index, read_json
+from .mesh import WalkableSurface, _check_extent, as_index, read_json
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -180,8 +180,9 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
 
 def load_graph_json(path: str | Path) -> SurfaceGraph:
     """Load a graph from JSON: {"nodes": [{"pos": [...], "normal": [...]}],
-    "edges": [[i, j, w], ...]}.  `normal` defaults to +Z; a 2-element edge
-    entry gets a Euclidean weight."""
+    "edges": [[i, j, w], ...]}.  `normal` defaults to +Z and is scaled to unit
+    length (a zero normal is a ParseError); a 2-element edge entry gets a
+    Euclidean weight."""
     p = Path(path)
     data = read_json(p)
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
@@ -194,9 +195,14 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
             raise ParseError(f"{p}: node {k} must be an object with 'pos'")
         pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
         normal = _finite_vector(rec.get("normal", UP), f"{p}: node {k} 'normal'")
+        length = math.hypot(*normal.tolist())
+        if not 0.0 < length < math.inf:
+            raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
+        normal = normal / length
         nodes.append(
             GraphNode(id=k, position=pos, normal=normal, on_navmesh=True, source=SOURCE_SAMPLE)
         )
+    _check_extent(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
     edges = []
     for rec in data["edges"]:
         if not isinstance(rec, list) or len(rec) not in (2, 3):

@@ -56,14 +56,6 @@ class WalkableSurface:
     # undirected (min, max) edge -> owning polygon ids
     edge_polygons: dict[tuple[int, int], list[int]] = field(repr=False, default_factory=dict)
 
-    @property
-    def interior_edge_count(self) -> int:
-        return sum(1 for polys in self.edge_polygons.values() if len(polys) == 2)
-
-    @property
-    def boundary_edge_count(self) -> int:
-        return sum(len(loop) for loop in self.boundary_edges)
-
     def polygon_plane(self, poly_id: int) -> tuple[np.ndarray, float]:
         """Return (unit normal n, offset d) with n.p = d for points on the plane."""
         return self.polygon_normals[poly_id], float(self.polygon_offsets[poly_id])
@@ -319,6 +311,17 @@ def _weld(verts: np.ndarray, polys: list[list[int]], eps: float):
 # construction / validation
 # ---------------------------------------------------------------------------
 
+def _check_extent(verts: np.ndarray, what: str) -> None:
+    """ValidationError when the diagonal of the vertices' bounding box is not
+    a finite float: lengths and sample counts derived from it would overflow."""
+    if not len(verts):
+        return
+    with np.errstate(over="ignore"):
+        diagonal = np.linalg.norm(verts.max(axis=0) - verts.min(axis=0))
+    if not math.isfinite(diagonal):
+        raise ValidationError(f"{what} coordinates span more than the float range")
+
+
 def build_walkable_surface(
     vertices, polygons, *, plane_eps: float = PLANE_EPS, weld_eps: float = 0.0
 ) -> WalkableSurface:
@@ -332,6 +335,7 @@ def build_walkable_surface(
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("vertices must be an (N, 3) array")
+    _check_extent(verts, "surface vertex")
     polys = [list(map(int, ring)) for ring in polygons]
 
     if weld_eps > 0.0 and len(verts):
@@ -523,6 +527,7 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
         tris = tris.reshape(0, 3)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("blocker vertices must be an (N, 3) array")
+    _check_extent(verts, "blocker vertex")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise ValidationError("blocker triangles must be an (M, 3) index array")
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
@@ -554,8 +559,3 @@ def load_blocker_mesh(path: str | Path) -> BlockerMesh:
         if len(f) != 3:
             raise ParseError(f"{path}: blocker faces must be triangles")
     return build_blocker_mesh(verts, faces)
-
-
-def boundary_loops(surface: WalkableSurface) -> list[list[int]]:
-    """Ordered vertex loops of the surface boundary (interior to the left)."""
-    return [[edge[0] for edge in loop] for loop in surface.boundary_edges]

@@ -65,12 +65,6 @@ class RootedTree:
     def edge_list(self) -> list[tuple[int, int]]:
         return [(p, c) for p in sorted(self.children) for c in self.children[p]]
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
-
-    def leaves(self) -> list[int]:
-        return [v for v in sorted(self.children) if not self.children[v]]
-
     def size(self) -> int:
         return len(self.children)
 
@@ -230,11 +224,8 @@ def surface_los(
 # ---------------------------------------------------------------------------
 
 def normal_angle_deg(n1, n2) -> float:
-    u = np.asarray(n1, dtype=float)
-    v = np.asarray(n2, dtype=float)
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    return math.degrees(math.acos(max(-1.0, min(1.0, float(np.dot(u, v))))))
+    """Angle between two unit normals, in degrees."""
+    return math.degrees(math.acos(max(-1.0, min(1.0, float(np.dot(n1, n2))))))
 
 
 def can_simplify(

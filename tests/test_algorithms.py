@@ -120,6 +120,11 @@ def test_no_path_raised_across_components():
         path_from_predecessors(pred, 0, 3)
 
 
+def test_no_path_raised_on_a_predecessor_cycle():
+    with pytest.raises(NoPath):
+        path_from_predecessors([1, 0, -1], 2, 0)
+
+
 def test_dijkstra_tree_leaves_unreached_nodes_without_predecessor():
     # a tight-arc test reads inf + w == inf as tight: the unreached component
     # {0, 1, 2} must still get no predecessors

@@ -17,13 +17,14 @@ from navstruct.export import (
     STRUCTURE_FORMAT,
     canonical_json,
     export_structure,
-    forest_to_dict,
     load_structure_json,
     structure_dot,
     structure_json_bytes,
     structure_obj,
 )
+from navstruct.fixtures import grid_surface, maze_graph, plus_hub, straight_corridor
 from navstruct.graph import SOURCE_SAMPLE, GraphNode
+from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.trees import RootedTree
 
 
@@ -240,7 +241,7 @@ def test_canonical_json_rejects_non_finite_and_unknown_types():
 # --- structure files --------------------------------------------------------
 
 def test_forest_dict_shape():
-    out = forest_to_dict(small_forest())
+    out = json.loads(structure_json_bytes(small_forest()))
     assert out["format"] == STRUCTURE_FORMAT
     (tree,) = out["trees"]
     assert tree["root"] == 0
@@ -251,6 +252,55 @@ def test_forest_dict_shape():
     leaf = tree["nodes"][3]
     assert leaf["terminal"] and not leaf["on_navmesh"]
     assert leaf["position"] == [0.0, 3.0, 0.5]
+
+
+def random_forest(rng):
+    """Up to four trees over sparse ids, with floats of every magnitude and
+    sign (-0.0 included) and sources that JSON must escape."""
+    values = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-10, -7.25e-300, 123456789.123, 4.5e307]
+    sources = ["sample", 'quo"te', "back\\slash", "caf\u00e9", "tab\tnew\nline", ""]
+    ids = rng.sample(range(10_000), rng.randint(0, 40))
+    forest = []
+    while ids:
+        members, ids = ids[:rng.randint(1, 12)], ids[12:]
+        parent = {members[0]: None}
+        children = {v: [] for v in members}
+        depth = {members[0]: 0}
+        for k, v in enumerate(members[1:], start=1):
+            up = members[rng.randrange(k)]
+            parent[v], depth[v] = up, depth[up] + 1
+            children[up].append(v)
+        for kids in children.values():
+            kids.sort()
+        payloads = {v: GraphNode(
+            id=v,
+            position=np.array([rng.choice(values) * rng.random() for _ in range(3)]),
+            normal=np.array([rng.choice(values) for _ in range(3)]),
+            on_navmesh=rng.random() < 0.5, terminal=rng.random() < 0.5,
+            source=rng.choice(sources),
+        ) for v in members}
+        forest.append(RootedTree(root=members[0], children=children, depth=depth,
+                                 payloads=payloads, parent=parent))
+    return forest
+
+
+def _golden_forests():
+    corridor, corridor_walls = straight_corridor(12)
+    hub, hub_walls = plus_hub(2)
+    return [run_pipeline(cfg, **inputs).forest for cfg, inputs in [
+        (PipelineConfig(terminals="entry-exit", interval=1.0),
+         {"surface": corridor, "blockers": corridor_walls}),
+        (PipelineConfig(terminals="entry-exit"), {"surface": hub, "blockers": hub_walls}),
+        (PipelineConfig(terminals="leaves"), {"graph": maze_graph(12, 12, seed=3)}),
+        (PipelineConfig(terminals="metric", metric="eigenvector", k=4),
+         {"surface": grid_surface(10, 10)}),
+    ]]
+
+
+def test_structure_json_is_canonical_json(rng):
+    for forest in _golden_forests() + [random_forest(rng) for _ in range(50)]:
+        raw = structure_json_bytes(forest)
+        assert canonical_json(json.loads(raw)) + "\n" == raw.decode()
 
 
 def test_structure_json_round_trip(tmp_path):

@@ -86,7 +86,7 @@ def test_load_graph_json(tmp_path):
         "nodes": [
             {"pos": [0, 0, 0]},
             {"pos": [3, 4, 0], "normal": [0, 1, 0]},
-            {"pos": [6, 4, 0]},
+            {"pos": [6, 4, 0], "normal": [0, 3, 4]},
         ],
         "edges": [[0, 1], [1, 2, 7.5]],
     }))
@@ -96,6 +96,7 @@ def test_load_graph_json(tmp_path):
     assert g.edges[1] == (1, 2, 7.5)                 # explicit weight kept
     assert np.allclose(g.nodes[0].normal, [0, 0, 1])
     assert np.allclose(g.nodes[1].normal, [0, 1, 0])
+    assert g.nodes[2].normal.tolist() == [0.0, 0.6, 0.8]  # scaled to unit length
 
 
 def test_load_graph_json_rejects_malformed(tmp_path):
@@ -105,6 +106,11 @@ def test_load_graph_json_rejects_malformed(tmp_path):
         ('{"nodes": []}', ParseError, "'nodes' and 'edges'"),
         ('{"nodes": [{"q": 1}], "edges": []}', ParseError, "'pos'"),
         ('{"nodes": [{"pos": [0, 0]}], "edges": []}', ParseError, "3 components"),
+        ('{"nodes": [{"pos": [0,0,0], "normal": [0,0,0]}], "edges": []}', ParseError, "nonzero"),
+        ('{"nodes": [{"pos": [0,0,0], "normal": [1.5e308,1.5e308,0]}], "edges": []}',
+         ParseError, "finite length"),
+        ('{"nodes": [{"pos": [1e308,0,0]}, {"pos": [-1e308,0,0]}], "edges": []}',
+         ValidationError, "float range"),
         ('{"nodes": [{"pos": [0,0,0]}], "edges": [[0]]}', ParseError, r"\[i, j\]"),
         ('{"nodes": [{"pos": [0,0,0]}], "edges": [[0, 4]]}', ParseError, "out of range"),
         (

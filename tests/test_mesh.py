@@ -11,7 +11,6 @@ from navstruct.fixtures import (
     vertical_strip,
 )
 from navstruct.mesh import (
-    boundary_loops,
     build_blocker_mesh,
     build_walkable_surface,
     load_blocker_mesh,
@@ -20,6 +19,10 @@ from navstruct.mesh import (
 from navstruct.oracles import locate_point_linear
 
 UNIT_SQUARE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
+
+
+def interior_edge_count(surface):
+    return sum(len(owners) == 2 for owners in surface.edge_polygons.values())
 
 
 def square_pair():
@@ -82,7 +85,7 @@ def test_json_surface_roundtrip(tmp_path):
     )
     surface = load_walkable_surface(path)
     assert len(surface.polygons) == 2
-    assert surface.interior_edge_count == 1
+    assert interior_edge_count(surface) == 1
 
 
 def test_json_surface_rejects_malformed(tmp_path):
@@ -201,16 +204,16 @@ def test_adjacency_and_edge_counts():
     surface = build_walkable_surface(verts, polys)
     assert surface.adjacency[0] == [(1, (1, 2))]
     assert surface.adjacency[1] == [(0, (1, 2))]
-    assert surface.interior_edge_count == 1
-    assert surface.boundary_edge_count == 6
+    assert interior_edge_count(surface) == 1
+    assert sum(map(len, surface.boundary_edges)) == 6
     assert surface.edge_polygons[(1, 2)] == [0, 1]
 
 
 def test_grid_adjacency_symmetric():
     surface = grid_surface(3, 3)
     assert len(surface.polygons) == 9
-    assert surface.interior_edge_count == 12
-    assert surface.boundary_edge_count == 12
+    assert interior_edge_count(surface) == 12
+    assert sum(map(len, surface.boundary_edges)) == 12
     for pid, nbrs in enumerate(surface.adjacency):
         for qid, edge in nbrs:
             assert (pid, edge) in surface.adjacency[qid]
@@ -224,7 +227,7 @@ def test_single_square_boundary_loop():
     assert loop[0][0] == 0  # canonical start at the smallest vertex id
     assert [a for a, _b in loop] == [0, 1, 2, 3]
     assert loop[-1][1] == loop[0][0]
-    assert boundary_loops(surface) == [[0, 1, 2, 3]]
+    assert [[a for a, _b in lp] for lp in surface.boundary_edges] == [[0, 1, 2, 3]]
 
 
 def test_ring_surface_has_two_boundary_loops():
@@ -254,7 +257,7 @@ def test_open_boundary_chain_rejected():
     verts, polys = square_pair()
     surface = build_walkable_surface(verts, polys)
     assert len(surface.boundary_edges) == 1
-    assert surface.boundary_edge_count == 6
+    assert sum(map(len, surface.boundary_edges)) == 6
 
 
 # --- welding ----------------------------------------------------------------
@@ -266,12 +269,12 @@ def test_weld_merges_duplicate_vertices():
     ]
     polys = [[0, 1, 2, 3], [4, 5, 6, 7]]
     unwelded = build_walkable_surface(verts, polys)
-    assert unwelded.interior_edge_count == 0
+    assert interior_edge_count(unwelded) == 0
     assert len(unwelded.boundary_edges) == 2
 
     welded = build_walkable_surface(verts, polys, weld_eps=1e-3)
     assert len(welded.vertices) == 6
-    assert welded.interior_edge_count == 1
+    assert interior_edge_count(welded) == 1
     assert len(welded.boundary_edges) == 1
 
 
@@ -405,7 +408,7 @@ def test_blocker_load_json(tmp_path):
 def test_corridor_fixture_shape(corridor):
     surface, blockers = corridor
     assert len(surface.polygons) == 12
-    assert surface.interior_edge_count == 11
+    assert interior_edge_count(surface) == 11
     assert len(surface.boundary_edges) == 1
     assert len(blockers.triangles) > 0
 
@@ -413,5 +416,5 @@ def test_corridor_fixture_shape(corridor):
 def test_hub_fixture_shape(hub):
     surface, blockers = hub
     assert len(surface.polygons) == 9
-    assert surface.interior_edge_count == 8
+    assert interior_edge_count(surface) == 8
     assert len(blockers.triangles) > 0

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import logging
+import random
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -335,6 +337,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["extract", "--out", str(tmp_path)]) == 2  # no input at all
     assert "error:" in capsys.readouterr().err
 
+    with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown command
+        main(["bench", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
     missing = tmp_path / "missing.json"
     assert main(["extract", "--graph", str(missing), "--terminals", "leaves",
                  "--out", str(tmp_path)]) == 4
@@ -387,6 +394,10 @@ def _edit(key, value, at=None):
     ("walls-fraction.json", _edit("triangles", 2.7, at=2)),
     ("walls-huge.json", _edit("triangles", 10**20, at=2)),
     ("latin1.cfg", b"# caf\xe9\nk = 2\n"),
+    ("zero-normal.json", json.dumps({**_CHAIN, "nodes": [{"pos": [0, 0, 0], "normal": [0, 0, 0]},
+                                                         {"pos": [1, 0, 0]}]})),
+    ("surface-overflow.json", _edit("vertices", 1e200, at=0)),
+    ("walls-overflow.json", _edit("vertices", -1e308, at=1)),
 ])
 def test_cli_rejects_malformed_inputs_with_one_error_line(corridor, tmp_path, capsys, name, text):
     surf, walls = write_corridor_files(corridor, tmp_path)
@@ -412,6 +423,102 @@ def test_cli_rejects_malformed_inputs_with_one_error_line(corridor, tmp_path, ca
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
+_BAD_COORDS = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e200]
+_BAD_INDICES = [0, -3, 2.5, 10**20, 1e308]
+_BAD_TYPES = ["x", None, True, [], {}, [1, 2], {"pos": 1}]
+
+
+def _obj_text(verts, faces):
+    return "".join(
+        [f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts.tolist()]
+        + ["f " + " ".join(str(i + 1) for i in face) + "\n" for face in faces]
+    )
+
+
+def _mutate_obj(rng, text):
+    """One coordinate made non-finite or overflowing, or one face index made
+    huge, negative, zero or fractional."""
+    lines = text.splitlines()
+    tag = rng.choice("vf")
+    k = rng.choice([i for i, line in enumerate(lines) if line.startswith(tag + " ")])
+    fields = lines[k].split()
+    fields[rng.randrange(1, len(fields))] = str(
+        rng.choice(_BAD_COORDS if tag == "v" else _BAD_INDICES))
+    lines[k] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _mutate_graph(rng, text):
+    """One position, normal, edge index or weight made bad, or one value
+    anywhere replaced by a wrong JSON type."""
+    data = json.loads(text)
+    node, edge = rng.choice(data["nodes"]), rng.choice(data["edges"])
+    kind = rng.randrange(3)
+    if kind == 0:
+        node[rng.choice(["pos", "normal"])][rng.randrange(3)] = rng.choice(_BAD_COORDS + [0.0])
+    elif kind == 1:
+        edge[rng.randrange(len(edge))] = rng.choice(_BAD_INDICES)
+    else:
+        holder, key = rng.choice([
+            (data, "nodes"), (data, "edges"), (data["nodes"], 0), (node, "pos"),
+            (node, "normal"), (node["pos"], 1), (data["edges"], 0), (edge, 0), (edge, 2),
+        ])
+        holder[key] = rng.choice(_BAD_TYPES)
+    return json.dumps(data)
+
+
+def test_cli_survives_seeded_malformed_inputs(tmp_path, capsys):
+    """About 200 seeded mutations of a corridor's surface and wall OBJ files
+    and of a maze graph's JSON: truncation, byte flips, non-finite and
+    overflowing numbers, bad indices and wrong JSON types.  The command never
+    raises, and every failure prints exactly one error line."""
+    surface, walls = straight_corridor(6)
+    maze = maze_graph(6, 6)
+    originals = {
+        "surface.obj": _obj_text(surface.vertices, surface.polygons),
+        "walls.obj": _obj_text(walls.vertices, walls.triangles.tolist()),
+        "graph.json": json.dumps({
+            "nodes": [{"pos": n.position.tolist(), "normal": n.normal.tolist()}
+                      for n in maze.nodes],
+            "edges": [list(e) for e in maze.edges],
+        }),
+    }
+    for name, text in originals.items():
+        (tmp_path / name).write_text(text)
+    rng = random.Random(5)
+    started = time.perf_counter()
+    codes = []
+    for case in range(200):
+        name = rng.choice(sorted(originals))
+        data = originals[name].encode()
+        kind = rng.randrange(3)
+        if kind == 0:
+            data = data[:rng.randrange(len(data))]
+        elif kind == 1:
+            flipped = bytearray(data)
+            flipped[rng.randrange(len(data))] = rng.randrange(256)
+            data = bytes(flipped)
+        else:
+            mutate = _mutate_graph if name == "graph.json" else _mutate_obj
+            data = mutate(rng, originals[name]).encode()
+        path = tmp_path / f"mutated-{name}"
+        path.write_bytes(data)
+        if name == "graph.json":
+            inputs = ["--graph", str(path), "--terminals", "leaves"]
+        else:
+            files = {n: str(tmp_path / n) for n in originals}
+            files[name] = str(path)
+            inputs = ["--surface", files["surface.obj"], "--blockers", files["walls.obj"]]
+        code = main(["extract", *inputs, "--interval", "1.0", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code:
+            assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, (
+                case, name, err)
+    assert time.perf_counter() - started < 5.0
+    assert set(codes) >= {0, 2}
+
+
 def test_cli_oracle_suites_pass(capsys):
     assert main(["oracle", "--instances", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -423,15 +530,6 @@ def test_cli_oracle_suites_pass(capsys):
     for line in lines:
         assert line.startswith("oracle ")
         assert ": PASS (" in line
-
-
-def test_cli_bench_repeats_the_run(tmp_path, capsys):
-    gp = write_chain_json(tmp_path / "chain.json")
-    code = main(["bench", "--graph", str(gp), "--terminals", "leaves",
-                 "--repeat", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.count("experiment: chain") == 2
 
 
 class _CountingTree:

@@ -165,9 +165,9 @@ def test_rooted_tree_helpers():
     rooted = rooted_path([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     assert rooted.node_ids() == [0, 1, 2]
     assert rooted.edge_list() == [(0, 1), (1, 2)]
-    assert rooted.leaves() == [2]
+    assert [v for v in rooted.node_ids() if not rooted.children[v]] == [2]
     assert rooted.size() == 3
-    assert rooted.is_leaf(2) and not rooted.is_leaf(0)
+    assert not rooted.children[2] and rooted.children[0]
     copy = rooted.clone()
     copy.children[0].clear()
     assert rooted.children[0] == [1]
@@ -335,7 +335,7 @@ def test_simplify_keeps_terminals_and_leaves():
     )
     out = simplify_tree(rooted, None, los=lambda p, q: True)
     assert out.node_ids() == [0, 3, 5]
-    assert set(out.leaves()) == {5}
+    assert {v for v in out.node_ids() if not out.children[v]} == {5}
     assert all(out.payloads[v].terminal for v in out.node_ids())
 
 
