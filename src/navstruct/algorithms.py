@@ -8,7 +8,6 @@ structure reproducible bit-for-bit on identical input.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -180,11 +179,8 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
     The counts are integers, so they equal the Brandes result bit for bit.
 
     Graphs with a cycle use Brandes' two-phase accumulation (forward
-    shortest-path counting, reverse dependency propagation) from every node.
-    The inner loop is a priority-queue Dijkstra; when every edge carries the
-    same weight the queue degenerates to FIFO order, so a plain breadth-first
-    queue is used there — path structure and credits are identical, only
-    faster.
+    shortest-path counting by a priority-queue Dijkstra, reverse dependency
+    propagation) from every node; `weighted=False` gives every edge weight 1.
     """
     adj = g.adjacency()
     params = {"weighted": weighted}
@@ -192,19 +188,11 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
     if vals is not None:
         return CentralityScores(metric="betweenness", values=vals, params=params)
     n = len(adj)
-    if weighted:
-        weights = {w for _, _, w in g.edges}
-        uniform = len(weights) <= 1
-        adj_w = adj
-    else:
-        uniform = True
-        adj_w = [[(v, 1.0) for v, _ in lst] for lst in adj]
+    if not weighted:
+        adj = [[(v, 1.0) for v, _ in lst] for lst in adj]
     cb = [0.0] * n
     for s in range(n):
-        if uniform:
-            order, preds, sigma = _sssp_uniform(adj_w, s)
-        else:
-            order, preds, sigma = _sssp_dijkstra(adj_w, s)
+        order, preds, sigma = _sssp_dijkstra(adj, s)
         delta = [0.0] * n
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
@@ -281,30 +269,6 @@ def _sssp_dijkstra(adj, s):
                 preds[v] = [u]
                 heappush(heap, (nd, v))
             elif nd == dist[v]:
-                sigma[v] += sigma[u]
-                preds[v].append(u)
-    return order, preds, sigma
-
-
-def _sssp_uniform(adj, s):
-    # breadth-first layers; valid because all edge weights are equal
-    n = len(adj)
-    depth = [-1] * n
-    sigma = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    depth[s] = 0
-    sigma[s] = 1.0
-    order = []
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        du = depth[u]
-        for v, _ in adj[u]:
-            if depth[v] < 0:
-                depth[v] = du + 1
-                queue.append(v)
-            if depth[v] == du + 1:
                 sigma[v] += sigma[u]
                 preds[v].append(u)
     return order, preds, sigma

@@ -102,13 +102,13 @@ def structure_json_bytes(forest: list[RootedTree]) -> bytes:
     trees = []
     for tree in forest:
         nodes = []
+        parent, depth = tree.parent, tree.depth
         for v in tree.node_ids():
             p = tree.payloads[v]
-            parent = tree.parent[v]
             nodes.append(_NODE_RECORD.format(
-                ",".join(map(str, tree.children[v])), tree.depth[v], v,
+                ",".join(map(str, tree.children[v])), depth[v], v,
                 _fmt_vector(p.normal), "true" if p.on_navmesh else "false",
-                "null" if parent is None else parent, _fmt_vector(p.position),
+                "null" if parent[v] is None else parent[v], _fmt_vector(p.position),
                 json.dumps(p.source), "true" if p.terminal else "false",
             ))
         trees.append(f'{{"nodes":[{",".join(nodes)}],"root":{tree.root}}}')
@@ -117,7 +117,9 @@ def structure_json_bytes(forest: list[RootedTree]) -> bytes:
 
 
 def load_structure_json(path: str | Path) -> list[RootedTree]:
-    """Rebuild a forest from a structure JSON file."""
+    """Rebuild a forest from a structure JSON file.  The trees are rebuilt
+    from the `children` lists; ParseError unless every tree's lists form one
+    tree under its root whose parents and depths are the file's."""
     p = Path(path)
     data = read_json(p)
     if not isinstance(data, dict) or data.get("format") != STRUCTURE_FORMAT:
@@ -148,10 +150,18 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
             terminal=bool(nrec["terminal"]),
             source=str(nrec["source"]),
         )
-    return RootedTree(
-        root=as_index(trec["root"], p), children=children, depth=depth,
-        payloads=payloads, parent=parent,
-    )
+    tree = RootedTree(root=as_index(trec["root"], p), children=children, payloads=payloads)
+    listed = [c for cs in children.values() for c in cs]
+    if not set(listed) <= children.keys():
+        raise ParseError(f"{p}: tree {tree.root}: a child id names no node")
+    # with n - 1 entries that name every other node (the derived parents
+    # match), each is named once and the root never: no list cycles, so the
+    # depth walk ends, and a node it misses lies on a cycle off the tree
+    if len(listed) != len(children) - 1 or tree.parent != parent:
+        raise ParseError(f"{p}: tree {tree.root}: 'parent' does not match 'children'")
+    if tree.depth != depth:
+        raise ParseError(f"{p}: tree {tree.root}: 'depth' does not match 'children'")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +171,10 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
 def structure_dot(forest: list[RootedTree]) -> str:
     lines = ["digraph structure {", "  rankdir=TB;"]
     for tree in forest:
+        depth = tree.depth
         for v in tree.node_ids():
             p = tree.payloads[v]
-            d = tree.depth[v]
+            d = depth[v]
             label = f"id={v} depth={d}"
             if p.terminal:
                 label += " terminal"
@@ -172,7 +183,7 @@ def structure_dot(forest: list[RootedTree]) -> str:
                 attrs.append("shape=doubleoctagon")
             lines.append(f"  n{v} [{', '.join(attrs)}];")
         for a, b in tree.edge_list():
-            lines.append(f"  n{a} -> n{b} [color={_depth_color(tree.depth[b])}];")
+            lines.append(f"  n{a} -> n{b} [color={_depth_color(depth[b])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

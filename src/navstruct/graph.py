@@ -31,8 +31,9 @@ class GraphNode:
 
 class Arcs(NamedTuple):
     """Every edge in both directions: arc k runs tail[k] -> head[k] with
-    weight[k].  `matrix` is the same arcs as a weighted CSR matrix, row by
-    tail; `head` and `weight` are its `indices` and `data`.  A repeated edge
+    weight[k], the arcs ordered by (tail, head, weight).  `matrix` is the same
+    arcs as a weighted CSR matrix, row by tail, so each row lists its heads
+    ascending; `head` and `weight` are its `indices` and `data`.  A repeated edge
     stays one entry per copy, so no weights are summed.
 
     `node_ids` is an object array of the Python ints 0..n-1, then -1: a list
@@ -58,25 +59,18 @@ class SurfaceGraph:
     nodes: list[GraphNode]
     edges: list[tuple[int, int, float]]
     node_index: dict[int, int] | None = None
-    _adjacency: list[list[tuple[int, float]]] | None = field(
-        default=None, repr=False, compare=False
-    )
     _arcs: Arcs | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-node (neighbor, weight) lists, built lazily, neighbors ascending."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
-            for i, j, w in self.edges:
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-            for lst in adj:
-                lst.sort()
-            self._adjacency = adj
-        return self._adjacency
+        """Per-node (neighbor, weight) lists, neighbors ascending: the rows of
+        arcs(), read out anew on each call."""
+        arcs = self.arcs()
+        pairs = list(zip(arcs.head.tolist(), arcs.weight.tolist()))
+        ptr = arcs.matrix.indptr.tolist()
+        return [pairs[ptr[v]:ptr[v + 1]] for v in range(len(self.nodes))]
 
     def arcs(self) -> Arcs:
         """The directed arcs and their CSR matrix, built lazily."""
@@ -85,10 +79,10 @@ class SurfaceGraph:
             ends = np.array([(i, j) for i, j, _ in self.edges], dtype=np.intp).reshape(-1, 2)
             weights = np.array([w for _, _, w in self.edges], dtype=float)
             tail = np.concatenate([ends[:, 0], ends[:, 1]])
-            order = np.argsort(tail, kind="stable")
-            tail = tail[order]
-            head = np.concatenate([ends[:, 1], ends[:, 0]])[order]
-            weight = np.concatenate([weights, weights])[order]
+            head = np.concatenate([ends[:, 1], ends[:, 0]])
+            weight = np.concatenate([weights, weights])
+            order = np.lexsort((weight, head, tail))
+            tail, head, weight = tail[order], head[order], weight[order]
             indptr = np.searchsorted(tail, np.arange(n + 1))
             matrix = csr_matrix((weight, head, indptr), shape=(n, n))
             node_ids = np.array([*range(n), -1], dtype=object)
@@ -113,6 +107,9 @@ class SurfaceGraph:
 
 
 def _canonical_edges(edges: Iterable[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
+    """The edges as sorted (i, j, w) with i < j.  ValidationError on a
+    self-loop, a repeated edge, or weights whose sum is not a finite float:
+    no shortest path sums more than all the weights, so none overflows."""
     out = []
     seen = set()
     for i, j, w in edges:
@@ -123,6 +120,12 @@ def _canonical_edges(edges: Iterable[tuple[int, int, float]]) -> list[tuple[int,
             raise ValidationError(f"duplicate edge ({a}, {b})")
         seen.add((a, b))
         out.append((a, b, float(w)))
+    try:
+        total = math.fsum(w for _, _, w in out)
+    except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError("edge weights sum past the float range")
     out.sort()
     return out
 
@@ -160,17 +163,12 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
         for pid in range(len(surface.polygons))
     ]
     edges = []
-    for pid, nbrs in enumerate(surface.adjacency):
-        for qid, _edge in nbrs:
-            if pid < qid:
-                w = float(
-                    np.linalg.norm(surface.polygon_centers[pid] - surface.polygon_centers[qid])
-                )
-                if w < 1e-12:
-                    raise DegenerateEdge(
-                        f"polygon centers {pid} and {qid} coincide (zero-weight edge)"
-                    )
-                edges.append((pid, qid, w))
+    # owners are listed ascending, so each pair is (p, q) with p < q
+    for pid, qid in sorted(o for o in surface.edge_polygons.values() if len(o) == 2):
+        w = float(np.linalg.norm(surface.polygon_centers[pid] - surface.polygon_centers[qid]))
+        if w < 1e-12:
+            raise DegenerateEdge(f"polygon centers {pid} and {qid} coincide (zero-weight edge)")
+        edges.append((pid, qid, w))
     return SurfaceGraph(
         nodes=nodes,
         edges=_canonical_edges(edges),

@@ -1,10 +1,13 @@
-"""Walkable-surface ingestion: parsing, validation, adjacency and boundary loops.
+"""Walkable surfaces and blocker meshes: parsing, validation and per-mesh indexes.
 
-A walkable surface is a polygon soup of convex, planar rings welded on shared
-vertices.  Every interior edge is shared by exactly two polygons; edges owned
-by a single polygon form closed boundary loops.  With rings wound
-counter-clockwise (viewed along the outward normal) the walkable interior lies
-to the LEFT of each directed boundary edge.
+A walkable surface is a set of convex, planar rings joined on shared vertex
+ids (vertices closer than `weld_eps` are merged first).  `edge_polygons` maps
+each undirected edge to the polygons that own it: two for an interior edge,
+one for a boundary edge, never more.  Boundary edges chain into closed loops.
+A polygon's normal follows its ring's winding, so each ring runs
+counter-clockwise seen from its normal's side, and the walkable interior lies
+to the LEFT of each directed boundary edge.  A blocker mesh is a triangle soup
+used only as a raycast target.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ DEFAULT_HEIGHT_TOL = 0.5
 
 @dataclass
 class WalkableSurface:
-    """Validated navigation surface with adjacency and boundary structure."""
+    """Validated navigation surface with its edge owners and boundary loops."""
 
     vertices: np.ndarray          # (V, 3) float64
     polygons: list[list[int]]     # vertex-index rings, CCW along outward normal
@@ -44,8 +47,6 @@ class WalkableSurface:
     polygon_winding: np.ndarray
     # per axis x, y, z: every vertex's coordinate, as Python floats
     axis_coords: list[list[float]]
-    # per polygon: sorted (neighbor polygon id, shared undirected edge) pairs
-    adjacency: list[list[tuple[int, tuple[int, int]]]]
     # loops of directed (a, b) edges; interior lies to the left of each edge
     boundary_edges: list[list[tuple[int, int]]]
     # KD-tree over polygon_centers; and over all polygons, the farthest from
@@ -53,7 +54,8 @@ class WalkableSurface:
     # along the normal's dominant axis
     polygon_tree: cKDTree = field(repr=False)
     polygon_reach: float
-    # undirected (min, max) edge -> owning polygon ids
+    # undirected (min, max) edge -> owning polygon ids, ascending: two for an
+    # interior edge, whose owners are neighbours, and one for a boundary edge
     edge_polygons: dict[tuple[int, int], list[int]] = field(repr=False, default_factory=dict)
 
     def polygon_plane(self, poly_id: int) -> tuple[np.ndarray, float]:
@@ -421,19 +423,11 @@ def build_walkable_surface(
                 )
             directed.add((a, b))
 
-    adjacency: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in polys]
-    boundary_directed: list[tuple[int, int]] = []
-    for key, owners in edge_polygons.items():
-        if len(owners) == 2:
-            p, q = owners
-            adjacency[p].append((q, key))
-            adjacency[q].append((p, key))
-        else:  # in the direction the owning ring uses
-            boundary_directed.append(key if key in directed else key[::-1])
-    for lst in adjacency:
-        lst.sort()
-
-    loops = _stitch_boundary_loops(boundary_directed)
+    # boundary edges in the direction the owning ring uses
+    loops = _stitch_boundary_loops([
+        key if key in directed else key[::-1]
+        for key, owners in edge_polygons.items() if len(owners) == 1
+    ])
 
     return WalkableSurface(
         vertices=verts,
@@ -444,7 +438,6 @@ def build_walkable_surface(
         polygon_axes=axes,
         polygon_winding=winding,
         axis_coords=verts.T.tolist(),
-        adjacency=adjacency,
         boundary_edges=loops,
         polygon_tree=cKDTree(centers),
         polygon_reach=float(reach.max()),

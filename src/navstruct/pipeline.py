@@ -69,7 +69,10 @@ class PipelineConfig:
         "betweenness", "centrality used to pick roots", CENTRALITY_METRICS
     )
     centrality_weights: str = _option(
-        "euclidean", "edge weighting for betweenness/shortest paths", CENTRALITY_WEIGHTS
+        "euclidean",
+        "betweenness edge weights; read only on a graph with a cycle (Steiner always "
+        "uses edge weights, and on a forest betweenness does not depend on them)",
+        CENTRALITY_WEIGHTS,
     )
     katz_alpha: float | None = _option(
         None, "attenuation for katz centrality (default 0.9/spectral-radius)"

@@ -26,6 +26,9 @@ DEFAULT_RADIUS = 1.0
 DEFAULT_RAY_COUNT = 5
 DEFAULT_SHARPNESS_DEG = 45.0
 
+# most boundary samples one surface may take; each one casts two ray fans
+MAX_BOUNDARY_SAMPLES = 1_000_000
+
 
 @dataclass
 class BoundarySample:
@@ -64,12 +67,15 @@ def sample_boundary(
 
     A loop of perimeter P yields max(1, floor(P / interval)) samples starting
     at the loop's first vertex.  Each sample carries the tangent of the edge
-    it lies on and the normal of that edge's owning polygon.
+    it lies on and the normal of that edge's owning polygon.  ValidationError
+    when all loops together need more than MAX_BOUNDARY_SAMPLES samples; they
+    are counted before any is made.
     """
     if interval <= 0.0:
         raise ValidationError(f"sampling interval must be positive, got {interval}")
-    samples: list[BoundarySample] = []
-    for loop_id, loop in enumerate(surface.boundary_edges):
+    loops = []
+    total = 0
+    for loop in surface.boundary_edges:
         seg_vecs = []
         seg_lens = []
         seg_normals = []
@@ -82,8 +88,18 @@ def sample_boundary(
             seg_vecs.append(vec / length)
             seg_lens.append(length)
             seg_normals.append(surface.polygon_normals[owner])
-        perimeter = float(sum(seg_lens))
-        count = max(1, int(math.floor(perimeter / interval + 1e-9)))
+        steps = float(sum(seg_lens)) / interval + 1e-9
+        # steps past the cap, inf among them, count as inf
+        count = max(1, math.floor(steps)) if steps <= MAX_BOUNDARY_SAMPLES else math.inf
+        total += count
+        loops.append((loop, seg_vecs, seg_lens, seg_normals, count))
+    if total > MAX_BOUNDARY_SAMPLES:
+        raise ValidationError(
+            f"boundary sampling at interval {interval:g} needs more than "
+            f"{MAX_BOUNDARY_SAMPLES} samples"
+        )
+    samples: list[BoundarySample] = []
+    for loop_id, (loop, seg_vecs, seg_lens, seg_normals, count) in enumerate(loops):
         edge_idx = 0
         edge_start_arc = 0.0
         for k in range(count):
@@ -327,8 +343,10 @@ def terminals_from_metric(
     """Terminal selection without boundary geometry.
 
     method "leaves": every node of degree 1.  method "metric": the k nodes
-    with the highest centrality scores (ties prefer the lower id); `weighted`
-    and `alpha` are passed to `compute_centrality`.
+    with the highest centrality scores, each score divided by the largest
+    magnitude and rounded to 9 decimals, so that rounding noise in the last
+    bits does not pick among equal nodes; ties prefer the lower id.
+    `weighted` and `alpha` are passed to `compute_centrality`.
     """
     if method == "leaves":
         degs = degree_centrality(g).values
@@ -339,10 +357,9 @@ def terminals_from_metric(
     if method == "metric":
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        scores = compute_centrality(g, metric, weighted=weighted, alpha=alpha)
-        ranked = sorted(
-            range(len(g.nodes)), key=lambda v: (-scores.values[v], v)
-        )
+        values = compute_centrality(g, metric, weighted=weighted, alpha=alpha).values
+        scale = max(map(abs, values), default=0.0) or 1.0  # all zero: rank by id
+        ranked = sorted(range(len(g.nodes)), key=lambda v: (-round(values[v] / scale, 9), v))
         ids = sorted(ranked[: min(k, len(ranked))])
         if not ids:
             raise EmptyTerminalSet("metric selection produced no terminals")

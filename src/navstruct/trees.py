@@ -52,12 +52,35 @@ class RemovalRecord:
 
 @dataclass
 class RootedTree:
+    """A tree stored as its `children` lists; `parent` and `depth` are
+    derived from them on each read, so read each once per tree."""
+
     root: int
-    children: dict[int, list[int]]      # ascending child ids
-    depth: dict[int, int]
+    children: dict[int, list[int]]      # every node -> ascending child ids
     payloads: dict[int, GraphNode]
-    parent: dict[int, int | None]
     removals: list[RemovalRecord] = field(default_factory=list)
+
+    @property
+    def parent(self) -> dict[int, int | None]:
+        """Each node's parent, None for the root.  The child lists are read
+        after the root, so one that names the root overrides its None."""
+        parent: dict[int, int | None] = {self.root: None}
+        for v, kids in self.children.items():
+            for c in kids:
+                parent[c] = v
+        return parent
+
+    @property
+    def depth(self) -> dict[int, int]:
+        """Edge count from the root to each node it reaches."""
+        depth = {self.root: 0}
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            for c in self.children[v]:
+                depth[c] = depth[v] + 1
+                stack.append(c)
+        return depth
 
     def node_ids(self) -> list[int]:
         return sorted(self.children)
@@ -72,21 +95,8 @@ class RootedTree:
         return RootedTree(
             root=self.root,
             children={v: list(cs) for v, cs in self.children.items()},
-            depth=dict(self.depth),
             payloads=dict(self.payloads),
-            parent=dict(self.parent),
-            removals=[],
         )
-
-    def recompute_depths(self) -> None:
-        depth = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
-                stack.append(c)
-        self.depth = depth
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +135,6 @@ def find_rooted_trees(
     while unvisited:
         root = min(unvisited, key=lambda v: (-scores.values[v], centroid_dist(v), v))
         children: dict[int, list[int]] = {}
-        parent: dict[int, int | None] = {root: None}
-        depth = {root: 0}
         payloads: dict[int, GraphNode] = {}
         stack = [root]
         unvisited.discard(root)
@@ -137,15 +145,8 @@ def find_rooted_trees(
             children[v] = kids
             for u in reversed(kids):
                 unvisited.discard(u)
-                parent[u] = v
-                depth[u] = depth[v] + 1
                 stack.append(u)
-        forest.append(
-            RootedTree(
-                root=root, children=children, depth=depth,
-                payloads=payloads, parent=parent,
-            )
-        )
+        forest.append(RootedTree(root=root, children=children, payloads=payloads))
     return forest
 
 
@@ -275,14 +276,13 @@ def simplify_tree(
     first child B (ascending id) whose every child C satisfies can_simplify,
     reparenting B's children under A and restarting A's scan.  Passes repeat
     until none removes a node, so the result is a fixed point.  The input tree
-    is not modified; the result carries the removal log and recomputed depths.
+    is not modified; the result carries the removal log.
     """
     cfg = cfg or SimplifyConfig()
     out = tree.clone()
     removals: list[RemovalRecord] = []
     while _simplify_pass(out, surface, cfg, los, removals):
         pass
-    out.recompute_depths()
     out.removals = removals
     return out
 
@@ -311,12 +311,8 @@ def _simplify_pass(t, surface, cfg, los, removals) -> bool:
                     t.children[a] = sorted(
                         [x for x in t.children[a] if x != b] + kids
                     )
-                    for c in kids:
-                        t.parent[c] = a
                     del t.children[b]
-                    del t.parent[b]
                     del t.payloads[b]
-                    t.depth.pop(b, None)
                     removals.append(
                         RemovalRecord(parent=a, removed=b, children=tuple(kids))
                     )

@@ -346,11 +346,10 @@ def test_betweenness_unweighted_flag_ignores_weights():
 
 def test_betweenness_on_forests_skips_the_shortest_path_searches(monkeypatch, rng):
     searches = []
-    for name in ("_sssp_uniform", "_sssp_dijkstra"):
-        real = getattr(algorithms, name)
-        monkeypatch.setattr(
-            algorithms, name, lambda *args, _real=real: searches.append(1) or _real(*args)
-        )
+    real = algorithms._sssp_dijkstra
+    monkeypatch.setattr(
+        algorithms, "_sssp_dijkstra", lambda *args: searches.append(1) or real(*args)
+    )
     for _ in range(10):
         tree = random_tree_graph(rng, rng.randint(2, 30))
         for weighted in (True, False):

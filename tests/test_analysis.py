@@ -1,5 +1,7 @@
 import json
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -50,18 +52,21 @@ def small_forest():
     tree = RootedTree(
         root=0,
         children={0: [1, 2], 1: [], 2: [3], 3: []},
-        depth={0: 0, 1: 1, 2: 1, 3: 2},
         payloads=payloads,
-        parent={0: None, 1: 0, 2: 0, 3: 2},
     )
     return [tree]
 
 
 def singleton_tree(v, pos):
-    return RootedTree(
-        root=v, children={v: []}, depth={v: 0},
-        payloads={v: tnode(v, pos)}, parent={v: None},
-    )
+    return RootedTree(root=v, children={v: []}, payloads={v: tnode(v, pos)})
+
+
+def test_rooted_tree_derives_parent_and_depth():
+    tree = small_forest()[0]
+    assert tree.parent == {0: None, 1: 0, 2: 0, 3: 2}
+    assert tree.depth == {0: 0, 1: 1, 2: 1, 3: 2}
+    assert singleton_tree(4, (0, 0, 0)).parent == {4: None}
+    assert singleton_tree(4, (0, 0, 0)).depth == {4: 0}
 
 
 # --- forest -> graph --------------------------------------------------------
@@ -82,9 +87,7 @@ def test_forest_to_graph_renumbers_sparse_ids():
     tree = RootedTree(
         root=7,
         children={7: [9], 9: []},
-        depth={7: 0, 9: 1},
         payloads={7: tnode(7, (0, 0, 0)), 9: tnode(9, (3, 4, 0))},
-        parent={7: None, 9: 7},
     )
     g = forest_to_graph([tree, singleton_tree(2, (9, 9, 9))])
     assert g.node_index == {2: 0, 7: 1, 9: 2}
@@ -263,13 +266,9 @@ def random_forest(rng):
     forest = []
     while ids:
         members, ids = ids[:rng.randint(1, 12)], ids[12:]
-        parent = {members[0]: None}
         children = {v: [] for v in members}
-        depth = {members[0]: 0}
         for k, v in enumerate(members[1:], start=1):
-            up = members[rng.randrange(k)]
-            parent[v], depth[v] = up, depth[up] + 1
-            children[up].append(v)
+            children[members[rng.randrange(k)]].append(v)
         for kids in children.values():
             kids.sort()
         payloads = {v: GraphNode(
@@ -279,8 +278,7 @@ def random_forest(rng):
             on_navmesh=rng.random() < 0.5, terminal=rng.random() < 0.5,
             source=rng.choice(sources),
         ) for v in members}
-        forest.append(RootedTree(root=members[0], children=children, depth=depth,
-                                 payloads=payloads, parent=parent))
+        forest.append(RootedTree(root=members[0], children=children, payloads=payloads))
     return forest
 
 
@@ -347,6 +345,70 @@ def test_structure_json_rejects_bad_files(tmp_path):
         edited.write_text(json.dumps(data))
         with pytest.raises(ParseError, match="is not an integer"):
             load_structure_json(edited)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than `seconds`."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _node_record(v, children, parent, depth):
+    return {"children": children, "depth": depth, "id": v, "normal": [0, 0, 1],
+            "on_navmesh": True, "parent": parent, "position": [v, 0, 0],
+            "source": "sample", "terminal": False}
+
+
+def test_structure_json_rejects_trees_that_children_do_not_form(tmp_path):
+    # small_forest: 0 -> [1, 2], 2 -> [3]
+    def edit_node(v, **fields):
+        def apply(nodes):
+            nodes[v].update(fields)
+        return apply
+
+    cases = {
+        "wrong parent": (edit_node(3, parent=0), "'parent' does not match"),
+        "wrong depth": (edit_node(3, depth=1), "'depth' does not match"),
+        "child that is no node": (edit_node(2, children=[3, 8]), "no node"),
+        # two nodes that list each other: their parents agree with the lists,
+        # but the root's walk never reaches them
+        "unreachable nodes": (
+            lambda nodes: nodes.extend(
+                [_node_record(5, [6], 6, 1), _node_record(6, [5], 5, 2)]
+            ),
+            "'depth' does not match",
+        ),
+        "cycle through the root": (
+            lambda nodes: (nodes[3].update(children=[0]), nodes[0].update(parent=3)),
+            "'parent' does not match",
+        ),
+        "cycle below the root": (
+            lambda nodes: (nodes[3].update(children=[2]), nodes[2].update(parent=3)),
+            "'parent' does not match",
+        ),
+    }
+    for name, (edit, message) in cases.items():
+        data = json.loads(structure_json_bytes(small_forest()))
+        edit(data["trees"][0]["nodes"])
+        path = tmp_path / f"{name.replace(' ', '-')}.json"
+        path.write_text(json.dumps(data))
+        with time_limit(5.0), pytest.raises(ParseError, match=message):
+            load_structure_json(path)
+
+
+def test_structure_json_reimport_is_byte_stable(tmp_path):
+    for k, forest in enumerate(_golden_forests()):
+        path = tmp_path / f"golden-{k}.json"
+        export_structure(forest, "json", path)
+        assert structure_json_bytes(load_structure_json(path)) == path.read_bytes()
 
 
 def test_structure_dot_marks_roots_depths_and_terminals():

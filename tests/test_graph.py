@@ -35,9 +35,9 @@ def test_navmesh_graph_matches_adjacency():
     assert len(g) == 9
     assert len(g.edges) == 12
     edge_set = {(i, j) for i, j, _w in g.edges}
-    for pid, nbrs in enumerate(surface.adjacency):
-        for qid, _edge in nbrs:
-            assert (min(pid, qid), max(pid, qid)) in edge_set
+    for owners in surface.edge_polygons.values():
+        if len(owners) == 2:
+            assert tuple(owners) in edge_set
 
 
 def test_canonical_edges_sorted_and_simple():
@@ -59,6 +59,12 @@ def test_adjacency_neighbors_ascending():
     adj = g.adjacency()
     assert [v for v, _w in adj[0]] == [1, 2, 3]
     assert adj[3] == [(0, 1.0)]
+    # adjacency() reads the rows of arcs(), which are ordered by (tail, head)
+    arcs = g.arcs()
+    assert list(zip(arcs.tail.tolist(), arcs.head.tolist())) == [
+        (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)
+    ]
+    assert adj == [list(zip(row.indices.tolist(), row.data.tolist())) for row in arcs.matrix]
 
 
 def test_with_extra_nodes_leaves_original_untouched():

@@ -21,8 +21,13 @@ from navstruct.oracles import locate_point_linear
 UNIT_SQUARE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
 
 
+def interior_edges(surface):
+    """Each edge that two polygons share -> its owners, ascending."""
+    return {e: owners for e, owners in surface.edge_polygons.items() if len(owners) == 2}
+
+
 def interior_edge_count(surface):
-    return sum(len(owners) == 2 for owners in surface.edge_polygons.values())
+    return len(interior_edges(surface))
 
 
 def square_pair():
@@ -202,8 +207,7 @@ def test_validation_rejects_nonmanifold_edge():
 def test_adjacency_and_edge_counts():
     verts, polys = square_pair()
     surface = build_walkable_surface(verts, polys)
-    assert surface.adjacency[0] == [(1, (1, 2))]
-    assert surface.adjacency[1] == [(0, (1, 2))]
+    assert interior_edges(surface) == {(1, 2): [0, 1]}
     assert interior_edge_count(surface) == 1
     assert sum(map(len, surface.boundary_edges)) == 6
     assert surface.edge_polygons[(1, 2)] == [0, 1]
@@ -214,10 +218,14 @@ def test_grid_adjacency_symmetric():
     assert len(surface.polygons) == 9
     assert interior_edge_count(surface) == 12
     assert sum(map(len, surface.boundary_edges)) == 12
-    for pid, nbrs in enumerate(surface.adjacency):
-        for qid, edge in nbrs:
-            assert (pid, edge) in surface.adjacency[qid]
-        assert nbrs == sorted(nbrs)
+    # squares are numbered row by row; each one neighbours the next in its
+    # row and the one above it
+    pairs = sorted(tuple(owners) for owners in interior_edges(surface).values())
+    assert pairs == sorted(
+        [(p, p + 1) for p in range(9) if p % 3 < 2] + [(p, p + 3) for p in range(6)]
+    )
+    for edge, owners in surface.edge_polygons.items():
+        assert edge[0] < edge[1] and owners == sorted(set(owners))
 
 
 def test_single_square_boundary_loop():

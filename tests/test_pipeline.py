@@ -12,7 +12,7 @@ from navstruct.cli import _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, ValidationError
 from navstruct.fixtures import graph_from_edges, maze_graph, straight_corridor
 from navstruct.graph import relabel_dense
-from navstruct.mesh import WalkableSurface, build_blocker_mesh
+from navstruct.mesh import WalkableSurface, build_blocker_mesh, load_walkable_surface
 from navstruct.pipeline import (
     STAGE_INITIAL,
     STAGE_POST,
@@ -25,7 +25,7 @@ from navstruct.pipeline import (
     run_pipeline,
 )
 from navstruct.steiner import build_steiner_tree
-from navstruct.terminals import TerminalSet
+from navstruct.terminals import TerminalSet, sample_boundary
 from navstruct.trees import SimplifyConfig
 
 STAGE_ORDER = [
@@ -398,6 +398,11 @@ def _edit(key, value, at=None):
                                                          {"pos": [1, 0, 0]}]})),
     ("surface-overflow.json", _edit("vertices", 1e200, at=0)),
     ("walls-overflow.json", _edit("vertices", -1e308, at=1)),
+    # each path sum is finite by itself, but 0 -> 2 overflows
+    ("weight-overflow.json", json.dumps({
+        "nodes": [{"pos": [k, 0, 0]} for k in range(3)],
+        "edges": [[0, 1, 1e308], [1, 2, 1e308]],
+    })),
 ])
 def test_cli_rejects_malformed_inputs_with_one_error_line(corridor, tmp_path, capsys, name, text):
     surf, walls = write_corridor_files(corridor, tmp_path)
@@ -421,6 +426,29 @@ def test_cli_rejects_malformed_inputs_with_one_error_line(corridor, tmp_path, ca
     assert code == 2
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+
+def test_cli_caps_the_boundary_samples(tmp_path, capsys):
+    surface, _walls = straight_corridor(6)
+    argv = {}
+    for x in (-1e20, -1e4):
+        verts = surface.vertices.copy()
+        verts[0, 0] = x  # the first square stays convex, its boundary long
+        path = tmp_path / f"far{x:g}.obj"
+        path.write_text(_obj_text(verts, surface.polygons))
+        argv[x] = ["extract", "--surface", str(path), "--interval", "1",
+                   "--out", str(tmp_path / f"out{x:g}")]
+    start = time.perf_counter()
+    assert main(argv[-1e20]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: boundary sampling at interval 1 needs more than 1000000 samples"
+    ]
+    # one sample per unit of the boundary is well under the cap
+    assert len(sample_boundary(load_walkable_surface(argv[-1e4][2]), 1.0)) == 20_013
+    assert main(argv[-1e4]) == 0
 
 
 _BAD_COORDS = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e200]

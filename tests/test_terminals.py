@@ -1,13 +1,16 @@
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
 
+from navstruct import terminals
 from navstruct.errors import EmptyTerminalSet, ValidationError
 from navstruct.fixtures import (
     boundary_walls,
     graph_from_edges,
+    grid_surface,
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
@@ -335,6 +338,36 @@ def test_metric_method_ranks_by_centrality():
     everything = terminals_from_metric(g, "metric", metric="degree", k=99)
     assert everything.node_ids == [0, 1, 2, 3]
     assert top1.params == {"metric": "degree", "k": 1}
+
+
+def test_metric_picks_ignore_last_bit_noise(monkeypatch):
+    # the 12x12 grid's four centre squares, then the lowest four ids of the
+    # eight squares around them, whose scores differ only by rounding
+    cases = [
+        (graph_from_navmesh(grid_surface(12, 12)), 8, [53, 54, 64, 65, 66, 67, 77, 78]),
+        (graph_from_navmesh(grid_surface(10, 10)), 4, [44, 45, 54, 55]),
+    ]
+    for g, k, picks in cases:
+        assert terminals_from_metric(g, "metric", "eigenvector", k=k).node_ids == picks
+    real = terminals.compute_centrality
+    rng = random.Random(5)
+    for nudge in (
+        lambda x: math.nextafter(x, math.inf),
+        lambda x: math.nextafter(x, -math.inf),
+        lambda x: math.nextafter(x, rng.choice([-math.inf, math.inf])),
+    ):
+        def noisy(*args, **kwargs):
+            scores = real(*args, **kwargs)
+            scores.values = [nudge(x) for x in scores.values]
+            return scores
+        monkeypatch.setattr(terminals, "compute_centrality", noisy)
+        for g, k, picks in cases:
+            assert terminals_from_metric(g, "metric", "eigenvector", k=k).node_ids == picks
+
+
+def test_metric_picks_lowest_ids_when_every_score_is_zero():
+    isolated = graph_from_edges([(0, 0, 0), (1, 0, 0), (2, 0, 0)], [])
+    assert terminals_from_metric(isolated, "metric", "degree", k=2).node_ids == [0, 1]
 
 
 def test_metric_method_validates_arguments():
