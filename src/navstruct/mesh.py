@@ -8,6 +8,11 @@ A polygon's normal follows its ring's winding, so each ring runs
 counter-clockwise seen from its normal's side, and the walkable interior lies
 to the LEFT of each directed boundary edge.  A blocker mesh is a triangle soup
 used only as a raycast target.
+
+`build_walkable_surface` checks and measures the rings in array passes over
+ring position; `oracles.build_walkable_surface_per_polygon` does the same one
+polygon at a time and is the reference it must match, field for field and
+error for error.
 """
 from __future__ import annotations
 
@@ -51,7 +56,9 @@ class WalkableSurface:
     boundary_edges: list[list[tuple[int, int]]]
     # KD-tree over polygon_centers; and over all polygons, the farthest from
     # its polygon's centre that a point contains_point accepts can project
-    # along the normal's dominant axis
+    # along the normal's dominant axis.  The reach is inf when a centre-edge
+    # area rounds to exactly zero (a corner far from the rest): a sound
+    # bound, under which locate_point tests every polygon
     polygon_tree: cKDTree = field(repr=False)
     polygon_reach: float
     # undirected (min, max) edge -> owning polygon ids, ascending: two for an
@@ -269,19 +276,6 @@ def _parse_geometry(
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def _newell_normal(ring_pts: np.ndarray) -> np.ndarray:
-    """Area-weighted ring normal; direction follows the ring winding."""
-    n = np.zeros(3)
-    k = len(ring_pts)
-    for i in range(k):
-        a = ring_pts[i]
-        b = ring_pts[(i + 1) % k]
-        n[0] += (a[1] - b[1]) * (a[2] + b[2])
-        n[1] += (a[2] - b[2]) * (a[0] + b[0])
-        n[2] += (a[0] - b[0]) * (a[1] + b[1])
-    return n
-
-
 def _weld(verts: np.ndarray, polys: list[list[int]], eps: float):
     """Merge vertices closer than eps; remap rings and drop repeats.
 
@@ -332,7 +326,10 @@ def build_walkable_surface(
 
     Raises ValidationError naming the offending polygon or edge when a ring is
     degenerate, non-planar, non-convex, or when an edge is shared by more than
-    two polygons.
+    two polygons.  The polygon named is the lowest id that fails a check, and
+    the message is its first failing check in the order: ring size, index
+    range, repeated vertex, zero-length edge, zero area, planarity,
+    convexity.  Edges are checked once every polygon passes.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3:
@@ -346,89 +343,28 @@ def build_walkable_surface(
     if not polys:
         raise ValidationError("surface has no polygons")
 
-    normals = np.zeros((len(polys), 3))
-    centers = np.zeros((len(polys), 3))
-    offsets = np.zeros(len(polys))
-    for pid, ring in enumerate(polys):
-        if len(ring) < 3:
-            raise ValidationError(f"polygon {pid}: ring has fewer than 3 vertices")
-        if any(i < 0 or i >= len(verts) for i in ring):
-            raise ValidationError(f"polygon {pid}: vertex index out of range")
-        if len(set(ring)) != len(ring):
-            raise ValidationError(f"polygon {pid}: ring repeats a vertex")
-        pts = verts[ring]
-        # edges[k] runs from ring position k to k + 1, turning into edges[k + 1]
-        edges = np.roll(pts, -1, axis=0) - pts
-        lengths = np.sqrt((edges * edges).sum(axis=1))
-        if lengths.min() < 1e-12:
-            raise ValidationError(f"polygon {pid}: zero-length edge")
-        n = _newell_normal(pts)
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            raise ValidationError(f"polygon {pid}: degenerate (zero area)")
-        n = n / norm
-        center = pts.mean(axis=0)
-        # planarity: every vertex within plane_eps of the centroid plane
-        dev = np.abs((pts - center) @ n)
-        if dev.max() > plane_eps:
-            raise ValidationError(
-                f"polygon {pid}: non-planar (deviation {dev.max():.3e} > {plane_eps:.3e})"
-            )
-        # convexity: consecutive edge turns must not flip against the normal;
-        # the cross product is written out with np.cross's own expressions
-        (ax, ay, az), (bx, by, bz) = edges.T, np.roll(edges, -1, axis=0).T
-        turn = (ay * bz - az * by) * n[0] + (az * bx - ax * bz) * n[1] + (ax * by - ay * bx) * n[2]
-        flipped = np.flatnonzero(turn < -plane_eps * (lengths * np.roll(lengths, -1)))
-        if len(flipped):
-            raise ValidationError(f"polygon {pid}: non-convex at ring position {flipped[0]}")
-        normals[pid] = n
-        centers[pid] = center
-        offsets[pid] = float(np.dot(n, center))
-    # the two axes kept when projecting along each normal's dominant axis
-    dominant = np.argmax(np.abs(normals), axis=1)
-    axes = np.array([[1, 2], [0, 2], [0, 1]])[dominant]
+    # every ring corner in one flat array: polygon `pid` holds corners
+    # starts[pid] .. starts[pid] + sizes[pid] - 1
+    sizes = np.fromiter(map(len, polys), dtype=np.intp, count=len(polys))
+    starts = np.cumsum(sizes) - sizes
+    corners = _corner_ids(polys, len(verts))
+    owner = np.repeat(np.arange(len(polys)), sizes)
+
+    # the rings before the first one that is too short, leaves the vertex
+    # range or repeats a vertex can be measured
+    ring_fault = _first_fault(_ring_checks(corners, owner, sizes))
+    sound = ring_fault[0] if ring_fault else len(polys)
+    normals, centers, offsets, axes, reach, shape_checks = _ring_geometry(
+        verts, corners, sizes[:sound], starts[:sound], plane_eps
+    )
+    fault = _first_fault(shape_checks) or ring_fault
+    if fault:
+        raise ValidationError("polygon {}: {}".format(*fault))
+    edge_polygons, boundary = _edge_owners(polys, corners, owner, sizes, starts)
+
     # a ring's shoelace sum projected along axis k is its Newell n[k], negated
     # for k = 1 (kept axes x, z run against the cyclic order); zero counts as CCW
     winding = np.where(normals * [1.0, -1.0, 1.0] >= 0.0, 1.0, -1.0)
-
-    # locate_point's reach, over all ring corners at once.  A corner lies
-    # within plane_eps of its polygon's plane, so within sqrt(3) * plane_eps
-    # of it along the dominant axis.  The clip's GEOM_EPS grows the projected
-    # ring about its centre by a factor of at most 1 + GEOM_EPS / (twice the
-    # smallest projected area of a centre-edge triangle).
-    sizes = np.fromiter(map(len, polys), dtype=np.intp, count=len(polys))
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(polys)), sizes)
-    rel = verts[np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp)] - centers[owner]
-    kept = np.take_along_axis(rel, axes[owner], axis=1)
-    succ = np.arange(len(rel)) + 1  # the next corner around the ring
-    succ[starts + sizes - 1] = starts
-    area2 = np.abs(kept[:, 0] * kept[succ, 1] - kept[:, 1] * kept[succ, 0])
-    reach = (
-        np.maximum.reduceat(np.linalg.norm(rel, axis=1), starts) + math.sqrt(3.0) * plane_eps
-    ) * (1.0 + GEOM_EPS / np.minimum.reduceat(area2, starts))
-
-    # edge bookkeeping: undirected identity is the sorted vertex pair
-    edge_polygons: dict[tuple[int, int], list[int]] = {}
-    directed: set[tuple[int, int]] = set()
-    for pid, ring in enumerate(polys):
-        for k in range(len(ring)):
-            a, b = ring[k], ring[(k + 1) % len(ring)]
-            key = (a, b) if a < b else (b, a)
-            owners = edge_polygons.setdefault(key, [])
-            owners.append(pid)
-            if len(owners) > 2:
-                raise ValidationError(
-                    f"edge {key}: shared by more than two polygons (non-manifold)"
-                )
-            directed.add((a, b))
-
-    # boundary edges in the direction the owning ring uses
-    loops = _stitch_boundary_loops([
-        key if key in directed else key[::-1]
-        for key, owners in edge_polygons.items() if len(owners) == 1
-    ])
-
     return WalkableSurface(
         vertices=verts,
         polygons=polys,
@@ -438,11 +374,216 @@ def build_walkable_surface(
         polygon_axes=axes,
         polygon_winding=winding,
         axis_coords=verts.T.tolist(),
-        boundary_edges=loops,
+        boundary_edges=_stitch_boundary_loops(boundary),
         polygon_tree=cKDTree(centers),
-        polygon_reach=float(reach.max()),
+        polygon_reach=reach,
         edge_polygons=edge_polygons,
     )
+
+
+def _corner_ids(polys: list[list[int]], nverts: int) -> np.ndarray:
+    """Every ring's vertex ids, ring after ring, as one intp array; an id
+    outside 0 .. nverts - 1 reads -1."""
+    count = sum(map(len, polys))
+    try:
+        ids = np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp, count=count)
+    except OverflowError:  # an id beyond the intp range, so out of range too
+        ids = np.fromiter(
+            (i if 0 <= i < nverts else -1 for i in itertools.chain.from_iterable(polys)),
+            dtype=np.intp, count=count,
+        )
+    ids[(ids < 0) | (ids >= nverts)] = -1
+    return ids
+
+
+def _ring_checks(corners: np.ndarray, owner: np.ndarray, sizes: np.ndarray) -> list:
+    """The checks on a ring's vertex ids, as (flags per polygon, message)."""
+    out_of_range = np.zeros(len(sizes), dtype=bool)
+    out_of_range[owner[corners < 0]] = True
+    # sorted by polygon, then by vertex id: a repeat sits next to its twin
+    by_ring = np.lexsort((corners, owner))
+    ring_owner, ids = owner[by_ring], corners[by_ring]
+    twin = (ring_owner[1:] == ring_owner[:-1]) & (ids[1:] == ids[:-1])
+    repeats = np.zeros(len(sizes), dtype=bool)
+    repeats[ring_owner[1:][twin]] = True
+    return [
+        (sizes < 3, "ring has fewer than 3 vertices"),
+        (out_of_range, "vertex index out of range"),
+        (repeats, "ring repeats a vertex"),
+    ]
+
+
+def _first_fault(checks: list) -> tuple[int, str] | None:
+    """(polygon id, message) for the lowest id that a check flags, with the
+    first check in `checks` that flags it, or None.  A message is text or a
+    function of the polygon id."""
+    flagged = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in checks]))
+    if not len(flagged):
+        return None
+    pid = int(flagged[0])
+    message = next(message for flags, message in checks if flags[pid])
+    return pid, message(pid) if callable(message) else message
+
+
+def _ring_positions(corners: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
+    """For each ring position i, (i, m, a, b, c): the first m rings, which
+    are those with more than i corners as `sizes` runs largest first, and
+    the vertex ids at their positions i, i + 1 and i + 2 around the ring."""
+    more = len(sizes) - np.cumsum(np.bincount(sizes, minlength=1))
+    for i, m in enumerate(more[:-1].tolist()):
+        size, start = sizes[:m], starts[:m]
+        a, b, c = (corners[start + (i + k) % size] for k in range(3))
+        yield i, m, a, b, c
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Row lengths of an (n, 3) array, summed as np.linalg.norm(v, axis=1)
+    and (v * v).sum(axis=1) sum three columns."""
+    return np.sqrt((v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) + v[:, 2] * v[:, 2])
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.dot of each row pair of two (n, 3) arrays: the stacked (1, 3) @
+    (3, 1) products make the same BLAS dot call per row as np.dot and
+    np.linalg.norm make for one 3-vector, so the sums round alike."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _ring_geometry(verts, corners, sizes, starts, plane_eps: float):
+    """Normals, centres, plane offsets and projection axes of the rings
+    (sizes, starts) into `corners`, locate_point's reach over them, and the
+    geometric checks as (flags per polygon, message).
+
+    The work runs in passes over ring position, each step on corner i of
+    every ring with more than i corners.  So each per-ring sum adds in ring
+    order, as the per-polygon reference adds it, and every stored float
+    matches it bit for bit.
+    """
+    count = len(sizes)
+    # rings largest first: those with more than i corners are a prefix
+    by_size = np.argsort(-sizes, kind="stable")
+    sizes, starts = sizes[by_size], starts[by_size]
+    steps = (corners, sizes, starts)
+
+    # pass 1: edge lengths, Newell normal terms and centre sums
+    short_edge = np.zeros(count, dtype=bool)
+    newell = np.zeros((count, 3))
+    total = np.zeros((count, 3))
+    for _, m, a, b, _ in _ring_positions(*steps):
+        p, q = verts[a], verts[b]
+        short_edge[:m] |= _lengths(q - p) < 1e-12
+        (px, py, pz), (qx, qy, qz) = p.T, q.T
+        newell[:m, 0] += (py - qy) * (pz + qz)
+        newell[:m, 1] += (pz - qz) * (px + qx)
+        newell[:m, 2] += (px - qx) * (py + qy)
+        total[:m] += p
+    norm = np.sqrt(_row_dots(newell, newell))
+    zero_area = norm < 1e-12
+    normals = newell / np.where(zero_area, 1.0, norm)[:, None]
+    centers = total / sizes[:, None]
+    # the two axes kept when projecting along each normal's dominant axis
+    axes = np.array([[1, 2], [0, 2], [0, 1]])[np.argmax(np.abs(normals), axis=1)]
+
+    # pass 2: planarity, convexity and reach, against the normal and centre.
+    # A corner lies within plane_eps of its polygon's plane, so within
+    # sqrt(3) * plane_eps of it along the dominant axis.  The clip's GEOM_EPS
+    # grows the projected ring about its centre by a factor of at most
+    # 1 + GEOM_EPS / (twice the smallest projected area of a centre-edge
+    # triangle).
+    maybe_bent = np.zeros(count, dtype=bool)
+    flip_at = np.full(count, -1)
+    far = np.zeros(count)
+    thin = np.full(count, np.inf)
+    for i, m, a, b, c in _ring_positions(*steps):
+        p, q, r = verts[a], verts[b], verts[c]
+        n, rel, rel_next = normals[:m], p - centers[:m], q - centers[:m]
+        # |(p - centre) . n| > plane_eps, with room for the rounding of the
+        # per-polygon rule's BLAS product, whose order and fused steps may
+        # differ (within 1e-15 * sum |terms|); flagged rings are measured
+        # again below
+        terms = rel * n
+        dev = np.abs((terms[:, 0] + terms[:, 1]) + terms[:, 2])
+        maybe_bent[:m] |= dev + 1e-15 * np.abs(terms).sum(axis=1) > plane_eps
+        # the turn from edge p-q into q-r must not flip against the normal;
+        # the cross product is written out with np.cross's own expressions
+        e, f = q - p, r - q
+        (ex, ey, ez), (fx, fy, fz), (nx, ny, nz) = e.T, f.T, n.T
+        turn = (ey * fz - ez * fy) * nx + (ez * fx - ex * fz) * ny + (ex * fy - ey * fx) * nz
+        flipped = (turn < -plane_eps * (_lengths(e) * _lengths(f))) & (flip_at[:m] < 0)
+        flip_at[:m][flipped] = i
+        far[:m] = np.maximum(far[:m], _lengths(rel))
+        keep = axes[:m]
+        (u0, u1), (v0, v1) = (np.take_along_axis(x, keep, axis=1).T for x in (rel, rel_next))
+        thin[:m] = np.minimum(thin[:m], np.abs(u0 * v1 - u1 * v0))
+    # the planarity rule itself: one (k, 3) @ (3,) product per flagged ring
+    deviation = np.zeros(count)
+    for s in np.flatnonzero(maybe_bent).tolist():
+        ring = corners[starts[s]:starts[s] + sizes[s]]
+        deviation[s] = np.abs((verts[ring] - centers[s]) @ normals[s]).max()
+    # an exactly zero area (far-off corners round it away) bounds nothing
+    grow = np.divide(GEOM_EPS, thin, out=np.full(count, np.inf), where=thin > 0.0)
+    reach = (far + math.sqrt(3.0) * plane_eps) * (1.0 + grow)
+
+    # back to polygon id order
+    order = np.empty_like(by_size)
+    order[by_size] = np.arange(count)
+    deviation, flip_at = deviation[order], flip_at[order]
+    checks = [
+        (short_edge[order], "zero-length edge"),
+        (zero_area[order], "degenerate (zero area)"),
+        (
+            deviation > plane_eps,
+            lambda pid: f"non-planar (deviation {deviation[pid]:.3e} > {plane_eps:.3e})",
+        ),
+        (flip_at >= 0, lambda pid: f"non-convex at ring position {flip_at[pid]}"),
+    ]
+    normals, centers = normals[order], centers[order]
+    offsets = _row_dots(normals, centers)
+    return normals, centers, offsets, axes[order], float(reach.max(initial=0.0)), checks
+
+
+def _edge_owners(polys, corners, owner, sizes, starts):
+    """edge_polygons and the boundary edges, each in the direction of its
+    owning ring, both in the order a walk over the ring corners meets them.
+
+    An edge is the sorted (min, max) vertex pair of a corner and the next.
+    Raises ValidationError for the edge whose third corner the walk meets
+    first.
+    """
+    succ = np.arange(1, len(corners) + 1)  # the next corner around the ring
+    succ[starts + sizes - 1] = starts
+    a, b = corners, corners[succ]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # grouped by edge; lexsort is stable, so each group runs in corner order
+    by_edge = np.lexsort((hi, lo))
+    lo_sorted, hi_sorted = lo[by_edge], hi[by_edge]
+    new = np.ones(len(corners), dtype=bool)
+    new[1:] = (lo_sorted[1:] != lo_sorted[:-1]) | (hi_sorted[1:] != hi_sorted[:-1])
+    heads = np.flatnonzero(new)
+    counts = np.diff(heads, append=len(corners))
+    if counts.max() > 2:
+        c = by_edge[heads[counts > 2] + 2].min()
+        raise ValidationError(
+            f"edge {(int(lo[c]), int(hi[c]))}: shared by more than two polygons (non-manifold)"
+        )
+    met = np.argsort(by_edge[heads])
+    first, second = by_edge[heads[met]], by_edge[np.minimum(heads + 1, len(corners) - 1)[met]]
+    shared = (counts[met] == 2).tolist()
+    # ids as the rings' own int objects, and one int per polygon id, so the
+    # surface holds no new int per edge
+    ring_id = list(itertools.chain.from_iterable(polys)).__getitem__
+    pid = list(range(len(polys))).__getitem__
+    nxt = succ[first]
+    low_first = a[first] < b[first]
+    keys = zip(
+        map(ring_id, np.where(low_first, first, nxt).tolist()),
+        map(ring_id, np.where(low_first, nxt, first).tolist()),
+    )
+    owners = zip(map(pid, owner[first].tolist()), map(pid, owner[second].tolist()), shared)
+    edge_polygons = {key: [p, q] if two else [p] for key, (p, q, two) in zip(keys, owners)}
+    ends = zip(map(ring_id, first.tolist()), map(ring_id, nxt.tolist()), shared)
+    boundary = [(x, y) for x, y, two in ends if not two]
+    return edge_polygons, boundary
 
 
 def _stitch_boundary_loops(directed: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:

@@ -8,18 +8,26 @@ matrix powers instead of vector recurrences.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
 from heapq import heappop, heappush
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from .errors import ValidationError
 from .graph import SurfaceGraph
 from .mesh import (
     DEFAULT_HEIGHT_TOL,
+    GEOM_EPS,
+    PLANE_EPS,
     BlockerMesh,
     WalkableSurface,
+    _check_extent,
+    _stitch_boundary_loops,
+    _weld,
     build_blocker_mesh,
     build_walkable_surface,
 )
@@ -291,6 +299,252 @@ def tree_path_interior_counts(g: SurfaceGraph) -> list[float]:
     return cb
 
 
+def _newell_normal(ring_pts: np.ndarray) -> np.ndarray:
+    """Area-weighted ring normal; direction follows the ring winding."""
+    n = np.zeros(3)
+    k = len(ring_pts)
+    for i in range(k):
+        a = ring_pts[i]
+        b = ring_pts[(i + 1) % k]
+        n[0] += (a[1] - b[1]) * (a[2] + b[2])
+        n[1] += (a[2] - b[2]) * (a[0] + b[0])
+        n[2] += (a[0] - b[0]) * (a[1] + b[1])
+    return n
+
+
+def build_walkable_surface_per_polygon(
+    vertices, polygons, *, plane_eps: float = PLANE_EPS, weld_eps: float = 0.0
+) -> WalkableSurface:
+    """`mesh.build_walkable_surface` one polygon at a time: each ring is
+    checked, measured and given its reach in its own numpy calls, and the
+    edge owners come from a walk over every ring corner."""
+    verts = np.asarray(vertices, dtype=float)
+    if verts.ndim != 2 or verts.shape[1] != 3:
+        raise ValidationError("vertices must be an (N, 3) array")
+    _check_extent(verts, "surface vertex")
+    polys = [list(map(int, ring)) for ring in polygons]
+
+    if weld_eps > 0.0 and len(verts):
+        verts, polys = _weld(verts, polys, weld_eps)
+
+    if not polys:
+        raise ValidationError("surface has no polygons")
+
+    normals = np.zeros((len(polys), 3))
+    centers = np.zeros((len(polys), 3))
+    offsets = np.zeros(len(polys))
+    reach = 0.0
+    for pid, ring in enumerate(polys):
+        if len(ring) < 3:
+            raise ValidationError(f"polygon {pid}: ring has fewer than 3 vertices")
+        if any(i < 0 or i >= len(verts) for i in ring):
+            raise ValidationError(f"polygon {pid}: vertex index out of range")
+        if len(set(ring)) != len(ring):
+            raise ValidationError(f"polygon {pid}: ring repeats a vertex")
+        pts = verts[ring]
+        # edges[k] runs from ring position k to k + 1, turning into edges[k + 1]
+        edges = np.roll(pts, -1, axis=0) - pts
+        lengths = np.sqrt((edges * edges).sum(axis=1))
+        if lengths.min() < 1e-12:
+            raise ValidationError(f"polygon {pid}: zero-length edge")
+        n = _newell_normal(pts)
+        norm = np.linalg.norm(n)
+        if norm < 1e-12:
+            raise ValidationError(f"polygon {pid}: degenerate (zero area)")
+        n = n / norm
+        center = pts.mean(axis=0)
+        # planarity: every vertex within plane_eps of the centroid plane
+        dev = np.abs((pts - center) @ n)
+        if dev.max() > plane_eps:
+            raise ValidationError(
+                f"polygon {pid}: non-planar (deviation {dev.max():.3e} > {plane_eps:.3e})"
+            )
+        # convexity: consecutive edge turns must not flip against the normal;
+        # the cross product is written out with np.cross's own expressions
+        (ax, ay, az), (bx, by, bz) = edges.T, np.roll(edges, -1, axis=0).T
+        turn = (ay * bz - az * by) * n[0] + (az * bx - ax * bz) * n[1] + (ax * by - ay * bx) * n[2]
+        flipped = np.flatnonzero(turn < -plane_eps * (lengths * np.roll(lengths, -1)))
+        if len(flipped):
+            raise ValidationError(f"polygon {pid}: non-convex at ring position {flipped[0]}")
+        normals[pid] = n
+        centers[pid] = center
+        offsets[pid] = float(np.dot(n, center))
+        # reach: the farthest corner, grown by the clip's GEOM_EPS over the
+        # thinnest centre-edge triangle projected along the dominant axis
+        rel = pts - center
+        kept = rel[:, [[1, 2], [0, 2], [0, 1]][int(np.argmax(np.abs(n)))]]
+        nxt = np.roll(kept, -1, axis=0)
+        thin = np.abs(kept[:, 0] * nxt[:, 1] - kept[:, 1] * nxt[:, 0]).min()
+        grow = math.inf if thin == 0.0 else GEOM_EPS / thin
+        far = np.linalg.norm(rel, axis=1).max() + math.sqrt(3.0) * plane_eps
+        reach = max(reach, float(far * (1.0 + grow)))
+    dominant = np.argmax(np.abs(normals), axis=1)
+    axes = np.array([[1, 2], [0, 2], [0, 1]])[dominant]
+    winding = np.where(normals * [1.0, -1.0, 1.0] >= 0.0, 1.0, -1.0)
+
+    # edge bookkeeping: undirected identity is the sorted vertex pair
+    edge_polygons: dict[tuple[int, int], list[int]] = {}
+    directed: set[tuple[int, int]] = set()
+    for pid, ring in enumerate(polys):
+        for k in range(len(ring)):
+            a, b = ring[k], ring[(k + 1) % len(ring)]
+            key = (a, b) if a < b else (b, a)
+            owners = edge_polygons.setdefault(key, [])
+            owners.append(pid)
+            if len(owners) > 2:
+                raise ValidationError(
+                    f"edge {key}: shared by more than two polygons (non-manifold)"
+                )
+            directed.add((a, b))
+
+    # boundary edges in the direction the owning ring uses
+    loops = _stitch_boundary_loops([
+        key if key in directed else key[::-1]
+        for key, owners in edge_polygons.items() if len(owners) == 1
+    ])
+
+    return WalkableSurface(
+        vertices=verts,
+        polygons=polys,
+        polygon_normals=normals,
+        polygon_centers=centers,
+        polygon_offsets=offsets,
+        polygon_axes=axes,
+        polygon_winding=winding,
+        axis_coords=verts.T.tolist(),
+        boundary_edges=loops,
+        polygon_tree=cKDTree(centers),
+        polygon_reach=reach,
+        edge_polygons=edge_polygons,
+    )
+
+
+def build_differences(vertices, polygons, **kwargs) -> list[str]:
+    """How `mesh.build_walkable_surface` differs from the per-polygon
+    reference on one input: the WalkableSurface fields that differ (arrays
+    by dtype and np.array_equal, the KD-tree by its data, edge_polygons with
+    its order, the rest by ==), or both outcomes when either raises and
+    their ValidationError texts differ."""
+    outcomes = []
+    for build in (build_walkable_surface, build_walkable_surface_per_polygon):
+        try:
+            outcomes.append(build(vertices, polygons, **kwargs))
+        except ValidationError as exc:
+            outcomes.append(f"ValidationError: {exc}")
+    fast, ref = outcomes
+    if isinstance(fast, str) or isinstance(ref, str):
+        fast, ref = (o if isinstance(o, str) else "a surface" for o in outcomes)
+        return [] if fast == ref else [f"{fast} against {ref}"]
+    differ = []
+    for f in dataclasses.fields(WalkableSurface):
+        a, b = getattr(fast, f.name), getattr(ref, f.name)
+        if isinstance(a, cKDTree):
+            same = np.array_equal(a.data, b.data)
+        elif isinstance(a, np.ndarray):
+            same = a.dtype == b.dtype and np.array_equal(a, b)
+        elif isinstance(a, dict):
+            same = list(a.items()) == list(b.items())
+        else:
+            same = a == b
+        if not same:
+            differ.append(f.name)
+    return differ
+
+
+def random_ring_surface(
+    nprng: np.random.Generator, patches: int = 6
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Vertices and rings of `patches` convex polygons of 3 to 12 corners on
+    an ellipse.  A polygon of 4 or more corners is often split by a chord
+    into two rings sharing that edge.  Each lies flat, vertical or tilted at
+    random, some run reversed, every ring starts at a random corner, and the
+    vertex ids are shuffled."""
+    verts: list[np.ndarray] = []
+    rings: list[list[int]] = []
+    for _ in range(patches):
+        k = int(nprng.integers(3, 13))
+        angles = (np.arange(k) + nprng.uniform(0.1, 0.9, k)) * (2.0 * math.pi / k)
+        radii = [*nprng.uniform(0.2, 3.0, 2), 0.0]
+        flat = np.c_[np.cos(angles), np.sin(angles), np.zeros(k)] * radii
+        pose = nprng.choice(("flat", "vertical", "tilted"))
+        if pose == "flat":
+            turn = np.eye(3)
+        elif pose == "vertical":
+            heading = nprng.uniform(0.0, 2.0 * math.pi)
+            c, s = math.cos(heading), math.sin(heading)
+            turn = np.array([[c, 0.0, -s], [s, 0.0, c], [0.0, 1.0, 0.0]])
+        else:
+            turn = np.linalg.qr(nprng.normal(size=(3, 3)))[0]
+        ids = list(range(len(verts), len(verts) + k))
+        verts.extend(flat @ turn.T + nprng.uniform(-20.0, 20.0, 3))
+        if nprng.random() < 0.5:
+            ids.reverse()
+        if k >= 4 and nprng.random() < 0.6:
+            j = int(nprng.integers(2, k - 1))
+            pieces = [ids[:j + 1], ids[j:] + ids[:1]]
+        else:
+            pieces = [ids]
+        for ring in pieces:
+            r = int(nprng.integers(len(ring)))
+            rings.append(ring[r:] + ring[:r])
+    shuffle = nprng.permutation(len(verts))
+    out = np.empty((len(verts), 3))
+    out[shuffle] = verts
+    return out, [[int(shuffle[i]) for i in ring] for ring in rings]
+
+
+_FAULTS = ("short", "range", "repeat", "zero-edge", "zero-area", "bent", "reflex", "non-manifold")
+
+
+def faulty_ring_surface(
+    nprng: np.random.Generator, faults: int
+) -> tuple[np.ndarray, list[list[int]]]:
+    """`random_ring_surface` with `faults` faults, each of a random kind on
+    its own random polygon: a ring cut to 2 corners, an id out of range, a
+    repeated id, a zero-length edge, a collinear ring, a corner lifted off
+    the plane, one or two corners pulled inside (reflex), or a new ring on
+    an edge (a third one when a chord splits the polygon)."""
+    verts, rings = random_ring_surface(nprng)
+    verts = list(verts)
+
+    def add(point) -> int:
+        verts.append(np.asarray(point, dtype=float))
+        return len(verts) - 1
+
+    # highest id first, so a ring inserted at pid moves only rings already done
+    for pid in sorted(nprng.choice(len(rings), size=faults, replace=False).tolist())[::-1]:
+        ring = rings[pid]
+        pts = np.array([verts[i] for i in ring])
+        j = int(nprng.integers(len(ring)))
+        kind = nprng.choice(_FAULTS)
+        normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+        if kind == "short":
+            ring[:] = ring[:2]
+        elif kind == "range":
+            ring[j] = [len(verts) + 3, -1, 10**20][int(nprng.integers(3))]
+        elif kind == "repeat":
+            ring[j] = ring[j - 2]
+        elif kind == "zero-edge":
+            ring.insert(j + 1, add(pts[j]))
+        elif kind == "zero-area":
+            a, b = pts[0], pts[1]
+            ring[:] = [add(a), add((a + b) / 2.0), add(b)]
+        elif kind == "bent":
+            ring[j] = add(pts[j] + 1e-3 * normal / np.linalg.norm(normal))
+        elif kind == "reflex":  # one corner, or two apart on a larger ring
+            center = pts.mean(axis=0)
+            for i in [j, (j + 3) % len(ring)] if len(ring) >= 6 else [j]:
+                ring[i] = add(center + 0.1 * (pts[i] - center))
+        else:
+            # on an edge two rings share, when there is one
+            edges = [(r[i], r[i - 1]) for r in rings for i in range(len(r))]
+            met = set(edges)
+            twice = [e for e in edges if e[::-1] in met] or [(ring[j], ring[j - 1])]
+            a, b = twice[int(nprng.integers(len(twice)))]
+            rings.insert(pid, [a, b, add(verts[a] + normal)])
+    return np.array(verts), rings
+
+
 def locate_point_linear(surface: WalkableSurface, point, height_tol: float) -> int | None:
     """Point location by testing every polygon in id order."""
     for pid in range(len(surface.polygons)):
@@ -445,6 +699,16 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         build_walkable_surface(grid.vertices @ turn, grid.polygons),
         vertical_strip(),
     ] + [ramp_corridor(angle) for angle in (30.0, 60.0, 80.0)]
+
+    inputs = [(s.vertices, s.polygons) for s in surfaces]
+    for _ in range(instances):
+        nprng = np.random.default_rng(rng.randrange(2**32))
+        inputs += [random_ring_surface(nprng), faulty_ring_surface(nprng, rng.randint(1, 3))]
+    wrong = sum(bool(build_differences(verts, rings)) for verts, rings in inputs)
+    results.append(
+        ("surface-build", wrong == 0, f"{wrong} of {len(inputs)} surfaces differ")
+    )
+
     tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
     checked = wrong = 0
     for surface in surfaces:

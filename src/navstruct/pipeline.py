@@ -99,21 +99,20 @@ class PipelineConfig:
             raise ValidationError(
                 f"centrality weights must be 'euclidean' or 'unit', got {self.centrality_weights!r}"
             )
-        for name in ("interval", "radius", "sharpness_deg", "los_height_tol"):
+        for name in ("interval", "radius", "sharpness_deg", "los_height_tol", "plane_eps"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
+        for name in ("weld_eps", "exit_offset"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be >= 0 and finite")
         if self.ray_count < 1:
             raise ValidationError("ray_count must be >= 1")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if not (0.0 < self.normal_tol_deg < 90.0):
             raise ValidationError("normal_tol_deg must be in (0, 90)")
-        if self.weld_eps < 0.0 or self.plane_eps <= 0.0:
-            raise ValidationError("weld_eps must be >= 0 and plane_eps > 0")
         if self.density_buckets < 2:
             raise ValidationError("density_buckets must be >= 2")
-        if self.exit_offset < 0.0:
-            raise ValidationError("exit_offset must be >= 0")
 
     def simplify_config(self) -> SimplifyConfig:
         return SimplifyConfig(

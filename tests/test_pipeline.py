@@ -100,6 +100,12 @@ def write_corridor_files(corridor, tmp_path):
     (dict(surface_path="s.obj", exit_offset=-0.1), "exit_offset"),
     (dict(surface_path="s.obj", radius=float("inf")), "radius must be positive and finite"),
     (dict(surface_path="s.obj", los_height_tol=float("nan")), "los_height_tol must be"),
+    (dict(surface_path="s.obj", plane_eps=float("nan")), "plane_eps must be positive and finite"),
+    (dict(surface_path="s.obj", plane_eps=float("inf")), "plane_eps must be positive and finite"),
+    (dict(surface_path="s.obj", weld_eps=float("inf")), "weld_eps must be >= 0 and finite"),
+    (dict(surface_path="s.obj", weld_eps=float("nan")), "weld_eps must be >= 0 and finite"),
+    (dict(surface_path="s.obj", exit_offset=float("nan")), "exit_offset must be >= 0 and finite"),
+    (dict(surface_path="s.obj", exit_offset=float("inf")), "exit_offset must be >= 0 and finite"),
 ])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -428,6 +434,29 @@ def test_cli_rejects_malformed_inputs_with_one_error_line(corridor, tmp_path, ca
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--plane-eps", "nan", "plane_eps must be positive and finite"),
+    ("--plane-eps", "inf", "plane_eps must be positive and finite"),
+    ("--exit-offset", "nan", "exit_offset must be >= 0 and finite"),
+])
+def test_cli_rejects_non_finite_tolerances(corridor, tmp_path, capsys, flag, value, message):
+    """A NaN or infinite plane_eps would switch the planarity and convexity
+    checks off, and a NaN exit offset would reach the KD-tree."""
+    surf, walls = write_corridor_files(corridor, tmp_path)
+    reflex = tmp_path / "reflex.json"
+    reflex.write_text(json.dumps({
+        "vertices": [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]],
+        "polygons": [[0, 1, 2, 3, 4]],
+    }))
+    out = str(tmp_path / "out")
+    assert main(["extract", "--surface", str(reflex), "--out", out]) == 2
+    assert "non-convex" in capsys.readouterr().err
+    inputs = ["--surface", str(reflex if flag == "--plane-eps" else surf), "--blockers", str(walls)]
+    assert main(["extract", *inputs, flag, value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
 def test_cli_caps_the_boundary_samples(tmp_path, capsys):
     surface, _walls = straight_corridor(6)
     argv = {}
@@ -545,6 +574,80 @@ def test_cli_survives_seeded_malformed_inputs(tmp_path, capsys):
                 case, name, err)
     assert time.perf_counter() - started < 5.0
     assert set(codes) >= {0, 2}
+
+
+_CONFIG = """\
+# corridor run
+terminals = entry-exit
+interval = 1.0
+radius = 1.0
+ray-count = 5
+sharpness-deg = 45
+exit-offset = 0.0
+plane-eps = 1e-4
+weld-eps = 0
+normal-tol-deg = 15
+los-height-tol = 0.5
+metric = degree
+root-metric = katz
+centrality-weights = euclidean
+k = 4
+katz-alpha = 0.05
+density-buckets = 3
+format = json, dot
+"""
+_BAD_VALUES = [
+    "nan", "inf", "-inf", "1e999", "-1e999", "1e308", "-1e308",  # non-finite and overflowing
+    "abc", "2.5", "-3", "0", "", "0x10", "1_0",  # bad numbers and ints
+    "bogus", "Leaves", "json, svg",  # bad choices
+]
+
+
+def _mutate_config(rng, text):
+    """One line of a key = value file with a bad value, an unknown key, its
+    '=' gone or its key blank; or the file truncated or one byte flipped."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return text.encode()[:rng.randrange(len(text))]
+    if kind == 1:
+        data = bytearray(text.encode())
+        data[rng.randrange(len(data))] = rng.randrange(256)
+        return bytes(data)
+    lines = text.splitlines()
+    k = rng.randrange(1, len(lines))
+    key, value = (part.strip() for part in lines[k].split("=", 1))
+    lines[k] = [
+        f"{key} = {rng.choice(_BAD_VALUES)}",
+        f"{key}-x = {value}",
+        f"{key} {value}",
+        f"= {value}",
+    ][kind - 2]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_survives_seeded_config_mutations(tmp_path, capsys):
+    """100 seeded mutations of a --config file: unknown keys, missing '=',
+    non-finite and overflowing floats, bad ints and choices, truncation and
+    byte flips.  The command exits 0 or 2, never raises, and every failure
+    prints exactly one error line."""
+    surf, walls = write_corridor_files(straight_corridor(6), tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_CONFIG)
+    argv = ["extract", "--surface", str(surf), "--blockers", str(walls), "--config", str(cfg),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    rng = random.Random(8)
+    codes = []
+    for case in range(100):
+        cfg.write_bytes(_mutate_config(rng, _CONFIG))
+        code = main(argv)
+        err = capsys.readouterr().err
+        codes.append(code)
+        assert code in (0, 2), (case, cfg.read_bytes(), err)
+        if code:
+            assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, (
+                case, cfg.read_bytes(), err)
+    assert set(codes) == {0, 2}
 
 
 def test_cli_oracle_suites_pass(capsys):
