@@ -2,6 +2,7 @@
 per-stage run reports."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +11,15 @@ from .errors import DegenerateEdge, ValidationError
 from .graph import SurfaceGraph, relabel_dense
 from .trees import RootedTree
 
+# most density classes one run may ask for
+MAX_DENSITY_BUCKETS = 1000
+
 
 def forest_to_graph(forest: list[RootedTree]) -> SurfaceGraph:
     """Rebuild a dense graph from rooted trees: one node per tree node, one
     edge per parent-child pair, weighted by Euclidean distance.
 
-    `node_index` maps each original node id to its new dense id.
+    Dense id k is the k-th smallest node id in the forest.
     """
     payloads = {}
     edges = []
@@ -36,7 +40,6 @@ def forest_to_graph(forest: list[RootedTree]) -> SurfaceGraph:
 class DensityClasses:
     labels: list[str]       # per node
     thresholds: list[float]
-    buckets: int
 
 
 _TERCILE_NAMES = ("low", "medium", "high")
@@ -50,11 +53,13 @@ def density_classes(values: list[float], buckets: int = 3) -> DensityClasses:
     exceed.  Equal values therefore always share a class, and with all values
     equal every node lands in the lowest bucket.
     """
-    if buckets < 2:
-        raise ValidationError(f"density bucket count must be >= 2, got {buckets}")
+    if not 2 <= buckets <= MAX_DENSITY_BUCKETS:
+        raise ValidationError(
+            f"density bucket count must be >= 2 and <= {MAX_DENSITY_BUCKETS}, got {buckets}"
+        )
     n = len(values)
     if n == 0:
-        return DensityClasses(labels=[], thresholds=[], buckets=buckets)
+        return DensityClasses(labels=[], thresholds=[])
     order = sorted(range(n), key=lambda v: (values[v], v))
     thresholds = []
     for i in range(1, buckets):
@@ -63,15 +68,9 @@ def density_classes(values: list[float], buckets: int = 3) -> DensityClasses:
     names = (
         _TERCILE_NAMES if buckets == 3 else tuple(f"b{k}" for k in range(buckets))
     )
-    labels = []
-    for v in range(n):
-        bucket = buckets - 1
-        for k, t in enumerate(thresholds):
-            if values[v] <= t:
-                bucket = k
-                break
-        labels.append(names[bucket])
-    return DensityClasses(labels=labels, thresholds=thresholds, buckets=buckets)
+    # the first threshold >= the value; past the last, the top bucket
+    labels = [names[bisect_left(thresholds, x)] for x in values]
+    return DensityClasses(labels=labels, thresholds=thresholds)
 
 
 @dataclass

@@ -143,7 +143,6 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
         depth[v] = as_index(nrec["depth"], p)
         parent[v] = None if nrec["parent"] is None else as_index(nrec["parent"], p)
         payloads[v] = GraphNode(
-            id=v,
             position=_finite_vector(nrec["position"], f"{p}: node {v} 'position'"),
             normal=_finite_vector(nrec["normal"], f"{p}: node {v} 'normal'"),
             on_navmesh=bool(nrec["on_navmesh"]),

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -21,7 +21,6 @@ SOURCE_ENTRY_EXIT = "entry-exit"
 
 @dataclass
 class GraphNode:
-    id: int
     position: np.ndarray  # (3,)
     normal: np.ndarray    # (3,) unit
     on_navmesh: bool = True
@@ -51,14 +50,12 @@ class Arcs(NamedTuple):
 class SurfaceGraph:
     """Undirected simple graph with 3D node payloads.
 
-    Edges are stored once with i < j.  Node ids are dense 0..N-1.
-    `node_index` maps source identifiers (polygon ids for navmesh-derived
-    graphs, original node ids for rebuilt graphs) to node ids.
+    Edges are stored once with i < j.  Node ids are dense 0..N-1: a node's
+    id is its index in `nodes`.
     """
 
     nodes: list[GraphNode]
     edges: list[tuple[int, int, float]]
-    node_index: dict[int, int] | None = None
     _arcs: Arcs | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -102,7 +99,6 @@ class SurfaceGraph:
         return SurfaceGraph(
             nodes=list(self.nodes) + list(new_nodes),
             edges=_canonical_edges(list(self.edges) + list(new_edges)),
-            node_index=dict(self.node_index) if self.node_index else None,
         )
 
 
@@ -136,13 +132,12 @@ def relabel_dense(
     """Standalone graph over a subset of nodes, renumbered densely.
 
     `nodes` maps original ids to payloads and `edges` uses original ids.  New
-    ids follow ascending original id; `node_index` maps original to new id.
+    id k is the k-th smallest original id; the payload objects are shared.
     """
     index = {orig: k for k, orig in enumerate(sorted(nodes))}
     return SurfaceGraph(
-        nodes=[replace(nodes[orig], id=k) for orig, k in index.items()],
+        nodes=[nodes[orig] for orig in index],
         edges=_canonical_edges((index[i], index[j], w) for i, j, w in edges),
-        node_index=index,
     )
 
 
@@ -154,7 +149,6 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
     """
     nodes = [
         GraphNode(
-            id=pid,
             position=surface.polygon_centers[pid].copy(),
             normal=surface.polygon_normals[pid].copy(),
             on_navmesh=True,
@@ -169,11 +163,7 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
         if w < 1e-12:
             raise DegenerateEdge(f"polygon centers {pid} and {qid} coincide (zero-weight edge)")
         edges.append((pid, qid, w))
-    return SurfaceGraph(
-        nodes=nodes,
-        edges=_canonical_edges(edges),
-        node_index={pid: pid for pid in range(len(nodes))},
-    )
+    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
 
 
 def load_graph_json(path: str | Path) -> SurfaceGraph:
@@ -198,7 +188,7 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
             raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
         normal = normal / length
         nodes.append(
-            GraphNode(id=k, position=pos, normal=normal, on_navmesh=True, source=SOURCE_SAMPLE)
+            GraphNode(position=pos, normal=normal, on_navmesh=True, source=SOURCE_SAMPLE)
         )
     _check_extent(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
     edges = []

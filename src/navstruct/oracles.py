@@ -636,9 +636,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     for _ in range(instances):
         g = random_connected_graph(rng, rng.randint(4, 12), rng.uniform(0.4, 0.8))
         term_ids = sorted(rng.sample(range(len(g.nodes)), rng.randint(2, 4)))
-        tree = build_steiner_tree(
-            g, TerminalSet(node_ids=term_ids, selection_method="metric")
-        )
+        tree = build_steiner_tree(g, TerminalSet(term_ids))
         opt, leaves = steiner_exhaustive(g, term_ids)
         bound = 2.0 * (1.0 - 1.0 / leaves) * opt if leaves else 2.0 * opt
         worst = max(worst, tree.total_weight / opt if opt else 1.0)

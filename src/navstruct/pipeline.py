@@ -14,7 +14,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from .algorithms import compute_centrality, CentralityScores, CENTRALITY_METRICS
-from .analysis import AnalysisReport, StageRecord, density_classes, forest_to_graph
+from .analysis import (
+    MAX_DENSITY_BUCKETS, AnalysisReport, StageRecord, density_classes, forest_to_graph,
+)
 from .errors import ValidationError
 from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json, relabel_dense
 from .mesh import (
@@ -24,7 +26,7 @@ from .raycast import segment_clear
 from .steiner import SteinerTree, build_steiner_tree
 from .terminals import (
     DEFAULT_HEIGHT_TOL, DEFAULT_INTERVAL, DEFAULT_RADIUS, DEFAULT_RAY_COUNT, DEFAULT_SHARPNESS_DEG,
-    TerminalSet, entry_exit_terminals, terminals_from_metric,
+    MAX_RAY_COUNT, TerminalSet, entry_exit_terminals, terminals_from_metric,
 )
 from .trees import (
     DEFAULT_NORMAL_TOL_DEG, RootedTree, SimplifyConfig, find_rooted_trees, simplify_tree,
@@ -99,20 +101,22 @@ class PipelineConfig:
             raise ValidationError(
                 f"centrality weights must be 'euclidean' or 'unit', got {self.centrality_weights!r}"
             )
-        for name in ("interval", "radius", "sharpness_deg", "los_height_tol", "plane_eps"):
+        for name in ("interval", "radius", "los_height_tol", "plane_eps"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
+        if not 0.0 < self.sharpness_deg < 180.0:
+            raise ValidationError("sharpness_deg must be positive and below 180")
         for name in ("weld_eps", "exit_offset"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be >= 0 and finite")
-        if self.ray_count < 1:
-            raise ValidationError("ray_count must be >= 1")
+        if not 1 <= self.ray_count <= MAX_RAY_COUNT:
+            raise ValidationError(f"ray_count must be >= 1 and <= {MAX_RAY_COUNT}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if not (0.0 < self.normal_tol_deg < 90.0):
             raise ValidationError("normal_tol_deg must be in (0, 90)")
-        if self.density_buckets < 2:
-            raise ValidationError("density_buckets must be >= 2")
+        if not 2 <= self.density_buckets <= MAX_DENSITY_BUCKETS:
+            raise ValidationError(f"density_buckets must be >= 2 and <= {MAX_DENSITY_BUCKETS}")
 
     def simplify_config(self) -> SimplifyConfig:
         return SimplifyConfig(
@@ -132,7 +136,6 @@ class PipelineResult:
     graph: SurfaceGraph
     steiner: SteinerTree
     terminal_set: TerminalSet
-    analysis_graph: SurfaceGraph | None = None
 
 
 def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> CentralityScores:
@@ -144,8 +147,9 @@ def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> Cen
         sub, cfg.root_metric, weighted=weighted, alpha=cfg.katz_alpha
     )
     values = [0.0] * len(g.nodes)
-    for orig, dense in sub.node_index.items():
-        values[orig] = sub_scores.values[dense]
+    # tree.nodes ascends, so its k-th id is dense node k of `sub`
+    for orig, value in zip(tree.nodes, sub_scores.values):
+        values[orig] = value
     return CentralityScores(
         metric=sub_scores.metric, values=values, params=sub_scores.params
     )
@@ -219,25 +223,26 @@ def run_pipeline(
 
     node_analysis = None
     thresholds = None
-    analysis_graph = None
     with _stage(stages, STAGE_POST):
         if cfg.analyze:
-            analysis_graph = forest_to_graph(forest)
+            final = forest_to_graph(forest)
             between = compute_centrality(
-                analysis_graph, "betweenness",
-                weighted=cfg.centrality_weights == "euclidean",
+                final, "betweenness", weighted=cfg.centrality_weights == "euclidean"
             )
             classes = density_classes(between.values, cfg.density_buckets)
             thresholds = classes.thresholds
-            reverse = {dense: orig for orig, dense in analysis_graph.node_index.items()}
+            # dense node k of `final` is the forest's k-th smallest node id
             node_analysis = [
                 {
-                    "id": reverse[k],
-                    "position": [float(x) for x in analysis_graph.nodes[k].position],
-                    "betweenness": between.values[k],
-                    "density": classes.labels[k],
+                    "id": orig,
+                    "position": [float(x) for x in node.position],
+                    "betweenness": score,
+                    "density": label,
                 }
-                for k in range(len(analysis_graph.nodes))
+                for orig, node, score, label in zip(
+                    sorted(v for t in forest for v in t.node_ids()),
+                    final.nodes, between.values, classes.labels,
+                )
             ]
 
     report = AnalysisReport(
@@ -248,8 +253,7 @@ def run_pipeline(
         density_thresholds=thresholds,
     )
     return PipelineResult(
-        forest=forest, report=report, graph=g, steiner=stree,
-        terminal_set=term_set, analysis_graph=analysis_graph,
+        forest=forest, report=report, graph=g, steiner=stree, terminal_set=term_set
     )
 
 

@@ -28,6 +28,8 @@ DEFAULT_SHARPNESS_DEG = 45.0
 
 # most boundary samples one surface may take; each one casts two ray fans
 MAX_BOUNDARY_SAMPLES = 1_000_000
+# most rays one classification fan may cast
+MAX_RAY_COUNT = 1000
 
 
 @dataclass
@@ -36,7 +38,6 @@ class BoundarySample:
     loop: int                 # boundary loop index
     arc_param: float          # arc length from loop start
     forward_dir: np.ndarray   # unit tangent along the loop
-    backward_dir: np.ndarray  # -forward_dir
     normal: np.ndarray        # surface normal of the owning polygon
     potential_start: bool = False
     potential_end: bool = False
@@ -46,18 +47,12 @@ class BoundarySample:
 class EntryExitSegment:
     start: BoundarySample
     end: BoundarySample
-    samples: list[BoundarySample]
     matched_points: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
 class TerminalSet:
     node_ids: list[int]
-    selection_method: str
-    params: dict = field(default_factory=dict)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in set(self.node_ids)
 
 
 def sample_boundary(
@@ -117,7 +112,6 @@ def sample_boundary(
                     loop=loop_id,
                     arc_param=arc,
                     forward_dir=fwd.copy(),
-                    backward_dir=-fwd,
                     normal=seg_normals[edge_idx].copy(),
                 )
             )
@@ -179,8 +173,8 @@ def classify_samples(
     flags set.  With no blocker mesh every sample gets both flags."""
     if radius <= 0.0:
         raise ValidationError(f"classification radius must be positive, got {radius}")
-    if ray_count < 1:
-        raise ValidationError(f"ray count must be >= 1, got {ray_count}")
+    if not 1 <= ray_count <= MAX_RAY_COUNT:
+        raise ValidationError(f"ray count must be >= 1 and <= {MAX_RAY_COUNT}, got {ray_count}")
     if blockers is None or len(blockers.triangles) == 0:
         log.warning("no blocker mesh supplied; every boundary sample is flagged open")
     for s in samples:
@@ -188,7 +182,7 @@ def classify_samples(
             blockers, s.position, s.forward_dir, s.normal, radius, ray_count
         )
         s.potential_end = not _fan_hits(
-            blockers, s.position, s.backward_dir, s.normal, radius, ray_count
+            blockers, s.position, -s.forward_dir, s.normal, radius, ray_count
         )
     return samples
 
@@ -220,28 +214,25 @@ def extract_segments(
             if not s.potential_start:
                 k += 1
                 continue
-            run = [s]
             j = k
             while j + 1 < n:
-                nxt = loop_samples[j + 1]
-                turn_cos = float(np.dot(run[-1].forward_dir, nxt.forward_dir))
+                last, nxt = loop_samples[j], loop_samples[j + 1]
+                turn_cos = float(np.dot(last.forward_dir, nxt.forward_dir))
                 if turn_cos < cos_limit:
                     break  # boundary turns too sharply
-                if run[-1].potential_end and not nxt.potential_end:
+                if last.potential_end and not nxt.potential_end:
                     break  # an end sample followed by a non-end sample
-                run.append(nxt)
                 j += 1
-            segments.append(_make_segment(run))
+            segments.append(_make_segment(s, loop_samples[j]))
             k = j + 1
     return segments
 
 
-def _make_segment(run: list[BoundarySample]) -> EntryExitSegment:
-    start, end = run[0], run[-1]
+def _make_segment(start: BoundarySample, end: BoundarySample) -> EntryExitSegment:
     points = [start.position.copy()]
     if float(np.linalg.norm(end.position - start.position)) > 1e-9:
         points.append(end.position.copy())
-    return EntryExitSegment(start=start, end=end, samples=run, matched_points=points)
+    return EntryExitSegment(start=start, end=end, matched_points=points)
 
 
 def register_terminals(
@@ -284,7 +275,6 @@ def register_terminals(
             on_mesh = surface.locate_point(pos, height_tol) is not None
             new_nodes.append(
                 GraphNode(
-                    id=next_id,
                     position=pos,
                     normal=sample.normal.copy(),
                     on_navmesh=on_mesh,
@@ -294,13 +284,7 @@ def register_terminals(
             new_edges.append((nearest, next_id, w))
             ids.append(next_id)
             next_id += 1
-    out = g.with_extra_nodes(new_nodes, new_edges)
-    terminals = TerminalSet(
-        node_ids=ids,
-        selection_method="entry-exit",
-        params={"exit_offset": exit_offset},
-    )
-    return out, terminals
+    return g.with_extra_nodes(new_nodes, new_edges), TerminalSet(ids)
 
 
 def entry_exit_terminals(
@@ -321,14 +305,6 @@ def entry_exit_terminals(
     graph, terminals = register_terminals(g, segments, surface, exit_offset, height_tol)
     if not terminals.node_ids:
         raise EmptyTerminalSet("entry/exit detection found no openings")
-    terminals.params.update(
-        {
-            "interval": interval,
-            "radius": radius,
-            "ray_count": ray_count,
-            "sharpness_deg": sharpness_deg,
-        }
-    )
     return graph, terminals
 
 
@@ -353,7 +329,7 @@ def terminals_from_metric(
         ids = [v for v, d in enumerate(degs) if d == 1.0]
         if not ids:
             raise EmptyTerminalSet("graph has no degree-1 nodes")
-        return TerminalSet(node_ids=ids, selection_method="leaves")
+        return TerminalSet(ids)
     if method == "metric":
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -363,7 +339,5 @@ def terminals_from_metric(
         ids = sorted(ranked[: min(k, len(ranked))])
         if not ids:
             raise EmptyTerminalSet("metric selection produced no terminals")
-        return TerminalSet(
-            node_ids=ids, selection_method="metric", params={"metric": metric, "k": k}
-        )
+        return TerminalSet(ids)
     raise ValidationError(f"unknown terminal method {method!r}")

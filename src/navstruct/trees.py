@@ -140,7 +140,7 @@ def find_rooted_trees(
         unvisited.discard(root)
         while stack:
             v = stack.pop()
-            payloads[v] = replace(graph.nodes[v], id=v, terminal=v in term_set)
+            payloads[v] = replace(graph.nodes[v], terminal=v in term_set)
             kids = sorted(u for u, _w in adj[v] if u in unvisited)
             children[v] = kids
             for u in reversed(kids):

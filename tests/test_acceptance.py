@@ -80,7 +80,7 @@ def test_criterion_1_steiner_weight_within_twice_optimal(capsys):
             terminals = sorted(rng.sample(range(n), rng.randint(2, min(4, n))))
             opt, _ = steiner_exhaustive(g, terminals)
             tree = build_steiner_tree(
-                g, TerminalSet(node_ids=terminals, selection_method="metric")
+                g, TerminalSet(node_ids=terminals)
             )
             if tree.total_weight > 2.0 * opt + 1e-9:
                 violations += 1
@@ -276,7 +276,7 @@ def test_criterion_6_rooting_picks_argmax_with_centroid_tie_break(capsys):
         split = SteinerTree(
             nodes=[0, 1, 2, 3],
             edges=[(0, 1, 1.0), (2, 3, 1.0)],
-            terminals=TerminalSet(node_ids=[0, 1, 2, 3], selection_method="metric"),
+            terminals=TerminalSet(node_ids=[0, 1, 2, 3]),
             total_weight=2.0,
         )
         forest = find_rooted_trees(

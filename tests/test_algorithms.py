@@ -38,7 +38,7 @@ from navstruct.oracles import (
     tree_path_interior_counts,
 )
 from navstruct.steiner import build_steiner_tree
-from navstruct.terminals import TerminalSet, terminals_from_metric
+from navstruct.terminals import terminals_from_metric
 
 
 def unit(pairs):

@@ -30,9 +30,8 @@ from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.trees import RootedTree
 
 
-def tnode(v, pos, terminal=False, on_navmesh=True):
+def tnode(pos, terminal=False, on_navmesh=True):
     return GraphNode(
-        id=v,
         position=np.asarray(pos, dtype=float),
         normal=np.array([0.0, 0.0, 1.0]),
         on_navmesh=on_navmesh,
@@ -44,10 +43,10 @@ def tnode(v, pos, terminal=False, on_navmesh=True):
 def small_forest():
     """Root 0 with a terminal leaf, plus a two-node branch ending off-mesh."""
     payloads = {
-        0: tnode(0, (0, 0, 0)),
-        1: tnode(1, (1, 0, 0), terminal=True),
-        2: tnode(2, (0, 2, 0)),
-        3: tnode(3, (0, 3, 0.5), terminal=True, on_navmesh=False),
+        0: tnode((0, 0, 0)),
+        1: tnode((1, 0, 0), terminal=True),
+        2: tnode((0, 2, 0)),
+        3: tnode((0, 3, 0.5), terminal=True, on_navmesh=False),
     }
     tree = RootedTree(
         root=0,
@@ -58,7 +57,7 @@ def small_forest():
 
 
 def singleton_tree(v, pos):
-    return RootedTree(root=v, children={v: []}, payloads={v: tnode(v, pos)})
+    return RootedTree(root=v, children={v: []}, payloads={v: tnode(pos)})
 
 
 def test_rooted_tree_derives_parent_and_depth():
@@ -72,9 +71,9 @@ def test_rooted_tree_derives_parent_and_depth():
 # --- forest -> graph --------------------------------------------------------
 
 def test_forest_to_graph_rebuilds_weighted_edges():
-    g = forest_to_graph(small_forest())
-    assert [n.id for n in g.nodes] == [0, 1, 2, 3]
-    assert g.node_index == {0: 0, 1: 1, 2: 2, 3: 3}
+    forest = small_forest()
+    g = forest_to_graph(forest)
+    assert g.nodes == [forest[0].payloads[v] for v in (0, 1, 2, 3)]
     assert g.edges == [
         (0, 1, 1.0),
         (0, 2, 2.0),
@@ -87,10 +86,11 @@ def test_forest_to_graph_renumbers_sparse_ids():
     tree = RootedTree(
         root=7,
         children={7: [9], 9: []},
-        payloads={7: tnode(7, (0, 0, 0)), 9: tnode(9, (3, 4, 0))},
+        payloads={7: tnode((0, 0, 0)), 9: tnode((3, 4, 0))},
     )
-    g = forest_to_graph([tree, singleton_tree(2, (9, 9, 9))])
-    assert g.node_index == {2: 0, 7: 1, 9: 2}
+    single = singleton_tree(2, (9, 9, 9))
+    g = forest_to_graph([tree, single])
+    assert g.nodes == [single.payloads[2], tree.payloads[7], tree.payloads[9]]
     assert g.edges == [(1, 2, 5.0)]
 
 
@@ -113,7 +113,6 @@ def test_density_terciles_on_a_ramp_of_values():
     out = density_classes([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     assert out.thresholds == [2.0, 4.0]
     assert out.labels == ["low", "low", "medium", "medium", "high", "high"]
-    assert out.buckets == 3
 
 
 def test_density_order_independent():
@@ -143,6 +142,32 @@ def test_density_empty_and_invalid_inputs():
     assert out.labels == [] and out.thresholds == []
     with pytest.raises(ValidationError, match="must be >= 2"):
         density_classes([1.0, 2.0], buckets=1)
+
+
+def _labels_by_threshold_scan(values, thresholds, names):
+    """The labelling loop density_classes ran before it bisected."""
+    buckets = len(thresholds) + 1
+    labels = []
+    for v in range(len(values)):
+        bucket = buckets - 1
+        for k, t in enumerate(thresholds):
+            if values[v] <= t:
+                bucket = k
+                break
+        labels.append(names[bucket])
+    return labels
+
+
+def test_density_bisect_labels_match_the_threshold_scan(rng):
+    cases = [(values, buckets) for values in ([], [4.0] * 7) for buckets in (2, 3, 50)]
+    for buckets in range(2, 51):
+        for spread in (2, 5, 30):  # few distinct values: many ties
+            values = [float(rng.randint(0, spread)) for _ in range(rng.randint(1, 80))]
+            cases.append((values, buckets))
+    for values, buckets in cases:
+        out = density_classes(values, buckets=buckets)
+        names = ["low", "medium", "high"] if buckets == 3 else [f"b{k}" for k in range(buckets)]
+        assert out.labels == _labels_by_threshold_scan(values, out.thresholds, names)
 
 
 def test_density_distinct_values_balance_bucket_sizes(rng):
@@ -272,7 +297,6 @@ def random_forest(rng):
         for kids in children.values():
             kids.sort()
         payloads = {v: GraphNode(
-            id=v,
             position=np.array([rng.choice(values) * rng.random() for _ in range(3)]),
             normal=np.array([rng.choice(values) for _ in range(3)]),
             on_navmesh=rng.random() < 0.5, terminal=rng.random() < 0.5,

@@ -19,14 +19,12 @@ def test_navmesh_graph_from_corridor(corridor):
     g = graph_from_navmesh(surface)
     assert len(g) == 12
     assert len(g.edges) == 11
-    for k, node in enumerate(g.nodes):
-        assert node.id == k
+    for node in g.nodes:
         assert node.source == SOURCE_POLYGON
         assert node.on_navmesh
         assert np.allclose(node.normal, [0.0, 0.0, 1.0])
     # unit squares in a row: every center-to-center distance is 1
     assert all(w == pytest.approx(1.0) for _i, _j, w in g.edges)
-    assert g.node_index == {k: k for k in range(12)}
 
 
 def test_navmesh_graph_matches_adjacency():
@@ -70,7 +68,7 @@ def test_adjacency_neighbors_ascending():
 def test_with_extra_nodes_leaves_original_untouched():
     g = graph_from_edges([(0, 0, 0), (1, 0, 0)], [(0, 1, 1.0)])
     extra = GraphNode(
-        id=2, position=np.array([2.0, 0.0, 0.0]),
+        position=np.array([2.0, 0.0, 0.0]),
         normal=np.array([0.0, 0.0, 1.0]), source=SOURCE_SAMPLE,
     )
     g2 = g.with_extra_nodes([extra], [(1, 2, 1.0)])

@@ -106,6 +106,12 @@ def write_corridor_files(corridor, tmp_path):
     (dict(surface_path="s.obj", weld_eps=float("nan")), "weld_eps must be >= 0 and finite"),
     (dict(surface_path="s.obj", exit_offset=float("nan")), "exit_offset must be >= 0 and finite"),
     (dict(surface_path="s.obj", exit_offset=float("inf")), "exit_offset must be >= 0 and finite"),
+    (dict(surface_path="s.obj", sharpness_deg=180.0), "sharpness_deg must be positive and below 180"),
+    (dict(surface_path="s.obj", sharpness_deg=float("nan")), "sharpness_deg must be positive and below"),
+    (dict(surface_path="s.obj", ray_count=1001), "ray_count must be >= 1 and <= 1000"),
+    (dict(surface_path="s.obj", ray_count=10**20), "ray_count must be >= 1 and <= 1000"),
+    (dict(surface_path="s.obj", density_buckets=1001), "density_buckets must be >= 2 and <= 1000"),
+    (dict(surface_path="s.obj", density_buckets=10**20), "density_buckets must be >= 2 and <= 1000"),
 ])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -146,13 +152,10 @@ def test_steiner_subgraph_renumbers_densely():
             (1, 4, 1.0), (4, 5, 1.0), (2, 5, 1.0),
         ],
     )
-    tree = build_steiner_tree(
-        g, TerminalSet(node_ids=[0, 3, 5], selection_method="metric")
-    )
+    tree = build_steiner_tree(g, TerminalSet(node_ids=[0, 3, 5]))
     sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
-    index = sub.node_index
-    assert index == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4}
-    assert sub.node_index == index
+    # dense id k is the k-th smallest original id, and the payloads are shared
+    assert sub.nodes == [g.nodes[v] for v in (0, 1, 2, 3, 5)]
     assert sub.edges == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)]
     assert np.allclose(sub.nodes[4].position, g.nodes[5].position)
 
@@ -182,7 +185,6 @@ def test_corridor_extraction_stage_by_stage(corridor):
     (tree,) = result.forest
     assert tree.root == 5
     assert tree.node_ids() == [5, 12, 13]
-    assert result.analysis_graph is None
     assert report.node_analysis is None
 
 
@@ -191,8 +193,6 @@ def test_corridor_analyze_recolors_the_structure(corridor):
     result = run_pipeline(
         corridor_cfg(analyze=True), surface=surface, blockers=blockers
     )
-    assert result.analysis_graph is not None
-    assert len(result.analysis_graph.nodes) == 3
     assert result.report.density_thresholds == [0.0, 0.0]
     assert result.report.node_analysis == [
         {"id": 5, "position": [5.5, 0.5, 0.0], "betweenness": 1.0, "density": "high"},
@@ -480,6 +480,41 @@ def test_cli_caps_the_boundary_samples(tmp_path, capsys):
     assert main(argv[-1e4]) == 0
 
 
+def test_cli_bounds_the_ray_count_and_density_buckets(tmp_path, capsys):
+    """Past the caps, a fan would cast that many rays and the density pass
+    would label that many classes; the run is refused before any of it."""
+    surf, walls = write_corridor_files(straight_corridor(6), tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("density-buckets = 100000000000000000000\n")
+    inputs = ["--surface", str(surf), "--blockers", str(walls), "--out", str(tmp_path / "out")]
+    for argv, message in [
+        (["extract", *inputs, "--ray-count", "1001"], "ray_count must be >= 1 and <= 1000"),
+        (["analyze", *inputs, "--config", str(cfg)], "density_buckets must be >= 2 and <= 1000"),
+    ]:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message}"
+        ]
+    assert main(["extract", *inputs, "--ray-count", "1000"]) == 0
+
+
+def test_cli_rejects_a_sharpness_of_180_or_more_on_any_input(tmp_path, capsys):
+    """Segment extraction needs a sharpness in (0, 180); a graph input never
+    extracts segments, yet the value is refused there too."""
+    gp = write_chain_json(tmp_path / "chain.json")
+    argv = ["extract", "--graph", str(gp), "--terminals", "leaves", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--sharpness-deg", "179"]) == 0
+    for value in ("180", "200"):
+        assert main(argv + ["--sharpness-deg", value]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: sharpness_deg must be positive and below 180"
+        ]
+
+
 _BAD_COORDS = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e200]
 _BAD_INDICES = [0, -3, 2.5, 10**20, 1e308]
 _BAD_TYPES = ["x", None, True, [], {}, [1, 2], {"pos": 1}]
@@ -596,9 +631,11 @@ katz-alpha = 0.05
 density-buckets = 3
 format = json, dot
 """
+_HUGE_INTS = [str(10**20), str(2**63), str(-2**63)]  # past every bound, and int64's
 _BAD_VALUES = [
     "nan", "inf", "-inf", "1e999", "-1e999", "1e308", "-1e308",  # non-finite and overflowing
     "abc", "2.5", "-3", "0", "", "0x10", "1_0",  # bad numbers and ints
+    *_HUGE_INTS,
     "bogus", "Leaves", "json, svg",  # bad choices
 ]
 
@@ -628,8 +665,9 @@ def _mutate_config(rng, text):
 def test_cli_survives_seeded_config_mutations(tmp_path, capsys):
     """100 seeded mutations of a --config file: unknown keys, missing '=',
     non-finite and overflowing floats, bad ints and choices, truncation and
-    byte flips.  The command exits 0 or 2, never raises, and every failure
-    prints exactly one error line."""
+    byte flips; then each key set to 10**20, 2**63 and -2**63 in turn.  The
+    command exits 0 or 2, never raises, and every failure prints exactly one
+    error line."""
     surf, walls = write_corridor_files(straight_corridor(6), tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_CONFIG)
@@ -637,9 +675,14 @@ def test_cli_survives_seeded_config_mutations(tmp_path, capsys):
             "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     rng = random.Random(8)
+    lines = _CONFIG.splitlines()
+    cases = [_mutate_config(rng, _CONFIG) for _ in range(100)] + [
+        "\n".join([*lines[:k], f"{lines[k].split('=')[0]}= {value}", *lines[k + 1:]]).encode()
+        for k in range(1, len(lines)) for value in _HUGE_INTS
+    ]
     codes = []
-    for case in range(100):
-        cfg.write_bytes(_mutate_config(rng, _CONFIG))
+    for case, text in enumerate(cases):
+        cfg.write_bytes(text)
         code = main(argv)
         err = capsys.readouterr().err
         codes.append(code)

@@ -8,7 +8,7 @@ from navstruct.terminals import TerminalSet
 
 
 def terms(ids):
-    return TerminalSet(node_ids=list(ids), selection_method="metric")
+    return TerminalSet(node_ids=list(ids))
 
 
 def ladder_graph():

@@ -17,7 +17,6 @@ from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
 from navstruct.terminals import (
     BoundarySample,
     _rotate_about,
-    TerminalSet,
     classify_samples,
     entry_exit_terminals,
     extract_segments,
@@ -38,7 +37,6 @@ def make_sample(arc, forward, start=True, end=True, loop=0, position=None):
         loop=loop,
         arc_param=float(arc),
         forward_dir=fwd,
-        backward_dir=-fwd,
         normal=Z.copy(),
         potential_start=start,
         potential_end=end,
@@ -58,7 +56,6 @@ def test_sample_boundary_unit_square_half_interval():
     # a corner sample carries the outgoing edge's tangent
     assert np.allclose(samples[2].forward_dir, Y)
     assert np.allclose(samples[1].forward_dir, X)
-    assert np.allclose(samples[1].backward_dir, -X)
     assert all(s.loop == 0 for s in samples)
     assert all(np.allclose(s.normal, Z) for s in samples)
 
@@ -140,7 +137,7 @@ def test_classify_corridor_open_corners(corridor):
     starts = sorted(tuple(np.round(seg.start.position[:2], 6)) for seg in segments)
     # the sharp corner turn cuts each run down to its single start sample
     assert starts == [(0.0, 1.0), (12.0, 0.0)]
-    assert all(len(seg.samples) == 1 for seg in segments)
+    assert all(seg.start is seg.end for seg in segments)
 
 
 def test_classify_validates_parameters():
@@ -167,6 +164,11 @@ def test_classify_single_ray_is_the_fan_center():
 
 # --- segment extraction -----------------------------------------------------
 
+def span(seg):
+    """Arc parameters of a segment's first and last sample."""
+    return seg.start.arc_param, seg.end.arc_param
+
+
 def test_segments_break_on_sharp_turns():
     samples = [
         make_sample(0.0, X),
@@ -175,8 +177,8 @@ def test_segments_break_on_sharp_turns():
     ]
     segments = extract_segments(samples, sharpness_deg=45.0)
     assert len(segments) == 2
-    assert [s.arc_param for s in segments[0].samples] == [0.0, 1.0]
-    assert [s.arc_param for s in segments[1].samples] == [2.0]
+    assert span(segments[0]) == (0.0, 1.0)
+    assert span(segments[1]) == (2.0, 2.0)
 
 
 def test_segments_tolerate_shallow_turns():
@@ -184,7 +186,7 @@ def test_segments_tolerate_shallow_turns():
     samples = [make_sample(0.0, X), make_sample(1.0, gentle)]
     segments = extract_segments(samples, sharpness_deg=45.0)
     assert len(segments) == 1
-    assert len(segments[0].samples) == 2
+    assert span(segments[0]) == (0.0, 1.0)
 
 
 def test_segments_close_after_final_end_sample():
@@ -195,8 +197,8 @@ def test_segments_close_after_final_end_sample():
     ]
     segments = extract_segments(samples)
     assert len(segments) == 2
-    assert [s.arc_param for s in segments[0].samples] == [0.0]
-    assert [s.arc_param for s in segments[1].samples] == [1.0, 2.0]
+    assert span(segments[0]) == (0.0, 0.0)
+    assert span(segments[1]) == (1.0, 2.0)
 
 
 def test_segments_skip_unflagged_samples():
@@ -240,8 +242,6 @@ def test_register_terminals_on_corridor(corridor):
     g = graph_from_navmesh(surface)
     g2, terminals = entry_exit_terminals(g, surface, blockers, interval=1.0)
     assert terminals.node_ids == [12, 13]
-    assert terminals.selection_method == "entry-exit"
-    assert 12 in terminals and 0 not in terminals
     assert len(g2) == 14
     assert len(g) == 12  # input graph untouched
     t_east, t_west = g2.nodes[12], g2.nodes[13]
@@ -267,7 +267,6 @@ def test_register_terminals_exit_offset_moves_off_mesh(corridor):
     assert np.allclose(west.position, [-0.25, 1.0, 0.0])
     assert not east.on_navmesh
     assert not west.on_navmesh
-    assert terminals.params["exit_offset"] == 0.25
 
 
 def test_register_terminals_dedupes_shared_positions():
@@ -314,7 +313,6 @@ def test_leaves_method_picks_degree_one_nodes():
     )
     terminals = terminals_from_metric(g, "leaves")
     assert terminals.node_ids == [0, 2, 3]
-    assert terminals.selection_method == "leaves"
 
 
 def test_leaves_method_rejects_leafless_graph():
@@ -337,7 +335,6 @@ def test_metric_method_ranks_by_centrality():
     assert top2.node_ids == [0, 1]  # degree tie among leaves: lowest id
     everything = terminals_from_metric(g, "metric", metric="degree", k=99)
     assert everything.node_ids == [0, 1, 2, 3]
-    assert top1.params == {"metric": "degree", "k": 1}
 
 
 def test_metric_picks_ignore_last_bit_noise(monkeypatch):
@@ -376,8 +373,3 @@ def test_metric_method_validates_arguments():
         terminals_from_metric(g, "metric", k=0)
     with pytest.raises(ValidationError, match="unknown terminal method"):
         terminals_from_metric(g, "frontier")
-
-
-def test_terminal_set_membership():
-    ts = TerminalSet(node_ids=[3, 7], selection_method="metric")
-    assert 3 in ts and 7 in ts and 5 not in ts

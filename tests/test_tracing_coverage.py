@@ -58,7 +58,7 @@ def test_steiner_looks_up_dijkstra_tree_once_per_terminal(monkeypatch):
     monkeypatch.setattr(steiner, "dijkstra_tree", counting)
     g = maze_graph(6, 6)
     leaves = terminals_from_metric(g, "leaves").node_ids
-    terminals = TerminalSet(node_ids=leaves + leaves[:2], selection_method="leaves")
+    terminals = TerminalSet(node_ids=leaves + leaves[:2])
     steiner.build_steiner_tree(g, terminals)
     assert len(leaves) > 2
     assert sorted(sources) == sorted(leaves)

@@ -27,7 +27,7 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def terms(ids):
-    return TerminalSet(node_ids=list(ids), selection_method="metric")
+    return TerminalSet(node_ids=list(ids))
 
 
 def uniform_scores(n, value=1.0):
@@ -42,9 +42,8 @@ def path_graph(xs):
     return graph_from_edges(pts, edges)
 
 
-def payload(node_id, pos, normal=Z, on_navmesh=True, terminal=False):
+def payload(pos, normal=Z, on_navmesh=True, terminal=False):
     return GraphNode(
-        id=node_id,
         position=np.asarray(pos, dtype=float),
         normal=np.asarray(normal, dtype=float),
         on_navmesh=on_navmesh,
@@ -230,9 +229,9 @@ def test_los_raises_for_off_mesh_start(corridor):
 
 def test_predicate_rejects_terminal_middle(corridor):
     surface, _blockers = corridor
-    a = payload(0, (0.5, 0.5, 0))
-    b = payload(1, (1.5, 0.5, 0), terminal=True)
-    c = payload(2, (2.5, 0.5, 0))
+    a = payload((0.5, 0.5, 0))
+    b = payload((1.5, 0.5, 0), terminal=True)
+    c = payload((2.5, 0.5, 0))
     assert not can_simplify(a, b, c, surface)
     b.terminal = False
     assert can_simplify(a, b, c, surface)
@@ -240,9 +239,9 @@ def test_predicate_rejects_terminal_middle(corridor):
 
 def test_predicate_rejects_off_mesh_leaf_grandchild(corridor):
     surface, _blockers = corridor
-    a = payload(0, (0.5, 0.5, 0))
-    b = payload(1, (1.5, 0.5, 0))
-    c = payload(2, (2.5, 0.5, 0), on_navmesh=False)
+    a = payload((0.5, 0.5, 0))
+    b = payload((1.5, 0.5, 0))
+    c = payload((2.5, 0.5, 0), on_navmesh=False)
     assert not can_simplify(a, b, c, surface, c_is_leaf=True)
     # an off-mesh interior node is no obstacle
     assert can_simplify(a, b, c, surface, c_is_leaf=False)
@@ -252,9 +251,9 @@ def test_predicate_rejects_normal_disagreement():
     surface = ramp_corridor(30.0)
     h = float(np.tan(np.radians(30.0)))
     ramp_normal = np.array([-np.sin(np.radians(30.0)), 0.0, np.cos(np.radians(30.0))])
-    a = payload(0, (0.5, 0.5, 0.0))
-    b = payload(1, (1.5, 0.5, h / 2.0), normal=ramp_normal)
-    c = payload(2, (2.5, 0.5, h))
+    a = payload((0.5, 0.5, 0.0))
+    b = payload((1.5, 0.5, h / 2.0), normal=ramp_normal)
+    c = payload((2.5, 0.5, h))
     assert normal_angle_deg(a.normal, b.normal) == pytest.approx(30.0)
     assert not can_simplify(a, b, c, surface)  # 30 degrees > default 15
     loose = SimplifyConfig(normal_tolerance_deg=45.0)
@@ -262,9 +261,9 @@ def test_predicate_rejects_normal_disagreement():
 
 
 def test_predicate_uses_injected_los():
-    a = payload(0, (0.0, 0.0, 0))
-    b = payload(1, (1.0, 0.0, 0))
-    c = payload(2, (2.0, 0.0, 0))
+    a = payload((0.0, 0.0, 0))
+    b = payload((1.0, 0.0, 0))
+    c = payload((2.0, 0.0, 0))
     seen = []
 
     def los(p, q):
@@ -278,16 +277,16 @@ def test_predicate_uses_injected_los():
 
 def test_predicate_off_mesh_parent_has_no_los(corridor):
     surface, _blockers = corridor
-    a = payload(0, (-5.0, 0.5, 0))  # off the walkable surface
-    b = payload(1, (0.5, 0.5, 0))
-    c = payload(2, (1.5, 0.5, 0))
+    a = payload((-5.0, 0.5, 0))  # off the walkable surface
+    b = payload((0.5, 0.5, 0))
+    c = payload((1.5, 0.5, 0))
     assert not can_simplify(a, b, c, surface)
 
 
 def test_predicate_requires_some_visibility_source():
-    a = payload(0, (0.0, 0.0, 0))
-    b = payload(1, (1.0, 0.0, 0))
-    c = payload(2, (2.0, 0.0, 0))
+    a = payload((0.0, 0.0, 0))
+    b = payload((1.0, 0.0, 0))
+    c = payload((2.0, 0.0, 0))
     with pytest.raises(ValidationError, match="surface or an explicit los"):
         can_simplify(a, b, c, None)
 
