@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import AlphaTooLarge, EmptyGraph, NoConvergence, NoPath, ValidationError
+from .errors import AlphaTooLarge, EmptyGraph, NoConvergence, ValidationError
 from .graph import SurfaceGraph
 
 INF = math.inf
@@ -24,23 +24,23 @@ INF = math.inf
 # shortest paths
 # ---------------------------------------------------------------------------
 
-def dijkstra_tree(g: SurfaceGraph, src: int) -> tuple[list[float], list[int]]:
-    """Single-source distances and predecessors: one C Dijkstra over the
-    graph's arcs, then each predecessor read off the arcs the distances leave
-    tight (dist[u] + w == dist[v]).
+def dijkstra_tree(g: SurfaceGraph, sources: list[int]) -> tuple[list[float], list[int]]:
+    """Distances to the nearest of `sources` and predecessors: one C Dijkstra
+    over the graph's arcs from all sources at once, then each predecessor read
+    off the arcs the distances leave tight (dist[u] + w == dist[v]).
 
-    The predecessor of v is the smallest such u that a heap search settles
-    before v, as `oracles.dijkstra_tree_heap` records it, so recovered paths
-    do not depend on heap internals; -1 marks the source and unreached
-    nodes.  A reached u settles before v when dist[u] < dist[v]; the arcs
-    whose weight vanishes in rounding (dist[u] == dist[v]) go to
-    `_settle_level_arcs`.
+    The predecessor of v is the smallest such u that a heap search seeded
+    with every source settles before v, as `oracles.dijkstra_tree_heap`
+    records it, so recovered paths do not depend on heap internals; -1 marks
+    the sources and unreached nodes.  A reached u settles before v when
+    dist[u] < dist[v]; the arcs whose weight vanishes in rounding
+    (dist[u] == dist[v]) go to `_settle_level_arcs`.
     """
     # imported on the first search, so importing the CLI does not pay for it
     from scipy.sparse.csgraph import dijkstra
 
     arcs = g.arcs()
-    dist = dijkstra(arcs.matrix, indices=src)
+    dist = dijkstra(arcs.matrix, indices=sources, min_only=True)
     n = len(dist)
     d_tail = dist[arcs.tail]
     d_head = dist[arcs.head]
@@ -51,23 +51,27 @@ def dijkstra_tree(g: SurfaceGraph, src: int) -> tuple[list[float], list[int]]:
     np.minimum.at(pred, arcs.head[earlier], arcs.tail[earlier])
     level = tight & (d_tail == d_head) & (d_tail < INF)
     if level.any():
-        _settle_level_arcs(pred, src, dist, arcs.tail[level], arcs.head[level])
-    return dist.tolist(), arcs.node_ids[pred].tolist()  # n reads as -1
+        _settle_level_arcs(pred, sources, dist, arcs.tail[level], arcs.head[level])
+    pred[pred == n] = -1
+    pred[sources] = -1  # even where a zero-weight arc joins two sources
+    return dist.tolist(), pred.tolist()
 
 
-def _settle_level_arcs(pred, src, dist, tail, head) -> None:
+def _settle_level_arcs(pred, sources, dist, tail, head) -> None:
     """Lower `pred` along tight arcs between nodes of equal distance.
 
     Such an arc u -> v counts only when the heap settles u before v.  Among
     equal distances the heap pops the smallest id it holds; a node is held
-    once the source, a closer tight neighbour or a settled equal neighbour
-    has reached it.  This replays that order on the nodes these arcs touch.
+    once it is a source, or a closer tight neighbour or a settled equal
+    neighbour has reached it.  This replays that order on the nodes these
+    arcs touch.
     """
     n = len(pred)
     out: dict[int, list[int]] = {}
     for u, v in zip(tail.tolist(), head.tolist()):
         out.setdefault(u, []).append(v)
-    heap = [(dist[u], u) for u in out if u == src or pred[u] < n]
+    held = set(sources)
+    heap = [(dist[u], u) for u in out if u in held or pred[u] < n]
     heapify(heap)
     settled = set()
     while heap:
@@ -79,19 +83,6 @@ def _settle_level_arcs(pred, src, dist, tail, head) -> None:
             if v not in settled:
                 pred[v] = min(pred[v], u)
                 heappush(heap, (dist[v], v))
-
-
-def path_from_predecessors(pred: list[int], src: int, dst: int) -> list[int]:
-    """The path src..dst read back along `pred`; NoPath when the walk from
-    dst ends, or cycles for len(pred) steps, without reaching src."""
-    path = [dst]
-    while path[-1] != src:
-        p = pred[path[-1]]
-        if p < 0 or len(path) > len(pred):
-            raise NoPath(f"no path recorded from {src} to {dst}")
-        path.append(p)
-    path.reverse()
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import typing
 from pathlib import Path
 
 from .analysis import render_report_text, report_to_dict
-from .errors import DisconnectedTerminals, NavStructError, NoPath, ValidationError
+from .errors import DisconnectedTerminals, NavStructError, ValidationError
 from .export import STRUCTURE_FORMATS, canonical_json, export_structure
 from .mesh import read_text
 from .pipeline import TUNING_FIELDS, PipelineConfig, run_extract
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return _run_pipeline_command(args, analyze=True)
         return _run_oracle(args)
-    except (DisconnectedTerminals, NoPath) as exc:
+    except DisconnectedTerminals as exc:
         log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DISCONNECTED

@@ -18,10 +18,6 @@ class DegenerateEdge(ValidationError):
     """An edge with zero (or negative) length/weight was produced."""
 
 
-class NoPath(NavStructError):
-    """Two queried nodes live in different connected components."""
-
-
 class DisconnectedTerminals(NavStructError):
     """A terminal pair cannot be connected; carries the offending pair."""
 

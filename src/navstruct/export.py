@@ -119,7 +119,8 @@ def structure_json_bytes(forest: list[RootedTree]) -> bytes:
 def load_structure_json(path: str | Path) -> list[RootedTree]:
     """Rebuild a forest from a structure JSON file.  The trees are rebuilt
     from the `children` lists; ParseError unless every tree's lists form one
-    tree under its root whose parents and depths are the file's."""
+    tree under its root whose parents and depths are the file's, and no tree
+    lists a node id twice."""
     p = Path(path)
     data = read_json(p)
     if not isinstance(data, dict) or data.get("format") != STRUCTURE_FORMAT:
@@ -139,6 +140,8 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
     payloads: dict[int, GraphNode] = {}
     for nrec in trec["nodes"]:
         v = as_index(nrec["id"], p)
+        if v in children:
+            raise ParseError(f"{p}: node {v} is listed twice in one tree")
         children[v] = [as_index(c, p) for c in nrec["children"]]
         depth[v] = as_index(nrec["depth"], p)
         parent[v] = None if nrec["parent"] is None else as_index(nrec["parent"], p)

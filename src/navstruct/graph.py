@@ -33,17 +33,12 @@ class Arcs(NamedTuple):
     weight[k], the arcs ordered by (tail, head, weight).  `matrix` is the same
     arcs as a weighted CSR matrix, row by tail, so each row lists its heads
     ascending; `head` and `weight` are its `indices` and `data`.  A repeated edge
-    stays one entry per copy, so no weights are summed.
-
-    `node_ids` is an object array of the Python ints 0..n-1, then -1: a list
-    read through it shares one int object per node, so the per-terminal
-    predecessor lists Steiner keeps cost a pointer per entry."""
+    stays one entry per copy, so no weights are summed."""
 
     matrix: csr_matrix
     tail: np.ndarray
     head: np.ndarray
     weight: np.ndarray
-    node_ids: np.ndarray
 
 
 @dataclass
@@ -82,8 +77,7 @@ class SurfaceGraph:
             tail, head, weight = tail[order], head[order], weight[order]
             indptr = np.searchsorted(tail, np.arange(n + 1))
             matrix = csr_matrix((weight, head, indptr), shape=(n, n))
-            node_ids = np.array([*range(n), -1], dtype=object)
-            self._arcs = Arcs(matrix, tail, matrix.indices, matrix.data, node_ids)
+            self._arcs = Arcs(matrix, tail, matrix.indices, matrix.data)
         return self._arcs
 
     def positions(self) -> np.ndarray:

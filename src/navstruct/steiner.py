@@ -1,16 +1,20 @@
 """Approximate Steiner trees over terminal node sets.
 
-Classic distance-network construction: build the complete terminal graph
-under shortest-path metric, take its spanning tree, expand every chosen
-terminal pair back into its concrete shortest path, take a spanning tree of
-that union, then prune non-terminal leaves.  Total weight is within
+Mehlhorn's construction (IPL 27, 1988): one shortest-path search from all
+terminals at once splits the graph into regions, one per terminal (the nodes
+closest to it).  Each edge between two regions is a bridge of cost
+d(u) + w + d(v); a spanning tree over the regions' cheapest bridges is a
+spanning tree of the terminals' metric closure, and expanding its bridges
+along the shortest paths gives the Steiner tree.  Total weight is within
 2*(1 - 1/leaf-count) of optimal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algorithms import dijkstra_tree, kruskal_edges, path_from_predecessors
+import numpy as np
+
+from .algorithms import dijkstra_tree, kruskal_edges
 from .errors import DisconnectedTerminals, EmptyTerminalSet
 from .graph import SurfaceGraph
 from .terminals import TerminalSet
@@ -39,10 +43,15 @@ def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:
     """Connect all terminals by a light subtree of `g`.
 
     Raises EmptyTerminalSet for an empty selection and DisconnectedTerminals
-    (naming the pair) when two terminals live in different components.
-    Deterministic: shortest paths and spanning trees use the fixed
-    tie-breaking rules, and expansion always walks the predecessor tree of
-    the smaller terminal id.
+    (naming the smallest terminal and the smallest one it cannot reach) when
+    two terminals live in different components.
+
+    Deterministic.  A node's region is the terminal its predecessor chain
+    ends at.  Each pair of regions keeps its bridge ranked first by
+    (d(u) + w + d(v), u, v), and Kruskal ranks the pairs by (cost, region
+    ids).  Each part of the tree inside a region is a subtree of one
+    shortest-path tree, and the bridges join the regions as a tree, so the
+    expanded union is a tree whose leaves are all terminals.
     """
     term_ids = sorted(set(terminals.node_ids))
     if not term_ids:
@@ -50,58 +59,48 @@ def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:
     for t in term_ids:
         if not (0 <= t < len(g.nodes)):
             raise EmptyTerminalSet(f"terminal {t} is not a node of the graph")
-    if len(term_ids) == 1:
-        return SteinerTree(
-            nodes=[term_ids[0]], edges=[], terminals=terminals, total_weight=0.0
+
+    dist, pred = dijkstra_tree(g, term_ids)
+    # pointer jumping: each step doubles how far up its chain a node points
+    region = np.array(pred)
+    region[region < 0] = np.flatnonzero(region < 0)
+    step = region[region]
+    while not np.array_equal(step, region):
+        region, step = step, step[step]
+    region = region.tolist()
+
+    bridges: dict[tuple[int, int], tuple[float, int, int, float]] = {}
+    for u, v, w in g.edges:
+        a, b = region[u], region[v]
+        if a != b and dist[u] < INF:
+            key = (a, b) if a < b else (b, a)
+            cand = (dist[u] + w + dist[v], u, v, w)
+            if key not in bridges or cand < bridges[key]:
+                bridges[key] = cand
+    chosen = kruskal_edges(term_ids, [(a, b, c[0]) for (a, b), c in bridges.items()])
+    if chosen.component_count > 1:
+        from scipy.sparse.csgraph import connected_components
+
+        labels = connected_components(g.arcs().matrix)[1]
+        first = term_ids[0]
+        raise DisconnectedTerminals(
+            (first, next(t for t in term_ids if labels[t] != labels[first]))
         )
 
-    runs = {t: dijkstra_tree(g, t) for t in term_ids}
-
-    # complete terminal graph under the shortest-path metric
-    metric_edges = []
-    for a_idx, a in enumerate(term_ids):
-        dist_a = runs[a][0]
-        for b in term_ids[a_idx + 1:]:
-            d = dist_a[b]
-            if d == INF:
-                raise DisconnectedTerminals((a, b))
-            metric_edges.append((a, b, d))
-    metric_mst = kruskal_edges(term_ids, metric_edges)
-
-    # expand each metric edge into its concrete path
+    # expand each bridge along the predecessors up to both region roots
     weight_of = {(i, j): w for i, j, w in g.edges}
-    union_nodes = set(term_ids)
-    union_edges: dict[tuple[int, int], float] = {}
-    for a, b, _w in metric_mst.edges:
-        path = path_from_predecessors(runs[a][1], a, b)
-        union_nodes.update(path)
-        for u, v in zip(path, path[1:]):
-            key = (u, v) if u < v else (v, u)
-            union_edges[key] = weight_of[key]
-
-    union_mst = kruskal_edges(
-        sorted(union_nodes), [(i, j, w) for (i, j), w in union_edges.items()]
-    )
-
-    # prune non-terminal leaves until every leaf is a terminal
-    term_set = set(term_ids)
-    adj: dict[int, dict[int, float]] = {v: {} for v in union_nodes}
-    for i, j, w in union_mst.edges:
-        adj[i][j] = w
-        adj[j][i] = w
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if v not in term_set and len(adj[v]) <= 1:
-                for u in list(adj[v]):
-                    del adj[u][v]
-                del adj[v]
-                changed = True
-
-    nodes = sorted(adj)
-    edges = sorted(
-        (i, j, adj[i][j]) for i in nodes for j in adj[i] if i < j
-    )
+    nodes = set(term_ids)
+    edges = []
+    for a, b, _cost in chosen.edges:
+        _, u, v, w = bridges[a, b]
+        edges.append((u, v, w))
+        for x in (u, v):
+            while x not in nodes:
+                nodes.add(x)
+                p = pred[x]
+                key = (p, x) if p < x else (x, p)
+                edges.append((*key, weight_of[key]))
+                x = p
+    edges.sort()
     total = float(sum(w for _, _, w in edges))
-    return SteinerTree(nodes=nodes, edges=edges, terminals=terminals, total_weight=total)
+    return SteinerTree(nodes=sorted(nodes), edges=edges, terminals=terminals, total_weight=total)

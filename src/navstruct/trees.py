@@ -37,9 +37,10 @@ class SimplifyConfig:
             raise ValidationError(
                 f"normal tolerance must be in (0, 90) degrees, got {self.normal_tolerance_deg}"
             )
-        if self.los_height_tolerance <= 0.0:
+        if not (0.0 < self.los_height_tolerance < math.inf):
             raise ValidationError(
-                f"line-of-sight height tolerance must be positive, got {self.los_height_tolerance}"
+                "line-of-sight height tolerance must be positive and finite, "
+                f"got {self.los_height_tolerance}"
             )
 
 

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,3 +22,23 @@ def hub():
 @pytest.fixture()
 def rng():
     return random.Random(20260823)
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(_signum, _frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def time_limit():
+    """`with time_limit(seconds):` fails, rather than hangs, when the block
+    runs longer than `seconds` (SIGALRM, main thread only)."""
+    return _time_limit

@@ -15,10 +15,9 @@ from navstruct.algorithms import (
     eigenvector_centrality,
     katz_centrality,
     kruskal_edges,
-    path_from_predecessors,
     spectral_radius,
 )
-from navstruct.errors import AlphaTooLarge, EmptyGraph, NoPath, ValidationError
+from navstruct.errors import AlphaTooLarge, EmptyGraph, ValidationError
 from navstruct.fixtures import (
     graph_from_edges,
     grid_surface,
@@ -66,18 +65,18 @@ def test_dijkstra_distances_on_kite():
     # distances frozen from an all-pairs relaxation done by hand:
     # 0-1 direct (1), 0-2 via 1 (3), 0-3 via 1,2 (4)
     g = kite_graph()
-    dist, pred = dijkstra_tree(g, 0)
+    dist, pred = dijkstra_tree(g, [0])
     assert dist == pytest.approx([0.0, 1.0, 3.0, 4.0])
     assert pred[3] == 2 and pred[2] == 1 and pred[1] == 0
 
 
 def test_shortest_path_route_and_weight():
     g = kite_graph()
-    dist, pred = dijkstra_tree(g, 0)
-    assert path_from_predecessors(pred, 0, 3) == [0, 1, 2, 3]
+    dist, pred = dijkstra_tree(g, [0])
+    assert pred == [-1, 0, 1, 2]
     assert dist[3] == pytest.approx(4.0)
-    dist, pred = dijkstra_tree(g, 2)
-    assert path_from_predecessors(pred, 2, 2) == [2] and dist[2] == 0.0
+    dist, pred = dijkstra_tree(g, [2])
+    assert pred[2] == -1 and dist[2] == 0.0
 
 
 def test_dijkstra_tie_prefers_smaller_predecessor():
@@ -86,9 +85,8 @@ def test_dijkstra_tie_prefers_smaller_predecessor():
         [(0, 0, 0), (1, 1, 0), (1, -1, 0), (2, 0, 0)],
         [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
     )
-    _dist, pred = dijkstra_tree(g, 0)
-    assert pred[3] == 1
-    assert path_from_predecessors(pred, 0, 3) == [0, 1, 3]
+    _dist, pred = dijkstra_tree(g, [0])
+    assert pred == [-1, 0, 0, 1]
 
 
 def test_dijkstra_tree_keeps_the_smallest_tied_predecessor(rng):
@@ -103,26 +101,27 @@ def test_dijkstra_tree_keeps_the_smallest_tied_predecessor(rng):
         )
         adj = g.adjacency()
         for src in range(n):
-            dist, pred = dijkstra_tree(g, src)
+            dist, pred = dijkstra_tree(g, [src])
             for v in range(n):
                 tied = [u for u, w in adj[v] if dist[u] + w == dist[v]]
                 assert pred[v] == (min(tied) if tied else -1)
 
 
-def test_no_path_raised_across_components():
+def test_dijkstra_tree_searches_from_sources_in_two_components():
     g = graph_from_edges(
         [(0, 0, 0), (1, 0, 0), (5, 0, 0), (6, 0, 0)],
         unit([(0, 1), (2, 3)]),
     )
-    dist, pred = dijkstra_tree(g, 0)
-    assert dist[3] == math.inf
-    with pytest.raises(NoPath):
-        path_from_predecessors(pred, 0, 3)
+    assert dijkstra_tree(g, [0]) == ([0.0, 1.0, math.inf, math.inf], [-1, 0, -1, -1])
+    assert dijkstra_tree(g, [0, 3]) == ([0.0, 1.0, 1.0, 0.0], [-1, 0, 3, -1])
 
 
-def test_no_path_raised_on_a_predecessor_cycle():
-    with pytest.raises(NoPath):
-        path_from_predecessors([1, 0, -1], 2, 0)
+def test_dijkstra_tree_gives_no_source_a_predecessor():
+    # a zero-weight arc between two sources is tight both ways; each source
+    # still roots its own tree, and node 2 hangs off the smaller one
+    g = SurfaceGraph(nodes=line_graph(3).nodes, edges=[(0, 1, 0.0), (1, 2, 1.0), (0, 2, 1.0)])
+    for search in (dijkstra_tree, dijkstra_tree_heap):
+        assert search(g, [0, 1]) == ([0.0, 0.0, 1.0], [-1, -1, 0])
 
 
 def test_dijkstra_tree_leaves_unreached_nodes_without_predecessor():
@@ -132,30 +131,33 @@ def test_dijkstra_tree_leaves_unreached_nodes_without_predecessor():
         [(float(k), 0.0, 0.0) for k in range(6)],
         unit([(0, 1), (1, 2), (3, 5), (3, 4)]),
     )
-    dist, pred = dijkstra_tree(g, 5)
+    dist, pred = dijkstra_tree(g, [5])
     assert dist == [math.inf, math.inf, math.inf, 1.0, 2.0, 0.0]
     assert pred == [-1, -1, -1, 5, 3, -1]
-    assert (dist, pred) == dijkstra_tree_heap(g, 5)
+    assert (dist, pred) == dijkstra_tree_heap(g, [5])
 
 
 def test_dijkstra_tree_follows_the_heap_where_a_weight_vanishes_in_rounding():
     # 1e17 + 1.0 == 1e17: both ends of the 1.0 edge share a distance, and
     # only the end the heap settles first may be the other's predecessor
     first, second = sub_ulp_graphs()
-    assert dijkstra_tree(first, 0)[1] == [-1, 2, 0]
-    assert dijkstra_tree(second, 0)[1] == [-1, 3, 1, 0, 0]
+    assert dijkstra_tree(first, [0])[1] == [-1, 2, 0]
+    assert dijkstra_tree(second, [0])[1] == [-1, 3, 1, 0, 0]
     for g in (first, second):
         for src in range(len(g.nodes)):
-            dist, pred = dijkstra_tree(g, src)
-            assert (dist, pred) == dijkstra_tree_heap(g, src)
+            dist, pred = dijkstra_tree(g, [src])
+            assert (dist, pred) == dijkstra_tree_heap(g, [src])
             for dst in range(len(g.nodes)):
-                path = path_from_predecessors(pred, src, dst)
-                assert path[0] == src and path[-1] == dst and len(set(path)) == len(path)
+                path = [dst]
+                while pred[path[-1]] >= 0 and len(path) <= len(pred):
+                    path.append(pred[path[-1]])
+                assert path[-1] == src and len(set(path)) == len(path)
 
 
 def test_dijkstra_tree_equals_the_heap_oracle_on_awkward_graphs(rng):
     # tie-heavy and vanishing weights, zero weights, weights whose sums pass
-    # the float range, and repeated edges and self-loops built directly
+    # the float range, and repeated edges and self-loops built directly; from
+    # each node alone and from random source sets
     nodes = line_graph(12).nodes
     weight_sets = [
         (0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 1e-18), (0.0, 0.5, 1.0),
@@ -175,7 +177,10 @@ def test_dijkstra_tree_equals_the_heap_oracle_on_awkward_graphs(rng):
         rng.shuffle(edges)
         g = SurfaceGraph(nodes=nodes[:n], edges=edges)
         for src in range(n):
-            assert dijkstra_tree(g, src) == dijkstra_tree_heap(g, src)
+            assert dijkstra_tree(g, [src]) == dijkstra_tree_heap(g, [src])
+        for _ in range(3):
+            sources = sorted(rng.sample(range(n), rng.randint(1, n)))
+            assert dijkstra_tree(g, sources) == dijkstra_tree_heap(g, sources)
 
 
 def test_graph_arcs_hold_each_edge_both_ways_and_are_built_once():
@@ -194,17 +199,6 @@ def test_graph_arcs_hold_each_edge_both_ways_and_are_built_once():
     assert arcs.matrix.nnz == len(got)
     assert list(arcs.tail) == sorted(arcs.tail)
     assert np.array_equal(np.diff(arcs.matrix.indptr), np.bincount(arcs.tail, minlength=4))
-
-
-def test_dijkstra_tree_predecessors_share_one_int_object_per_node():
-    # Steiner holds one predecessor list per terminal; new int objects in
-    # each would add 32 bytes per node and terminal to peak memory
-    g = maze_graph(20, 20)
-    ids = g.arcs().node_ids
-    assert ids.tolist() == [*range(400), -1]
-    for src in (0, 399):
-        _dist, pred = dijkstra_tree(g, src)
-        assert all(p is ids[p] for p in pred)
 
 
 def test_steiner_on_a_maze_runs_no_python_heap_search(monkeypatch):

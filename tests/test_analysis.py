@@ -1,7 +1,5 @@
 import json
-import signal
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -371,27 +369,13 @@ def test_structure_json_rejects_bad_files(tmp_path):
             load_structure_json(edited)
 
 
-@contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, when the block runs longer than `seconds`."""
-    def expire(_signum, _frame):
-        raise TimeoutError(f"took longer than {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _node_record(v, children, parent, depth):
     return {"children": children, "depth": depth, "id": v, "normal": [0, 0, 1],
             "on_navmesh": True, "parent": parent, "position": [v, 0, 0],
             "source": "sample", "terminal": False}
 
 
-def test_structure_json_rejects_trees_that_children_do_not_form(tmp_path):
+def test_structure_json_rejects_trees_that_children_do_not_form(tmp_path, time_limit):
     # small_forest: 0 -> [1, 2], 2 -> [3]
     def edit_node(v, **fields):
         def apply(nodes):
@@ -417,6 +401,11 @@ def test_structure_json_rejects_trees_that_children_do_not_form(tmp_path):
         "cycle below the root": (
             lambda nodes: (nodes[3].update(children=[2]), nodes[2].update(parent=3)),
             "'parent' does not match",
+        ),
+        # a second record for leaf 3 with another payload
+        "repeated node": (
+            lambda nodes: nodes.append({**nodes[3], "position": [9, 9, 9]}),
+            "node 3 is listed twice",
         ),
     }
     for name, (edit, message) in cases.items():

@@ -1,10 +1,19 @@
+import math
+
 import pytest
 
+from navstruct.algorithms import kruskal_edges
 from navstruct.errors import DisconnectedTerminals, EmptyTerminalSet
-from navstruct.fixtures import graph_from_edges, random_connected_graph
-from navstruct.oracles import steiner_exhaustive
+from navstruct.fixtures import graph_from_edges, grid_surface, maze_graph, random_connected_graph
+from navstruct.graph import graph_from_navmesh
+from navstruct.oracles import (
+    _tie_heavy_graph,
+    dijkstra_tree_heap,
+    steiner_exhaustive,
+    sub_ulp_graphs,
+)
 from navstruct.steiner import SteinerTree, build_steiner_tree
-from navstruct.terminals import TerminalSet
+from navstruct.terminals import TerminalSet, terminals_from_metric
 
 
 def terms(ids):
@@ -173,3 +182,52 @@ def test_deterministic_across_repeat_builds(rng):
         assert first.nodes == second.nodes
         assert first.edges == second.edges
         assert first.total_weight == second.total_weight
+
+
+def closure_mst_weight(g, terminal_ids):
+    """Weight of a minimum spanning tree of the terminals' metric closure,
+    one heap search per terminal; None when two terminals are disconnected."""
+    dist = {t: dijkstra_tree_heap(g, [t])[0] for t in terminal_ids}
+    pairs = [
+        (a, b, dist[a][b]) for k, a in enumerate(terminal_ids) for b in terminal_ids[k + 1:]
+    ]
+    if any(d == math.inf for _a, _b, d in pairs):
+        return None
+    return kruskal_edges(terminal_ids, pairs).total_weight
+
+
+def test_tree_weighs_no_more_than_the_metric_closure_mst(rng):
+    graphs = [random_connected_graph(rng, rng.randint(4, 20), rng.uniform(0.15, 0.8))
+              for _ in range(150)]
+    graphs += [_tie_heavy_graph(rng, (0.1, 0.2, 0.3)) for _ in range(150)]
+    # 1e-18 vanishes in the rounding of every distance from 0.1 up
+    graphs += [_tie_heavy_graph(rng, (0.1, 0.2, 0.3, 1e-18)) for _ in range(150)]
+    graphs += sub_ulp_graphs() * 10
+    graphs += [graph_from_navmesh(grid_surface(n, n)) for n in (4, 8, 12) for _ in range(10)]
+    spanned = disconnected = 0
+    for g in graphs:
+        n = len(g.nodes)
+        t = sorted(rng.sample(range(n), rng.randint(1, min(n, 12))))
+        bound = closure_mst_weight(g, t)
+        if bound is None:
+            dist = dijkstra_tree_heap(g, [t[0]])[0]
+            with pytest.raises(DisconnectedTerminals) as err:
+                build_steiner_tree(g, terms(t))
+            assert err.value.pair == (t[0], next(b for b in t if dist[b] == math.inf))
+            disconnected += 1
+            continue
+        tree = build_steiner_tree(g, terms(t))
+        assert_valid_steiner_tree(tree, g, t)
+        # the tree sums edge weights, the closure path lengths: a few ulps apart
+        assert tree.total_weight <= bound * (1.0 + 1e-12)
+        spanned += 1
+    assert spanned > 300 and disconnected > 50
+
+
+def test_maze_with_a_thousand_leaf_terminals_builds_in_two_seconds(time_limit):
+    g = maze_graph(100, 100)
+    leaves = terminals_from_metric(g, "leaves")
+    assert len(leaves.node_ids) == 1006
+    with time_limit(2.0):
+        tree = build_steiner_tree(g, leaves)
+    assert_valid_steiner_tree(tree, g, leaves.node_ids)

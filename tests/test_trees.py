@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -410,8 +412,9 @@ def test_simplify_config_validation():
         SimplifyConfig(normal_tolerance_deg=0.0)
     with pytest.raises(ValidationError, match="normal tolerance"):
         SimplifyConfig(normal_tolerance_deg=90.0)
-    with pytest.raises(ValidationError, match="height tolerance"):
-        SimplifyConfig(los_height_tolerance=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="height tolerance"):
+            SimplifyConfig(los_height_tolerance=bad)
 
 
 def test_normal_angle_degrees():
