@@ -3,7 +3,9 @@
 Shortest paths prefer the lexicographically smallest predecessor among
 equal-cost alternatives; spanning trees order candidate edges by
 (weight, min endpoint, max endpoint).  Both rules make every downstream
-structure reproducible bit-for-bit on identical input.
+structure reproducible bit-for-bit on identical input.  Spectral scores are
+exact to rounding: eigenvector centrality and the spectral radius take one
+Lanczos solve, Katz centrality one sparse direct solve.
 """
 from __future__ import annotations
 
@@ -277,91 +279,67 @@ def _sparse_adjacency(g: SurfaceGraph) -> csr_matrix:
     return a
 
 
-def _power_iteration(a: csr_matrix, max_iter: int):
-    """Shifted power iteration on A + I from the all-ones vector.
+def _top_eigenpair(a: csr_matrix) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the symmetric `a` and a unit eigenvector for
+    it: Lanczos (ARPACK) started from the all-ones vector, or a dense
+    eigendecomposition below 3 nodes, where ARPACK has no room for a basis.
+    ARPACK's failure to converge raises NoConvergence."""
+    n = a.shape[0]
+    if n < 3:
+        vals, vecs = np.linalg.eigh(a.toarray())
+        return float(vals[-1]), vecs[:, -1]
+    # imported on the first solve, so importing the CLI does not pay for it
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    Each step yields the unit max-norm vector x, the next one
-    y = (x + A x) / peak and peak = max(x + A x), which tends to the largest
-    eigenvalue of A + I.  The shift keeps the iteration from oscillating on
-    bipartite graphs.  Callers stop it with their own rule."""
-    x = np.ones(a.shape[0])
-    for _ in range(max_iter):
-        y = x + a @ x
-        peak = float(y.max())
-        y /= peak
-        yield x, y, peak
-        x = y
+    try:
+        vals, vecs = eigsh(a, k=1, which="LA", v0=np.ones(n))
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos eigensolver did not converge: {exc}") from exc
+    return float(vals[0]), vecs[:, 0]
 
 
-def eigenvector_centrality(
-    g: SurfaceGraph, tol: float = 1e-9, max_iter: int = 10000
-) -> CentralityScores:
-    """Principal-eigenvector scores of the unweighted adjacency matrix.
+def eigenvector_centrality(g: SurfaceGraph) -> CentralityScores:
+    """Principal-eigenvector scores of the unweighted adjacency matrix, by
+    Lanczos on a sparse adjacency (O(edges) memory), in absolute value and
+    scaled to unit max-norm.  Needs at least one edge.
 
-    Power iteration with an identity shift on a sparse adjacency (O(edges)
-    memory), normalized to unit max-norm.  Requires a connected graph with at
-    least one edge.
-    """
+    A disconnected graph gets the power-iteration limit from the all-ones
+    vector: zero on each component whose largest eigenvalue is below the
+    graph's, and on components that tie for it, each component's Perron
+    vector weighted by its projection onto the ones vector."""
     if not g.edges:
         raise EmptyGraph("eigenvector centrality needs at least one edge")
-    residual = INF
-    for x, y, _peak in _power_iteration(_sparse_adjacency(g), max_iter):
-        residual = float(np.abs(y - x).max())
-        if residual < tol:
-            return CentralityScores(
-                metric="eigenvector",
-                values=[float(v) for v in y],
-                params={"tol": tol, "max_iter": max_iter},
-            )
-    raise NoConvergence("eigenvector power iteration did not converge", residual)
+    vector = np.abs(_top_eigenpair(_sparse_adjacency(g))[1])
+    return CentralityScores(metric="eigenvector", values=(vector / vector.max()).tolist())
 
 
-# spectral_radius's stopping rule, which Katz's default alpha also uses
-_RADIUS_TOL = 1e-12
-_RADIUS_MAX_ITER = 10000
+def spectral_radius(g: SurfaceGraph) -> float:
+    """Largest adjacency eigenvalue, by Lanczos on a sparse adjacency
+    (O(edges) memory); 0 without edges."""
+    return _spectral_radius(_sparse_adjacency(g))
 
 
-def spectral_radius(
-    g: SurfaceGraph, tol: float = _RADIUS_TOL, max_iter: int = _RADIUS_MAX_ITER
-) -> float:
-    """Largest adjacency eigenvalue via shifted power iteration on a sparse
-    adjacency (O(edges) memory)."""
-    return _spectral_radius(_sparse_adjacency(g), tol, max_iter)
+def _spectral_radius(a: csr_matrix) -> float:
+    return _top_eigenpair(a)[0] if a.nnz else 0.0
 
 
-def _spectral_radius(a: csr_matrix, tol: float, max_iter: int) -> float:
-    """Stops when the Rayleigh quotient x.(A + I)x / x.x moves by less than
-    `tol` relative.  The max-norm peak is no stopping rule: on a grid it
-    repeats at the second step, long before it converges."""
-    if a.nnz == 0:
-        return 0.0
-    est = INF
-    for x, y, peak in _power_iteration(a, max_iter):
-        # y * peak is (A + I) x
-        quotient = peak * float(x @ y) / float(x @ x)
-        shift = abs(quotient - est)
-        est = quotient
-        if shift < tol * max(1.0, est):
-            break
-    return est - 1.0
+def katz_centrality(g: SurfaceGraph, alpha: float | None = None) -> CentralityScores:
+    """Katz scores: the sum over path lengths i >= 1 of alpha^i * (A^i 1),
+    found as the solution x of (I - alpha A) x = alpha A 1 by one sparse
+    direct solve.  One sparse adjacency (O(edges) memory) serves the
+    spectral radius and the solve.
 
-
-def katz_centrality(
-    g: SurfaceGraph,
-    alpha: float | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 100000,
-) -> CentralityScores:
-    """Katz scores: sum over path lengths i of alpha^i * (A^i 1), evaluated
-    term by term until the added term drops below `tol`.  One sparse
-    adjacency (O(edges) memory) serves the spectral radius and the series.
-
-    `alpha` must satisfy 0 < alpha < 1/spectral_radius; None selects
-    0.9/spectral_radius.  AlphaTooLarge is raised when the series diverges.
+    `alpha` must satisfy 0 < alpha < 1/spectral_radius, where the series
+    converges; None selects 0.9/spectral_radius.  AlphaTooLarge is raised
+    otherwise.
     """
+    # imported on the first solve, so importing the CLI does not pay for it
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
     n = len(g.nodes)
     a = _sparse_adjacency(g)
-    radius = _spectral_radius(a, _RADIUS_TOL, _RADIUS_MAX_ITER)
+    radius = _spectral_radius(a)
     if alpha is None:
         alpha = 0.9 / radius if radius > 1e-12 else 0.5
     if alpha <= 0.0:
@@ -370,25 +348,8 @@ def katz_centrality(
         raise AlphaTooLarge(
             f"alpha {alpha:.6g} >= 1/spectral_radius {1.0 / radius:.6g}; series diverges"
         )
-    term = alpha * (a @ np.ones(n))
-    total = term.copy()
-    growth_streak = 0
-    prev_norm = float(np.abs(term).max()) if n else 0.0
-    for _ in range(max_iter):
-        if prev_norm < tol:
-            return CentralityScores(
-                metric="katz",
-                values=[float(v) for v in total],
-                params={"alpha": alpha, "tol": tol},
-            )
-        term = alpha * (a @ term)
-        total += term
-        norm = float(np.abs(term).max())
-        growth_streak = growth_streak + 1 if norm > prev_norm else 0
-        if growth_streak > 50:
-            raise AlphaTooLarge(f"katz series diverges for alpha {alpha:.6g}")
-        prev_norm = norm
-    raise NoConvergence("katz series did not converge", prev_norm)
+    x = spsolve(identity(n, format="csr") - alpha * a, alpha * (a @ np.ones(n)))
+    return CentralityScores(metric="katz", values=x.tolist(), params={"alpha": alpha})
 
 
 CENTRALITY_METRICS = ("degree", "betweenness", "eigenvector", "katz")

@@ -35,11 +35,7 @@ class EmptyGraph(NavStructError):
 
 
 class NoConvergence(NavStructError):
-    """Iterative numeric routine failed to converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})")
+    """Iterative numeric routine failed to converge."""
 
 
 class AlphaTooLarge(NavStructError):

@@ -164,6 +164,13 @@ def stacked_floors() -> WalkableSurface:
     return build_walkable_surface(pool.verts, polys)
 
 
+def regular_polygon(corners: int) -> WalkableSurface:
+    """One flat regular ring of `corners` corners on the unit circle."""
+    turn = 2.0 * math.pi * np.arange(corners) / corners
+    verts = np.column_stack([np.cos(turn), np.sin(turn), np.zeros(corners)])
+    return build_walkable_surface(verts, [list(range(corners))])
+
+
 def vertical_strip(nx: int = 4, nz: int = 2, reverse: bool = False) -> WalkableSurface:
     """nx*nz unit squares in the y=0 plane; `reverse` flips every ring."""
     verts = [(float(x), 0.0, float(z)) for z in range(nz + 1) for x in range(nx + 1)]

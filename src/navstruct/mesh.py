@@ -10,7 +10,7 @@ to the LEFT of each directed boundary edge.  A blocker mesh is a triangle soup
 used only as a raycast target.
 
 `build_walkable_surface` checks and measures the rings in array passes over
-ring position; `oracles.build_walkable_surface_per_polygon` does the same one
+all ring corners; `oracles.build_walkable_surface_per_polygon` does the same one
 polygon at a time and is the reference it must match, field for field and
 error for error.
 """
@@ -425,17 +425,6 @@ def _first_fault(checks: list) -> tuple[int, str] | None:
     return pid, message(pid) if callable(message) else message
 
 
-def _ring_positions(corners: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
-    """For each ring position i, (i, m, a, b, c): the first m rings, which
-    are those with more than i corners as `sizes` runs largest first, and
-    the vertex ids at their positions i, i + 1 and i + 2 around the ring."""
-    more = len(sizes) - np.cumsum(np.bincount(sizes, minlength=1))
-    for i, m in enumerate(more[:-1].tolist()):
-        size, start = sizes[:m], starts[:m]
-        a, b, c = (corners[start + (i + k) % size] for k in range(3))
-        yield i, m, a, b, c
-
-
 def _lengths(v: np.ndarray) -> np.ndarray:
     """Row lengths of an (n, 3) array, summed as np.linalg.norm(v, axis=1)
     and (v * v).sum(axis=1) sum three columns."""
@@ -454,33 +443,40 @@ def _ring_geometry(verts, corners, sizes, starts, plane_eps: float):
     (sizes, starts) into `corners`, locate_point's reach over them, and the
     geometric checks as (flags per polygon, message).
 
-    The work runs in passes over ring position, each step on corner i of
-    every ring with more than i corners.  So each per-ring sum adds in ring
-    order, as the per-polygon reference adds it, and every stored float
-    matches it bit for bit.
+    Each pass computes its terms for every ring corner at once, then folds
+    them per ring.  Sums fold by np.bincount, which adds its weights one
+    after another in input order: corner order, so ring order, as the
+    per-polygon reference adds them.  So every stored float matches it bit
+    for bit.
     """
     count = len(sizes)
-    # rings largest first: those with more than i corners are a prefix
-    by_size = np.argsort(-sizes, kind="stable")
-    sizes, starts = sizes[by_size], starts[by_size]
-    steps = (corners, sizes, starts)
+    ring = np.repeat(np.arange(count), sizes)  # the ring of each corner
+    # the next corner around its ring: the last one wraps to the first
+    nxt = np.arange(1, len(ring) + 1)
+    nxt[starts + sizes - 1] = starts
 
-    # pass 1: edge lengths, Newell normal terms and centre sums
-    short_edge = np.zeros(count, dtype=bool)
-    newell = np.zeros((count, 3))
-    total = np.zeros((count, 3))
-    for _, m, a, b, _ in _ring_positions(*steps):
-        p, q = verts[a], verts[b]
-        short_edge[:m] |= _lengths(q - p) < 1e-12
-        (px, py, pz), (qx, qy, qz) = p.T, q.T
-        newell[:m, 0] += (py - qy) * (pz + qz)
-        newell[:m, 1] += (pz - qz) * (px + qx)
-        newell[:m, 2] += (px - qx) * (py + qy)
-        total[:m] += p
+    def ring_sum(terms):
+        return np.bincount(ring, weights=terms, minlength=count)
+
+    def rows(x, ids):  # x[ids]: np.take gathers rows faster than indexing
+        return np.take(x, ids, axis=0)
+
+    # pass 1: edge lengths, Newell normal terms and centre sums; edge e runs
+    # from corner p to the next one, q
+    p = rows(verts, corners[:len(ring)])
+    q = rows(p, nxt)
+    e = q - p
+    short_edge = ring_sum(_lengths(e) < 1e-12) > 0
+    (px, py, pz), (qx, qy, qz) = p.T, q.T
+    newell = np.column_stack([
+        ring_sum((py - qy) * (pz + qz)),
+        ring_sum((pz - qz) * (px + qx)),
+        ring_sum((px - qx) * (py + qy)),
+    ])
     norm = np.sqrt(_row_dots(newell, newell))
     zero_area = norm < 1e-12
     normals = newell / np.where(zero_area, 1.0, norm)[:, None]
-    centers = total / sizes[:, None]
+    centers = np.column_stack([ring_sum(x) for x in (px, py, pz)]) / sizes[:, None]
     # the two axes kept when projecting along each normal's dominant axis
     axes = np.array([[1, 2], [0, 2], [0, 1]])[np.argmax(np.abs(normals), axis=1)]
 
@@ -490,56 +486,50 @@ def _ring_geometry(verts, corners, sizes, starts, plane_eps: float):
     # grows the projected ring about its centre by a factor of at most
     # 1 + GEOM_EPS / (twice the smallest projected area of a centre-edge
     # triangle).
-    maybe_bent = np.zeros(count, dtype=bool)
+    n = rows(normals, ring)
+    rel = p - rows(centers, ring)
+    # |(p - centre) . n| > plane_eps, with room for the rounding of the
+    # per-polygon rule's BLAS product, whose order and fused steps may differ
+    # (within 1e-15 * sum |terms|); flagged rings are measured again below
+    terms = rel * n
+    dev = np.abs((terms[:, 0] + terms[:, 1]) + terms[:, 2])
+    maybe_bent = ring_sum(dev + 1e-15 * np.abs(terms).sum(axis=1) > plane_eps) > 0
+    # the turn from edge e into the next edge f must not flip against the
+    # normal; the cross product is written out with np.cross's own expressions
+    f = rows(e, nxt)
+    (ex, ey, ez), (fx, fy, fz), (nx, ny, nz) = e.T, f.T, n.T
+    turn = (ey * fz - ez * fy) * nx + (ez * fx - ex * fz) * ny + (ex * fy - ey * fx) * nz
+    flipped = np.flatnonzero(turn < -plane_eps * (_lengths(e) * _lengths(f)))
     flip_at = np.full(count, -1)
+    flip_rings, first_flip = np.unique(ring[flipped], return_index=True)
+    flip_at[flip_rings] = flipped[first_flip] - starts[flip_rings]
     far = np.zeros(count)
+    np.maximum.at(far, ring, _lengths(rel))
+    # the centre-edge triangles projected along the dominant axis
+    u = np.take_along_axis(rel, rows(axes, ring), axis=1)
+    v = rows(u, nxt)
     thin = np.full(count, np.inf)
-    for i, m, a, b, c in _ring_positions(*steps):
-        p, q, r = verts[a], verts[b], verts[c]
-        n, rel, rel_next = normals[:m], p - centers[:m], q - centers[:m]
-        # |(p - centre) . n| > plane_eps, with room for the rounding of the
-        # per-polygon rule's BLAS product, whose order and fused steps may
-        # differ (within 1e-15 * sum |terms|); flagged rings are measured
-        # again below
-        terms = rel * n
-        dev = np.abs((terms[:, 0] + terms[:, 1]) + terms[:, 2])
-        maybe_bent[:m] |= dev + 1e-15 * np.abs(terms).sum(axis=1) > plane_eps
-        # the turn from edge p-q into q-r must not flip against the normal;
-        # the cross product is written out with np.cross's own expressions
-        e, f = q - p, r - q
-        (ex, ey, ez), (fx, fy, fz), (nx, ny, nz) = e.T, f.T, n.T
-        turn = (ey * fz - ez * fy) * nx + (ez * fx - ex * fz) * ny + (ex * fy - ey * fx) * nz
-        flipped = (turn < -plane_eps * (_lengths(e) * _lengths(f))) & (flip_at[:m] < 0)
-        flip_at[:m][flipped] = i
-        far[:m] = np.maximum(far[:m], _lengths(rel))
-        keep = axes[:m]
-        (u0, u1), (v0, v1) = (np.take_along_axis(x, keep, axis=1).T for x in (rel, rel_next))
-        thin[:m] = np.minimum(thin[:m], np.abs(u0 * v1 - u1 * v0))
+    np.minimum.at(thin, ring, np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
     # the planarity rule itself: one (k, 3) @ (3,) product per flagged ring
     deviation = np.zeros(count)
     for s in np.flatnonzero(maybe_bent).tolist():
-        ring = corners[starts[s]:starts[s] + sizes[s]]
-        deviation[s] = np.abs((verts[ring] - centers[s]) @ normals[s]).max()
+        corner_ids = corners[starts[s]:starts[s] + sizes[s]]
+        deviation[s] = np.abs((verts[corner_ids] - centers[s]) @ normals[s]).max()
     # an exactly zero area (far-off corners round it away) bounds nothing
     grow = np.divide(GEOM_EPS, thin, out=np.full(count, np.inf), where=thin > 0.0)
     reach = (far + math.sqrt(3.0) * plane_eps) * (1.0 + grow)
 
-    # back to polygon id order
-    order = np.empty_like(by_size)
-    order[by_size] = np.arange(count)
-    deviation, flip_at = deviation[order], flip_at[order]
     checks = [
-        (short_edge[order], "zero-length edge"),
-        (zero_area[order], "degenerate (zero area)"),
+        (short_edge, "zero-length edge"),
+        (zero_area, "degenerate (zero area)"),
         (
             deviation > plane_eps,
             lambda pid: f"non-planar (deviation {deviation[pid]:.3e} > {plane_eps:.3e})",
         ),
         (flip_at >= 0, lambda pid: f"non-convex at ring position {flip_at[pid]}"),
     ]
-    normals, centers = normals[order], centers[order]
     offsets = _row_dots(normals, centers)
-    return normals, centers, offsets, axes[order], float(reach.max(initial=0.0)), checks
+    return normals, centers, offsets, axes, float(reach.max(initial=0.0)), checks
 
 
 def _edge_owners(polys, corners, owner, sizes, starts):

@@ -132,11 +132,11 @@ def test_criterion_3_eigenvector_and_katz_match_dense_oracles(capsys):
             got_k = katz_centrality(g, alpha=alpha).values
             want_k = katz_oracle(g, alpha)
             katz_err = max(katz_err, max(abs(a - b) for a, b in zip(got_k, want_k)))
-        assert eig_err <= 1e-6
-        assert katz_err <= 1e-6
+        assert eig_err <= 1e-10
+        assert katz_err <= 1e-10
         ok = True
     finally:
-        _verdict(capsys, 3, "eigenvector and katz match dense oracles (1e-6)", ok)
+        _verdict(capsys, 3, "eigenvector and katz match dense oracles (1e-10)", ok)
 
 
 def test_criterion_4_corridor_collapses_to_root_plus_two_terminals(capsys, corridor):

@@ -25,6 +25,7 @@ from navstruct.fixtures import (
     random_connected_graph,
     random_forest_graph,
     random_tree_graph,
+    stacked_floors,
 )
 from navstruct.graph import SurfaceGraph, graph_from_navmesh
 from navstruct.oracles import (
@@ -393,7 +394,33 @@ def test_eigenvector_matches_dense_oracle(rng):
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(4, 10), 0.6)
         got = eigenvector_centrality(g).values
-        assert got == pytest.approx(eigenvector_oracle(g), abs=1e-6)
+        assert got == pytest.approx(eigenvector_oracle(g), abs=1e-10)
+
+
+@pytest.mark.parametrize("size, seed", [(30, 0), (30, 2), (30, 5), (40, 1), (40, 4)])
+def test_eigenvector_converges_on_mazes(size, seed):
+    # a maze is a tree whose top eigenvalues lie close together; power
+    # iteration stopped after 10,000 steps short of its 1e-9 step rule here
+    g = maze_graph(size, size, seed)
+    assert eigenvector_centrality(g).values == pytest.approx(eigenvector_oracle(g), abs=1e-10)
+
+
+def test_eigenvector_of_a_disconnected_graph_is_the_power_iteration_limit():
+    # components below the top eigenvalue score zero; components tied at it
+    # keep their Perron vectors, weighted by their projections onto ones
+    triangles_and_an_edge = graph_from_edges(
+        [(float(k), 0.0, 0.0) for k in range(8)],
+        unit([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)]),
+    )
+    assert eigenvector_centrality(triangles_and_an_edge).values == pytest.approx(
+        [1.0] * 6 + [0.0, 0.0], abs=1e-12
+    )
+    # a 5-node path (radius sqrt 3) and two edges (radius 1)
+    floors = graph_from_navmesh(stacked_floors())
+    half_root3 = math.sqrt(3.0) / 2.0
+    assert eigenvector_centrality(floors).values == pytest.approx(
+        [0.5, half_root3, 1.0, half_root3, 0.5, 0.0, 0.0, 0.0, 0.0], abs=1e-12
+    )
 
 
 def test_eigenvector_rejects_edgeless_graph():
@@ -406,21 +433,21 @@ def test_spectral_radius_known_graphs():
     triangle = graph_from_edges(
         [(0, 0, 0), (1, 0, 0), (0.5, 1, 0)], unit([(0, 1), (1, 2), (0, 2)])
     )
-    assert spectral_radius(triangle) == pytest.approx(2.0, abs=1e-6)
-    assert spectral_radius(line_graph(3)) == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    assert spectral_radius(triangle) == pytest.approx(2.0, abs=1e-10)
+    assert spectral_radius(line_graph(3)) == pytest.approx(math.sqrt(2.0), abs=1e-10)
     star = graph_from_edges(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0)],
         unit([(0, 1), (0, 2), (0, 3)]),
     )
-    assert spectral_radius(star) == pytest.approx(math.sqrt(3.0), abs=1e-6)
+    assert spectral_radius(star) == pytest.approx(math.sqrt(3.0), abs=1e-10)
 
 
 def test_katz_matches_series_oracle():
     g = kite_graph()
     scores = katz_centrality(g, alpha=0.25)
     # frozen limit of the attenuated walk series at alpha = 1/4
-    assert scores.values == pytest.approx([1.5, 2.0, 2.0, 1.5], abs=1e-6)
-    assert scores.values == pytest.approx(katz_oracle(g, 0.25), abs=1e-6)
+    assert scores.values == pytest.approx([1.5, 2.0, 2.0, 1.5], abs=1e-10)
+    assert scores.values == pytest.approx(katz_oracle(g, 0.25), abs=1e-10)
 
 
 def test_katz_default_alpha_converges(rng):
@@ -428,7 +455,7 @@ def test_katz_default_alpha_converges(rng):
         g = random_connected_graph(rng, rng.randint(4, 8), 0.6)
         scores = katz_centrality(g)
         alpha = scores.params["alpha"]
-        assert scores.values == pytest.approx(katz_oracle(g, alpha), abs=1e-6)
+        assert scores.values == pytest.approx(katz_oracle(g, alpha), abs=1e-10)
         assert all(v > 0.0 for v in scores.values)
 
 
@@ -442,7 +469,7 @@ def test_katz_rejects_alpha_at_or_beyond_threshold():
     with pytest.raises(AlphaTooLarge):
         katz_centrality(triangle, alpha=0.9)
     scores = katz_centrality(triangle, alpha=0.4)
-    assert scores.values == pytest.approx(katz_oracle(triangle, 0.4), abs=1e-6)
+    assert scores.values == pytest.approx(katz_oracle(triangle, 0.4), abs=1e-10)
 
 
 def test_spectral_scores_stay_sparse_on_a_large_grid():
@@ -474,7 +501,7 @@ def test_spectral_radius_of_a_grid_matches_the_dense_eigenvalue(size):
     dense = np.zeros((len(g.nodes), len(g.nodes)))
     for i, j, _ in g.edges:
         dense[i, j] = dense[j, i] = 1.0
-    assert abs(spectral_radius(g) - np.linalg.eigvalsh(dense).max()) <= 1e-9
+    assert abs(spectral_radius(g) - np.linalg.eigvalsh(dense).max()) <= 1e-12
 
 
 def test_random_connected_graph_gives_up_on_a_hopeless_edge_probability():
@@ -490,12 +517,12 @@ def test_repeated_edges_and_self_loops_count_once():
         nodes=line_graph(4).nodes,
         edges=[(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 2.0), (2, 2, 1.0)],
     )
-    assert eigenvector_centrality(g).values == pytest.approx(eigenvector_oracle(g), abs=1e-6)
+    assert eigenvector_centrality(g).values == pytest.approx(eigenvector_oracle(g), abs=1e-10)
     dense = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0]]
-    assert spectral_radius(g) == pytest.approx(max(np.linalg.eigvalsh(dense)), abs=1e-6)
+    assert spectral_radius(g) == pytest.approx(max(np.linalg.eigvalsh(dense)), abs=1e-10)
     katz = katz_centrality(g)
-    assert katz.values == pytest.approx(katz_oracle(g, katz.params["alpha"]), abs=1e-6)
-    assert katz_centrality(g, alpha=0.3).values == pytest.approx(katz_oracle(g, 0.3), abs=1e-6)
+    assert katz.values == pytest.approx(katz_oracle(g, katz.params["alpha"]), abs=1e-10)
+    assert katz_centrality(g, alpha=0.3).values == pytest.approx(katz_oracle(g, 0.3), abs=1e-10)
 
 # --- dispatcher -------------------------------------------------------------
 

@@ -7,6 +7,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from navstruct.cli import _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, ValidationError
@@ -363,6 +365,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["extract", "--graph", str(ring), "--terminals", "leaves",
                  "--out", str(tmp_path)]) == 2
     assert "degree-1" in capsys.readouterr().err
+
+
+def write_maze_json(path, size, seed):
+    maze = maze_graph(size, size, seed)
+    data = {
+        "nodes": [{"pos": node.position.tolist()} for node in maze.nodes],
+        "edges": [[i, j, w] for i, j, w in maze.edges],
+    }
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_cli_roots_a_maze_by_eigenvector_centrality(tmp_path):
+    # the whole maze is the Steiner tree of its leaves; power iteration gave
+    # up on its eigenvector and the run exited with code 2
+    maze = write_maze_json(tmp_path / "maze.json", 30, 2)
+    code = main(["analyze", "--graph", str(maze), "--terminals", "leaves",
+                 "--root-metric", "eigenvector", "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+def test_cli_reports_an_eigensolver_failure_as_one_error_line(tmp_path, capsys, monkeypatch):
+    def no_convergence(*_args, **_kwargs):
+        raise ArpackNoConvergence("No convergence (901 iterations, 0/1 eigenvectors converged)",
+                                  np.zeros(0), np.zeros((36, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    maze = write_maze_json(tmp_path / "maze.json", 6, 0)
+    code = main(["extract", "--graph", str(maze), "--terminals", "metric",
+                 "--metric", "eigenvector", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: Lanczos eigensolver did not converge: ARPACK error -1: No convergence"
+        " (901 iterations, 0/1 eigenvectors converged)"
+    ]
 
 
 _CHAIN = {"nodes": [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0]}], "edges": [[0, 1]]}

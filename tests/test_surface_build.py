@@ -40,6 +40,8 @@ FIXTURES = {
     "ramp-30": lambda: fixtures.ramp_corridor(30.0),
     "ramp-60": lambda: fixtures.ramp_corridor(60.0),
     "ramp-80": lambda: fixtures.ramp_corridor(80.0),
+    "1000-gon": lambda: fixtures.regular_polygon(1000),
+    "5000-gon": lambda: fixtures.regular_polygon(5000),
 }
 
 
@@ -47,6 +49,15 @@ FIXTURES = {
 def test_fixture_surfaces_match_the_reference(name):
     surface = FIXTURES[name]()
     assert build_differences(surface.vertices, surface.polygons) == []
+
+
+def test_a_long_ring_builds_in_one_pass(time_limit):
+    # one step per ring position took 0.65 s on this ring, against 31 ms
+    # for the per-polygon reference (2-CPU x86-64 machine)
+    ring = fixtures.regular_polygon(5000)
+    build_walkable_surface(ring.vertices, ring.polygons)  # warm-up
+    with time_limit(0.1):
+        build_walkable_surface(ring.vertices, ring.polygons)
 
 
 def test_random_convex_rings_match_the_reference():

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from navstruct import terminals
+from navstruct.algorithms import CentralityScores
 from navstruct.errors import EmptyTerminalSet, ValidationError
 from navstruct.fixtures import (
     boundary_walls,
     graph_from_edges,
     grid_surface,
+    maze_graph,
+    random_connected_graph,
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
+from navstruct.oracles import eigenvector_oracle, katz_oracle
 from navstruct.terminals import (
     BoundarySample,
     _rotate_about,
@@ -360,6 +364,45 @@ def test_metric_picks_ignore_last_bit_noise(monkeypatch):
         monkeypatch.setattr(terminals, "compute_centrality", noisy)
         for g, k, picks in cases:
             assert terminals_from_metric(g, "metric", "eigenvector", k=k).node_ids == picks
+
+
+def test_spectral_picks_equal_the_picks_from_the_dense_oracles(monkeypatch):
+    """Top-k eigenvector and Katz picks, ranked from the fast scores and from
+    the dense oracles' scores by the same rule.  The Katz series oracle
+    multiplies dense matrices, n^3 per term, so on the 45x45 grid a dense
+    solve of (I - alpha A) x = alpha A 1 stands in for it."""
+    rng = random.Random(16)
+    graphs = [graph_from_navmesh(grid_surface(size, size)) for size in (12, 20, 45)]
+    graphs += [maze_graph(size, size, seed) for size in (10, 20) for seed in range(3)]
+    graphs += [
+        random_connected_graph(rng, rng.randint(20, 60), rng.uniform(0.1, 0.4)) for _ in range(20)
+    ]
+    ks = (1, 2, 4, 8, 16, 32, 64)
+    picks = {}
+    for index, g in enumerate(graphs):
+        for metric in ("eigenvector", "katz"):
+            picks[index, metric] = [
+                terminals_from_metric(g, "metric", metric, k=k).node_ids for k in ks
+            ]
+    for index, g in enumerate(graphs):
+        n = len(g.nodes)
+        adjacency = np.zeros((n, n))
+        for i, j, _w in g.edges:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+        alpha = 0.9 / float(np.linalg.eigvalsh(adjacency).max())
+        if n <= 400:
+            katz = katz_oracle(g, alpha)
+        else:
+            katz = np.linalg.solve(np.eye(n) - alpha * adjacency, alpha * adjacency.sum(axis=1))
+        reference = {"eigenvector": eigenvector_oracle(g), "katz": list(katz)}
+        monkeypatch.setattr(
+            terminals, "compute_centrality",
+            lambda _g, metric, **_kwargs: CentralityScores(metric, reference[metric]),
+        )
+        for metric in ("eigenvector", "katz"):
+            assert [
+                terminals_from_metric(g, "metric", metric, k=k).node_ids for k in ks
+            ] == picks[index, metric], (index, metric)
 
 
 def test_metric_picks_lowest_ids_when_every_score_is_zero():
