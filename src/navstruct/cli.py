@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .analysis import render_report_text, report_to_dict
 from .errors import DisconnectedTerminals, NavStructError, ValidationError
-from .export import STRUCTURE_FORMATS, canonical_json, export_structure
+from .export import STRUCTURE_FORMATS, export_structure, report_json
 from .mesh import read_text
 from .pipeline import TUNING_FIELDS, PipelineConfig, run_extract
 
@@ -161,8 +161,7 @@ def _run_pipeline_command(args: argparse.Namespace, analyze: bool) -> int:
     formats = args.format or ["json"]
     for fmt in formats:
         export_structure(result.forest, fmt, out_dir / STRUCTURE_FORMATS[fmt][0])
-    report_dict = report_to_dict(result.report)
-    (out_dir / "report.json").write_text(canonical_json(report_dict) + "\n")
+    (out_dir / "report.json").write_text(report_json(report_to_dict(result.report)))
     (out_dir / "report.txt").write_text(render_report_text(result.report))
     log.info(
         "wrote %s (%d trees, %d nodes)",

@@ -116,6 +116,34 @@ def structure_json_bytes(forest: list[RootedTree]) -> bytes:
     return text.encode("utf-8")
 
 
+# ---------------------------------------------------------------------------
+# report JSON
+# ---------------------------------------------------------------------------
+
+# one node-analysis record, its keys in sorted order
+_ANALYSIS_RECORD = '{{"betweenness":{},"density":{},"id":{},"position":[{}]}}'
+
+
+def report_json(report: dict) -> str:
+    """canonical_json(report) + "\n" for a report_to_dict dict; its
+    node-analysis records are written from one format string."""
+    fields = []
+    for key in sorted(report):
+        value = report[key]
+        if key == "node_analysis":
+            text = "[" + ",".join(
+                _ANALYSIS_RECORD.format(
+                    _fmt_float(float(r["betweenness"])), json.dumps(r["density"]),
+                    int(r["id"]), _fmt_vector(r["position"]),
+                )
+                for r in value
+            ) + "]"
+        else:
+            text = canonical_json(value)
+        fields.append(f"{json.dumps(key)}:{text}")
+    return "{" + ",".join(fields) + "}\n"
+
+
 def load_structure_json(path: str | Path) -> list[RootedTree]:
     """Rebuild a forest from a structure JSON file.  The trees are rebuilt
     from the `children` lists; ParseError unless every tree's lists form one

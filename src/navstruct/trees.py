@@ -134,7 +134,13 @@ def find_rooted_trees(
     unvisited = set(node_ids)
     forest: list[RootedTree] = []
     while unvisited:
-        root = min(unvisited, key=lambda v: (-scores.values[v], centroid_dist(v), v))
+        # the key is (-score, centroid distance, id): only the nodes tied at
+        # the top score need a distance
+        top = max(scores.values[v] for v in unvisited)
+        root = min(
+            (v for v in unvisited if scores.values[v] == top),
+            key=lambda v: (centroid_dist(v), v),
+        )
         children: dict[int, list[int]] = {}
         payloads: dict[int, GraphNode] = {}
         stack = [root]
@@ -278,17 +284,32 @@ def simplify_tree(
     reparenting B's children under A and restarting A's scan.  Passes repeat
     until none removes a node, so the result is a fixed point.  The input tree
     is not modified; the result carries the removal log.
+
+    Each (A, B, C) triple is decided once per run: the predicate reads only
+    the three payloads, which the run never edits, C's leaf status, which no
+    removal changes (only interior nodes are removed), and the run's fixed
+    surface, cfg and los.
     """
     cfg = cfg or SimplifyConfig()
     out = tree.clone()
     removals: list[RemovalRecord] = []
-    while _simplify_pass(out, surface, cfg, los, removals):
+    decided: dict[tuple[int, int, int], bool] = {}
+    while _simplify_pass(out, surface, cfg, los, removals, decided):
         pass
     out.removals = removals
     return out
 
 
-def _simplify_pass(t, surface, cfg, los, removals) -> bool:
+def _simplify_pass(t, surface, cfg, los, removals, decided) -> bool:
+    def collapses(a: int, b: int, c: int) -> bool:
+        ok = decided.get((a, b, c))
+        if ok is None:
+            ok = decided[a, b, c] = can_simplify(
+                t.payloads[a], t.payloads[b], t.payloads[c],
+                surface, cfg, c_is_leaf=not t.children[c], los=los,
+            )
+        return ok
+
     any_removed = False
     stack = [t.root]
     while stack:
@@ -300,14 +321,7 @@ def _simplify_pass(t, surface, cfg, los, removals) -> bool:
                 b_kids = t.children[b]
                 if not b_kids:
                     continue
-                if all(
-                    can_simplify(
-                        t.payloads[a], t.payloads[b], t.payloads[c],
-                        surface, cfg,
-                        c_is_leaf=not t.children[c], los=los,
-                    )
-                    for c in b_kids
-                ):
+                if all(collapses(a, b, c) for c in b_kids):
                     kids = list(b_kids)
                     t.children[a] = sorted(
                         [x for x in t.children[a] if x != b] + kids

@@ -4,7 +4,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from navstruct.fixtures import plus_hub, straight_corridor
+from navstruct.fixtures import maze_graph, plus_hub, straight_corridor
+from navstruct.mesh import build_blocker_mesh
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,30 @@ def time_limit():
     """`with time_limit(seconds):` fails, rather than hangs, when the block
     runs longer than `seconds` (SIGALRM, main thread only)."""
     return _time_limit
+
+
+def _maze_walls(nx: int, ny: int, seed: int):
+    """`maze_graph(nx, ny, seed)` and a wall quad, as two triangles, across
+    each lattice link the maze does not use."""
+    g = maze_graph(nx, ny, seed)
+    used = {(a, b) for a, b, _ in g.edges}
+    verts, tris = [], []
+    for y in range(ny):
+        for x in range(nx):
+            for dx, dy in ((1, 0), (0, 1)):
+                a, b = y * nx + x, (y + dy) * nx + x + dx
+                if x + dx == nx or y + dy == ny or (a, b) in used:
+                    continue
+                mx, my = x + 0.5 * dx, y + 0.5 * dy
+                hx, hy = 0.5 * dy, 0.5 * dx
+                base = len(verts)
+                verts += [(mx - hx, my - hy, -0.5), (mx + hx, my + hy, -0.5),
+                          (mx + hx, my + hy, 1.0), (mx - hx, my - hy, 1.0)]
+                tris += [(base, base + 1, base + 2), (base, base + 2, base + 3)]
+    return g, build_blocker_mesh(verts, tris)
+
+
+@pytest.fixture()
+def maze_walls():
+    """`maze_walls(nx, ny, seed)` gives the maze graph and its wall mesh."""
+    return _maze_walls

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from navstruct.analysis import (
+    MAX_DENSITY_BUCKETS,
     AnalysisReport,
     StageRecord,
     density_classes,
@@ -18,6 +19,7 @@ from navstruct.export import (
     canonical_json,
     export_structure,
     load_structure_json,
+    report_json,
     structure_dot,
     structure_json_bytes,
     structure_obj,
@@ -264,6 +266,53 @@ def test_canonical_json_rejects_non_finite_and_unknown_types():
         canonical_json({1, 2})
 
 
+DENSITY_LABELS = ["low", "medium", "high"] + [f"b{k}" for k in range(MAX_DENSITY_BUCKETS)]
+
+
+def random_report(rng):
+    """A run report whose node-analysis records hold floats of every
+    magnitude and sign (-0.0 included), ids beyond 2**53 and density labels;
+    sometimes no records, or an empty list of them."""
+    values = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, -1e-300, 1e300, 123456789.123, 4.5e307]
+    ids = [0, 7, 2**53 - 1, 2**53 + 1, 2**63 + 5, 10**30]
+    records = [
+        {"id": rng.choice(ids) + k, "density": rng.choice(DENSITY_LABELS),
+         "betweenness": rng.choice(values) * rng.choice((1.0, rng.random())),
+         "position": [rng.choice(values) * rng.random() for _ in range(3)]}
+        for k in range(rng.randint(0, 60))
+    ]
+    return AnalysisReport(
+        "exp\"ériment", [StageRecord("graph", rng.random() * 100, nodes=3)],
+        rng.random() * 100,
+        node_analysis=rng.choice((None, records)),
+        density_thresholds=rng.choice((None, [rng.choice(values) for _ in range(2)])),
+    )
+
+
+def test_report_json_is_canonical_json(rng):
+    reports = [r.report for r in _golden_runs()]
+    assert all(r.node_analysis for r in reports)
+    reports += [random_report(rng) for _ in range(200)]
+    reports.append(AnalysisReport("empty", [], 0.0, node_analysis=[], density_thresholds=[]))
+    reports.append(AnalysisReport("labels", [], 0.0, node_analysis=[
+        {"id": k, "density": label, "betweenness": 0.5 * k, "position": [float(k), -0.0, 1e300]}
+        for k, label in enumerate(DENSITY_LABELS)]))
+    labels = set()
+    for report in reports:
+        out = report_to_dict(report)
+        assert report_json(out) == canonical_json(out) + "\n"
+        labels |= {r["density"] for r in report.node_analysis or ()}
+    assert labels == set(DENSITY_LABELS)
+
+
+def test_report_json_rejects_a_non_finite_score():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        report = AnalysisReport("x", [], 0.0, node_analysis=[
+            {"id": 0, "density": "low", "betweenness": bad, "position": [0.0, 0.0, 0.0]}])
+        with pytest.raises(ValueError, match="non-finite"):
+            report_json(report_to_dict(report))
+
+
 # --- structure files --------------------------------------------------------
 
 def test_forest_dict_shape():
@@ -304,21 +353,23 @@ def random_forest(rng):
     return forest
 
 
-def _golden_forests():
+def _golden_runs():
     corridor, corridor_walls = straight_corridor(12)
     hub, hub_walls = plus_hub(2)
-    return [run_pipeline(cfg, **inputs).forest for cfg, inputs in [
-        (PipelineConfig(terminals="entry-exit", interval=1.0),
+    return [run_pipeline(cfg, **inputs) for cfg, inputs in [
+        (PipelineConfig(terminals="entry-exit", interval=1.0, analyze=True),
          {"surface": corridor, "blockers": corridor_walls}),
-        (PipelineConfig(terminals="entry-exit"), {"surface": hub, "blockers": hub_walls}),
-        (PipelineConfig(terminals="leaves"), {"graph": maze_graph(12, 12, seed=3)}),
-        (PipelineConfig(terminals="metric", metric="eigenvector", k=4),
+        (PipelineConfig(terminals="entry-exit", analyze=True),
+         {"surface": hub, "blockers": hub_walls}),
+        (PipelineConfig(terminals="leaves", analyze=True), {"graph": maze_graph(12, 12, seed=3)}),
+        (PipelineConfig(terminals="metric", metric="eigenvector", k=4, analyze=True),
          {"surface": grid_surface(10, 10)}),
     ]]
 
 
 def test_structure_json_is_canonical_json(rng):
-    for forest in _golden_forests() + [random_forest(rng) for _ in range(50)]:
+    forests = [r.forest for r in _golden_runs()]
+    for forest in forests + [random_forest(rng) for _ in range(50)]:
         raw = structure_json_bytes(forest)
         assert canonical_json(json.loads(raw)) + "\n" == raw.decode()
 
@@ -418,7 +469,7 @@ def test_structure_json_rejects_trees_that_children_do_not_form(tmp_path, time_l
 
 
 def test_structure_json_reimport_is_byte_stable(tmp_path):
-    for k, forest in enumerate(_golden_forests()):
+    for k, forest in enumerate(r.forest for r in _golden_runs()):
         path = tmp_path / f"golden-{k}.json"
         export_structure(forest, "json", path)
         assert structure_json_bytes(load_structure_json(path)) == path.read_bytes()

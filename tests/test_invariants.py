@@ -45,8 +45,14 @@ def check_stages(g, term_set, surface, los, path):
     assert forest_edges == [(i, j) for i, j, _w in stree.edges]
 
     simplified = [simplify_tree(t, surface, los=los) for t in forest]
+    steiner_edges = {(i, j) for i, j, _w in stree.edges}
     for original, out in zip(forest, simplified):
         assert verify_removals(original, out, surface, los=los)
+        # every final edge is a Steiner edge or one a logged removal made,
+        # and verify_removals audited the LOS of those
+        made = {(rec.parent, c) for rec in out.removals for c in rec.children}
+        for p, c in out.edge_list():
+            assert (min(p, c), max(p, c)) in steiner_edges or (p, c) in made
     assert terminals <= {v for t in simplified for v in t.node_ids()}
 
     data = structure_json_bytes(simplified)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from navstruct import raycast
-from navstruct.fixtures import maze_graph, straight_corridor
+from navstruct.fixtures import straight_corridor
 from navstruct.mesh import BlockerMesh, build_blocker_mesh
 from navstruct.oracles import _probe_rays, _random_soup, first_hit_all_triangles
 from navstruct.terminals import classify_samples, sample_boundary
@@ -34,27 +34,6 @@ def corridor200_fan_rays():
     return blockers, rays
 
 
-def _maze_walls(nx: int, ny: int, seed: int):
-    """`maze_graph(nx, ny, seed)` and a wall quad, as two triangles, across
-    each lattice link the maze does not use."""
-    g = maze_graph(nx, ny, seed)
-    used = {(a, b) for a, b, _ in g.edges}
-    verts, tris = [], []
-    for y in range(ny):
-        for x in range(nx):
-            for dx, dy in ((1, 0), (0, 1)):
-                a, b = y * nx + x, (y + dy) * nx + x + dx
-                if x + dx == nx or y + dy == ny or (a, b) in used:
-                    continue
-                mx, my = x + 0.5 * dx, y + 0.5 * dy
-                hx, hy = 0.5 * dy, 0.5 * dx
-                base = len(verts)
-                verts += [(mx - hx, my - hy, -0.5), (mx + hx, my + hy, -0.5),
-                          (mx + hx, my + hy, 1.0), (mx - hx, my - hy, 1.0)]
-                tris += [(base, base + 1, base + 2), (base, base + 2, base + 3)]
-    return g, build_blocker_mesh(verts, tris)
-
-
 def _long_segments(g, rng, count):
     """Segments between random maze nodes, most of them many cells long."""
     positions = [node.position for node in g.nodes]
@@ -74,7 +53,7 @@ def _whole_mesh_rays(rays):
     return out
 
 
-def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays):
+def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_walls):
     rng = np.random.default_rng(11)
     verts = rng.uniform(-5.0, 5.0, size=(300, 3))
     tris = rng.integers(0, len(verts), size=(120, 3))
@@ -93,7 +72,7 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays):
     assert 50 < hits < 400
 
     corridor, fan_rays = corridor200_fan_rays
-    g, walls = _maze_walls(12, 12, seed=3)
+    g, walls = maze_walls(12, 12, seed=3)
     segments = _long_segments(g, rng, 150)
     cases = [
         ("corridor200 fans", corridor, fan_rays),

@@ -1,21 +1,28 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from navstruct import pipeline, trees
 from navstruct.algorithms import CentralityScores, betweenness_centrality
 from navstruct.errors import PointOffMesh, ValidationError
 from navstruct.fixtures import (
     graph_from_edges,
     l_corridor,
+    maze_graph,
     ramp_corridor,
+    random_forest_graph,
+    random_tree_graph,
     ring_surface,
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_SAMPLE, GraphNode, graph_from_navmesh
+from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.steiner import SteinerTree, build_steiner_tree
 from navstruct.terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
 from navstruct.trees import (
+    RemovalRecord,
     SimplifyConfig,
     can_simplify,
     find_rooted_trees,
@@ -153,6 +160,52 @@ def test_forest_partitions_multi_component_input():
     assert len(forest) == 2
     covered = sorted(v for t in forest for v in t.node_ids())
     assert covered == [0, 1, 2, 3]
+
+
+def _rooted_trees_by_full_key(tree, g, scores, centroid):
+    """find_rooted_trees as it was before the root pick skipped distances:
+    the key (-score, centroid distance, id) is computed for every node."""
+    cen = np.asarray(centroid, dtype=float)
+    term_set = set(tree.terminals.node_ids)
+    adj = tree.adjacency()
+    unvisited = set(tree.nodes)
+    forest = []
+    while unvisited:
+        root = min(unvisited, key=lambda v: (
+            -scores.values[v], float(np.linalg.norm(g.nodes[v].position - cen)), v))
+        children = {}
+        stack = [root]
+        unvisited.discard(root)
+        while stack:
+            v = stack.pop()
+            kids = sorted(u for u, _w in adj[v] if u in unvisited)
+            children[v] = kids
+            for u in reversed(kids):
+                unvisited.discard(u)
+                stack.append(u)
+        forest.append((root, children, {v: v in term_set for v in children}))
+    return forest
+
+
+def test_root_pick_equals_the_full_key_pick_on_random_forests():
+    rng = random.Random(20261019)
+    # uniform, two-level and random scores, in turn
+    draws = (lambda: 1.0, lambda: rng.choice((0.0, 2.5)), rng.random)
+    for k in range(300):
+        g = random_forest_graph(rng, [rng.randint(1, 12) for _ in range(rng.randint(1, 5))])
+        if k % 2:  # lattice positions, so that centroid distances tie too
+            for node in g.nodes:
+                node.position = np.array([rng.randint(0, 3), rng.randint(0, 3), 0.0])
+        n = len(g.nodes)
+        values = [draws[k % 3]() for _ in range(n)]
+        scores = CentralityScores(metric="degree", values=values, params={})
+        stree = SteinerTree(nodes=list(range(n)), edges=list(g.edges),
+                            terminals=terms(rng.sample(range(n), rng.randint(1, n))),
+                            total_weight=0.0)
+        centroid = g.centroid() if k % 4 < 2 else np.array([rng.uniform(0, 3), 1.0, 0.0])
+        got = [(t.root, t.children, {v: p.terminal for v, p in t.payloads.items()})
+               for t in find_rooted_trees(stree, g, scores, centroid=centroid)]
+        assert got == _rooted_trees_by_full_key(stree, g, scores, centroid)
 
 
 def test_rooting_rejects_short_score_vector():
@@ -392,6 +445,162 @@ def test_simplify_multi_pass_reaches_a_stable_point():
     assert out.node_ids() == [0, 3]
     assert [(r.parent, r.removed) for r in out.removals] == [(1, 2), (0, 1)]
     assert verify_removals(rooted, out, None, los=los)
+
+
+# --- one decision per (A, B, C) triple ----------------------------------------
+
+def _record_decisions(monkeypatch):
+    """Route the pipeline's simplify_tree through a recorder: one list per
+    run of the (A, B, C) node ids it asks can_simplify about."""
+    runs = []
+    real_simplify, real_predicate = pipeline.simplify_tree, trees.can_simplify
+
+    def simplify(tree, *args, **kwargs):
+        ids = {id(p): v for v, p in tree.payloads.items()}
+        asked = []
+
+        def predicate(a, b, c, *pargs, **pkwargs):
+            asked.append((ids[id(a)], ids[id(b)], ids[id(c)]))
+            return real_predicate(a, b, c, *pargs, **pkwargs)
+
+        monkeypatch.setattr(trees, "can_simplify", predicate)
+        runs.append(asked)
+        return real_simplify(tree, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "simplify_tree", simplify)
+    return runs
+
+
+def test_maze_run_asks_each_triple_once_and_pins_the_count(monkeypatch, maze_walls):
+    g, walls = maze_walls(12, 12, seed=0)
+    runs = _record_decisions(monkeypatch)
+    result = run_pipeline(PipelineConfig(terminals="leaves"), graph=g, blockers=walls)
+    assert len(runs) == len(result.forest) == 1
+    for asked in runs:
+        assert len(asked) == len(set(asked))
+    # 217 calls before the per-run decision table, 51 removals both ways
+    assert sum(map(len, runs)) == 157
+    assert sum(len(t.removals) for t in result.forest) == 51
+
+
+@pytest.mark.parametrize("fixture", ["corridor", "hub"])
+def test_surface_runs_ask_each_triple_once(monkeypatch, request, fixture):
+    surface, blockers = request.getfixturevalue(fixture)
+    runs = _record_decisions(monkeypatch)
+    result = run_pipeline(
+        PipelineConfig(terminals="entry-exit", interval=1.0), surface=surface, blockers=blockers
+    )
+    assert len(runs) == len(result.forest)
+    assert sum(len(t.removals) for t in result.forest) > 0
+    for asked in runs:
+        assert asked and len(asked) == len(set(asked))
+
+
+def _simplify_asking_every_time(tree, los):
+    """simplify_tree as it was before the decision table: each pass asks
+    can_simplify again for every triple it scans."""
+    out = tree.clone()
+    removals = []
+    while _pass_asking_every_time(out, None, SimplifyConfig(), los, removals):
+        pass
+    out.removals = removals
+    return out
+
+
+def _pass_asking_every_time(t, surface, cfg, los, removals):
+    any_removed = False
+    stack = [t.root]
+    while stack:
+        a = stack.pop()
+        changed = True
+        while changed:
+            changed = False
+            for b in list(t.children[a]):
+                b_kids = t.children[b]
+                if not b_kids:
+                    continue
+                if all(
+                    trees.can_simplify(
+                        t.payloads[a], t.payloads[b], t.payloads[c],
+                        surface, cfg,
+                        c_is_leaf=not t.children[c], los=los,
+                    )
+                    for c in b_kids
+                ):
+                    kids = list(b_kids)
+                    t.children[a] = sorted(
+                        [x for x in t.children[a] if x != b] + kids
+                    )
+                    del t.children[b]
+                    del t.payloads[b]
+                    removals.append(
+                        RemovalRecord(parent=a, removed=b, children=tuple(kids))
+                    )
+                    any_removed = True
+                    changed = True
+                    break
+        for child in reversed(t.children[a]):
+            stack.append(child)
+    return any_removed
+
+
+def _hashed_los(salt: int, p_clear: float):
+    """A deterministic, random-looking visibility test of the two points."""
+    def los(a, c):
+        key = hash((salt, *np.asarray(a).tolist(), *np.asarray(c).tolist()))
+        return random.Random(key).random() < p_clear
+    return los
+
+
+def _random_rooted_trees(rng, count):
+    """Rooted trees of random and maze graphs, with some tilted normals,
+    off-mesh nodes and terminal flags drawn at random."""
+    out = []
+    for k in range(count):
+        if k % 5 == 4:
+            g = maze_graph(rng.randint(2, 9), rng.randint(2, 9), seed=k)
+        else:
+            g = random_tree_graph(rng, rng.randint(2, 40))
+        stree = build_steiner_tree(g, terminals_from_metric(g, "leaves"))
+        values = [rng.random() for _ in g.nodes]
+        scores = CentralityScores(metric="degree", values=values, params={})
+        for t in find_rooted_trees(stree, g, scores):
+            for p in t.payloads.values():
+                if rng.random() < 0.1:
+                    p.normal = np.array([0.0, math.sin(0.5), math.cos(0.5)])
+                p.on_navmesh = rng.random() < 0.9
+                p.terminal = p.terminal or rng.random() < 0.1
+            out.append(t)
+    return out
+
+
+def test_decision_table_keeps_every_decision_of_the_asking_pass():
+    rng = random.Random(20261019)
+    forest = _random_rooted_trees(rng, 240)
+    assert len(forest) >= 200
+    removed = calls_with = calls_without = 0
+    for k, tree in enumerate(forest):
+        los = _hashed_los(k, rng.choice((0.3, 0.7, 0.95)))
+        asked = []
+
+        def counting(*args, **kwargs):
+            asked.append(1)
+            return can_simplify(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "can_simplify", counting)
+            want = _simplify_asking_every_time(tree, los)
+            calls_without += len(asked)
+            asked.clear()
+            got = simplify_tree(tree, None, los=los)
+            calls_with += len(asked)
+        assert got.root == want.root
+        assert got.children == want.children
+        assert got.removals == want.removals
+        assert verify_removals(tree, got, None, los=los)
+        removed += len(got.removals)
+    assert removed > 500
+    assert calls_with < calls_without  # some triple was asked again without the table
 
 
 def test_verify_removals_detects_a_corrupted_log():
