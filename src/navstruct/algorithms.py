@@ -10,7 +10,7 @@ Lanczos solve, Katz centrality one sparse direct solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -145,23 +145,16 @@ def kruskal_edges(nodes, edges) -> SpanningForest:
 # centrality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CentralityScores:
-    metric: str
-    values: list[float]
-    params: dict = field(default_factory=dict)
-
-
-def degree_centrality(g: SurfaceGraph) -> CentralityScores:
+def degree_centrality(g: SurfaceGraph) -> list[float]:
     """Incident edge count per node (unweighted)."""
     vals = [0.0] * len(g.nodes)
     for i, j, _ in g.edges:
         vals[i] += 1.0
         vals[j] += 1.0
-    return CentralityScores(metric="degree", values=vals)
+    return vals
 
 
-def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> CentralityScores:
+def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> list[float]:
     """Exact betweenness: fractional shortest-path credit over unordered
     pairs, unnormalized.
 
@@ -176,10 +169,9 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
     propagation) from every node; `weighted=False` gives every edge weight 1.
     """
     adj = g.adjacency()
-    params = {"weighted": weighted}
     vals = _forest_betweenness(adj, len(g.edges))
     if vals is not None:
-        return CentralityScores(metric="betweenness", values=vals, params=params)
+        return vals
     n = len(adj)
     if not weighted:
         adj = [[(v, 1.0) for v, _ in lst] for lst in adj]
@@ -194,8 +186,7 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> Centrality
             if w != s:
                 cb[w] += delta[w]
     # undirected: each unordered pair was counted from both endpoints
-    vals = [x / 2.0 for x in cb]
-    return CentralityScores(metric="betweenness", values=vals, params=params)
+    return [x / 2.0 for x in cb]
 
 
 def _forest_betweenness(adj, edge_count: int) -> list[float] | None:
@@ -298,7 +289,7 @@ def _top_eigenpair(a: csr_matrix) -> tuple[float, np.ndarray]:
     return float(vals[0]), vecs[:, 0]
 
 
-def eigenvector_centrality(g: SurfaceGraph) -> CentralityScores:
+def eigenvector_centrality(g: SurfaceGraph) -> list[float]:
     """Principal-eigenvector scores of the unweighted adjacency matrix, by
     Lanczos on a sparse adjacency (O(edges) memory), in absolute value and
     scaled to unit max-norm.  Needs at least one edge.
@@ -310,7 +301,7 @@ def eigenvector_centrality(g: SurfaceGraph) -> CentralityScores:
     if not g.edges:
         raise EmptyGraph("eigenvector centrality needs at least one edge")
     vector = np.abs(_top_eigenpair(_sparse_adjacency(g))[1])
-    return CentralityScores(metric="eigenvector", values=(vector / vector.max()).tolist())
+    return (vector / vector.max()).tolist()
 
 
 def spectral_radius(g: SurfaceGraph) -> float:
@@ -323,7 +314,7 @@ def _spectral_radius(a: csr_matrix) -> float:
     return _top_eigenpair(a)[0] if a.nnz else 0.0
 
 
-def katz_centrality(g: SurfaceGraph, alpha: float | None = None) -> CentralityScores:
+def katz_centrality(g: SurfaceGraph, alpha: float | None = None) -> list[float]:
     """Katz scores: the sum over path lengths i >= 1 of alpha^i * (A^i 1),
     found as the solution x of (I - alpha A) x = alpha A 1 by one sparse
     direct solve.  One sparse adjacency (O(edges) memory) serves the
@@ -349,7 +340,7 @@ def katz_centrality(g: SurfaceGraph, alpha: float | None = None) -> CentralitySc
             f"alpha {alpha:.6g} >= 1/spectral_radius {1.0 / radius:.6g}; series diverges"
         )
     x = spsolve(identity(n, format="csr") - alpha * a, alpha * (a @ np.ones(n)))
-    return CentralityScores(metric="katz", values=x.tolist(), params={"alpha": alpha})
+    return x.tolist()
 
 
 CENTRALITY_METRICS = ("degree", "betweenness", "eigenvector", "katz")
@@ -357,8 +348,8 @@ CENTRALITY_METRICS = ("degree", "betweenness", "eigenvector", "katz")
 
 def compute_centrality(
     g: SurfaceGraph, metric: str, weighted: bool = True, alpha: float | None = None
-) -> CentralityScores:
-    """Dispatch by metric name; `weighted` only affects betweenness."""
+) -> list[float]:
+    """Scores indexed by node id, by metric name; `weighted` only affects betweenness."""
     if metric == "degree":
         return degree_centrality(g)
     if metric == "betweenness":

@@ -1,6 +1,6 @@
 """Synthetic fixtures: corridor/hub/ramp surfaces, grid mazes, random graphs.
 
-Shared by the test-suite and the bench/oracle subcommands.  Everything is
+Shared by the test-suite and the oracle subcommand.  Everything is
 deterministic for a given seed.
 """
 from __future__ import annotations

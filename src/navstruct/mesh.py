@@ -147,11 +147,9 @@ class BlockerMesh:
     # KD-tree over the triangle centroids, and the largest centroid-corner distance
     triangle_tree: cKDTree = field(repr=False)
     reach: float
-    # the centre and half-diagonal of the tree's centroid box, and 2 * reach,
-    # which bounds every edge length
+    # the centre and half-diagonal of the tree's centroid box
     box_center: tuple[float, float, float] = field(repr=False)
     box_spread: float = field(repr=False)
-    max_edge: float = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +669,6 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
         triangle_tree=tree, reach=reach,
         box_center=tuple((0.5 * (tree.mins + tree.maxes)).tolist()),
         box_spread=0.5 * math.dist(tree.mins, tree.maxes),
-        max_edge=2.0 * reach,
     )
 
 

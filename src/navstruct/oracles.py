@@ -653,7 +653,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     err = 0.0
     for _ in range(instances):
         g = random_connected_graph(rng, rng.randint(4, 20), rng.uniform(0.2, 0.6))
-        fast = betweenness_centrality(g).values
+        fast = betweenness_centrality(g)
         slow = betweenness_oracle(g)
         err = max(err, max(abs(a - b) for a, b in zip(fast, slow)))
     results.append(("betweenness-exact", err <= 1e-9, f"max abs err {err:.2e}"))
@@ -673,11 +673,11 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     kerr = 0.0
     for _ in range(instances):
         g = random_connected_graph(rng, rng.randint(3, 15), rng.uniform(0.3, 0.7))
-        ev = eigenvector_centrality(g).values
+        ev = eigenvector_centrality(g)
         ev_ref = eigenvector_oracle(g)
         err = max(err, max(abs(a - b) for a, b in zip(ev, ev_ref)))
         alpha = 0.5 / max(spectral_radius(g), 1e-9)
-        kz = katz_centrality(g, alpha=alpha).values
+        kz = katz_centrality(g, alpha=alpha)
         kz_ref = katz_oracle(g, alpha)
         kerr = max(kerr, max(abs(a - b) for a, b in zip(kz, kz_ref)))
     results.append(("eigenvector-dense", err <= 1e-10, f"max abs err {err:.2e}"))
@@ -688,7 +688,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         sizes = [rng.randint(1, 10) for _ in range(rng.randint(2, 5))]
         g = random_forest_graph(rng, sizes)
         weighted = rng.random() < 0.5
-        fast = betweenness_centrality(g, weighted=weighted).values
+        fast = betweenness_centrality(g, weighted=weighted)
         slow = betweenness_oracle(g, weighted=weighted)
         err = max(err, max(abs(a - b) for a, b in zip(fast, slow)))
     results.append(("betweenness-forest", err <= 1e-9, f"max abs err {err:.2e}"))

@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
-from .algorithms import compute_centrality, CentralityScores, CENTRALITY_METRICS
+from .algorithms import compute_centrality, CENTRALITY_METRICS
 from .analysis import (
     MAX_DENSITY_BUCKETS, AnalysisReport, StageRecord, density_classes, forest_to_graph,
 )
@@ -30,6 +30,7 @@ from .terminals import (
 )
 from .trees import (
     DEFAULT_NORMAL_TOL_DEG, RootedTree, SimplifyConfig, find_rooted_trees, simplify_tree,
+    walkable_los,
 )
 
 log = logging.getLogger("navstruct")
@@ -138,21 +139,17 @@ class PipelineResult:
     terminal_set: TerminalSet
 
 
-def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> CentralityScores:
-    """Centrality of the Steiner tree's own nodes, scattered into an array
-    indexed by the full graph's node ids."""
+def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> list[float]:
+    """Centrality of the Steiner tree's own nodes, scattered into a list
+    indexed by the full graph's node ids.  The tree has no cycle, so its
+    betweenness reads no edge weight."""
     sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
-    weighted = cfg.centrality_weights == "euclidean"
-    sub_scores = compute_centrality(
-        sub, cfg.root_metric, weighted=weighted, alpha=cfg.katz_alpha
-    )
+    sub_scores = compute_centrality(sub, cfg.root_metric, alpha=cfg.katz_alpha)
     values = [0.0] * len(g.nodes)
     # tree.nodes ascends, so its k-th id is dense node k of `sub`
-    for orig, value in zip(tree.nodes, sub_scores.values):
+    for orig, value in zip(tree.nodes, sub_scores):
         values[orig] = value
-    return CentralityScores(
-        metric=sub_scores.metric, values=values, params=sub_scores.params
-    )
+    return values
 
 
 @contextmanager
@@ -207,17 +204,19 @@ def run_pipeline(
 
     with _stage(stages, STAGE_ROOTING):
         scores = _root_scores(g, stree, cfg)
-        forest = find_rooted_trees(stree, g, scores, centroid=g.centroid())
+        forest = find_rooted_trees(stree, g, scores)
 
     with _stage(stages, STAGE_SIMPLIFY) as rec:
         simplify_cfg = cfg.simplify_config()
         if surface is not None:
-            forest = [simplify_tree(t, surface, simplify_cfg) for t in forest]
+            los = walkable_los(surface, simplify_cfg)
         elif blockers is not None:
             los = lambda a, c: segment_clear(blockers, a, c)  # noqa: E731
-            forest = [simplify_tree(t, None, simplify_cfg, los=los) for t in forest]
         else:
+            los = None
             log.warning("no surface or blocker mesh: simplification skipped")
+        if los is not None:
+            forest = [simplify_tree(t, los, simplify_cfg) for t in forest]
         rec.nodes = sum(t.size() for t in forest)
         rec.edges = rec.nodes - len(forest)
 
@@ -225,11 +224,10 @@ def run_pipeline(
     thresholds = None
     with _stage(stages, STAGE_POST):
         if cfg.analyze:
+            # a forest: its betweenness reads no edge weight
             final = forest_to_graph(forest)
-            between = compute_centrality(
-                final, "betweenness", weighted=cfg.centrality_weights == "euclidean"
-            )
-            classes = density_classes(between.values, cfg.density_buckets)
+            between = compute_centrality(final, "betweenness")
+            classes = density_classes(between, cfg.density_buckets)
             thresholds = classes.thresholds
             # dense node k of `final` is the forest's k-th smallest node id
             node_analysis = [
@@ -241,7 +239,7 @@ def run_pipeline(
                 }
                 for orig, node, score, label in zip(
                     sorted(v for t in forest for v in t.node_ids()),
-                    final.nodes, between.values, classes.labels,
+                    final.nodes, between, classes.labels,
                 )
             ]
 

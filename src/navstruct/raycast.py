@@ -69,12 +69,12 @@ def _query_ball(blockers: BlockerMesh, o: list[float], d: list[float], max_t: fl
     64 eps |d| L^2 (|o - v0| + L + segment length) / EPS, with |det| > EPS,
     an edge length L <= 2 * reach and eps the machine epsilon; |o - v0| is
     bounded through the box of all centroids.  So grazing and near-parallel
-    hits are never dropped.  The box's centre and spread and the edge bound
-    are stored on the mesh; only the per-ray arithmetic is done here."""
+    hits are never dropped.  The box's centre and spread are stored on the
+    mesh; only the per-ray arithmetic is done here."""
     mid = blockers.box_center
     spread = blockers.box_spread  # every centroid is this close to mid
     reach = blockers.reach
-    edge = blockers.max_edge
+    edge = 2.0 * reach
     length = math.hypot(*d)
     segment = (max_t + EPS) * length
     # in Python floats, where an infinite max_t times a zero component is NaN

@@ -325,7 +325,7 @@ def terminals_from_metric(
     `weighted` and `alpha` are passed to `compute_centrality`.
     """
     if method == "leaves":
-        degs = degree_centrality(g).values
+        degs = degree_centrality(g)
         ids = [v for v, d in enumerate(degs) if d == 1.0]
         if not ids:
             raise EmptyTerminalSet("graph has no degree-1 nodes")
@@ -333,7 +333,7 @@ def terminals_from_metric(
     if method == "metric":
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        values = compute_centrality(g, metric, weighted=weighted, alpha=alpha).values
+        values = compute_centrality(g, metric, weighted=weighted, alpha=alpha)
         scale = max(map(abs, values), default=0.0) or 1.0  # all zero: rank by id
         ranked = sorted(range(len(g.nodes)), key=lambda v: (-round(values[v] / scale, 9), v))
         ids = sorted(ranked[: min(k, len(ranked))])

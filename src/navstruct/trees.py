@@ -3,9 +3,10 @@
 Roots are chosen by centrality (ties: nearest the graph centroid, then lowest
 id).  Simplification repeatedly collapses an interior node into its parent
 when (a) none of its children is an off-mesh leaf, (b) parent and node
-normals agree within an angular tolerance, and (c) the parent has walkable
-line-of-sight to every child.  Every removal is logged so the whole run can
-be re-audited afterwards.
+normals agree within an angular tolerance, and (c) the parent has line of
+sight to every child under the run's one visibility test (`walkable_los` on
+a surface, or any `LosFn`).  Every removal is logged so the whole run can be
+re-audited afterwards.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .errors import PointOffMesh, ValidationError
 from .graph import GraphNode, SurfaceGraph
 from .mesh import DEFAULT_HEIGHT_TOL, GEOM_EPS, WalkableSurface
 from .steiner import SteinerTree
-from .algorithms import CentralityScores
 
 LosFn = Callable[[np.ndarray, np.ndarray], bool]
 
@@ -107,20 +107,21 @@ class RootedTree:
 def find_rooted_trees(
     tree: SteinerTree,
     graph: SurfaceGraph,
-    scores: CentralityScores,
+    scores: list[float],
     centroid=None,
 ) -> list[RootedTree]:
     """Orient an (unrooted, possibly multi-component) tree into rooted trees.
 
-    While unvisited nodes remain: pick the one with the highest score (ties
-    fall to the node nearest `centroid`, then the lowest id), then walk its
-    component depth-first, ordering children by ascending id.  The returned
-    forest partitions the tree's node set.
+    `scores` is indexed by graph node id.  While unvisited nodes remain: pick
+    the one with the highest score (ties fall to the node nearest `centroid`,
+    then the lowest id), then walk its component depth-first, ordering
+    children by ascending id.  The returned forest partitions the tree's node
+    set.
     """
     node_ids = list(tree.nodes)
     if not node_ids:
         return []
-    if len(scores.values) < max(node_ids) + 1:
+    if len(scores) < max(node_ids) + 1:
         raise ValidationError("centrality scores do not cover all tree nodes")
     cen = np.asarray(
         centroid if centroid is not None else graph.centroid(), dtype=float
@@ -136,9 +137,9 @@ def find_rooted_trees(
     while unvisited:
         # the key is (-score, centroid distance, id): only the nodes tied at
         # the top score need a distance
-        top = max(scores.values[v] for v in unvisited)
+        top = max(scores[v] for v in unvisited)
         root = min(
-            (v for v in unvisited if scores.values[v] == top),
+            (v for v in unvisited if scores[v] == top),
             key=lambda v: (centroid_dist(v), v),
         )
         children: dict[int, list[int]] = {}
@@ -227,6 +228,18 @@ def surface_los(
     return False  # step guard exhausted (degenerate geometry)
 
 
+def walkable_los(surface: WalkableSurface, cfg: SimplifyConfig | None = None) -> LosFn:
+    """`surface_los` on `surface` as a visibility test for `can_simplify`; a
+    point off the surface has no line of sight."""
+    def los(a, c) -> bool:
+        try:
+            return surface_los(surface, a, c, cfg)
+        except PointOffMesh:
+            return False
+
+    return los
+
+
 # ---------------------------------------------------------------------------
 # collapse predicate and simplification
 # ---------------------------------------------------------------------------
@@ -240,19 +253,16 @@ def can_simplify(
     a: GraphNode,
     b: GraphNode,
     c: GraphNode,
-    surface: WalkableSurface | None,
+    los: LosFn,
     cfg: SimplifyConfig | None = None,
     c_is_leaf: bool = True,
-    los: LosFn | None = None,
 ) -> bool:
     """Whether child `b` of `a` may collapse with respect to grandchild `c`.
 
     All of the following must hold: `c` is not an off-mesh leaf; the normals
-    of `a` and `b` agree within the angular tolerance; `a` has walkable line
-    of sight to `c`; and `b` itself is not a terminal (terminals must survive
-    into the final structure).  `los` substitutes a custom visibility test
-    (used when no walkable surface is available); an off-mesh `a` counts as
-    having no line of sight.
+    of `a` and `b` agree within the angular tolerance; `los` sees `c` from
+    `a`; and `b` itself is not a terminal (terminals must survive into the
+    final structure).
     """
     cfg = cfg or SimplifyConfig()
     if b.terminal:
@@ -261,21 +271,11 @@ def can_simplify(
         return False
     if normal_angle_deg(a.normal, b.normal) > cfg.normal_tolerance_deg:
         return False
-    if los is not None:
-        return bool(los(a.position, c.position))
-    if surface is None:
-        raise ValidationError("can_simplify needs a surface or an explicit los test")
-    try:
-        return surface_los(surface, a.position, c.position, cfg)
-    except PointOffMesh:
-        return False
+    return bool(los(a.position, c.position))
 
 
 def simplify_tree(
-    tree: RootedTree,
-    surface: WalkableSurface | None,
-    cfg: SimplifyConfig | None = None,
-    los: LosFn | None = None,
+    tree: RootedTree, los: LosFn, cfg: SimplifyConfig | None = None
 ) -> RootedTree:
     """Collapse interior nodes under the visibility/normal constraints.
 
@@ -288,25 +288,25 @@ def simplify_tree(
     Each (A, B, C) triple is decided once per run: the predicate reads only
     the three payloads, which the run never edits, C's leaf status, which no
     removal changes (only interior nodes are removed), and the run's fixed
-    surface, cfg and los.
+    visibility test and config.
     """
     cfg = cfg or SimplifyConfig()
     out = tree.clone()
     removals: list[RemovalRecord] = []
     decided: dict[tuple[int, int, int], bool] = {}
-    while _simplify_pass(out, surface, cfg, los, removals, decided):
+    while _simplify_pass(out, los, cfg, removals, decided):
         pass
     out.removals = removals
     return out
 
 
-def _simplify_pass(t, surface, cfg, los, removals, decided) -> bool:
+def _simplify_pass(t, los, cfg, removals, decided) -> bool:
     def collapses(a: int, b: int, c: int) -> bool:
         ok = decided.get((a, b, c))
         if ok is None:
             ok = decided[a, b, c] = can_simplify(
                 t.payloads[a], t.payloads[b], t.payloads[c],
-                surface, cfg, c_is_leaf=not t.children[c], los=los,
+                los, cfg, c_is_leaf=not t.children[c],
             )
         return ok
 
@@ -342,9 +342,8 @@ def _simplify_pass(t, surface, cfg, los, removals, decided) -> bool:
 def verify_removals(
     original: RootedTree,
     simplified: RootedTree,
-    surface: WalkableSurface | None,
+    los: LosFn,
     cfg: SimplifyConfig | None = None,
-    los: LosFn | None = None,
 ) -> bool:
     """Post-hoc soundness audit of a simplification run.
 
@@ -363,9 +362,6 @@ def verify_removals(
             c = original.payloads.get(cid)
             if c is None:
                 return False
-            if not can_simplify(
-                a, b, c, surface, cfg,
-                c_is_leaf=not original.children[cid], los=los,
-            ):
+            if not can_simplify(a, b, c, los, cfg, c_is_leaf=not original.children[cid]):
                 return False
     return True

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from navstruct.algorithms import (
-    CentralityScores,
     betweenness_centrality,
     eigenvector_centrality,
     katz_centrality,
@@ -45,7 +44,7 @@ from navstruct.pipeline import (
 )
 from navstruct.steiner import SteinerTree, build_steiner_tree
 from navstruct.terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
-from navstruct.trees import find_rooted_trees, simplify_tree, verify_removals
+from navstruct.trees import find_rooted_trees, simplify_tree, verify_removals, walkable_los
 
 
 def _verdict(capsys, number, label, ok):
@@ -103,7 +102,7 @@ def test_criterion_2_betweenness_matches_enumeration_oracle(capsys):
             p = rng.uniform(0.1, 0.6)
             g = random_connected_graph(rng, n, p)
             weighted = i % 4 != 3
-            got = betweenness_centrality(g, weighted=weighted).values
+            got = betweenness_centrality(g, weighted=weighted)
             want = betweenness_oracle(g, weighted=weighted)
             worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
         elapsed = time.perf_counter() - t_start
@@ -122,14 +121,14 @@ def test_criterion_3_eigenvector_and_katz_match_dense_oracles(capsys):
         for _ in range(50):
             n = rng.randint(2, 20)
             g = random_connected_graph(rng, n, rng.uniform(0.3, 0.8))
-            got = eigenvector_centrality(g).values
+            got = eigenvector_centrality(g)
             want = eigenvector_oracle(g)
             eig_err = max(eig_err, max(abs(a - b) for a, b in zip(got, want)))
             adjacency = np.zeros((n, n))
             for i, j, _w in g.edges:
                 adjacency[i, j] = adjacency[j, i] = 1.0
             alpha = 0.5 / float(np.linalg.eigvalsh(adjacency).max())
-            got_k = katz_centrality(g, alpha=alpha).values
+            got_k = katz_centrality(g, alpha=alpha)
             want_k = katz_oracle(g, alpha)
             katz_err = max(katz_err, max(abs(a - b) for a, b in zip(got_k, want_k)))
         assert eig_err <= 1e-10
@@ -177,14 +176,14 @@ def _rooted_forest(surface=None, graph=None, blockers=None,
     return find_rooted_trees(tree, g, scores)
 
 
-def _audit_one(original, surface, los=None):
-    simplified = simplify_tree(original, surface, los=los)
-    assert verify_removals(original, simplified, surface, los=los)
+def _audit_one(original, los):
+    simplified = simplify_tree(original, los)
+    assert verify_removals(original, simplified, los)
     kept = set(simplified.node_ids())
     assert {v for v in original.node_ids() if not original.children[v]} <= kept
     terminals = {v for v in original.node_ids() if original.payloads[v].terminal}
     assert terminals <= kept
-    assert simplify_tree(simplified, surface, los=los).removals == []
+    assert simplify_tree(simplified, los).removals == []
     return simplified
 
 
@@ -203,7 +202,7 @@ def test_criterion_5_simplification_audit_is_sound(capsys, corridor, hub):
         for surface, blockers, method in fixture_runs:
             forest = _rooted_forest(surface=surface, blockers=blockers, method=method)
             for tree in forest:
-                simplified = _audit_one(tree, surface)
+                simplified = _audit_one(tree, walkable_los(surface))
                 removed_total += len(simplified.removals)
         assert removed_total > 0  # the audit must see real removals, not no-ops
 
@@ -219,7 +218,7 @@ def test_criterion_5_simplification_audit_is_sound(capsys, corridor, hub):
             else:
                 los = lambda a, c: False  # noqa: E731
             for tree in forest:
-                _audit_one(tree, None, los=los)
+                _audit_one(tree, los)
         ok = True
     finally:
         _verdict(capsys, 5, "removal logs audit clean on fixtures + 100 random trees", ok)
@@ -237,12 +236,12 @@ def test_criterion_6_rooting_picks_argmax_with_centroid_tie_break(capsys):
             tree = build_steiner_tree(g, term_set)
             scores = betweenness_centrality(g)
             oracle = tree_path_interior_counts(g)
-            assert max(abs(a - b) for a, b in zip(scores.values, oracle)) <= 1e-9
+            assert max(abs(a - b) for a, b in zip(scores, oracle)) <= 1e-9
             centroid = g.centroid()
 
             def rank(v):
                 return (
-                    -scores.values[v],
+                    -scores[v],
                     float(np.linalg.norm(g.nodes[v].position - centroid)),
                     v,
                 )
@@ -257,7 +256,7 @@ def test_criterion_6_rooting_picks_argmax_with_centroid_tie_break(capsys):
             n = rng.randint(3, 20)
             g = random_tree_graph(rng, n)
             tree = build_steiner_tree(g, terminals_from_metric(g, "leaves"))
-            flat = CentralityScores(metric="degree", values=[1.0] * n, params={})
+            flat = [1.0] * n
             centroid = g.centroid()
             expected = min(
                 tree.nodes,
@@ -279,9 +278,7 @@ def test_criterion_6_rooting_picks_argmax_with_centroid_tie_break(capsys):
             terminals=TerminalSet(node_ids=[0, 1, 2, 3]),
             total_weight=2.0,
         )
-        forest = find_rooted_trees(
-            split, g, CentralityScores(metric="degree", values=[1.0] * 4, params={})
-        )
+        forest = find_rooted_trees(split, g, [1.0] * 4)
         assert len(forest) == 2
         assert sorted(v for t in forest for v in t.node_ids()) == [0, 1, 2, 3]
         ok = True

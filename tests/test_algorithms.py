@@ -263,28 +263,26 @@ def test_degree_centrality_counts_neighbors():
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0)],
         unit([(0, 1), (0, 2), (0, 3)]),
     )
-    scores = degree_centrality(g)
-    assert scores.values == [3.0, 1.0, 1.0, 1.0]
-    assert scores.metric == "degree"
+    assert degree_centrality(g) == [3.0, 1.0, 1.0, 1.0]
 
 
 def test_betweenness_on_path_and_cycle():
     # frozen from the dense all-pairs path-counting routine: P4 interior
     # nodes each sit on 2 of the 6 unordered pairs' shortest paths
     p4 = line_graph(4)
-    assert betweenness_centrality(p4).values == pytest.approx([0.0, 2.0, 2.0, 0.0])
+    assert betweenness_centrality(p4) == pytest.approx([0.0, 2.0, 2.0, 0.0])
     pos5 = [
         (math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5), 0.0)
         for k in range(5)
     ]
     c5 = graph_from_edges(pos5, unit([(k, (k + 1) % 5) for k in range(5)]))
-    assert betweenness_centrality(c5).values == pytest.approx([1.0] * 5)
+    assert betweenness_centrality(c5) == pytest.approx([1.0] * 5)
 
 
 def test_betweenness_weighted_kite():
     # frozen oracle values: all 0-3 traffic runs along 0-1-2-3
     g = kite_graph()
-    assert betweenness_centrality(g).values == pytest.approx([0.0, 2.0, 2.0, 0.0])
+    assert betweenness_centrality(g) == pytest.approx([0.0, 2.0, 2.0, 0.0])
 
 
 def test_betweenness_star_center():
@@ -294,8 +292,8 @@ def test_betweenness_star_center():
         unit([(0, k) for k in range(1, n)]),
     )
     scores = betweenness_centrality(g)
-    assert scores.values[0] == pytest.approx((n - 1) * (n - 2) / 2)
-    assert scores.values[1:] == pytest.approx([0.0] * (n - 1))
+    assert scores[0] == pytest.approx((n - 1) * (n - 2) / 2)
+    assert scores[1:] == pytest.approx([0.0] * (n - 1))
 
 
 def test_betweenness_splits_equal_paths():
@@ -304,13 +302,13 @@ def test_betweenness_splits_equal_paths():
         [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
         unit([(0, 1), (1, 2), (2, 3), (0, 3)]),
     )
-    assert betweenness_centrality(g).values == pytest.approx([0.5] * 4)
+    assert betweenness_centrality(g) == pytest.approx([0.5] * 4)
 
 
 def test_betweenness_matches_oracle_on_random_graphs(rng):
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(5, 12), 0.5)
-        got = betweenness_centrality(g).values
+        got = betweenness_centrality(g)
         expected = betweenness_oracle(g)
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -326,13 +324,13 @@ def test_betweenness_uniform_weights_agree_with_weighted_route(rng):
             [node.position for node in g.nodes],
             [(i, j, 2.5) for i, j, _w in g.edges],
         )
-        got = betweenness_centrality(uniform).values
+        got = betweenness_centrality(uniform)
         assert got == pytest.approx(betweenness_oracle(uniform), abs=1e-9)
 
 
 def test_betweenness_unweighted_flag_ignores_weights():
     g = kite_graph()
-    hops = betweenness_centrality(g, weighted=False).values
+    hops = betweenness_centrality(g, weighted=False)
     # under hop counting the kite's direct edges 0-2 and 1-3 matter:
     # frozen from the path-counting oracle with unit weights
     assert hops == pytest.approx(betweenness_oracle(g, weighted=False), abs=1e-9)
@@ -348,25 +346,25 @@ def test_betweenness_on_forests_skips_the_shortest_path_searches(monkeypatch, rn
     for _ in range(10):
         tree = random_tree_graph(rng, rng.randint(2, 30))
         for weighted in (True, False):
-            got = betweenness_centrality(tree, weighted=weighted).values
+            got = betweenness_centrality(tree, weighted=weighted)
             assert got == tree_path_interior_counts(tree)
     for _ in range(10):
         # size-1 parts are isolated nodes
         sizes = [1] + [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
         forest = random_forest_graph(rng, sizes)
         for weighted in (True, False):
-            got = betweenness_centrality(forest, weighted=weighted).values
+            got = betweenness_centrality(forest, weighted=weighted)
             assert got == pytest.approx(betweenness_oracle(forest, weighted), abs=1e-9)
     maze = maze_graph(50, 50)
     assert len(maze.edges) == len(maze.nodes) - 1
-    assert max(betweenness_centrality(maze).values) > 0.0
+    assert max(betweenness_centrality(maze)) > 0.0
     assert searches == []
 
     square = graph_from_edges(
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)],
         unit([(0, 1), (1, 2), (2, 3), (0, 3)]),
     )
-    assert betweenness_centrality(square).values == [0.5] * 4
+    assert betweenness_centrality(square) == [0.5] * 4
     assert searches
 
 
@@ -377,7 +375,7 @@ def test_eigenvector_on_path3():
     scores = eigenvector_centrality(g)
     # dominant eigenvector of the 3-path, max-normalized: (1/sqrt2, 1, 1/sqrt2)
     root_half = 1.0 / math.sqrt(2.0)
-    assert scores.values == pytest.approx([root_half, 1.0, root_half], abs=1e-8)
+    assert scores == pytest.approx([root_half, 1.0, root_half], abs=1e-8)
 
 
 def test_eigenvector_on_star():
@@ -387,13 +385,13 @@ def test_eigenvector_on_star():
     )
     scores = eigenvector_centrality(g)
     leaf = 1.0 / math.sqrt(3.0)
-    assert scores.values == pytest.approx([1.0, leaf, leaf, leaf], abs=1e-8)
+    assert scores == pytest.approx([1.0, leaf, leaf, leaf], abs=1e-8)
 
 
 def test_eigenvector_matches_dense_oracle(rng):
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(4, 10), 0.6)
-        got = eigenvector_centrality(g).values
+        got = eigenvector_centrality(g)
         assert got == pytest.approx(eigenvector_oracle(g), abs=1e-10)
 
 
@@ -402,7 +400,7 @@ def test_eigenvector_converges_on_mazes(size, seed):
     # a maze is a tree whose top eigenvalues lie close together; power
     # iteration stopped after 10,000 steps short of its 1e-9 step rule here
     g = maze_graph(size, size, seed)
-    assert eigenvector_centrality(g).values == pytest.approx(eigenvector_oracle(g), abs=1e-10)
+    assert eigenvector_centrality(g) == pytest.approx(eigenvector_oracle(g), abs=1e-10)
 
 
 def test_eigenvector_of_a_disconnected_graph_is_the_power_iteration_limit():
@@ -412,13 +410,13 @@ def test_eigenvector_of_a_disconnected_graph_is_the_power_iteration_limit():
         [(float(k), 0.0, 0.0) for k in range(8)],
         unit([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)]),
     )
-    assert eigenvector_centrality(triangles_and_an_edge).values == pytest.approx(
+    assert eigenvector_centrality(triangles_and_an_edge) == pytest.approx(
         [1.0] * 6 + [0.0, 0.0], abs=1e-12
     )
     # a 5-node path (radius sqrt 3) and two edges (radius 1)
     floors = graph_from_navmesh(stacked_floors())
     half_root3 = math.sqrt(3.0) / 2.0
-    assert eigenvector_centrality(floors).values == pytest.approx(
+    assert eigenvector_centrality(floors) == pytest.approx(
         [0.5, half_root3, 1.0, half_root3, 0.5, 0.0, 0.0, 0.0, 0.0], abs=1e-12
     )
 
@@ -446,17 +444,17 @@ def test_katz_matches_series_oracle():
     g = kite_graph()
     scores = katz_centrality(g, alpha=0.25)
     # frozen limit of the attenuated walk series at alpha = 1/4
-    assert scores.values == pytest.approx([1.5, 2.0, 2.0, 1.5], abs=1e-10)
-    assert scores.values == pytest.approx(katz_oracle(g, 0.25), abs=1e-10)
+    assert scores == pytest.approx([1.5, 2.0, 2.0, 1.5], abs=1e-10)
+    assert scores == pytest.approx(katz_oracle(g, 0.25), abs=1e-10)
 
 
 def test_katz_default_alpha_converges(rng):
     for _ in range(5):
         g = random_connected_graph(rng, rng.randint(4, 8), 0.6)
         scores = katz_centrality(g)
-        alpha = scores.params["alpha"]
-        assert scores.values == pytest.approx(katz_oracle(g, alpha), abs=1e-10)
-        assert all(v > 0.0 for v in scores.values)
+        alpha = 0.9 / spectral_radius(g)
+        assert scores == pytest.approx(katz_oracle(g, alpha), abs=1e-10)
+        assert all(v > 0.0 for v in scores)
 
 
 def test_katz_rejects_alpha_at_or_beyond_threshold():
@@ -469,7 +467,7 @@ def test_katz_rejects_alpha_at_or_beyond_threshold():
     with pytest.raises(AlphaTooLarge):
         katz_centrality(triangle, alpha=0.9)
     scores = katz_centrality(triangle, alpha=0.4)
-    assert scores.values == pytest.approx(katz_oracle(triangle, 0.4), abs=1e-10)
+    assert scores == pytest.approx(katz_oracle(triangle, 0.4), abs=1e-10)
 
 
 def test_spectral_scores_stay_sparse_on_a_large_grid():
@@ -487,11 +485,12 @@ def test_spectral_scores_stay_sparse_on_a_large_grid():
     assert peak < 16 * 2**20
     # grids tie heavily, as the benchmark's metric terminals do
     small = graph_from_navmesh(grid_surface(12, 12))
-    assert eigenvector_centrality(small).values == pytest.approx(
+    assert eigenvector_centrality(small) == pytest.approx(
         eigenvector_oracle(small), abs=1e-6
     )
-    katz = katz_centrality(small)
-    assert katz.values == pytest.approx(katz_oracle(small, katz.params["alpha"]), abs=1e-6)
+    assert katz_centrality(small) == pytest.approx(
+        katz_oracle(small, 0.9 / spectral_radius(small)), abs=1e-6
+    )
 
 
 @pytest.mark.parametrize("size", [12, 45])
@@ -517,20 +516,27 @@ def test_repeated_edges_and_self_loops_count_once():
         nodes=line_graph(4).nodes,
         edges=[(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 2.0), (2, 2, 1.0)],
     )
-    assert eigenvector_centrality(g).values == pytest.approx(eigenvector_oracle(g), abs=1e-10)
+    assert eigenvector_centrality(g) == pytest.approx(eigenvector_oracle(g), abs=1e-10)
     dense = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0]]
     assert spectral_radius(g) == pytest.approx(max(np.linalg.eigvalsh(dense)), abs=1e-10)
-    katz = katz_centrality(g)
-    assert katz.values == pytest.approx(katz_oracle(g, katz.params["alpha"]), abs=1e-10)
-    assert katz_centrality(g, alpha=0.3).values == pytest.approx(katz_oracle(g, 0.3), abs=1e-10)
+    assert katz_centrality(g) == pytest.approx(
+        katz_oracle(g, 0.9 / spectral_radius(g)), abs=1e-10
+    )
+    assert katz_centrality(g, alpha=0.3) == pytest.approx(katz_oracle(g, 0.3), abs=1e-10)
 
 # --- dispatcher -------------------------------------------------------------
 
 def test_compute_centrality_dispatch():
     g = line_graph(4)
-    assert compute_centrality(g, "degree").values == [1.0, 2.0, 2.0, 1.0]
-    assert compute_centrality(g, "betweenness").metric == "betweenness"
-    assert compute_centrality(g, "eigenvector").metric == "eigenvector"
-    assert compute_centrality(g, "katz").metric == "katz"
+    assert compute_centrality(g, "degree") == [1.0, 2.0, 2.0, 1.0]
+    assert compute_centrality(g, "betweenness") == betweenness_centrality(g)
+    assert compute_centrality(g, "eigenvector") == eigenvector_centrality(g)
+    assert compute_centrality(g, "katz") == katz_centrality(g)
+    assert compute_centrality(g, "katz", alpha=0.25) == katz_centrality(g, alpha=0.25)
+    # the kite has a cycle, so unit weights move its betweenness
+    kite = kite_graph()
+    hops = compute_centrality(kite, "betweenness", weighted=False)
+    assert hops == betweenness_centrality(kite, weighted=False)
+    assert hops != betweenness_centrality(kite)
     with pytest.raises(ValidationError, match="unknown centrality"):
         compute_centrality(g, "pagerank")

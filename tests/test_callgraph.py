@@ -107,6 +107,14 @@ def test_every_field_in_src_is_read():
     assert not ALLOWED_FIELDS & loaded      # and still unread
 
 
+def test_every_src_module_parses_as_the_oldest_supported_python():
+    """pyproject.toml declares Python >= 3.10; `feature_version` rejects
+    newer syntax such as `except*`, on a best-effort basis."""
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_every_import_in_src_and_tests_is_used():
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [site for path, tree in _trees(paths) for site in _unused_imports(path, tree)]

@@ -23,10 +23,10 @@ from navstruct.fixtures import (
 from navstruct.graph import graph_from_navmesh
 from navstruct.steiner import build_steiner_tree
 from navstruct.terminals import entry_exit_terminals, terminals_from_metric
-from navstruct.trees import find_rooted_trees, simplify_tree, verify_removals
+from navstruct.trees import find_rooted_trees, simplify_tree, verify_removals, walkable_los
 
 
-def check_stages(g, term_set, surface, los, path):
+def check_stages(g, term_set, los, path):
     """Run Steiner, rooting and simplify on `g` and check every invariant;
     returns the number of simplify removals."""
     terminals = set(term_set.node_ids)
@@ -44,10 +44,10 @@ def check_stages(g, term_set, surface, los, path):
     forest_edges = sorted(tuple(sorted(e)) for t in forest for e in t.edge_list())
     assert forest_edges == [(i, j) for i, j, _w in stree.edges]
 
-    simplified = [simplify_tree(t, surface, los=los) for t in forest]
+    simplified = [simplify_tree(t, los) for t in forest]
     steiner_edges = {(i, j) for i, j, _w in stree.edges}
     for original, out in zip(forest, simplified):
-        assert verify_removals(original, out, surface, los=los)
+        assert verify_removals(original, out, los)
         # every final edge is a Steiner edge or one a logged removal made,
         # and verify_removals audited the LOS of those
         made = {(rec.parent, c) for rec in out.removals for c in rec.children}
@@ -84,7 +84,7 @@ def test_stage_invariants_on_fixture_surfaces(name, surface, blockers, method, t
         term_set = terminals_from_metric(g, "leaves")
     else:
         term_set = terminals_from_metric(g, "metric", k=4)
-    check_stages(g, term_set, surface, None, tmp_path / f"{name}.json")
+    check_stages(g, term_set, walkable_los(surface), tmp_path / f"{name}.json")
 
 
 def test_stage_invariants_on_random_and_maze_graphs(tmp_path):
@@ -98,5 +98,5 @@ def test_stage_invariants_on_random_and_maze_graphs(tmp_path):
         term_set = terminals_from_metric(g, method, k=rng.randint(1, 6))
         limit = rng.uniform(1.0, 6.0)
         los = lambda a, c, L=limit: float(np.linalg.norm(np.subtract(c, a))) <= L  # noqa: E731
-        removed += check_stages(g, term_set, None, los, tmp_path / f"graph-{k}.json")
+        removed += check_stages(g, term_set, los, tmp_path / f"graph-{k}.json")
     assert removed > 0  # the audit must see real removals

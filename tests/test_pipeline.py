@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import time
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from navstruct import pipeline, trees
 from navstruct.cli import _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, ValidationError
 from navstruct.fixtures import graph_from_edges, maze_graph, straight_corridor
@@ -226,6 +228,32 @@ def test_graph_route_with_blockers_respects_a_wall():
     result = run_pipeline(cfg, graph=chain_graph(), blockers=wall_blockers(2.5))
     (tree,) = result.forest
     assert tree.node_ids() == [0, 1, 2, 3]
+
+
+def test_runs_call_the_tracer_patch_points_at_call_time(monkeypatch, corridor, maze_walls):
+    """navbench's tracer swaps these module globals for counting wrappers;
+    a run that bound one of them earlier would leave its layer at zero."""
+    calls = Counter()
+    for module, name in ((trees, "surface_los"), (trees, "can_simplify"),
+                         (pipeline, "segment_clear")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    surface, blockers = corridor
+    result = run_pipeline(corridor_cfg(), surface=surface, blockers=blockers)
+    assert sum(len(t.removals) for t in result.forest) > 0
+    # each decision that passes the flag and normal checks walks once
+    assert 0 < calls["surface_los"] <= calls["can_simplify"]
+    assert calls["segment_clear"] == 0
+
+    calls.clear()
+    g, walls = maze_walls(8, 8, seed=3)
+    result = run_pipeline(PipelineConfig(terminals="leaves"), graph=g, blockers=walls)
+    assert sum(len(t.removals) for t in result.forest) > 0
+    assert 0 < calls["segment_clear"] <= calls["can_simplify"]
+    assert calls["surface_los"] == 0
 
 
 def test_run_extract_loads_files(corridor, tmp_path):

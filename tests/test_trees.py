@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from navstruct import pipeline, trees
-from navstruct.algorithms import CentralityScores, betweenness_centrality
+from navstruct.algorithms import betweenness_centrality
 from navstruct.errors import PointOffMesh, ValidationError
 from navstruct.fixtures import (
     graph_from_edges,
@@ -30,6 +30,7 @@ from navstruct.trees import (
     simplify_tree,
     surface_los,
     verify_removals,
+    walkable_los,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -40,7 +41,7 @@ def terms(ids):
 
 
 def uniform_scores(n, value=1.0):
-    return CentralityScores(metric="degree", values=[value] * n, params={})
+    return [value] * n
 
 
 def path_graph(xs):
@@ -72,9 +73,7 @@ def rooted_path(positions, terminal_ids=(), on_mesh_override=None):
     )
     tree = build_steiner_tree(g, terms([0, len(positions) - 1]))
     n = len(positions)
-    scores = CentralityScores(
-        metric="degree", values=[1.0] + [0.0] * (n - 1), params={}
-    )
+    scores = [1.0] + [0.0] * (n - 1)
     (rooted,) = find_rooted_trees(tree, g, scores)
     for t in terminal_ids:
         rooted.payloads[t].terminal = True
@@ -89,7 +88,7 @@ def rooted_path(positions, terminal_ids=(), on_mesh_override=None):
 def test_root_is_the_highest_scoring_node():
     g = path_graph([0, 1, 2, 3])
     tree = build_steiner_tree(g, terms([0, 3]))
-    scores = CentralityScores(metric="degree", values=[0.0, 0.0, 5.0, 0.0], params={})
+    scores = [0.0, 0.0, 5.0, 0.0]
     (rooted,) = find_rooted_trees(tree, g, scores)
     assert rooted.root == 2
     assert rooted.depth == {2: 0, 1: 1, 3: 1, 0: 2}
@@ -139,7 +138,7 @@ def test_children_ordered_ascending():
         [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)],
     )
     tree = build_steiner_tree(g, terms([1, 2, 3, 4]))
-    scores = CentralityScores(metric="degree", values=[9.0, 0, 0, 0, 0], params={})
+    scores = [9.0, 0, 0, 0, 0]
     (rooted,) = find_rooted_trees(tree, g, scores)
     assert rooted.children[0] == [1, 2, 3, 4]
     assert rooted.payloads[1].terminal and not rooted.payloads[0].terminal
@@ -172,7 +171,7 @@ def _rooted_trees_by_full_key(tree, g, scores, centroid):
     forest = []
     while unvisited:
         root = min(unvisited, key=lambda v: (
-            -scores.values[v], float(np.linalg.norm(g.nodes[v].position - cen)), v))
+            -scores[v], float(np.linalg.norm(g.nodes[v].position - cen)), v))
         children = {}
         stack = [root]
         unvisited.discard(root)
@@ -197,8 +196,7 @@ def test_root_pick_equals_the_full_key_pick_on_random_forests():
             for node in g.nodes:
                 node.position = np.array([rng.randint(0, 3), rng.randint(0, 3), 0.0])
         n = len(g.nodes)
-        values = [draws[k % 3]() for _ in range(n)]
-        scores = CentralityScores(metric="degree", values=values, params={})
+        scores = [draws[k % 3]() for _ in range(n)]
         stree = SteinerTree(nodes=list(range(n)), edges=list(g.edges),
                             terminals=terms(rng.sample(range(n), rng.randint(1, n))),
                             total_weight=0.0)
@@ -287,9 +285,9 @@ def test_predicate_rejects_terminal_middle(corridor):
     a = payload((0.5, 0.5, 0))
     b = payload((1.5, 0.5, 0), terminal=True)
     c = payload((2.5, 0.5, 0))
-    assert not can_simplify(a, b, c, surface)
+    assert not can_simplify(a, b, c, walkable_los(surface))
     b.terminal = False
-    assert can_simplify(a, b, c, surface)
+    assert can_simplify(a, b, c, walkable_los(surface))
 
 
 def test_predicate_rejects_off_mesh_leaf_grandchild(corridor):
@@ -297,9 +295,9 @@ def test_predicate_rejects_off_mesh_leaf_grandchild(corridor):
     a = payload((0.5, 0.5, 0))
     b = payload((1.5, 0.5, 0))
     c = payload((2.5, 0.5, 0), on_navmesh=False)
-    assert not can_simplify(a, b, c, surface, c_is_leaf=True)
+    assert not can_simplify(a, b, c, walkable_los(surface), c_is_leaf=True)
     # an off-mesh interior node is no obstacle
-    assert can_simplify(a, b, c, surface, c_is_leaf=False)
+    assert can_simplify(a, b, c, walkable_los(surface), c_is_leaf=False)
 
 
 def test_predicate_rejects_normal_disagreement():
@@ -310,9 +308,9 @@ def test_predicate_rejects_normal_disagreement():
     b = payload((1.5, 0.5, h / 2.0), normal=ramp_normal)
     c = payload((2.5, 0.5, h))
     assert normal_angle_deg(a.normal, b.normal) == pytest.approx(30.0)
-    assert not can_simplify(a, b, c, surface)  # 30 degrees > default 15
+    assert not can_simplify(a, b, c, walkable_los(surface))  # 30 degrees > default 15
     loose = SimplifyConfig(normal_tolerance_deg=45.0)
-    assert can_simplify(a, b, c, surface, loose)
+    assert can_simplify(a, b, c, walkable_los(surface), loose)
 
 
 def test_predicate_uses_injected_los():
@@ -325,9 +323,9 @@ def test_predicate_uses_injected_los():
         seen.append((tuple(p), tuple(q)))
         return True
 
-    assert can_simplify(a, b, c, None, los=los)
+    assert can_simplify(a, b, c, los)
     assert seen == [((0.0, 0.0, 0.0), (2.0, 0.0, 0.0))]
-    assert not can_simplify(a, b, c, None, los=lambda p, q: False)
+    assert not can_simplify(a, b, c, lambda p, q: False)
 
 
 def test_predicate_off_mesh_parent_has_no_los(corridor):
@@ -335,15 +333,7 @@ def test_predicate_off_mesh_parent_has_no_los(corridor):
     a = payload((-5.0, 0.5, 0))  # off the walkable surface
     b = payload((0.5, 0.5, 0))
     c = payload((1.5, 0.5, 0))
-    assert not can_simplify(a, b, c, surface)
-
-
-def test_predicate_requires_some_visibility_source():
-    a = payload((0.0, 0.0, 0))
-    b = payload((1.0, 0.0, 0))
-    c = payload((2.0, 0.0, 0))
-    with pytest.raises(ValidationError, match="surface or an explicit los"):
-        can_simplify(a, b, c, None)
+    assert not can_simplify(a, b, c, walkable_los(surface))
 
 
 # --- simplification ---------------------------------------------------------
@@ -352,20 +342,20 @@ def test_simplify_collapses_a_clear_chain():
     rooted = rooted_path(
         [(float(k), 0.0, 0.0) for k in range(6)], terminal_ids=(0, 5)
     )
-    out = simplify_tree(rooted, None, los=lambda p, q: True)
+    out = simplify_tree(rooted, lambda p, q: True)
     assert out.node_ids() == [0, 5]
     assert out.edge_list() == [(0, 5)]
     assert out.depth == {0: 0, 5: 1}
     assert len(out.removals) == 4
     assert rooted.size() == 6  # input untouched
-    assert verify_removals(rooted, out, None, los=lambda p, q: True)
+    assert verify_removals(rooted, out, lambda p, q: True)
 
 
 def test_simplify_respects_blocked_visibility():
     rooted = rooted_path(
         [(float(k), 0.0, 0.0) for k in range(6)], terminal_ids=(0, 5)
     )
-    out = simplify_tree(rooted, None, los=lambda p, q: False)
+    out = simplify_tree(rooted, lambda p, q: False)
     assert out.node_ids() == [0, 1, 2, 3, 4, 5]
     assert out.removals == []
 
@@ -375,11 +365,11 @@ def test_simplify_distance_limited_visibility_thins_every_other_node():
         [(float(k), 0.0, 0.0) for k in range(7)], terminal_ids=(0, 6)
     )
     los = lambda p, q: float(np.linalg.norm(np.subtract(q, p))) <= 2.5  # noqa: E731
-    out = simplify_tree(rooted, None, los=los)
+    out = simplify_tree(rooted, los)
     assert out.node_ids() == [0, 2, 4, 6]
     assert out.edge_list() == [(0, 2), (2, 4), (4, 6)]
-    assert verify_removals(rooted, out, None, los=los)
-    again = simplify_tree(out, None, los=los)
+    assert verify_removals(rooted, out, los)
+    again = simplify_tree(out, los)
     assert again.removals == []  # fixed point
 
 
@@ -387,7 +377,7 @@ def test_simplify_keeps_terminals_and_leaves():
     rooted = rooted_path(
         [(float(k), 0.0, 0.0) for k in range(6)], terminal_ids=(0, 3, 5)
     )
-    out = simplify_tree(rooted, None, los=lambda p, q: True)
+    out = simplify_tree(rooted, lambda p, q: True)
     assert out.node_ids() == [0, 3, 5]
     assert {v for v in out.node_ids() if not out.children[v]} == {5}
     assert all(out.payloads[v].terminal for v in out.node_ids())
@@ -399,7 +389,7 @@ def test_simplify_retains_interior_next_to_off_mesh_leaf():
         terminal_ids=(0, 3),
         on_mesh_override={3: False},
     )
-    out = simplify_tree(rooted, None, los=lambda p, q: True)
+    out = simplify_tree(rooted, lambda p, q: True)
     # node 2 must survive: its only grandchild view is the off-mesh leaf 3
     assert out.node_ids() == [0, 2, 3]
     assert out.edge_list() == [(0, 2), (2, 3)]
@@ -412,12 +402,12 @@ def test_simplify_corridor_to_three_nodes(corridor):
     tree = build_steiner_tree(g, terminal_set)
     scores = betweenness_centrality(g)
     (rooted,) = find_rooted_trees(tree, g, scores)
-    out = simplify_tree(rooted, surface)
+    out = simplify_tree(rooted, walkable_los(surface))
     assert out.node_ids() == [5, 12, 13]
     assert out.edge_list() == [(5, 12), (5, 13)]
     assert len(out.removals) == 11
-    assert verify_removals(rooted, out, surface)
-    assert simplify_tree(out, surface).removals == []
+    assert verify_removals(rooted, out, walkable_los(surface))
+    assert simplify_tree(out, walkable_los(surface)).removals == []
 
 
 def test_simplify_stops_at_the_l_corner():
@@ -427,7 +417,7 @@ def test_simplify_stops_at_the_l_corner():
     tree = build_steiner_tree(g, terminal_set)
     (rooted,) = find_rooted_trees(tree, g, betweenness_centrality(g))
     assert rooted.root == 1
-    out = simplify_tree(rooted, surface)
+    out = simplify_tree(rooted, walkable_los(surface))
     # the reflex corner blocks sight from node 1 to node 3, so node 2 stays
     assert out.node_ids() == [0, 1, 2, 3]
     assert out.removals == []
@@ -441,10 +431,10 @@ def test_simplify_multi_pass_reaches_a_stable_point():
     rooted = rooted_path(
         [(pos[k], 0.0, 0.0) for k in range(4)], terminal_ids=(0, 3)
     )
-    out = simplify_tree(rooted, None, los=los)
+    out = simplify_tree(rooted, los)
     assert out.node_ids() == [0, 3]
     assert [(r.parent, r.removed) for r in out.removals] == [(1, 2), (0, 1)]
-    assert verify_removals(rooted, out, None, los=los)
+    assert verify_removals(rooted, out, los)
 
 
 # --- one decision per (A, B, C) triple ----------------------------------------
@@ -501,13 +491,13 @@ def _simplify_asking_every_time(tree, los):
     can_simplify again for every triple it scans."""
     out = tree.clone()
     removals = []
-    while _pass_asking_every_time(out, None, SimplifyConfig(), los, removals):
+    while _pass_asking_every_time(out, los, SimplifyConfig(), removals):
         pass
     out.removals = removals
     return out
 
 
-def _pass_asking_every_time(t, surface, cfg, los, removals):
+def _pass_asking_every_time(t, los, cfg, removals):
     any_removed = False
     stack = [t.root]
     while stack:
@@ -522,8 +512,7 @@ def _pass_asking_every_time(t, surface, cfg, los, removals):
                 if all(
                     trees.can_simplify(
                         t.payloads[a], t.payloads[b], t.payloads[c],
-                        surface, cfg,
-                        c_is_leaf=not t.children[c], los=los,
+                        los, cfg, c_is_leaf=not t.children[c],
                     )
                     for c in b_kids
                 ):
@@ -562,8 +551,7 @@ def _random_rooted_trees(rng, count):
         else:
             g = random_tree_graph(rng, rng.randint(2, 40))
         stree = build_steiner_tree(g, terminals_from_metric(g, "leaves"))
-        values = [rng.random() for _ in g.nodes]
-        scores = CentralityScores(metric="degree", values=values, params={})
+        scores = [rng.random() for _ in g.nodes]
         for t in find_rooted_trees(stree, g, scores):
             for p in t.payloads.values():
                 if rng.random() < 0.1:
@@ -592,12 +580,12 @@ def test_decision_table_keeps_every_decision_of_the_asking_pass():
             want = _simplify_asking_every_time(tree, los)
             calls_without += len(asked)
             asked.clear()
-            got = simplify_tree(tree, None, los=los)
+            got = simplify_tree(tree, los)
             calls_with += len(asked)
         assert got.root == want.root
         assert got.children == want.children
         assert got.removals == want.removals
-        assert verify_removals(tree, got, None, los=los)
+        assert verify_removals(tree, got, los)
         removed += len(got.removals)
     assert removed > 500
     assert calls_with < calls_without  # some triple was asked again without the table
@@ -608,12 +596,12 @@ def test_verify_removals_detects_a_corrupted_log():
         [(float(k), 0.0, 0.0) for k in range(5)], terminal_ids=(0, 4)
     )
     los = lambda p, q: True  # noqa: E731
-    out = simplify_tree(rooted, None, los=los)
-    assert verify_removals(rooted, out, None, los=los)
+    out = simplify_tree(rooted, los)
+    assert verify_removals(rooted, out, los)
     # forging a record that claims a terminal was removed must fail the audit
     forged = out.removals[0].__class__(parent=0, removed=4, children=(2,))
     out.removals.append(forged)
-    assert not verify_removals(rooted, out, None, los=los)
+    assert not verify_removals(rooted, out, los)
 
 
 def test_simplify_config_validation():
