@@ -17,7 +17,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import PointOffMesh, ValidationError
 from .graph import SurfaceGraph
 from .mesh import (
     DEFAULT_HEIGHT_TOL,
@@ -621,6 +621,8 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     )
     from .fixtures import (
         grid_surface,
+        l_corridor,
+        plus_hub,
         ramp_corridor,
         random_connected_graph,
         random_forest_graph,
@@ -633,6 +635,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     from .raycast import first_hit
     from .steiner import build_steiner_tree
     from .terminals import TerminalSet
+    from .trees import LosFunnel, surface_los
 
     rng = random.Random(seed)
     results = []
@@ -714,6 +717,32 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         ("surface-build", wrong == 0, f"{wrong} of {len(inputs)} surfaces differ")
     )
 
+    # runs of walks from shared anchors: each answer with the anchor's funnel
+    # must be the answer of the plain walk
+    runs = [straight_corridor(3)[0], straight_corridor(24)[0], plus_hub()[0], l_corridor()]
+    runs += surfaces
+    for _ in range(instances):
+        nprng = np.random.default_rng(rng.randrange(2**32))
+        runs.append(build_walkable_surface(*random_ring_surface(nprng)))
+    checked = wrong = armed = 0
+    for surface in runs:
+        for a, targets in _funnel_runs(surface, rng):
+            funnel = LosFunnel()
+            for c in targets:
+                checked += 1
+                armed += len(funnel.steps) >= 2
+                answers = []
+                for f in (funnel, None):
+                    try:
+                        answers.append(surface_los(surface, a, c, funnel=f))
+                    except PointOffMesh:
+                        answers.append(None)
+                wrong += answers[0] != answers[1]
+    results.append((
+        "los-funnel", wrong == 0,
+        f"{wrong} of {checked} answers differ, {armed} asked with two or more portals recorded",
+    ))
+
     tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
     checked = wrong = 0
     for surface in surfaces:
@@ -769,6 +798,38 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
             wrong += dijkstra_tree(g, sources) != dijkstra_tree_heap(g, sources)
     results.append(("dijkstra-tree", wrong == 0, f"{wrong} of {checked} source sets differ"))
     return results
+
+
+def _funnel_runs(surface: WalkableSurface, rng: random.Random):
+    """(anchor, targets) runs for the los-funnel suite, from up to 8 polygon
+    centres and 2 corners.  Each run follows three rays in the anchor's
+    plane (one at random, one through a corner, one through a centre) out
+    past the mesh, each time then stepping back short of the last portal and
+    behind the anchor; then it visits every corner by distance (grazing
+    portal ends) and two points off the mesh."""
+    verts = surface.vertices
+    extent = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    owners = {v: pids[0] for edge, pids in surface.edge_polygons.items() for v in edge}
+    pids = rng.sample(range(len(surface.polygons)), min(8, len(surface.polygons)))
+    anchors = [(surface.polygon_centers[p], p) for p in pids]
+    anchors += [(verts[v], owners[v]) for v in rng.sample(sorted(owners), 2)]
+    for a, pid in anchors:
+        normal = surface.polygon_normals[pid]
+        targets = []
+        for aim in (
+            np.array([rng.gauss(0.0, 1.0) for _ in range(3)]),
+            verts[rng.randrange(len(verts))] - a,
+            surface.polygon_centers[rng.randrange(len(surface.polygons))] - a,
+        ):
+            aim = aim - normal * float(np.dot(normal, aim))
+            length = float(np.linalg.norm(aim))
+            if length < 1e-6:
+                continue
+            ray = [a + aim * (r / length) for r in np.linspace(0.3, 1.2 * extent, 16)]
+            targets += ray + [(a + ray[-2]) / 2.0, 2.0 * a - ray[3]]
+        targets += sorted(verts, key=lambda v: float(np.linalg.norm(v - a)))
+        targets += [a + 5.0 * normal, a + 2.0 * extent * np.array([1.0, 0.5, 0.0])]
+        yield a, targets
 
 
 def _tie_heavy_graph(rng: random.Random, weights) -> SurfaceGraph:

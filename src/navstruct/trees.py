@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,13 +108,12 @@ def find_rooted_trees(
     tree: SteinerTree,
     graph: SurfaceGraph,
     scores: list[float],
-    centroid=None,
 ) -> list[RootedTree]:
     """Orient an (unrooted, possibly multi-component) tree into rooted trees.
 
     `scores` is indexed by graph node id.  While unvisited nodes remain: pick
-    the one with the highest score (ties fall to the node nearest `centroid`,
-    then the lowest id), then walk its component depth-first, ordering
+    the one with the highest score (ties fall to the node nearest the graph
+    centroid, then the lowest id), then walk its component depth-first, ordering
     children by ascending id.  The returned forest partitions the tree's node
     set.
     """
@@ -123,9 +122,7 @@ def find_rooted_trees(
         return []
     if len(scores) < max(node_ids) + 1:
         raise ValidationError("centrality scores do not cover all tree nodes")
-    cen = np.asarray(
-        centroid if centroid is not None else graph.centroid(), dtype=float
-    )
+    cen = graph.centroid()
     term_set = set(tree.terminals.node_ids)
     adj = tree.adjacency()
 
@@ -162,8 +159,192 @@ def find_rooted_trees(
 # surface line of sight
 # ---------------------------------------------------------------------------
 
+# unit roundoff of a float64
+_U = 2.0 ** -53
+
+
+class _Step(NamedTuple):
+    """One clean step of an anchor's last successful walk: it left `polygon`
+    through the shared edge `edge`, whose ends lie at `right` and `left` from
+    the anchor in the projection, with cross(right, left) > 0.  The last four
+    fields cover the trail up to and including this step: the wedge of
+    directions through every portal as two unit vectors (right x, y, left
+    x, y), the least portal gap, the farthest corner from the anchor and the
+    shortest portal."""
+
+    polygon: int
+    edge: tuple[int, int]
+    right: tuple[float, float]
+    left: tuple[float, float]
+    wedge: tuple[float, float, float, float]
+    gap: float
+    reach: float
+    width: float
+
+
+def _cross(ux: float, uy: float, vx: float, vy: float) -> float:
+    return ux * vy - uy * vx
+
+
+def _portal_gap(surface, poly, keep, ax, ay, step: _Step) -> float:
+    """The gap Q of `step`'s portal in `poly`: min(|right|, |left|) / |portal|
+    times the least, over the other edges g of `poly`, of dist(right, g) +
+    dist(left, g).  A crossing of the portal that lies at least mu |U| from
+    each end U lies at least mu Q from every other edge line of `poly`.
+    Zero when an end lies outside another edge (a ring convex only within
+    the plane tolerance) or on its line (two edges in a row)."""
+    kx, ky = int(keep[0]), int(keep[1])
+    sign = float(surface.polygon_winding[poly, 3 - kx - ky])
+    xs, ys = surface.axis_coords[kx], surface.axis_coords[ky]
+    ring = surface.polygons[poly]
+    (rx, ry), (lx, ly) = step.right, step.left
+    least = math.inf
+    for i, va in enumerate(ring):
+        vb = ring[(i + 1) % len(ring)]
+        if {va, vb} == set(step.edge):
+            continue
+        ex, ey = xs[vb] - xs[va], ys[vb] - ys[va]
+        ox, oy = xs[va] - ax, ys[va] - ay
+        d_right = sign * _cross(ex, ey, rx - ox, ry - oy)
+        d_left = sign * _cross(ex, ey, lx - ox, ly - oy)
+        both = d_right + d_left if min(d_right, d_left) >= 0.0 else 0.0
+        least = min(least, both / math.hypot(ex, ey))
+    near = min(math.hypot(rx, ry), math.hypot(lx, ly))
+    return near / math.hypot(lx - rx, ly - ry) * least
+
+
+@dataclass
+class LosFunnel:
+    """What one anchor's walks have shown, so that `surface_los` can skip the
+    validated start of the next walk from the same anchor.
+
+    `start` is the anchor's start polygon (-1 off the surface), located once.
+    `steps` is the clean prefix of the anchor's last successful walk: each
+    step left a polygon whose plane (normal and offset) equals the start
+    polygon's, through exactly one exit edge with exactly one neighbour
+    beyond it (a portal), and the first step did so at t_out >= 0.
+
+    With k >= 2 steps, a new segment a -> c of projected direction d skips
+    steps 0..k-2 and enters step k-1's polygon with its own t_in for t, when
+    (u is the unit roundoff, E is GEOM_EPS, W the trail's reach, sigma its
+    width, Q its gap):
+
+    - mu = min(cross(R, d/|d|), cross(d/|d|, L)) > 0 for the wedge R, L: d
+      points strictly through every portal, and each portal end U lies at
+      least mu |U| from the crossing.  So |cross(portal, d)| >= mu |d|
+      |portal|, and a portal's clip bound rounds by at most
+      err = 5u (1 + W/|d|) / mu;
+    - 20u (|d| + W) <= E mu |d|, so err <= E/4: the two clips that compute a
+      portal bound (leaving one polygon, entering the next) agree within E;
+    - mu |d| sigma >= 2E: no portal is taken for parallel to d;
+    - mu Q >= 2E |d| + 8u (W + |d|): every other edge line of a trail
+      polygon lies at least mu Q from the crossings of its two portals (the
+      distance to an edge line is affine along a portal), so each other
+      edge's bound sits beyond E + err of the portal's, after the rounding
+      of f0 and fd (4u |edge| (W + |d|) each);
+    - c lies past the line of the last portal, so no skipped step ends the
+      walk: each portal crossing precedes the next one by more than 2E;
+    - |n.a - d| and |n.(a + seg) - d| are at most tol / 2, and so is
+      24u (max|a| + max|seg| + |d|), which bounds the rounding of the walk's
+      plane test at any parameter in [0, 1] beyond the linear value.
+
+    Then each skipped step passes its checks, has the portal as its one
+    exit edge and takes the one neighbour, exactly as the full walk does;
+    step k-1 passes its two first checks for its t_in as for the true t,
+    and from its clip on the resumed walk holds the full walk's exact state.
+    """
+
+    start: int | None = None
+    steps: list[_Step] = field(default_factory=list)
+
+    def resume(self, surface, a, seg, d2, tol) -> int:
+        """The number of first steps the walk a -> a + seg may skip, 0 for
+        none (see the class)."""
+        if len(self.steps) < 2:
+            return 0
+        last = self.steps[-1]
+        dx, dy = float(d2[0]), float(d2[1])
+        length = math.hypot(dx, dy)
+        rx, ry, lx, ly = last.wedge
+        mu = min(_cross(rx, ry, dx, dy), _cross(dx, dy, lx, ly)) / length
+        (px, py), (qx, qy) = last.right, last.left
+        if not (
+            _cross(qx - px, qy - py, dx - px, dy - py) < 0.0  # past the last portal
+            and 20.0 * _U * (length + last.reach) <= GEOM_EPS * mu * length
+            and mu * length * last.width >= 2.0 * GEOM_EPS
+            and mu * last.gap >= 2.0 * GEOM_EPS * length + 8.0 * _U * (last.reach + length)
+        ):
+            return 0
+        n, d_plane = surface.polygon_plane(self.start)
+        off = max(abs(float(np.dot(n, p)) - d_plane) for p in (a, a + seg))
+        size = float(np.abs(a).max() + np.abs(seg).max()) + abs(d_plane)
+        if off > 0.5 * tol or 24.0 * _U * size > 0.5 * tol:
+            return 0
+        return len(self.steps) - 1
+
+    def record(self, surface, keep, a2, kept: int, path) -> None:
+        """Keep the first `kept` steps, then make the rest the clean prefix
+        of `path`: the (polygon, exit edges, candidates, t_out) of each step
+        the successful walk took after them.  A step depends only on the
+        anchor, its polygon and its exit edge, so a stored step that matches
+        is kept as it is."""
+        for j, (poly, exits, candidates, t_out) in enumerate(path, kept):
+            if j < len(self.steps):
+                old = self.steps[j]
+                if old.polygon == poly and [set(e) for e in exits] == [set(old.edge)]:
+                    continue
+                del self.steps[j:]
+            step = self._step(surface, keep, a2, poly, exits, candidates, t_out)
+            if step is None:
+                return
+            self.steps.append(step)
+        del self.steps[kept + len(path):]
+
+    def _step(self, surface, keep, a2, poly, exits, candidates, t_out) -> _Step | None:
+        """The step that follows `steps`, or None when it is not clean."""
+        if (
+            len(exits) != 1 or len(candidates) != 1
+            or surface.polygon_offsets[poly] != surface.polygon_offsets[self.start]
+            or not (surface.polygon_normals[poly] == surface.polygon_normals[self.start]).all()
+            or (not self.steps and t_out < 0.0)
+        ):
+            return None
+        xs, ys = surface.axis_coords[int(keep[0])], surface.axis_coords[int(keep[1])]
+        ax, ay = float(a2[0]), float(a2[1])
+        va, vb = exits[0]
+        right = (xs[va] - ax, ys[va] - ay)
+        left = (xs[vb] - ax, ys[vb] - ay)
+        if _cross(*right, *left) < 0.0:
+            va, vb, right, left = vb, va, left, right
+        if not _cross(*right, *left) > 0.0:
+            return None  # the anchor lies on the portal's line
+        r_len, l_len = math.hypot(*right), math.hypot(*left)
+        wedge = (right[0] / r_len, right[1] / r_len, left[0] / l_len, left[1] / l_len)
+        step = _Step(poly, (va, vb), right, left, wedge, 0.0, 0.0, 0.0)
+        gap = _portal_gap(surface, poly, keep, ax, ay, step)
+        reach = max(math.hypot(xs[v] - ax, ys[v] - ay) for v in surface.polygons[poly])
+        width = math.hypot(left[0] - right[0], left[1] - right[1])
+        if self.steps:
+            prev = self.steps[-1]
+            pr, pl = prev.wedge[:2], prev.wedge[2:]
+            if _cross(*wedge[:2], *pr) >= 0.0:
+                wedge = pr + wedge[2:]
+            if _cross(*pl, *wedge[2:]) >= 0.0:
+                wedge = wedge[:2] + pl
+            gap = min(gap, prev.gap, _portal_gap(surface, poly, keep, ax, ay, prev))
+            reach = max(reach, prev.reach)
+            width = min(width, prev.width)
+        if not _cross(*wedge[:2], *wedge[2:]) > 0.0:
+            return None  # the portals leave no direction through all of them
+        return step._replace(wedge=wedge, gap=gap, reach=reach, width=width)
+
+
 def surface_los(
-    surface: WalkableSurface, a, c, cfg: SimplifyConfig | None = None
+    surface: WalkableSurface,
+    a,
+    c,
+    cfg: SimplifyConfig | None = None,
+    funnel: LosFunnel | None = None,
 ) -> bool:
     """Walkable line of sight between two points.
 
@@ -172,13 +353,23 @@ def surface_los(
     must pass through a shared edge, and the 3D segment must stay within the
     height tolerance of each traversed polygon's plane.  Raises PointOffMesh
     when `a` is not on the surface.
+
+    `funnel`, when given, belongs to the anchor `a` (and to `cfg`): the walk
+    takes its start polygon from it, skips the steps it proves the walk
+    would take alike (see LosFunnel), and a walk that succeeds records its
+    steps in it.  The answer is the one the walk gives without a funnel.
     """
     cfg = cfg or SimplifyConfig()
     tol = cfg.los_height_tolerance
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    start = surface.locate_point(a, tol)
+    start = None if funnel is None else funnel.start
     if start is None:
+        start = surface.locate_point(a, tol)
+        start = -1 if start is None else start
+        if funnel is not None:
+            funnel.start = start
+    if start < 0:
         raise PointOffMesh(f"point {a.tolist()} lies on no walkable polygon")
     if float(np.linalg.norm(c - a)) < GEOM_EPS:
         return True
@@ -192,10 +383,12 @@ def surface_los(
 
     max_steps = 4 * len(surface.polygons) + 8
     seg = c - a
-    current = start
+    skipped = 0 if funnel is None else funnel.resume(surface, a, seg, d2, tol)
+    current = funnel.steps[skipped].polygon if skipped else start
     clip = surface.clip_line(current, keep, a2, d2)
-    t = 0.0
-    for _ in range(max_steps):
+    t = clip[0] if skipped else 0.0
+    path = []  # (polygon, exit edges, candidates, t_out) of each step taken
+    for _ in range(max_steps - skipped):
         t_in, t_out, exit_edges = clip
         if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
             return False  # projection misses this polygon: walk broke down
@@ -207,6 +400,8 @@ def surface_los(
             if abs(float(np.dot(n, p)) - d_plane) > tol:
                 return False  # segment strays too far above/below the surface
         if t_out >= 1.0 - GEOM_EPS:
+            if funnel is not None:
+                funnel.record(surface, keep, a2, skipped, path)
             return True
         candidates = {  # crossing needs a shared edge
             q for va, vb in exit_edges
@@ -223,6 +418,7 @@ def surface_los(
                 nxt, clip, best_out = q, q_clip, q_out  # nxt's clip serves the next step
         if nxt is None:
             return False  # no neighbor continues the segment
+        path.append((current, exit_edges, candidates, t_out))
         current = nxt
         t = t_out
     return False  # step guard exhausted (degenerate geometry)
@@ -230,10 +426,17 @@ def surface_los(
 
 def walkable_los(surface: WalkableSurface, cfg: SimplifyConfig | None = None) -> LosFn:
     """`surface_los` on `surface` as a visibility test for `can_simplify`; a
-    point off the surface has no line of sight."""
+    point off the surface has no line of sight.  The test keeps one
+    LosFunnel per anchor position for its lifetime, so each anchor is
+    located once and each walk from it resumes past the portals its last
+    successful walk validated; the answers are those of the plain walk."""
+    funnels: dict[bytes, LosFunnel] = {}
+
     def los(a, c) -> bool:
+        a = np.asarray(a, dtype=float)
+        funnel = funnels.setdefault(a.tobytes(), LosFunnel())
         try:
-            return surface_los(surface, a, c, cfg)
+            return surface_los(surface, a, c, cfg, funnel)
         except PointOffMesh:
             return False
 

@@ -11,7 +11,7 @@ SRC = ROOT / "src" / "navstruct"
 # names, the reader navbench/check.py imports, the reference helpers tests
 # compare against, and the report accessor the tests read stages through
 ALLOWED = {
-    "maze_graph", "plus_hub", "l_corridor", "load_structure_json",
+    "maze_graph", "load_structure_json",
     "shoelace_sign", "tree_path_interior_counts", "stage",
 }
 

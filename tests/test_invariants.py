@@ -38,7 +38,7 @@ def check_stages(g, term_set, los, path):
     assert terminals <= set(stree.nodes)
     assert {v for v, d in degree.items() if d <= 1 and len(stree.nodes) > 1} <= terminals
 
-    forest = find_rooted_trees(stree, g, betweenness_centrality(g), centroid=g.centroid())
+    forest = find_rooted_trees(stree, g, betweenness_centrality(g))
     covered = [v for t in forest for v in t.node_ids()]
     assert sorted(covered) == stree.nodes
     forest_edges = sorted(tuple(sorted(e)) for t in forest for e in t.edge_list())

@@ -765,6 +765,7 @@ def test_cli_oracle_suites_pass(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 4
     assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
+    assert any(line.startswith("oracle los-funnel: ") for line in lines)
     assert lines[-3].startswith("oracle locate-linear: ")
     assert lines[-2].startswith("oracle raycast-full: ")
     assert lines[-1].startswith("oracle dijkstra-tree: ")
@@ -812,6 +813,10 @@ def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
     tree = _CountingTree(blockers.triangle_tree)
     blockers = dataclasses.replace(blockers, triangle_tree=tree)
     run_pipeline(PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers)
+    # 4 terminal placements and the one simplify anchor; then every centre
+    assert len(per_locate) == 5
+    for center in surface.polygon_centers:
+        surface.locate_point(center)
     assert len(per_locate) > 200
     assert max(per_locate) <= 10
     # every first_hit here is a fan ray, and each makes one ball query

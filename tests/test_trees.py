@@ -8,6 +8,7 @@ from navstruct import pipeline, trees
 from navstruct.algorithms import betweenness_centrality
 from navstruct.errors import PointOffMesh, ValidationError
 from navstruct.fixtures import (
+    boundary_walls,
     graph_from_edges,
     l_corridor,
     maze_graph,
@@ -15,9 +16,11 @@ from navstruct.fixtures import (
     random_forest_graph,
     random_tree_graph,
     ring_surface,
+    straight_corridor,
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_SAMPLE, GraphNode, graph_from_navmesh
+from navstruct.mesh import WalkableSurface, build_walkable_surface
 from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.steiner import SteinerTree, build_steiner_tree
 from navstruct.terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
@@ -113,11 +116,12 @@ def test_root_tie_breaks_on_lowest_id_last():
 
 
 def test_root_explicit_centroid_override():
-    g = path_graph([0, 1, 2, 3])
+    # node 4 (x=8) lies outside the Steiner tree but pulls the graph centroid
+    # to x=2.8, nearest node 3
+    g = path_graph([0, 1, 2, 3, 8])
     tree = build_steiner_tree(g, terms([0, 3]))
-    (rooted,) = find_rooted_trees(
-        tree, g, uniform_scores(4), centroid=(3.0, 0.0, 0.0)
-    )
+    assert 4 not in tree.nodes
+    (rooted,) = find_rooted_trees(tree, g, uniform_scores(5))
     assert rooted.root == 3
 
 
@@ -161,10 +165,10 @@ def test_forest_partitions_multi_component_input():
     assert covered == [0, 1, 2, 3]
 
 
-def _rooted_trees_by_full_key(tree, g, scores, centroid):
+def _rooted_trees_by_full_key(tree, g, scores):
     """find_rooted_trees as it was before the root pick skipped distances:
     the key (-score, centroid distance, id) is computed for every node."""
-    cen = np.asarray(centroid, dtype=float)
+    cen = g.centroid()
     term_set = set(tree.terminals.node_ids)
     adj = tree.adjacency()
     unvisited = set(tree.nodes)
@@ -200,10 +204,15 @@ def test_root_pick_equals_the_full_key_pick_on_random_forests():
         stree = SteinerTree(nodes=list(range(n)), edges=list(g.edges),
                             terminals=terms(rng.sample(range(n), rng.randint(1, n))),
                             total_weight=0.0)
-        centroid = g.centroid() if k % 4 < 2 else np.array([rng.uniform(0, 3), 1.0, 0.0])
+        if k % 4 >= 2:
+            # one node outside the forest moves the graph centroid to a
+            # random point
+            centroid = np.array([rng.uniform(0, 3), 1.0, 0.0])
+            far = (n + 1) * centroid - g.positions().sum(axis=0)
+            g = g.with_extra_nodes([payload(far)], [])
         got = [(t.root, t.children, {v: p.terminal for v, p in t.payloads.items()})
-               for t in find_rooted_trees(stree, g, scores, centroid=centroid)]
-        assert got == _rooted_trees_by_full_key(stree, g, scores, centroid)
+               for t in find_rooted_trees(stree, g, scores)]
+        assert got == _rooted_trees_by_full_key(stree, g, scores)
 
 
 def test_rooting_rejects_short_score_vector():
@@ -435,6 +444,139 @@ def test_simplify_multi_pass_reaches_a_stable_point():
     assert out.node_ids() == [0, 3]
     assert [(r.parent, r.removed) for r in out.removals] == [(1, 2), (0, 1)]
     assert verify_removals(rooted, out, los)
+
+
+# --- the per-anchor funnel ------------------------------------------------------
+
+def _plain_los(surface):
+    """`surface_los` without a funnel as a visibility test."""
+    def los(a, c):
+        try:
+            return surface_los(surface, a, c)
+        except PointOffMesh:
+            return False
+    return los
+
+
+def _level_like():
+    """A 14x14 level with 9 pillar holes and 5 doorways in its outer wall."""
+    pillars = {(x, y) for x in range(2, 14, 4) for y in range(2, 14, 4)}
+    surface = surface_from_squares(
+        [(float(x), float(y)) for y in range(14) for x in range(14) if (x, y) not in pillars]
+    )
+    doors = [(0.0, 7.5, 0.0), (14.0, 3.5, 0.0), (7.5, 0.0, 0.0), (4.5, 14.0, 0.0),
+             (11.5, 14.0, 0.0)]
+    return surface, boundary_walls(surface, doors)
+
+
+@pytest.mark.parametrize("fixture", ["corridor", "hub", "level", "ramp30", "ramp80"])
+def test_funnel_simplify_equals_the_plain_walk(request, fixture):
+    if fixture.startswith("ramp"):
+        surface = ramp_corridor(float(fixture[4:]))
+        g = graph_from_navmesh(surface)
+        term_set = terminals_from_metric(g, "leaves")
+    else:
+        level = fixture == "level"
+        surface, blockers = _level_like() if level else request.getfixturevalue(fixture)
+        g, term_set = entry_exit_terminals(graph_from_navmesh(surface), surface, blockers)
+    stree = build_steiner_tree(g, term_set)
+    for tree in find_rooted_trees(stree, g, betweenness_centrality(g)):
+        got = simplify_tree(tree, walkable_los(surface))
+        want = simplify_tree(tree, _plain_los(surface))
+        assert got.root == want.root
+        assert got.children == want.children
+        assert got.removals == want.removals
+        assert verify_removals(tree, got, _plain_los(surface))
+
+
+def test_funnel_records_clean_steps_and_resumes_past_them(monkeypatch):
+    surface = surface_from_squares([(float(i), 0.0) for i in range(10)])
+    clips = []
+    real_clip = WalkableSurface.clip_line
+    monkeypatch.setattr(WalkableSurface, "clip_line",
+                        lambda self, pid, *args: clips.append(pid) or real_clip(self, pid, *args))
+    funnel = trees.LosFunnel()
+    a = (0.5, 0.5, 0.0)
+    assert surface_los(surface, a, (4.5, 0.5, 0.0), funnel=funnel)
+    assert funnel.start == 0
+    assert [s.polygon for s in funnel.steps] == [0, 1, 2, 3]
+    clips.clear()
+    # resumes in polygon 3, the last recorded step's: 4 clips, not 7
+    assert surface_los(surface, a, (6.5, 0.5, 0.0), funnel=funnel)
+    assert clips == [3, 4, 5, 6]
+    assert [s.polygon for s in funnel.steps] == [0, 1, 2, 3, 4, 5]
+    # short of the last portal: the walk starts over, and its trail is kept
+    clips.clear()
+    assert surface_los(surface, a, (2.5, 0.5, 0.0), funnel=funnel)
+    assert clips == [0, 1, 2]
+    assert [s.polygon for s in funnel.steps] == [0, 1]
+    # a walk that fails leaves the funnel as it was
+    assert not surface_los(surface, a, (4.5, 2.5, 0.0), funnel=funnel)
+    assert [s.polygon for s in funnel.steps] == [0, 1]
+
+
+def test_funnel_records_no_step_that_left_through_a_corner():
+    # the walk from polygon 0 to polygon 2 leaves polygon 0 through the
+    # corner (1, 0): two exit edges, the boundary edge first, so the step is
+    # not recorded; the next walk leaves through that boundary edge
+    verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (1, -1, 0), (3, -1, 0), (3, 1, 0),
+             (1, -2, 0), (3, -2, 0)]
+    surface = build_walkable_surface(verts, [[0, 1, 2, 3], [4, 5, 6, 2, 1], [7, 8, 5, 4]])
+    a = (0.5, 0.5, 0.0)
+    funnel = trees.LosFunnel()
+    assert surface_los(surface, a, (2.25, -1.25, 0.0), funnel=funnel)
+    assert funnel.steps == []
+    c = (0.5 + 2.0 / math.tan(math.radians(60.0)), -1.5, 0.0)
+    assert not surface_los(surface, a, c)
+    assert not surface_los(surface, a, c, funnel=funnel)
+
+
+def test_funnel_stops_at_a_change_of_plane_and_remembers_an_off_mesh_anchor():
+    surface = ramp_corridor(10.0)
+    funnel = trees.LosFunnel()
+    assert surface_los(surface, (0.5, 0.5, 0.0), surface.polygon_centers[3], funnel=funnel)
+    assert [s.polygon for s in funnel.steps] == [0]  # polygon 1 is the ramp
+    off = trees.LosFunnel()
+    for _ in range(2):
+        with pytest.raises(PointOffMesh):
+            surface_los(surface, (-3.0, 0.5, 0.0), (0.5, 0.5, 0.0), funnel=off)
+        assert off.start == -1
+
+
+def _count_walk_calls(monkeypatch):
+    """Count the run's surface_los, clip_line and locate_point calls."""
+    counts = {"surface_los": 0, "clip_line": 0, "locate_point": 0}
+    for owner, name in ((trees, "surface_los"), (WalkableSurface, "clip_line"),
+                        (WalkableSurface, "locate_point")):
+        def call(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+    return counts
+
+
+def test_corridor200_walks_pin_their_clip_count(monkeypatch):
+    surface, blockers = straight_corridor(200)
+    counts = _count_walk_calls(monkeypatch)
+    result = run_pipeline(
+        PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers
+    )
+    (tree,) = result.forest
+    # every walk starts from the root: the terminals stage locates 4 points
+    # and simplify its one anchor (205 locates and 11,004 clips without the
+    # funnel, one locate per walk)
+    assert counts == {"surface_los": 201, "clip_line": 606, "locate_point": 5}
+    assert len(tree.removals) == 199
+
+
+def test_corridor800_clip_count_is_linear(monkeypatch):
+    n = 800
+    surface, blockers = straight_corridor(n)
+    counts = _count_walk_calls(monkeypatch)
+    run_pipeline(PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers)
+    assert counts["surface_los"] == n + 1
+    assert counts["clip_line"] <= 10 * n  # 164,004 without the funnel
 
 
 # --- one decision per (A, B, C) triple ----------------------------------------
