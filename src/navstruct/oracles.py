@@ -585,12 +585,38 @@ def first_hit_all_triangles(
     return float(t[ok].min())
 
 
+def classify_per_ray(samples, blockers: BlockerMesh, radius: float, ray_count: int):
+    """(potential start, potential end) of each boundary sample, from one
+    oracle ray at a time.  Each fan ray is Rodrigues' rotation with np.cross,
+    v c + (n x v) s + n (n . v)(1 - c), of the tangent (forward fan) or of
+    the negated tangent (backward fan) about the sample normal n."""
+    if ray_count == 1:
+        angles = [0.0]
+    else:
+        angles = [-math.pi / 4.0 + math.pi / 2.0 * k / (ray_count - 1) for k in range(ray_count)]
+    flags = []
+    for s in samples:
+        n = s.normal
+        clear = []
+        for v in (s.forward_dir, -s.forward_dir):
+            rays = (
+                v * math.cos(a) + np.cross(n, v) * math.sin(a)
+                + n * float(np.dot(n, v)) * (1.0 - math.cos(a))
+                for a in angles
+            )
+            clear.append(all(
+                first_hit_all_triangles(blockers, s.position, d, radius) is None for d in rays
+            ))
+        flags.append(tuple(clear))
+    return flags
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of (n, 3) arrays, adding x, z, then y.  That is
     the order in which np.einsum("ij,ij->i") reduces three products with
     SIMD (numpy 2.4 on x86-64 with AVX-512), so these are its results there;
     spelled out, the order holds on every platform, and `raycast.first_hit`
-    adds in the same order."""
+    and `raycast._segment_hit` add in the same order."""
     return a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2] + a[:, 1] * b[:, 1]
 
 
@@ -632,9 +658,9 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         straight_corridor,
         vertical_strip,
     )
-    from .raycast import first_hit
+    from .raycast import _segment_hit, first_hit
     from .steiner import build_steiner_tree
-    from .terminals import TerminalSet
+    from .terminals import TerminalSet, classify_samples, sample_boundary
     from .trees import LosFunnel, surface_los
 
     rng = random.Random(seed)
@@ -743,6 +769,24 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         f"{wrong} of {checked} answers differ, {armed} asked with two or more portals recorded",
     ))
 
+    # every fan ray of every sample in one batch, against one oracle ray at
+    # a time, on corridor walls and on random soups across the corridor
+    checked = wrong = flagged = 0
+    for _ in range(instances):
+        nprng = np.random.default_rng(rng.randrange(2**32))
+        corridor, walls = straight_corridor(rng.randint(2, 12))
+        for blockers in (walls, _random_soup(nprng)):
+            radius, ray_count = rng.choice((0.2, 1.0, 3.0)), rng.choice((1, 5, 9))
+            samples = classify_samples(sample_boundary(corridor), blockers, radius, ray_count)
+            want = classify_per_ray(samples, blockers, radius, ray_count)
+            checked += len(samples)
+            flagged += sum(s.potential_start or s.potential_end for s in samples)
+            wrong += sum((s.potential_start, s.potential_end) != w for s, w in zip(samples, want))
+    results.append((
+        "fan-classify", wrong == 0,
+        f"{wrong} of {checked} samples differ, {flagged} with an open fan",
+    ))
+
     tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
     checked = wrong = 0
     for surface in surfaces:
@@ -767,18 +811,37 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
             wrong += surface.locate_point(p, tol) != locate_point_linear(surface, p, tol)
     results.append(("locate-linear", wrong == 0, f"{wrong} of {checked} points differ"))
 
+    # the batch kernel on rows of three probe rays from one origin, at a
+    # finite length, at an infinite one and with a NaN direction in some
+    # rows (whole-mesh balls); the scalar loop on each probe ray
     checked = hits = wrong = 0
     for _ in range(instances):
         nprng = np.random.default_rng(rng.randrange(2**32))
         for blockers in (_random_soup(nprng), straight_corridor(rng.randint(2, 12))[1]):
-            for o, d, max_t in _probe_rays(blockers, nprng):
-                got = first_hit(blockers, o, d, max_t)
+            probes = _probe_rays(blockers, nprng)
+            origins = np.array([o for o, _, _ in probes])
+            directions = np.array([[probes[(i + k) % len(probes)][1] for k in range(3)]
+                                   for i in range(len(probes))])
+            poisoned = directions.copy()
+            poisoned[::4, 1, 0] = math.nan
+            for dirs, max_t in ((directions, 1.0), (directions, math.inf), (poisoned, 2.0)):
+                got = first_hit(blockers, origins, dirs, max_t)
+                for o, row, t_row in zip(origins, dirs, got):
+                    for d, t in zip(row, t_row):
+                        want = first_hit_all_triangles(blockers, o, d, max_t)
+                        checked += 1
+                        hits += want is not None
+                        wrong += t != (math.inf if want is None else want)
+            for o, d, max_t in probes:
                 checked += 1
-                hits += got is not None
-                wrong += got != first_hit_all_triangles(blockers, o, d, max_t)
+                wrong += _segment_hit(blockers, o, d, max_t) != first_hit_all_triangles(
+                    blockers, o, d, max_t)
     empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    for blockers in (empty, None):
+        checked += 1
+        wrong += bool((first_hit(blockers, np.zeros((2, 3)), np.ones((2, 4, 3)), 1e6) < math.inf).any())
     checked += 1
-    wrong += first_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1e6) is not None
+    wrong += _segment_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1e6) is not None
     results.append(
         ("raycast-full", wrong == 0, f"{wrong} of {checked} rays differ, {hits} hit")
     )

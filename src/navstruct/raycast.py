@@ -1,7 +1,14 @@
-"""Ray/segment queries against blocker triangle meshes (Moller-Trumbore)."""
+"""Ray/segment queries against blocker triangle meshes (Moller-Trumbore).
+
+`first_hit` casts a batch of rays, m from each of n origins, in numpy array
+passes; `segment_clear` tests one segment in a scalar loop.  Both find each
+ray's candidate triangles with a ball query on the mesh's centroid tree, and
+both agree bit for bit with `oracles.first_hit_all_triangles`.
+"""
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -12,23 +19,165 @@ EPS = 1e-9
 # float64 machine epsilon
 _ROUNDOFF = float(np.finfo(float).eps)
 
+# most (ray, triangle) pairs one array pass of first_hit tests: a pass holds
+# about a dozen float arrays of this many entries (about 400 KB), so memory
+# stays bounded when every ball is the whole mesh
+PAIR_BUDGET = 4096
 
-def first_hit(
-    blockers: BlockerMesh | None, origin, direction, max_t: float
-) -> float | None:
-    """Smallest t in (EPS, max_t] at which the ray origin + t*direction hits a
-    blocker triangle, or None.  `direction` need not be unit length; `max_t`
-    is in multiples of it.  A missing/empty blocker mesh never hits.
-    One ball query on the mesh's centroid tree (see `_query_ball`) picks the
-    triangles near the segment, and one loop in Python floats tests them,
-    reading each triangle's corner and edges from the mesh's table; boundary
-    hits (on a triangle edge) count as hits.  The cross products are
-    np.cross's expressions and each dot product adds x, z, then y, as
-    `oracles.first_hit_all_triangles` does, so the two agree bit for bit.
-    A ball that holds every centroid (an infinite `max_t`, a NaN direction,
-    a segment as long as the mesh) tests the whole mesh in the loop."""
-    if blockers is None:
-        return None
+
+def first_hit(blockers: BlockerMesh | None, origins, directions, max_t: float) -> np.ndarray:
+    """(n, m) array of the smallest t in (EPS, max_t] at which the ray
+    origins[i] + t*directions[i, j] hits a blocker triangle, inf where it
+    hits none.  `origins` is (n, 3), `directions` (n, m, 3); a direction need
+    not be unit length, and `max_t` is in multiples of it.  A missing or
+    empty blocker mesh never hits.  Boundary hits (on a triangle edge) count
+    as hits.
+
+    One ball query per origin, all n in one call, picks the triangles near
+    all m of its rays: the ball is centred on the origin, with radius
+    (max_t + EPS) max|d| + (1 + 3 EPS) reach plus `_query_ball`'s rounding
+    margin (see `_origin_balls` and `_candidates`).  The (ray, triangle)
+    pairs then go through Moller-Trumbore as numpy elementwise operations,
+    at most max(PAIR_BUDGET, m) pairs at a time (see `_slice_hits`); fans
+    have m <= 2 * terminals.MAX_RAY_COUNT < PAIR_BUDGET.  The expressions
+    are np.cross's, and each dot product adds x, z, then y, as
+    `oracles.first_hit_all_triangles` does, so every t equals the oracle's
+    bit for bit."""
+    directions = np.asarray(directions, dtype=float)
+    n, m = directions.shape[:2]
+    origins = np.asarray(origins, dtype=float).reshape(n, 3)
+    best = np.full((n, m), math.inf)
+    if blockers is None or not len(blockers.triangles) or not best.size:
+        return best
+    radius, whole = _origin_balls(blockers, origins, directions, max_t)
+    ends, ids, shift = _candidates(blockers, origins, radius, whole)
+    table = np.array(blockers.corner_edges)
+    limit = max_t + EPS
+    flat = best.reshape(-1)
+    step = max(1, PAIR_BUDGET // m)  # candidates per pass, each with all m rays of its origin
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats' inf and NaN, unflagged
+        for c0 in range(0, ends[-1], step):
+            c = np.arange(c0, min(c0 + step, ends[-1]))
+            row = np.searchsorted(ends, c, side="right")
+            t, ok = _slice_hits(table[ids[c + shift[row]]], origins[row], directions[row], limit)
+            hit_c, hit_j = np.nonzero(ok)
+            np.minimum.at(flat, row[hit_c] * m + hit_j, t[hit_c, hit_j])
+    return best
+
+
+def _candidates(blockers: BlockerMesh, origins: np.ndarray, radius: np.ndarray, whole: np.ndarray):
+    """The candidate triangles of every origin in a row, as (ends, ids,
+    shift): origin i's are run positions ends[i] - sizes[i] up to ends[i],
+    and position c is triangle ids[c + shift[i]].  One ball query finds
+    those of the origins in `radius`; whole-mesh origins share the block of
+    all ids at the end of `ids`."""
+    local = np.flatnonzero(~whole)
+    found = blockers.triangle_tree.query_ball_point(origins[local], radius[local])
+    lens = np.fromiter(map(len, found), dtype=np.intp, count=len(local))
+    sizes = np.full(len(origins), len(blockers.triangles))
+    sizes[local] = lens
+    ends = np.cumsum(sizes)
+    ids = np.concatenate([
+        np.fromiter(chain.from_iterable(found), dtype=np.intp, count=lens.sum()),
+        np.arange(len(blockers.triangles)),
+    ])
+    shift = np.full(len(origins), lens.sum())
+    shift[local] = np.cumsum(lens) - lens
+    shift -= ends - sizes
+    return ends, ids, shift
+
+
+def _slice_hits(table: np.ndarray, o: np.ndarray, d: np.ndarray, limit: float):
+    """Moller-Trumbore for k candidates against w rays each: `table` (k, 9)
+    holds each triangle's corner and edges, `o` (k, 3) the origin and `d`
+    (k, w, 3) the rays.  Returns (t, ok), both (k, w): ok marks the pairs
+    first_hit accepts, with t in (EPS, limit]."""
+    ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = table.T[:, :, None]
+    ox, oy, oz = o.T[:, :, None]
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    px = dy * e2z - dz * e2y  # d x e2
+    py = dz * e2x - dx * e2z
+    pz = dx * e2y - dy * e2x
+    det = e1x * px + e1z * pz + e1y * py
+    ok = np.abs(det) > EPS
+    inv_det = 1.0 / np.where(ok, det, 1.0)
+    tx, ty, tz = ox - ax, oy - ay, oz - az
+    u = (tx * px + tz * pz + ty * py) * inv_det
+    ok &= (u >= -EPS) & (u <= 1.0 + EPS)
+    qx = ty * e1z - tz * e1y  # (o - v0) x e1
+    qy = tz * e1x - tx * e1z
+    qz = tx * e1y - ty * e1x
+    v = (dx * qx + dz * qz + dy * qy) * inv_det
+    ok &= (v >= -EPS) & (u + v <= 1.0 + EPS)
+    t = (e2x * qx + e2z * qz + e2y * qy) * inv_det
+    ok &= (t > EPS) & (t <= limit)
+    return t, ok
+
+
+def _origin_balls(blockers: BlockerMesh, origins: np.ndarray, directions: np.ndarray, max_t: float):
+    """Per origin, the radius of a ball around it that holds the centroid of
+    every triangle first_hit accepts for any of its rays, and whether that
+    ball is taken as the whole mesh.
+
+    A ray o + t*d meets a triangle at t <= max_t + EPS, no farther from o
+    than (max_t + EPS) * max|d| over the origin's rays; `_query_ball` bounds
+    how far from there the centroid can be, reach and rounding included,
+    with |d| at most that largest length.  A ball that is not finite (an
+    infinite max_t, a NaN direction) or holds every centroid is the whole
+    mesh."""
+    mid = np.array(blockers.box_center)
+    spread = blockers.box_spread  # every centroid is this close to mid
+    reach = blockers.reach
+    edge = 2.0 * reach
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN, unflagged
+        length = np.linalg.norm(directions, axis=2).max(axis=1)  # NaN when any is
+        segment = (max_t + EPS) * length
+        near = np.linalg.norm(origins - mid, axis=1)
+        far = near + spread + reach
+        rounding = 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
+        radius = segment + (1.0 + 3.0 * EPS) * reach + rounding
+        whole = ~(radius < near + spread)
+    return radius, whole
+
+
+def _query_ball(blockers: BlockerMesh, o: list[float], d: list[float], max_t: float):
+    """Centre and radius of a ball that holds the centroid of every triangle
+    _segment_hit's test accepts for the segment o + t*d, t in [0, max_t + EPS].
+
+    An accepted (u, v, t) puts o + t*d on the segment, and v0 + u*e1 + v*e2
+    within (1 + 3 EPS) * reach of the centroid.  The two points agree in
+    exact arithmetic.  Rounding moves them apart by less than
+    64 eps |d| L^2 (|o - v0| + L + segment length) / EPS, with |det| > EPS,
+    an edge length L <= 2 * reach and eps the machine epsilon; |o - v0| is
+    bounded through the box of all centroids.  So grazing and near-parallel
+    hits are never dropped.  The box's centre and spread are stored on the
+    mesh; only the per-ray arithmetic is done here."""
+    mid = blockers.box_center
+    spread = blockers.box_spread  # every centroid is this close to mid
+    reach = blockers.reach
+    edge = 2.0 * reach
+    length = math.hypot(*d)
+    segment = (max_t + EPS) * length
+    # in Python floats, where an infinite max_t times a zero component is NaN
+    # without a warning
+    center = [a + 0.5 * (max_t + EPS) * b for a, b in zip(o, d)]
+    far = math.dist(o, mid) + spread + reach
+    rounding = 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
+    radius = 0.5 * segment + (1.0 + 3.0 * EPS) * reach + rounding
+    # a ball that holds every centroid, or has an infinite or NaN size, is
+    # queried as an infinite one: the tree squares a huge finite radius to inf
+    if not radius < math.dist(center, mid) + spread:
+        return mid, math.inf
+    return center, radius
+
+
+def _segment_hit(blockers: BlockerMesh, origin, direction, max_t: float) -> float | None:
+    """first_hit for one ray, as a loop in Python floats: the smallest t in
+    (EPS, max_t] at which origin + t*direction hits a blocker triangle, or
+    None.  One ball query (see `_query_ball`) picks the candidates, and the
+    loop reads each one's corner and edges from the mesh's table.  A single
+    segment costs less this way than as a numpy pass; the expressions, and
+    so the bits of t, are first_hit's."""
     o = ox, oy, oz = [float(a) for a in origin]
     d = dx, dy, dz = [float(a) for a in direction]
     limit = max_t + EPS
@@ -59,43 +208,12 @@ def first_hit(
     return best
 
 
-def _query_ball(blockers: BlockerMesh, o: list[float], d: list[float], max_t: float):
-    """Centre and radius of a ball that holds the centroid of every triangle
-    first_hit's test accepts for the segment o + t*d, t in [0, max_t + EPS].
-
-    An accepted (u, v, t) puts o + t*d on the segment, and v0 + u*e1 + v*e2
-    within (1 + 3 EPS) * reach of the centroid.  The two points agree in
-    exact arithmetic.  Rounding moves them apart by less than
-    64 eps |d| L^2 (|o - v0| + L + segment length) / EPS, with |det| > EPS,
-    an edge length L <= 2 * reach and eps the machine epsilon; |o - v0| is
-    bounded through the box of all centroids.  So grazing and near-parallel
-    hits are never dropped.  The box's centre and spread are stored on the
-    mesh; only the per-ray arithmetic is done here."""
-    mid = blockers.box_center
-    spread = blockers.box_spread  # every centroid is this close to mid
-    reach = blockers.reach
-    edge = 2.0 * reach
-    length = math.hypot(*d)
-    segment = (max_t + EPS) * length
-    # in Python floats, where an infinite max_t times a zero component is NaN
-    # without a warning
-    center = [a + 0.5 * (max_t + EPS) * b for a, b in zip(o, d)]
-    far = math.dist(o, mid) + spread + reach
-    rounding = 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
-    radius = 0.5 * segment + (1.0 + 3.0 * EPS) * reach + rounding
-    # a ball that holds every centroid, or has an infinite or NaN size, is
-    # queried as an infinite one: the tree squares a huge finite radius to inf
-    if not radius < math.dist(center, mid) + spread:
-        return mid, math.inf
-    return center, radius
-
-
 def segment_clear(blockers: BlockerMesh | None, a, c) -> bool:
     """True when the straight segment a->c crosses no blocker triangle."""
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     d = c - a
     length = float(np.linalg.norm(d))
-    if length < EPS:
+    if length < EPS or blockers is None:
         return True
-    return first_hit(blockers, a, d, 1.0) is None
+    return _segment_hit(blockers, a, d, 1.0) is None

@@ -2,8 +2,9 @@
 
 Entry/exit detection walks each boundary loop at fixed arc-length intervals,
 casts a small ray fan forward and backward along the boundary, and flags
-samples whose fan never hits blocker geometry.  Runs of flagged samples become
-segments whose endpoints are registered as new entry/exit graph nodes.
+samples whose fan never hits blocker geometry; the fans of all samples are
+cast in one batch.  Runs of flagged samples become segments whose endpoints
+are registered as new entry/exit graph nodes.
 """
 from __future__ import annotations
 
@@ -118,36 +119,17 @@ def sample_boundary(
     return samples
 
 
-def _rotate_about(
-    axis: np.ndarray, v: np.ndarray, angle: float
-) -> tuple[float, float, float]:
-    # Rodrigues rotation; axis must be unit length.  It is written out in
-    # Python floats with the numpy expression's order,
-    # v * c + cross(axis, v) * s + axis * dot(axis, v) * (1 - c), and
-    # np.cross's own expressions: the same bits without numpy's per-call
-    # cost.  The dot product stays np.dot, whose rounding a written-out sum
-    # does not always match.
-    c, s = math.cos(angle), math.sin(angle)
-    (ax, ay, az), (vx, vy, vz) = axis.tolist(), v.tolist()
-    dot = float(np.dot(axis, v))
-    w = 1.0 - c
-    return (
-        vx * c + (ay * vz - az * vy) * s + ax * dot * w,
-        vy * c + (az * vx - ax * vz) * s + ay * dot * w,
-        vz * c + (ax * vy - ay * vx) * s + az * dot * w,
-    )
+def fan_directions(samples: list[BoundarySample], ray_count: int) -> np.ndarray:
+    """(n, 2 * ray_count, 3) directions: per sample its forward fan, then its
+    backward fan.  The forward fan is the sample's tangent rotated about its
+    normal through ray_count angles spread evenly over +/-45 degrees (the
+    tangent itself for one ray); the backward fan is its exact negation,
+    which is what rotating the reversed tangent gives, bit for bit.
 
-
-def _fan_hits(
-    blockers: BlockerMesh | None,
-    origin: np.ndarray,
-    direction: np.ndarray,
-    normal: np.ndarray,
-    radius: float,
-    ray_count: int,
-) -> bool:
-    """True when any ray of the +/-45 degree fan (rotated in the surface
-    tangent plane) hits a blocker within `radius`."""
+    Rodrigues' rotation, v c + (axis x v) s + axis (axis . v) (1 - c), is
+    evaluated in that order with np.cross's expressions for axis x v.  The
+    dot product is one np.dot per sample, whose rounding a written-out sum
+    does not always match, and the sines and cosines are math's."""
     if ray_count == 1:
         angles = [0.0]
     else:
@@ -155,11 +137,20 @@ def _fan_hits(
         angles = [
             -spread + 2.0 * spread * k / (ray_count - 1) for k in range(ray_count)
         ]
-    for ang in angles:
-        d = _rotate_about(normal, direction, ang)
-        if raycast.first_hit(blockers, origin, d, radius) is not None:
-            return True
-    return False
+    c = np.array([math.cos(a) for a in angles])
+    s = np.array([math.sin(a) for a in angles])
+    w = 1.0 - c
+    axes = np.array([p.normal for p in samples], dtype=float).reshape(-1, 3)
+    tangents = np.array([p.forward_dir for p in samples], dtype=float).reshape(-1, 3)
+    dots = np.array([float(np.dot(p.normal, p.forward_dir)) for p in samples])[:, None]
+    (ax, ay, az), (vx, vy, vz) = axes.T[:, :, None], tangents.T[:, :, None]
+    fans = np.empty((len(samples), 2 * ray_count, 3))
+    forward = fans[:, :ray_count]
+    forward[..., 0] = vx * c + (ay * vz - az * vy) * s + ax * dots * w
+    forward[..., 1] = vy * c + (az * vx - ax * vz) * s + ay * dots * w
+    forward[..., 2] = vz * c + (ax * vy - ay * vx) * s + az * dots * w
+    np.negative(forward, out=fans[:, ray_count:])
+    return fans
 
 
 def classify_samples(
@@ -168,22 +159,24 @@ def classify_samples(
     radius: float = DEFAULT_RADIUS,
     ray_count: int = DEFAULT_RAY_COUNT,
 ) -> list[BoundarySample]:
-    """Flag samples whose forward (backward) ray fan is unobstructed as
-    potential segment starts (ends).  Returns the same sample objects with
-    flags set.  With no blocker mesh every sample gets both flags."""
+    """Flag samples whose forward (backward) ray fan is unobstructed within
+    `radius` as potential segment starts (ends).  Every fan ray of every
+    sample goes to one `raycast.first_hit` call.  Returns the same sample
+    objects with flags set.  With no blocker mesh every sample gets both
+    flags."""
     if radius <= 0.0:
         raise ValidationError(f"classification radius must be positive, got {radius}")
     if not 1 <= ray_count <= MAX_RAY_COUNT:
         raise ValidationError(f"ray count must be >= 1 and <= {MAX_RAY_COUNT}, got {ray_count}")
     if blockers is None or len(blockers.triangles) == 0:
         log.warning("no blocker mesh supplied; every boundary sample is flagged open")
-    for s in samples:
-        s.potential_start = not _fan_hits(
-            blockers, s.position, s.forward_dir, s.normal, radius, ray_count
-        )
-        s.potential_end = not _fan_hits(
-            blockers, s.position, -s.forward_dir, s.normal, radius, ray_count
-        )
+    origins = np.array([s.position for s in samples], dtype=float).reshape(-1, 3)
+    hit = raycast.first_hit(blockers, origins, fan_directions(samples, ray_count), radius) < math.inf
+    forward = hit[:, :ray_count].any(axis=1).tolist()
+    backward = hit[:, ray_count:].any(axis=1).tolist()
+    for s, ahead, behind in zip(samples, forward, backward):
+        s.potential_start = not ahead
+        s.potential_end = not behind
     return samples
 
 

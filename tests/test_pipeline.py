@@ -766,6 +766,7 @@ def test_cli_oracle_suites_pass(capsys):
     assert len(lines) >= 4
     assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
     assert any(line.startswith("oracle los-funnel: ") for line in lines)
+    assert any(line.startswith("oracle fan-classify: ") for line in lines)
     assert lines[-3].startswith("oracle locate-linear: ")
     assert lines[-2].startswith("oracle raycast-full: ")
     assert lines[-1].startswith("oracle dijkstra-tree: ")
@@ -784,9 +785,10 @@ class _CountingTree:
     def __getattr__(self, name):
         return getattr(self.tree, name)
 
-    def query_ball_point(self, *args, **kwargs):
-        ids = self.tree.query_ball_point(*args, **kwargs)
-        self.sizes.append(len(ids))
+    def query_ball_point(self, x, *args, **kwargs):
+        ids = self.tree.query_ball_point(x, *args, **kwargs)
+        # an array query is one ball per point
+        self.sizes += list(map(len, ids)) if np.ndim(x) == 2 else [len(ids)]
         return ids
 
 
@@ -819,6 +821,7 @@ def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
         surface.locate_point(center)
     assert len(per_locate) > 200
     assert max(per_locate) <= 10
-    # every first_hit here is a fan ray, and each makes one ball query
-    assert len(tree.sizes) > 4000
+    # the ball queries are the fans': one per boundary sample, for its ten rays
+    assert len(tree.sizes) == 804
     assert max(tree.sizes) <= 64
+    assert sum(tree.sizes) == 11976

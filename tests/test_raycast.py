@@ -7,8 +7,19 @@ import pytest
 from navstruct import raycast
 from navstruct.fixtures import straight_corridor
 from navstruct.mesh import BlockerMesh, build_blocker_mesh
-from navstruct.oracles import _probe_rays, _random_soup, first_hit_all_triangles
-from navstruct.terminals import classify_samples, sample_boundary
+from navstruct.oracles import (
+    _probe_rays,
+    _random_soup,
+    classify_per_ray,
+    first_hit_all_triangles,
+)
+from navstruct.terminals import (
+    DEFAULT_RADIUS,
+    DEFAULT_RAY_COUNT,
+    classify_samples,
+    fan_directions,
+    sample_boundary,
+)
 
 # the constants _query_ball_per_ray reads, spelled here so that a change to
 # raycast's own shows
@@ -18,20 +29,15 @@ ROUNDOFF = float(np.finfo(float).eps)
 
 @pytest.fixture(scope="module")
 def corridor200_fan_rays():
-    """The 200-square corridor's walls and every fan ray its terminals stage casts."""
+    """The 200-square corridor's walls and every fan ray its terminals stage
+    casts (both fans of every boundary sample), as rays and as the batch."""
     surface, blockers = straight_corridor(200)
-    rays = []
-    original = raycast.first_hit
-
-    def recording(mesh, origin, direction, max_t):
-        rays.append((np.asarray(origin), np.asarray(direction), max_t))
-        return original(mesh, origin, direction, max_t)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(raycast, "first_hit", recording)
-        classify_samples(sample_boundary(surface), blockers)
-    assert len(rays) > 4000
-    return blockers, rays
+    samples = sample_boundary(surface)
+    origins = np.array([s.position for s in samples])
+    directions = fan_directions(samples, DEFAULT_RAY_COUNT)
+    rays = [(o, d, DEFAULT_RADIUS) for o, row in zip(origins, directions) for d in row]
+    assert len(rays) == 8040
+    return blockers, rays, (origins, directions, DEFAULT_RADIUS)
 
 
 def _long_segments(g, rng, count):
@@ -53,6 +59,31 @@ def _whole_mesh_rays(rays):
     return out
 
 
+def _oracle(mesh, o, d, max_t):
+    t = first_hit_all_triangles(mesh, o, d, max_t)
+    return math.inf if t is None else t
+
+
+def _batch_hits(mesh, origins, directions, max_t):
+    """first_hit's batch, each entry checked against the oracle; the number
+    of rays that hit."""
+    got = raycast.first_hit(mesh, origins, directions, max_t)
+    assert got.shape == np.shape(directions)[:2]
+    for o, row, t_row in zip(origins, directions, got):
+        for d, t in zip(row, t_row):
+            assert t == _oracle(mesh, o, d, max_t), (o, d, max_t)
+    return int((got < math.inf).sum())
+
+
+def _rows(rays, width):
+    """Rows of `width` rays that share the first ray's origin and max_t:
+    each ray's direction, then the next rays' directions."""
+    return [
+        (o, [rays[(i + k) % len(rays)][1] for k in range(width)], max_t)
+        for i, (o, _, max_t) in enumerate(rays)
+    ]
+
+
 def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_walls):
     rng = np.random.default_rng(11)
     verts = rng.uniform(-5.0, 5.0, size=(300, 3))
@@ -65,17 +96,20 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
         origin = rng.uniform(-6.0, 6.0, size=3)
         direction = rng.normal(size=3)
         max_t = float(rng.uniform(0.5, 4.0))
-        got = raycast.first_hit(blockers, origin, direction, max_t)
-        want = first_hit_all_triangles(blockers, origin, direction, max_t)
-        assert got == want
-        hits += got is not None
+        want = _oracle(blockers, origin, direction, max_t)
+        got = raycast.first_hit(blockers, [origin], [[direction]], max_t)
+        assert got.tolist() == [[want]]
+        assert (raycast._segment_hit(blockers, origin, direction, max_t) or math.inf) == want
+        hits += want < math.inf
     assert 50 < hits < 400
 
-    corridor, fan_rays = corridor200_fan_rays
+    corridor, fan_rays, fan_batch = corridor200_fan_rays
+    hits = _batch_hits(corridor, *fan_batch)
+    assert 0 < hits < len(fan_rays)
     g, walls = maze_walls(12, 12, seed=3)
     segments = _long_segments(g, rng, 150)
+    # the scalar loop on each ray, the batch on rows of rays
     cases = [
-        ("corridor200 fans", corridor, fan_rays),
         ("corridor200 whole mesh", corridor, _whole_mesh_rays(fan_rays[:40])),
         ("maze walls", walls, segments + _probe_rays(walls, rng)),
         ("maze whole mesh", walls, _whole_mesh_rays(segments[:40])),
@@ -83,19 +117,30 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
     for name, mesh, rays in cases:
         hits = 0
         for o, d, max_t in rays:
-            got = raycast.first_hit(mesh, o, d, max_t)
+            got = raycast._segment_hit(mesh, o, d, max_t)
             assert got == first_hit_all_triangles(mesh, o, d, max_t), (name, o, d, max_t)
             hits += got is not None
         assert 0 < hits < len(rays), name
+        # the batch, on up to 200 rows of three rays from one origin: a NaN
+        # direction makes the whole row test the whole mesh
+        rows = _rows(rays, 3)[::max(1, len(rays) // 200)]
+        hits = sum(_batch_hits(mesh, [o], [row], max_t) for o, row, max_t in rows)
+        assert 0 < hits < 3 * len(rows), name
 
     nan_ray = ((0.0, 0.5, 0.0), (math.nan, 0.0, 0.0), 1.0)
-    assert raycast.first_hit(corridor, *nan_ray) is None
+    assert raycast._segment_hit(corridor, *nan_ray) is None
     assert first_hit_all_triangles(corridor, *nan_ray) is None
-    assert raycast.first_hit(None, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), math.inf) is None
+    assert raycast.first_hit(corridor, [nan_ray[0]], [[nan_ray[1]]], 1.0).tolist() == [[math.inf]]
+    assert raycast.first_hit(None, np.zeros((2, 3)), np.ones((2, 3, 3)), math.inf).tolist() == [
+        [math.inf] * 3] * 2
+    assert raycast.first_hit(corridor, np.zeros((0, 3)), np.zeros((0, 5, 3)), 1.0).shape == (0, 5)
     empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     for max_t in (1.0, math.inf):
-        assert raycast.first_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t) is None
+        assert raycast._segment_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t) is None
+        assert raycast.first_hit(empty, [(0.0, 0.0, 0.0)], [[(1.0, 0.0, 0.0)]], max_t).tolist() == [
+            [math.inf]]
         assert first_hit_all_triangles(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t) is None
+    assert raycast.segment_clear(None, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
 def test_blocker_mesh_keeps_its_triangles_as_python_float_rows():
@@ -135,7 +180,7 @@ def _bits(values):
 
 
 def test_query_ball_equals_the_per_ray_expressions_bit_for_bit(corridor200_fan_rays):
-    corridor, fan_rays = corridor200_fan_rays
+    corridor, fan_rays, _ = corridor200_fan_rays
     rng = np.random.default_rng(4)
     soup = _random_soup(rng)
     # grazing rays, rays ending at a corner and the box diagonals, whose
@@ -154,3 +199,82 @@ def test_query_ball_equals_the_per_ray_expressions_bit_for_bit(corridor200_fan_r
             assert float(radius).hex() == float(want_radius).hex(), (o, d, max_t)
             sizes.add(math.isinf(radius))
     assert sizes == {False, True}
+
+
+def _ball(mesh, center, radius):
+    if math.isinf(radius):
+        return set(range(len(mesh.triangles)))
+    return set(mesh.triangle_tree.query_ball_point(center, radius))
+
+
+def test_each_origin_ball_holds_every_ray_ball_of_its_rays(corridor200_fan_rays):
+    corridor, fan_rays, (origins, directions, max_t) = corridor200_fan_rays
+    # a NaN direction makes every 200th row a whole-mesh ball amid local ones
+    poisoned = directions.copy()
+    poisoned[::200, 3, 1] = math.nan
+    rng = np.random.default_rng(8)
+    soup = _random_soup(rng)
+    cases = [(corridor, origins, poisoned, max_t)]
+    for mesh in (corridor, soup):
+        for o, row, probe_t in _rows(_probe_rays(mesh, rng), 3):
+            cases.append((mesh, [o], [row], probe_t))
+    local = whole = 0
+    for mesh, batch_origins, batch_directions, t in cases:
+        batch_origins = np.asarray(batch_origins, dtype=float)
+        batch_directions = np.asarray(batch_directions, dtype=float)
+        radius, is_whole = raycast._origin_balls(mesh, batch_origins, batch_directions, t)
+        ends, ids, shift = raycast._candidates(mesh, batch_origins, radius, is_whole)
+        begins = np.concatenate([[0], ends[:-1]])
+        for o, row, r, w, b, e, s in zip(
+            batch_origins, batch_directions, radius, is_whole, begins, ends, shift
+        ):
+            # the run holds exactly the origin's ball, each id once
+            held = ids[b + s:e + s].tolist()
+            assert len(held) == len(set(held))
+            assert set(held) == _ball(mesh, o, math.inf if w else r)
+            for d in row:
+                center, ray_radius = raycast._query_ball(mesh, o.tolist(), d.tolist(), t)
+                assert _ball(mesh, center, ray_radius) <= set(held), (o, d, t)
+            local += not w
+            whole += bool(w)
+    assert local > 800 and whole > 5
+
+
+def test_whole_mesh_balls_keep_fans_exact_in_bounded_slices(monkeypatch):
+    # at radius 1e20 every ball holds every centroid: 804 samples x 800
+    # triangles x 10 fan rays
+    surface, blockers = straight_corridor(200)
+    slices = []
+    original = raycast._slice_hits
+
+    def recording(table, o, d, limit):
+        t, ok = original(table, o, d, limit)
+        slices.append(t.size)
+        return t, ok
+
+    monkeypatch.setattr(raycast, "_slice_hits", recording)
+    samples = classify_samples(sample_boundary(surface), blockers, radius=1e20)
+    assert len(samples) == 804
+    assert sum(slices) == 804 * 800 * 10
+    assert max(slices) <= raycast.PAIR_BUDGET
+    flags = [(s.potential_start, s.potential_end) for s in samples]
+    assert flags == classify_per_ray(samples, blockers, 1e20, DEFAULT_RAY_COUNT)
+    assert {f for f in flags} == {(False, False), (False, True)}
+
+
+def test_overflowing_rays_follow_python_floats():
+    # directions of length up to 1e308: d x e2 and the dot products overflow
+    # to inf, and inf * 0 gives NaN.  The batch must give the scalar loop's
+    # answers, which overflow silently in Python floats, without a numpy
+    # RuntimeWarning
+    surface, blockers = straight_corridor(12)
+    samples = sample_boundary(surface)
+    origins = np.array([s.position for s in samples])
+    directions = fan_directions(samples, DEFAULT_RAY_COUNT) * 1e308
+    for max_t in (1e-308, 1.0):
+        got = raycast.first_hit(blockers, origins, directions, max_t)
+        want = [
+            [raycast._segment_hit(blockers, o, d, max_t) or math.inf for d in row]
+            for o, row in zip(origins, directions)
+        ]
+        assert got.tolist() == want

@@ -19,7 +19,6 @@ from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
 from navstruct.oracles import eigenvector_oracle, katz_oracle
 from navstruct.terminals import (
     BoundarySample,
-    _rotate_about,
     classify_samples,
     entry_exit_terminals,
     extract_segments,
@@ -97,16 +96,29 @@ def test_sample_boundary_covers_every_loop():
 
 # --- classification ---------------------------------------------------------
 
-def test_rotate_about_equals_the_np_cross_reference_exactly():
+def test_fan_directions_equal_the_np_cross_reference_exactly():
     rng = np.random.default_rng(3)
-    for _ in range(400):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        v = rng.normal(size=3)
-        angle = float(rng.uniform(-np.pi, np.pi))
-        c, s = math.cos(angle), math.sin(angle)
-        want = v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
-        assert (_rotate_about(axis, v, angle) == want).all()
+    for ray_count, sample_count in ((1, 100), (2, 100), (5, 100), (1000, 8)):
+        samples = []
+        for _ in range(sample_count):
+            axis = rng.normal(size=3)
+            samples.append(make_sample(0.0, rng.normal(size=3), position=rng.normal(size=3)))
+            samples[-1].normal = axis / np.linalg.norm(axis)
+        fans = terminals.fan_directions(samples, ray_count)
+        assert fans.shape == (sample_count, 2 * ray_count, 3)
+        if ray_count == 1:
+            angles = [0.0]
+        else:
+            angles = [-np.pi / 4 + np.pi / 2 * k / (ray_count - 1) for k in range(ray_count)]
+        c = np.array([math.cos(a) for a in angles])[:, None]
+        s = np.array([math.sin(a) for a in angles])[:, None]
+        for sample, fan in zip(samples, fans):
+            axis = sample.normal
+            for v, rows in ((sample.forward_dir, fan[:ray_count]), (-sample.forward_dir, fan[ray_count:])):
+                want = v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
+                assert (rows == want).all()
+            assert (fan[ray_count:] == -fan[:ray_count]).all()
+    assert terminals.fan_directions([], 5).shape == (0, 10, 3)
 
 
 def test_classify_no_blockers_flags_everything(caplog):

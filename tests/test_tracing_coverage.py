@@ -44,7 +44,9 @@ def test_fan_rays_look_up_first_hit_through_the_raycast_module(monkeypatch):
     monkeypatch.setattr(raycast, "first_hit", counting)
     surface, blockers = straight_corridor(4)
     entry_exit_terminals(graph_from_navmesh(surface), surface, blockers, interval=1.0)
-    assert calls
+    # one batch holds both fans of every boundary sample: 10 samples, 5 rays each way
+    assert len(calls) == 1
+    assert calls[0][2].shape == (10, 10, 3)
 
 
 def test_steiner_makes_one_dijkstra_tree_call_from_all_terminals(monkeypatch):
