@@ -176,7 +176,8 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
         payloads[v] = GraphNode(
             position=_finite_vector(nrec["position"], f"{p}: node {v} 'position'"),
             normal=_finite_vector(nrec["normal"], f"{p}: node {v} 'normal'"),
-            on_navmesh=bool(nrec["on_navmesh"]),
+            # the file keeps only whether a node was on the surface
+            polygon=None if nrec["on_navmesh"] else -1,
             terminal=bool(nrec["terminal"]),
             source=str(nrec["source"]),
         )

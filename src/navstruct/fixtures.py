@@ -193,8 +193,7 @@ def graph_from_edges(positions, edges, source: str = SOURCE_SAMPLE) -> SurfaceGr
     pts = np.asarray(positions, dtype=float)
     nodes = [
         GraphNode(
-            position=pts[k].copy(), normal=np.array([0.0, 0.0, 1.0]),
-            on_navmesh=True, source=source,
+            position=pts[k].copy(), normal=np.array([0.0, 0.0, 1.0]), source=source,
         )
         for k in range(len(pts))
     ]

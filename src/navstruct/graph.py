@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateEdge, ParseError, ValidationError
-from .mesh import WalkableSurface, _check_extent, as_index, read_json
+from .mesh import WalkableSurface, _check_coordinates, as_index, read_json
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -21,11 +21,20 @@ SOURCE_ENTRY_EXIT = "entry-exit"
 
 @dataclass
 class GraphNode:
+    """A node payload.  `polygon` is the walkable polygon the node sits on,
+    -1 when it lies off the surface, or None when there is no surface to
+    tell (a graph read from JSON, an on-surface node of a reloaded
+    structure)."""
+
     position: np.ndarray  # (3,)
     normal: np.ndarray    # (3,) unit
-    on_navmesh: bool = True
+    polygon: int | None = None
     source: str = SOURCE_POLYGON
     terminal: bool = False
+
+    @property
+    def on_navmesh(self) -> bool:
+        return self.polygon != -1
 
 
 class Arcs(NamedTuple):
@@ -145,7 +154,7 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
         GraphNode(
             position=surface.polygon_centers[pid].copy(),
             normal=surface.polygon_normals[pid].copy(),
-            on_navmesh=True,
+            polygon=pid,
             source=SOURCE_POLYGON,
         )
         for pid in range(len(surface.polygons))
@@ -182,9 +191,9 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
             raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
         normal = normal / length
         nodes.append(
-            GraphNode(position=pos, normal=normal, on_navmesh=True, source=SOURCE_SAMPLE)
+            GraphNode(position=pos, normal=normal, source=SOURCE_SAMPLE)
         )
-    _check_extent(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
+    _check_coordinates(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
     edges = []
     for rec in data["edges"]:
         if not isinstance(rec, list) or len(rec) not in (2, 3):

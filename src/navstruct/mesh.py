@@ -36,6 +36,12 @@ GEOM_EPS = 1e-9
 # default distance a point may sit off a polygon's plane and still be on it
 DEFAULT_HEIGHT_TOL = 0.5
 
+# largest coordinate magnitude an input may have: the builds and queries
+# multiply up to four coordinates (Newell's normal squared, a blocker
+# triangle's cross product squared), and 1e50 keeps every such product and
+# its sums far inside the float range
+MAX_COORDINATE = 1e50
+
 
 @dataclass
 class WalkableSurface:
@@ -305,15 +311,11 @@ def _weld(verts: np.ndarray, polys: list[list[int]], eps: float):
 # construction / validation
 # ---------------------------------------------------------------------------
 
-def _check_extent(verts: np.ndarray, what: str) -> None:
-    """ValidationError when the diagonal of the vertices' bounding box is not
-    a finite float: lengths and sample counts derived from it would overflow."""
-    if not len(verts):
-        return
-    with np.errstate(over="ignore"):
-        diagonal = np.linalg.norm(verts.max(axis=0) - verts.min(axis=0))
-    if not math.isfinite(diagonal):
-        raise ValidationError(f"{what} coordinates span more than the float range")
+def _check_coordinates(verts: np.ndarray, what: str) -> None:
+    """ValidationError unless every coordinate is a number of magnitude at
+    most MAX_COORDINATE."""
+    if len(verts) and not np.abs(verts).max() <= MAX_COORDINATE:
+        raise ValidationError(f"{what} coordinates must lie within +/-{MAX_COORDINATE:g}")
 
 
 def build_walkable_surface(
@@ -332,7 +334,7 @@ def build_walkable_surface(
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("vertices must be an (N, 3) array")
-    _check_extent(verts, "surface vertex")
+    _check_coordinates(verts, "surface vertex")
     polys = [list(map(int, ring)) for ring in polygons]
 
     if weld_eps > 0.0 and len(verts):
@@ -513,8 +515,10 @@ def _ring_geometry(verts, corners, sizes, starts, plane_eps: float):
     for s in np.flatnonzero(maybe_bent).tolist():
         corner_ids = corners[starts[s]:starts[s] + sizes[s]]
         deviation[s] = np.abs((verts[corner_ids] - centers[s]) @ normals[s]).max()
-    # an exactly zero area (far-off corners round it away) bounds nothing
-    grow = np.divide(GEOM_EPS, thin, out=np.full(count, np.inf), where=thin > 0.0)
+    # an exactly zero area (far-off corners round it away) bounds nothing, and
+    # neither does one so small (subnormal) that the quotient overflows to inf
+    with np.errstate(over="ignore"):
+        grow = np.divide(GEOM_EPS, thin, out=np.full(count, np.inf), where=thin > 0.0)
     reach = (far + math.sqrt(3.0) * plane_eps) * (1.0 + grow)
 
     checks = [
@@ -649,7 +653,7 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
         tris = tris.reshape(0, 3)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("blocker vertices must be an (N, 3) array")
-    _check_extent(verts, "blocker vertex")
+    _check_coordinates(verts, "blocker vertex")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise ValidationError("blocker triangles must be an (M, 3) index array")
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):

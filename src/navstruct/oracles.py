@@ -25,7 +25,7 @@ from .mesh import (
     PLANE_EPS,
     BlockerMesh,
     WalkableSurface,
-    _check_extent,
+    _check_coordinates,
     _stitch_boundary_loops,
     _weld,
     build_blocker_mesh,
@@ -326,7 +326,7 @@ def build_walkable_surface_per_polygon(
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("vertices must be an (N, 3) array")
-    _check_extent(verts, "surface vertex")
+    _check_coordinates(verts, "surface vertex")
     polys = [list(map(int, ring)) for ring in polygons]
 
     if weld_eps > 0.0 and len(verts):
@@ -743,8 +743,9 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         ("surface-build", wrong == 0, f"{wrong} of {len(inputs)} surfaces differ")
     )
 
-    # runs of walks from shared anchors: each answer with the anchor's funnel
-    # must be the answer of the plain walk
+    # runs of walks from shared anchors, each from the anchor's known polygon:
+    # each answer with the anchor's funnel must be the answer of the plain
+    # walk from that polygon (a fresh funnel, which never resumes)
     runs = [straight_corridor(3)[0], straight_corridor(24)[0], plus_hub()[0], l_corridor()]
     runs += surfaces
     for _ in range(instances):
@@ -752,13 +753,13 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         runs.append(build_walkable_surface(*random_ring_surface(nprng)))
     checked = wrong = armed = 0
     for surface in runs:
-        for a, targets in _funnel_runs(surface, rng):
-            funnel = LosFunnel()
+        for a, pid, targets in _funnel_runs(surface, rng):
+            funnel = LosFunnel(start=pid)
             for c in targets:
                 checked += 1
                 armed += len(funnel.steps) >= 2
                 answers = []
-                for f in (funnel, None):
+                for f in (funnel, LosFunnel(start=pid)):
                     try:
                         answers.append(surface_los(surface, a, c, funnel=f))
                     except PointOffMesh:
@@ -864,12 +865,12 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
 
 
 def _funnel_runs(surface: WalkableSurface, rng: random.Random):
-    """(anchor, targets) runs for the los-funnel suite, from up to 8 polygon
-    centres and 2 corners.  Each run follows three rays in the anchor's
-    plane (one at random, one through a corner, one through a centre) out
-    past the mesh, each time then stepping back short of the last portal and
-    behind the anchor; then it visits every corner by distance (grazing
-    portal ends) and two points off the mesh."""
+    """(anchor, its polygon, targets) runs for the los-funnel suite, from up
+    to 8 polygon centres and 2 corners.  Each run follows three rays in the
+    anchor's plane (one at random, one through a corner, one through a
+    centre) out past the mesh, each time then stepping back short of the
+    last portal and behind the anchor; then it visits every corner by
+    distance (grazing portal ends) and two points off the mesh."""
     verts = surface.vertices
     extent = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     owners = {v: pids[0] for edge, pids in surface.edge_polygons.items() for v in edge}
@@ -892,7 +893,7 @@ def _funnel_runs(surface: WalkableSurface, rng: random.Random):
             targets += ray + [(a + ray[-2]) / 2.0, 2.0 * a - ray[3]]
         targets += sorted(verts, key=lambda v: float(np.linalg.norm(v - a)))
         targets += [a + 5.0 * normal, a + 2.0 * extent * np.array([1.0, 0.5, 0.0])]
-        yield a, targets
+        yield a, pid, targets
 
 
 def _tie_heavy_graph(rng: random.Random, weights) -> SurfaceGraph:

@@ -20,7 +20,8 @@ from .analysis import (
 from .errors import ValidationError
 from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json, relabel_dense
 from .mesh import (
-    PLANE_EPS, BlockerMesh, WalkableSurface, load_blocker_mesh, load_walkable_surface,
+    MAX_COORDINATE, PLANE_EPS, BlockerMesh, WalkableSurface, load_blocker_mesh,
+    load_walkable_surface,
 )
 from .raycast import segment_clear
 from .steiner import SteinerTree, build_steiner_tree
@@ -110,6 +111,9 @@ class PipelineConfig:
         for name in ("weld_eps", "exit_offset"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be >= 0 and finite")
+        # within the coordinate limit, a pushed terminal's squared distances stay finite
+        if self.exit_offset > MAX_COORDINATE:
+            raise ValidationError(f"exit_offset must be at most {MAX_COORDINATE:g}")
         if not 1 <= self.ray_count <= MAX_RAY_COUNT:
             raise ValidationError(f"ray_count must be >= 1 and <= {MAX_RAY_COUNT}")
         if self.k < 1:
@@ -211,7 +215,7 @@ def run_pipeline(
         if surface is not None:
             los = walkable_los(surface, simplify_cfg)
         elif blockers is not None:
-            los = lambda a, c: segment_clear(blockers, a, c)  # noqa: E731
+            los = lambda a, c: segment_clear(blockers, a.position, c.position)  # noqa: E731
         else:
             los = None
             log.warning("no surface or blocker mesh: simplification skipped")

@@ -2,9 +2,9 @@
 
 Entry/exit detection walks each boundary loop at fixed arc-length intervals,
 casts a small ray fan forward and backward along the boundary, and flags
-samples whose fan never hits blocker geometry; the fans of all samples are
-cast in one batch.  Runs of flagged samples become segments whose endpoints
-are registered as new entry/exit graph nodes.
+samples whose fan never hits blocker geometry; the fans are cast in batches
+of whole samples under a fixed ray budget.  Runs of flagged samples become
+segments whose endpoints are registered as new entry/exit graph nodes.
 """
 from __future__ import annotations
 
@@ -31,6 +31,10 @@ DEFAULT_SHARPNESS_DEG = 45.0
 MAX_BOUNDARY_SAMPLES = 1_000_000
 # most rays one classification fan may cast
 MAX_RAY_COUNT = 1000
+# most fan rays one raycast.first_hit call casts: about 25 MB of directions
+# and 8 MB of hit distances, where all samples at the caps would take 66 GB;
+# it holds at least one whole sample's 2 * MAX_RAY_COUNT rays
+FAN_RAY_BUDGET = 1 << 20
 
 
 @dataclass
@@ -160,8 +164,10 @@ def classify_samples(
     ray_count: int = DEFAULT_RAY_COUNT,
 ) -> list[BoundarySample]:
     """Flag samples whose forward (backward) ray fan is unobstructed within
-    `radius` as potential segment starts (ends).  Every fan ray of every
-    sample goes to one `raycast.first_hit` call.  Returns the same sample
+    `radius` as potential segment starts (ends).  The fans go to
+    `raycast.first_hit` in runs of whole samples, at most FAN_RAY_BUDGET
+    rays per call; each sample's hits depend on its own rays alone, so the
+    flags are those of one call over every sample.  Returns the same sample
     objects with flags set.  With no blocker mesh every sample gets both
     flags."""
     if radius <= 0.0:
@@ -170,13 +176,16 @@ def classify_samples(
         raise ValidationError(f"ray count must be >= 1 and <= {MAX_RAY_COUNT}, got {ray_count}")
     if blockers is None or len(blockers.triangles) == 0:
         log.warning("no blocker mesh supplied; every boundary sample is flagged open")
-    origins = np.array([s.position for s in samples], dtype=float).reshape(-1, 3)
-    hit = raycast.first_hit(blockers, origins, fan_directions(samples, ray_count), radius) < math.inf
-    forward = hit[:, :ray_count].any(axis=1).tolist()
-    backward = hit[:, ray_count:].any(axis=1).tolist()
-    for s, ahead, behind in zip(samples, forward, backward):
-        s.potential_start = not ahead
-        s.potential_end = not behind
+    step = FAN_RAY_BUDGET // (2 * ray_count)
+    for lo in range(0, len(samples), step):
+        run = samples[lo:lo + step]
+        origins = np.array([s.position for s in run], dtype=float).reshape(-1, 3)
+        hit = raycast.first_hit(blockers, origins, fan_directions(run, ray_count), radius) < math.inf
+        forward = hit[:, :ray_count].any(axis=1).tolist()
+        backward = hit[:, ray_count:].any(axis=1).tolist()
+        for s, ahead, behind in zip(run, forward, backward):
+            s.potential_start = not ahead
+            s.potential_end = not behind
     return samples
 
 
@@ -239,9 +248,10 @@ def register_terminals(
     existing node.
 
     Positions are pushed `exit_offset` world units along the boundary's
-    outward direction (tangent x surface normal).  Each new node's on_navmesh
-    flag records whether its final position still lies on a walkable polygon
-    within `height_tol`.  Returns a new graph; the input graph is untouched.
+    outward direction (tangent x surface normal).  Each new node's polygon is
+    the lowest-id walkable polygon its final position lies on within
+    `height_tol`, -1 for none.  Returns a new graph; the input graph is
+    untouched.
     """
     positions = g.positions()
     new_nodes: list[GraphNode] = []
@@ -265,12 +275,12 @@ def register_terminals(
                 raise ValidationError(
                     f"entry/exit position coincides with node {nearest}"
                 )
-            on_mesh = surface.locate_point(pos, height_tol) is not None
+            pid = surface.locate_point(pos, height_tol)
             new_nodes.append(
                 GraphNode(
                     position=pos,
                     normal=sample.normal.copy(),
-                    on_navmesh=on_mesh,
+                    polygon=-1 if pid is None else pid,
                     source=SOURCE_ENTRY_EXIT,
                 )
             )

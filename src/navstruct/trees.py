@@ -21,7 +21,8 @@ from .graph import GraphNode, SurfaceGraph
 from .mesh import DEFAULT_HEIGHT_TOL, GEOM_EPS, WalkableSurface
 from .steiner import SteinerTree
 
-LosFn = Callable[[np.ndarray, np.ndarray], bool]
+# a visibility test between two node payloads: does the first see the second
+LosFn = Callable[[GraphNode, GraphNode], bool]
 
 # default largest angle between the normals of a collapsed node and its parent
 DEFAULT_NORMAL_TOL_DEG = 15.0
@@ -218,7 +219,8 @@ class LosFunnel:
     """What one anchor's walks have shown, so that `surface_los` can skip the
     validated start of the next walk from the same anchor.
 
-    `start` is the anchor's start polygon (-1 off the surface), located once.
+    `start` is the anchor's start polygon (-1 off the surface); None until
+    the first walk locates it.
     `steps` is the clean prefix of the anchor's last successful walk: each
     step left a polygon whose plane (normal and offset) equals the start
     polygon's, through exactly one exit edge with exactly one neighbour
@@ -425,18 +427,20 @@ def surface_los(
 
 
 def walkable_los(surface: WalkableSurface, cfg: SimplifyConfig | None = None) -> LosFn:
-    """`surface_los` on `surface` as a visibility test for `can_simplify`; a
-    point off the surface has no line of sight.  The test keeps one
-    LosFunnel per anchor position for its lifetime, so each anchor is
-    located once and each walk from it resumes past the portals its last
-    successful walk validated; the answers are those of the plain walk."""
-    funnels: dict[bytes, LosFunnel] = {}
+    """`surface_los` on `surface` as a visibility test for `can_simplify`:
+    node `a` sees node `c` when the walk from `a`'s polygon reaches `c`'s
+    position; a node off the surface has no line of sight.  A node whose
+    polygon is None is located on its first walk.  The test keeps one
+    LosFunnel per anchor (polygon, position) for its lifetime, so each walk
+    from an anchor resumes past the portals its last successful walk
+    validated; the answers are those of the plain walk."""
+    funnels: dict[tuple[int | None, bytes], LosFunnel] = {}
 
-    def los(a, c) -> bool:
-        a = np.asarray(a, dtype=float)
-        funnel = funnels.setdefault(a.tobytes(), LosFunnel())
+    def los(a: GraphNode, c: GraphNode) -> bool:
+        pos = np.asarray(a.position, dtype=float)
+        funnel = funnels.setdefault((a.polygon, pos.tobytes()), LosFunnel(start=a.polygon))
         try:
-            return surface_los(surface, a, c, cfg, funnel)
+            return surface_los(surface, pos, c.position, cfg, funnel)
         except PointOffMesh:
             return False
 
@@ -474,7 +478,7 @@ def can_simplify(
         return False
     if normal_angle_deg(a.normal, b.normal) > cfg.normal_tolerance_deg:
         return False
-    return bool(los(a.position, c.position))
+    return bool(los(a, c))
 
 
 def simplify_tree(

@@ -214,7 +214,7 @@ def test_criterion_5_simplification_audit_is_sound(capsys, corridor, hub):
                 los = lambda a, c: True  # noqa: E731
             elif i % 3 == 1:
                 limit = rng.uniform(2.0, 8.0)
-                los = lambda a, c, L=limit: float(np.linalg.norm(np.subtract(c, a))) <= L  # noqa: E731
+                los = lambda a, c, L=limit: float(np.linalg.norm(c.position - a.position)) <= L  # noqa: E731
             else:
                 los = lambda a, c: False  # noqa: E731
             for tree in forest:

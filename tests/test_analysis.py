@@ -30,11 +30,11 @@ from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.trees import RootedTree
 
 
-def tnode(pos, terminal=False, on_navmesh=True):
+def tnode(pos, terminal=False, polygon=None):
     return GraphNode(
         position=np.asarray(pos, dtype=float),
         normal=np.array([0.0, 0.0, 1.0]),
-        on_navmesh=on_navmesh,
+        polygon=polygon,
         terminal=terminal,
         source=SOURCE_SAMPLE,
     )
@@ -46,7 +46,7 @@ def small_forest():
         0: tnode((0, 0, 0)),
         1: tnode((1, 0, 0), terminal=True),
         2: tnode((0, 2, 0)),
-        3: tnode((0, 3, 0.5), terminal=True, on_navmesh=False),
+        3: tnode((0, 3, 0.5), terminal=True, polygon=-1),
     }
     tree = RootedTree(
         root=0,
@@ -346,7 +346,7 @@ def random_forest(rng):
         payloads = {v: GraphNode(
             position=np.array([rng.choice(values) * rng.random() for _ in range(3)]),
             normal=np.array([rng.choice(values) for _ in range(3)]),
-            on_navmesh=rng.random() < 0.5, terminal=rng.random() < 0.5,
+            polygon=None if rng.random() < 0.5 else -1, terminal=rng.random() < 0.5,
             source=rng.choice(sources),
         ) for v in members}
         forest.append(RootedTree(root=members[0], children=children, payloads=payloads))

@@ -97,6 +97,6 @@ def test_stage_invariants_on_random_and_maze_graphs(tmp_path):
     for k, (g, method) in enumerate(cases):
         term_set = terminals_from_metric(g, method, k=rng.randint(1, 6))
         limit = rng.uniform(1.0, 6.0)
-        los = lambda a, c, L=limit: float(np.linalg.norm(np.subtract(c, a))) <= L  # noqa: E731
+        los = lambda a, c, L=limit: float(np.linalg.norm(c.position - a.position)) <= L  # noqa: E731
         removed += check_stages(g, term_set, los, tmp_path / f"graph-{k}.json")
     assert removed > 0  # the audit must see real removals

@@ -13,10 +13,15 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from navstruct import pipeline, trees
 from navstruct.cli import _config_from_args, build_parser, main
-from navstruct.errors import AlphaTooLarge, ValidationError
-from navstruct.fixtures import graph_from_edges, maze_graph, straight_corridor
+from navstruct.errors import AlphaTooLarge, NavStructError, ValidationError
+from navstruct.fixtures import graph_from_edges, maze_graph, plus_hub, straight_corridor
 from navstruct.graph import relabel_dense
-from navstruct.mesh import WalkableSurface, build_blocker_mesh, load_walkable_surface
+from navstruct.mesh import (
+    WalkableSurface,
+    build_blocker_mesh,
+    build_walkable_surface,
+    load_walkable_surface,
+)
 from navstruct.pipeline import (
     STAGE_INITIAL,
     STAGE_POST,
@@ -116,6 +121,7 @@ def write_corridor_files(corridor, tmp_path):
     (dict(surface_path="s.obj", ray_count=10**20), "ray_count must be >= 1 and <= 1000"),
     (dict(surface_path="s.obj", density_buckets=1001), "density_buckets must be >= 2 and <= 1000"),
     (dict(surface_path="s.obj", density_buckets=10**20), "density_buckets must be >= 2 and <= 1000"),
+    (dict(surface_path="s.obj", exit_offset=1e200), r"exit_offset must be at most 1e\+50"),
 ])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -568,6 +574,48 @@ def test_cli_bounds_the_ray_count_and_density_buckets(tmp_path, capsys):
     assert main(["extract", *inputs, "--ray-count", "1000"]) == 0
 
 
+def _run_or_reject(call) -> str:
+    try:
+        call()
+    except NavStructError:
+        return "rejected"
+    return "ran"
+
+
+def test_scaled_and_translated_fixtures_build_and_run_or_are_rejected(tmp_path, capsys):
+    """Fixtures scaled or translated by 10^k, k from -320 to 300: every build
+    and run ends or raises a NavStructError (exit 2), and none warns (the
+    test config makes a RuntimeWarning an error)."""
+    cfg = PipelineConfig(terminals="entry-exit")
+    seen = Counter()
+    for surface, blockers in (straight_corridor(3), plus_hub(1)):
+        for k in range(-320, 301, 10):
+            for scale, shift in ((10.0 ** k, 0.0), (1.0, 10.0 ** k)):
+                floor = (surface.vertices * scale + shift, surface.polygons)
+                walls = (blockers.vertices * scale + shift, blockers.triangles)
+                seen[_run_or_reject(lambda: build_blocker_mesh(*walls))] += 1
+                seen[_run_or_reject(lambda: run_pipeline(
+                    cfg, surface=build_walkable_surface(*floor), blockers=build_blocker_mesh(*walls)
+                ))] += 1
+    assert seen["ran"] > 100 and seen["rejected"] > 100
+    codes = []
+    for scale, shift in ((1e-160, 0.0), (1.0, 1e-300), (1e40, 0.0), (1e80, 0.0), (1.0, 1e300)):
+        surface, blockers = straight_corridor(3)
+        moved = (
+            dataclasses.replace(surface, vertices=surface.vertices * scale + shift),
+            dataclasses.replace(blockers, vertices=blockers.vertices * scale + shift),
+        )
+        surf, blk = write_corridor_files(moved, tmp_path)
+        out = tmp_path / "out"
+        codes.append(main(["extract", "--surface", str(surf), "--blockers", str(blk),
+                           "--out", str(out)]))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == (
+            codes[-1] == 2)
+    assert codes == [2, 0, 2, 2, 2]
+
+
 def test_cli_rejects_a_sharpness_of_180_or_more_on_any_input(tmp_path, capsys):
     """Segment extraction needs a sharpness in (0, 180); a graph input never
     extracts segments, yet the value is refused there too."""
@@ -815,8 +863,9 @@ def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
     tree = _CountingTree(blockers.triangle_tree)
     blockers = dataclasses.replace(blockers, triangle_tree=tree)
     run_pipeline(PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers)
-    # 4 terminal placements and the one simplify anchor; then every centre
-    assert len(per_locate) == 5
+    # the 4 terminal placements (simplify reads each anchor's stored polygon);
+    # then every centre
+    assert len(per_locate) == 4
     for center in surface.polygon_centers:
         surface.locate_point(center)
     assert len(per_locate) > 200

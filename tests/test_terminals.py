@@ -164,6 +164,44 @@ def test_classify_validates_parameters():
         classify_samples(samples, None, ray_count=0)
 
 
+def test_classify_casts_whole_samples_under_the_ray_budget(monkeypatch):
+    ray_count = terminals.MAX_RAY_COUNT
+    per_call = terminals.FAN_RAY_BUDGET // (2 * ray_count)
+    n = 24_000
+    assert n * 2 * ray_count * 3 * 8 > 2**30  # one batch's directions alone
+    shapes = []
+
+    def first_hit(blockers, origins, directions, max_t):
+        # casts nothing: sample k's forward fan hits when k % 3 == 0, its
+        # backward fan when k % 3 == 1
+        shapes.append(directions.shape)
+        k = origins[:, 0].astype(int) % 3
+        t = np.full(directions.shape[:2], math.inf)
+        t[k == 0, 0] = 0.5
+        t[k == 1, -1] = 0.5
+        return t
+
+    monkeypatch.setattr(terminals.raycast, "first_hit", first_hit)
+    samples = [make_sample(k, X, position=(k, 0.0, 0.0)) for k in range(n)]
+    classify_samples(samples, None, ray_count=ray_count)
+    assert [rows for rows, _, _ in shapes] == [per_call] * (n // per_call) + [n % per_call]
+    assert {shape[1:] for shape in shapes} == {(2 * ray_count, 3)}
+    assert per_call * 2 * ray_count <= terminals.FAN_RAY_BUDGET
+    assert [(s.potential_start, s.potential_end) for s in samples] == [
+        (k % 3 != 0, k % 3 != 1) for k in range(n)
+    ]
+
+
+def test_classify_in_runs_flags_as_one_batch(monkeypatch, hub):
+    surface, blockers = hub
+    samples = sample_boundary(surface, interval=0.25)
+    one = [(s.potential_start, s.potential_end) for s in classify_samples(samples, blockers)]
+    monkeypatch.setattr(terminals, "FAN_RAY_BUDGET", 30)  # 3 samples of 10 rays a call
+    runs = [(s.potential_start, s.potential_end) for s in classify_samples(samples, blockers)]
+    assert runs == one
+    assert len(set(one)) > 1
+
+
 def test_classify_single_ray_is_the_fan_center():
     # a wall ahead blocks the forward ray but not the backward one
     surface = surface_from_squares([(0, 0)])

@@ -12,10 +12,12 @@ from navstruct.fixtures import (
     graph_from_edges,
     l_corridor,
     maze_graph,
+    plus_hub,
     ramp_corridor,
     random_forest_graph,
     random_tree_graph,
     ring_surface,
+    stacked_floors,
     straight_corridor,
     surface_from_squares,
 )
@@ -55,11 +57,11 @@ def path_graph(xs):
     return graph_from_edges(pts, edges)
 
 
-def payload(pos, normal=Z, on_navmesh=True, terminal=False):
+def payload(pos, normal=Z, polygon=None, terminal=False):
     return GraphNode(
         position=np.asarray(pos, dtype=float),
         normal=np.asarray(normal, dtype=float),
-        on_navmesh=on_navmesh,
+        polygon=polygon,
         terminal=terminal,
         source=SOURCE_SAMPLE,
     )
@@ -82,7 +84,7 @@ def rooted_path(positions, terminal_ids=(), on_mesh_override=None):
         rooted.payloads[t].terminal = True
     if on_mesh_override:
         for v, flag in on_mesh_override.items():
-            rooted.payloads[v].on_navmesh = flag
+            rooted.payloads[v].polygon = None if flag else -1
     return rooted
 
 
@@ -303,7 +305,7 @@ def test_predicate_rejects_off_mesh_leaf_grandchild(corridor):
     surface, _blockers = corridor
     a = payload((0.5, 0.5, 0))
     b = payload((1.5, 0.5, 0))
-    c = payload((2.5, 0.5, 0), on_navmesh=False)
+    c = payload((2.5, 0.5, 0), polygon=-1)
     assert not can_simplify(a, b, c, walkable_los(surface), c_is_leaf=True)
     # an off-mesh interior node is no obstacle
     assert can_simplify(a, b, c, walkable_los(surface), c_is_leaf=False)
@@ -329,7 +331,7 @@ def test_predicate_uses_injected_los():
     seen = []
 
     def los(p, q):
-        seen.append((tuple(p), tuple(q)))
+        seen.append((tuple(p.position), tuple(q.position)))
         return True
 
     assert can_simplify(a, b, c, los)
@@ -343,6 +345,29 @@ def test_predicate_off_mesh_parent_has_no_los(corridor):
     b = payload((0.5, 0.5, 0))
     c = payload((1.5, 0.5, 0))
     assert not can_simplify(a, b, c, walkable_los(surface))
+
+
+# upper polygons 5, 6 | gap | 7, 8 lie 0.3 above the unbroken lower strip
+# 0-4, within the height tolerance: located afresh, an upper centre lands on
+# the lower floor's polygon and sees across the gap
+
+def test_stacked_floors_walk_from_each_node_s_own_polygon():
+    surface = stacked_floors()
+    nodes = graph_from_navmesh(surface).nodes
+    los = walkable_los(surface)
+    assert not los(nodes[5], nodes[8]) and not los(nodes[8], nodes[5])
+    assert los(nodes[5], nodes[6]) and los(nodes[6], nodes[5])
+    assert los(nodes[0], nodes[4]) and los(nodes[4], nodes[0])
+
+
+def test_stacked_floors_predicate_sees_no_further_than_the_upper_floor():
+    surface = stacked_floors()
+    nodes = graph_from_navmesh(surface).nodes
+    mid = nodes[2]
+    assert not can_simplify(nodes[5], mid, nodes[8], walkable_los(surface))
+    assert not can_simplify(nodes[8], mid, nodes[5], walkable_los(surface))
+    assert can_simplify(nodes[5], mid, nodes[6], walkable_los(surface))
+    assert can_simplify(nodes[6], mid, nodes[5], walkable_los(surface))
 
 
 # --- simplification ---------------------------------------------------------
@@ -373,7 +398,7 @@ def test_simplify_distance_limited_visibility_thins_every_other_node():
     rooted = rooted_path(
         [(float(k), 0.0, 0.0) for k in range(7)], terminal_ids=(0, 6)
     )
-    los = lambda p, q: float(np.linalg.norm(np.subtract(q, p))) <= 2.5  # noqa: E731
+    los = lambda p, q: float(np.linalg.norm(q.position - p.position)) <= 2.5  # noqa: E731
     out = simplify_tree(rooted, los)
     assert out.node_ids() == [0, 2, 4, 6]
     assert out.edge_list() == [(0, 2), (2, 4), (4, 6)]
@@ -436,7 +461,7 @@ def test_simplify_multi_pass_reaches_a_stable_point():
     # first pass cannot remove node 1 (0 cannot see 2) but removes node 2;
     # afterwards 0-1-3 opens up and a later pass must remove node 1 too
     pos = {0: 0.0, 1: 4.0, 2: 5.0, 3: 6.0}
-    los = lambda p, q: abs(float(q[0]) - float(p[0])) != 5.0  # noqa: E731
+    los = lambda p, q: abs(float(q.position[0] - p.position[0])) != 5.0  # noqa: E731
     rooted = rooted_path(
         [(pos[k], 0.0, 0.0) for k in range(4)], terminal_ids=(0, 3)
     )
@@ -449,10 +474,13 @@ def test_simplify_multi_pass_reaches_a_stable_point():
 # --- the per-anchor funnel ------------------------------------------------------
 
 def _plain_los(surface):
-    """`surface_los` without a funnel as a visibility test."""
+    """The plain `surface_los` walk from each anchor node's polygon as a
+    visibility test: a fresh funnel per query records steps but never
+    resumes past them."""
     def los(a, c):
         try:
-            return surface_los(surface, a, c)
+            return surface_los(surface, a.position, c.position,
+                               funnel=trees.LosFunnel(start=a.polygon))
         except PointOffMesh:
             return False
     return los
@@ -563,11 +591,24 @@ def test_corridor200_walks_pin_their_clip_count(monkeypatch):
         PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers
     )
     (tree,) = result.forest
-    # every walk starts from the root: the terminals stage locates 4 points
-    # and simplify its one anchor (205 locates and 11,004 clips without the
-    # funnel, one locate per walk)
-    assert counts == {"surface_los": 201, "clip_line": 606, "locate_point": 5}
+    # every walk starts from the root's own polygon: only the terminals stage
+    # locates, its 4 points, and the clips count those locates' containment
+    # tests (205 locates and 11,004 clips without the funnel and the stored
+    # polygon, one locate per walk)
+    assert counts == {"surface_los": 201, "clip_line": 604, "locate_point": 4}
     assert len(tree.removals) == 199
+
+
+@pytest.mark.parametrize("make", [lambda: straight_corridor(200), plus_hub])
+def test_simplify_locates_no_anchor(monkeypatch, make):
+    surface, blockers = make()
+    g, term_set = entry_exit_terminals(graph_from_navmesh(surface), surface, blockers)
+    forest = find_rooted_trees(build_steiner_tree(g, term_set), g, betweenness_centrality(g))
+    counts = _count_walk_calls(monkeypatch)
+    removed = sum(len(simplify_tree(t, walkable_los(surface)).removals) for t in forest)
+    # every anchor is a polygon centre or a placed terminal: its polygon is known
+    assert counts["locate_point"] == 0
+    assert counts["surface_los"] > 0 and removed > 0
 
 
 def test_corridor800_clip_count_is_linear(monkeypatch):
@@ -676,9 +717,10 @@ def _pass_asking_every_time(t, los, cfg, removals):
 
 
 def _hashed_los(salt: int, p_clear: float):
-    """A deterministic, random-looking visibility test of the two points."""
+    """A deterministic, random-looking visibility test of the two nodes'
+    positions."""
     def los(a, c):
-        key = hash((salt, *np.asarray(a).tolist(), *np.asarray(c).tolist()))
+        key = hash((salt, *a.position.tolist(), *c.position.tolist()))
         return random.Random(key).random() < p_clear
     return los
 
@@ -698,7 +740,7 @@ def _random_rooted_trees(rng, count):
             for p in t.payloads.values():
                 if rng.random() < 0.1:
                     p.normal = np.array([0.0, math.sin(0.5), math.cos(0.5)])
-                p.on_navmesh = rng.random() < 0.9
+                p.polygon = None if rng.random() < 0.9 else -1
                 p.terminal = p.terminal or rng.random() < 0.1
             out.append(t)
     return out
