@@ -333,7 +333,7 @@ def katz_centrality(g: SurfaceGraph, alpha: float | None = None) -> list[float]:
     radius = _spectral_radius(a)
     if alpha is None:
         alpha = 0.9 / radius if radius > 1e-12 else 0.5
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise AlphaTooLarge(f"alpha must be positive, got {alpha}")
     if radius > 1e-12 and alpha * radius >= 1.0 - 1e-12:
         raise AlphaTooLarge(

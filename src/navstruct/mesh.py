@@ -148,7 +148,9 @@ class BlockerMesh:
     vertices: np.ndarray   # (V, 3) float64
     triangles: np.ndarray  # (T, 3) int
     # per triangle, its first corner v0 and its two edges e1, e2 from there,
-    # as one tuple of 9 Python floats (v0x, v0y, v0z, e1x, ..., e2z)
+    # (v0x, v0y, v0z, e1x, ..., e2z): as a (T, 9) array for the batched
+    # raycast, and as one tuple of 9 Python floats for the scalar one
+    corner_table: np.ndarray = field(repr=False)
     corner_edges: list[tuple[float, ...]] = field(repr=False)
     # KD-tree over the triangle centroids, and the largest centroid-corner distance
     triangle_tree: cKDTree = field(repr=False)
@@ -667,9 +669,10 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
     centroids = corners.mean(axis=1)
     reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max(initial=0.0))
     tree = cKDTree(centroids)
+    table = np.hstack([v0, e1, e2])
     return BlockerMesh(
         vertices=verts, triangles=tris,
-        corner_edges=list(map(tuple, np.hstack([v0, e1, e2]).tolist())),
+        corner_table=table, corner_edges=list(map(tuple, table.tolist())),
         triangle_tree=tree, reach=reach,
         box_center=tuple((0.5 * (tree.mins + tree.maxes)).tolist()),
         box_spread=0.5 * math.dist(tree.mins, tree.maxes),

@@ -586,26 +586,25 @@ def first_hit_all_triangles(
 
 
 def classify_per_ray(samples, blockers: BlockerMesh, radius: float, ray_count: int):
-    """(potential start, potential end) of each boundary sample, from one
-    oracle ray at a time.  Each fan ray is Rodrigues' rotation with np.cross,
-    v c + (n x v) s + n (n . v)(1 - c), of the tangent (forward fan) or of
-    the negated tangent (backward fan) about the sample normal n."""
+    """(open ahead, open behind) of each row of a boundary-sample table,
+    from one oracle ray at a time.  Each fan ray is Rodrigues' rotation with
+    np.cross, v c + (n x v) s + n (n . v)(1 - c), of the tangent (forward
+    fan) or of the negated tangent (backward fan) about the sample normal n."""
     if ray_count == 1:
         angles = [0.0]
     else:
         angles = [-math.pi / 4.0 + math.pi / 2.0 * k / (ray_count - 1) for k in range(ray_count)]
     flags = []
-    for s in samples:
-        n = s.normal
+    for position, tangent, n in zip(samples.positions, samples.tangents, samples.normals):
         clear = []
-        for v in (s.forward_dir, -s.forward_dir):
+        for v in (tangent, -tangent):
             rays = (
                 v * math.cos(a) + np.cross(n, v) * math.sin(a)
                 + n * float(np.dot(n, v)) * (1.0 - math.cos(a))
                 for a in angles
             )
             clear.append(all(
-                first_hit_all_triangles(blockers, s.position, d, radius) is None for d in rays
+                first_hit_all_triangles(blockers, position, d, radius) is None for d in rays
             ))
         flags.append(tuple(clear))
     return flags
@@ -778,11 +777,13 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         corridor, walls = straight_corridor(rng.randint(2, 12))
         for blockers in (walls, _random_soup(nprng)):
             radius, ray_count = rng.choice((0.2, 1.0, 3.0)), rng.choice((1, 5, 9))
-            samples = classify_samples(sample_boundary(corridor), blockers, radius, ray_count)
+            samples = sample_boundary(corridor)
+            open_ahead, open_behind = classify_samples(samples, blockers, radius, ray_count)
+            flags = list(zip(open_ahead.tolist(), open_behind.tolist()))
             want = classify_per_ray(samples, blockers, radius, ray_count)
             checked += len(samples)
-            flagged += sum(s.potential_start or s.potential_end for s in samples)
-            wrong += sum((s.potential_start, s.potential_end) != w for s, w in zip(samples, want))
+            flagged += sum(ahead or behind for ahead, behind in flags)
+            wrong += sum(f != w for f, w in zip(flags, want))
     results.append((
         "fan-classify", wrong == 0,
         f"{wrong} of {checked} samples differ, {flagged} with an open fan",

@@ -118,6 +118,8 @@ class PipelineConfig:
             raise ValidationError(f"ray_count must be >= 1 and <= {MAX_RAY_COUNT}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
+        if self.katz_alpha is not None and not 0.0 < self.katz_alpha < math.inf:
+            raise ValidationError("katz_alpha must be positive and finite")
         if not (0.0 < self.normal_tol_deg < 90.0):
             raise ValidationError("normal_tol_deg must be in (0, 90)")
         if not 2 <= self.density_buckets <= MAX_DENSITY_BUCKETS:
@@ -146,10 +148,14 @@ class PipelineResult:
 def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> list[float]:
     """Centrality of the Steiner tree's own nodes, scattered into a list
     indexed by the full graph's node ids.  The tree has no cycle, so its
-    betweenness reads no edge weight."""
+    betweenness reads no edge weight.  A tree without edges scores 0 at
+    every node: degree, betweenness and Katz give 0 there, and eigenvector
+    centrality has no score without an edge."""
+    values = [0.0] * len(g.nodes)
+    if not tree.edges:
+        return values
     sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
     sub_scores = compute_centrality(sub, cfg.root_metric, alpha=cfg.katz_alpha)
-    values = [0.0] * len(g.nodes)
     # tree.nodes ascends, so its k-th id is dense node k of `sub`
     for orig, value in zip(tree.nodes, sub_scores):
         values[orig] = value

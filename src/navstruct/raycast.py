@@ -51,7 +51,7 @@ def first_hit(blockers: BlockerMesh | None, origins, directions, max_t: float) -
         return best
     radius, whole = _origin_balls(blockers, origins, directions, max_t)
     ends, ids, shift = _candidates(blockers, origins, radius, whole)
-    table = np.array(blockers.corner_edges)
+    table = blockers.corner_table
     limit = max_t + EPS
     flat = best.reshape(-1)
     step = max(1, PAIR_BUDGET // m)  # candidates per pass, each with all m rays of its origin

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import compute_centrality, degree_centrality
 from .errors import EmptyTerminalSet, ValidationError
 from .graph import SOURCE_ENTRY_EXIT, GraphNode, SurfaceGraph
-from .mesh import DEFAULT_HEIGHT_TOL, BlockerMesh, WalkableSurface
+from .mesh import DEFAULT_HEIGHT_TOL, BlockerMesh, WalkableSurface, _row_dots
 from . import raycast
 
 log = logging.getLogger("navstruct")
@@ -38,21 +38,17 @@ FAN_RAY_BUDGET = 1 << 20
 
 
 @dataclass
-class BoundarySample:
-    position: np.ndarray      # (3,)
-    loop: int                 # boundary loop index
-    arc_param: float          # arc length from loop start
-    forward_dir: np.ndarray   # unit tangent along the loop
-    normal: np.ndarray        # surface normal of the owning polygon
-    potential_start: bool = False
-    potential_end: bool = False
+class BoundarySamples:
+    """The boundary samples as one table: row k is sample k.  Rows run loop
+    after loop, each loop in arc order from its first vertex."""
 
+    positions: np.ndarray  # (S, 3)
+    tangents: np.ndarray   # (S, 3) unit tangent of the edge the sample lies on
+    normals: np.ndarray    # (S, 3) normal of that edge's owning polygon
+    loops: np.ndarray      # (S,) boundary loop index
 
-@dataclass
-class EntryExitSegment:
-    start: BoundarySample
-    end: BoundarySample
-    matched_points: list[np.ndarray] = field(default_factory=list)
+    def __len__(self) -> int:
+        return len(self.loops)
 
 
 @dataclass
@@ -62,7 +58,7 @@ class TerminalSet:
 
 def sample_boundary(
     surface: WalkableSurface, interval: float = DEFAULT_INTERVAL
-) -> list[BoundarySample]:
+) -> BoundarySamples:
     """Samples spaced `interval` apart along each boundary loop.
 
     A loop of perimeter P yields max(1, floor(P / interval)) samples starting
@@ -70,70 +66,73 @@ def sample_boundary(
     it lies on and the normal of that edge's owning polygon.  ValidationError
     when all loops together need more than MAX_BOUNDARY_SAMPLES samples; they
     are counted before any is made.
+
+    Each edge's length is the np.linalg.norm of its vector (the same BLAS
+    dot, see `_row_dots`), and a sample is the edge's first vertex plus its
+    unit vector times the arc length left on it, so every float is that of
+    the written-out per-sample expression.
     """
     if interval <= 0.0:
         raise ValidationError(f"sampling interval must be positive, got {interval}")
-    loops = []
-    total = 0
-    for loop in surface.boundary_edges:
-        seg_vecs = []
-        seg_lens = []
-        seg_normals = []
-        for a, b in loop:
-            pa = surface.vertices[a]
-            pb = surface.vertices[b]
-            vec = pb - pa
-            length = float(np.linalg.norm(vec))
-            owner = surface.edge_polygons[(a, b) if a < b else (b, a)][0]
-            seg_vecs.append(vec / length)
-            seg_lens.append(length)
-            seg_normals.append(surface.polygon_normals[owner])
-        steps = float(sum(seg_lens)) / interval + 1e-9
+    edges = [edge for loop in surface.boundary_edges for edge in loop]
+    tails, heads = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    vecs = surface.vertices[heads] - surface.vertices[tails]
+    lengths = np.sqrt(_row_dots(vecs, vecs))
+    lens = lengths.tolist()
+    sizes = [len(loop) for loop in surface.boundary_edges]
+    counts = []
+    first = 0
+    for size in sizes:
+        steps = float(sum(lens[first:first + size])) / interval + 1e-9
         # steps past the cap, inf among them, count as inf
-        count = max(1, math.floor(steps)) if steps <= MAX_BOUNDARY_SAMPLES else math.inf
-        total += count
-        loops.append((loop, seg_vecs, seg_lens, seg_normals, count))
-    if total > MAX_BOUNDARY_SAMPLES:
+        counts.append(max(1, math.floor(steps)) if steps <= MAX_BOUNDARY_SAMPLES else math.inf)
+        first += size
+    if sum(counts) > MAX_BOUNDARY_SAMPLES:
         raise ValidationError(
             f"boundary sampling at interval {interval:g} needs more than "
             f"{MAX_BOUNDARY_SAMPLES} samples"
         )
-    samples: list[BoundarySample] = []
-    for loop_id, (loop, seg_vecs, seg_lens, seg_normals, count) in enumerate(loops):
-        edge_idx = 0
-        edge_start_arc = 0.0
+    rows: list[int] = []  # per sample, the edge it lies on
+    offsets: list[float] = []  # per sample, its arc length along that edge
+    first = 0
+    for size, count in zip(sizes, counts):
+        edge, edge_start_arc = first, 0.0
         for k in range(count):
             arc = k * interval
-            while arc - edge_start_arc > seg_lens[edge_idx] - 1e-9 and edge_idx + 1 < len(loop):
-                edge_start_arc += seg_lens[edge_idx]
-                edge_idx += 1
-            local = arc - edge_start_arc
-            a, _b = loop[edge_idx]
-            pos = surface.vertices[a] + seg_vecs[edge_idx] * local
-            fwd = seg_vecs[edge_idx]
-            samples.append(
-                BoundarySample(
-                    position=pos,
-                    loop=loop_id,
-                    arc_param=arc,
-                    forward_dir=fwd.copy(),
-                    normal=seg_normals[edge_idx].copy(),
-                )
-            )
-    return samples
+            while arc - edge_start_arc > lens[edge] - 1e-9 and edge + 1 < first + size:
+                edge_start_arc += lens[edge]
+                edge += 1
+            rows.append(edge)
+            offsets.append(arc - edge_start_arc)
+        first += size
+    on_edge = np.array(rows, dtype=np.intp)
+    units = (vecs / lengths[:, None])[on_edge]
+    owners = np.array(
+        [surface.edge_polygons[(a, b) if a < b else (b, a)][0] for a, b in edges], dtype=np.intp
+    )
+    return BoundarySamples(
+        positions=surface.vertices[tails[on_edge]] + units * np.array(offsets)[:, None],
+        tangents=units,
+        normals=surface.polygon_normals[owners[on_edge]],
+        loops=np.repeat(np.arange(len(counts)), counts),
+    )
 
 
-def fan_directions(samples: list[BoundarySample], ray_count: int) -> np.ndarray:
-    """(n, 2 * ray_count, 3) directions: per sample its forward fan, then its
-    backward fan.  The forward fan is the sample's tangent rotated about its
-    normal through ray_count angles spread evenly over +/-45 degrees (the
-    tangent itself for one ray); the backward fan is its exact negation,
-    which is what rotating the reversed tangent gives, bit for bit.
+def fan_directions(
+    samples: BoundarySamples, ray_count: int, rows: slice = slice(None)
+) -> np.ndarray:
+    """(n, 2 * ray_count, 3) directions: for each of the table's `rows`, the
+    sample's forward fan, then its backward fan.  The forward fan is the
+    sample's tangent rotated about its normal through ray_count angles spread
+    evenly over +/-45 degrees (the tangent itself for one ray); the backward
+    fan is its exact negation, which is what rotating the reversed tangent
+    gives, bit for bit.
 
     Rodrigues' rotation, v c + (axis x v) s + axis (axis . v) (1 - c), is
     evaluated in that order with np.cross's expressions for axis x v.  The
-    dot product is one np.dot per sample, whose rounding a written-out sum
-    does not always match, and the sines and cosines are math's."""
+    dot products are `_row_dots`, the rounding of one np.dot per sample,
+    which a written-out sum does not always match, and the sines and cosines
+    are math's."""
     if ray_count == 1:
         angles = [0.0]
     else:
@@ -144,11 +143,10 @@ def fan_directions(samples: list[BoundarySample], ray_count: int) -> np.ndarray:
     c = np.array([math.cos(a) for a in angles])
     s = np.array([math.sin(a) for a in angles])
     w = 1.0 - c
-    axes = np.array([p.normal for p in samples], dtype=float).reshape(-1, 3)
-    tangents = np.array([p.forward_dir for p in samples], dtype=float).reshape(-1, 3)
-    dots = np.array([float(np.dot(p.normal, p.forward_dir)) for p in samples])[:, None]
+    axes, tangents = samples.normals[rows], samples.tangents[rows]
+    dots = _row_dots(axes, tangents)[:, None]
     (ax, ay, az), (vx, vy, vz) = axes.T[:, :, None], tangents.T[:, :, None]
-    fans = np.empty((len(samples), 2 * ray_count, 3))
+    fans = np.empty((len(axes), 2 * ray_count, 3))
     forward = fans[:, :ray_count]
     forward[..., 0] = vx * c + (ay * vz - az * vy) * s + ax * dots * w
     forward[..., 1] = vy * c + (az * vx - ax * vz) * s + ay * dots * w
@@ -158,88 +156,76 @@ def fan_directions(samples: list[BoundarySample], ray_count: int) -> np.ndarray:
 
 
 def classify_samples(
-    samples: list[BoundarySample],
+    samples: BoundarySamples,
     blockers: BlockerMesh | None,
     radius: float = DEFAULT_RADIUS,
     ray_count: int = DEFAULT_RAY_COUNT,
-) -> list[BoundarySample]:
-    """Flag samples whose forward (backward) ray fan is unobstructed within
-    `radius` as potential segment starts (ends).  The fans go to
-    `raycast.first_hit` in runs of whole samples, at most FAN_RAY_BUDGET
-    rays per call; each sample's hits depend on its own rays alone, so the
-    flags are those of one call over every sample.  Returns the same sample
-    objects with flags set.  With no blocker mesh every sample gets both
-    flags."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(open_ahead, open_behind): per sample, whether its forward (backward)
+    ray fan is unobstructed within `radius`, which makes it a potential
+    segment start (end).  The fans go to `raycast.first_hit` in runs of
+    whole samples, at most FAN_RAY_BUDGET rays per call; each sample's hits
+    depend on its own rays alone, so the flags are those of one call over
+    every sample.  The table is not changed.  With no blocker mesh every
+    sample is open both ways."""
     if radius <= 0.0:
         raise ValidationError(f"classification radius must be positive, got {radius}")
     if not 1 <= ray_count <= MAX_RAY_COUNT:
         raise ValidationError(f"ray count must be >= 1 and <= {MAX_RAY_COUNT}, got {ray_count}")
     if blockers is None or len(blockers.triangles) == 0:
         log.warning("no blocker mesh supplied; every boundary sample is flagged open")
+    open_ahead = np.empty(len(samples), dtype=bool)
+    open_behind = np.empty(len(samples), dtype=bool)
     step = FAN_RAY_BUDGET // (2 * ray_count)
     for lo in range(0, len(samples), step):
-        run = samples[lo:lo + step]
-        origins = np.array([s.position for s in run], dtype=float).reshape(-1, 3)
-        hit = raycast.first_hit(blockers, origins, fan_directions(run, ray_count), radius) < math.inf
-        forward = hit[:, :ray_count].any(axis=1).tolist()
-        backward = hit[:, ray_count:].any(axis=1).tolist()
-        for s, ahead, behind in zip(run, forward, backward):
-            s.potential_start = not ahead
-            s.potential_end = not behind
-    return samples
+        run = slice(lo, lo + step)
+        fans = fan_directions(samples, ray_count, run)
+        hit = raycast.first_hit(blockers, samples.positions[run], fans, radius) < math.inf
+        open_ahead[run] = ~hit[:, :ray_count].any(axis=1)
+        open_behind[run] = ~hit[:, ray_count:].any(axis=1)
+    return open_ahead, open_behind
 
 
 def extract_segments(
-    samples: list[BoundarySample],
+    samples: BoundarySamples,
+    open_ahead: np.ndarray,
+    open_behind: np.ndarray,
     sharpness_deg: float = DEFAULT_SHARPNESS_DEG,
-) -> list[EntryExitSegment]:
-    """Group classified samples into entry/exit segments.
+) -> list[tuple[int, int]]:
+    """Group classified samples into entry/exit segments, each returned as
+    the (first, last) rows of its samples.
 
-    A segment opens at a potential-start sample and extends along the loop; it
-    closes after a potential-end sample whose successor is not flagged as an
-    end, or just before the turning angle between consecutive samples exceeds
-    `sharpness_deg`.  The closing end sample is included.
+    A segment opens at a sample open ahead and extends along its loop; it
+    closes after a sample open behind whose successor is not, just before
+    the turning angle between consecutive samples exceeds `sharpness_deg`,
+    or at the loop's last sample.  The closing sample is included.
     """
     if not (0.0 < sharpness_deg < 180.0):
         raise ValidationError(f"sharpness threshold out of range: {sharpness_deg}")
     cos_limit = math.cos(math.radians(sharpness_deg))
-    by_loop: dict[int, list[BoundarySample]] = {}
-    for s in samples:
-        by_loop.setdefault(s.loop, []).append(s)
-    segments: list[EntryExitSegment] = []
-    for loop_id in sorted(by_loop):
-        loop_samples = sorted(by_loop[loop_id], key=lambda s: s.arc_param)
-        n = len(loop_samples)
-        k = 0
-        while k < n:
-            s = loop_samples[k]
-            if not s.potential_start:
-                k += 1
-                continue
-            j = k
-            while j + 1 < n:
-                last, nxt = loop_samples[j], loop_samples[j + 1]
-                turn_cos = float(np.dot(last.forward_dir, nxt.forward_dir))
-                if turn_cos < cos_limit:
-                    break  # boundary turns too sharply
-                if last.potential_end and not nxt.potential_end:
-                    break  # an end sample followed by a non-end sample
-                j += 1
-            segments.append(_make_segment(s, loop_samples[j]))
-            k = j + 1
+    t = samples.tangents
+    # links[k]: sample k + 1 continues a segment through sample k
+    links = (
+        (samples.loops[1:] == samples.loops[:-1])
+        & ~(_row_dots(t[:-1], t[1:]) < cos_limit)  # a NaN turn does not break
+        & ~(open_behind[:-1] & ~open_behind[1:])
+    ).tolist()
+    segments: list[tuple[int, int]] = []
+    last = -1
+    for first in np.flatnonzero(open_ahead).tolist():
+        if first <= last:
+            continue  # inside the segment before
+        last = first
+        while last < len(links) and links[last]:
+            last += 1
+        segments.append((first, last))
     return segments
-
-
-def _make_segment(start: BoundarySample, end: BoundarySample) -> EntryExitSegment:
-    points = [start.position.copy()]
-    if float(np.linalg.norm(end.position - start.position)) > 1e-9:
-        points.append(end.position.copy())
-    return EntryExitSegment(start=start, end=end, matched_points=points)
 
 
 def register_terminals(
     g: SurfaceGraph,
-    segments: list[EntryExitSegment],
+    samples: BoundarySamples,
+    segments: list[tuple[int, int]],
     surface: WalkableSurface,
     exit_offset: float = 0.0,
     height_tol: float = DEFAULT_HEIGHT_TOL,
@@ -247,46 +233,44 @@ def register_terminals(
     """Add one graph node per entry/exit position and link it to the nearest
     existing node.
 
-    Positions are pushed `exit_offset` world units along the boundary's
-    outward direction (tangent x surface normal).  Each new node's polygon is
-    the lowest-id walkable polygon its final position lies on within
+    Each segment (first, last) gives a node at each end sample; its last end
+    is dropped when it lies within 1e-9 of its first.  Positions are pushed
+    `exit_offset` world units along the boundary's outward direction
+    (tangent x surface normal), and a position within 1e-9 of one already
+    registered is registered once.  Each new node's polygon is the
+    lowest-id walkable polygon its final position lies on within
     `height_tol`, -1 for none.  Returns a new graph; the input graph is
     untouched.
     """
+    firsts, lasts = np.array(segments, dtype=np.intp).reshape(-1, 2).T
+    gaps = samples.positions[lasts] - samples.positions[firsts]
+    far = (np.sqrt(_row_dots(gaps, gaps)) > 1e-9).tolist()
+    ends = np.array(
+        [row for pair, two in zip(segments, far) for row in pair[: 1 + two]], dtype=np.intp
+    )
+    outward = np.cross(samples.tangents[ends], samples.normals[ends])
+    pushed = samples.positions[ends] + outward * exit_offset
     positions = g.positions()
     new_nodes: list[GraphNode] = []
     new_edges: list[tuple[int, int, float]] = []
-    ids: list[int] = []
-    next_id = len(g.nodes)
-    seen: list[np.ndarray] = []
-    for seg in segments:
-        for base, sample in zip(
-            seg.matched_points, [seg.start, seg.end][: len(seg.matched_points)]
-        ):
-            outward = np.cross(sample.forward_dir, sample.normal)
-            pos = base + outward * exit_offset
-            if any(float(np.linalg.norm(pos - q)) < 1e-9 for q in seen):
-                continue  # segments may share endpoints; register once
-            seen.append(pos)
-            dists = np.linalg.norm(positions - pos, axis=1)
-            nearest = int(np.argmin(dists))  # ties resolve to the lowest id
-            w = float(dists[nearest])
-            if w < 1e-12:
-                raise ValidationError(
-                    f"entry/exit position coincides with node {nearest}"
-                )
-            pid = surface.locate_point(pos, height_tol)
-            new_nodes.append(
-                GraphNode(
-                    position=pos,
-                    normal=sample.normal.copy(),
-                    polygon=-1 if pid is None else pid,
-                    source=SOURCE_ENTRY_EXIT,
-                )
-            )
-            new_edges.append((nearest, next_id, w))
-            ids.append(next_id)
-            next_id += 1
+    kept: list[int] = []  # rows of `pushed` registered so far
+    for k, (pos, normal) in enumerate(zip(pushed, samples.normals[ends])):
+        gaps = pushed[kept] - pos
+        if (np.sqrt(_row_dots(gaps, gaps)) < 1e-9).any():
+            continue  # segments may share endpoints; register once
+        kept.append(k)
+        dists = np.linalg.norm(positions - pos, axis=1)
+        nearest = int(np.argmin(dists))  # ties resolve to the lowest id
+        w = float(dists[nearest])
+        if w < 1e-12:
+            raise ValidationError(f"entry/exit position coincides with node {nearest}")
+        pid = surface.locate_point(pos, height_tol)
+        new_edges.append((nearest, len(g.nodes) + len(new_nodes), w))
+        new_nodes.append(GraphNode(
+            position=pos, normal=normal, polygon=-1 if pid is None else pid,
+            source=SOURCE_ENTRY_EXIT,
+        ))
+    ids = list(range(len(g.nodes), len(g.nodes) + len(new_nodes)))
     return g.with_extra_nodes(new_nodes, new_edges), TerminalSet(ids)
 
 
@@ -303,9 +287,9 @@ def entry_exit_terminals(
 ) -> tuple[SurfaceGraph, TerminalSet]:
     """Full entry/exit pipeline: sample, classify, segment, register."""
     samples = sample_boundary(surface, interval)
-    classify_samples(samples, blockers, radius, ray_count)
-    segments = extract_segments(samples, sharpness_deg)
-    graph, terminals = register_terminals(g, segments, surface, exit_offset, height_tol)
+    open_ahead, open_behind = classify_samples(samples, blockers, radius, ray_count)
+    segments = extract_segments(samples, open_ahead, open_behind, sharpness_deg)
+    graph, terminals = register_terminals(g, samples, segments, surface, exit_offset, height_tol)
     if not terminals.node_ids:
         raise EmptyTerminalSet("entry/exit detection found no openings")
     return graph, terminals

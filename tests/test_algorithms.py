@@ -466,6 +466,9 @@ def test_katz_rejects_alpha_at_or_beyond_threshold():
         katz_centrality(triangle, alpha=0.5)
     with pytest.raises(AlphaTooLarge):
         katz_centrality(triangle, alpha=0.9)
+    # NaN fails every comparison, so it is refused as alpha <= 0 is
+    with pytest.raises(AlphaTooLarge, match="alpha must be positive, got nan"):
+        katz_centrality(triangle, alpha=float("nan"))
     scores = katz_centrality(triangle, alpha=0.4)
     assert scores == pytest.approx(katz_oracle(triangle, 0.4), abs=1e-10)
 

@@ -122,6 +122,10 @@ def write_corridor_files(corridor, tmp_path):
     (dict(surface_path="s.obj", density_buckets=1001), "density_buckets must be >= 2 and <= 1000"),
     (dict(surface_path="s.obj", density_buckets=10**20), "density_buckets must be >= 2 and <= 1000"),
     (dict(surface_path="s.obj", exit_offset=1e200), r"exit_offset must be at most 1e\+50"),
+    (dict(surface_path="s.obj", katz_alpha=float("nan")), "katz_alpha must be positive and finite"),
+    (dict(surface_path="s.obj", katz_alpha=float("inf")), "katz_alpha must be positive and finite"),
+    (dict(surface_path="s.obj", katz_alpha=0.0), "katz_alpha must be positive and finite"),
+    (dict(surface_path="s.obj", katz_alpha=-0.1), "katz_alpha must be positive and finite"),
 ])
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -418,6 +422,36 @@ def test_cli_roots_a_maze_by_eigenvector_centrality(tmp_path):
     code = main(["analyze", "--graph", str(maze), "--terminals", "leaves",
                  "--root-metric", "eigenvector", "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["analyze", "--terminals", "leaves", "--root-metric", "katz"],
+    ["extract", "--terminals", "metric", "--metric", "katz"],
+])
+def test_cli_rejects_a_nan_katz_alpha_in_one_error_line(tmp_path, capsys, flags):
+    # rooting by katz ended in a traceback, and katz terminals took NaN scores
+    maze = write_maze_json(tmp_path / "maze.json", 6, 0)
+    code = main(flags + ["--graph", str(maze), "--katz-alpha", "nan",
+                         "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "Warning" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: katz_alpha must be positive and finite"
+    ]
+
+
+def test_one_terminal_is_rooted_by_every_metric():
+    # the Steiner tree of one terminal is that node alone, with no edge for
+    # eigenvector centrality to score
+    g = maze_graph(6, 6)
+    roots = set()
+    for root_metric in ("degree", "betweenness", "eigenvector", "katz"):
+        cfg = PipelineConfig(terminals="metric", k=1, root_metric=root_metric)
+        result = run_pipeline(cfg, graph=g)
+        assert [tree.node_ids() for tree in result.forest] == [result.terminal_set.node_ids]
+        roots.add(result.forest[0].root)
+    assert len(roots) == 1
 
 
 def test_cli_reports_an_eigensolver_failure_as_one_error_line(tmp_path, capsys, monkeypatch):

@@ -33,7 +33,7 @@ def corridor200_fan_rays():
     casts (both fans of every boundary sample), as rays and as the batch."""
     surface, blockers = straight_corridor(200)
     samples = sample_boundary(surface)
-    origins = np.array([s.position for s in samples])
+    origins = samples.positions
     directions = fan_directions(samples, DEFAULT_RAY_COUNT)
     rays = [(o, d, DEFAULT_RADIUS) for o, row in zip(origins, directions) for d in row]
     assert len(rays) == 8040
@@ -148,7 +148,8 @@ def test_blocker_mesh_keeps_its_triangles_as_python_float_rows():
     assert not names & {"v0", "e1", "e2"}
     _, blockers = straight_corridor(3)
     arrays = {n for n in names if isinstance(getattr(blockers, n), np.ndarray)}
-    assert arrays == {"vertices", "triangles"}
+    assert arrays == {"vertices", "triangles", "corner_table"}
+    assert blockers.corner_table.tolist() == [list(row) for row in blockers.corner_edges]
     assert len(blockers.corner_edges) == len(blockers.triangles)
     corners = blockers.vertices[blockers.triangles]
     for row, (a, b, c) in zip(blockers.corner_edges, corners):
@@ -253,11 +254,12 @@ def test_whole_mesh_balls_keep_fans_exact_in_bounded_slices(monkeypatch):
         return t, ok
 
     monkeypatch.setattr(raycast, "_slice_hits", recording)
-    samples = classify_samples(sample_boundary(surface), blockers, radius=1e20)
+    samples = sample_boundary(surface)
+    open_ahead, open_behind = classify_samples(samples, blockers, radius=1e20)
     assert len(samples) == 804
     assert sum(slices) == 804 * 800 * 10
     assert max(slices) <= raycast.PAIR_BUDGET
-    flags = [(s.potential_start, s.potential_end) for s in samples]
+    flags = list(zip(open_ahead.tolist(), open_behind.tolist()))
     assert flags == classify_per_ray(samples, blockers, 1e20, DEFAULT_RAY_COUNT)
     assert {f for f in flags} == {(False, False), (False, True)}
 
@@ -269,7 +271,7 @@ def test_overflowing_rays_follow_python_floats():
     # RuntimeWarning
     surface, blockers = straight_corridor(12)
     samples = sample_boundary(surface)
-    origins = np.array([s.position for s in samples])
+    origins = samples.positions
     directions = fan_directions(samples, DEFAULT_RAY_COUNT) * 1e308
     for max_t in (1e-308, 1.0):
         got = raycast.first_hit(blockers, origins, directions, max_t)

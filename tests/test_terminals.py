@@ -11,14 +11,23 @@ from navstruct.fixtures import (
     boundary_walls,
     graph_from_edges,
     grid_surface,
+    l_corridor,
     maze_graph,
+    plus_hub,
+    ramp_corridor,
     random_connected_graph,
+    regular_polygon,
+    ring_surface,
+    stacked_floors,
+    straight_corridor,
     surface_from_squares,
+    vertical_strip,
 )
 from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
-from navstruct.oracles import eigenvector_oracle, katz_oracle
+from navstruct.mesh import build_walkable_surface
+from navstruct.oracles import eigenvector_oracle, katz_oracle, random_ring_surface
 from navstruct.terminals import (
-    BoundarySample,
+    BoundarySamples,
     classify_samples,
     entry_exit_terminals,
     extract_segments,
@@ -32,17 +41,49 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
-def make_sample(arc, forward, start=True, end=True, loop=0, position=None):
-    fwd = np.asarray(forward, dtype=float)
-    return BoundarySample(
-        position=np.asarray(position if position is not None else (arc, 0.0, 0.0), dtype=float),
-        loop=loop,
-        arc_param=float(arc),
-        forward_dir=fwd,
-        normal=Z.copy(),
-        potential_start=start,
-        potential_end=end,
+def make_table(tangents, loops=None, positions=None):
+    """Samples with the given tangents, normal +Z, sample k at (k, 0, 0)
+    unless `positions` says otherwise, all on loop 0 unless `loops` does."""
+    tangents = np.array(tangents, dtype=float).reshape(-1, 3)
+    n = len(tangents)
+    if positions is None:
+        positions = [(k, 0.0, 0.0) for k in range(n)]
+    return BoundarySamples(
+        positions=np.array(positions, dtype=float).reshape(-1, 3),
+        tangents=tangents,
+        normals=np.tile(Z, (n, 1)),
+        loops=np.zeros(n, dtype=np.intp) if loops is None else np.array(loops),
     )
+
+
+def flags(*pairs):
+    """(open_ahead, open_behind) arrays from one (ahead, behind) pair per sample."""
+    ahead, behind = np.array(pairs, dtype=bool).reshape(-1, 2).T
+    return ahead, behind
+
+
+def sample_boundary_per_sample(surface, interval):
+    """The boundary samples written out one at a time, as (position,
+    tangent, normal, loop) tuples."""
+    rows = []
+    for loop_id, loop in enumerate(surface.boundary_edges):
+        vecs, lens, normals = [], [], []
+        for a, b in loop:
+            vec = surface.vertices[b] - surface.vertices[a]
+            lens.append(float(np.linalg.norm(vec)))
+            vecs.append(vec / lens[-1])
+            normals.append(surface.polygon_normals[surface.edge_polygons[tuple(sorted((a, b)))][0]])
+        edge, edge_start_arc = 0, 0.0
+        for k in range(max(1, math.floor(float(sum(lens)) / interval + 1e-9))):
+            arc = k * interval
+            while arc - edge_start_arc > lens[edge] - 1e-9 and edge + 1 < len(loop):
+                edge_start_arc += lens[edge]
+                edge += 1
+            local = arc - edge_start_arc
+            a = loop[edge][0]
+            position = surface.vertices[a] + vecs[edge] * local
+            rows.append((position, vecs[edge], normals[edge], loop_id))
+    return rows
 
 
 # --- boundary sampling ------------------------------------------------------
@@ -51,29 +92,29 @@ def test_sample_boundary_unit_square_half_interval():
     surface = surface_from_squares([(0, 0)])
     samples = sample_boundary(surface, interval=0.5)
     assert len(samples) == 8  # perimeter 4 / interval 0.5
-    assert [s.arc_param for s in samples] == [0.5 * k for k in range(8)]
-    assert np.allclose(samples[0].position, [0, 0, 0])
-    assert np.allclose(samples[1].position, [0.5, 0, 0])
-    assert np.allclose(samples[2].position, [1, 0, 0])
+    corners = [(0, 0), (0.5, 0), (1, 0), (1, 0.5), (1, 1), (0.5, 1), (0, 1), (0, 0.5)]
+    assert np.allclose(samples.positions[:, :2], corners)
+    assert not samples.positions[:, 2].any()
     # a corner sample carries the outgoing edge's tangent
-    assert np.allclose(samples[2].forward_dir, Y)
-    assert np.allclose(samples[1].forward_dir, X)
-    assert all(s.loop == 0 for s in samples)
-    assert all(np.allclose(s.normal, Z) for s in samples)
+    assert np.allclose(samples.tangents[2], Y)
+    assert np.allclose(samples.tangents[1], X)
+    assert samples.loops.tolist() == [0] * 8
+    assert np.allclose(samples.normals, Z)
 
 
 def test_sample_boundary_nondividing_interval():
     surface = surface_from_squares([(0, 0)])
     samples = sample_boundary(surface, interval=0.75)
     assert len(samples) == 5  # floor(4 / 0.75)
-    assert [s.arc_param for s in samples] == [0.0, 0.75, 1.5, 2.25, 3.0]
+    # at arc lengths 0, 0.75, 1.5, 2.25 and 3
+    assert np.allclose(samples.positions[:, :2], [(0, 0), (0.75, 0), (1, 0.5), (0.75, 1), (0, 1)])
 
 
 def test_sample_boundary_tiny_loop_keeps_one_sample():
     surface = surface_from_squares([(0, 0)])
     samples = sample_boundary(surface, interval=10.0)
     assert len(samples) == 1
-    assert samples[0].arc_param == 0.0
+    assert samples.positions.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_sample_boundary_rejects_bad_interval():
@@ -83,15 +124,31 @@ def test_sample_boundary_rejects_bad_interval():
 
 
 def test_sample_boundary_covers_every_loop():
-    from navstruct.fixtures import ring_surface
+    samples = sample_boundary(ring_surface(), interval=1.0)
+    assert set(samples.loops.tolist()) == {0, 1}
+    # rows run loop after loop
+    assert (np.diff(samples.loops) >= 0).all()
+    assert {int((samples.loops == 0).sum()), int((samples.loops == 1).sum())} == {12, 4}
 
-    surface = ring_surface()
-    samples = sample_boundary(surface, interval=1.0)
-    loops = {s.loop for s in samples}
-    assert loops == {0, 1}
-    outer = [s for s in samples if s.loop == 0]
-    inner = [s for s in samples if s.loop == 1]
-    assert {len(outer), len(inner)} == {12, 4}
+
+def test_sample_table_equals_the_per_sample_expressions_bit_for_bit():
+    surfaces = [
+        surface_from_squares([(0, 0)]), ring_surface(), grid_surface(4, 3), l_corridor(),
+        stacked_floors(), vertical_strip(), regular_polygon(40), straight_corridor(12)[0],
+        plus_hub()[0],
+    ] + [ramp_corridor(angle) for angle in (30.0, 60.0, 80.0)]
+    nprng = np.random.default_rng(22)
+    surfaces += [build_walkable_surface(*random_ring_surface(nprng)) for _ in range(20)]
+    for surface in surfaces:
+        for interval in (0.1, 0.37, 0.5, 1.0, 3.0):
+            samples = sample_boundary(surface, interval)
+            want = sample_boundary_per_sample(surface, interval)
+            assert len(samples) == len(want)
+            for k, (position, tangent, normal, loop) in enumerate(want):
+                assert samples.positions[k].tolist() == position.tolist()
+                assert samples.tangents[k].tolist() == tangent.tolist()
+                assert samples.normals[k].tolist() == normal.tolist()
+                assert samples.loops[k] == loop
 
 
 # --- classification ---------------------------------------------------------
@@ -99,11 +156,10 @@ def test_sample_boundary_covers_every_loop():
 def test_fan_directions_equal_the_np_cross_reference_exactly():
     rng = np.random.default_rng(3)
     for ray_count, sample_count in ((1, 100), (2, 100), (5, 100), (1000, 8)):
-        samples = []
-        for _ in range(sample_count):
-            axis = rng.normal(size=3)
-            samples.append(make_sample(0.0, rng.normal(size=3), position=rng.normal(size=3)))
-            samples[-1].normal = axis / np.linalg.norm(axis)
+        axes = rng.normal(size=(sample_count, 3))
+        tangents, positions = rng.normal(size=(2, sample_count, 3))
+        samples = make_table(tangents, positions=positions)
+        samples.normals = axes / np.linalg.norm(axes, axis=1)[:, None]
         fans = terminals.fan_directions(samples, ray_count)
         assert fans.shape == (sample_count, 2 * ray_count, 3)
         if ray_count == 1:
@@ -112,47 +168,47 @@ def test_fan_directions_equal_the_np_cross_reference_exactly():
             angles = [-np.pi / 4 + np.pi / 2 * k / (ray_count - 1) for k in range(ray_count)]
         c = np.array([math.cos(a) for a in angles])[:, None]
         s = np.array([math.sin(a) for a in angles])[:, None]
-        for sample, fan in zip(samples, fans):
-            axis = sample.normal
-            for v, rows in ((sample.forward_dir, fan[:ray_count]), (-sample.forward_dir, fan[ray_count:])):
+        for axis, tangent, fan in zip(samples.normals, samples.tangents, fans):
+            for v, rows in ((tangent, fan[:ray_count]), (-tangent, fan[ray_count:])):
                 want = v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
                 assert (rows == want).all()
             assert (fan[ray_count:] == -fan[:ray_count]).all()
-    assert terminals.fan_directions([], 5).shape == (0, 10, 3)
+        assert (terminals.fan_directions(samples, ray_count, slice(3, 7)) == fans[3:7]).all()
+    assert terminals.fan_directions(make_table([]), 5).shape == (0, 10, 3)
 
 
 def test_classify_no_blockers_flags_everything(caplog):
     surface = surface_from_squares([(0, 0)])
     samples = sample_boundary(surface, interval=1.0)
     with caplog.at_level(logging.WARNING, logger="navstruct"):
-        classify_samples(samples, None)
+        open_ahead, open_behind = classify_samples(samples, None)
     assert "no blocker mesh" in caplog.text
-    assert all(s.potential_start and s.potential_end for s in samples)
+    assert open_ahead.tolist() == open_behind.tolist() == [True] * 4
 
 
 def test_classify_corridor_open_corners(corridor):
     surface, blockers = corridor
-    samples = classify_samples(sample_boundary(surface, interval=1.0), blockers)
+    samples = sample_boundary(surface, interval=1.0)
+    open_ahead, open_behind = classify_samples(samples, blockers)
     assert len(samples) == 26  # perimeter 2*12 + 2
-    flags = {
-        tuple(np.round(s.position[:2], 6)): (s.potential_start, s.potential_end)
-        for s in samples
-        if s.potential_start or s.potential_end
+    flagged = {
+        tuple(np.round(samples.positions[k, :2], 6)): (open_ahead[k], open_behind[k])
+        for k in np.flatnonzero(open_ahead | open_behind)
     }
     # the four corners around the two open ends: the corner whose forward
     # tangent runs along the open edge can start a segment, the corner whose
     # backward tangent points out through the opening can close one
-    assert flags == {
+    assert flagged == {
         (12.0, 0.0): (True, False),
         (12.0, 1.0): (False, True),
         (0.0, 1.0): (True, False),
         (0.0, 0.0): (False, True),
     }
-    segments = extract_segments(samples)
-    starts = sorted(tuple(np.round(seg.start.position[:2], 6)) for seg in segments)
+    segments = extract_segments(samples, open_ahead, open_behind)
+    starts = sorted(tuple(np.round(samples.positions[first, :2], 6)) for first, _ in segments)
     # the sharp corner turn cuts each run down to its single start sample
     assert starts == [(0.0, 1.0), (12.0, 0.0)]
-    assert all(seg.start is seg.end for seg in segments)
+    assert all(first == last for first, last in segments)
 
 
 def test_classify_validates_parameters():
@@ -162,6 +218,18 @@ def test_classify_validates_parameters():
         classify_samples(samples, None, radius=0.0)
     with pytest.raises(ValidationError, match="ray count"):
         classify_samples(samples, None, ray_count=0)
+
+
+def test_classify_leaves_the_table_unchanged(hub):
+    surface, blockers = hub
+    samples = sample_boundary(surface, interval=0.25)
+    before = {name: array.copy() for name, array in vars(samples).items()}
+    open_ahead, open_behind = classify_samples(samples, blockers)
+    assert vars(samples).keys() == before.keys()
+    for name, array in vars(samples).items():
+        assert array.tolist() == before[name].tolist()
+    assert open_ahead.shape == open_behind.shape == (len(samples),)
+    assert open_ahead.dtype == open_behind.dtype == bool
 
 
 def test_classify_casts_whole_samples_under_the_ray_budget(monkeypatch):
@@ -182,24 +250,23 @@ def test_classify_casts_whole_samples_under_the_ray_budget(monkeypatch):
         return t
 
     monkeypatch.setattr(terminals.raycast, "first_hit", first_hit)
-    samples = [make_sample(k, X, position=(k, 0.0, 0.0)) for k in range(n)]
-    classify_samples(samples, None, ray_count=ray_count)
+    samples = make_table(np.tile(X, (n, 1)))
+    open_ahead, open_behind = classify_samples(samples, None, ray_count=ray_count)
     assert [rows for rows, _, _ in shapes] == [per_call] * (n // per_call) + [n % per_call]
     assert {shape[1:] for shape in shapes} == {(2 * ray_count, 3)}
     assert per_call * 2 * ray_count <= terminals.FAN_RAY_BUDGET
-    assert [(s.potential_start, s.potential_end) for s in samples] == [
-        (k % 3 != 0, k % 3 != 1) for k in range(n)
-    ]
+    assert open_ahead.tolist() == [k % 3 != 0 for k in range(n)]
+    assert open_behind.tolist() == [k % 3 != 1 for k in range(n)]
 
 
 def test_classify_in_runs_flags_as_one_batch(monkeypatch, hub):
     surface, blockers = hub
     samples = sample_boundary(surface, interval=0.25)
-    one = [(s.potential_start, s.potential_end) for s in classify_samples(samples, blockers)]
+    one = np.column_stack(classify_samples(samples, blockers))
     monkeypatch.setattr(terminals, "FAN_RAY_BUDGET", 30)  # 3 samples of 10 rays a call
-    runs = [(s.potential_start, s.potential_end) for s in classify_samples(samples, blockers)]
-    assert runs == one
-    assert len(set(one)) > 1
+    runs = np.column_stack(classify_samples(samples, blockers))
+    assert runs.tolist() == one.tolist()
+    assert len({tuple(row) for row in one.tolist()}) > 1
 
 
 def test_classify_single_ray_is_the_fan_center():
@@ -207,85 +274,93 @@ def test_classify_single_ray_is_the_fan_center():
     surface = surface_from_squares([(0, 0)])
     walls = boundary_walls(surface, open_midpoints=[(0.5, 0.0, 0.0), (1.0, 0.5, 0.0), (0.0, 0.5, 0.0)])
     # only the top edge (y=1) keeps its wall
-    samples = [s for s in classify_samples(
-        sample_boundary(surface, interval=0.5), walls, ray_count=1,
-    ) if np.allclose(s.position, [1.0, 0.5, 0.0])]
-    (s,) = samples
-    assert not s.potential_start  # forward ray (toward y+) runs into the top wall
-    assert s.potential_end        # backward ray escapes through the open bottom
+    samples = sample_boundary(surface, interval=0.5)
+    open_ahead, open_behind = classify_samples(samples, walls, ray_count=1)
+    (k,) = np.flatnonzero(np.all(np.isclose(samples.positions, [1.0, 0.5, 0.0]), axis=1))
+    assert not open_ahead[k]  # forward ray (toward y+) runs into the top wall
+    assert open_behind[k]     # backward ray escapes through the open bottom
 
 
 # --- segment extraction -----------------------------------------------------
 
-def span(seg):
-    """Arc parameters of a segment's first and last sample."""
-    return seg.start.arc_param, seg.end.arc_param
-
-
 def test_segments_break_on_sharp_turns():
-    samples = [
-        make_sample(0.0, X),
-        make_sample(1.0, X),
-        make_sample(2.0, Y),  # 90 degree turn
-    ]
-    segments = extract_segments(samples, sharpness_deg=45.0)
-    assert len(segments) == 2
-    assert span(segments[0]) == (0.0, 1.0)
-    assert span(segments[1]) == (2.0, 2.0)
+    samples = make_table([X, X, Y])  # a 90 degree turn before the third
+    segments = extract_segments(samples, *flags(*[(True, True)] * 3), sharpness_deg=45.0)
+    assert segments == [(0, 1), (2, 2)]
 
 
 def test_segments_tolerate_shallow_turns():
     gentle = np.array([np.cos(np.radians(30.0)), np.sin(np.radians(30.0)), 0.0])
-    samples = [make_sample(0.0, X), make_sample(1.0, gentle)]
-    segments = extract_segments(samples, sharpness_deg=45.0)
-    assert len(segments) == 1
-    assert span(segments[0]) == (0.0, 1.0)
+    samples = make_table([X, gentle])
+    segments = extract_segments(samples, *flags((True, True), (True, True)), sharpness_deg=45.0)
+    assert segments == [(0, 1)]
 
 
 def test_segments_close_after_final_end_sample():
-    samples = [
-        make_sample(0.0, X, start=True, end=True),
-        make_sample(1.0, X, start=True, end=False),
-        make_sample(2.0, X, start=False, end=True),
-    ]
-    segments = extract_segments(samples)
-    assert len(segments) == 2
-    assert span(segments[0]) == (0.0, 0.0)
-    assert span(segments[1]) == (1.0, 2.0)
+    samples = make_table([X, X, X])
+    segments = extract_segments(samples, *flags((True, True), (True, False), (False, True)))
+    assert segments == [(0, 0), (1, 2)]
 
 
 def test_segments_skip_unflagged_samples():
-    samples = [
-        make_sample(0.0, X, start=False, end=False),
-        make_sample(1.0, X, start=True, end=True),
-        make_sample(2.0, X, start=False, end=False),
-    ]
-    segments = extract_segments(samples)
-    assert len(segments) == 1
-    assert segments[0].start.arc_param == 1.0
+    samples = make_table([X, X, X])
+    segments = extract_segments(samples, *flags((False, False), (True, True), (False, False)))
+    assert segments == [(1, 1)]
 
 
 def test_segments_not_mixed_across_loops():
-    samples = [
-        make_sample(0.0, X, loop=0),
-        make_sample(0.0, X, loop=1, position=(5.0, 5.0, 0.0)),
-    ]
-    segments = extract_segments(samples)
-    assert len(segments) == 2
+    samples = make_table([X, X], loops=[0, 1], positions=[(0.0, 0.0, 0.0), (5.0, 5.0, 0.0)])
+    assert extract_segments(samples, *flags((True, True), (True, True))) == [(0, 0), (1, 1)]
+
+
+def test_segments_never_join_two_loops():
+    """On random tables, each segment lies in one loop, and the segments are
+    those of each loop's rows taken on their own."""
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        sizes = rng.integers(1, 8, size=rng.integers(1, 5))
+        n = int(sizes.sum())
+        loops = np.repeat(np.arange(len(sizes)), sizes)
+        turns = rng.choice([0.0, 0.3, 1.2], size=n)
+        tangents = np.column_stack([np.cos(turns), np.sin(turns), np.zeros(n)])
+        samples = make_table(tangents, loops=loops)
+        open_ahead, open_behind = rng.random((2, n)) < 0.7
+        segments = extract_segments(samples, open_ahead, open_behind)
+        want = []
+        for loop in range(len(sizes)):
+            rows = np.flatnonzero(loops == loop)
+            part = BoundarySamples(
+                samples.positions[rows], samples.tangents[rows], samples.normals[rows], loops[rows]
+            )
+            low = int(rows[0])
+            want += [
+                (low + first, low + last)
+                for first, last in extract_segments(part, open_ahead[rows], open_behind[rows])
+            ]
+        assert segments == want
+        assert all(loops[first] == loops[last] for first, last in segments)
 
 
 def test_segment_endpoints_dedupe_when_coincident():
-    single = extract_segments([make_sample(0.0, X)])
-    assert len(single[0].matched_points) == 1
-    double = extract_segments([make_sample(0.0, X), make_sample(1.0, X)])
-    assert len(double[0].matched_points) == 2
+    surface = surface_from_squares([(0, 0)])
+    g = graph_from_edges([(0.5, 0.5, 0.0)], [])
+    samples = make_table([X, X, X], positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1e-10)])
+    # a segment of one sample, or whose last end lies within 1e-9 of its
+    # first, registers one node; one with distinct ends registers two
+    for segment, count in (((0, 0), 1), ((0, 2), 1), ((0, 1), 2)):
+        g2, terminals_ = register_terminals(g, samples, [segment], surface)
+        assert terminals_.node_ids == list(range(1, 1 + count))
+        assert g2.nodes[1].position.tolist() == [0.0, 0.0, 0.0]
+    g2, _ = register_terminals(g, samples, [(0, 1)], surface)
+    assert g2.nodes[2].position.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_segments_validate_sharpness():
+    empty = make_table([])
     with pytest.raises(ValidationError, match="sharpness"):
-        extract_segments([], sharpness_deg=0.0)
+        extract_segments(empty, *flags(), sharpness_deg=0.0)
     with pytest.raises(ValidationError, match="sharpness"):
-        extract_segments([], sharpness_deg=180.0)
+        extract_segments(empty, *flags(), sharpness_deg=180.0)
 
 
 # --- terminal registration --------------------------------------------------
@@ -325,8 +400,8 @@ def test_register_terminals_exit_offset_moves_off_mesh(corridor):
 def test_register_terminals_dedupes_shared_positions():
     surface = surface_from_squares([(0, 0)])
     g = graph_from_edges([(0.5, 0.5, 0.0)], [])
-    seg = extract_segments([make_sample(0.0, X, position=(0.0, 0.0, 0.0))])[0]
-    g2, terminals = register_terminals(g, [seg, seg], surface)
+    samples = make_table([X], positions=[(0.0, 0.0, 0.0)])
+    g2, terminals = register_terminals(g, samples, [(0, 0), (0, 0)], surface)
     assert terminals.node_ids == [1]  # the duplicate registers once
     assert len(g2) == 2
 
@@ -334,9 +409,9 @@ def test_register_terminals_dedupes_shared_positions():
 def test_register_terminals_rejects_node_collision():
     surface = surface_from_squares([(0, 0)])
     g = graph_from_edges([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0, 1, 1.0)])
-    seg = extract_segments([make_sample(0.0, X, position=(0.0, 0.0, 0.0))])[0]
+    samples = make_table([X], positions=[(0.0, 0.0, 0.0)])
     with pytest.raises(ValidationError, match="coincides with node"):
-        register_terminals(g, [seg], surface)
+        register_terminals(g, samples, [(0, 0)], surface)
 
 
 def test_fully_walled_surface_has_no_terminals():
