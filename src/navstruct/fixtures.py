@@ -135,6 +135,16 @@ def grid_surface(nx: int, ny: int) -> WalkableSurface:
     )
 
 
+def turned_grid() -> WalkableSurface:
+    """`grid_surface(6, 6)` turned so that its normal is (1, 1, 1) /
+    sqrt(3): the most a point may sit off its projection along the
+    dominant axis."""
+    grid = grid_surface(6, 6)
+    turn = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0], [1.0, 1.0, 1.0]])
+    turn /= np.linalg.norm(turn, axis=1)[:, None]
+    return build_walkable_surface(grid.vertices @ turn, grid.polygons)
+
+
 def ramp_corridor(angle_deg: float = 30.0) -> WalkableSurface:
     """Flat square, a ramp rising at `angle_deg`, then two flat squares at the
     top height.  The ramp's normal differs from its neighbors by the angle."""
@@ -182,6 +192,24 @@ def vertical_strip(nx: int = 4, nz: int = 2, reverse: bool = False) -> WalkableS
             ring = [lo, lo + 1, hi + 1, hi]
             polys.append(ring[::-1] if reverse else ring)
     return build_walkable_surface(verts, polys)
+
+
+def double_shared_edge() -> WalkableSurface:
+    """A unit square (polygon 0) and a triangle (polygon 1) over two of its
+    edges, (0, 1) and (1, 2): a valid surface whose polygon pair shares two
+    edges, so its polygon-centre graph repeats the edge (0, 1)."""
+    verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (2, 0.5, 0)]
+    return build_walkable_surface(verts, [[0, 1, 2, 3], [2, 1, 0]])
+
+
+def coincident_centers() -> WalkableSurface:
+    """Three copies of the unit square, so all three centres coincide.
+    Polygons 1 and 2 are wound the other way, each on one edge of polygon 0
+    and copies of its other two corners: polygon 0 shares edge (1, 2), met
+    first, with polygon 2 and edge (0, 1) with polygon 1."""
+    verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+             (0, 1, 0), (1, 1, 0), (0, 0, 0), (0, 1, 0)]
+    return build_walkable_surface(verts, [[1, 2, 3, 0], [1, 0, 4, 5], [2, 1, 6, 7]])
 
 
 # ---------------------------------------------------------------------------

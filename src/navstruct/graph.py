@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateEdge, ParseError, ValidationError
-from .mesh import WalkableSurface, _check_coordinates, as_index, read_json
+from .mesh import WalkableSurface, _check_coordinates, _row_dots, as_index, read_json
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -147,25 +147,26 @@ def relabel_dense(
 def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
     """One node per polygon center, one edge per shared polygon edge.
 
-    Edge weight is the Euclidean distance between the two centers; coincident
-    centers raise DegenerateEdge.
+    Edge weight is the Euclidean distance between the two centers, each as
+    np.linalg.norm gives it (see mesh._row_dots); coincident centers raise
+    DegenerateEdge for the lowest such pair.
     """
-    nodes = [
-        GraphNode(
-            position=surface.polygon_centers[pid].copy(),
-            normal=surface.polygon_normals[pid].copy(),
-            polygon=pid,
-            source=SOURCE_POLYGON,
-        )
-        for pid in range(len(surface.polygons))
-    ]
-    edges = []
+    # rows of one copy of the centres and one of the normals; GraphNode takes
+    # position, normal, polygon in that order, and source defaults to SOURCE_POLYGON
+    positions = surface.polygon_centers.copy()
+    nodes = list(map(GraphNode, positions, surface.polygon_normals.copy(), range(len(positions))))
     # owners are listed ascending, so each pair is (p, q) with p < q
-    for pid, qid in sorted(o for o in surface.edge_polygons.values() if len(o) == 2):
-        w = float(np.linalg.norm(surface.polygon_centers[pid] - surface.polygon_centers[qid]))
-        if w < 1e-12:
-            raise DegenerateEdge(f"polygon centers {pid} and {qid} coincide (zero-weight edge)")
-        edges.append((pid, qid, w))
+    pairs = np.array(
+        [pid for o in surface.edge_polygons.values() if len(o) == 2 for pid in o], dtype=np.intp
+    ).reshape(-1, 2)
+    p, q = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    d = positions[p] - positions[q]
+    weights = np.sqrt(_row_dots(d, d))
+    coincide = np.flatnonzero(weights < 1e-12)
+    if len(coincide):
+        k = coincide[0]
+        raise DegenerateEdge(f"polygon centers {p[k]} and {q[k]} coincide (zero-weight edge)")
+    edges = zip(p.tolist(), q.tolist(), weights.tolist())
     return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
 
 

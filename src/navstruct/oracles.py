@@ -17,8 +17,14 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import PointOffMesh, ValidationError
-from .graph import SurfaceGraph
+from .errors import DegenerateEdge, NavStructError, PointOffMesh, ValidationError
+from .graph import (
+    SOURCE_POLYGON,
+    GraphNode,
+    SurfaceGraph,
+    _canonical_edges,
+    graph_from_navmesh,
+)
 from .mesh import (
     DEFAULT_HEIGHT_TOL,
     GEOM_EPS,
@@ -456,6 +462,59 @@ def build_differences(vertices, polygons, **kwargs) -> list[str]:
     return differ
 
 
+def graph_from_navmesh_per_edge(surface: WalkableSurface) -> SurfaceGraph:
+    """`graph.graph_from_navmesh` one shared edge at a time: each node gets
+    its own row copies, and each weight its own np.linalg.norm call."""
+    nodes = [
+        GraphNode(
+            position=surface.polygon_centers[pid].copy(),
+            normal=surface.polygon_normals[pid].copy(),
+            polygon=pid,
+            source=SOURCE_POLYGON,
+        )
+        for pid in range(len(surface.polygons))
+    ]
+    edges = []
+    for pid, qid in sorted(o for o in surface.edge_polygons.values() if len(o) == 2):
+        w = float(np.linalg.norm(surface.polygon_centers[pid] - surface.polygon_centers[qid]))
+        if w < 1e-12:
+            raise DegenerateEdge(f"polygon centers {pid} and {qid} coincide (zero-weight edge)")
+        edges.append((pid, qid, w))
+    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
+
+
+def graph_differences(surface: WalkableSurface) -> list[str]:
+    """How `graph.graph_from_navmesh` differs from the per-edge reference on
+    one surface: the node fields that differ (position and normal by dtype
+    and bytes), the edge list (ints and float bits), or both outcomes when
+    either raises and their exception types or texts differ."""
+    outcomes = []
+    for build in (graph_from_navmesh, graph_from_navmesh_per_edge):
+        try:
+            outcomes.append(build(surface))
+        except NavStructError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    fast, ref = outcomes
+    if isinstance(fast, str) or isinstance(ref, str):
+        fast, ref = (o if isinstance(o, str) else "a graph" for o in outcomes)
+        return [] if fast == ref else [f"{fast} against {ref}"]
+
+    def node_key(node: GraphNode):
+        return (node.position.dtype, node.position.tobytes(), node.normal.dtype,
+                node.normal.tobytes(), node.polygon, node.source, node.terminal)
+
+    def edge_key(edge):
+        i, j, w = edge
+        return type(i), i, type(j), j, type(w), w.hex()
+
+    differ = []
+    if list(map(node_key, fast.nodes)) != list(map(node_key, ref.nodes)):
+        differ.append("nodes")
+    if list(map(edge_key, fast.edges)) != list(map(edge_key, ref.edges)):
+        differ.append("edges")
+    return differ
+
+
 def random_ring_surface(
     nprng: np.random.Generator, patches: int = 6
 ) -> tuple[np.ndarray, list[list[int]]]:
@@ -645,6 +704,8 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         spectral_radius,
     )
     from .fixtures import (
+        coincident_centers,
+        double_shared_edge,
         grid_surface,
         l_corridor,
         plus_hub,
@@ -655,6 +716,7 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         ring_surface,
         stacked_floors,
         straight_corridor,
+        turned_grid,
         vertical_strip,
     )
     from .raycast import _segment_hit, first_hit
@@ -721,14 +783,8 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         err = max(err, max(abs(a - b) for a, b in zip(fast, slow)))
     results.append(("betweenness-forest", err <= 1e-9, f"max abs err {err:.2e}"))
 
-    grid = grid_surface(6, 6)
-    # the grid turned so that its normal is (1, 1, 1) / sqrt(3), the most
-    # a point may sit off its projection along the dominant axis
-    turn = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0], [1.0, 1.0, 1.0]])
-    turn /= np.linalg.norm(turn, axis=1)[:, None]
     surfaces = [
-        stacked_floors(), ring_surface(), grid,
-        build_walkable_surface(grid.vertices @ turn, grid.polygons),
+        stacked_floors(), ring_surface(), grid_surface(6, 6), turned_grid(),
         vertical_strip(),
     ] + [ramp_corridor(angle) for angle in (30.0, 60.0, 80.0)]
 
@@ -788,6 +844,20 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         "fan-classify", wrong == 0,
         f"{wrong} of {checked} samples differ, {flagged} with an open fan",
     ))
+
+    # every surface that builds from surface-build's inputs, the two whose
+    # graphs fail, and larger random rings
+    graphed = [double_shared_edge(), coincident_centers()]
+    for verts, rings in inputs:
+        try:
+            graphed.append(build_walkable_surface(verts, rings))
+        except ValidationError:
+            pass
+    for _ in range(instances):
+        nprng = np.random.default_rng(rng.randrange(2**32))
+        graphed.append(build_walkable_surface(*random_ring_surface(nprng, patches=12)))
+    wrong = sum(bool(graph_differences(surface)) for surface in graphed)
+    results.append(("graph-build", wrong == 0, f"{wrong} of {len(graphed)} surfaces differ"))
 
     tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
     checked = wrong = 0

@@ -116,13 +116,16 @@ def find_rooted_trees(
     the one with the highest score (ties fall to the node nearest the graph
     centroid, then the lowest id), then walk its component depth-first, ordering
     children by ascending id.  The returned forest partitions the tree's node
-    set.
+    set.  ValidationError when a tree node's score is NaN, which no order
+    ranks.
     """
     node_ids = list(tree.nodes)
     if not node_ids:
         return []
     if len(scores) < max(node_ids) + 1:
         raise ValidationError("centrality scores do not cover all tree nodes")
+    if any(math.isnan(scores[v]) for v in node_ids):
+        raise ValidationError("centrality scores must not be NaN")
     cen = graph.centroid()
     term_set = set(tree.terminals.node_ids)
     adj = tree.adjacency()

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from navstruct.errors import DegenerateEdge, ParseError, ValidationError
-from navstruct.fixtures import graph_from_edges, grid_surface
+from navstruct.fixtures import (
+    coincident_centers,
+    double_shared_edge,
+    graph_from_edges,
+    grid_surface,
+    ramp_corridor,
+    stacked_floors,
+    turned_grid,
+)
 from navstruct.graph import (
     SOURCE_POLYGON,
     SOURCE_SAMPLE,
@@ -12,6 +20,8 @@ from navstruct.graph import (
     graph_from_navmesh,
     load_graph_json,
 )
+from navstruct.mesh import build_walkable_surface
+from navstruct.oracles import graph_from_navmesh_per_edge
 
 
 def test_navmesh_graph_from_corridor(corridor):
@@ -36,6 +46,53 @@ def test_navmesh_graph_matches_adjacency():
     for owners in surface.edge_polygons.values():
         if len(owners) == 2:
             assert tuple(owners) in edge_set
+
+
+@pytest.mark.parametrize("surface", [
+    grid_surface(45, 45), turned_grid(), stacked_floors(),
+    *(ramp_corridor(angle) for angle in (30.0, 60.0, 80.0)),
+], ids=["grid45", "turned-grid", "stacked-floors", "ramp30", "ramp60", "ramp80"])
+def test_navmesh_graph_equals_the_per_edge_build_bit_for_bit(surface):
+    fast, ref = graph_from_navmesh(surface), graph_from_navmesh_per_edge(surface)
+    assert [(i, j, w.hex()) for i, j, w in fast.edges] == [
+        (i, j, w.hex()) for i, j, w in ref.edges
+    ]
+    for got, want in zip(fast.nodes, ref.nodes, strict=True):
+        assert got.position.tobytes() == want.position.tobytes()
+        assert got.normal.tobytes() == want.normal.tobytes()
+        assert (got.polygon, got.source) == (want.polygon, want.source)
+
+
+def test_navmesh_graph_rejects_a_pair_sharing_two_edges():
+    surface = double_shared_edge()
+    assert [o for o in surface.edge_polygons.values() if len(o) == 2] == [[0, 1], [0, 1]]
+    with pytest.raises(ValidationError, match=r"^duplicate edge \(0, 1\)$"):
+        graph_from_navmesh(surface)
+
+
+def test_navmesh_graph_names_the_lowest_coincident_pair():
+    surface = coincident_centers()
+    # the walk meets the pair (0, 2) first; the error names (0, 1)
+    assert [o for o in surface.edge_polygons.values() if len(o) == 2] == [[0, 2], [0, 1]]
+    with pytest.raises(
+        DegenerateEdge, match=r"^polygon centers 0 and 1 coincide \(zero-weight edge\)$"
+    ):
+        graph_from_navmesh(surface)
+
+
+def test_navmesh_graph_refuses_centres_closer_than_1e_12():
+    def moved_copy(shift):
+        # the square wound the other way on edge (0, 1), its far corners
+        # moved by `shift` along x: the centres lie shift / 2 apart
+        verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (shift, 1, 0), (1 + shift, 1, 0)]
+        return build_walkable_surface(verts, [[0, 1, 2, 3], [1, 0, 4, 5]])
+
+    for build in (graph_from_navmesh, graph_from_navmesh_per_edge):
+        with pytest.raises(DegenerateEdge, match="^polygon centers 0 and 1 coincide"):
+            build(moved_copy(1e-12))
+    (edge,) = graph_from_navmesh(moved_copy(4e-12)).edges
+    assert edge == graph_from_navmesh_per_edge(moved_copy(4e-12)).edges[0]
+    assert 1e-12 <= edge[2] < 1e-11
 
 
 def test_canonical_edges_sorted_and_simple():

@@ -14,7 +14,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from navstruct import pipeline, trees
 from navstruct.cli import _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, NavStructError, ValidationError
-from navstruct.fixtures import graph_from_edges, maze_graph, plus_hub, straight_corridor
+from navstruct.fixtures import (
+    double_shared_edge,
+    graph_from_edges,
+    maze_graph,
+    plus_hub,
+    straight_corridor,
+)
 from navstruct.graph import relabel_dense
 from navstruct.mesh import (
     WalkableSurface,
@@ -564,6 +570,20 @@ def test_cli_rejects_non_finite_tolerances(corridor, tmp_path, capsys, flag, val
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
+def test_cli_rejects_a_polygon_pair_sharing_two_edges(tmp_path, capsys):
+    surface = double_shared_edge()
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({
+        "vertices": surface.vertices.tolist(), "polygons": surface.polygons,
+    }))
+    assert main(["extract", "--surface", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: duplicate edge (0, 1)"
+    ]
+
+
 def test_cli_caps_the_boundary_samples(tmp_path, capsys):
     surface, _walls = straight_corridor(6)
     argv = {}
@@ -849,6 +869,7 @@ def test_cli_oracle_suites_pass(capsys):
     assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
     assert any(line.startswith("oracle los-funnel: ") for line in lines)
     assert any(line.startswith("oracle fan-classify: ") for line in lines)
+    assert any(line.startswith("oracle graph-build: ") for line in lines)
     assert lines[-3].startswith("oracle locate-linear: ")
     assert lines[-2].startswith("oracle raycast-full: ")
     assert lines[-1].startswith("oracle dijkstra-tree: ")

@@ -224,6 +224,18 @@ def test_rooting_rejects_short_score_vector():
         find_rooted_trees(tree, g, uniform_scores(2))
 
 
+def test_rooting_rejects_nan_scores():
+    g = maze_graph(6, 6)
+    tree = build_steiner_tree(g, terminals_from_metric(g, "leaves"))
+    scores = uniform_scores(len(g))
+    one_nan = list(scores)
+    one_nan[min(tree.nodes)] = math.nan
+    for bad in ([math.nan] * len(g), one_nan):
+        with pytest.raises(ValidationError, match="^centrality scores must not be NaN$"):
+            find_rooted_trees(tree, g, bad)
+    assert find_rooted_trees(tree, g, scores)
+
+
 def test_rooted_tree_helpers():
     rooted = rooted_path([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     assert rooted.node_ids() == [0, 1, 2]
