@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import AlphaTooLarge, EmptyGraph, NoConvergence, ValidationError
 from .graph import SurfaceGraph
@@ -41,7 +41,7 @@ def dijkstra_tree(g: SurfaceGraph, sources: list[int]) -> tuple[list[float], lis
     # imported on the first search, so importing the CLI does not pay for it
     from scipy.sparse.csgraph import dijkstra
 
-    arcs = g.arcs()
+    arcs = g.arcs
     dist = dijkstra(arcs.matrix, indices=sources, min_only=True)
     n = len(dist)
     d_tail = dist[arcs.tail]
@@ -146,12 +146,8 @@ def kruskal_edges(nodes, edges) -> SpanningForest:
 # ---------------------------------------------------------------------------
 
 def degree_centrality(g: SurfaceGraph) -> list[float]:
-    """Incident edge count per node (unweighted)."""
-    vals = [0.0] * len(g.nodes)
-    for i, j, _ in g.edges:
-        vals[i] += 1.0
-        vals[j] += 1.0
-    return vals
+    """Incident edge count per node (unweighted): the arcs' row lengths."""
+    return np.diff(g.arcs.matrix.indptr).astype(float).tolist()
 
 
 def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> list[float]:
@@ -259,15 +255,10 @@ def _sssp_dijkstra(adj, s):
 
 
 def _sparse_adjacency(g: SurfaceGraph) -> csr_matrix:
-    """Unweighted symmetric adjacency in CSR form, O(edges) memory.
-
-    Built from the graph's arcs; a repeated edge or a self-loop still reads
-    1.0, which is why the summed duplicates are reset."""
-    n = len(g.nodes)
-    arcs = g.arcs()
-    a = coo_matrix((np.ones(len(arcs.tail)), (arcs.tail, arcs.head)), shape=(n, n)).tocsr()
-    a.data[:] = 1.0
-    return a
+    """Unweighted symmetric adjacency in CSR form, O(edges) memory: the
+    arcs' pattern with ones."""
+    m = g.arcs.matrix
+    return csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
 
 
 def _top_eigenpair(a: csr_matrix) -> tuple[float, np.ndarray]:

@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from .algorithms import kruskal_edges
-from .graph import GraphNode, SOURCE_SAMPLE, SurfaceGraph, _canonical_edges
+from .graph import GraphNode, SOURCE_SAMPLE, SurfaceGraph
 from .mesh import (
     BlockerMesh,
     WalkableSurface,
@@ -225,7 +225,7 @@ def graph_from_edges(positions, edges, source: str = SOURCE_SAMPLE) -> SurfaceGr
         )
         for k in range(len(pts))
     ]
-    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
+    return SurfaceGraph(nodes, edges)
 
 
 def maze_graph(nx: int, ny: int, seed: int = 0) -> SurfaceGraph:
@@ -254,7 +254,7 @@ def maze_graph(nx: int, ny: int, seed: int = 0) -> SurfaceGraph:
             continue
         u = rng.choice(nbrs)
         seen[u] = True
-        edges.append((min(v, u), max(v, u), 1.0))
+        edges.append((v, u, 1.0))
         stack.append(u)
     return graph_from_edges(pts, edges)
 

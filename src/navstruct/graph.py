@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -10,9 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateEdge, ParseError, ValidationError
-from .mesh import WalkableSurface, _check_coordinates, _row_dots, as_index, read_json
-
-UP = np.array([0.0, 0.0, 1.0])
+from .mesh import WalkableSurface, _check_coordinates, _row_dots, as_index, as_number, read_json
 
 SOURCE_POLYGON = "polygon-center"
 SOURCE_SAMPLE = "sample"
@@ -39,10 +37,9 @@ class GraphNode:
 
 class Arcs(NamedTuple):
     """Every edge in both directions: arc k runs tail[k] -> head[k] with
-    weight[k], the arcs ordered by (tail, head, weight).  `matrix` is the same
-    arcs as a weighted CSR matrix, row by tail, so each row lists its heads
-    ascending; `head` and `weight` are its `indices` and `data`.  A repeated edge
-    stays one entry per copy, so no weights are summed."""
+    weight[k], the arcs ordered by (tail, head).  `matrix` is the same arcs
+    as a weighted CSR matrix, row by tail, so each row lists its heads
+    ascending; `head` and `weight` are its `indices` and `data`."""
 
     matrix: csr_matrix
     tail: np.ndarray
@@ -50,83 +47,70 @@ class Arcs(NamedTuple):
     weight: np.ndarray
 
 
-@dataclass
 class SurfaceGraph:
     """Undirected simple graph with 3D node payloads.
 
-    Edges are stored once with i < j.  Node ids are dense 0..N-1: a node's
-    id is its index in `nodes`.
+    Node ids are dense 0..N-1: a node's id is its index in `nodes`.  The
+    constructor takes the edges as rows of (i, j, w), a list of tuples or an
+    (E, 3) array, in any order and either orientation.  It refuses a
+    self-loop (the first one listed), a repeated edge (the lowest pair) and
+    weights whose sum is not a finite float (no shortest path sums more than
+    all the weights, so none overflows) with a ValidationError.  It stores
+    `edges` once each as (i, j, w) tuples of Python ints and floats with
+    i < j, sorted, and builds `arcs` from the same arrays.
     """
 
     nodes: list[GraphNode]
     edges: list[tuple[int, int, float]]
-    _arcs: Arcs | None = field(default=None, repr=False, compare=False)
+    arcs: Arcs
+
+    def __init__(
+        self, nodes: list[GraphNode], edges: list[tuple[int, int, float]] | np.ndarray
+    ) -> None:
+        rows = np.asarray(edges, dtype=float).reshape(-1, 3)
+        ends = rows[:, :2].astype(np.intp)
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if len(loops):
+            raise ValidationError(f"self-loop on node {ends[loops[0], 0]}")
+        ends.sort(axis=1)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        i, j = ends[order].T
+        weights = rows[order, 2]
+        repeats = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+        if len(repeats):
+            k = repeats[0]
+            raise ValidationError(f"duplicate edge ({i[k]}, {j[k]})")
+        listed = weights.tolist()
+        try:
+            total = math.fsum(listed)
+        except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValidationError("edge weights sum past the float range")
+        self.nodes = nodes
+        self.edges = list(zip(i.tolist(), j.tolist(), listed))
+        n = len(nodes)
+        tail, head = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((head, tail))
+        tail, head, weight = tail[order], head[order], np.concatenate([weights, weights])[order]
+        matrix = csr_matrix((weight, head, np.searchsorted(tail, np.arange(n + 1))), shape=(n, n))
+        self.arcs = Arcs(matrix, tail, matrix.indices, matrix.data)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-node (neighbor, weight) lists, neighbors ascending: the rows of
-        arcs(), read out anew on each call."""
-        arcs = self.arcs()
-        pairs = list(zip(arcs.head.tolist(), arcs.weight.tolist()))
-        ptr = arcs.matrix.indptr.tolist()
+        `arcs`, read out anew on each call."""
+        pairs = list(zip(self.arcs.head.tolist(), self.arcs.weight.tolist()))
+        ptr = self.arcs.matrix.indptr.tolist()
         return [pairs[ptr[v]:ptr[v + 1]] for v in range(len(self.nodes))]
-
-    def arcs(self) -> Arcs:
-        """The directed arcs and their CSR matrix, built lazily."""
-        if self._arcs is None:
-            n = len(self.nodes)
-            ends = np.array([(i, j) for i, j, _ in self.edges], dtype=np.intp).reshape(-1, 2)
-            weights = np.array([w for _, _, w in self.edges], dtype=float)
-            tail = np.concatenate([ends[:, 0], ends[:, 1]])
-            head = np.concatenate([ends[:, 1], ends[:, 0]])
-            weight = np.concatenate([weights, weights])
-            order = np.lexsort((weight, head, tail))
-            tail, head, weight = tail[order], head[order], weight[order]
-            indptr = np.searchsorted(tail, np.arange(n + 1))
-            matrix = csr_matrix((weight, head, indptr), shape=(n, n))
-            self._arcs = Arcs(matrix, tail, matrix.indices, matrix.data)
-        return self._arcs
 
     def positions(self) -> np.ndarray:
         return np.array([n.position for n in self.nodes])
 
     def centroid(self) -> np.ndarray:
         return self.positions().mean(axis=0)
-
-    def with_extra_nodes(
-        self, new_nodes: list[GraphNode], new_edges: list[tuple[int, int, float]]
-    ) -> "SurfaceGraph":
-        """Value-style extension: returns a new graph, leaves self untouched."""
-        return SurfaceGraph(
-            nodes=list(self.nodes) + list(new_nodes),
-            edges=_canonical_edges(list(self.edges) + list(new_edges)),
-        )
-
-
-def _canonical_edges(edges: Iterable[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
-    """The edges as sorted (i, j, w) with i < j.  ValidationError on a
-    self-loop, a repeated edge, or weights whose sum is not a finite float:
-    no shortest path sums more than all the weights, so none overflows."""
-    out = []
-    seen = set()
-    for i, j, w in edges:
-        if i == j:
-            raise ValidationError(f"self-loop on node {i}")
-        a, b = (i, j) if i < j else (j, i)
-        if (a, b) in seen:
-            raise ValidationError(f"duplicate edge ({a}, {b})")
-        seen.add((a, b))
-        out.append((a, b, float(w)))
-    try:
-        total = math.fsum(w for _, _, w in out)
-    except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValidationError("edge weights sum past the float range")
-    out.sort()
-    return out
 
 
 def relabel_dense(
@@ -139,8 +123,7 @@ def relabel_dense(
     """
     index = {orig: k for k, orig in enumerate(sorted(nodes))}
     return SurfaceGraph(
-        nodes=[nodes[orig] for orig in index],
-        edges=_canonical_edges((index[i], index[j], w) for i, j, w in edges),
+        [nodes[orig] for orig in index], [(index[i], index[j], w) for i, j, w in edges]
     )
 
 
@@ -166,8 +149,7 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
     if len(coincide):
         k = coincide[0]
         raise DegenerateEdge(f"polygon centers {p[k]} and {q[k]} coincide (zero-weight edge)")
-    edges = zip(p.tolist(), q.tolist(), weights.tolist())
-    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
+    return SurfaceGraph(nodes, np.column_stack((p, q, weights)))
 
 
 def load_graph_json(path: str | Path) -> SurfaceGraph:
@@ -186,7 +168,7 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
         if not isinstance(rec, dict) or "pos" not in rec:
             raise ParseError(f"{p}: node {k} must be an object with 'pos'")
         pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
-        normal = _finite_vector(rec.get("normal", UP), f"{p}: node {k} 'normal'")
+        normal = _finite_vector(rec.get("normal", [0.0, 0.0, 1.0]), f"{p}: node {k} 'normal'")
         length = math.hypot(*normal.tolist())
         if not 0.0 < length < math.inf:
             raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
@@ -200,10 +182,7 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
         if not isinstance(rec, list) or len(rec) not in (2, 3):
             raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
         i, j = as_index(rec[0], p), as_index(rec[1], p)
-        try:
-            w = float(rec[2]) if len(rec) == 3 else None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{p}: edge {rec!r} weight must be a number") from exc
+        w = as_number(rec[2], p) if len(rec) == 3 else None
         if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
             raise ParseError(f"{p}: edge ({i}, {j}) out of range")
         if w is None:
@@ -213,17 +192,14 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
         if w <= 0.0:
             raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
         edges.append((i, j, w))
-    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
+    return SurfaceGraph(nodes, edges)
 
 
 def _finite_vector(value, what: str) -> np.ndarray:
     """`value` as a finite 3-vector, or ParseError naming `what`."""
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} must hold 3 numbers") from exc
-    if vec.shape != (3,):
+    if not isinstance(value, list) or len(value) != 3:
         raise ParseError(f"{what} must have 3 components")
-    if not np.isfinite(vec).all():
+    numbers = [as_number(x, what) for x in value]
+    if not all(map(math.isfinite, numbers)):
         raise ParseError(f"{what} must be finite")
-    return vec
+    return np.array(numbers)

@@ -195,6 +195,21 @@ def as_index(value, path: Path) -> int:
     raise ParseError(f"{path}: index {value!r} is not an integer")
 
 
+def as_number(value, where: str | Path) -> float:
+    """A number read from JSON, as a float: an int or a float (2 or 2.5, not
+    "2.5" or true); ParseError after `where`, the file's path or a field in
+    it, otherwise.  An integer past the float range reads as infinite, as
+    json reads a float literal past it (1e400)."""
+    if isinstance(value, float):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ParseError(f"{where}: {value!r} is not a number")
+
+
 _OBJ_IGNORED = {"vn", "vt", "vp", "o", "g", "s", "mtllib", "usemtl"}
 
 
@@ -255,10 +270,7 @@ def _parse_surface_json(
         raise ParseError(f"{path}: 'vertices' must be a list of [x, y, z] triples")
     if not isinstance(polys, list) or not all(isinstance(p, list) for p in polys):
         raise ParseError(f"{path}: {key!r} must be a list of index rings")
-    try:
-        coords = [[float(x) for x in v] for v in verts]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: vertex coordinates must be numbers") from exc
+    coords = [[as_number(x, path) for x in v] for v in verts]
     if not all(math.isfinite(x) for v in coords for x in v):
         raise ParseError(f"{path}: vertex coordinates must be finite")
     rings = [[as_index(i, path) for i in ring] for ring in polys]

@@ -22,7 +22,6 @@ from .graph import (
     SOURCE_POLYGON,
     GraphNode,
     SurfaceGraph,
-    _canonical_edges,
     graph_from_navmesh,
 )
 from .mesh import (
@@ -480,7 +479,7 @@ def graph_from_navmesh_per_edge(surface: WalkableSurface) -> SurfaceGraph:
         if w < 1e-12:
             raise DegenerateEdge(f"polygon centers {pid} and {qid} coincide (zero-weight edge)")
         edges.append((pid, qid, w))
-    return SurfaceGraph(nodes=nodes, edges=_canonical_edges(edges))
+    return SurfaceGraph(nodes, edges)
 
 
 def graph_differences(surface: WalkableSurface) -> list[str]:

@@ -85,14 +85,8 @@ class PipelineConfig:
     analyze: bool = False
     experiment: str = "run"
 
-    def validate(self, *, loaded: bool = False) -> None:
-        if not loaded:
-            if (self.surface_path is None) == (self.graph_path is None):
-                raise ValidationError(
-                    "exactly one of surface or graph input must be supplied"
-                )
-            if self.terminals == "entry-exit" and self.surface_path is None:
-                raise ValidationError("entry-exit terminals require a surface input")
+    def validate(self) -> None:
+        """Check the option values; `check_inputs` checks which inputs are given."""
         if self.terminals not in TERMINAL_METHODS:
             raise ValidationError(f"unknown terminal method {self.terminals!r}")
         if self.metric not in CENTRALITY_METRICS:
@@ -130,6 +124,16 @@ class PipelineConfig:
             normal_tolerance_deg=self.normal_tol_deg,
             los_height_tolerance=self.los_height_tol,
         )
+
+
+def check_inputs(terminals: str, surface, graph) -> None:
+    """Exactly one of `surface` and `graph` is given (not None), and
+    entry-exit terminals have the surface: paths before loading, or the
+    loaded objects."""
+    if (surface is None) == (graph is None):
+        raise ValidationError("exactly one of surface or graph input must be supplied")
+    if terminals == "entry-exit" and surface is None:
+        raise ValidationError("entry-exit terminals require a surface input")
 
 
 # the options a user tunes, one CLI flag each, in flag order
@@ -180,11 +184,8 @@ def run_pipeline(
     graph: SurfaceGraph | None = None,
 ) -> PipelineResult:
     """Run the extraction stages on already-loaded inputs."""
-    cfg.validate(loaded=True)
-    if (surface is None) == (graph is None):
-        raise ValidationError("exactly one of surface or graph must be supplied")
-    if cfg.terminals == "entry-exit" and surface is None:
-        raise ValidationError("entry-exit terminals require a surface input")
+    check_inputs(cfg.terminals, surface, graph)
+    cfg.validate()
 
     stages: list[StageRecord] = []
 
@@ -267,6 +268,7 @@ def run_pipeline(
 
 def run_extract(cfg: PipelineConfig) -> PipelineResult:
     """Load configured inputs from disk and run the pipeline."""
+    check_inputs(cfg.terminals, cfg.surface_path, cfg.graph_path)
     cfg.validate()
     surface = None
     blockers = None

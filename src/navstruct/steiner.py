@@ -81,7 +81,7 @@ def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:
     if chosen.component_count > 1:
         from scipy.sparse.csgraph import connected_components
 
-        labels = connected_components(g.arcs().matrix)[1]
+        labels = connected_components(g.arcs.matrix)[1]
         first = term_ids[0]
         raise DisconnectedTerminals(
             (first, next(t for t in term_ids if labels[t] != labels[first]))

@@ -271,7 +271,7 @@ def register_terminals(
             source=SOURCE_ENTRY_EXIT,
         ))
     ids = list(range(len(g.nodes), len(g.nodes) + len(new_nodes)))
-    return g.with_extra_nodes(new_nodes, new_edges), TerminalSet(ids)
+    return SurfaceGraph(g.nodes + new_nodes, g.edges + new_edges), TerminalSet(ids)
 
 
 def entry_exit_terminals(

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,10 +156,20 @@ def test_dijkstra_tree_follows_the_heap_where_a_weight_vanishes_in_rounding():
                 assert path[-1] == src and len(set(path)) == len(path)
 
 
+def _sum_is_finite(weights) -> bool:
+    """Whether the exact sum of `weights` rounds to a finite float."""
+    try:
+        return math.isfinite(float(sum(map(Fraction, weights))))
+    except OverflowError:
+        return False
+
+
 def test_dijkstra_tree_equals_the_heap_oracle_on_awkward_graphs(rng):
-    # tie-heavy and vanishing weights, zero weights, weights whose sums pass
-    # the float range, and repeated edges and self-loops built directly; from
-    # each node alone and from random source sets
+    # tie-heavy and vanishing weights, zero weights and weights whose sums
+    # pass the float range, some drawn with a repeated edge and a self-loop;
+    # the constructor refuses exactly the drawn graphs that are not simple or
+    # whose weights sum past the float range, and every other one is searched
+    # from each node alone and from random source sets
     nodes = line_graph(12).nodes
     weight_sets = [
         (0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 1e-18), (0.0, 0.5, 1.0),
@@ -172,11 +183,16 @@ def test_dijkstra_tree_equals_the_heap_oracle_on_awkward_graphs(rng):
             (i, j, rng.choice(weights))
             for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
-        if edges and rng.random() < 0.3:
+        simple = not edges or rng.random() >= 0.3
+        if not simple:
             edges += [(j, i, rng.choice(weights)) for i, j, _w in rng.sample(edges, 1)]
             edges.append((n - 1, n - 1, rng.choice(weights)))
         rng.shuffle(edges)
-        g = SurfaceGraph(nodes=nodes[:n], edges=edges)
+        if not (simple and _sum_is_finite(w for _i, _j, w in edges)):
+            with pytest.raises(ValidationError):
+                SurfaceGraph(nodes[:n], edges)
+            continue
+        g = SurfaceGraph(nodes[:n], edges)
         for src in range(n):
             assert dijkstra_tree(g, [src]) == dijkstra_tree_heap(g, [src])
         for _ in range(3):
@@ -185,21 +201,16 @@ def test_dijkstra_tree_equals_the_heap_oracle_on_awkward_graphs(rng):
 
 
 def test_graph_arcs_hold_each_edge_both_ways_and_are_built_once():
-    g = SurfaceGraph(
-        nodes=line_graph(4).nodes,
-        edges=[(0, 1, 1.0), (0, 1, 2.0), (2, 1, 0.5), (3, 3, 4.0)],
-    )
-    arcs = g.arcs()
-    assert g.arcs() is arcs
-    got = sorted(zip(arcs.tail.tolist(), arcs.head.tolist(), arcs.weight.tolist()))
+    # the constructor builds the arcs with the edges, ordered by (tail, head)
+    g = SurfaceGraph(nodes=line_graph(4).nodes, edges=[(2, 1, 0.5), (3, 0, 4.0), (1, 0, 2.0)])
+    arcs = g.arcs
+    got = list(zip(arcs.tail.tolist(), arcs.head.tolist(), arcs.weight.tolist()))
     assert got == [
-        (0, 1, 1.0), (0, 1, 2.0), (1, 0, 1.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 0.5),
-        (3, 3, 4.0), (3, 3, 4.0),
+        (0, 1, 2.0), (0, 3, 4.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 0.5), (3, 0, 4.0),
     ]
-    # the matrix holds the same arcs, one entry per copy, none summed
+    # the matrix holds the same arcs, one row per tail
     assert arcs.matrix.nnz == len(got)
-    assert list(arcs.tail) == sorted(arcs.tail)
-    assert np.array_equal(np.diff(arcs.matrix.indptr), np.bincount(arcs.tail, minlength=4))
+    assert arcs.matrix.indptr.tolist() == [0, 2, 4, 5, 6]
 
 
 def test_steiner_on_a_maze_runs_no_python_heap_search(monkeypatch):
@@ -512,20 +523,6 @@ def test_random_connected_graph_gives_up_on_a_hopeless_edge_probability():
         random_connected_graph(random.Random(0), 29, 0.014)
     assert time.perf_counter() - start < 1.0
 
-
-def test_repeated_edges_and_self_loops_count_once():
-    # the oracles' dense build sets each entry to 1.0 however often it appears
-    g = SurfaceGraph(
-        nodes=line_graph(4).nodes,
-        edges=[(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 2.0), (2, 2, 1.0)],
-    )
-    assert eigenvector_centrality(g) == pytest.approx(eigenvector_oracle(g), abs=1e-10)
-    dense = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0]]
-    assert spectral_radius(g) == pytest.approx(max(np.linalg.eigvalsh(dense)), abs=1e-10)
-    assert katz_centrality(g) == pytest.approx(
-        katz_oracle(g, 0.9 / spectral_radius(g)), abs=1e-10
-    )
-    assert katz_centrality(g, alpha=0.3) == pytest.approx(katz_oracle(g, 0.3), abs=1e-10)
 
 # --- dispatcher -------------------------------------------------------------
 

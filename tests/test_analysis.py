@@ -418,6 +418,18 @@ def test_structure_json_rejects_bad_files(tmp_path):
         edited.write_text(json.dumps(data))
         with pytest.raises(ParseError, match="is not an integer"):
             load_structure_json(edited)
+    # positions and normals follow the one number rule
+    for key, value, message in [
+        ("position", [10**400, 0, 0], "'position' must be finite"),
+        ("position", ["2.5", 0, 0], "'2.5' is not a number"),
+        ("normal", [0, 0, True], "True is not a number"),
+    ]:
+        data = json.loads(structure_json_bytes(small_forest()))
+        data["trees"][0]["nodes"][1][key] = value
+        edited = tmp_path / f"edited-{key}.json"
+        edited.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=message):
+            load_structure_json(edited)
 
 
 def _node_record(v, children, parent, depth):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from navstruct.graph import (
     SOURCE_POLYGON,
     SOURCE_SAMPLE,
     GraphNode,
+    SurfaceGraph,
     graph_from_navmesh,
     load_graph_json,
 )
@@ -96,14 +98,27 @@ def test_navmesh_graph_refuses_centres_closer_than_1e_12():
 
 
 def test_canonical_edges_sorted_and_simple():
-    g = graph_from_edges(
-        [(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(2, 1, 1.0), (1, 0, 1.0)]
-    )
+    three = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    g = graph_from_edges(three, [(2, 1, 1.0), (1, 0, 1)])
     assert g.edges == [(0, 1, 1.0), (1, 2, 1.0)]
-    with pytest.raises(ValidationError, match="self-loop"):
-        graph_from_edges([(0, 0, 0), (1, 0, 0)], [(0, 0, 1.0)])
-    with pytest.raises(ValidationError, match="duplicate edge"):
-        graph_from_edges([(0, 0, 0), (1, 0, 0)], [(0, 1, 1.0), (1, 0, 2.0)])
+    assert [tuple(map(type, e)) for e in g.edges] == [(int, int, float)] * 2
+    # an (E, 3) array gives the same tuples
+    rows = SurfaceGraph(g.nodes, np.array([[2.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    assert [tuple(map(type, e)) for e in rows.edges] == [(int, int, float)] * 2
+    assert rows.edges == g.edges
+    for edges, message in [
+        ([(0, 1, 1.0), (2, 2, 1.0)], r"^self-loop on node 2$"),
+        ([(0, 1, 1.0), (0, 1, 2.0)], r"^duplicate edge \(0, 1\)$"),
+        ([(1, 2, 1.0), (0, 1, 1.0), (2, 1, 2.0)], r"^duplicate edge \(1, 2\)$"),
+        ([(0, 1, 1.0), (1, 2, math.nan)], "^edge weights sum past the float range$"),
+        ([(0, 1, 1e308), (1, 2, 1e308)], "^edge weights sum past the float range$"),
+        # with several faults, the first self-loop listed, else the lowest
+        # repeated pair
+        ([(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)], r"^self-loop on node 2$"),
+        ([(1, 2, 1.0), (2, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)], r"^duplicate edge \(0, 1\)$"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            graph_from_edges(three, edges)
 
 
 def test_adjacency_neighbors_ascending():
@@ -115,23 +130,23 @@ def test_adjacency_neighbors_ascending():
     assert [v for v, _w in adj[0]] == [1, 2, 3]
     assert adj[3] == [(0, 1.0)]
     # adjacency() reads the rows of arcs(), which are ordered by (tail, head)
-    arcs = g.arcs()
+    arcs = g.arcs
     assert list(zip(arcs.tail.tolist(), arcs.head.tolist())) == [
         (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)
     ]
     assert adj == [list(zip(row.indices.tolist(), row.data.tolist())) for row in arcs.matrix]
 
 
-def test_with_extra_nodes_leaves_original_untouched():
+def test_extending_a_graph_leaves_the_original_untouched():
     g = graph_from_edges([(0, 0, 0), (1, 0, 0)], [(0, 1, 1.0)])
     extra = GraphNode(
         position=np.array([2.0, 0.0, 0.0]),
         normal=np.array([0.0, 0.0, 1.0]), source=SOURCE_SAMPLE,
     )
-    g2 = g.with_extra_nodes([extra], [(1, 2, 1.0)])
-    assert len(g) == 2 and len(g.edges) == 1
-    assert len(g2) == 3 and len(g2.edges) == 2
-    assert g2.edges[-1] == (1, 2, 1.0)
+    g2 = SurfaceGraph(g.nodes + [extra], g.edges + [(2, 1, 1.0)])
+    assert len(g) == 2 and g.edges == [(0, 1, 1.0)] and g.arcs.matrix.shape == (2, 2)
+    assert len(g2) == 3 and g2.edges == [(0, 1, 1.0), (1, 2, 1.0)]
+    assert g2.arcs.matrix.shape == (3, 3)
 
 
 def test_centroid():

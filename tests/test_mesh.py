@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,19 @@ def test_json_surface_rejects_malformed(tmp_path):
     path.write_text('{"vertices": []}')
     with pytest.raises(ParseError, match="'vertices' and 'polygons'"):
         load_walkable_surface(path)
+    # a coordinate is an int or a float; an integer past the float range
+    # reads as json reads 1e400
+    square = {"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], "polygons": [[0, 1, 2, 3]]}
+    for value, message in [
+        (10**400, "vertex coordinates must be finite"),
+        (-(10**400), "vertex coordinates must be finite"),
+        (True, "True is not a number"),
+        ("2.5", "'2.5' is not a number"),
+    ]:
+        square["vertices"][2][0] = value
+        path.write_text(json.dumps(square))
+        with pytest.raises(ParseError, match=message):
+            load_walkable_surface(path)
 
 
 def test_unknown_extension_rejected(tmp_path):

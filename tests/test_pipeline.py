@@ -36,6 +36,7 @@ from navstruct.pipeline import (
     STAGE_STEINER,
     STAGE_TERMINALS,
     PipelineConfig,
+    check_inputs,
     run_extract,
     run_pipeline,
 )
@@ -134,12 +135,16 @@ def write_corridor_files(corridor, tmp_path):
     (dict(surface_path="s.obj", katz_alpha=-0.1), "katz_alpha must be positive and finite"),
 ])
 def test_config_validation_rejects(overrides, message):
+    # the checks run_extract makes before it loads anything
+    cfg = PipelineConfig(**overrides)
     with pytest.raises(ValidationError, match=message):
-        PipelineConfig(**overrides).validate()
+        check_inputs(cfg.terminals, cfg.surface_path, cfg.graph_path)
+        cfg.validate()
 
 
-def test_config_validation_with_loaded_inputs_skips_path_checks():
-    PipelineConfig(terminals="leaves").validate(loaded=True)
+def test_config_validation_checks_option_values_only():
+    # no input is named: which inputs are given is check_inputs' question
+    PipelineConfig(terminals="leaves").validate()
 
 
 def test_simplify_defaults_are_the_pipeline_defaults():
@@ -517,6 +522,19 @@ def _edit(key, value, at=None):
                                                          {"pos": [1, 0, 0]}]})),
     ("surface-overflow.json", _edit("vertices", 1e200, at=0)),
     ("walls-overflow.json", _edit("vertices", -1e308, at=1)),
+    # a JSON number is an int or a float: a 401-digit integer reads as
+    # infinite, and true or "2.5" is no number
+    pytest.param(
+        "weight-huge.json", json.dumps({**_CHAIN, "edges": [[0, 1, 10**400]]}),
+        id="weight-huge.json",
+    ),
+    ("weight-true.json", json.dumps({**_CHAIN, "edges": [[0, 1, True]]})),
+    pytest.param(
+        "pos-huge.json", json.dumps({**_CHAIN, "nodes": [{"pos": [10**400, 0, 0]}, _CHAIN["nodes"][1]]}),
+        id="pos-huge.json",
+    ),
+    ("pos-text.json", json.dumps({**_CHAIN, "nodes": [{"pos": ["2.5", 0, 0]}, _CHAIN["nodes"][1]]})),
+    pytest.param("surface-huge.json", _edit("vertices", -(10**400), at=0), id="surface-huge.json"),
     # each path sum is finite by itself, but 0 -> 2 overflows
     ("weight-overflow.json", json.dumps({
         "nodes": [{"pos": [k, 0, 0]} for k in range(3)],

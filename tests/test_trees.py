@@ -21,7 +21,7 @@ from navstruct.fixtures import (
     straight_corridor,
     surface_from_squares,
 )
-from navstruct.graph import SOURCE_SAMPLE, GraphNode, graph_from_navmesh
+from navstruct.graph import SOURCE_SAMPLE, GraphNode, SurfaceGraph, graph_from_navmesh
 from navstruct.mesh import WalkableSurface, build_walkable_surface
 from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.steiner import SteinerTree, build_steiner_tree
@@ -211,7 +211,7 @@ def test_root_pick_equals_the_full_key_pick_on_random_forests():
             # random point
             centroid = np.array([rng.uniform(0, 3), 1.0, 0.0])
             far = (n + 1) * centroid - g.positions().sum(axis=0)
-            g = g.with_extra_nodes([payload(far)], [])
+            g = SurfaceGraph(g.nodes + [payload(far)], g.edges)
         got = [(t.root, t.children, {v: p.terminal for v, p in t.payloads.items()})
                for t in find_rooted_trees(stree, g, scores)]
         assert got == _rooted_trees_by_full_key(stree, g, scores)
