@@ -524,6 +524,29 @@ def test_random_connected_graph_gives_up_on_a_hopeless_edge_probability():
     assert time.perf_counter() - start < 1.0
 
 
+def test_repeated_edges_and_self_loops_count_once():
+    # the constructor refuses a repeated edge or a self-loop, so no graph
+    # carries a copy into the spectral matrix; the graph that keeps each
+    # edge once matches the oracles' dense build entry for entry
+    nodes = line_graph(4).nodes
+    for edges, message in [
+        ([(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], r"^duplicate edge \(0, 1\)$"),
+        ([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 2.0)], r"^duplicate edge \(2, 3\)$"),
+        ([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 2, 1.0)], r"^self-loop on node 2$"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            SurfaceGraph(nodes, edges)
+    g = SurfaceGraph(nodes, [(0, 1, 1.0), (1, 2, 1.0), (3, 2, 2.0)])
+    assert g.arcs.matrix.nnz == 6
+    assert eigenvector_centrality(g) == pytest.approx(eigenvector_oracle(g), abs=1e-10)
+    dense = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+    assert spectral_radius(g) == pytest.approx(max(np.linalg.eigvalsh(dense)), abs=1e-10)
+    assert katz_centrality(g) == pytest.approx(
+        katz_oracle(g, 0.9 / spectral_radius(g)), abs=1e-10
+    )
+    assert katz_centrality(g, alpha=0.3) == pytest.approx(katz_oracle(g, 0.3), abs=1e-10)
+
+
 # --- dispatcher -------------------------------------------------------------
 
 def test_compute_centrality_dispatch():
