@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -156,43 +158,125 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
     """Load a graph from JSON: {"nodes": [{"pos": [...], "normal": [...]}],
     "edges": [[i, j, w], ...]}.  `normal` defaults to +Z and is scaled to unit
     length (a zero normal is a ParseError); a 2-element edge entry gets a
-    Euclidean weight."""
+    Euclidean weight.
+
+    The records are checked and converted in passes over whole lists; when a
+    pass finds a fault, a scan of the records in file order raises the first
+    one's error, as `oracles.load_graph_json_per_node` reads the file."""
     p = Path(path)
     data = read_json(p)
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
-    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+    records, links = data["nodes"], data["edges"]
+    if not isinstance(records, list) or not isinstance(links, list):
         raise ParseError(f"{p}: 'nodes' and 'edges' must be lists")
-    nodes = []
-    for k, rec in enumerate(data["nodes"]):
+    try:
+        positions, normals = _node_arrays(records)
+    except (OverflowError, ValueError):
+        _scan_nodes(records, p)
+        raise
+    _check_coordinates(positions, "graph node")
+    try:
+        rows = _edge_rows(links, positions)
+    except (OverflowError, ValueError):
+        _scan_edges(links, positions, p)
+        raise
+    nodes = list(map(GraphNode, positions, normals, repeat(None), repeat(SOURCE_SAMPLE)))
+    return SurfaceGraph(nodes, rows)
+
+
+def _node_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and unit normals of the node records, as (N, 3) arrays.  A
+    node without a normal gets +Z; a given one is scaled by its math.hypot
+    length.  ValueError or OverflowError when a record is at fault."""
+    if set(map(type, records)) - {dict} or not all(map(dict.__contains__, records, repeat("pos"))):
+        raise ValueError("a node record is not an object with 'pos'")
+    positions = _vectors(list(map(itemgetter("pos"), records)))
+    normals = np.zeros_like(positions)
+    normals[:, 2] = 1.0
+    given = list(compress(range(len(records)), map(dict.__contains__, records, repeat("normal"))))
+    if given:
+        vectors = _vectors([records[k]["normal"] for k in given])
+        lengths = np.array([math.hypot(*v) for v in vectors.tolist()])
+        if not ((0.0 < lengths) & (lengths < math.inf)).all():
+            raise ValueError("a node normal has a zero or infinite length")
+        normals[given] = vectors / lengths[:, None]
+    return positions, normals
+
+
+def _vectors(values: list) -> np.ndarray:
+    """`values` as a (k, 3) array: ValueError unless each is a list of three
+    JSON numbers (ints or floats, not bools), all finite; OverflowError for
+    an int past the float range."""
+    if set(map(type, values)) - {list} or set(map(len, values)) - {3}:
+        raise ValueError("a vector is not a list of 3 components")
+    flat = list(chain.from_iterable(values))
+    if set(map(type, flat)) - {int, float}:
+        raise ValueError("a vector component is not a number")
+    out = np.fromiter(map(float, flat), dtype=float, count=len(flat)).reshape(-1, 3)
+    if not np.isfinite(out).all():
+        raise ValueError("a vector component is not finite")
+    return out
+
+
+def _edge_rows(links: list, positions: np.ndarray) -> np.ndarray:
+    """The edge records as (E, 3) rows (i, j, w) in file order.  A 2-element
+    record gets the distance between its nodes, each as np.linalg.norm gives
+    it (see mesh._row_dots).  ValueError or OverflowError when a record is
+    at fault."""
+    if set(map(type, links)) - {list}:
+        raise ValueError("an edge record is not a list")
+    sizes = list(map(len, links))
+    if set(sizes) - {2, 3}:
+        raise ValueError("an edge record has neither 2 nor 3 entries")
+    ends = list(chain.from_iterable(map(itemgetter(0, 1), links)))
+    kinds = set(map(type, ends))
+    if kinds - {int, float} or float in kinds and not all(
+        x.is_integer() for x in ends if type(x) is float
+    ):
+        raise ValueError("an edge end is not an integer")
+    ij = np.fromiter(map(int, ends), dtype=np.intp, count=len(ends)).reshape(-1, 2)
+    if ij.size and not (ij.min() >= 0 and ij.max() < len(positions)):
+        raise ValueError("an edge end is out of range")
+    given = np.array(sizes) == 3
+    weights = list(map(itemgetter(2), compress(links, given)))
+    if set(map(type, weights)) - {int, float}:
+        raise ValueError("an edge weight is not a number")
+    w = np.empty(len(links))
+    w[given] = np.fromiter(map(float, weights), dtype=float, count=len(weights))
+    d = positions[ij[~given, 0]] - positions[ij[~given, 1]]
+    w[~given] = np.sqrt(_row_dots(d, d))
+    if not (np.isfinite(w) & (w > 0.0)).all():
+        raise ValueError("an edge weight is not finite and positive")
+    return np.column_stack((ij, w))
+
+
+def _scan_nodes(records: list, p: Path) -> None:
+    """Raise the error of the first faulty node record in file order."""
+    for k, rec in enumerate(records):
         if not isinstance(rec, dict) or "pos" not in rec:
             raise ParseError(f"{p}: node {k} must be an object with 'pos'")
-        pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
+        _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
         normal = _finite_vector(rec.get("normal", [0.0, 0.0, 1.0]), f"{p}: node {k} 'normal'")
-        length = math.hypot(*normal.tolist())
-        if not 0.0 < length < math.inf:
+        if not 0.0 < math.hypot(*normal.tolist()) < math.inf:
             raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
-        normal = normal / length
-        nodes.append(
-            GraphNode(position=pos, normal=normal, source=SOURCE_SAMPLE)
-        )
-    _check_coordinates(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
-    edges = []
-    for rec in data["edges"]:
+
+
+def _scan_edges(links: list, positions: np.ndarray, p: Path) -> None:
+    """Raise the error of the first faulty edge record in file order."""
+    for rec in links:
         if not isinstance(rec, list) or len(rec) not in (2, 3):
             raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
         i, j = as_index(rec[0], p), as_index(rec[1], p)
         w = as_number(rec[2], p) if len(rec) == 3 else None
-        if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
+        if not (0 <= i < len(positions) and 0 <= j < len(positions)):
             raise ParseError(f"{p}: edge ({i}, {j}) out of range")
         if w is None:
-            w = float(np.linalg.norm(nodes[i].position - nodes[j].position))
+            w = float(np.linalg.norm(positions[i] - positions[j]))
         if not math.isfinite(w):
             raise ParseError(f"{p}: edge ({i}, {j}) has non-finite weight")
         if w <= 0.0:
             raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
-        edges.append((i, j, w))
-    return SurfaceGraph(nodes, edges)
 
 
 def _finite_vector(value, what: str) -> np.ndarray:

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -165,14 +166,15 @@ class BlockerMesh:
 # ---------------------------------------------------------------------------
 
 def read_text(path: Path) -> str:
-    """The text of an input file, which must be UTF-8.
+    """The text of an input file, which must be UTF-8; a leading byte-order
+    mark is skipped.
 
     Raises:
         ParseError: the bytes are not UTF-8.
         OSError: unreadable path.
     """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -212,45 +214,91 @@ def as_number(value, where: str | Path) -> float:
 
 _OBJ_IGNORED = {"vn", "vt", "vp", "o", "g", "s", "mtllib", "usemtl"}
 
+# lines the OBJ reader splits and converts at a time, so that the split rows
+# of one block are alive at once and not those of the whole file
+_OBJ_BLOCK = 1024
 
-def _parse_obj(path: Path) -> tuple[list[list[float]], list[list[int]]]:
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        tag = fields[0]
+
+def _parse_obj(path: Path) -> tuple[np.ndarray, list[list[int]]]:
+    """Vertices as a (V, 3) array and faces as 0-based index rings, read
+    from the `v` and `f` records of an OBJ file in passes over blocks of
+    records: one split per line, one float() pass over every vertex
+    coordinate and one int() pass over every face index.  When a pass finds
+    a fault, `_first_obj_fault` names the first faulty line, as
+    `oracles.parse_obj_per_line` reads the file.  A file with no vertex
+    reads as np.asarray([]), which the builders refuse as not (N, 3)."""
+    text = read_text(path)
+    lines = text.splitlines()
+    slash = "/" in text  # v/vt/vn face tokens: the vertex index is the first field
+    try:
+        blocks = [_obj_block(lines[k:k + _OBJ_BLOCK], slash)
+                  for k in range(0, len(lines), _OBJ_BLOCK)]
+    except ValueError:
+        lineno, message = _first_obj_fault(lines)
+        raise ParseError(f"{path}:{lineno}: {message}") from None
+    verts = np.concatenate([np.empty(0), *(coords for coords, _ in blocks)])
+    faces = list(itertools.chain.from_iterable(rings for _, rings in blocks))
+    return (verts.reshape(-1, 3) if len(verts) else verts), faces
+
+
+def _obj_block(lines: list[str], slash: bool) -> tuple[np.ndarray, list[list[int]]]:
+    """The vertex coordinates, flat, and the face rings of some OBJ lines;
+    ValueError when a record is at fault."""
+    rows = list(filter(None, map(str.split, lines)))
+    tags = list(map(itemgetter(0), rows))
+    if not all(tag.startswith("#") for tag in set(tags).difference(("v", "f"), _OBJ_IGNORED)):
+        raise ValueError("unsupported OBJ record")
+    vrows = list(itertools.compress(rows, map("v".__eq__, tags)))
+    frows = list(itertools.compress(rows, map("f".__eq__, tags)))
+    del rows, tags  # each kind's split rows are dropped once converted
+    if min(map(len, vrows), default=4) < 4:
+        raise ValueError("vertex record needs 3 coordinates")
+    coords = map(float, itertools.chain.from_iterable(map(itemgetter(1, 2, 3), vrows)))
+    verts = np.fromiter(coords, dtype=float, count=3 * len(vrows))
+    del vrows
+    if not np.isfinite(verts).all():
+        raise ValueError("vertex coordinates must be finite")
+    counts = [len(row) - 1 for row in frows]
+    if min(counts, default=3) < 3:
+        raise ValueError("face needs at least 3 vertices")
+    tokens = itertools.chain.from_iterable(map(itemgetter(slice(1, None)), frows))
+    if slash:
+        tokens = (token.partition("/")[0] for token in tokens)
+    ids = list(map(int, tokens))
+    del frows
+    if min(ids, default=1) < 1:
+        raise ValueError("face indices must be positive")
+    shifted = iter([i - 1 for i in ids])
+    return verts, list(map(list, map(itertools.islice, itertools.repeat(shifted), counts)))
+
+
+def _first_obj_fault(lines: list[str]) -> tuple[int, str] | None:
+    """Line number and message of the first OBJ record `_parse_obj` refuses,
+    checking the lines in file order."""
+    for lineno, fields in enumerate(map(str.split, lines), start=1):
+        tag = fields[0] if fields else "#"
         if tag == "v":
             if len(fields) < 4:
-                raise ParseError(f"{path}:{lineno}: vertex record needs 3 coordinates")
+                return lineno, "vertex record needs 3 coordinates"
             try:
-                coords = [float(x) for x in fields[1:4]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            if not all(math.isfinite(x) for x in coords):
-                raise ParseError(f"{path}:{lineno}: vertex coordinates must be finite")
-            verts.append(coords)
+                coords = list(map(float, fields[1:4]))
+            except ValueError:
+                return lineno, "bad vertex coordinate"
+            if not all(map(math.isfinite, coords)):
+                return lineno, "vertex coordinates must be finite"
         elif tag == "f":
-            ring = []
-            for tok in fields[1:]:
-                head = tok.split("/")[0]
+            for token in fields[1:]:
                 try:
-                    idx = int(head)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from exc
-                if idx <= 0:
-                    raise ParseError(f"{path}:{lineno}: face indices must be positive (1-based)")
-                ring.append(idx - 1)
-            if len(ring) < 3:
-                raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-            faces.append(ring)
-        elif tag in _OBJ_IGNORED:
-            continue  # harmless metadata records
-        else:
-            raise ParseError(f"{path}:{lineno}: unsupported OBJ record {tag!r}")
-    return verts, faces
+                    index = int(token.partition("/")[0])
+                except ValueError:
+                    return lineno, f"bad face index {token!r}"
+                if index <= 0:
+                    return lineno, "face indices must be positive (1-based)"
+            if len(fields) < 4:
+                return lineno, "face needs at least 3 vertices"
+        elif not tag.startswith("#") and tag not in _OBJ_IGNORED:
+            return lineno, f"unsupported OBJ record {tag!r}"
+    return None
 
 
 def _parse_surface_json(
@@ -279,7 +327,7 @@ def _parse_surface_json(
 
 def _parse_geometry(
     path: str | Path, face_keys: tuple[str, ...] = ("polygons",)
-) -> tuple[list[list[float]], list[list[int]]]:
+) -> tuple[np.ndarray | list[list[float]], list[list[int]]]:
     """Vertices and faces from OBJ, or from JSON with faces under `face_keys`."""
     p = Path(path)
     suffix = p.suffix.lower()
@@ -695,7 +743,9 @@ def load_blocker_mesh(path: str | Path) -> BlockerMesh:
     """Load a triangles-only blocker mesh from OBJ, or from JSON with the
     faces under ``triangles`` (``polygons`` is accepted too)."""
     verts, faces = _parse_geometry(path, ("triangles", "polygons"))
-    for f in faces:
-        if len(f) != 3:
-            raise ParseError(f"{path}: blocker faces must be triangles")
+    if set(map(len, faces)) - {3}:
+        k, face = next((k, f) for k, f in enumerate(faces) if len(f) != 3)
+        raise ParseError(
+            f"{path}: blocker face {k} has {len(face)} vertices; blocker faces must be triangles"
+        )
     return build_blocker_mesh(verts, faces)

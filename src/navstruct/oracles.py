@@ -10,31 +10,43 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import random
+import tempfile
 from heapq import heapify, heappop, heappush
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateEdge, NavStructError, PointOffMesh, ValidationError
+from .errors import DegenerateEdge, NavStructError, ParseError, PointOffMesh, ValidationError
 from .graph import (
     SOURCE_POLYGON,
+    SOURCE_SAMPLE,
     GraphNode,
     SurfaceGraph,
+    _finite_vector,
     graph_from_navmesh,
+    load_graph_json,
 )
 from .mesh import (
+    _OBJ_IGNORED,
     DEFAULT_HEIGHT_TOL,
     GEOM_EPS,
     PLANE_EPS,
     BlockerMesh,
     WalkableSurface,
     _check_coordinates,
+    _parse_obj,
     _stitch_boundary_loops,
     _weld,
+    as_index,
+    as_number,
     build_blocker_mesh,
     build_walkable_surface,
+    read_json,
+    read_text,
 )
 from .raycast import EPS
 
@@ -487,12 +499,21 @@ def graph_differences(surface: WalkableSurface) -> list[str]:
     one surface: the node fields that differ (position and normal by dtype
     and bytes), the edge list (ints and float bits), or both outcomes when
     either raises and their exception types or texts differ."""
-    outcomes = []
-    for build in (graph_from_navmesh, graph_from_navmesh_per_edge):
-        try:
-            outcomes.append(build(surface))
-        except NavStructError as exc:
-            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return _graph_outcome_differences(
+        [_outcome(build, surface) for build in (graph_from_navmesh, graph_from_navmesh_per_edge)]
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or "Type: text" of the NavStructError it raises."""
+    try:
+        return fn(*args)
+    except NavStructError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _graph_outcome_differences(outcomes: list) -> list[str]:
+    """How two outcomes of building one graph differ (see graph_differences)."""
     fast, ref = outcomes
     if isinstance(fast, str) or isinstance(ref, str):
         fast, ref = (o if isinstance(o, str) else "a graph" for o in outcomes)
@@ -512,6 +533,216 @@ def graph_differences(surface: WalkableSurface) -> list[str]:
     if list(map(edge_key, fast.edges)) != list(map(edge_key, ref.edges)):
         differ.append("edges")
     return differ
+
+
+def load_graph_json_per_node(path) -> SurfaceGraph:
+    """`graph.load_graph_json` one record at a time: each node's vectors
+    through `_finite_vector`, each 2-element edge's weight through its own
+    np.linalg.norm call, and the edges passed on as a list of tuples."""
+    p = Path(path)
+    data = read_json(p)
+    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
+        raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise ParseError(f"{p}: 'nodes' and 'edges' must be lists")
+    nodes = []
+    for k, rec in enumerate(data["nodes"]):
+        if not isinstance(rec, dict) or "pos" not in rec:
+            raise ParseError(f"{p}: node {k} must be an object with 'pos'")
+        pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
+        normal = _finite_vector(rec.get("normal", [0.0, 0.0, 1.0]), f"{p}: node {k} 'normal'")
+        length = math.hypot(*normal.tolist())
+        if not 0.0 < length < math.inf:
+            raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
+        nodes.append(GraphNode(position=pos, normal=normal / length, source=SOURCE_SAMPLE))
+    _check_coordinates(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
+    edges = []
+    for rec in data["edges"]:
+        if not isinstance(rec, list) or len(rec) not in (2, 3):
+            raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
+        i, j = as_index(rec[0], p), as_index(rec[1], p)
+        w = as_number(rec[2], p) if len(rec) == 3 else None
+        if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
+            raise ParseError(f"{p}: edge ({i}, {j}) out of range")
+        if w is None:
+            w = float(np.linalg.norm(nodes[i].position - nodes[j].position))
+        if not math.isfinite(w):
+            raise ParseError(f"{p}: edge ({i}, {j}) has non-finite weight")
+        if w <= 0.0:
+            raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
+        edges.append((i, j, w))
+    return SurfaceGraph(nodes, edges)
+
+
+def graph_load_differences(path) -> list[str]:
+    """How `graph.load_graph_json` differs from the per-record reference on
+    one file, as graph_differences tells it."""
+    return _graph_outcome_differences(
+        [_outcome(load, path) for load in (load_graph_json, load_graph_json_per_node)]
+    )
+
+
+def parse_obj_per_line(path) -> tuple[list[list[float]], list[list[int]]]:
+    """`mesh._parse_obj` one line at a time: vertex rows and face rings as
+    lists, each token converted on its own."""
+    verts: list[list[float]] = []
+    faces: list[list[int]] = []
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "v":
+            if len(fields) < 4:
+                raise ParseError(f"{path}:{lineno}: vertex record needs 3 coordinates")
+            try:
+                coords = [float(x) for x in fields[1:4]]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
+            if not all(math.isfinite(x) for x in coords):
+                raise ParseError(f"{path}:{lineno}: vertex coordinates must be finite")
+            verts.append(coords)
+        elif tag == "f":
+            ring = []
+            for tok in fields[1:]:
+                head = tok.split("/")[0]
+                try:
+                    idx = int(head)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from exc
+                if idx <= 0:
+                    raise ParseError(f"{path}:{lineno}: face indices must be positive (1-based)")
+                ring.append(idx - 1)
+            if len(ring) < 3:
+                raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+            faces.append(ring)
+        elif tag in _OBJ_IGNORED:
+            continue  # harmless metadata records
+        else:
+            raise ParseError(f"{path}:{lineno}: unsupported OBJ record {tag!r}")
+    return verts, faces
+
+
+def obj_parse_differences(path) -> list[str]:
+    """How `mesh._parse_obj` differs from the per-line reference on one
+    file: the vertices (as float arrays, by shape and bytes), the face rings
+    (by ==), or both outcomes when either raises and their exception types
+    or texts differ."""
+    fast, ref = (_outcome(parse, path) for parse in (_parse_obj, parse_obj_per_line))
+    if isinstance(fast, str) or isinstance(ref, str):
+        fast, ref = (o if isinstance(o, str) else "a parse" for o in (fast, ref))
+        return [] if fast == ref else [f"{fast} against {ref}"]
+    differ = []
+    got, want = np.asarray(fast[0], dtype=float), np.asarray(ref[0], dtype=float)
+    if got.shape != want.shape or got.tobytes() != want.tobytes():
+        differ.append("vertices")
+    if fast[1] != ref[1]:
+        differ.append("faces")
+    return differ
+
+
+# OBJ and graph JSON tokens that Python's float() and int() read, and those
+# they refuse; each text draws from both and from the faults below
+_OBJ_NUMBERS = ("0", "-0.0", "+3", "1_0", ".5", "2.", "1e2", "-7.25", "1E-3", "-1e-320")
+_OBJ_FAULTS = (
+    "v 1 2", "v", "v a 0 0", "v nan 0 0", "v 0 inf 0", "v 0 0 1e400", "v 1 2 3.0.0",
+    "v 0x1 0 0",
+    "f 1 2", "f", "f 1 x 3", "f 0 1 2", "f -1 2 3", "f //3 1 2", "f 1 2 3.0", "f 1 2 1e1",
+    "curve 1 2", "V 0 0 0", "vertex 0 0 0", "f 1 2 3 #", "v# 0 0 0",
+)
+_OBJ_EXTRAS = (
+    "", "   ", "# comment", "#", "vn 0 0 1", "vt 0.5 0.5", "vp 0.1", "o part", "g group",
+    "s off", "usemtl stone", "mtllib walls.mtl", "v 1 2 3 1.0", "v 1 2 3 # tail",
+)
+
+
+def random_obj_text(nprng: np.random.Generator, faults: int = 0) -> str:
+    """An OBJ text of 3 to 12 vertices and up to 8 faces, with numbers in
+    the forms float() and int() accept, `v/vt/vn` face tokens, metadata and
+    comment lines, and space, tab, CRLF, CR and form-feed separators; then
+    `faults` lines from _OBJ_FAULTS, or a token overwritten, at random places."""
+    def pick(options):
+        return options[int(nprng.integers(len(options)))]
+
+    nverts = int(nprng.integers(3, 13))
+    lines = []
+    for _ in range(nverts):
+        coords = [pick(_OBJ_NUMBERS) if nprng.random() < 0.3 else repr(float(nprng.normal()))
+                  for _ in range(3)]
+        lines.append(pick((" ", "\t", "  ")).join(["v", *coords]))
+    for _ in range(int(nprng.integers(0, 9))):
+        ids = [int(k) for k in nprng.integers(1, nverts + 1, size=int(nprng.integers(3, 6)))]
+        tokens = [pick(("{}", "{}", "+{}", "0{}", "{}/1", "{}//2", "{}/1/2", "{}/", "1_{}"))
+                  .format(k) for k in ids]
+        lines.append(pick((" ", "\t")).join(["f", *tokens]))
+    for _ in range(int(nprng.integers(0, 4))):
+        lines.insert(int(nprng.integers(len(lines) + 1)), pick(_OBJ_EXTRAS))
+    for _ in range(faults):
+        k = int(nprng.integers(len(lines) + 1))
+        if nprng.random() < 0.7 or not lines:
+            lines.insert(k, pick(_OBJ_FAULTS))
+        else:  # one token of an existing line overwritten
+            fields = lines[min(k, len(lines) - 1)].split() or ["#"]
+            fields[int(nprng.integers(len(fields)))] = pick(("x", "0", "-2", "nan", "/", "1e999"))
+            lines[min(k, len(lines) - 1)] = " ".join(fields)
+    ends = [pick(("\n", "\n", "\r\n", "\r", "\x0c")) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def random_graph_document(nprng: np.random.Generator, faults: int = 0) -> dict:
+    """A graph JSON document of 2 to 10 nodes, some with a normal, and
+    edges of 2 or 3 entries with int or integral float indices; then
+    `faults` records or entries replaced by ones load_graph_json refuses
+    (non-finite literals, bools, strings, wrong lengths, bad indices,
+    non-positive weights, coincident nodes, repeated edges, self-loops)."""
+    def pick(options):
+        return options[int(nprng.integers(len(options)))]
+
+    def number(x):
+        return pick((float(x), int(round(x)), int(round(x)), float(round(x))))
+
+    n = int(nprng.integers(2, 11))
+    nodes = []
+    for _ in range(n):
+        rec = {"pos": [number(x) for x in nprng.uniform(-5.0, 5.0, size=3)]}
+        if nprng.random() < 0.4:
+            rec["normal"] = [number(x) for x in nprng.normal(size=3)]
+            if not any(rec["normal"]):
+                rec["normal"][2] = 1
+        nodes.append(rec)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if nprng.random() < 0.5]
+    edges = []
+    for i, j in pairs:
+        if nprng.random() < 0.5:
+            i, j = j, i
+        ends = [pick((i, i, float(i))), pick((j, j, float(j)))]
+        edges.append(ends if nprng.random() < 0.5 else ends + [number(nprng.uniform(0.5, 5.0))])
+    doc = {"nodes": nodes, "edges": edges}
+    node_faults = (
+        "not a node", {"q": 1}, {"pos": [0, 0]}, {"pos": [0, True, 0]}, {"pos": ["1", 0, 0]},
+        {"pos": [math.nan, 0, 0]}, {"pos": [0, 0, math.inf]}, {"pos": [10**400, 0, 0]},
+        {"pos": [1e60, 0, 0]}, {"pos": [0, 0, 0], "normal": [0, 0, 0]},
+        {"pos": [0, 0, 0], "normal": None}, {"pos": [0, 0, 0], "normal": [1.5e308, 1.5e308, 0]},
+    )
+    edge_faults = (
+        "0-1", [0], [0, 1, 2, 3], [True, 0], [0, True, 1.5], [1, 0.5], [2.5, 0, 1], ["1", 0],
+        [-1, 0], [0, n], [0, 10**30], [0, 1e300], [0, 1, False], [0, 1, "2"], [0, 1, math.nan],
+        [0, 1, -1], [0, 1, 0], [0, 1, 10**400], [0, 1, math.inf], [1, 1], [1, 1, 2.0], [0, 1],
+        [1, 0, 2],
+    )
+    for _ in range(faults):
+        kind = nprng.random()
+        if kind < 0.35:
+            nodes[int(nprng.integers(n))] = pick(node_faults)
+        elif kind < 0.5:  # a 2-element edge between coincident nodes
+            nodes[1] = dict(nodes[0])
+            edges.insert(int(nprng.integers(len(edges) + 1)), [0, 1])
+        elif kind < 0.95:
+            edges.insert(int(nprng.integers(len(edges) + 1)), pick(edge_faults))
+        else:
+            doc = pick(({"nodes": nodes}, {"nodes": 3, "edges": []}, [nodes, edges]))
+    return doc
 
 
 def random_ring_surface(
@@ -858,6 +1089,34 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     wrong = sum(bool(graph_differences(surface)) for surface in graphed)
     results.append(("graph-build", wrong == 0, f"{wrong} of {len(graphed)} surfaces differ"))
 
+    # seeded OBJ texts and graph documents, a third of them sound and the
+    # rest with one or two faults, some behind a UTF-8 byte-order mark; every
+    # seventh OBJ text is 150 texts long, over two blocks of the reader, with
+    # the faults in the last one
+    obj_wrong = obj_refused = graph_wrong = graph_refused = 0
+    texts = 8 * instances
+    with tempfile.TemporaryDirectory() as tmp:
+        obj_path, graph_path = Path(tmp, "input.obj"), Path(tmp, "input.json")
+        for k in range(texts):
+            nprng = np.random.default_rng(rng.randrange(2**32))
+            bom = "\ufeff" if k % 5 == 4 else ""
+            sound = "".join(random_obj_text(nprng) for _ in range(149 if k % 7 == 6 else 0))
+            obj_path.write_text(bom + sound + random_obj_text(nprng, k % 3), encoding="utf-8")
+            obj_wrong += bool(obj_parse_differences(obj_path))
+            obj_refused += isinstance(_outcome(parse_obj_per_line, obj_path), str)
+            graph_path.write_text(
+                bom + json.dumps(random_graph_document(nprng, k % 3)), encoding="utf-8")
+            graph_wrong += bool(graph_load_differences(graph_path))
+            graph_refused += isinstance(_outcome(load_graph_json_per_node, graph_path), str)
+    results.append((
+        "obj-parse", obj_wrong == 0,
+        f"{obj_wrong} of {texts} texts differ, {obj_refused} refused",
+    ))
+    results.append((
+        "graph-load", graph_wrong == 0,
+        f"{graph_wrong} of {texts} documents differ, {graph_refused} refused",
+    ))
+
     tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
     checked = wrong = 0
     for surface in surfaces:
@@ -905,14 +1164,14 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
                         wrong += t != (math.inf if want is None else want)
             for o, d, max_t in probes:
                 checked += 1
-                wrong += _segment_hit(blockers, o, d, max_t) != first_hit_all_triangles(
-                    blockers, o, d, max_t)
+                wrong += _segment_hit(blockers, o.tolist(), d.tolist(), max_t) != (
+                    first_hit_all_triangles(blockers, o, d, max_t) is not None)
     empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     for blockers in (empty, None):
         checked += 1
         wrong += bool((first_hit(blockers, np.zeros((2, 3)), np.ones((2, 4, 3)), 1e6) < math.inf).any())
     checked += 1
-    wrong += _segment_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1e6) is not None
+    wrong += _segment_hit(empty, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1e6)
     results.append(
         ("raycast-full", wrong == 0, f"{wrong} of {checked} rays differ, {hits} hit")
     )

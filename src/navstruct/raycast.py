@@ -1,9 +1,11 @@
 """Ray/segment queries against blocker triangle meshes (Moller-Trumbore).
 
 `first_hit` casts a batch of rays, m from each of n origins, in numpy array
-passes; `segment_clear` tests one segment in a scalar loop.  Both find each
-ray's candidate triangles with a ball query on the mesh's centroid tree, and
-both agree bit for bit with `oracles.first_hit_all_triangles`.
+passes, and agrees bit for bit with `oracles.first_hit_all_triangles`.
+`segment_clear` tests one segment in a scalar any-hit loop in Python floats,
+which stops at the first triangle it accepts, so it answers only whether that
+oracle finds a hit.  Both find each ray's candidate triangles with a ball
+query on the mesh's centroid tree.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 from .mesh import BlockerMesh
 
 EPS = 1e-9
+_EPS_SQUARED = EPS * EPS
 
 # float64 machine epsilon
 _ROUNDOFF = float(np.finfo(float).eps)
@@ -171,18 +174,18 @@ def _query_ball(blockers: BlockerMesh, o: list[float], d: list[float], max_t: fl
     return center, radius
 
 
-def _segment_hit(blockers: BlockerMesh, origin, direction, max_t: float) -> float | None:
-    """first_hit for one ray, as a loop in Python floats: the smallest t in
-    (EPS, max_t] at which origin + t*direction hits a blocker triangle, or
-    None.  One ball query (see `_query_ball`) picks the candidates, and the
-    loop reads each one's corner and edges from the mesh's table.  A single
-    segment costs less this way than as a numpy pass; the expressions, and
-    so the bits of t, are first_hit's."""
-    o = ox, oy, oz = [float(a) for a in origin]
-    d = dx, dy, dz = [float(a) for a in direction]
+def _segment_hit(blockers: BlockerMesh, o: list[float], d: list[float], max_t: float) -> bool:
+    """Whether o + t*d hits a blocker triangle at some t in (EPS, max_t]:
+    first_hit's test for one ray, as an any-hit loop in Python floats.  `o`
+    and `d` are three Python floats each.  One ball query (see `_query_ball`)
+    picks the candidates, and the loop reads each one's corner and edges from
+    the mesh's table and returns at the first triangle it accepts.  A single
+    segment costs less this way than as a numpy pass; the expressions are
+    first_hit's, so the answer is whether first_hit's t is finite."""
+    ox, oy, oz = o
+    dx, dy, dz = d
     limit = max_t + EPS
     table = blockers.corner_edges
-    best = None
     for i in blockers.triangle_tree.query_ball_point(*_query_ball(blockers, o, d, max_t)):
         ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = table[i]
         px = dy * e2z - dz * e2y  # d x e2
@@ -203,17 +206,27 @@ def _segment_hit(blockers: BlockerMesh, origin, direction, max_t: float) -> floa
         if not (v >= -EPS and u + v <= 1.0 + EPS):
             continue
         t = (e2x * qx + e2z * qz + e2y * qy) * inv_det
-        if t > EPS and t <= limit and (best is None or t < best):
-            best = t
-    return best
+        if t > EPS and t <= limit:
+            return True
+    return False
 
 
 def segment_clear(blockers: BlockerMesh | None, a, c) -> bool:
-    """True when the straight segment a->c crosses no blocker triangle."""
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = c - a
-    length = float(np.linalg.norm(d))
-    if length < EPS or blockers is None:
+    """True when the straight segment a->c crosses no blocker triangle.  A
+    segment shorter than EPS (np.linalg.norm(c - a) < EPS) crosses none."""
+    if blockers is None:
         return True
-    return _segment_hit(blockers, a, d, 1.0) is None
+    # as Python floats: tolist() reads a numpy row four times faster than
+    # float() on each of its elements
+    o = ax, ay, az = np.asarray(a, dtype=float).tolist()
+    cx, cy, cz = np.asarray(c, dtype=float).tolist()
+    d = dx, dy, dz = [cx - ax, cy - ay, cz - az]
+    # np.linalg.norm(d) is the square root of a BLAS dot, whose sum of
+    # squares may differ from this one by a few ulps; so a sum that close to
+    # EPS**2 asks norm itself, and every other sum falls on norm's side
+    square = dx * dx + dy * dy + dz * dz
+    if abs(square - _EPS_SQUARED) <= 1e-9 * _EPS_SQUARED:
+        short = float(np.linalg.norm(d)) < EPS
+    else:
+        short = square < _EPS_SQUARED
+    return short or not _segment_hit(blockers, o, d, 1.0)

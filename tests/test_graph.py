@@ -23,7 +23,11 @@ from navstruct.graph import (
     load_graph_json,
 )
 from navstruct.mesh import build_walkable_surface
-from navstruct.oracles import graph_from_navmesh_per_edge
+from navstruct.oracles import (
+    graph_from_navmesh_per_edge,
+    graph_load_differences,
+    load_graph_json_per_node,
+)
 
 
 def test_navmesh_graph_from_corridor(corridor):
@@ -198,3 +202,91 @@ def test_load_graph_json_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(exc, match=needle):
             load_graph_json(path)
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_load_graph_json_names_the_first_fault_in_file_order(tmp_path):
+    path = tmp_path / "bad.json"
+    three = [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0]}, {"pos": [0, 2, 0]}]
+    cases = [
+        # node faults of different kinds: the lower node is named, a node's
+        # pos before its normal
+        ([{"pos": [0, 0, 0], "normal": [0, 0, 0]}, {"pos": [0, True, 0]}], [],
+         ParseError, f"{path}: node 0 'normal' must have a nonzero finite length"),
+        ([{"pos": [0, 0, 0]}, {"pos": [0, 0]}, {"q": 1}], [],
+         ParseError, f"{path}: node 1 'pos' must have 3 components"),
+        ([{"pos": ["1", 0, 0], "normal": None}], [],
+         ParseError, f"{path}: node 0 'pos': '1' is not a number"),
+        ([{"pos": [0, 0, 10**400]}], [], ParseError, f"{path}: node 0 'pos' must be finite"),
+        # every node is read before the coordinate range and the edges
+        ([{"pos": [1e60, 0, 0]}, {"pos": [0, 0, 0]}], [[0, 5]],
+         ValidationError, r"graph node coordinates must lie within +/-1e+50"),
+        # edge faults of different kinds: the earlier record is named
+        (three, [[0, 1], [0, 2, -1.0], [True, 1]],
+         DegenerateEdge, "edge (0, 2) has non-positive weight -1.0"),
+        (three, [[0, 1, 1.5], [0, True], [0, 2, -1]],
+         ParseError, f"{path}: index True is not an integer"),
+        (three, [[0, 2.0], [0, 1, "2"], [0, 7]], ParseError, f"{path}: '2' is not a number"),
+        (three, [[0, 2.0], [1, 2.5]], ParseError, f"{path}: index 2.5 is not an integer"),
+        (three, [[2.0, 1], [0, 10**30], [0, 2.5]],
+         ParseError, f"{path}: edge (0, {10**30}) out of range"),
+        (three, [[0, 1, 10**400], [0, 2, 0]],
+         ParseError, f"{path}: edge (0, 1) has non-finite weight"),
+        ([{"pos": [0, 0, 0]}, {"pos": [0, 0, 0]}], [[1, 0]],
+         DegenerateEdge, "edge (1, 0) has non-positive weight 0.0"),
+        (three, [[0, 1], [1, 2], [2, 1, 3]], ValidationError, "duplicate edge (1, 2)"),
+        (three, [[0, 1], [2, 2.0, 1]], ValidationError, "self-loop on node 2"),
+    ]
+    for nodes, edges, exc, message in cases:
+        path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        got = _load_outcome(load_graph_json, path)
+        assert got == (exc, message), (nodes, edges)
+        assert got == _load_outcome(load_graph_json_per_node, path)
+
+
+def test_load_graph_json_reads_integral_float_indices_and_refuses_bools(tmp_path):
+    path = tmp_path / "graph.json"
+    nodes = [{"pos": [0, 0, 0]}, {"pos": [3, 4, 0]}, {"pos": [3, 4, 12]}]
+    path.write_text(json.dumps({"nodes": nodes, "edges": [[0, 1.0], [2.0, 1, 7]]}))
+    g = load_graph_json(path)
+    assert g.edges == [(0, 1, 5.0), (1, 2, 7.0)]
+    assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.edges)
+    assert not graph_load_differences(path)
+    for edges in ([[0, True]], [[True, 1, 2.0]]):
+        path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        with pytest.raises(ParseError, match="index True is not an integer"):
+            load_graph_json(path)
+
+
+def test_load_graph_json_gives_two_element_edges_the_norm_bits(tmp_path):
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1e3, 1e3, size=(60, 3)) * rng.choice((1e-6, 1.0, 1e6), size=(60, 1))
+    pairs = [(int(i), int(j)) for i, j in rng.integers(0, 60, size=(300, 2)) if i < j]
+    pairs = sorted(set(pairs))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "nodes": [{"pos": p, "normal": [1, 2, 2]} for p in points.tolist()],
+        "edges": [list(pair) for pair in pairs],
+    }))
+    g = load_graph_json(path)
+    want = [float(np.linalg.norm(points[i] - points[j])).hex() for i, j in pairs]
+    assert [w.hex() for _, _, w in g.edges] == want
+    assert [(i, j) for i, j, _ in g.edges] == pairs
+    for node, p in zip(g.nodes, points):
+        assert node.position.tobytes() == p.tobytes()
+        assert node.normal.tolist() == (np.array([1.0, 2.0, 2.0]) / 3.0).tolist()
+        assert (node.polygon, node.source, node.terminal) == (None, SOURCE_SAMPLE, False)
+    assert not graph_load_differences(path)
+
+
+def test_load_graph_json_skips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "graph.json"
+    text = '{"nodes": [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0]}], "edges": [[0, 1]]}'
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_graph_json(path).edges == [(0, 1, 1.0)]

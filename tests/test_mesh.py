@@ -13,12 +13,13 @@ from navstruct.fixtures import (
     vertical_strip,
 )
 from navstruct.mesh import (
+    _parse_obj,
     build_blocker_mesh,
     build_walkable_surface,
     load_blocker_mesh,
     load_walkable_surface,
 )
-from navstruct.oracles import locate_point_linear
+from navstruct.oracles import locate_point_linear, obj_parse_differences, parse_obj_per_line
 
 UNIT_SQUARE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
 
@@ -81,6 +82,93 @@ def test_obj_parse_rejects_bad_records(tmp_path):
         path.write_text(text)
         with pytest.raises(ParseError, match=needle):
             load_walkable_surface(path)
+    # two faults of different kinds: the earlier line is the one named, with
+    # its path and line number, whichever kind the passes meet first
+    quad = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+    for text, where, message in [
+        (quad + "f 1 2 x 4\nv nan 0 0\n", 5, "bad face index 'x'"),
+        (quad + "v nan 0 0\nf 1 2 x 4\n", 5, "vertex coordinates must be finite"),
+        ("curve 1\n" + quad + "f 0 1 2\n", 1, "unsupported OBJ record 'curve'"),
+        (quad + "f 1 2\nv 1 2\n", 5, "face needs at least 3 vertices"),
+        (quad + "v 1 2\nf 1 2\n", 5, "vertex record needs 3 coordinates"),
+        (quad + "f 1 -2 3\nf 1 2 y\n", 5, "face indices must be positive (1-based)"),
+        (quad + "f 1 2 3\r\nv 0 0\r\n", 6, "vertex record needs 3 coordinates"),
+        (quad + "f 1 2 3\x0cf 1 2\n", 6, "face needs at least 3 vertices"),
+        (quad + "v 1 2 1e400\n", 5, "vertex coordinates must be finite"),
+        (quad + "f 1 2 3/\n#\nf 1 2 3.0\n", 7, "bad face index '3.0'"),
+    ]:
+        path = tmp_path / "bad.obj"
+        path.write_text(text, newline="")
+        with pytest.raises(ParseError) as info:
+            load_walkable_surface(path)
+        assert str(info.value) == f"{path}:{where}: {message}"
+        want = _per_line_outcome(path)
+        assert (type(info.value), str(info.value)) == (type(want), str(want))
+
+
+def _per_line_outcome(path):
+    try:
+        return parse_obj_per_line(path)
+    except ParseError as exc:
+        return exc
+
+
+def test_obj_parse_reads_separators_and_token_forms_like_the_per_line_reader(tmp_path):
+    # CRLF, CR, tab and form-feed separators; v/vt/vn face tokens; the number
+    # forms float() and int() accept
+    text = (
+        "v 0 0 0\r\nv\t+3 0 0\rv 3 1_0 0\x0cv 0 10 0 1.0\n"
+        "vn 0 0 1\r\n\t\n   \nf 1/2/3 2//3 3/4\nf +1 3 4\r\nf 01 2/ 3/1\n# done"
+    )
+    path = tmp_path / "forms.obj"
+    path.write_text(text, newline="")
+    verts, faces = _parse_obj(path)
+    want_verts, want_faces = parse_obj_per_line(path)
+    assert verts.dtype == float and verts.shape == (4, 3)
+    assert verts.tobytes() == np.array(want_verts).tobytes()
+    assert verts.tolist() == [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 10.0, 0.0], [0.0, 10.0, 0.0]]
+    assert faces == want_faces == [[0, 1, 2], [0, 2, 3], [0, 1, 2]]
+    assert all(type(i) is int for ring in faces for i in ring)
+    assert not obj_parse_differences(path)
+    # the first of three numbers is used; an OBJ with no vertex keeps the
+    # per-line reader's empty list shape
+    path.write_text("# nothing\n")
+    assert _parse_obj(path)[0].shape == np.array(parse_obj_per_line(path)[0]).shape == (0,)
+
+
+def test_obj_parse_reads_long_files_block_by_block(tmp_path):
+    # 3,000 vertex lines, then faces over them: the reader's blocks split
+    # both the vertices and the faces
+    rng = np.random.default_rng(2)
+    points = rng.normal(size=(3000, 3)) * 100.0
+    lines = ["v " + " ".join(map(repr, p)) for p in points.tolist()]
+    lines += ["f %d %d %d" % tuple(rng.integers(1, 3001, size=3)) for _ in range(1500)]
+    path = tmp_path / "long.obj"
+    path.write_text("\n".join(lines))
+    verts, faces = _parse_obj(path)
+    assert verts.tobytes() == points.tobytes()
+    assert faces == parse_obj_per_line(path)[1]
+    # a fault in a later block is named by its line, behind sound blocks
+    for where, bad in ((2500, "v 1 2 nan"), (4000, "f 1 2 0"), (1025, "vx 0 0 0")):
+        path.write_text("\n".join(lines[:where - 1] + [bad] + lines[where - 1:]))
+        with pytest.raises(ParseError) as info:
+            _parse_obj(path)
+        assert str(info.value).startswith(f"{path}:{where}: ")
+        assert (type(info.value), str(info.value)) == (
+            type(_per_line_outcome(path)), str(_per_line_outcome(path)))
+
+
+def test_obj_and_json_inputs_skip_a_utf8_byte_order_mark(tmp_path):
+    text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
+    plain, marked = tmp_path / "plain.obj", tmp_path / "marked.obj"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_walkable_surface(marked).polygons == load_walkable_surface(plain).polygons
+    walls = tmp_path / "walls.json"
+    walls.write_bytes(
+        b"\xef\xbb\xbf" + b'{"vertices": [[0,0,0],[1,0,0],[1,1,0]], "triangles": [[0,1,2]]}'
+    )
+    assert load_blocker_mesh(walls).triangles.tolist() == [[0, 1, 2]]
 
 
 def test_json_surface_roundtrip(tmp_path):
@@ -406,6 +494,13 @@ def test_blocker_load_requires_triangles(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
     with pytest.raises(ParseError, match="must be triangles"):
         load_blocker_mesh(path)
+    # the first face that is not a triangle is named, by index and size
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf 1 2 3 4\nf 1 2 3 4 1\n")
+    with pytest.raises(ParseError) as info:
+        load_blocker_mesh(path)
+    assert str(info.value) == (
+        f"{path}: blocker face 1 has 4 vertices; blocker faces must be triangles"
+    )
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 3\n")
     mesh = load_blocker_mesh(path)
     assert len(mesh.triangles) == 1

@@ -348,6 +348,16 @@ def test_cli_config_file_fills_unset_flags(tmp_path):
     assert not (out / "structure.json").exists()
 
 
+def test_cli_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    gp = write_chain_json(tmp_path / "chain.json")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfterminals = leaves\nformat = dot\n")
+    out = tmp_path / "out"
+    assert main(["extract", "--graph", str(gp), "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "structure.dot").exists()
+    assert not (out / "structure.json").exists()
+
+
 def test_cli_explicit_flags_beat_the_config_file(tmp_path):
     gp = write_chain_json(tmp_path / "chain.json")
     cfg = tmp_path / "run.cfg"
@@ -888,6 +898,8 @@ def test_cli_oracle_suites_pass(capsys):
     assert any(line.startswith("oracle los-funnel: ") for line in lines)
     assert any(line.startswith("oracle fan-classify: ") for line in lines)
     assert any(line.startswith("oracle graph-build: ") for line in lines)
+    assert any(line.startswith("oracle obj-parse: ") for line in lines)
+    assert any(line.startswith("oracle graph-load: ") for line in lines)
     assert lines[-3].startswith("oracle locate-linear: ")
     assert lines[-2].startswith("oracle raycast-full: ")
     assert lines[-1].startswith("oracle dijkstra-tree: ")

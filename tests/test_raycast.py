@@ -64,6 +64,12 @@ def _oracle(mesh, o, d, max_t):
     return math.inf if t is None else t
 
 
+def _segment_hit(mesh, o, d, max_t):
+    """The scalar any-hit loop on a ray given as any two 3-sequences."""
+    return raycast._segment_hit(
+        mesh, np.asarray(o, dtype=float).tolist(), np.asarray(d, dtype=float).tolist(), max_t)
+
+
 def _batch_hits(mesh, origins, directions, max_t):
     """first_hit's batch, each entry checked against the oracle; the number
     of rays that hit."""
@@ -99,7 +105,7 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
         want = _oracle(blockers, origin, direction, max_t)
         got = raycast.first_hit(blockers, [origin], [[direction]], max_t)
         assert got.tolist() == [[want]]
-        assert (raycast._segment_hit(blockers, origin, direction, max_t) or math.inf) == want
+        assert _segment_hit(blockers, origin, direction, max_t) == (want < math.inf)
         hits += want < math.inf
     assert 50 < hits < 400
 
@@ -117,9 +123,10 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
     for name, mesh, rays in cases:
         hits = 0
         for o, d, max_t in rays:
-            got = raycast._segment_hit(mesh, o, d, max_t)
-            assert got == first_hit_all_triangles(mesh, o, d, max_t), (name, o, d, max_t)
-            hits += got is not None
+            got = _segment_hit(mesh, o, d, max_t)
+            assert got == (first_hit_all_triangles(mesh, o, d, max_t) is not None), (
+                name, o, d, max_t)
+            hits += got
         assert 0 < hits < len(rays), name
         # the batch, on up to 200 rows of three rays from one origin: a NaN
         # direction makes the whole row test the whole mesh
@@ -128,7 +135,7 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
         assert 0 < hits < 3 * len(rows), name
 
     nan_ray = ((0.0, 0.5, 0.0), (math.nan, 0.0, 0.0), 1.0)
-    assert raycast._segment_hit(corridor, *nan_ray) is None
+    assert not _segment_hit(corridor, *nan_ray)
     assert first_hit_all_triangles(corridor, *nan_ray) is None
     assert raycast.first_hit(corridor, [nan_ray[0]], [[nan_ray[1]]], 1.0).tolist() == [[math.inf]]
     assert raycast.first_hit(None, np.zeros((2, 3)), np.ones((2, 3, 3)), math.inf).tolist() == [
@@ -136,7 +143,7 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
     assert raycast.first_hit(corridor, np.zeros((0, 3)), np.zeros((0, 5, 3)), 1.0).shape == (0, 5)
     empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     for max_t in (1.0, math.inf):
-        assert raycast._segment_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t) is None
+        assert not _segment_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t)
         assert raycast.first_hit(empty, [(0.0, 0.0, 0.0)], [[(1.0, 0.0, 0.0)]], max_t).tolist() == [
             [math.inf]]
         assert first_hit_all_triangles(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t) is None
@@ -266,17 +273,58 @@ def test_whole_mesh_balls_keep_fans_exact_in_bounded_slices(monkeypatch):
 
 def test_overflowing_rays_follow_python_floats():
     # directions of length up to 1e308: d x e2 and the dot products overflow
-    # to inf, and inf * 0 gives NaN.  The batch must give the scalar loop's
-    # answers, which overflow silently in Python floats, without a numpy
-    # RuntimeWarning
+    # to inf, and inf * 0 gives NaN.  The batch must give the oracle's t bit
+    # for bit, without a numpy RuntimeWarning of its own
     surface, blockers = straight_corridor(12)
     samples = sample_boundary(surface)
     origins = samples.positions
     directions = fan_directions(samples, DEFAULT_RAY_COUNT) * 1e308
     for max_t in (1e-308, 1.0):
         got = raycast.first_hit(blockers, origins, directions, max_t)
-        want = [
-            [raycast._segment_hit(blockers, o, d, max_t) or math.inf for d in row]
-            for o, row in zip(origins, directions)
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [[_oracle(blockers, o, d, max_t) for d in row]
+                    for o, row in zip(origins, directions)]
         assert got.tolist() == want
+
+
+def test_segment_clear_guard_is_np_linalg_norm_below_eps(monkeypatch):
+    # with every long segment blocked, segment_clear answers its zero-length
+    # guard alone; it must be np.linalg.norm(c - a) < EPS on every input.  On
+    # lengths within a few ulps of EPS a plain sum of squares, and
+    # math.hypot, fall on the other side of EPS for a few percent of these
+    monkeypatch.setattr(raycast, "_segment_hit", lambda *args: True)
+    _, blockers = straight_corridor(2)
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(4000):
+        d = rng.normal(size=3)
+        d *= EPS / np.linalg.norm(d) * (1.0 + int(rng.integers(-6, 7)) * ROUNDOFF)
+        a = rng.uniform(-1.0, 1.0, size=3) * rng.choice((0.0, 0.0, 1e-6))
+        cases.append((a, a + d))
+    cases += [((0.0, 0.0, 0.0), c) for c in (
+        (0.0, 0.0, 0.0), (1e-200, 0.0, 0.0), (1e-10, 1e-10, 1e-10), (1e-9, 0.0, 0.0),
+        (1e300, 1e300, 0.0), (math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), [0, 0, 1],
+    )]
+    short = 0
+    for a, c in cases:
+        d = np.asarray(c, dtype=float) - np.asarray(a, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference, at 1e300 and NaN
+            want = bool(np.linalg.norm(d) < EPS)
+        assert raycast.segment_clear(blockers, a, c) == want, (a, c)
+        short += want
+    assert 1000 < short < len(cases) - 1000
+    assert raycast.segment_clear(None, (0.0, 0.0, 0.0), (5.0, 0.0, 0.0))
+
+
+def test_segment_clear_answers_whether_the_oracle_finds_a_hit(maze_walls):
+    g, walls = maze_walls(12, 12, seed=3)
+    rng = np.random.default_rng(6)
+    rays = _long_segments(g, rng, 150) + _probe_rays(walls, rng)
+    blocked = 0
+    for o, d, _ in rays:
+        c = o + d
+        want = first_hit_all_triangles(walls, o, c - o, 1.0) is None
+        for ends in ((o, c), (o.tolist(), c.tolist()), (tuple(o), tuple(c))):
+            assert raycast.segment_clear(walls, *ends) == want, (o, c)
+        blocked += not want
+    assert 0 < blocked < len(rays)
