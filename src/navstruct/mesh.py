@@ -71,10 +71,30 @@ class WalkableSurface:
     # undirected (min, max) edge -> owning polygon ids, ascending: two for an
     # interior edge, whose owners are neighbours, and one for a boundary edge
     edge_polygons: dict[tuple[int, int], list[int]] = field(repr=False, default_factory=dict)
+    # polygon id -> walk_row(polygon id), for the polygons walks have read
+    walk_rows: dict[int, tuple] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def polygon_plane(self, poly_id: int) -> tuple[np.ndarray, float]:
         """Return (unit normal n, offset d) with n.p = d for points on the plane."""
         return self.polygon_normals[poly_id], float(self.polygon_offsets[poly_id])
+
+    def walk_row(self, poly_id: int) -> tuple[tuple, tuple, tuple]:
+        """The polygon's plane as four Python floats (n x, y, z, d), its
+        projection axes as two ints and its winding along each axis as three
+        floats, for the line-of-sight walk.  Each row is read from the arrays
+        when a walk first asks for it, so a surface holds rows only for the
+        polygons its walks touch."""
+        row = self.walk_rows.get(poly_id)
+        if row is None:
+            plane = (*self.polygon_normals[poly_id].tolist(), float(self.polygon_offsets[poly_id]))
+            row = self.walk_rows[poly_id] = (
+                plane,
+                tuple(self.polygon_axes[poly_id].tolist()),
+                tuple(self.polygon_winding[poly_id].tolist()),
+            )
+        return row
 
     def clip_line(self, poly_id: int, keep, origin, direction) -> tuple[float, float, list]:
         """Clip the 2D line origin + t*direction, on the axes `keep`, against
@@ -226,7 +246,8 @@ def _parse_obj(path: Path) -> tuple[np.ndarray, list[list[int]]]:
     coordinate and one int() pass over every face index.  When a pass finds
     a fault, `_first_obj_fault` names the first faulty line, as
     `oracles.parse_obj_per_line` reads the file.  A file with no vertex
-    reads as np.asarray([]), which the builders refuse as not (N, 3)."""
+    reads as np.asarray([]) of shape (0,): build_walkable_surface refuses it
+    as not (N, 3), and load_blocker_mesh reads it as an empty mesh."""
     text = read_text(path)
     lines = text.splitlines()
     slash = "/" in text  # v/vt/vn face tokens: the vertex index is the first field
@@ -741,8 +762,11 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
 
 def load_blocker_mesh(path: str | Path) -> BlockerMesh:
     """Load a triangles-only blocker mesh from OBJ, or from JSON with the
-    faces under ``triangles`` (``polygons`` is accepted too)."""
+    faces under ``triangles`` (``polygons`` is accepted too).  A file with
+    no vertex is an empty mesh, which blocks nothing."""
     verts, faces = _parse_geometry(path, ("triangles", "polygons"))
+    if not len(verts):
+        verts = np.zeros((0, 3))
     if set(map(len, faces)) - {3}:
         k, face = next((k, f) for k, f in enumerate(faces) if len(f) != 3)
         raise ParseError(

@@ -49,6 +49,7 @@ from .mesh import (
     read_text,
 )
 from .raycast import EPS
+from .trees import SimplifyConfig
 
 _TIE_TOL = 1e-12
 
@@ -847,6 +848,71 @@ def locate_point_linear(surface: WalkableSurface, point, height_tol: float) -> i
     return None
 
 
+def surface_los_numpy(
+    surface: WalkableSurface, a, c, cfg: SimplifyConfig | None = None, start: int | None = None
+) -> bool:
+    """The plain line-of-sight walk on numpy vectors, as `trees.surface_los`
+    walked before it ran in Python floats: no funnel, numpy points, norms
+    and plane dot products.  It walks from polygon `start` when given, else
+    from the one locate_point finds.  The fast walk's answers must equal
+    this one's on every input."""
+    cfg = cfg or SimplifyConfig()
+    tol = cfg.los_height_tolerance
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if start is None:
+        start = surface.locate_point(a, tol)
+        start = -1 if start is None else start
+    if start < 0:
+        raise PointOffMesh(f"point {a.tolist()} lies on no walkable polygon")
+    if float(np.linalg.norm(c - a)) < GEOM_EPS:
+        return True
+
+    keep = surface.polygon_axes[start]
+    a2 = a[keep]
+    d2 = (c - a)[keep]
+    if float(np.linalg.norm(d2)) < GEOM_EPS:
+        # segment is vertical in this projection; only a same-polygon hop works
+        return surface.contains_point(start, c, tol)
+
+    max_steps = 4 * len(surface.polygons) + 8
+    seg = c - a
+    current = start
+    clip = surface.clip_line(current, keep, a2, d2)
+    t = 0.0
+    for _ in range(max_steps):
+        t_in, t_out, exit_edges = clip
+        if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
+            return False  # projection misses this polygon: walk broke down
+        lo = max(t, t_in)
+        hi = min(1.0, t_out)
+        n, d_plane = surface.polygon_plane(current)
+        for param in (lo, hi):
+            p = a + seg * param
+            if abs(float(np.dot(n, p)) - d_plane) > tol:
+                return False  # segment strays too far above/below the surface
+        if t_out >= 1.0 - GEOM_EPS:
+            return True
+        candidates = {  # crossing needs a shared edge
+            q for va, vb in exit_edges
+            for q in surface.edge_polygons.get((min(va, vb), max(va, vb)), ()) if q != current
+        }
+        if not candidates:
+            return False  # exits through a boundary edge
+        nxt = None
+        best_out = t_out
+        for q in sorted(candidates):
+            q_clip = surface.clip_line(q, keep, a2, d2)
+            q_in, q_out, _ = q_clip
+            if q_in <= t_out + GEOM_EPS and q_out > best_out + GEOM_EPS:
+                nxt, clip, best_out = q, q_clip, q_out  # nxt's clip serves the next step
+        if nxt is None:
+            return False  # no neighbor continues the segment
+        current = nxt
+        t = t_out
+    return False  # step guard exhausted (degenerate geometry)
+
+
 def first_hit_all_triangles(
     blockers: BlockerMesh, origin, direction, max_t: float
 ) -> float | None:
@@ -1117,6 +1183,25 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         f"{graph_wrong} of {texts} documents differ, {graph_refused} refused",
     ))
 
+    # the walk in Python floats against the walk on numpy vectors, located
+    # and from the anchor's polygon through one funnel, on the los-funnel
+    # runs, on the ramps at the height tolerance and on segments of about
+    # GEOM_EPS from the origin
+    walks = [(s, a, pid, targets, None) for s in runs for a, pid, targets in _funnel_runs(s, rng)]
+    for surface in surfaces[-4:]:  # the vertical strip and the three ramps
+        walks += [(surface, *run) for run in _tolerance_runs(surface, rng)]
+    walks += _eps_runs(rng)
+    checked = wrong = 0
+    for surface, a, pid, targets, cfg in walks:
+        funnel = LosFunnel(start=pid)
+        for c in targets:
+            checked += 2
+            wrong += _outcome(surface_los, surface, a, c, cfg) != _outcome(
+                surface_los_numpy, surface, a, c, cfg)
+            wrong += _outcome(surface_los, surface, a, c, cfg, funnel) != _outcome(
+                surface_los_numpy, surface, a, c, cfg, pid)
+    results.append(("los-walk", wrong == 0, f"{wrong} of {checked} answers differ"))
+
     tols = (0.05, 0.3, DEFAULT_HEIGHT_TOL, 1.0)
     checked = wrong = 0
     for surface in surfaces:
@@ -1223,6 +1308,70 @@ def _funnel_runs(surface: WalkableSurface, rng: random.Random):
         targets += sorted(verts, key=lambda v: float(np.linalg.norm(v - a)))
         targets += [a + 5.0 * normal, a + 2.0 * extent * np.array([1.0, 0.5, 0.0])]
         yield a, pid, targets
+
+
+def _tolerance_runs(surface: WalkableSurface, rng: random.Random):
+    """(anchor, its polygon, targets, config) runs at the height tolerance
+    tol, for two tolerances: from each polygon centre, on its plane or
+    moved off it by tol / 2 (where a funnel tests whether it may resume),
+    to points of every polygon (its centre, corners and 24 random points)
+    moved off its plane by tol.  Each move lands 1 to 4 ulps of the point's
+    coordinates short of or past that, on either side of the plane, so the
+    walk's plane tests fall next to their limit."""
+    def moved(p, q, off):
+        n = surface.polygon_normals[q]
+        now = float(np.dot(n, p)) - float(surface.polygon_offsets[q])
+        ulp = float(np.spacing(np.abs(p).max()))
+        jitter = rng.choice((-1, 1)) * rng.randint(1, 4) * ulp
+        return p + (rng.choice((-1.0, 1.0)) * off - now + jitter) * n
+
+    points = []
+    for q, ring in enumerate(surface.polygons):
+        corners = surface.vertices[ring]
+        points += [(q, surface.polygon_centers[q]), *((q, p) for p in corners)]
+        for _ in range(24):
+            weights = np.array([rng.random() + 1e-3 for _ in ring])
+            points.append((q, weights @ corners / weights.sum()))
+    for tol in (DEFAULT_HEIGHT_TOL, 0.3):
+        cfg = SimplifyConfig(los_height_tolerance=tol)
+        targets = [moved(p, q, tol) for q, p in points]
+        for pid, center in enumerate(surface.polygon_centers):
+            yield center, pid, targets, cfg
+            yield moved(center, pid, 0.5 * tol), pid, targets, cfg
+
+
+def _eps_runs(rng: random.Random):
+    """(surface, anchor, its polygon, targets, config) runs from the origin,
+    which lies on the middle of an 8-unit edge: the edge two squares share,
+    flat or turned 30 or 60 degrees about it, or the boundary edge of one
+    square.  The targets lie GEOM_EPS (1 + delta) from the origin in the
+    projection of its polygon, for delta 0, +-1e-12 and +-1e-8, along the
+    kept axes and at random angles: in the polygon's plane, so the full
+    length is that too, or raised along the dropped axis, so only the
+    projected one is.  Near the boundary or the shared edge, a walk and a
+    point test answer such a segment differently."""
+    surfaces = [build_walkable_surface([(-4, 0, 0), (4, 0, 0), (4, 8, 0), (-4, 8, 0)],
+                                       [[0, 1, 2, 3]])]
+    corners = ((-4, -8), (4, -8), (4, 0), (-4, 0), (4, 8), (-4, 8))
+    for degrees in (0.0, 30.0, 60.0):
+        cos, sin = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        verts = [(x, y * cos, y * sin) for x, y in corners]
+        surfaces.append(build_walkable_surface(verts, [[0, 1, 2, 3], [3, 2, 4, 5]]))
+    for surface in surfaces:
+        pid = surface.locate_point(np.zeros(3), DEFAULT_HEIGHT_TOL)
+        keep = surface.polygon_axes[pid]
+        angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(48)]
+        directions = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        directions += [(math.cos(angle), math.sin(angle)) for angle in angles]
+        targets = []
+        for delta in (-1e-8, -1e-12, 0.0, 1e-12, 1e-8):
+            for direction in directions:
+                flat = np.zeros(3)
+                flat[keep] = GEOM_EPS * (1.0 + delta) * np.array(direction)
+                raised = flat.copy()
+                raised[3 - keep.sum()] = rng.choice((-0.1, -1e-3, 1e-3, 0.1))
+                targets += [flat, raised]
+        yield surface, np.zeros(3), pid, targets, None
 
 
 def _tie_heavy_graph(rng: random.Random, weights) -> SurfaceGraph:

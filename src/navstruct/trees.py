@@ -167,6 +167,38 @@ def find_rooted_trees(
 _U = 2.0 ** -53
 
 
+def _shorter_than_eps(v) -> bool:
+    """np.linalg.norm(v) < GEOM_EPS, for two or three Python floats.  norm
+    is the square root of a BLAS dot, whose sum of squares differs from an
+    exact one by at most 3u of it (any order, fused or not), and math.hypot
+    is within one ulp of the exact length: so a length within 1e-9 of
+    GEOM_EPS (relative) asks norm itself, and every other one falls on
+    norm's side."""
+    length = math.hypot(*v)
+    if abs(length - GEOM_EPS) <= 1e-9 * GEOM_EPS:
+        return float(np.linalg.norm(v)) < GEOM_EPS
+    return length < GEOM_EPS
+
+
+def _off_plane(surface: WalkableSurface, poly: int, p, limit: float) -> bool:
+    """Whether the point p, three Python floats, lies more than `limit` from
+    `poly`'s plane, as abs(float(np.dot(n, p)) - d) > limit decides it.
+
+    The sum n.p is written out, x, y then z.  It and BLAS's dot, whose order
+    and fused steps vary, each lie within 3u sum|n_i p_i| <= 3.01u sum|p_i|
+    of the exact n.p (|n_i| <= 1 + 2u), and subtracting d rounds each by u
+    of its result.  So the two values of |n.p - d| differ by less than
+    6.02u sum|p_i| + 2.01u limit wherever either lies near `limit`, and one
+    within 8u (sum|p_i| + limit) of it asks np.dot itself; every other one
+    falls on np.dot's side."""
+    (nx, ny, nz, d), _, _ = surface.walk_row(poly)
+    px, py, pz = p
+    off = abs(nx * px + ny * py + nz * pz - d)
+    if abs(off - limit) <= 8.0 * _U * (abs(px) + abs(py) + abs(pz) + limit):
+        off = abs(float(np.dot(surface.polygon_normals[poly], np.array(p))) - d)
+    return off > limit
+
+
 class _Step(NamedTuple):
     """One clean step of an anchor's last successful walk: it left `polygon`
     through the shared edge `edge`, whose ends lie at `right` and `left` from
@@ -197,15 +229,15 @@ def _portal_gap(surface, poly, keep, ax, ay, step: _Step) -> float:
     each end U lies at least mu Q from every other edge line of `poly`.
     Zero when an end lies outside another edge (a ring convex only within
     the plane tolerance) or on its line (two edges in a row)."""
-    kx, ky = int(keep[0]), int(keep[1])
-    sign = float(surface.polygon_winding[poly, 3 - kx - ky])
+    kx, ky = keep
+    sign = surface.walk_row(poly)[2][3 - kx - ky]
     xs, ys = surface.axis_coords[kx], surface.axis_coords[ky]
     ring = surface.polygons[poly]
     (rx, ry), (lx, ly) = step.right, step.left
+    ea, eb = step.edge
     least = math.inf
-    for i, va in enumerate(ring):
-        vb = ring[(i + 1) % len(ring)]
-        if {va, vb} == set(step.edge):
+    for va, vb in zip(ring, ring[1:] + ring[:1]):
+        if (va == ea and vb == eb) or (va == eb and vb == ea):
             continue
         ex, ey = xs[vb] - xs[va], ys[vb] - ys[va]
         ox, oy = xs[va] - ax, ys[va] - ay
@@ -250,8 +282,23 @@ class LosFunnel:
     - c lies past the line of the last portal, so no skipped step ends the
       walk: each portal crossing precedes the next one by more than 2E;
     - |n.a - d| and |n.(a + seg) - d| are at most tol / 2, and so is
-      24u (max|a| + max|seg| + |d|), which bounds the rounding of the walk's
-      plane test at any parameter in [0, 1] beyond the linear value.
+      24u (max|a| + max|seg| + |d|), which bounds how far the walk's plane
+      test at any parameter in [0, 1] rounds beyond the linear value.
+
+    The last bound, with M = max|a| + max|seg|: the walk forms each
+    coordinate a_i + seg_i t within 2.01u M, which moves n.p by at most
+    3.49u M (sum|n_i| <= sqrt 3); the sum n.p rounds by at most 3u sum|n_i
+    p_i| <= 5.22u M in either of `_off_plane`'s two sums (Python's, or
+    np.dot's near the limit, whose order and fused steps vary); and
+    subtracting d rounds by at most u (1.74 M + |d|).  So the walk's value
+    lies within 10.45u M + 1.01u |d| of the exact one.  The two values this
+    test reads round by the same dot and subtraction terms, 6.96u M +
+    u |d|, and the end's by 1.74u M more for forming a + seg; so the exact
+    linear value at both ends, hence at every t in [0, 1], lies within
+    8.7u M + u |d| of the larger of them, and the walk's value within
+    19.2u M + 2.01u |d| <= 24u (M + |d|) of that.  Each of the two values
+    is compared with tol / 2 by `_off_plane`, as np.dot decides, so the
+    test skips exactly when it did on numpy vectors.
 
     Then each skipped step passes its checks, has the portal as its one
     exit edge and takes the one neighbour, exactly as the full walk does;
@@ -264,11 +311,11 @@ class LosFunnel:
 
     def resume(self, surface, a, seg, d2, tol) -> int:
         """The number of first steps the walk a -> a + seg may skip, 0 for
-        none (see the class)."""
+        none (see the class).  `a`, `seg` and `d2` are Python floats."""
         if len(self.steps) < 2:
             return 0
         last = self.steps[-1]
-        dx, dy = float(d2[0]), float(d2[1])
+        dx, dy = d2
         length = math.hypot(dx, dy)
         rx, ry, lx, ly = last.wedge
         mu = min(_cross(rx, ry, dx, dy), _cross(dx, dy, lx, ly)) / length
@@ -280,10 +327,14 @@ class LosFunnel:
             and mu * last.gap >= 2.0 * GEOM_EPS * length + 8.0 * _U * (last.reach + length)
         ):
             return 0
-        n, d_plane = surface.polygon_plane(self.start)
-        off = max(abs(float(np.dot(n, p)) - d_plane) for p in (a, a + seg))
-        size = float(np.abs(a).max() + np.abs(seg).max()) + abs(d_plane)
-        if off > 0.5 * tol or 24.0 * _U * size > 0.5 * tol:
+        d_plane = surface.walk_row(self.start)[0][3]
+        end = (a[0] + seg[0], a[1] + seg[1], a[2] + seg[2])
+        size = max(map(abs, a)) + max(map(abs, seg)) + abs(d_plane)
+        if (
+            _off_plane(surface, self.start, a, 0.5 * tol)
+            or _off_plane(surface, self.start, end, 0.5 * tol)
+            or 24.0 * _U * size > 0.5 * tol
+        ):
             return 0
         return len(self.steps) - 1
 
@@ -296,7 +347,9 @@ class LosFunnel:
         for j, (poly, exits, candidates, t_out) in enumerate(path, kept):
             if j < len(self.steps):
                 old = self.steps[j]
-                if old.polygon == poly and [set(e) for e in exits] == [set(old.edge)]:
+                if old.polygon == poly and len(exits) == 1 and exits[0] in (
+                    old.edge, old.edge[::-1]
+                ):
                     continue
                 del self.steps[j:]
             step = self._step(surface, keep, a2, poly, exits, candidates, t_out)
@@ -309,13 +362,12 @@ class LosFunnel:
         """The step that follows `steps`, or None when it is not clean."""
         if (
             len(exits) != 1 or len(candidates) != 1
-            or surface.polygon_offsets[poly] != surface.polygon_offsets[self.start]
-            or not (surface.polygon_normals[poly] == surface.polygon_normals[self.start]).all()
+            or surface.walk_row(poly)[0] != surface.walk_row(self.start)[0]
             or (not self.steps and t_out < 0.0)
         ):
             return None
-        xs, ys = surface.axis_coords[int(keep[0])], surface.axis_coords[int(keep[1])]
-        ax, ay = float(a2[0]), float(a2[1])
+        xs, ys = surface.axis_coords[keep[0]], surface.axis_coords[keep[1]]
+        ax, ay = a2
         va, vb = exits[0]
         right = (xs[va] - ax, ys[va] - ay)
         left = (xs[vb] - ax, ys[vb] - ay)
@@ -359,6 +411,14 @@ def surface_los(
     height tolerance of each traversed polygon's plane.  Raises PointOffMesh
     when `a` is not on the surface.
 
+    The walk runs in Python floats: it reads each point once, and each
+    polygon's plane, axes and winding once per surface
+    (`WalkableSurface.walk_row`).  Its differences and products are numpy's
+    elementwise ones, bit for bit.  Its lengths and plane offsets may round
+    apart from np.linalg.norm's and np.dot's; near GEOM_EPS or the height
+    tolerance they ask numpy (`_shorter_than_eps`, `_off_plane`), so every
+    answer is that of the walk on numpy vectors, `oracles.surface_los_numpy`.
+
     `funnel`, when given, belongs to the anchor `a` (and to `cfg`): the walk
     takes its start polygon from it, skips the steps it proves the walk
     would take alike (see LosFunnel), and a walk that succeeds records its
@@ -366,8 +426,8 @@ def surface_los(
     """
     cfg = cfg or SimplifyConfig()
     tol = cfg.los_height_tolerance
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a = np.asarray(a, dtype=float).tolist()
+    c = np.asarray(c, dtype=float).tolist()
     start = None if funnel is None else funnel.start
     if start is None:
         start = surface.locate_point(a, tol)
@@ -375,19 +435,20 @@ def surface_los(
         if funnel is not None:
             funnel.start = start
     if start < 0:
-        raise PointOffMesh(f"point {a.tolist()} lies on no walkable polygon")
-    if float(np.linalg.norm(c - a)) < GEOM_EPS:
+        raise PointOffMesh(f"point {a} lies on no walkable polygon")
+    ax, ay, az = a
+    seg = sx, sy, sz = (c[0] - ax, c[1] - ay, c[2] - az)
+    if _shorter_than_eps(seg):
         return True
 
-    keep = surface.polygon_axes[start]
-    a2 = a[keep]
-    d2 = (c - a)[keep]
-    if float(np.linalg.norm(d2)) < GEOM_EPS:
+    keep = surface.walk_row(start)[1]
+    a2 = (a[keep[0]], a[keep[1]])
+    d2 = (seg[keep[0]], seg[keep[1]])
+    if _shorter_than_eps(d2):
         # segment is vertical in this projection; only a same-polygon hop works
         return surface.contains_point(start, c, tol)
 
     max_steps = 4 * len(surface.polygons) + 8
-    seg = c - a
     skipped = 0 if funnel is None else funnel.resume(surface, a, seg, d2, tol)
     current = funnel.steps[skipped].polygon if skipped else start
     clip = surface.clip_line(current, keep, a2, d2)
@@ -397,12 +458,9 @@ def surface_los(
         t_in, t_out, exit_edges = clip
         if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
             return False  # projection misses this polygon: walk broke down
-        lo = max(t, t_in)
-        hi = min(1.0, t_out)
-        n, d_plane = surface.polygon_plane(current)
-        for param in (lo, hi):
-            p = a + seg * param
-            if abs(float(np.dot(n, p)) - d_plane) > tol:
+        for param in (max(t, t_in), min(1.0, t_out)):
+            p = (ax + sx * param, ay + sy * param, az + sz * param)
+            if _off_plane(surface, current, p, tol):
                 return False  # segment strays too far above/below the surface
         if t_out >= 1.0 - GEOM_EPS:
             if funnel is not None:
@@ -441,7 +499,10 @@ def walkable_los(surface: WalkableSurface, cfg: SimplifyConfig | None = None) ->
 
     def los(a: GraphNode, c: GraphNode) -> bool:
         pos = np.asarray(a.position, dtype=float)
-        funnel = funnels.setdefault((a.polygon, pos.tobytes()), LosFunnel(start=a.polygon))
+        key = (a.polygon, pos.tobytes())
+        funnel = funnels.get(key)
+        if funnel is None:
+            funnel = funnels[key] = LosFunnel(start=a.polygon)
         try:
             return surface_los(surface, pos, c.position, cfg, funnel)
         except PointOffMesh:

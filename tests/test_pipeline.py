@@ -21,7 +21,8 @@ from navstruct.fixtures import (
     plus_hub,
     straight_corridor,
 )
-from navstruct.graph import relabel_dense
+from navstruct.export import structure_json_bytes
+from navstruct.graph import load_graph_json, relabel_dense
 from navstruct.mesh import (
     WalkableSurface,
     build_blocker_mesh,
@@ -315,6 +316,26 @@ def test_cli_extract_surface_route(corridor, tmp_path):
     structure = json.loads((out / "structure.json").read_text())
     assert structure["trees"][0]["root"] == 5
     assert len(structure["trees"][0]["nodes"]) == 3
+
+
+@pytest.mark.parametrize("name, text", [
+    ("walls.obj", "# no walls\n"),
+    ("walls.json", '{"vertices": [], "triangles": []}'),
+])
+def test_cli_reads_a_blocker_file_with_no_vertex_as_no_walls(tmp_path, name, text):
+    gp = write_chain_json(tmp_path / "chain.json", n=6)
+    walls = tmp_path / name
+    walls.write_text(text)
+    out = tmp_path / "out"
+    code = main(["extract", "--graph", str(gp), "--blockers", str(walls),
+                 "--terminals", "leaves", "--out", str(out)])
+    assert code == 0
+    empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    result = run_pipeline(PipelineConfig(terminals="leaves"), graph=load_graph_json(gp),
+                          blockers=empty)
+    assert (out / "structure.json").read_bytes() == structure_json_bytes(result.forest)
+    # nothing blocks the chain: its root keeps the two leaves and no other node
+    assert [t.node_ids() for t in result.forest] == [[0, 2, 5]]
 
 
 def test_cli_analyze_adds_recoloring(corridor, tmp_path):
@@ -900,6 +921,7 @@ def test_cli_oracle_suites_pass(capsys):
     assert any(line.startswith("oracle graph-build: ") for line in lines)
     assert any(line.startswith("oracle obj-parse: ") for line in lines)
     assert any(line.startswith("oracle graph-load: ") for line in lines)
+    assert any(line.startswith("oracle los-walk: ") for line in lines)
     assert lines[-3].startswith("oracle locate-linear: ")
     assert lines[-2].startswith("oracle raycast-full: ")
     assert lines[-1].startswith("oracle dijkstra-tree: ")

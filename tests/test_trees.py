@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from navstruct.fixtures import (
     surface_from_squares,
 )
 from navstruct.graph import SOURCE_SAMPLE, GraphNode, SurfaceGraph, graph_from_navmesh
-from navstruct.mesh import WalkableSurface, build_walkable_surface
+from navstruct.mesh import GEOM_EPS, WalkableSurface, build_walkable_surface
+from navstruct.oracles import surface_los_numpy
 from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.steiner import SteinerTree, build_steiner_tree
 from navstruct.terminals import TerminalSet, entry_exit_terminals, terminals_from_metric
@@ -299,6 +302,195 @@ def test_los_raises_for_off_mesh_start(corridor):
     surface, _blockers = corridor
     with pytest.raises(PointOffMesh):
         surface_los(surface, (-3.0, 0.5, 0.0), (0.5, 0.5, 0.0))
+
+
+# --- the walk in Python floats against the walk on numpy vectors ------------
+
+def _moved(surface, pid, p, off, ulps):
+    """`p` moved along polygon `pid`'s normal to `off` from its plane, as
+    np.dot measures it, then `ulps` ulps of p's coordinates further."""
+    n = surface.polygon_normals[pid]
+    now = float(np.dot(n, p)) - float(surface.polygon_offsets[pid])
+    return p + (off - now + ulps * float(np.spacing(np.abs(p).max()))) * n
+
+
+def _random_points(surface, pid, rng, count):
+    """`count` random points inside polygon `pid`."""
+    corners = surface.vertices[surface.polygons[pid]]
+    points = []
+    for _ in range(count):
+        weights = np.array([rng.random() + 1e-3 for _ in corners])
+        points.append(weights @ corners / weights.sum())
+    return points
+
+
+def _tilted_corridor(n, angle_deg):
+    """straight_corridor(n)'s squares turned `angle_deg` about the x axis."""
+    flat = straight_corridor(n)[0]
+    c, s = math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
+    verts = [(x, y * c, y * s) for x, y, _ in flat.vertices.tolist()]
+    return build_walkable_surface(verts, flat.polygons)
+
+
+class _CountCalls:
+    """Counts the calls of `owner.name` made while `run` runs a function."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        self.counting = False
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            self.calls += self.counting
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    def run(self, fn, *args, **kwargs):
+        self.counting = True
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.counting = False
+
+
+@pytest.mark.parametrize("angle", [30.0, 60.0])
+def test_plane_test_asks_np_dot_only_next_to_the_tolerance(monkeypatch, angle):
+    # targets over and under the ramp polygon, at the height tolerance give
+    # or take 1 to 4 ulps, or at half of it; walks from the ramp's centre
+    surface = ramp_corridor(angle)
+    rng = random.Random(int(angle))
+    points = _random_points(surface, 1, rng, 300)
+    sides = [rng.choice((-1.0, 1.0)) for _ in points]
+    near = [_moved(surface, 1, p, side * 0.5, rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
+            for p, side in zip(points, sides)]
+    half = [_moved(surface, 1, p, side * 0.25, 0) for p, side in zip(points, sides)]
+    dots = _CountCalls(monkeypatch, np, "dot")
+    a = surface.polygon_centers[1]
+    answers = {}
+    for targets, asked in ((near, True), (half, False)):
+        dots.calls = 0
+        answers[asked] = []
+        for c in targets:
+            got = dots.run(surface_los, surface, a, c, funnel=trees.LosFunnel(start=1))
+            assert got == surface_los_numpy(surface, a, c, start=1)
+            answers[asked].append(got)
+        assert (dots.calls > 0) == asked
+    assert set(answers[True]) == {True, False}
+    assert True in answers[False]
+
+
+def _resume_as_numpy(funnel, surface, a, c, tol):
+    """Whether the offset test on numpy vectors lets `funnel` resume the
+    walk a -> c: both ends within tol / 2 of the start polygon's plane, by
+    np.dot."""
+    n, d = surface.polygon_plane(funnel.start)
+    a, c = np.asarray(a), np.asarray(c)
+    return max(abs(float(np.dot(n, p)) - d) for p in (a, a + (c - a))) <= 0.5 * tol
+
+
+def test_resume_offset_test_asks_np_dot_only_next_to_half_the_tolerance(monkeypatch):
+    # anchors half the tolerance off a tilted corridor, give or take 1 to 4
+    # ulps, with funnels armed by a walk down the corridor; the next walk
+    # goes further along it, through every recorded portal
+    surface = _tilted_corridor(12, 30.0)
+    rng = random.Random(7)
+    dots = _CountCalls(monkeypatch, np, "dot")
+    skips = []
+    offsets = [(0.25, ulps) for ulps in (-4, -3, -2, -1, 1, 2, 3, 4)] + [(0.1, 0)]
+    for off, ulps in offsets:
+        dots.calls = 0
+        for _ in range(60):
+            p = surface.polygon_centers[0] + (rng.uniform(-0.3, 0.3), 0.0, 0.0)
+            a = _moved(surface, 0, p, rng.choice((-off, off)), ulps)
+            c1, c2 = a + (6.0, 0.0, 0.0), a + (10.0, 0.0, 0.0)
+            funnel = trees.LosFunnel(start=0)
+            assert surface_los(surface, a, c1, funnel=funnel)
+            # the squares' planes round apart from the start's after a few
+            # steps, and the funnel records none beyond
+            steps = len(funnel.steps)
+            assert steps >= 2
+            seg = (c2 - a).tolist()
+            skip = dots.run(funnel.resume, surface, a.tolist(), seg, seg[:2], 0.5)
+            want = _resume_as_numpy(funnel, surface, a, c2, 0.5)
+            assert skip == (steps - 1 if want else 0)
+            skips.append(want)
+            assert surface_los(surface, a, c2, funnel=funnel) == surface_los_numpy(
+                surface, a, c2, start=0)
+        assert (dots.calls > 0) == (off == 0.25)
+    assert set(skips) == {True, False}
+
+
+def _two_squares(turn_deg=0.0):
+    """Two 8-unit squares sharing the edge from (-4, 0, 0) to (4, 0, 0),
+    polygon 0 below y = 0, the pair turned `turn_deg` about the x axis."""
+    c, s = math.cos(math.radians(turn_deg)), math.sin(math.radians(turn_deg))
+    corners = ((-4, -8), (4, -8), (4, 0), (-4, 0), (4, 8), (-4, 8))
+    return build_walkable_surface([(x, y * c, y * s) for x, y in corners],
+                                  [[0, 1, 2, 3], [3, 2, 4, 5]])
+
+
+# (scale of GEOM_EPS, whether the norm guard asks np.linalg.norm, whether
+# the segment is shorter than GEOM_EPS)
+_LENGTHS = [
+    (1.0 - 1e-8, False, True),
+    (1.0 - 1e-12, True, True),
+    (1.0, True, False),  # norm is exactly GEOM_EPS
+    (1.0 + 1e-12, True, False),
+    (1.0 + 1e-8, False, False),
+]
+
+
+@pytest.mark.parametrize("scale, asked, short", _LENGTHS)
+def test_a_segment_shorter_than_geom_eps_sees_and_a_longer_one_walks(
+        monkeypatch, scale, asked, short):
+    # from the middle of a boundary edge, one length out of the square: a
+    # point sees itself, and the walk leaves through the boundary
+    surface = build_walkable_surface([(-4, 0, 0), (4, 0, 0), (4, 8, 0), (-4, 8, 0)],
+                                     [[0, 1, 2, 3]])
+    norms = _CountCalls(monkeypatch, np.linalg, "norm")
+    a, c = np.zeros(3), np.array([0.0, -GEOM_EPS * scale, 0.0])
+    assert norms.run(surface_los, surface, a, c) == short
+    assert surface_los_numpy(surface, a, c) == short
+    assert (norms.calls > 0) == asked
+
+
+@pytest.mark.parametrize("turn", [0.0, 60.0])
+@pytest.mark.parametrize("scale, asked, short", _LENGTHS)
+def test_a_projection_shorter_than_geom_eps_is_a_point_test(monkeypatch, turn, scale, asked, short):
+    # from the middle of the shared edge, one length into polygon 1 and
+    # raised 0.1 along the dropped axis: the point test finds it outside
+    # polygon 0, where the walk crosses into polygon 1
+    surface = _two_squares(turn)
+    keep = surface.polygon_axes[0]
+    c = np.zeros(3)
+    c[keep] = (0.0, GEOM_EPS * scale)
+    c[3 - keep.sum()] = 0.1
+    norms = _CountCalls(monkeypatch, np.linalg, "norm")
+    a = np.zeros(3)
+    assert norms.run(surface_los, surface, a, c) == (not short)
+    assert surface_los_numpy(surface, a, c) == (not short)
+    # the full length is 0.1 or more: only the projected one may ask
+    assert norms.calls == int(asked)
+
+
+def test_a_walked_surface_is_freed_by_reference_counting():
+    # the walk's per-polygon rows hold floats and ints only: no cycle, so
+    # the surface goes with its last reference even with the collector off
+    gc.collect()
+    gc.disable()
+    try:
+        surface = straight_corridor(20)[0]
+        nodes = graph_from_navmesh(surface).nodes
+        los = walkable_los(surface)
+        assert los(nodes[0], nodes[10]) and los(nodes[0], nodes[15])
+        assert surface_los(surface, nodes[3].position, nodes[12].position)
+        assert surface.walk_rows
+        ref = weakref.ref(surface)
+        del surface, los
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- collapse predicate -----------------------------------------------------
