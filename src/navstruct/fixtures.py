@@ -65,15 +65,13 @@ def boundary_walls(
     tris: list[list[int]] = []
     z_lo, z_hi = z_range
     opens = [np.asarray(m, dtype=float) for m in open_midpoints]
-    for loop_idx, loop in enumerate(surface.boundary_edges):
-        for a, b in loop:
+    for loop in surface.boundary_edges:
+        for a, b, owner in loop:
             pa = surface.vertices[a]
             pb = surface.vertices[b]
             mid = (pa + pb) / 2.0
             if any(float(np.linalg.norm(mid - m)) < 1e-6 for m in opens):
                 continue
-            key = (a, b) if a < b else (b, a)
-            owner = surface.edge_polygons[key][0]
             normal = surface.polygon_normals[owner]
             fwd = (pb - pa) / np.linalg.norm(pb - pa)
             outward = np.cross(fwd, normal)

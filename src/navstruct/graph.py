@@ -140,11 +140,14 @@ def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
     # position, normal, polygon in that order, and source defaults to SOURCE_POLYGON
     positions = surface.polygon_centers.copy()
     nodes = list(map(GraphNode, positions, surface.polygon_normals.copy(), range(len(positions))))
-    # owners are listed ascending, so each pair is (p, q) with p < q
-    pairs = np.array(
-        [pid for o in surface.edge_polygons.values() if len(o) == 2 for pid in o], dtype=np.intp
-    ).reshape(-1, 2)
-    p, q = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    # each shared edge once, from the corner of its lower polygon: (p, q), p < q
+    sizes = list(map(len, surface.across))
+    across = np.fromiter(chain.from_iterable(surface.across), np.intp, sum(sizes))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    ahead = across > owner
+    p, q = owner[ahead], across[ahead]
+    order = np.lexsort((q, p))
+    p, q = p[order], q[order]
     d = positions[p] - positions[q]
     weights = np.sqrt(_row_dots(d, d))
     coincide = np.flatnonzero(weights < 1e-12)

@@ -1,9 +1,11 @@
 """Walkable surfaces and blocker meshes: parsing, validation and per-mesh indexes.
 
 A walkable surface is a set of convex, planar rings joined on shared vertex
-ids (vertices closer than `weld_eps` are merged first).  `edge_polygons` maps
-each undirected edge to the polygons that own it: two for an interior edge,
-one for a boundary edge, never more.  Boundary edges chain into closed loops.
+ids (vertices closer than `weld_eps` are merged first).  An edge is an
+unordered vertex pair, owned by two rings (an interior edge) or one (a
+boundary edge), never more.  `across` gives each ring corner the polygon
+beyond its edge to the next corner, or -1 on the boundary; boundary edges
+chain into closed loops.
 A polygon's normal follows its ring's winding, so each ring runs
 counter-clockwise seen from its normal's side, and the walkable interior lies
 to the LEFT of each directed boundary edge.  A blocker mesh is a triangle soup
@@ -59,8 +61,9 @@ class WalkableSurface:
     polygon_winding: np.ndarray
     # per axis x, y, z: every vertex's coordinate, as Python floats
     axis_coords: list[list[float]]
-    # loops of directed (a, b) edges; interior lies to the left of each edge
-    boundary_edges: list[list[tuple[int, int]]]
+    # loops of directed boundary edges (a, b, owning polygon id); interior
+    # lies to the left of each edge
+    boundary_edges: list[list[tuple[int, int, int]]]
     # KD-tree over polygon_centers; and over all polygons, the farthest from
     # its polygon's centre that a point contains_point accepts can project
     # along the normal's dominant axis.  The reach is inf when a centre-edge
@@ -68,9 +71,9 @@ class WalkableSurface:
     # bound, under which locate_point tests every polygon
     polygon_tree: cKDTree = field(repr=False)
     polygon_reach: float
-    # undirected (min, max) edge -> owning polygon ids, ascending: two for an
-    # interior edge, whose owners are neighbours, and one for a boundary edge
-    edge_polygons: dict[tuple[int, int], list[int]] = field(repr=False, default_factory=dict)
+    # aligned with polygons: across[p][k] is the polygon beyond the edge from
+    # corner k to corner k + 1 of ring p, or -1 on the boundary
+    across: list[list[int]] = field(repr=False)
     # polygon id -> walk_row(polygon id), for the polygons walks have read
     walk_rows: dict[int, tuple] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -99,8 +102,9 @@ class WalkableSurface:
     def clip_line(self, poly_id: int, keep, origin, direction) -> tuple[float, float, list]:
         """Clip the 2D line origin + t*direction, on the axes `keep`, against
         the polygon's convex ring projected there.  Returns (t_in, t_out,
-        exit_edges), with t_in > t_out when the line misses; a zero direction
-        gives (-inf, inf, []) for a point inside or on the ring."""
+        exits), with t_in > t_out when the line misses; `exits` are the ring
+        positions k whose edge, from corner k to k + 1, bounds t_out.  A zero
+        direction gives (-inf, inf, []) for a point inside or on the ring."""
         ring = self.polygons[poly_id]
         kx, ky = int(keep[0]), int(keep[1])
         sign = float(self.polygon_winding[poly_id, 3 - kx - ky])
@@ -109,7 +113,7 @@ class WalkableSurface:
         dx, dy = float(direction[0]), float(direction[1])
         t_in = -math.inf
         t_out = math.inf
-        exit_edges: list[tuple[int, int]] = []
+        exits: list[int] = []
         k = len(ring)
         for i in range(k):
             a, b = ring[i], ring[(i + 1) % k]
@@ -125,10 +129,10 @@ class WalkableSurface:
                 t_in = max(t_in, bound)
             elif bound < t_out - GEOM_EPS:
                 t_out = bound
-                exit_edges = [(a, b)]
+                exits = [i]
             elif bound <= t_out + GEOM_EPS:
-                exit_edges.append((a, b))
-        return t_in, t_out, exit_edges
+                exits.append(i)
+        return t_in, t_out, exits
 
     def contains_point(
         self, poly_id: int, point, height_tol: float = DEFAULT_HEIGHT_TOL
@@ -443,7 +447,7 @@ def build_walkable_surface(
     fault = _first_fault(shape_checks) or ring_fault
     if fault:
         raise ValidationError("polygon {}: {}".format(*fault))
-    edge_polygons, boundary = _edge_owners(polys, corners, owner, sizes, starts)
+    across, boundary = _edge_owners(corners, owner, sizes, starts)
 
     # a ring's shoelace sum projected along axis k is its Newell n[k], negated
     # for k = 1 (kept axes x, z run against the cyclic order); zero counts as CCW
@@ -460,7 +464,7 @@ def build_walkable_surface(
         boundary_edges=_stitch_boundary_loops(boundary),
         polygon_tree=cKDTree(centers),
         polygon_reach=reach,
-        edge_polygons=edge_polygons,
+        across=across,
     )
 
 
@@ -506,6 +510,18 @@ def _first_fault(checks: list) -> tuple[int, str] | None:
     pid = int(flagged[0])
     message = next(message for flags, message in checks if flags[pid])
     return pid, message(pid) if callable(message) else message
+
+
+def shorter_than(v, eps: float) -> bool:
+    """np.linalg.norm(v) < eps, for two or three Python floats.  norm is the
+    square root of a BLAS dot, whose sum of squares differs from an exact
+    one by at most 3u of it (any order, fused or not), and math.hypot is
+    within one ulp of the exact length: so a length within 1e-9 of eps
+    (relative) asks norm itself, and every other one falls on norm's side."""
+    length = math.hypot(*v)
+    if abs(length - eps) <= 1e-9 * eps:
+        return float(np.linalg.norm(v)) < eps
+    return length < eps
 
 
 def _lengths(v: np.ndarray) -> np.ndarray:
@@ -617,13 +633,13 @@ def _ring_geometry(verts, corners, sizes, starts, plane_eps: float):
     return normals, centers, offsets, axes, float(reach.max(initial=0.0)), checks
 
 
-def _edge_owners(polys, corners, owner, sizes, starts):
-    """edge_polygons and the boundary edges, each in the direction of its
-    owning ring, both in the order a walk over the ring corners meets them.
+def _edge_owners(corners, owner, sizes, starts):
+    """`across` and the boundary edges (a, b, owner), each in the direction
+    of its owning ring and in corner order.
 
     An edge is the sorted (min, max) vertex pair of a corner and the next.
-    Raises ValidationError for the edge whose third corner the walk meets
-    first.
+    Raises ValidationError for the edge whose third corner the walk over the
+    ring corners meets first.
     """
     succ = np.arange(1, len(corners) + 1)  # the next corner around the ring
     succ[starts + sizes - 1] = starts
@@ -641,33 +657,27 @@ def _edge_owners(polys, corners, owner, sizes, starts):
         raise ValidationError(
             f"edge {(int(lo[c]), int(hi[c]))}: shared by more than two polygons (non-manifold)"
         )
-    met = np.argsort(by_edge[heads])
-    first, second = by_edge[heads[met]], by_edge[np.minimum(heads + 1, len(corners) - 1)[met]]
-    shared = (counts[met] == 2).tolist()
-    # ids as the rings' own int objects, and one int per polygon id, so the
-    # surface holds no new int per edge
-    ring_id = list(itertools.chain.from_iterable(polys)).__getitem__
-    pid = list(range(len(polys))).__getitem__
-    nxt = succ[first]
-    low_first = a[first] < b[first]
-    keys = zip(
-        map(ring_id, np.where(low_first, first, nxt).tolist()),
-        map(ring_id, np.where(low_first, nxt, first).tolist()),
-    )
-    owners = zip(map(pid, owner[first].tolist()), map(pid, owner[second].tolist()), shared)
-    edge_polygons = {key: [p, q] if two else [p] for key, (p, q, two) in zip(keys, owners)}
-    ends = zip(map(ring_id, first.tolist()), map(ring_id, nxt.tolist()), shared)
-    boundary = [(x, y) for x, y, two in ends if not two]
-    return edge_polygons, boundary
+    # the two corners of a shared edge each see the other's polygon
+    shared = heads[counts == 2]
+    first, second = by_edge[shared], by_edge[shared + 1]
+    across = np.full(len(corners), -1, dtype=np.intp)
+    across[first], across[second] = owner[second], owner[first]
+    flat = across.tolist()
+    rings = [flat[s:s + n] for s, n in zip(starts.tolist(), sizes.tolist())]
+    edge = np.flatnonzero(across < 0)
+    boundary = list(zip(a[edge].tolist(), b[edge].tolist(), owner[edge].tolist()))
+    return rings, boundary
 
 
-def _stitch_boundary_loops(directed: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Chain directed boundary edges into closed loops.
+def _stitch_boundary_loops(
+    directed: list[tuple[int, int, int]],
+) -> list[list[tuple[int, int, int]]]:
+    """Chain directed boundary edges (a, b, owner) into closed loops.
 
     Loops start at their smallest vertex id and are ordered by that id, which
     keeps downstream sampling deterministic.
     """
-    outgoing: dict[int, list[tuple[int, int]]] = {}
+    outgoing: dict[int, list[tuple[int, int, int]]] = {}
     for e in directed:
         outgoing.setdefault(e[0], []).append(e)
     for lst in outgoing.values():

@@ -339,8 +339,9 @@ def build_walkable_surface_per_polygon(
     vertices, polygons, *, plane_eps: float = PLANE_EPS, weld_eps: float = 0.0
 ) -> WalkableSurface:
     """`mesh.build_walkable_surface` one polygon at a time: each ring is
-    checked, measured and given its reach in its own numpy calls, and the
-    edge owners come from a walk over every ring corner."""
+    checked, measured and given its reach in its own numpy calls, and
+    `across` and the boundary edges are read from `edge_polygons`, a dict
+    built by a walk over every ring corner."""
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("vertices must be an (N, 3) array")
@@ -405,26 +406,17 @@ def build_walkable_surface_per_polygon(
     axes = np.array([[1, 2], [0, 2], [0, 1]])[dominant]
     winding = np.where(normals * [1.0, -1.0, 1.0] >= 0.0, 1.0, -1.0)
 
-    # edge bookkeeping: undirected identity is the sorted vertex pair
-    edge_polygons: dict[tuple[int, int], list[int]] = {}
-    directed: set[tuple[int, int]] = set()
+    # each corner's edge looked up in the edge -> owners map
+    owners = edge_polygons(polys)
+    across, boundary = [], []
     for pid, ring in enumerate(polys):
+        across.append([])
         for k in range(len(ring)):
             a, b = ring[k], ring[(k + 1) % len(ring)]
-            key = (a, b) if a < b else (b, a)
-            owners = edge_polygons.setdefault(key, [])
-            owners.append(pid)
-            if len(owners) > 2:
-                raise ValidationError(
-                    f"edge {key}: shared by more than two polygons (non-manifold)"
-                )
-            directed.add((a, b))
-
-    # boundary edges in the direction the owning ring uses
-    loops = _stitch_boundary_loops([
-        key if key in directed else key[::-1]
-        for key, owners in edge_polygons.items() if len(owners) == 1
-    ])
+            beyond = [q for q in owners[(a, b) if a < b else (b, a)] if q != pid]
+            across[pid].append(beyond[0] if beyond else -1)
+            if not beyond:
+                boundary.append((a, b, pid))
 
     return WalkableSurface(
         vertices=verts,
@@ -435,19 +427,38 @@ def build_walkable_surface_per_polygon(
         polygon_axes=axes,
         polygon_winding=winding,
         axis_coords=verts.T.tolist(),
-        boundary_edges=loops,
+        boundary_edges=_stitch_boundary_loops(boundary),
         polygon_tree=cKDTree(centers),
         polygon_reach=reach,
-        edge_polygons=edge_polygons,
+        across=across,
     )
+
+
+def edge_polygons(polygons: list[list[int]]) -> dict[tuple[int, int], list[int]]:
+    """Undirected (min, max) edge -> the ids of the polygons that own it, in
+    id order: two for an interior edge, one for a boundary edge.  Raises
+    ValidationError for the first edge a walk over the ring corners finds a
+    third owner of."""
+    edges: dict[tuple[int, int], list[int]] = {}
+    for pid, ring in enumerate(polygons):
+        for k in range(len(ring)):
+            a, b = ring[k], ring[(k + 1) % len(ring)]
+            key = (a, b) if a < b else (b, a)
+            owners = edges.setdefault(key, [])
+            owners.append(pid)
+            if len(owners) > 2:
+                raise ValidationError(
+                    f"edge {key}: shared by more than two polygons (non-manifold)"
+                )
+    return edges
 
 
 def build_differences(vertices, polygons, **kwargs) -> list[str]:
     """How `mesh.build_walkable_surface` differs from the per-polygon
     reference on one input: the WalkableSurface fields that differ (arrays
-    by dtype and np.array_equal, the KD-tree by its data, edge_polygons with
-    its order, the rest by ==), or both outcomes when either raises and
-    their ValidationError texts differ."""
+    by dtype and np.array_equal, the KD-tree by its data, the rest by ==),
+    or both outcomes when either raises and their ValidationError texts
+    differ."""
     outcomes = []
     for build in (build_walkable_surface, build_walkable_surface_per_polygon):
         try:
@@ -465,8 +476,6 @@ def build_differences(vertices, polygons, **kwargs) -> list[str]:
             same = np.array_equal(a.data, b.data)
         elif isinstance(a, np.ndarray):
             same = a.dtype == b.dtype and np.array_equal(a, b)
-        elif isinstance(a, dict):
-            same = list(a.items()) == list(b.items())
         else:
             same = a == b
         if not same:
@@ -487,7 +496,7 @@ def graph_from_navmesh_per_edge(surface: WalkableSurface) -> SurfaceGraph:
         for pid in range(len(surface.polygons))
     ]
     edges = []
-    for pid, qid in sorted(o for o in surface.edge_polygons.values() if len(o) == 2):
+    for pid, qid in sorted(o for o in edge_polygons(surface.polygons).values() if len(o) == 2):
         w = float(np.linalg.norm(surface.polygon_centers[pid] - surface.polygon_centers[qid]))
         if w < 1e-12:
             raise DegenerateEdge(f"polygon centers {pid} and {qid} coincide (zero-weight edge)")
@@ -881,7 +890,7 @@ def surface_los_numpy(
     clip = surface.clip_line(current, keep, a2, d2)
     t = 0.0
     for _ in range(max_steps):
-        t_in, t_out, exit_edges = clip
+        t_in, t_out, exits = clip
         if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
             return False  # projection misses this polygon: walk broke down
         lo = max(t, t_in)
@@ -893,10 +902,8 @@ def surface_los_numpy(
                 return False  # segment strays too far above/below the surface
         if t_out >= 1.0 - GEOM_EPS:
             return True
-        candidates = {  # crossing needs a shared edge
-            q for va, vb in exit_edges
-            for q in surface.edge_polygons.get((min(va, vb), max(va, vb)), ()) if q != current
-        }
+        # crossing needs a shared edge
+        candidates = {surface.across[current][k] for k in exits} - {-1}
         if not candidates:
             return False  # exits through a boundary edge
         nxt = None
@@ -1206,7 +1213,8 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     checked = wrong = 0
     for surface in surfaces:
         verts = surface.vertices
-        points = [*verts] + [(verts[a] + verts[b]) / 2.0 for a, b in surface.edge_polygons]
+        edges = edge_polygons(surface.polygons)
+        points = [*verts] + [(verts[a] + verts[b]) / 2.0 for a, b in edges]
         cases = [(p, rng.choice(tols)) for p in points]
         # each corner and centre, moved along the dominant axis to just
         # inside the height tolerance: as far from the centre as it gets
@@ -1287,7 +1295,7 @@ def _funnel_runs(surface: WalkableSurface, rng: random.Random):
     distance (grazing portal ends) and two points off the mesh."""
     verts = surface.vertices
     extent = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-    owners = {v: pids[0] for edge, pids in surface.edge_polygons.items() for v in edge}
+    owners = {v: pids[0] for edge, pids in edge_polygons(surface.polygons).items() for v in edge}
     pids = rng.sample(range(len(surface.polygons)), min(8, len(surface.polygons)))
     anchors = [(surface.polygon_centers[p], p) for p in pids]
     anchors += [(verts[v], owners[v]) for v in rng.sample(sorted(owners), 2)]

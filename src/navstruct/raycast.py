@@ -14,10 +14,9 @@ from itertools import chain
 
 import numpy as np
 
-from .mesh import BlockerMesh
+from .mesh import BlockerMesh, shorter_than
 
 EPS = 1e-9
-_EPS_SQUARED = EPS * EPS
 
 # float64 machine epsilon
 _ROUNDOFF = float(np.finfo(float).eps)
@@ -220,13 +219,5 @@ def segment_clear(blockers: BlockerMesh | None, a, c) -> bool:
     # float() on each of its elements
     o = ax, ay, az = np.asarray(a, dtype=float).tolist()
     cx, cy, cz = np.asarray(c, dtype=float).tolist()
-    d = dx, dy, dz = [cx - ax, cy - ay, cz - az]
-    # np.linalg.norm(d) is the square root of a BLAS dot, whose sum of
-    # squares may differ from this one by a few ulps; so a sum that close to
-    # EPS**2 asks norm itself, and every other sum falls on norm's side
-    square = dx * dx + dy * dy + dz * dz
-    if abs(square - _EPS_SQUARED) <= 1e-9 * _EPS_SQUARED:
-        short = float(np.linalg.norm(d)) < EPS
-    else:
-        short = square < _EPS_SQUARED
-    return short or not _segment_hit(blockers, o, d, 1.0)
+    d = [cx - ax, cy - ay, cz - az]
+    return shorter_than(d, EPS) or not _segment_hit(blockers, o, d, 1.0)

@@ -75,7 +75,7 @@ def sample_boundary(
     if interval <= 0.0:
         raise ValidationError(f"sampling interval must be positive, got {interval}")
     edges = [edge for loop in surface.boundary_edges for edge in loop]
-    tails, heads = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    tails, heads, owners = np.array(edges, dtype=np.intp).reshape(-1, 3).T
     vecs = surface.vertices[heads] - surface.vertices[tails]
     lengths = np.sqrt(_row_dots(vecs, vecs))
     lens = lengths.tolist()
@@ -107,9 +107,6 @@ def sample_boundary(
         first += size
     on_edge = np.array(rows, dtype=np.intp)
     units = (vecs / lengths[:, None])[on_edge]
-    owners = np.array(
-        [surface.edge_polygons[(a, b) if a < b else (b, a)][0] for a, b in edges], dtype=np.intp
-    )
     return BoundarySamples(
         positions=surface.vertices[tails[on_edge]] + units * np.array(offsets)[:, None],
         tangents=units,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PointOffMesh, ValidationError
 from .graph import GraphNode, SurfaceGraph
-from .mesh import DEFAULT_HEIGHT_TOL, GEOM_EPS, WalkableSurface
+from .mesh import DEFAULT_HEIGHT_TOL, GEOM_EPS, WalkableSurface, shorter_than
 from .steiner import SteinerTree
 
 # a visibility test between two node payloads: does the first see the second
@@ -167,19 +167,6 @@ def find_rooted_trees(
 _U = 2.0 ** -53
 
 
-def _shorter_than_eps(v) -> bool:
-    """np.linalg.norm(v) < GEOM_EPS, for two or three Python floats.  norm
-    is the square root of a BLAS dot, whose sum of squares differs from an
-    exact one by at most 3u of it (any order, fused or not), and math.hypot
-    is within one ulp of the exact length: so a length within 1e-9 of
-    GEOM_EPS (relative) asks norm itself, and every other one falls on
-    norm's side."""
-    length = math.hypot(*v)
-    if abs(length - GEOM_EPS) <= 1e-9 * GEOM_EPS:
-        return float(np.linalg.norm(v)) < GEOM_EPS
-    return length < GEOM_EPS
-
-
 def _off_plane(surface: WalkableSurface, poly: int, p, limit: float) -> bool:
     """Whether the point p, three Python floats, lies more than `limit` from
     `poly`'s plane, as abs(float(np.dot(n, p)) - d) > limit decides it.
@@ -220,6 +207,12 @@ class _Step(NamedTuple):
 
 def _cross(ux: float, uy: float, vx: float, vy: float) -> float:
     return ux * vy - uy * vx
+
+
+def _ring_edge(surface, poly: int, k: int) -> tuple[int, int]:
+    """The vertex pair of `poly`'s edge from corner k to corner k + 1."""
+    ring = surface.polygons[poly]
+    return ring[k], ring[(k + 1) % len(ring)]
 
 
 def _portal_gap(surface, poly, keep, ax, ay, step: _Step) -> float:
@@ -340,16 +333,16 @@ class LosFunnel:
 
     def record(self, surface, keep, a2, kept: int, path) -> None:
         """Keep the first `kept` steps, then make the rest the clean prefix
-        of `path`: the (polygon, exit edges, candidates, t_out) of each step
-        the successful walk took after them.  A step depends only on the
-        anchor, its polygon and its exit edge, so a stored step that matches
-        is kept as it is."""
+        of `path`: the (polygon, exit ring positions, candidates, t_out) of
+        each step the successful walk took after them.  A step depends only
+        on the anchor, its polygon and its exit edge, so a stored step that
+        matches is kept as it is."""
         for j, (poly, exits, candidates, t_out) in enumerate(path, kept):
             if j < len(self.steps):
                 old = self.steps[j]
-                if old.polygon == poly and len(exits) == 1 and exits[0] in (
-                    old.edge, old.edge[::-1]
-                ):
+                if old.polygon == poly and len(exits) == 1 and _ring_edge(
+                    surface, poly, exits[0]
+                ) in (old.edge, old.edge[::-1]):
                     continue
                 del self.steps[j:]
             step = self._step(surface, keep, a2, poly, exits, candidates, t_out)
@@ -368,7 +361,7 @@ class LosFunnel:
             return None
         xs, ys = surface.axis_coords[keep[0]], surface.axis_coords[keep[1]]
         ax, ay = a2
-        va, vb = exits[0]
+        va, vb = _ring_edge(surface, poly, exits[0])
         right = (xs[va] - ax, ys[va] - ay)
         left = (xs[vb] - ax, ys[vb] - ay)
         if _cross(*right, *left) < 0.0:
@@ -416,7 +409,7 @@ def surface_los(
     (`WalkableSurface.walk_row`).  Its differences and products are numpy's
     elementwise ones, bit for bit.  Its lengths and plane offsets may round
     apart from np.linalg.norm's and np.dot's; near GEOM_EPS or the height
-    tolerance they ask numpy (`_shorter_than_eps`, `_off_plane`), so every
+    tolerance they ask numpy (`mesh.shorter_than`, `_off_plane`), so every
     answer is that of the walk on numpy vectors, `oracles.surface_los_numpy`.
 
     `funnel`, when given, belongs to the anchor `a` (and to `cfg`): the walk
@@ -438,13 +431,13 @@ def surface_los(
         raise PointOffMesh(f"point {a} lies on no walkable polygon")
     ax, ay, az = a
     seg = sx, sy, sz = (c[0] - ax, c[1] - ay, c[2] - az)
-    if _shorter_than_eps(seg):
+    if shorter_than(seg, GEOM_EPS):
         return True
 
     keep = surface.walk_row(start)[1]
     a2 = (a[keep[0]], a[keep[1]])
     d2 = (seg[keep[0]], seg[keep[1]])
-    if _shorter_than_eps(d2):
+    if shorter_than(d2, GEOM_EPS):
         # segment is vertical in this projection; only a same-polygon hop works
         return surface.contains_point(start, c, tol)
 
@@ -453,9 +446,9 @@ def surface_los(
     current = funnel.steps[skipped].polygon if skipped else start
     clip = surface.clip_line(current, keep, a2, d2)
     t = clip[0] if skipped else 0.0
-    path = []  # (polygon, exit edges, candidates, t_out) of each step taken
+    path = []  # (polygon, exit positions, candidates, t_out) of each step taken
     for _ in range(max_steps - skipped):
-        t_in, t_out, exit_edges = clip
+        t_in, t_out, exits = clip
         if t_out < t - GEOM_EPS or t_in > t_out + GEOM_EPS:
             return False  # projection misses this polygon: walk broke down
         for param in (max(t, t_in), min(1.0, t_out)):
@@ -466,10 +459,8 @@ def surface_los(
             if funnel is not None:
                 funnel.record(surface, keep, a2, skipped, path)
             return True
-        candidates = {  # crossing needs a shared edge
-            q for va, vb in exit_edges
-            for q in surface.edge_polygons.get((min(va, vb), max(va, vb)), ()) if q != current
-        }
+        row = surface.across[current]
+        candidates = {row[k] for k in exits} - {-1}  # crossing needs a shared edge
         if not candidates:
             return False  # exits through a boundary edge
         nxt = None
@@ -481,7 +472,7 @@ def surface_los(
                 nxt, clip, best_out = q, q_clip, q_out  # nxt's clip serves the next step
         if nxt is None:
             return False  # no neighbor continues the segment
-        path.append((current, exit_edges, candidates, t_out))
+        path.append((current, exits, candidates, t_out))
         current = nxt
         t = t_out
     return False  # step guard exhausted (degenerate geometry)

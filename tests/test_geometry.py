@@ -14,23 +14,11 @@ import pytest
 
 from navstruct.fixtures import (
     grid_surface, l_corridor, plus_hub, ramp_corridor, ring_surface, straight_corridor,
+    vertical_strip,
 )
 from navstruct.mesh import build_walkable_surface
 from navstruct.oracles import shoelace_sign
 from navstruct.trees import surface_los
-
-
-def vertical_strip(nx: int = 4, nz: int = 2, reverse: bool = False):
-    """nx*nz unit squares in the y=0 plane; `reverse` flips every ring."""
-    verts = [(float(x), 0.0, float(z)) for z in range(nz + 1) for x in range(nx + 1)]
-    polys = []
-    for z in range(nz):
-        for x in range(nx):
-            lo = z * (nx + 1) + x
-            hi = lo + nx + 1
-            ring = [lo, lo + 1, hi + 1, hi]
-            polys.append(ring[::-1] if reverse else ring)
-    return build_walkable_surface(verts, polys)
 
 
 def reversed_surface(surface):

@@ -24,6 +24,7 @@ from navstruct.graph import (
 )
 from navstruct.mesh import build_walkable_surface
 from navstruct.oracles import (
+    edge_polygons,
     graph_from_navmesh_per_edge,
     graph_load_differences,
     load_graph_json_per_node,
@@ -49,7 +50,7 @@ def test_navmesh_graph_matches_adjacency():
     assert len(g) == 9
     assert len(g.edges) == 12
     edge_set = {(i, j) for i, j, _w in g.edges}
-    for owners in surface.edge_polygons.values():
+    for owners in edge_polygons(surface.polygons).values():
         if len(owners) == 2:
             assert tuple(owners) in edge_set
 
@@ -71,15 +72,15 @@ def test_navmesh_graph_equals_the_per_edge_build_bit_for_bit(surface):
 
 def test_navmesh_graph_rejects_a_pair_sharing_two_edges():
     surface = double_shared_edge()
-    assert [o for o in surface.edge_polygons.values() if len(o) == 2] == [[0, 1], [0, 1]]
+    assert surface.across == [[1, 1, -1, -1], [0, 0, -1]]
     with pytest.raises(ValidationError, match=r"^duplicate edge \(0, 1\)$"):
         graph_from_navmesh(surface)
 
 
 def test_navmesh_graph_names_the_lowest_coincident_pair():
     surface = coincident_centers()
-    # the walk meets the pair (0, 2) first; the error names (0, 1)
-    assert [o for o in surface.edge_polygons.values() if len(o) == 2] == [[0, 2], [0, 1]]
+    # polygon 0's ring meets the pair (0, 2) first; the error names (0, 1)
+    assert surface.across[0] == [2, -1, -1, 1]
     with pytest.raises(
         DegenerateEdge, match=r"^polygon centers 0 and 1 coincide \(zero-weight edge\)$"
     ):

@@ -5,6 +5,8 @@ import pytest
 
 from navstruct.errors import ParseError, ValidationError
 from navstruct.fixtures import (
+    coincident_centers,
+    double_shared_edge,
     grid_surface,
     ramp_corridor,
     ring_surface,
@@ -19,18 +21,23 @@ from navstruct.mesh import (
     load_blocker_mesh,
     load_walkable_surface,
 )
-from navstruct.oracles import locate_point_linear, obj_parse_differences, parse_obj_per_line
+from navstruct.oracles import (
+    edge_polygons,
+    locate_point_linear,
+    obj_parse_differences,
+    parse_obj_per_line,
+)
 
 UNIT_SQUARE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
 
 
-def interior_edges(surface):
-    """Each edge that two polygons share -> its owners, ascending."""
-    return {e: owners for e, owners in surface.edge_polygons.items() if len(owners) == 2}
+def neighbour_pairs(surface):
+    """(p, q), p < q, once for each edge that polygons p and q share."""
+    return sorted((p, q) for p, row in enumerate(surface.across) for q in row if q > p)
 
 
 def interior_edge_count(surface):
-    return len(interior_edges(surface))
+    return len(neighbour_pairs(surface))
 
 
 def square_pair():
@@ -310,10 +317,10 @@ def test_validation_rejects_nonmanifold_edge():
 def test_adjacency_and_edge_counts():
     verts, polys = square_pair()
     surface = build_walkable_surface(verts, polys)
-    assert interior_edges(surface) == {(1, 2): [0, 1]}
+    # the shared edge (1, 2) is polygon 0's second and polygon 1's last
+    assert surface.across == [[-1, 1, -1, -1], [-1, -1, -1, 0]]
     assert interior_edge_count(surface) == 1
     assert sum(map(len, surface.boundary_edges)) == 6
-    assert surface.edge_polygons[(1, 2)] == [0, 1]
 
 
 def test_grid_adjacency_symmetric():
@@ -323,12 +330,43 @@ def test_grid_adjacency_symmetric():
     assert sum(map(len, surface.boundary_edges)) == 12
     # squares are numbered row by row; each one neighbours the next in its
     # row and the one above it
-    pairs = sorted(tuple(owners) for owners in interior_edges(surface).values())
-    assert pairs == sorted(
+    assert neighbour_pairs(surface) == sorted(
         [(p, p + 1) for p in range(9) if p % 3 < 2] + [(p, p + 3) for p in range(6)]
     )
-    for edge, owners in surface.edge_polygons.items():
-        assert edge[0] < edge[1] and owners == sorted(set(owners))
+
+
+def ring_edges(ring):
+    """(k, a, b) for the edge from corner k to corner k + 1 of a ring."""
+    return [(k, a, b) for k, (a, b) in enumerate(zip(ring, ring[1:] + ring[:1]))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_walkable_surface(*square_pair()),
+    lambda: grid_surface(3, 3),
+    ring_surface,
+    stacked_floors,
+    double_shared_edge,
+    coincident_centers,
+    lambda: vertical_strip(reverse=True),
+], ids=["square-pair", "grid3x3", "ring", "stacked", "double-shared", "coincident",
+        "strip-reversed"])
+def test_across_is_symmetric_and_marks_the_boundary(make):
+    surface = make()
+    assert list(map(len, surface.across)) == list(map(len, surface.polygons))
+    boundary = []
+    for p, ring in enumerate(surface.polygons):
+        for k, a, b in ring_edges(ring):
+            q = surface.across[p][k]
+            if q < 0:
+                boundary.append((a, b, p))
+                continue
+            # q holds the same edge once, and its corner there sees p
+            (j,) = [j for j, c, d in ring_edges(surface.polygons[q]) if {c, d} == {a, b}]
+            assert surface.across[q][j] == p
+    # -1 marks exactly the boundary triples, and each triple's owner holds
+    # (a, b) as an edge of its ring, in that direction
+    triples = [edge for loop in surface.boundary_edges for edge in loop]
+    assert sorted(triples) == sorted(boundary)
 
 
 def test_single_square_boundary_loop():
@@ -336,9 +374,8 @@ def test_single_square_boundary_loop():
     assert len(surface.boundary_edges) == 1
     loop = surface.boundary_edges[0]
     assert loop[0][0] == 0  # canonical start at the smallest vertex id
-    assert [a for a, _b in loop] == [0, 1, 2, 3]
+    assert loop == [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]
     assert loop[-1][1] == loop[0][0]
-    assert [[a for a, _b in lp] for lp in surface.boundary_edges] == [[0, 1, 2, 3]]
 
 
 def test_ring_surface_has_two_boundary_loops():
@@ -347,13 +384,13 @@ def test_ring_surface_has_two_boundary_loops():
     lengths = sorted(len(loop) for loop in surface.boundary_edges)
     assert lengths == [4, 12]
     for loop in surface.boundary_edges:
-        for (a, b), (c, _d) in zip(loop, loop[1:] + loop[:1]):
+        for (_a, b, _p), (c, _d, _q) in zip(loop, loop[1:] + loop[:1]):
             assert b == c  # consecutive edges chain head-to-tail
 
 
 def test_boundary_interior_on_the_left():
     surface = surface_from_squares([(0, 0)])
-    for a, b in surface.boundary_edges[0]:
+    for a, b, _owner in surface.boundary_edges[0]:
         fwd = surface.vertices[b] - surface.vertices[a]
         left = np.cross(surface.polygon_normals[0], fwd)
         midpoint = (surface.vertices[a] + surface.vertices[b]) / 2.0
@@ -429,18 +466,6 @@ def test_stacked_floors_overlap_within_the_default_height_tolerance():
     assert surface.locate_point((0.5, 0.5, 0.3), height_tol=0.1) == 5
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["as-built", "reversed"])
-def test_vertical_strip_fixture_equals_the_geometry_test_copy(reverse):
-    # tests/test_geometry.py keeps its own copy of the fixture
-    from test_geometry import vertical_strip as pinned_copy
-
-    for nx, nz in ((4, 2), (1, 1), (3, 5)):
-        want = pinned_copy(nx, nz, reverse=reverse)
-        got = vertical_strip(nx, nz, reverse=reverse)
-        assert np.array_equal(got.vertices, want.vertices)
-        assert got.polygons == want.polygons
-
-
 @pytest.mark.parametrize("make", [
     stacked_floors,
     lambda: ramp_corridor(30.0),
@@ -454,7 +479,7 @@ def test_indexed_locate_point_equals_a_linear_scan(make):
     surface = make()
     verts = surface.vertices
     points = [*surface.polygon_centers, *verts]
-    points += [(verts[a] + verts[b]) / 2.0 for a, b in surface.edge_polygons]
+    points += [(verts[a] + verts[b]) / 2.0 for a, b in edge_polygons(surface.polygons)]
     rng = np.random.default_rng(5)
     # the same points moved off their polygon's plane, near and past each tolerance
     points += [p + rng.uniform(-0.7, 0.7, size=3) for p in points]

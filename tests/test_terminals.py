@@ -68,11 +68,11 @@ def sample_boundary_per_sample(surface, interval):
     rows = []
     for loop_id, loop in enumerate(surface.boundary_edges):
         vecs, lens, normals = [], [], []
-        for a, b in loop:
+        for a, b, owner in loop:
             vec = surface.vertices[b] - surface.vertices[a]
             lens.append(float(np.linalg.norm(vec)))
             vecs.append(vec / lens[-1])
-            normals.append(surface.polygon_normals[surface.edge_polygons[tuple(sorted((a, b)))][0]])
+            normals.append(surface.polygon_normals[owner])
         edge, edge_start_arc = 0, 0.0
         for k in range(max(1, math.floor(float(sum(lens)) / interval + 1e-9))):
             arc = k * interval
