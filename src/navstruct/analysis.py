@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateEdge, ValidationError
-from .graph import SurfaceGraph, relabel_dense
+from .graph import GraphNode, SurfaceGraph
+from .mesh import _row_dots
 from .trees import RootedTree
 
 # most density classes one run may ask for
@@ -17,23 +19,46 @@ MAX_DENSITY_BUCKETS = 1000
 
 def forest_to_graph(forest: list[RootedTree]) -> SurfaceGraph:
     """Rebuild a dense graph from rooted trees: one node per tree node, one
-    edge per parent-child pair, weighted by Euclidean distance.
+    edge per parent-child pair, weighted by Euclidean distance, each as
+    np.linalg.norm gives it (see mesh._row_dots).
 
-    Dense id k is the k-th smallest node id in the forest.
+    Dense id k is the k-th smallest node id in the forest; the payload
+    objects are shared.  The first fault in tree order raises: a node that
+    an earlier tree holds (ValidationError) or a zero-length edge
+    (DegenerateEdge), a tree's nodes checked before its edges.
     """
-    payloads = {}
-    edges = []
+    payloads: dict[int, GraphNode] = {}
+    edges: list[tuple[int, int]] = []
     for tree in forest:
         for v in tree.node_ids():
             if v in payloads:
+                _dense_edges(payloads, edges)  # an earlier tree's fault comes first
                 raise ValidationError(f"node {v} appears in more than one tree")
             payloads[v] = tree.payloads[v]
-        for p, c in tree.edge_list():
-            w = float(np.linalg.norm(tree.payloads[p].position - tree.payloads[c].position))
-            if w < 1e-12:
-                raise DegenerateEdge(f"tree edge ({p}, {c}) has zero length")
-            edges.append((p, c, w))
-    return relabel_dense(payloads, edges)
+        edges += tree.edge_list()
+    return SurfaceGraph(*_dense_edges(payloads, edges))
+
+
+def _dense_edges(
+    payloads: dict[int, GraphNode], edges: list[tuple[int, int]]
+) -> tuple[list[GraphNode], np.ndarray]:
+    """The payloads in ascending id order, and the (p, c) edges as (E, 3)
+    rows of dense ids and length; DegenerateEdge names the first edge
+    shorter than 1e-12."""
+    ids = sorted(payloads)
+    index = dict(zip(ids, range(len(ids))))
+    nodes = [payloads[v] for v in ids]
+    ends = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(edges)), np.intp, 2 * len(edges)
+    ).reshape(-1, 2)
+    positions = np.array([node.position for node in nodes], dtype=float).reshape(-1, 3)
+    d = positions[ends[:, 0]] - positions[ends[:, 1]]
+    lengths = np.sqrt(_row_dots(d, d))
+    short = np.flatnonzero(lengths < 1e-12)
+    if len(short):
+        p, c = edges[short[0]]
+        raise DegenerateEdge(f"tree edge ({p}, {c}) has zero length")
+    return nodes, np.column_stack((ends, lengths))
 
 
 @dataclass

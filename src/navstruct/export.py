@@ -87,29 +87,48 @@ def _emit(obj, parts: list[str]) -> None:
 
 # one node record, its keys in sorted order as canonical_json would emit them
 _NODE_RECORD = (
-    '{{"children":[{}],"depth":{},"id":{},"normal":[{}],"on_navmesh":{},'
-    '"parent":{},"position":[{}],"source":{},"terminal":{}}}'
+    '{"children":[%s],"depth":%d,"id":%d,"normal":[%s],"on_navmesh":%s,'
+    '"parent":%s,"position":[%s],"source":%s,"terminal":%s}'
 )
 
+# a 3-vector as a JSON list's items and as an OBJ vertex line
+_JSON_VECTOR = "%.9g,%.9g,%.9g"
+_OBJ_VERTEX = "v %.9g %.9g %.9g"
 
-def _fmt_vector(vec) -> str:
-    return ",".join(_fmt_float(float(x)) for x in vec)
+
+def _vector(template: str, x, y, z) -> str:
+    """`template` filled with x, y and z, each as _fmt_float writes it:
+    "%.9g" % x is format(x, ".9g"), and adding 0.0 turns only -0.0 into
+    0.0."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("non-finite float in export")
+    return template % (x + 0.0, y + 0.0, z + 0.0)
+
+
+class _Quoted(dict):
+    """json.dumps of each string looked up, computed once per distinct one."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = json.dumps(text)
+        return quoted
 
 
 def structure_json_bytes(forest: list[RootedTree]) -> bytes:
     """The forest as canonical JSON: what canonical_json writes for
     {"format": STRUCTURE_FORMAT, "trees": [{"root": r, "nodes": [...]}]}."""
     trees = []
+    sources = _Quoted()
     for tree in forest:
         nodes = []
         parent, depth = tree.parent, tree.depth
         for v in tree.node_ids():
             p = tree.payloads[v]
-            nodes.append(_NODE_RECORD.format(
+            nodes.append(_NODE_RECORD % (
                 ",".join(map(str, tree.children[v])), depth[v], v,
-                _fmt_vector(p.normal), "true" if p.on_navmesh else "false",
-                "null" if parent[v] is None else parent[v], _fmt_vector(p.position),
-                json.dumps(p.source), "true" if p.terminal else "false",
+                _vector(_JSON_VECTOR, *p.normal.tolist()), "true" if p.on_navmesh else "false",
+                "null" if parent[v] is None else parent[v],
+                _vector(_JSON_VECTOR, *p.position.tolist()),
+                sources[p.source], "true" if p.terminal else "false",
             ))
         trees.append(f'{{"nodes":[{",".join(nodes)}],"root":{tree.root}}}')
     text = f'{{"format":"{STRUCTURE_FORMAT}","trees":[{",".join(trees)}]}}\n'
@@ -121,7 +140,7 @@ def structure_json_bytes(forest: list[RootedTree]) -> bytes:
 # ---------------------------------------------------------------------------
 
 # one node-analysis record, its keys in sorted order
-_ANALYSIS_RECORD = '{{"betweenness":{},"density":{},"id":{},"position":[{}]}}'
+_ANALYSIS_RECORD = '{"betweenness":%s,"density":%s,"id":%d,"position":[%s]}'
 
 
 def report_json(report: dict) -> str:
@@ -131,10 +150,11 @@ def report_json(report: dict) -> str:
     for key in sorted(report):
         value = report[key]
         if key == "node_analysis":
+            labels = _Quoted()
             text = "[" + ",".join(
-                _ANALYSIS_RECORD.format(
-                    _fmt_float(float(r["betweenness"])), json.dumps(r["density"]),
-                    int(r["id"]), _fmt_vector(r["position"]),
+                _ANALYSIS_RECORD % (
+                    _fmt_float(float(r["betweenness"])), labels[r["density"]],
+                    r["id"], _vector(_JSON_VECTOR, *r["position"]),
                 )
                 for r in value
             ) + "]"
@@ -147,8 +167,9 @@ def report_json(report: dict) -> str:
 def load_structure_json(path: str | Path) -> list[RootedTree]:
     """Rebuild a forest from a structure JSON file.  The trees are rebuilt
     from the `children` lists; ParseError unless every tree's lists form one
-    tree under its root whose parents and depths are the file's, and no tree
-    lists a node id twice."""
+    tree under its root whose parents and depths are the file's, no tree
+    lists a node id twice, `on_navmesh` and `terminal` are JSON booleans and
+    `source` is a string."""
     p = Path(path)
     data = read_json(p)
     if not isinstance(data, dict) or data.get("format") != STRUCTURE_FORMAT:
@@ -173,13 +194,19 @@ def _tree_from_dict(trec: dict, p: Path) -> RootedTree:
         children[v] = [as_index(c, p) for c in nrec["children"]]
         depth[v] = as_index(nrec["depth"], p)
         parent[v] = None if nrec["parent"] is None else as_index(nrec["parent"], p)
+        on_navmesh, terminal, source = nrec["on_navmesh"], nrec["terminal"], nrec["source"]
+        for name, value in (("on_navmesh", on_navmesh), ("terminal", terminal)):
+            if type(value) is not bool:
+                raise ParseError(f"{p}: node {v} {name!r} must be true or false, not {value!r}")
+        if type(source) is not str:
+            raise ParseError(f"{p}: node {v} 'source' must be a string, not {source!r}")
         payloads[v] = GraphNode(
             position=_finite_vector(nrec["position"], f"{p}: node {v} 'position'"),
             normal=_finite_vector(nrec["normal"], f"{p}: node {v} 'normal'"),
             # the file keeps only whether a node was on the surface
-            polygon=None if nrec["on_navmesh"] else -1,
-            terminal=bool(nrec["terminal"]),
-            source=str(nrec["source"]),
+            polygon=None if on_navmesh else -1,
+            terminal=terminal,
+            source=source,
         )
     tree = RootedTree(root=as_index(trec["root"], p), children=children, payloads=payloads)
     listed = [c for cs in children.values() for c in cs]
@@ -226,9 +253,8 @@ def structure_obj(forest: list[RootedTree]) -> str:
     obj_index: dict[int, int] = {}
     for tree in forest:
         for v in tree.node_ids():
-            p = tree.payloads[v].position
             obj_index[v] = len(obj_index) + 1  # 1-based
-            lines.append(f"v {_fmt_float(float(p[0]))} {_fmt_float(float(p[1]))} {_fmt_float(float(p[2]))}")
+            lines.append(_vector(_OBJ_VERTEX, *tree.payloads[v].position.tolist()))
     for tree in forest:
         for a, b in tree.edge_list():
             lines.append(f"l {obj_index[a]} {obj_index[b]}")

@@ -244,7 +244,7 @@ def run_pipeline(
             node_analysis = [
                 {
                     "id": orig,
-                    "position": [float(x) for x in node.position],
+                    "position": node.position.tolist(),
                     "betweenness": score,
                     "density": label,
                 }

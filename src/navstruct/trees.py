@@ -118,6 +118,10 @@ def find_rooted_trees(
     children by ascending id.  The returned forest partitions the tree's node
     set.  ValidationError when a tree node's score is NaN, which no order
     ranks.
+
+    A payload's `terminal` flag is membership in the tree's terminal set.
+    Where the graph's node already carries that flag, the payload is the
+    graph's own node object; only the nodes whose flag flips are copied.
     """
     node_ids = list(tree.nodes)
     if not node_ids:
@@ -126,12 +130,10 @@ def find_rooted_trees(
         raise ValidationError("centrality scores do not cover all tree nodes")
     if any(math.isnan(scores[v]) for v in node_ids):
         raise ValidationError("centrality scores must not be NaN")
-    cen = graph.centroid()
+    nodes = graph.nodes
     term_set = set(tree.terminals.node_ids)
     adj = tree.adjacency()
-
-    def centroid_dist(v: int) -> float:
-        return float(np.linalg.norm(graph.nodes[v].position - cen))
+    cen = None  # the graph centroid, computed at the first tie
 
     unvisited = set(node_ids)
     forest: list[RootedTree] = []
@@ -139,17 +141,22 @@ def find_rooted_trees(
         # the key is (-score, centroid distance, id): only the nodes tied at
         # the top score need a distance
         top = max(scores[v] for v in unvisited)
-        root = min(
-            (v for v in unvisited if scores[v] == top),
-            key=lambda v: (centroid_dist(v), v),
-        )
+        tied = [v for v in unvisited if scores[v] == top]
+        if len(tied) == 1:
+            (root,) = tied
+        else:
+            if cen is None:
+                cen = graph.centroid()
+            root = min(tied, key=lambda v: (float(np.linalg.norm(nodes[v].position - cen)), v))
         children: dict[int, list[int]] = {}
         payloads: dict[int, GraphNode] = {}
         stack = [root]
         unvisited.discard(root)
         while stack:
             v = stack.pop()
-            payloads[v] = replace(graph.nodes[v], terminal=v in term_set)
+            node = nodes[v]
+            terminal = v in term_set
+            payloads[v] = node if node.terminal is terminal else replace(node, terminal=terminal)
             kids = sorted(u for u, _w in adj[v] if u in unvisited)
             children[v] = kids
             for u in reversed(kids):

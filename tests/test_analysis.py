@@ -1,4 +1,6 @@
+import itertools
 import json
+import operator
 from collections import Counter
 
 import numpy as np
@@ -15,7 +17,11 @@ from navstruct.analysis import (
 )
 from navstruct.errors import DegenerateEdge, ParseError, ValidationError
 from navstruct.export import (
+    _JSON_VECTOR,
+    _OBJ_VERTEX,
     STRUCTURE_FORMAT,
+    _fmt_float,
+    _vector,
     canonical_json,
     export_structure,
     load_structure_json,
@@ -25,7 +31,7 @@ from navstruct.export import (
     structure_obj,
 )
 from navstruct.fixtures import grid_surface, maze_graph, plus_hub, straight_corridor
-from navstruct.graph import SOURCE_SAMPLE, GraphNode
+from navstruct.graph import SOURCE_SAMPLE, GraphNode, relabel_dense
 from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.trees import RootedTree
 
@@ -73,11 +79,12 @@ def test_rooted_tree_derives_parent_and_depth():
 def test_forest_to_graph_rebuilds_weighted_edges():
     forest = small_forest()
     g = forest_to_graph(forest)
+    p = forest[0].payloads
     assert g.nodes == [forest[0].payloads[v] for v in (0, 1, 2, 3)]
     assert g.edges == [
         (0, 1, 1.0),
         (0, 2, 2.0),
-        (2, 3, pytest.approx(np.sqrt(1.25))),
+        (2, 3, float(np.linalg.norm(p[2].position - p[3].position))),
     ]
     assert g.nodes[3].on_navmesh is False
 
@@ -105,6 +112,80 @@ def test_forest_to_graph_rejects_zero_length_edges():
     forest[0].payloads[1].position = np.zeros(3)
     with pytest.raises(DegenerateEdge, match="zero length"):
         forest_to_graph(forest)
+
+
+def forest_to_graph_per_edge(forest):
+    """forest_to_graph as one np.linalg.norm per edge, each tree's nodes
+    checked before its edges and the trees in order."""
+    payloads, edges = {}, []
+    for tree in forest:
+        for v in tree.node_ids():
+            if v in payloads:
+                raise ValidationError(f"node {v} appears in more than one tree")
+            payloads[v] = tree.payloads[v]
+        for p, c in tree.edge_list():
+            w = float(np.linalg.norm(tree.payloads[p].position - tree.payloads[c].position))
+            if w < 1e-12:
+                raise DegenerateEdge(f"tree edge ({p}, {c}) has zero length")
+            edges.append((p, c, w))
+    return relabel_dense(payloads, edges)
+
+
+def _outcome(fn, forest):
+    try:
+        g = fn(forest)
+    except ValidationError as exc:  # DegenerateEdge included
+        return type(exc), str(exc)
+    return g.nodes, g.edges
+
+
+def test_forest_to_graph_raises_the_first_fault_in_tree_order():
+    def chain(ids, xs):
+        children = {v: [w] for v, w in zip(ids, ids[1:])} | {ids[-1]: []}
+        return RootedTree(root=ids[0], children=children,
+                          payloads={v: tnode((x, 0, 0)) for v, x in zip(ids, xs)})
+
+    sound = chain([0, 1, 2], [0, 1, 3])
+    degenerate = chain([5, 6, 7], [0, 2, 2])           # edge (6, 7) has zero length
+    shares = chain([8, 1], [9, 10])                     # node 1 is sound's
+    shares_degenerate = chain([9, 2, 4], [4, 4, 6])     # node 2 is sound's; (9, 2) has zero length
+    cases = [
+        ([degenerate, shares, sound], DegenerateEdge, "tree edge (6, 7) has zero length"),
+        ([sound, shares, degenerate], ValidationError, "node 1 appears in more than one tree"),
+        ([sound, shares_degenerate], ValidationError, "node 2 appears in more than one tree"),
+        ([sound, degenerate, shares], DegenerateEdge, "tree edge (6, 7) has zero length"),
+    ]
+    for forest, kind, message in cases:
+        assert _outcome(forest_to_graph, forest) == (kind, message)
+        assert _outcome(forest_to_graph_per_edge, forest) == (kind, message)
+
+
+def test_forest_to_graph_equals_the_per_edge_build(rng):
+    forests = [r.forest for r in _golden_runs()] + [random_forest(rng) for _ in range(100)]
+    faults = Counter({DegenerateEdge: 0, ValidationError: 0})
+    for forest in forests:
+        for tree in forest:  # random positions may coincide: move them apart
+            for v, p in tree.payloads.items():
+                p.position = p.position + np.array([v, 1.0, 0.5])
+        # and then some tree shares a node or some edge is degenerate
+        if forest and rng.random() < 0.5:
+            tree = rng.choice(forest)
+            v = rng.choice(tree.node_ids())
+            if rng.random() < 0.5 and tree.parent[v] is not None:
+                tree.payloads[v].position = tree.payloads[tree.parent[v]].position.copy()
+            else:
+                forest.append(singleton_tree(v, (0, 0, 0)))
+        # coordinates near 4.5e307 overflow the squared lengths in both builds
+        with np.errstate(over="ignore"):
+            got = _outcome(forest_to_graph, forest)
+            want = _outcome(forest_to_graph_per_edge, forest)
+        if isinstance(want[0], type):  # the exception's type and text
+            assert got == want
+            faults[want[0]] += 1
+        else:  # the same payload objects, and bit-equal edges
+            assert len(got[0]) == len(want[0]) and all(map(operator.is_, got[0], want[0]))
+            assert got[1] == want[1]
+    assert min(faults.values()) >= 10
 
 
 # --- density classes --------------------------------------------------------
@@ -305,6 +386,58 @@ def test_report_json_is_canonical_json(rng):
     assert labels == set(DENSITY_LABELS)
 
 
+# where %g switches to exponent form, rounds up in the ninth digit, or meets
+# -0.0, a subnormal or the float range
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999949e-5, 123456789.5, 999999999.5,
+               1e308, -1e308, 0.1 + 0.2]
+
+
+def test_one_format_per_vector_equals_fmt_float_per_component():
+    for x, y, z in itertools.product(EDGE_FLOATS, repeat=3):
+        parts = [_fmt_float(x), _fmt_float(y), _fmt_float(z)]
+        assert _vector(_JSON_VECTOR, x, y, z) == ",".join(parts)
+        assert _vector(_OBJ_VERTEX, x, y, z) == "v " + " ".join(parts)
+    assert [_fmt_float(x) for x in EDGE_FLOATS[:7]] == [
+        "0", "0", "4.94065646e-324", "1e-05", "0.0001", "123456790", "1e+09"]
+    # the writers against canonical_json over the same values
+    forest = [RootedTree(root=k, children={k: []}, payloads={k: GraphNode(
+        position=np.array(xyz), normal=np.array(xyz[::-1]), polygon=k % 2 - 1,
+        terminal=k % 3 == 0, source="sample")}) for k, xyz in enumerate(
+        itertools.combinations(EDGE_FLOATS, 3))]
+    assert structure_json_bytes(forest).decode() == canonical_json({
+        "format": STRUCTURE_FORMAT, "trees": [{"root": t.root, "nodes": [{
+            "id": t.root, "children": [], "depth": 0, "parent": None,
+            "position": p.position, "normal": p.normal, "on_navmesh": p.on_navmesh,
+            "source": p.source, "terminal": p.terminal,
+        }]} for t in forest for p in t.payloads.values()]}) + "\n"
+    assert structure_obj(forest).splitlines()[1:len(forest) + 1] == [
+        "v " + " ".join(map(_fmt_float, t.payloads[t.root].position)) for t in forest]
+    records = [{"id": t.root, "density": "low", "betweenness": 0.5,
+                "position": t.payloads[t.root].position.tolist()} for t in forest]
+    report = {"experiment": "x", "node_analysis": records}
+    assert report_json(report) == canonical_json(report) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_every_writer_rejects_a_non_finite_component(bad):
+    for k in range(3):
+        vector = [1.0, -0.0, 2.5]
+        vector[k] = bad
+        for field in ("position", "normal"):
+            forest = small_forest()
+            setattr(forest[0].payloads[2], field, np.array(vector))
+            writers = [structure_json_bytes] + [structure_obj] * (field == "position")
+            for write in writers:
+                with pytest.raises(ValueError, match="^non-finite float in export$"):
+                    write(forest)
+        report = {"node_analysis": [
+            {"id": 0, "density": "low", "betweenness": 1.0, "position": vector}]}
+        with pytest.raises(ValueError, match="^non-finite float in export$"):
+            report_json(report)
+        with pytest.raises(ValueError, match="^non-finite float in export$"):
+            canonical_json(report)
+
+
 def test_report_json_rejects_a_non_finite_score():
     for bad in (float("nan"), float("inf"), -float("inf")):
         report = AnalysisReport("x", [], 0.0, node_analysis=[
@@ -430,6 +563,31 @@ def test_structure_json_rejects_bad_files(tmp_path):
         edited.write_text(json.dumps(data))
         with pytest.raises(ParseError, match=message):
             load_structure_json(edited)
+
+
+def test_structure_json_flags_must_be_booleans_and_source_a_string(tmp_path):
+    for key, value, message in [
+        ("terminal", "false", "node 1 'terminal' must be true or false, not 'false'"),
+        ("terminal", 1, "node 1 'terminal' must be true or false, not 1"),
+        ("terminal", None, "node 1 'terminal' must be true or false, not None"),
+        ("on_navmesh", 0, "node 1 'on_navmesh' must be true or false, not 0"),
+        ("on_navmesh", "true", "node 1 'on_navmesh' must be true or false, not 'true'"),
+        ("source", 7, "node 1 'source' must be a string, not 7"),
+        ("source", ["sample"], "node 1 'source' must be a string, not \\['sample'\\]"),
+    ]:
+        data = json.loads(structure_json_bytes(small_forest()))
+        data["trees"][0]["nodes"][1][key] = value
+        edited = tmp_path / f"edited-{key}.json"
+        edited.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=message):
+            load_structure_json(edited)
+    # what the writer emits loads back unchanged
+    path = tmp_path / "structure.json"
+    export_structure(small_forest(), "json", path)
+    loaded = load_structure_json(path)[0].payloads
+    assert [(p.terminal, p.on_navmesh, p.source) for p in loaded.values()] == [
+        (False, True, "sample"), (True, True, "sample"), (False, True, "sample"),
+        (True, False, "sample")]
 
 
 def _node_record(v, children, parent, depth):

@@ -239,6 +239,57 @@ def test_rooting_rejects_nan_scores():
     assert find_rooted_trees(tree, g, scores)
 
 
+def test_rooting_shares_the_graph_nodes_whose_terminal_flag_holds():
+    g = maze_graph(8, 8, seed=5)
+    # flags the graph already carries: two that stay terminals, two that drop
+    for v in (3, 10, 20, 40):
+        g.nodes[v].terminal = True
+    stree = build_steiner_tree(g, terms([3, 10, 27, 50, 63]))
+    before = list(g.nodes)
+    flags = [node.terminal for node in g.nodes]
+    forest = find_rooted_trees(stree, g, betweenness_centrality(g))
+    assert all(a is b for a, b in zip(g.nodes, before)) and len(g.nodes) == len(before)
+    assert [node.terminal for node in g.nodes] == flags
+    term_set = set(stree.terminals.node_ids)
+    copies = 0
+    for tree in forest:
+        for v, p in tree.payloads.items():
+            assert p.terminal is (v in term_set)
+            flips = g.nodes[v].terminal is not (v in term_set)
+            assert (p is not g.nodes[v]) == flips
+            copies += flips
+            if flips:
+                assert (p.position is g.nodes[v].position, p.polygon, p.source) == (
+                    True, g.nodes[v].polygon, g.nodes[v].source)
+    # 27, 50 and 63 become terminals; 3 and 10 stay; 20 and 40 drop if the tree holds them
+    assert copies == 3 + sum(v in stree.nodes for v in (20, 40))
+
+
+def test_rooting_computes_the_centroid_only_on_a_tie(monkeypatch):
+    calls = []
+    original = SurfaceGraph.centroid
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SurfaceGraph, "centroid", counting)
+    g = maze_graph(12, 12)
+    stree = build_steiner_tree(g, terminals_from_metric(g, "leaves"))
+    scores = pipeline._root_scores(g, stree, PipelineConfig(terminals="leaves"))
+    (rooted,) = find_rooted_trees(stree, g, scores)
+    assert calls == []
+    assert rooted.root == max(stree.nodes, key=lambda v: (scores[v], -v))
+    # a tie in each of two components: one centroid serves both
+    g = graph_from_edges([(0, 0, 0), (1, 0, 0), (5, 0, 0), (6, 0, 0), (9, 0, 0)],
+                         [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 3.0)])
+    split = SteinerTree(nodes=[0, 1, 2, 3, 4], edges=list(g.edges),
+                        terminals=terms([0, 1, 2, 4]), total_weight=5.0)
+    # the centroid sits at x = 4.2: node 2 (x = 5) roots first, then node 1 (x = 1)
+    assert [t.root for t in find_rooted_trees(split, g, uniform_scores(5))] == [2, 1]
+    assert calls == [g]
+
+
 def test_rooted_tree_helpers():
     rooted = rooted_path([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     assert rooted.node_ids() == [0, 1, 2]
