@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import GraphNode, _finite_vector
-from .mesh import as_index, read_json
+from .mesh import MAX_WRITTEN_COORDINATE, _check_coordinates, as_index, read_json
 from .trees import RootedTree
 
 STRUCTURE_FORMAT = "navstruct-structure/1"
@@ -169,7 +169,8 @@ def load_structure_json(path: str | Path) -> list[RootedTree]:
     from the `children` lists; ParseError unless every tree's lists form one
     tree under its root whose parents and depths are the file's, no tree
     lists a node id twice, `on_navmesh` and `terminal` are JSON booleans and
-    `source` is a string."""
+    `source` is a string; ValidationError for a position beyond
+    +-MAX_WRITTEN_COORDINATE, which no pipeline run writes."""
     p = Path(path)
     data = read_json(p)
     if not isinstance(data, dict) or data.get("format") != STRUCTURE_FORMAT:
@@ -177,9 +178,12 @@ def load_structure_json(path: str | Path) -> list[RootedTree]:
     if not isinstance(data.get("trees"), list):
         raise ParseError(f"{p}: 'trees' must be a list")
     try:
-        return [_tree_from_dict(trec, p) for trec in data["trees"]]
+        forest = [_tree_from_dict(trec, p) for trec in data["trees"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{p}: malformed tree record: {exc!r}") from exc
+    positions = [q.position for tree in forest for q in tree.payloads.values()]
+    _check_coordinates(np.reshape(positions, (-1, 3)), f"{p}: structure node", MAX_WRITTEN_COORDINATE)
+    return forest
 
 
 def _tree_from_dict(trec: dict, p: Path) -> RootedTree:

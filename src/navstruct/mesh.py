@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -44,6 +45,16 @@ DEFAULT_HEIGHT_TOL = 0.5
 # triangle's cross product squared), and 1e50 keeps every such product and
 # its sums far inside the float range
 MAX_COORDINATE = 1e50
+
+# largest coordinate magnitude the pipeline writes: a terminal within
+# +-MAX_COORDINATE pushed along a unit direction by an exit_offset of at most
+# MAX_COORDINATE, with room for the push's rounding
+MAX_WRITTEN_COORDINATE = 2.0 * MAX_COORDINATE * (1.0 + 1e-9)
+
+# most cells per axis of a blocker mesh's triangle grid, so that a cell's
+# flat index fits an int64; a mesh wider than this many cell edges shares
+# the last cell of the axis among its far triangles
+GRID_AXIS_CELLS = 2**20
 
 
 @dataclass
@@ -183,6 +194,38 @@ class BlockerMesh:
     # the centre and half-diagonal of the tree's centroid box
     box_center: tuple[float, float, float] = field(repr=False)
     box_spread: float = field(repr=False)
+    # the segment queries' grid of triangle boxes, built by the first one
+    grid: TriangleGrid | None = field(init=False, repr=False, compare=False, default=None)
+
+    def triangle_grid(self) -> TriangleGrid:
+        """The mesh's `TriangleGrid`, built on the first call."""
+        if self.grid is None:
+            self.grid = _triangle_grid(self.vertices, self.triangles, self.reach)
+        return self.grid
+
+
+class TriangleGrid(NamedTuple):
+    """A uniform grid over a blocker mesh's triangle boxes.
+
+    Cells are cubes of edge 2 * reach from `low`, the least corner
+    coordinates.  On each axis, coordinate x lies in cell
+    floor((x - low) * scale), clamped to 0 .. count - 1 (on a mesh wider
+    than GRID_AXIS_CELLS cells, the far triangles share the last one).  That
+    index is monotone in x, so a box that meets a triangle's box covers a
+    cell the triangle is listed in.  A triangle's box is no wider than its
+    longest edge, at most 2 * reach, so it spans at most two cells per
+    axis."""
+
+    low: tuple[float, float, float]
+    scale: float                     # 1 / cell edge
+    shape: tuple[int, int, int]      # cells per axis
+    # flat cell index (ix * ny + iy) * nz + iz -> the ascending ids of the
+    # triangles whose box meets the cell; only cells that hold one
+    cells: dict[int, tuple[int, ...]]
+    # per triangle, (min x, y, z, max x, y, z) of its corners
+    boxes: list[tuple[float, ...]]
+    # the largest coordinate magnitude of any vertex
+    magnitude: float
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +441,11 @@ def _weld(verts: np.ndarray, polys: list[list[int]], eps: float):
 # construction / validation
 # ---------------------------------------------------------------------------
 
-def _check_coordinates(verts: np.ndarray, what: str) -> None:
+def _check_coordinates(verts: np.ndarray, what: str, limit: float = MAX_COORDINATE) -> None:
     """ValidationError unless every coordinate is a number of magnitude at
-    most MAX_COORDINATE."""
-    if len(verts) and not np.abs(verts).max() <= MAX_COORDINATE:
-        raise ValidationError(f"{what} coordinates must lie within +/-{MAX_COORDINATE:g}")
+    most `limit`."""
+    if len(verts) and not np.abs(verts).max() <= limit:
+        raise ValidationError(f"{what} coordinates must lie within +/-{limit:g}")
 
 
 def build_walkable_surface(
@@ -768,6 +811,62 @@ def build_blocker_mesh(vertices, triangles) -> BlockerMesh:
         box_center=tuple((0.5 * (tree.mins + tree.maxes)).tolist()),
         box_spread=0.5 * math.dist(tree.mins, tree.maxes),
     )
+
+
+def _triangle_grid(verts: np.ndarray, tris: np.ndarray, reach: float) -> TriangleGrid:
+    """The grid of a blocker mesh's triangle boxes, in numpy passes.  The
+    per-axis arrays are freed as soon as they are used, so the build's
+    peak memory stays near what the grid keeps."""
+    n = len(tris)
+    if not n:
+        return TriangleGrid((0.0, 0.0, 0.0), 1.0, (1, 1, 1), {}, [], 0.0)
+    scale = 1.0 / (2.0 * reach)
+    low, shape, spans, columns = zip(*(_axis_cells(verts[:, k][tris], scale) for k in range(3)))
+    xs, ys, zs = columns
+    highs = (itertools.islice(column, n, None) for column in columns)
+    # one tuple per distinct box: a wall quad's two triangles share theirs
+    distinct: dict = {}
+    boxes = [distinct.setdefault(box, box) for box in zip(xs, ys, zs, *highs)]
+    del columns, xs, ys, zs, distinct
+    (x0, x1), (y0, y1), (z0, z1) = ((span[:n], span[n:]) for span in spans)
+    _, ny, nz = shape
+    keys, owners = [], []
+    # every cell of each triangle's range: its first cell plus each offset
+    # up to the widest span, where the triangle reaches that far
+    for dx, dy, dz in itertools.product(*(range(int((s[n:] - s[:n]).max()) + 1) for s in spans)):
+        cx, cy, cz = x0 + dx, y0 + dy, z0 + dz
+        fits = np.flatnonzero((cx <= x1) & (cy <= y1) & (cz <= z1))
+        keys.append((cx[fits] * ny + cy[fits]) * nz + cz[fits])
+        owners.append(fits)
+    del spans, x0, x1, y0, y1, z0, z1, cx, cy, cz, fits
+    keys, owners = np.concatenate(keys), np.concatenate(owners)
+    order = np.lexsort((owners, keys))
+    keys, owners = keys[order], owners[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
+    # one shared int object per triangle, not one per entry
+    owners = list(map(list(range(n)).__getitem__, owners))
+    cells = dict(zip(
+        keys[starts].tolist(),
+        map(tuple, map(owners.__getitem__, map(slice, starts, [*starts[1:], len(owners)]))),
+    ))
+    return TriangleGrid(low, scale, shape, cells, boxes, float(np.abs(verts).max()))
+
+
+def _axis_cells(x: np.ndarray, scale: float):
+    """One axis of the grid, from the (T, 3) corner coordinates `x`: the
+    grid's low end, its cell count, the cells of every triangle's low end
+    then of every high end, and those ends as Python floats in the same
+    order.  A cell is floor((x - low) * scale) clamped to the count, as
+    `raycast._cell_ids` computes it: the same float operations, and
+    truncation equals floor on these non-negative values."""
+    n = len(x)
+    ends = np.concatenate([x.min(axis=1), x.max(axis=1)])
+    start = ends[:n].min()
+    top = int(min((ends[n:].max() - start) * scale, GRID_AXIS_CELLS - 1))
+    spans = np.minimum((ends - start) * scale, top).astype(np.int64)
+    # one float object per distinct coordinate: wall meshes repeat a few
+    values, at = np.unique(ends, return_inverse=True)
+    return float(start), top + 1, spans, list(map(values.tolist().__getitem__, at.tolist()))
 
 
 def load_blocker_mesh(path: str | Path) -> BlockerMesh:

@@ -48,7 +48,7 @@ from .mesh import (
     read_json,
     read_text,
 )
-from .raycast import EPS
+from .raycast import EPS, _segment_box
 from .trees import SimplifyConfig
 
 _TIE_TOL = 1e-12
@@ -1238,9 +1238,12 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     # finite length, at an infinite one and with a NaN direction in some
     # rows (whole-mesh balls); the scalar loop on each probe ray
     checked = hits = wrong = 0
+    plus = plus_hub()[1]
     for _ in range(instances):
         nprng = np.random.default_rng(rng.randrange(2**32))
-        for blockers in (_random_soup(nprng), straight_corridor(rng.randint(2, 12))[1]):
+        soup = _random_soup(nprng)
+        corridor = straight_corridor(rng.randint(2, 12))[1]
+        for blockers in (soup, corridor):
             probes = _probe_rays(blockers, nprng)
             origins = np.array([o for o, _, _ in probes])
             directions = np.array([[probes[(i + k) % len(probes)][1] for k in range(3)]
@@ -1258,6 +1261,12 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
             for o, d, max_t in probes:
                 checked += 1
                 wrong += _segment_hit(blockers, o.tolist(), d.tolist(), max_t) != (
+                    first_hit_all_triangles(blockers, o, d, max_t) is not None)
+        # the scalar loop on segments whose box has a face on a grid cell plane
+        for blockers in (plus, corridor):
+            for o, d, max_t in cell_plane_rays(blockers, nprng, 4):
+                checked += 1
+                wrong += _segment_hit(blockers, o, d, max_t) != (
                     first_hit_all_triangles(blockers, o, d, max_t) is not None)
     empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     for blockers in (empty, None):
@@ -1402,6 +1411,64 @@ def _random_soup(nprng: np.random.Generator) -> BlockerMesh:
     tris = nprng.integers(0, len(verts), size=(40, 3))
     distinct = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
     return build_blocker_mesh(verts, tris[distinct])
+
+
+def cell_plane_rays(blockers: BlockerMesh, nprng: np.random.Generator, count: int):
+    """Segments (o, d, 1.0), as Python floats, whose box as
+    `raycast._segment_box` widens it has one face exactly on a plane
+    between two cells of the mesh's triangle grid, or 1 or 2 ulps to either
+    side of it.  Each of the `count` starting segments runs from a random
+    point towards, to or past a random point near a random triangle; it then
+    slides along one axis until its low or high face lies on the nearest
+    cell plane, each of the five ways in turn (skipped where rounding never
+    lands it there)."""
+    grid = blockers.triangle_grid()
+    limit = 1.0 + EPS
+    rays = []
+    for _ in range(count):
+        tri = blockers.vertices[blockers.triangles[nprng.integers(len(blockers.triangles))]]
+        target = nprng.dirichlet(np.ones(3)) @ tri + nprng.normal(scale=0.01, size=3)
+        d = nprng.normal(size=3) * nprng.uniform(0.2, 3.0) * blockers.reach
+        o = (target - nprng.choice((0.5, 1.0, 1.5)) * d).tolist()
+        d = d.tolist()
+        k = int(nprng.integers(3))
+        face = k + 3 * int(nprng.integers(2))
+        x = _segment_box(blockers, grid, o, d, limit)[face]
+        plane = _cell_plane(grid, k, min(max(round((x - grid.low[k]) * grid.scale), 0), grid.shape[k]))
+        for shift in (-2, -1, 0, 1, 2):
+            want = plane
+            for _ in range(abs(shift)):
+                want = math.nextafter(want, math.copysign(math.inf, shift))
+            slid = _slide_face(blockers, grid, o, d, limit, k, face, want)
+            if slid is not None:
+                rays.append((slid, d, 1.0))
+    return rays
+
+
+def _cell_plane(grid, k: int, j: int) -> float:
+    """The least float x that the grid puts at or past cell boundary j on
+    axis k: (x - low) * scale >= j."""
+    low, scale = grid.low[k], grid.scale
+    x = low + j / scale
+    while (x - low) * scale >= j:
+        x = math.nextafter(x, -math.inf)
+    while (x - low) * scale < j:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _slide_face(blockers, grid, o: list, d: list, limit: float, k: int, face: int, want: float):
+    """o moved along axis k so that face `face` of the segment's box is
+    exactly `want`, or None where no float origin puts it there."""
+    o = list(o)
+    for _ in range(40):  # the pad changes with o, so each step only lands near `want`
+        o[k] += want - _segment_box(blockers, grid, o, d, limit)[face]
+    for _ in range(64):
+        got = _segment_box(blockers, grid, o, d, limit)[face]
+        if got == want:
+            return o
+        o[k] = math.nextafter(o[k], math.inf if got < want else -math.inf)
+    return None
 
 
 def _probe_rays(blockers: BlockerMesh, nprng: np.random.Generator):

@@ -4,17 +4,19 @@
 passes, and agrees bit for bit with `oracles.first_hit_all_triangles`.
 `segment_clear` tests one segment in a scalar any-hit loop in Python floats,
 which stops at the first triangle it accepts, so it answers only whether that
-oracle finds a hit.  Both find each ray's candidate triangles with a ball
-query on the mesh's centroid tree.
+oracle finds a hit.  `first_hit` finds each origin's candidate triangles with
+a ball query on the mesh's centroid tree, `segment_clear` in the cells of the
+mesh's grid of triangle boxes that the segment's box covers.
 """
 from __future__ import annotations
 
 import math
 from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
-from .mesh import BlockerMesh, shorter_than
+from .mesh import BlockerMesh, TriangleGrid, shorter_than
 
 EPS = 1e-9
 
@@ -37,8 +39,8 @@ def first_hit(blockers: BlockerMesh | None, origins, directions, max_t: float) -
 
     One ball query per origin, all n in one call, picks the triangles near
     all m of its rays: the ball is centred on the origin, with radius
-    (max_t + EPS) max|d| + (1 + 3 EPS) reach plus `_query_ball`'s rounding
-    margin (see `_origin_balls` and `_candidates`).  The (ray, triangle)
+    (max_t + EPS) max|d| + (1 + 3 EPS) reach plus `_rounding`'s margin (see
+    `_origin_balls` and `_candidates`).  The (ray, triangle)
     pairs then go through Moller-Trumbore as numpy elementwise operations,
     at most max(PAIR_BUDGET, m) pairs at a time (see `_slice_hits`); fans
     have m <= 2 * terminals.MAX_RAY_COUNT < PAIR_BUDGET.  The expressions
@@ -116,76 +118,130 @@ def _slice_hits(table: np.ndarray, o: np.ndarray, d: np.ndarray, limit: float):
     return t, ok
 
 
+def _rounding(blockers: BlockerMesh, length, near, segment):
+    """How far apart rounding can move the two points that Moller-Trumbore
+    equates, for a ray o + t*d whose triangle test accepts (u, v, t):
+    o + t*d on the ray and v0 + u*e1 + v*e2 on the triangle.  They agree in
+    exact arithmetic; rounding moves them apart by less than
+    64 eps |d| L^2 (|o - v0| + L + segment) / EPS, with |det| > EPS, an edge
+    length L <= 2 * reach, eps the machine epsilon and `segment` the ray's
+    length (max_t + EPS) |d|.  `length` is |d| and `near` is |o - mid|, mid
+    the centre of the box of all centroids, so near + spread + reach bounds
+    |o - v0|.  Python floats or numpy arrays alike."""
+    reach = blockers.reach
+    edge = 2.0 * reach
+    far = near + blockers.box_spread + reach
+    return 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
+
+
 def _origin_balls(blockers: BlockerMesh, origins: np.ndarray, directions: np.ndarray, max_t: float):
     """Per origin, the radius of a ball around it that holds the centroid of
     every triangle first_hit accepts for any of its rays, and whether that
     ball is taken as the whole mesh.
 
     A ray o + t*d meets a triangle at t <= max_t + EPS, no farther from o
-    than (max_t + EPS) * max|d| over the origin's rays; `_query_ball` bounds
-    how far from there the centroid can be, reach and rounding included,
-    with |d| at most that largest length.  A ball that is not finite (an
-    infinite max_t, a NaN direction) or holds every centroid is the whole
-    mesh."""
+    than (max_t + EPS) * max|d| over the origin's rays; the accepted point
+    v0 + u*e1 + v*e2 is within (1 + 3 EPS) * reach of the centroid, and
+    `_rounding` bounds how far apart the two lie, with |d| at most that
+    largest length.  A ball that is not finite (an infinite max_t, a NaN
+    direction) or holds every centroid is the whole mesh."""
     mid = np.array(blockers.box_center)
     spread = blockers.box_spread  # every centroid is this close to mid
-    reach = blockers.reach
-    edge = 2.0 * reach
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN, unflagged
         length = np.linalg.norm(directions, axis=2).max(axis=1)  # NaN when any is
         segment = (max_t + EPS) * length
         near = np.linalg.norm(origins - mid, axis=1)
-        far = near + spread + reach
-        rounding = 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
-        radius = segment + (1.0 + 3.0 * EPS) * reach + rounding
+        rounding = _rounding(blockers, length, near, segment)
+        radius = segment + (1.0 + 3.0 * EPS) * blockers.reach + rounding
         whole = ~(radius < near + spread)
     return radius, whole
 
 
-def _query_ball(blockers: BlockerMesh, o: list[float], d: list[float], max_t: float):
-    """Centre and radius of a ball that holds the centroid of every triangle
-    _segment_hit's test accepts for the segment o + t*d, t in [0, max_t + EPS].
+def _segment_box(blockers: BlockerMesh, grid: TriangleGrid, o: list[float], d: list[float],
+                 limit: float) -> tuple[float, ...]:
+    """(min x, y, z, max x, y, z) of a box that meets, on every axis, the
+    box of each triangle that _segment_hit's test accepts for o + t*d with
+    t in (EPS, limit], limit = max_t + EPS; all of space when it is not
+    finite.
 
-    An accepted (u, v, t) puts o + t*d on the segment, and v0 + u*e1 + v*e2
-    within (1 + 3 EPS) * reach of the centroid.  The two points agree in
-    exact arithmetic.  Rounding moves them apart by less than
-    64 eps |d| L^2 (|o - v0| + L + segment length) / EPS, with |det| > EPS,
-    an edge length L <= 2 * reach and eps the machine epsilon; |o - v0| is
-    bounded through the box of all centroids.  So grazing and near-parallel
-    hits are never dropped.  The box's centre and spread are stored on the
-    mesh; only the per-ray arithmetic is done here."""
-    mid = blockers.box_center
-    spread = blockers.box_spread  # every centroid is this close to mid
-    reach = blockers.reach
-    edge = 2.0 * reach
-    length = math.hypot(*d)
-    segment = (max_t + EPS) * length
-    # in Python floats, where an infinite max_t times a zero component is NaN
-    # without a warning
-    center = [a + 0.5 * (max_t + EPS) * b for a, b in zip(o, d)]
-    far = math.dist(o, mid) + spread + reach
-    rounding = 64.0 * _ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
-    radius = 0.5 * segment + (1.0 + 3.0 * EPS) * reach + rounding
-    # a ball that holds every centroid, or has an infinite or NaN size, is
-    # queried as an infinite one: the tree squares a huge finite radius to inf
-    if not radius < math.dist(center, mid) + spread:
-        return mid, math.inf
-    return center, radius
+    An accepted (u, v, t) puts s = o + t*d between o and the exact end
+    o + limit*d, and v0 + u*e1 + v*e2 within R of s (`_rounding`).  Its
+    weights 1 - u - v, u and v are at least -EPS, up to rounding, and e1, e2
+    are rounded corner differences, so on each axis that point is within
+    3 EPS L of the triangle's box, L = 2 * reach >= the triangle's extent
+    (2 EPS L for the weights, a few eps L, eps the machine epsilon, for the
+    rest).  The computed end e = o + limit*d lies at most
+    eps (segment + |s|) / 2 short of s, with segment = limit |d| and
+    |s| <= M + R + 3 EPS L near the triangle, M the largest vertex
+    coordinate magnitude; adding pad to a coordinate rounds by at most
+    eps |s + pad| / 2.  So widening the box of o and e by
+        pad = (R + 3 EPS L + 4 eps (segment + M)) (1 + 8 eps)
+    covers every term; the last factor absorbs the eps-relative rounding of
+    pad and of R's inputs.  A NaN or infinite pad (a NaN end, or an
+    infinite max_t, whose product with a zero component is NaN) gives all
+    of space, where every triangle is a candidate."""
+    ox, oy, oz = o
+    dx, dy, dz = d
+    length = math.hypot(dx, dy, dz)
+    segment = limit * length
+    near = math.dist(o, blockers.box_center)
+    pad = (_rounding(blockers, length, near, segment) + 6.0 * EPS * blockers.reach
+           + 4.0 * _ROUNDOFF * (segment + grid.magnitude)) * (1.0 + 8.0 * _ROUNDOFF)
+    if not pad < math.inf:
+        return (-math.inf,) * 3 + (math.inf,) * 3
+    ex, ey, ez = ox + limit * dx, oy + limit * dy, oz + limit * dz
+    return (min(ox, ex) - pad, min(oy, ey) - pad, min(oz, ez) - pad,
+            max(ox, ex) + pad, max(oy, ey) + pad, max(oz, ez) + pad)
+
+
+def _cell_ids(grid: TriangleGrid, box) -> Iterable[int]:
+    """The ids of the triangles in the grid cells that `box` covers, one
+    cell after another, so an id can repeat; every triangle once when the
+    box covers more cells than the grid holds.  Each cell range is the
+    grid's clamped floor (see `TriangleGrid`), spelled out in comparisons."""
+    gx, gy, gz = grid.low
+    nx, ny, nz = grid.shape
+    scale, cells = grid.scale, grid.cells
+    lx, ly, lz, hx, hy, hz = box
+    x0, y0, z0 = (lx - gx) * scale, (ly - gy) * scale, (lz - gz) * scale
+    x1, y1, z1 = (hx - gx) * scale, (hy - gy) * scale, (hz - gz) * scale
+    x0 = (int(x0) if x0 < nx else nx - 1) if x0 > 0.0 else 0
+    y0 = (int(y0) if y0 < ny else ny - 1) if y0 > 0.0 else 0
+    z0 = (int(z0) if z0 < nz else nz - 1) if z0 > 0.0 else 0
+    x1 = (int(x1) + 1 if x1 < nx else nx) if x1 > 0.0 else 1
+    y1 = (int(y1) + 1 if y1 < ny else ny) if y1 > 0.0 else 1
+    z1 = (int(z1) + 1 if z1 < nz else nz) if z1 > 0.0 else 1
+    if (x1 - x0) * (y1 - y0) * (z1 - z0) > len(cells):
+        return range(len(grid.boxes))
+    get = cells.get
+    return chain.from_iterable([
+        get((ix * ny + iy) * nz + iz, ())
+        for ix in range(x0, x1) for iy in range(y0, y1) for iz in range(z0, z1)
+    ])
 
 
 def _segment_hit(blockers: BlockerMesh, o: list[float], d: list[float], max_t: float) -> bool:
     """Whether o + t*d hits a blocker triangle at some t in (EPS, max_t]:
     first_hit's test for one ray, as an any-hit loop in Python floats.  `o`
-    and `d` are three Python floats each.  One ball query (see `_query_ball`)
-    picks the candidates, and the loop reads each one's corner and edges from
-    the mesh's table and returns at the first triangle it accepts.  A single
-    segment costs less this way than as a numpy pass; the expressions are
-    first_hit's, so the answer is whether first_hit's t is finite."""
+    and `d` are three Python floats each.  The candidates are the triangles
+    in the cells of the mesh's grid that the segment's box covers (see
+    `_segment_box`); the loop skips each one whose own box misses the
+    segment's, reads the rest's corner and edges from the mesh's table and
+    returns at the first triangle it accepts, so the order of candidates
+    and their repeats do not change the answer.  A single segment costs
+    less this way than as a numpy pass; the expressions are first_hit's, so
+    the answer is whether first_hit's t is finite."""
     ox, oy, oz = o
     dx, dy, dz = d
     limit = max_t + EPS
     table = blockers.corner_edges
-    for i in blockers.triangle_tree.query_ball_point(*_query_ball(blockers, o, d, max_t)):
+    grid = blockers.triangle_grid()
+    boxes = grid.boxes
+    box = lx, ly, lz, hx, hy, hz = _segment_box(blockers, grid, o, d, limit)
+    for i in _cell_ids(grid, box):
+        x0, y0, z0, x1, y1, z1 = boxes[i]
+        if not (x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1):
+            continue
         ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = table[i]
         px = dy * e2z - dz * e2y  # d x e2
         py = dz * e2x - dx * e2z

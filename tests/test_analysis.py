@@ -1,6 +1,7 @@
 import itertools
 import json
 import operator
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,7 @@ from navstruct.export import (
 )
 from navstruct.fixtures import grid_surface, maze_graph, plus_hub, straight_corridor
 from navstruct.graph import SOURCE_SAMPLE, GraphNode, relabel_dense
+from navstruct.mesh import MAX_COORDINATE, MAX_WRITTEN_COORDINATE, build_walkable_surface
 from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.trees import RootedTree
 
@@ -525,6 +527,42 @@ def test_structure_json_round_trip(tmp_path):
         assert np.allclose(q.position, p.position)
         assert q.terminal == p.terminal and q.on_navmesh == p.on_navmesh
         assert q.source == p.source
+
+
+def test_structure_json_refuses_far_positions_at_load(tmp_path):
+    # near 4.5e307 the analysis would overflow summing squared edge lengths
+    for x in (4.5e307, -1e300, float(np.nextafter(MAX_WRITTEN_COORDINATE, np.inf))):
+        data = json.loads(structure_json_bytes(small_forest()))
+        data["trees"][0]["nodes"][2]["position"] = [0.0, x, 0.0]
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="structure node coordinates must lie within"):
+                load_structure_json(far)
+
+
+def test_a_structure_written_at_the_coordinate_limit_reloads(tmp_path):
+    # a corridor spanning +-MAX_COORDINATE, its terminals pushed out by the
+    # largest exit_offset
+    surface, _ = straight_corridor(3)
+    verts = surface.vertices.copy()
+    verts[:, 0] = (verts[:, 0] / 1.5 - 1.0) * MAX_COORDINATE
+    verts[:, 1] = (verts[:, 1] - 0.5) * MAX_COORDINATE
+    cfg = PipelineConfig(
+        terminals="entry-exit", exit_offset=MAX_COORDINATE, interval=MAX_COORDINATE / 8,
+        radius=MAX_COORDINATE / 4, los_height_tol=MAX_COORDINATE / 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_pipeline(cfg, surface=build_walkable_surface(verts, surface.polygons))
+        path = tmp_path / "structure.json"
+        export_structure(result.forest, "json", path)
+        loaded = load_structure_json(path)
+        graph = forest_to_graph(loaded)
+    positions = np.array([q.position for tree in loaded for q in tree.payloads.values()])
+    assert 1.9 * MAX_COORDINATE < np.abs(positions).max() <= MAX_WRITTEN_COORDINATE
+    assert structure_json_bytes(loaded) == path.read_bytes()
+    assert len(graph.nodes) == len(positions)
 
 
 def test_structure_json_rejects_bad_files(tmp_path):

@@ -1,18 +1,22 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from navstruct import raycast
-from navstruct.fixtures import straight_corridor
+from navstruct import mesh as mesh_module
+from navstruct import oracles, raycast
+from navstruct.fixtures import plus_hub, straight_corridor
 from navstruct.mesh import BlockerMesh, build_blocker_mesh
 from navstruct.oracles import (
     _probe_rays,
     _random_soup,
+    cell_plane_rays,
     classify_per_ray,
     first_hit_all_triangles,
 )
+from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.terminals import (
     DEFAULT_RADIUS,
     DEFAULT_RAY_COUNT,
@@ -164,48 +168,51 @@ def test_blocker_mesh_keeps_its_triangles_as_python_float_rows():
         assert row == (*a, *(b - a), *(c - a))
 
 
-def _query_ball_per_ray(blockers, o, d, max_t):
-    """_query_ball's expressions as they read when every figure came from
-    the tree on each call, on numpy vectors."""
+def _segment_box_per_ray(blockers, o, d, max_t):
+    """_segment_box's expressions as they read when every figure came from
+    the tree and the vertices on each call, on numpy vectors."""
     tree = blockers.triangle_tree
     mid = 0.5 * (tree.mins + tree.maxes)
     spread = 0.5 * math.dist(tree.mins, tree.maxes)  # every centroid is this close to mid
     reach = blockers.reach
     edge = 2.0 * reach
+    limit = max_t + EPS
     length = math.hypot(*d)
-    segment = (max_t + EPS) * length
-    center = [a + 0.5 * (max_t + EPS) * b for a, b in zip(o.tolist(), d.tolist())]
+    segment = limit * length
     far = math.dist(o, mid) + spread + reach
     rounding = 64.0 * ROUNDOFF / EPS * length * edge * edge * (far + edge + segment)
-    radius = 0.5 * segment + (1.0 + 3.0 * EPS) * reach + rounding
-    if not radius < math.dist(center, mid) + spread:
-        return mid, math.inf
-    return center, radius
+    magnitude = float(np.abs(blockers.vertices).max())
+    pad = (rounding + 6.0 * EPS * reach + 4.0 * ROUNDOFF * (segment + magnitude)) * (
+        1.0 + 8.0 * ROUNDOFF)
+    if not pad < math.inf:
+        return [-math.inf] * 3 + [math.inf] * 3
+    with np.errstate(over="ignore"):
+        e = o + limit * d
+    return [*(np.minimum(o, e) - pad), *(np.maximum(o, e) + pad)]
 
 
 def _bits(values):
     return [float(x).hex() for x in values]
 
 
-def test_query_ball_equals_the_per_ray_expressions_bit_for_bit(corridor200_fan_rays):
+def test_segment_box_equals_the_per_ray_expressions_bit_for_bit(corridor200_fan_rays):
     corridor, fan_rays, _ = corridor200_fan_rays
     rng = np.random.default_rng(4)
     soup = _random_soup(rng)
-    # grazing rays, rays ending at a corner and the box diagonals, whose
-    # ball holds every centroid
+    # grazing rays, rays ending at a corner and the box diagonals; infinite
+    # max_t and NaN directions, whose box is all of space
     cases = [(corridor, fan_rays)]
     for mesh in (corridor, soup):
         probes = _probe_rays(mesh, rng)
         cases.append((mesh, probes + _whole_mesh_rays(probes)))
     sizes = set()
     for mesh, rays in cases:
+        grid = mesh.triangle_grid()
         for o, d, max_t in rays:
             o, d = np.asarray(o, dtype=float), np.asarray(d, dtype=float)
-            center, radius = raycast._query_ball(mesh, o.tolist(), d.tolist(), max_t)
-            want_center, want_radius = _query_ball_per_ray(mesh, o, d, max_t)
-            assert _bits(center) == _bits(want_center), (o, d, max_t)
-            assert float(radius).hex() == float(want_radius).hex(), (o, d, max_t)
-            sizes.add(math.isinf(radius))
+            box = raycast._segment_box(mesh, grid, o.tolist(), d.tolist(), max_t + EPS)
+            assert _bits(box) == _bits(_segment_box_per_ray(mesh, o, d, max_t)), (o, d, max_t)
+            sizes.add(math.isinf(box[0]))
     assert sizes == {False, True}
 
 
@@ -215,7 +222,18 @@ def _ball(mesh, center, radius):
     return set(mesh.triangle_tree.query_ball_point(center, radius))
 
 
-def test_each_origin_ball_holds_every_ray_ball_of_its_rays(corridor200_fan_rays):
+def _accepted(mesh, o, d, max_t):
+    """The ids of every triangle whose Moller-Trumbore test accepts the ray,
+    as first_hit and _segment_hit evaluate it."""
+    table = mesh.corner_table
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ok = raycast._slice_hits(
+            table, np.broadcast_to(o, (len(table), 3)),
+            np.broadcast_to(d, (len(table), 1, 3)), max_t + EPS)
+    return set(np.flatnonzero(ok[:, 0]).tolist())
+
+
+def test_each_origin_ball_holds_every_triangle_its_rays_accept(corridor200_fan_rays):
     corridor, fan_rays, (origins, directions, max_t) = corridor200_fan_rays
     # a NaN direction makes every 200th row a whole-mesh ball amid local ones
     poisoned = directions.copy()
@@ -226,7 +244,7 @@ def test_each_origin_ball_holds_every_ray_ball_of_its_rays(corridor200_fan_rays)
     for mesh in (corridor, soup):
         for o, row, probe_t in _rows(_probe_rays(mesh, rng), 3):
             cases.append((mesh, [o], [row], probe_t))
-    local = whole = 0
+    local = whole = accepted = 0
     for mesh, batch_origins, batch_directions, t in cases:
         batch_origins = np.asarray(batch_origins, dtype=float)
         batch_directions = np.asarray(batch_directions, dtype=float)
@@ -241,11 +259,12 @@ def test_each_origin_ball_holds_every_ray_ball_of_its_rays(corridor200_fan_rays)
             assert len(held) == len(set(held))
             assert set(held) == _ball(mesh, o, math.inf if w else r)
             for d in row:
-                center, ray_radius = raycast._query_ball(mesh, o.tolist(), d.tolist(), t)
-                assert _ball(mesh, center, ray_radius) <= set(held), (o, d, t)
+                hits = _accepted(mesh, o, d, t)
+                assert hits <= set(held), (o, d, t)
+                accepted += len(hits)
             local += not w
             whole += bool(w)
-    assert local > 800 and whole > 5
+    assert local > 800 and whole > 5 and accepted > 1000
 
 
 def test_whole_mesh_balls_keep_fans_exact_in_bounded_slices(monkeypatch):
@@ -328,3 +347,247 @@ def test_segment_clear_answers_whether_the_oracle_finds_a_hit(maze_walls):
             assert raycast.segment_clear(walls, *ends) == want, (o, c)
         blocked += not want
     assert 0 < blocked < len(rays)
+
+
+def _grid_meshes(rng):
+    """Walls, a soup, walls moved to negative coordinates and one triangle."""
+    _, hub = plus_hub()
+    _, corridor = straight_corridor(9)
+    return {
+        "plus hub": hub,
+        "corridor": corridor,
+        "soup": _random_soup(rng),
+        "negative": build_blocker_mesh(hub.vertices - (37.25, 12.5, 5.0), hub.triangles),
+        "one triangle": build_blocker_mesh(
+            [(0.3, -0.2, 0.1), (1.7, 0.4, -0.5), (0.2, 1.1, 0.9)], [(0, 1, 2)]),
+    }
+
+
+def _floor_cell(x, low, scale, count):
+    """The grid's cell of coordinate x: floor((x - low) * scale), clamped."""
+    return min(max(math.floor((x - low) * scale), 0), count - 1)
+
+
+def _box_cells(grid, box):
+    return [range(_floor_cell(lo, g, grid.scale, n), _floor_cell(hi, g, grid.scale, n) + 1)
+            for lo, hi, g, n in zip(box[:3], box[3:], grid.low, grid.shape)]
+
+
+def _meets(a, b):
+    return all(a[k] <= b[k + 3] and b[k] <= a[k + 3] for k in range(3))
+
+
+def test_grid_lists_each_triangle_in_every_cell_its_box_covers(maze_walls):
+    rng = np.random.default_rng(17)
+    meshes = _grid_meshes(rng)
+    _, meshes["maze"] = maze_walls(12, 12, seed=3)
+    for name, mesh in meshes.items():
+        grid = mesh.triangle_grid()
+        assert grid.scale == 1.0 / (2.0 * mesh.reach)
+        corners = mesh.vertices[mesh.triangles]
+        assert grid.boxes == list(map(tuple, np.hstack(
+            [corners.min(axis=1), corners.max(axis=1)]).tolist())), name
+        assert all(type(x) is float for box in grid.boxes for x in box)
+        assert list(grid.low) == corners.min(axis=(0, 1)).tolist()
+        assert grid.magnitude == float(np.abs(mesh.vertices).max())
+        _, ny, nz = grid.shape
+        want = {}
+        for i, box in enumerate(grid.boxes):
+            spans = _box_cells(grid, box)
+            assert all(len(span) <= 2 for span in spans), name  # at most two cells per axis
+            for ix, iy, iz in itertools.product(*spans):
+                want.setdefault((ix * ny + iy) * nz + iz, []).append(i)
+        assert grid.cells == {key: tuple(ids) for key, ids in want.items()}, name
+        assert mesh.triangle_grid() is grid
+
+
+def test_cell_ids_hold_every_triangle_whose_box_meets_the_query():
+    # query boxes with faces exactly on a cell plane and 1 or 2 ulps to
+    # either side, around every triangle box
+    rng = np.random.default_rng(5)
+    checked = 0
+    for name, mesh in _grid_meshes(rng).items():
+        grid = mesh.triangle_grid()
+        for _ in range(150):
+            k = int(rng.integers(3))
+            j = int(rng.integers(grid.shape[k] + 1))
+            plane = oracles._cell_plane(grid, k, j)
+            assert (plane - grid.low[k]) * grid.scale >= j
+            assert (math.nextafter(plane, -math.inf) - grid.low[k]) * grid.scale < j
+            center = np.asarray(grid.boxes[int(rng.integers(len(grid.boxes)))]).reshape(2, 3)
+            lo, hi = (center - rng.uniform(0.0, 1.0, size=(2, 3)) * mesh.reach).tolist()
+            hi = [max(a, b) for a, b in zip(hi, center[1].tolist())]
+            face = plane
+            for _ in range(int(rng.integers(-2, 3))):
+                face = math.nextafter(face, rng.choice((-math.inf, math.inf)))
+            if rng.integers(2):
+                lo[k], hi[k] = face, max(face, hi[k])
+            else:
+                lo[k], hi[k] = min(face, lo[k]), face
+            box = (*lo, *hi)
+            held = set(raycast._cell_ids(grid, box))
+            want = {i for i, b in enumerate(grid.boxes) if _meets(b, box)}
+            assert want <= held, (name, box)
+            checked += len(want)
+    assert checked > 200
+
+
+def test_segment_hit_on_cell_planes_equals_the_oracle():
+    rng = np.random.default_rng(21)
+    for name, mesh in _grid_meshes(rng).items():
+        grid = mesh.triangle_grid()
+        rays = cell_plane_rays(mesh, rng, 60)
+        assert len(rays) > 200, name
+        on_plane = hits = 0
+        for o, d, max_t in rays:
+            box = raycast._segment_box(mesh, grid, o, d, max_t + EPS)
+            # the least float of its cell on some axis
+            on_plane += any(
+                (math.nextafter(f, -math.inf) - g) * grid.scale < math.floor((f - g) * grid.scale)
+                for f, g in zip(box, grid.low * 2))
+            got = raycast._segment_hit(mesh, o, d, max_t)
+            assert got == (first_hit_all_triangles(mesh, o, d, max_t) is not None), (name, o, d)
+            hits += got
+            for ends in ((o, np.add(o, d)), (tuple(o), tuple(np.add(o, d).tolist())),
+                         (np.asarray(o), np.add(o, d))):
+                assert raycast.segment_clear(mesh, *ends) == (
+                    first_hit_all_triangles(mesh, o, np.subtract(ends[1], o), 1.0) is None)
+        assert 0 < hits < len(rays), name
+        assert on_plane >= len(rays) // 6, name
+
+
+def test_long_nan_and_infinite_segments_scan_the_whole_mesh(maze_walls):
+    rng = np.random.default_rng(9)
+    _, walls = maze_walls(12, 12, seed=3)
+    meshes = {**_grid_meshes(rng), "maze": walls}
+    for name, mesh in meshes.items():
+        grid = mesh.triangle_grid()
+        lo = mesh.vertices.min(axis=0)
+        hi = mesh.vertices.max(axis=0)
+        # the box diagonals and segments through the middle longer than
+        # the grid: their box covers more cells than the grid holds
+        rays = [(lo - 1.0, hi - lo + 2.0, 1.0), (hi + 1.0, lo - hi - 2.0, 1.0)]
+        for _ in range(20):
+            d = rng.normal(size=3)
+            d *= 3.0 * float(np.linalg.norm(hi - lo)) / np.linalg.norm(d)
+            rays.append(((lo + hi) / 2 - d / 2, d, 1.0))
+        whole = scans = 0
+        for o, d, max_t in rays + _whole_mesh_rays(rays):
+            o, d = np.asarray(o, dtype=float).tolist(), np.asarray(d, dtype=float).tolist()
+            box = raycast._segment_box(mesh, grid, o, d, max_t + EPS)
+            ids = raycast._cell_ids(grid, box)
+            # every triangle: as one range when the box covers more cells
+            # than the grid holds, else from every cell
+            whole += set(ids) == set(range(len(mesh.triangles)))
+            scans += ids == range(len(mesh.triangles))
+            assert raycast._segment_hit(mesh, o, d, max_t) == (
+                first_hit_all_triangles(mesh, o, d, max_t) is not None), (name, o, d, max_t)
+        assert whole > len(rays), name
+        if len(grid.cells) < np.prod(grid.shape):
+            assert scans >= len(rays), name
+        else:  # no box covers more cells than the grid holds
+            assert scans == 0, name
+        for max_t in (math.inf, math.nan):
+            assert not raycast._segment_hit(mesh, [math.nan, 0.0, 0.0], [1.0, 0.0, 0.0], max_t)
+            assert not raycast._segment_hit(mesh, [0.0, 0.0, 0.0], [1.0, math.nan, 0.0], max_t)
+        assert raycast._segment_box(mesh, grid, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf) == (
+            -math.inf, -math.inf, -math.inf, math.inf, math.inf, math.inf)
+
+
+def test_the_empty_mesh_has_an_empty_grid():
+    empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    grid = empty.triangle_grid()
+    assert grid.cells == {} and grid.boxes == []
+    for o, d in (([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), ([math.nan] * 3, [1.0, 2.0, 3.0])):
+        for max_t in (1.0, math.inf, math.nan):
+            assert not raycast._segment_hit(empty, o, d, max_t)
+            assert list(raycast._cell_ids(grid, raycast._segment_box(empty, grid, o, d, max_t))) == []
+    assert raycast.segment_clear(empty, [0.0, 0.0, 0.0], (1.0, 0.0, 0.0))
+
+
+class _CountingTree:
+    """A KD-tree that counts its ball queries."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.queries = 0
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def query_ball_point(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query_ball_point(*args, **kwargs)
+
+
+def test_segments_build_the_grid_once_and_make_no_ball_query(maze_walls, monkeypatch):
+    built = []
+    original = mesh_module._triangle_grid
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mesh_module, "_triangle_grid", counting)
+    g, walls = maze_walls(12, 12, seed=3)
+    tree = _CountingTree(walls.triangle_tree)
+    walls = dataclasses.replace(walls, triangle_tree=tree)
+    assert walls.grid is None
+    rays = _long_segments(g, np.random.default_rng(2), 300)
+    blocked = sum(not raycast.segment_clear(walls, o, o + d) for o, d, _ in rays)
+    assert 0 < blocked < len(rays)
+    assert len(built) == 1 and walls.grid is not None
+    assert tree.queries == 0
+    # the fans still query the centroid tree, one ball query a batch, and
+    # build no grid
+    raycast.first_hit(walls, [rays[0][0]], [[rays[0][1]]], 1.0)
+    assert tree.queries == 1
+    _, corridor = straight_corridor(3)
+    raycast.first_hit(corridor, [(0.5, 0.5, 0.0)], [[(1.0, 0.0, 0.0)]], 1.0)
+    assert corridor.grid is None and len(built) == 1
+
+
+def test_a_corridor_pipeline_run_never_builds_the_grid():
+    surface, blockers = straight_corridor(200)
+    run_pipeline(PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers)
+    assert blockers.grid is None
+
+
+def _past_edge_rays(mesh, rng, count):
+    """Segments crossing a triangle's plane just outside one of its edges:
+    inside the test's -EPS tolerance on u, v or 1 - u - v, or just beyond
+    it.  On an axis-aligned edge that point lies outside the triangle's box."""
+    rays = []
+    for i in rng.integers(len(mesh.triangles), size=count):
+        corners = mesh.vertices[mesh.triangles[i]]
+        k = int(rng.integers(3))
+        a, b, c = corners[k], corners[(k + 1) % 3], corners[(k + 2) % 3]
+        edge = (b - a) / np.linalg.norm(b - a)
+        out = (a - c) - np.dot(a - c, edge) * edge  # from c, square to the edge
+        height = np.linalg.norm(out)
+        normal = np.cross(b - a, c - a)
+        normal /= np.linalg.norm(normal)
+        q = a + rng.uniform(0.1, 0.9) * (b - a) + rng.choice(
+            (0.0, 0.5, 0.9, 1.1, 3.0)) * EPS * out
+        # square to `out`, so on an axis-aligned edge the segment's box is
+        # flat there
+        d = (normal + rng.normal(scale=0.5) * edge) * height * rng.uniform(0.5, 2.0)
+        rays.append((q - rng.uniform(0.2, 0.8) * d, d, 1.0))
+    return rays
+
+
+def test_segments_just_past_a_triangle_edge_equal_the_oracle():
+    # walls at full size and at a thousandth of it, where the tolerance on
+    # u and v reaches farther than the rounding margin
+    # u and v reaches farther than the rounding margin, also far from the
+    # origin, where coordinates round by more than that
+    _, hub = plus_hub()
+    for scale, offset in ((1.0, 0.0), (1e-3, 0.0), (1e-3, (3e5, -1e6, 2e5))):
+        mesh = build_blocker_mesh(hub.vertices * scale + offset, hub.triangles)
+        rays = _past_edge_rays(mesh, np.random.default_rng(13), 400)
+        hits = 0
+        for o, d, max_t in rays:
+            got = _segment_hit(mesh, o, d, max_t)
+            assert got == (first_hit_all_triangles(mesh, o, d, max_t) is not None), (scale, o, d)
+            hits += got
+        assert 100 < hits < len(rays), (scale, offset)
