@@ -164,10 +164,10 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> list[float
     shortest-path counting by a priority-queue Dijkstra, reverse dependency
     propagation) from every node; `weighted=False` gives every edge weight 1.
     """
-    adj = g.adjacency()
-    vals = _forest_betweenness(adj, len(g.edges))
+    vals = _forest_betweenness(g)
     if vals is not None:
         return vals
+    adj = g.adjacency()
     n = len(adj)
     if not weighted:
         adj = [[(v, 1.0) for v, _ in lst] for lst in adj]
@@ -185,11 +185,12 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> list[float
     return [x / 2.0 for x in cb]
 
 
-def _forest_betweenness(adj, edge_count: int) -> list[float] | None:
+def _forest_betweenness(g: SurfaceGraph) -> list[float] | None:
     """Closed-form betweenness from subtree sizes, or None when the graph has
-    a cycle.  One breadth-first pass per component; the piece above v has
-    m - size[v] nodes."""
-    n = len(adj)
+    a cycle.  One breadth-first pass per component over the rows of
+    `g.arcs`; the piece above v has m - size[v] nodes."""
+    n = len(g.nodes)
+    ptr, head = g.arcs.matrix.indptr.tolist(), g.arcs.head.tolist()
     parent = [-1] * n
     seen = [False] * n
     components = []
@@ -199,13 +200,13 @@ def _forest_betweenness(adj, edge_count: int) -> list[float] | None:
         seen[root] = True
         order = [root]
         for u in order:  # grows while it is walked: breadth-first order
-            for v, _ in adj[u]:
+            for v in head[ptr[u]:ptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u
                     order.append(v)
         components.append(order)
-    if edge_count != n - len(components):
+    if len(g.edges) != n - len(components):
         return None
     size = [1] * n
     child_sq = [0] * n  # sum of squared child subtree sizes

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -44,13 +43,10 @@ def _dense_edges(
 ) -> tuple[list[GraphNode], np.ndarray]:
     """The payloads in ascending id order, and the (p, c) edges as (E, 3)
     rows of dense ids and length; DegenerateEdge names the first edge
-    shorter than 1e-12."""
+    shorter than 1e-12.  Every edge end must be a key of `payloads`."""
     ids = sorted(payloads)
-    index = dict(zip(ids, range(len(ids))))
     nodes = [payloads[v] for v in ids]
-    ends = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(edges)), np.intp, 2 * len(edges)
-    ).reshape(-1, 2)
+    ends = np.searchsorted(ids, np.array(edges, dtype=np.intp).reshape(-1, 2))
     positions = np.array([node.position for node in nodes], dtype=float).reshape(-1, 3)
     d = positions[ends[:, 0]] - positions[ends[:, 1]]
     lengths = np.sqrt(_row_dots(d, d))

@@ -6,8 +6,8 @@ recoloring), `oracle` (brute-force self-checks).  A flat key=value config
 file can pre-set any flag; explicit command-line flags win.  The STRUCT_LOG
 environment variable (error|warn|info|debug) controls diagnostic verbosity.
 
-Exit codes: 0 success, 2 validation failure, 3 disconnected terminals,
-4 I/O failure.
+Exit codes: 0 success, 1 an oracle suite failed (`oracle` only),
+2 validation failure, 3 disconnected terminals, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ _LOG_LEVELS = {
 }
 
 EXIT_OK = 0
+EXIT_ORACLE_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_DISCONNECTED = 3
 EXIT_IO = 4
@@ -179,7 +180,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
         status = "PASS" if ok else "FAIL"
         sys.stdout.write(f"oracle {name}: {status} ({detail})\n")
         all_ok &= ok
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all_ok else EXIT_ORACLE_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:

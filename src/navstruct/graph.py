@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -113,20 +113,6 @@ class SurfaceGraph:
 
     def centroid(self) -> np.ndarray:
         return self.positions().mean(axis=0)
-
-
-def relabel_dense(
-    nodes: dict[int, GraphNode], edges: Iterable[tuple[int, int, float]]
-) -> SurfaceGraph:
-    """Standalone graph over a subset of nodes, renumbered densely.
-
-    `nodes` maps original ids to payloads and `edges` uses original ids.  New
-    id k is the k-th smallest original id; the payload objects are shared.
-    """
-    index = {orig: k for k, orig in enumerate(sorted(nodes))}
-    return SurfaceGraph(
-        [nodes[orig] for orig in index], [(index[i], index[j], w) for i, j, w in edges]
-    )
 
 
 def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:

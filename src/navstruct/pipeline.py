@@ -18,7 +18,7 @@ from .analysis import (
     MAX_DENSITY_BUCKETS, AnalysisReport, StageRecord, density_classes, forest_to_graph,
 )
 from .errors import ValidationError
-from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json, relabel_dense
+from .graph import SurfaceGraph, graph_from_navmesh, load_graph_json
 from .mesh import (
     MAX_COORDINATE, PLANE_EPS, BlockerMesh, WalkableSurface, load_blocker_mesh,
     load_walkable_surface,
@@ -150,17 +150,15 @@ class PipelineResult:
 
 
 def _root_scores(g: SurfaceGraph, tree: SteinerTree, cfg: PipelineConfig) -> list[float]:
-    """Centrality of the Steiner tree's own nodes, scattered into a list
-    indexed by the full graph's node ids.  The tree has no cycle, so its
-    betweenness reads no edge weight.  A tree without edges scores 0 at
-    every node: degree, betweenness and Katz give 0 there, and eigenvector
-    centrality has no score without an edge."""
+    """Centrality of the Steiner tree's nodes on `tree.dense_graph`,
+    scattered into a list indexed by the full graph's node ids.  The tree
+    has no cycle, so its betweenness reads no edge weight.  A tree without
+    edges scores 0 at every node: degree, betweenness and Katz give 0 there,
+    and eigenvector centrality has no score without an edge."""
     values = [0.0] * len(g.nodes)
     if not tree.edges:
         return values
-    sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
-    sub_scores = compute_centrality(sub, cfg.root_metric, alpha=cfg.katz_alpha)
-    # tree.nodes ascends, so its k-th id is dense node k of `sub`
+    sub_scores = compute_centrality(tree.dense_graph(g), cfg.root_metric, alpha=cfg.katz_alpha)
     for orig, value in zip(tree.nodes, sub_scores):
         values[orig] = value
     return values

@@ -10,12 +10,12 @@ along the shortest paths gives the Steiner tree.  Total weight is within
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algorithms import dijkstra_tree, kruskal_edges
-from .errors import DisconnectedTerminals, EmptyTerminalSet
+from .errors import DisconnectedTerminals, EmptyTerminalSet, ValidationError
 from .graph import SurfaceGraph
 from .terminals import TerminalSet
 
@@ -24,19 +24,31 @@ INF = float("inf")
 
 @dataclass
 class SteinerTree:
-    nodes: list[int]                      # sorted original graph node ids
+    nodes: list[int]                      # ascending original graph node ids
     edges: list[tuple[int, int, float]]   # i < j, sorted
     terminals: TerminalSet
     total_weight: float
+    # the tree as a graph of its own, built by the first dense_graph call
+    dense: SurfaceGraph | None = field(init=False, repr=False, compare=False, default=None)
 
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.nodes}
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        for lst in adj.values():
-            lst.sort()
-        return adj
+    def dense_graph(self, g: SurfaceGraph) -> SurfaceGraph:
+        """The tree as a graph, built once: node k is `nodes[k]` with `g`'s
+        payload (`g` is the graph the tree was cut from), the edges keep their
+        weights.  ValidationError when `nodes` does not ascend or holds no
+        end of some edge."""
+        if self.dense is None:
+            ids = np.array(self.nodes, dtype=np.intp)
+            if np.any(ids[1:] <= ids[:-1]):
+                raise ValidationError("Steiner tree nodes must ascend")
+            rows = np.array(self.edges, dtype=float).reshape(-1, 3)
+            ends = rows[:, :2].astype(np.intp)
+            stray = np.flatnonzero(~np.isin(ends, ids).all(axis=1))
+            if len(stray):
+                i, j, _w = self.edges[stray[0]]
+                raise ValidationError(f"Steiner tree edge ({i}, {j}) ends outside its nodes")
+            rows[:, :2] = np.searchsorted(ids, ends)
+            self.dense = SurfaceGraph([g.nodes[v] for v in self.nodes], rows)
+        return self.dense
 
 
 def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:

@@ -115,54 +115,58 @@ def find_rooted_trees(
     `scores` is indexed by graph node id.  While unvisited nodes remain: pick
     the one with the highest score (ties fall to the node nearest the graph
     centroid, then the lowest id), then walk its component depth-first, ordering
-    children by ascending id.  The returned forest partitions the tree's node
-    set.  ValidationError when a tree node's score is NaN, which no order
-    ranks.
+    children by ascending id along the rows of `tree.dense_graph`.  The
+    returned forest partitions the tree's node set.  ValidationError when a
+    tree node's score is NaN, which no order ranks.
 
     A payload's `terminal` flag is membership in the tree's terminal set.
     Where the graph's node already carries that flag, the payload is the
     graph's own node object; only the nodes whose flag flips are copied.
     """
-    node_ids = list(tree.nodes)
+    node_ids = tree.nodes
     if not node_ids:
         return []
     if len(scores) < max(node_ids) + 1:
         raise ValidationError("centrality scores do not cover all tree nodes")
-    if any(math.isnan(scores[v]) for v in node_ids):
+    score = [scores[v] for v in node_ids]
+    if any(map(math.isnan, score)):
         raise ValidationError("centrality scores must not be NaN")
+    arcs = tree.dense_graph(graph).arcs
+    ptr, head = arcs.matrix.indptr.tolist(), arcs.head.tolist()
     nodes = graph.nodes
     term_set = set(tree.terminals.node_ids)
-    adj = tree.adjacency()
     cen = None  # the graph centroid, computed at the first tie
 
-    unvisited = set(node_ids)
+    unvisited = set(range(len(node_ids)))  # dense ids: node k is node_ids[k]
     forest: list[RootedTree] = []
     while unvisited:
         # the key is (-score, centroid distance, id): only the nodes tied at
         # the top score need a distance
-        top = max(scores[v] for v in unvisited)
-        tied = [v for v in unvisited if scores[v] == top]
+        top = max(score[k] for k in unvisited)
+        tied = [k for k in unvisited if score[k] == top]
         if len(tied) == 1:
             (root,) = tied
         else:
             if cen is None:
                 cen = graph.centroid()
-            root = min(tied, key=lambda v: (float(np.linalg.norm(nodes[v].position - cen)), v))
+            root = min(tied, key=lambda k: (
+                float(np.linalg.norm(nodes[node_ids[k]].position - cen)), k))
         children: dict[int, list[int]] = {}
         payloads: dict[int, GraphNode] = {}
         stack = [root]
         unvisited.discard(root)
         while stack:
-            v = stack.pop()
+            k = stack.pop()
+            v = node_ids[k]
             node = nodes[v]
             terminal = v in term_set
             payloads[v] = node if node.terminal is terminal else replace(node, terminal=terminal)
-            kids = sorted(u for u, _w in adj[v] if u in unvisited)
-            children[v] = kids
+            kids = [u for u in head[ptr[k]:ptr[k + 1]] if u in unvisited]
+            children[v] = [node_ids[u] for u in kids]
             for u in reversed(kids):
                 unvisited.discard(u)
                 stack.append(u)
-        forest.append(RootedTree(root=root, children=children, payloads=payloads))
+        forest.append(RootedTree(root=node_ids[root], children=children, payloads=payloads))
     return forest
 
 

@@ -32,7 +32,7 @@ from navstruct.export import (
     structure_obj,
 )
 from navstruct.fixtures import grid_surface, maze_graph, plus_hub, straight_corridor
-from navstruct.graph import SOURCE_SAMPLE, GraphNode, relabel_dense
+from navstruct.graph import SOURCE_SAMPLE, GraphNode, SurfaceGraph
 from navstruct.mesh import MAX_COORDINATE, MAX_WRITTEN_COORDINATE, build_walkable_surface
 from navstruct.pipeline import PipelineConfig, run_pipeline
 from navstruct.trees import RootedTree
@@ -118,7 +118,8 @@ def test_forest_to_graph_rejects_zero_length_edges():
 
 def forest_to_graph_per_edge(forest):
     """forest_to_graph as one np.linalg.norm per edge, each tree's nodes
-    checked before its edges and the trees in order."""
+    checked before its edges and the trees in order, renumbered through a
+    dict."""
     payloads, edges = {}, []
     for tree in forest:
         for v in tree.node_ids():
@@ -130,7 +131,9 @@ def forest_to_graph_per_edge(forest):
             if w < 1e-12:
                 raise DegenerateEdge(f"tree edge ({p}, {c}) has zero length")
             edges.append((p, c, w))
-    return relabel_dense(payloads, edges)
+    index = {v: k for k, v in enumerate(sorted(payloads))}
+    return SurfaceGraph([payloads[v] for v in index],
+                        [(index[p], index[c], w) for p, c, w in edges])
 
 
 def _outcome(fn, forest):

@@ -11,8 +11,8 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from navstruct import pipeline, trees
-from navstruct.cli import _config_from_args, build_parser, main
+from navstruct import oracles, pipeline, trees
+from navstruct.cli import EXIT_ORACLE_FAILED, _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, NavStructError, ValidationError
 from navstruct.fixtures import (
     double_shared_edge,
@@ -22,7 +22,7 @@ from navstruct.fixtures import (
     straight_corridor,
 )
 from navstruct.export import structure_json_bytes
-from navstruct.graph import load_graph_json, relabel_dense
+from navstruct.graph import SurfaceGraph, load_graph_json
 from navstruct.mesh import (
     WalkableSurface,
     build_blocker_mesh,
@@ -179,11 +179,42 @@ def test_steiner_subgraph_renumbers_densely():
         ],
     )
     tree = build_steiner_tree(g, TerminalSet(node_ids=[0, 3, 5]))
-    sub = relabel_dense({v: g.nodes[v] for v in tree.nodes}, tree.edges)
+    sub = tree.dense_graph(g)
     # dense id k is the k-th smallest original id, and the payloads are shared
     assert sub.nodes == [g.nodes[v] for v in (0, 1, 2, 3, 5)]
     assert sub.edges == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)]
     assert np.allclose(sub.nodes[4].position, g.nodes[5].position)
+    # built once: a second call returns the same graph
+    assert tree.dense_graph(g) is sub
+
+
+@pytest.mark.parametrize("metric", ["degree", "betweenness", "eigenvector", "katz"])
+def test_rooting_builds_one_steiner_tree_graph(monkeypatch, metric):
+    g = maze_graph(12, 12, seed=2)
+    walks = []
+    original = pipeline.find_rooted_trees
+
+    def walking(tree, graph, scores):
+        walks.append(tree)
+        return original(tree, graph, scores)
+
+    built = []
+    init = SurfaceGraph.__init__
+
+    def counting(self, nodes, edges):
+        built.append(self)
+        init(self, nodes, edges)
+
+    # the stage looks find_rooted_trees up on navstruct.pipeline at call time
+    monkeypatch.setattr(pipeline, "find_rooted_trees", walking)
+    monkeypatch.setattr(SurfaceGraph, "__init__", counting)
+    result = run_pipeline(PipelineConfig(terminals="leaves", root_metric=metric), graph=g)
+    stree = result.steiner
+    assert walks == [stree]
+    # scoring and the rooting walk share the one graph over the Steiner tree
+    assert built == [stree.dense]
+    assert all(a is g.nodes[v] for a, v in zip(stree.dense.nodes, stree.nodes))
+    assert len(stree.dense.nodes) == len(stree.nodes) > 100
 
 
 # --- pipeline routes --------------------------------------------------------
@@ -928,6 +959,18 @@ def test_cli_oracle_suites_pass(capsys):
     for line in lines:
         assert line.startswith("oracle ")
         assert ": PASS (" in line
+
+
+def test_cli_oracle_failure_exits_1(capsys, monkeypatch):
+    def one_fails(seed=0, instances=25):
+        return [("demo-pass", True, "3 instances"), ("demo-fail", False, "1 of 3 differ")]
+
+    monkeypatch.setattr(oracles, "run_oracle_suites", one_fails)
+    assert main(["oracle"]) == EXIT_ORACLE_FAILED == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "oracle demo-pass: PASS (3 instances)",
+        "oracle demo-fail: FAIL (1 of 3 differ)",
+    ]
 
 
 class _CountingTree:

@@ -50,15 +50,15 @@ def assert_valid_steiner_tree(tree: SteinerTree, g, terminal_ids):
     assert len(tree.edges) == len(tree.nodes) - 1
     # connected and acyclic over its own node set
     seen = set()
-    stack = [tree.nodes[0]]
-    adj = tree.adjacency()
+    stack = [0]
+    adj = tree.dense_graph(g).adjacency()
     while stack:
-        v = stack.pop()
-        if v in seen:
+        k = stack.pop()
+        if k in seen:
             continue
-        seen.add(v)
-        stack.extend(u for u, _w in adj[v])
-    assert seen == node_set
+        seen.add(k)
+        stack.extend(u for u, _w in adj[k])
+    assert {tree.nodes[k] for k in seen} == node_set
     # every edge exists in the host graph with the same weight
     host = {(i, j): w for i, j, w in g.edges}
     for i, j, w in tree.edges:

@@ -170,12 +170,70 @@ def test_forest_partitions_multi_component_input():
     assert covered == [0, 1, 2, 3]
 
 
+def _sparse_id_split():
+    """Tree nodes 3, 7, 12 | 40, 41 of a 42-node graph on the x axis.  Node
+    41 sits at x = -1, so the graph centroid is x = 19.5, as far from node
+    41 as from node 40.  The graph's edges (0, 1) and (12, 40) are not tree
+    edges."""
+    xs = [float(v) for v in range(41)] + [-1.0]
+    g = graph_from_edges([(x, 0.0, 0.0) for x in xs], [
+        (0, 1, 1.0), (3, 12, 9.0), (7, 12, 5.0), (12, 40, 28.0), (40, 41, 41.0)])
+    for v in (3, 7):
+        g.nodes[v].terminal = True
+    stree = SteinerTree(nodes=[3, 7, 12, 40, 41],
+                        edges=[(3, 12, 9.0), (7, 12, 5.0), (40, 41, 41.0)],
+                        terminals=terms([3, 40]), total_weight=55.0)
+    return g, stree
+
+
+def test_rooting_on_sparse_ids_across_two_components():
+    g, stree = _sparse_id_split()
+    # 12, 40 and 41 tie at the top; nodes 0 and 1 (dense ids of 3 and 7)
+    # outscore them all but lie outside the tree
+    scores = [0.0] * len(g)
+    scores[0] = scores[1] = 9.0
+    scores[3] = 1.0
+    scores[12] = scores[40] = scores[41] = 2.0
+    first, second = find_rooted_trees(stree, g, scores)
+    # 12 lies 7.5 from the centroid, 40 and 41 20.5 each: 12 roots first,
+    # then 40 wins the distance tie by its lower id
+    assert (first.root, second.root) == (12, 40)
+    assert list(first.children.items()) == [(12, [3, 7]), (3, []), (7, [])]
+    assert list(second.children.items()) == [(40, [41]), (41, [])]
+    # 3 (flagged, a terminal) and 12, 41 (neither) are shared; 7 (flagged,
+    # not a terminal) and 40 (a terminal, not flagged) are copied
+    payloads = first.payloads | second.payloads
+    shared = {v for v, p in payloads.items() if p is g.nodes[v]}
+    assert shared == {3, 12, 41}
+    assert {v for v, p in payloads.items() if p.terminal} == {3, 40}
+    assert all(payloads[v].position is g.nodes[v].position for v in (7, 40))
+    assert stree.dense.edges == [(0, 2, 9.0), (1, 2, 5.0), (3, 4, 41.0)]
+
+
+def test_rooting_refuses_an_edge_end_outside_the_tree():
+    g, stree = _sparse_id_split()
+    # 13 falls between tree ids 12 and 40, 42 past the last, 2 before the first
+    for edge in ((13, 40, 1.0), (41, 42, 1.0), (2, 3, 1.0)):
+        bad = SteinerTree(nodes=stree.nodes, edges=stree.edges + [edge],
+                          terminals=stree.terminals, total_weight=0.0)
+        with pytest.raises(ValidationError, match=rf"^Steiner tree edge \({edge[0]}, {edge[1]}\) "
+                                                 "ends outside its nodes$"):
+            find_rooted_trees(bad, g, uniform_scores(len(g)))
+    unsorted = SteinerTree(nodes=[3, 12, 7, 40, 41], edges=stree.edges,
+                           terminals=stree.terminals, total_weight=0.0)
+    with pytest.raises(ValidationError, match="^Steiner tree nodes must ascend$"):
+        find_rooted_trees(unsorted, g, uniform_scores(len(g)))
+
+
 def _rooted_trees_by_full_key(tree, g, scores):
     """find_rooted_trees as it was before the root pick skipped distances:
     the key (-score, centroid distance, id) is computed for every node."""
     cen = g.centroid()
     term_set = set(tree.terminals.node_ids)
-    adj = tree.adjacency()
+    adj = {v: [] for v in tree.nodes}
+    for i, j, _w in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     unvisited = set(tree.nodes)
     forest = []
     while unvisited:
@@ -186,7 +244,7 @@ def _rooted_trees_by_full_key(tree, g, scores):
         unvisited.discard(root)
         while stack:
             v = stack.pop()
-            kids = sorted(u for u, _w in adj[v] if u in unvisited)
+            kids = sorted(u for u in adj[v] if u in unvisited)
             children[v] = kids
             for u in reversed(kids):
                 unvisited.discard(u)
