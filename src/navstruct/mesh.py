@@ -286,17 +286,23 @@ _OBJ_IGNORED = {"vn", "vt", "vp", "o", "g", "s", "mtllib", "usemtl"}
 _OBJ_BLOCK = 1024
 
 
-def _parse_obj(path: Path) -> tuple[np.ndarray, list[list[int]]]:
+def _parse_obj(path: Path) -> tuple[np.ndarray, np.ndarray | list[list[int]]]:
     """Vertices as a (V, 3) array and faces as 0-based index rings, read
-    from the `v` and `f` records of an OBJ file in passes over blocks of
-    records: one split per line, one float() pass over every vertex
-    coordinate and one int() pass over every face index.  When a pass finds
-    a fault, `_first_obj_fault` names the first faulty line, as
-    `oracles.parse_obj_per_line` reads the file.  A file with no vertex
-    reads as np.asarray([]) of shape (0,): build_walkable_surface refuses it
-    as not (N, 3), and load_blocker_mesh reads it as an empty mesh."""
+    from the `v` and `f` records of an OBJ file.  A text in the plain layout
+    is read by numpy's C parser (`_plain_obj`), and its faces come as one
+    (F, k) int64 table.  Any other text is read whole in passes over blocks
+    of records, its faces as lists: one split per line, one float() pass
+    over every vertex coordinate and one int() pass over every face index.
+    When a pass finds a fault, `_first_obj_fault` names the first faulty
+    line, as `oracles.parse_obj_per_line` reads the file.  A file with no
+    vertex reads as np.asarray([]) of shape (0,): build_walkable_surface
+    refuses it as not (N, 3), and load_blocker_mesh reads it as an empty
+    mesh."""
     text = read_text(path)
     lines = text.splitlines()
+    plain = _plain_obj(lines)
+    if plain is not None:
+        return plain
     slash = "/" in text  # v/vt/vn face tokens: the vertex index is the first field
     try:
         blocks = [_obj_block(lines[k:k + _OBJ_BLOCK], slash)
@@ -307,6 +313,50 @@ def _parse_obj(path: Path) -> tuple[np.ndarray, list[list[int]]]:
     verts = np.concatenate([np.empty(0), *(coords for coords, _ in blocks)])
     faces = list(itertools.chain.from_iterable(rings for _, rings in blocks))
     return (verts.reshape(-1, 3) if len(verts) else verts), faces
+
+
+def _plain_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices as a (V, 3) array and faces as one (F, k) int64 array of
+    0-based ids, read by numpy's C parser, when the OBJ lines are in the
+    plain layout; None for any other text, which `_obj_block` then reads
+    whole.
+
+    The plain layout: every line is empty, a `#` comment, `v x y z` or
+    `f i j k...` with one space after the tag; every face has the same
+    k >= 3 ids; every coordinate is finite and every id positive.  On these
+    rows np.loadtxt reads what float() and int() read, bit for bit: it
+    splits on the same whitespace and parses a float as float() does, and
+    every token the two read apart (`1_0`, a non-ASCII digit, an id past
+    int64, `3/1`, a `#` after `comments=None`) makes it raise ValueError
+    (pinned in tests/test_mesh.py)."""
+    vrows = [line[2:] for line in lines if line[:2] == "v "]
+    frows = [line[2:] for line in lines if line[:2] == "f "]
+    others = len(lines) - len(vrows) - len(frows) - lines.count("")
+    if others and others != sum(line[:1] == "#" for line in lines):
+        return None
+    try:
+        verts = _loadtxt(vrows, float)
+        faces = _loadtxt(frows, np.int64)
+    except ValueError:
+        return None
+    if verts.shape[1] != 3 or not np.isfinite(verts).all():
+        return None
+    if faces.shape[1] < 3 or faces.size and faces.min() < 1:
+        return None
+    return (verts if len(verts) else np.empty(0)), faces - 1
+
+
+def _loadtxt(rows: list[str], dtype) -> np.ndarray:
+    """np.loadtxt of the rows as a 2-D array, or (0, 3) for no rows;
+    ValueError when a row is blank, which loadtxt would skip."""
+    if not rows:
+        return np.empty((0, 3), dtype=dtype)
+    if not any(map(str.strip, rows)):  # loadtxt warns on no data
+        raise ValueError("blank rows")
+    table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    if len(table) != len(rows):
+        raise ValueError("blank row")
+    return table
 
 
 def _obj_block(lines: list[str], slash: bool) -> tuple[np.ndarray, list[list[int]]]:
@@ -395,7 +445,7 @@ def _parse_surface_json(
 
 def _parse_geometry(
     path: str | Path, face_keys: tuple[str, ...] = ("polygons",)
-) -> tuple[np.ndarray | list[list[float]], list[list[int]]]:
+) -> tuple[np.ndarray | list[list[float]], np.ndarray | list[list[int]]]:
     """Vertices and faces from OBJ, or from JSON with faces under `face_keys`."""
     p = Path(path)
     suffix = p.suffix.lower()
@@ -453,6 +503,8 @@ def build_walkable_surface(
 ) -> WalkableSurface:
     """Validate raw vertices/rings and assemble the full surface structure;
     vertices closer than `weld_eps` are merged first (0 disables welding).
+    The rings are index sequences, or one 2-D integer array with a ring per
+    row, which is read without a pass per ring.
 
     Raises ValidationError naming the offending polygon or edge when a ring is
     degenerate, non-planar, non-convex, or when an edge is shared by more than
@@ -465,19 +517,25 @@ def build_walkable_surface(
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError("vertices must be an (N, 3) array")
     _check_coordinates(verts, "surface vertex")
-    polys = [list(map(int, ring)) for ring in polygons]
+    # an (F, k) integer table, as the OBJ reader gives, keeps its one array
+    table = polygons if _is_index_table(polygons) else None
+    polys = table.tolist() if table is not None else [list(map(int, ring)) for ring in polygons]
 
     if weld_eps > 0.0 and len(verts):
         verts, polys = _weld(verts, polys, weld_eps)
+        table = None  # welding drops repeated corners: rings may differ in size now
 
     if not polys:
         raise ValidationError("surface has no polygons")
 
     # every ring corner in one flat array: polygon `pid` holds corners
     # starts[pid] .. starts[pid] + sizes[pid] - 1
-    sizes = np.fromiter(map(len, polys), dtype=np.intp, count=len(polys))
+    if table is None:
+        sizes = np.fromiter(map(len, polys), dtype=np.intp, count=len(polys))
+    else:
+        sizes = np.full(len(polys), table.shape[1], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    corners = _corner_ids(polys, len(verts))
+    corners = _corner_ids(polys if table is None else table, len(verts))
     owner = np.repeat(np.arange(len(polys)), sizes)
 
     # the rings before the first one that is too short, leaves the vertex
@@ -511,17 +569,26 @@ def build_walkable_surface(
     )
 
 
-def _corner_ids(polys: list[list[int]], nverts: int) -> np.ndarray:
-    """Every ring's vertex ids, ring after ring, as one intp array; an id
-    outside 0 .. nverts - 1 reads -1."""
-    count = sum(map(len, polys))
-    try:
-        ids = np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp, count=count)
-    except OverflowError:  # an id beyond the intp range, so out of range too
-        ids = np.fromiter(
-            (i if 0 <= i < nverts else -1 for i in itertools.chain.from_iterable(polys)),
-            dtype=np.intp, count=count,
-        )
+def _is_index_table(polygons) -> bool:
+    """Whether `polygons` is a 2-D integer array: one ring per row."""
+    return isinstance(polygons, np.ndarray) and polygons.ndim == 2 and polygons.dtype.kind in "iu"
+
+
+def _corner_ids(polys: list[list[int]] | np.ndarray, nverts: int) -> np.ndarray:
+    """Every ring's vertex ids, ring after ring, as one intp array, from
+    index rings or an index table; an id outside 0 .. nverts - 1 reads -1."""
+    if isinstance(polys, np.ndarray):
+        # an unsigned id past the intp range wraps negative, so reads -1 too
+        ids = polys.astype(np.intp).ravel()
+    else:
+        count = sum(map(len, polys))
+        try:
+            ids = np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp, count=count)
+        except OverflowError:  # an id beyond the intp range, so out of range too
+            ids = np.fromiter(
+                (i if 0 <= i < nverts else -1 for i in itertools.chain.from_iterable(polys)),
+                dtype=np.intp, count=count,
+            )
     ids[(ids < 0) | (ids >= nverts)] = -1
     return ids
 
@@ -876,9 +943,14 @@ def load_blocker_mesh(path: str | Path) -> BlockerMesh:
     verts, faces = _parse_geometry(path, ("triangles", "polygons"))
     if not len(verts):
         verts = np.zeros((0, 3))
-    if set(map(len, faces)) - {3}:
-        k, face = next((k, f) for k, f in enumerate(faces) if len(f) != 3)
+    if _is_index_table(faces):
+        widths = np.full(len(faces), faces.shape[1])
+    else:
+        widths = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+    wrong = np.flatnonzero(widths != 3)
+    if len(wrong):
+        k = wrong[0]
         raise ParseError(
-            f"{path}: blocker face {k} has {len(face)} vertices; blocker faces must be triangles"
+            f"{path}: blocker face {k} has {widths[k]} vertices; blocker faces must be triangles"
         )
     return build_blocker_mesh(verts, faces)

@@ -637,7 +637,8 @@ def parse_obj_per_line(path) -> tuple[list[list[float]], list[list[int]]]:
 def obj_parse_differences(path) -> list[str]:
     """How `mesh._parse_obj` differs from the per-line reference on one
     file: the vertices (as float arrays, by shape and bytes), the face rings
-    (by ==), or both outcomes when either raises and their exception types
+    (by ==; an index table must be a 2-D int64 array whose rows are the
+    rings), or both outcomes when either raises and their exception types
     or texts differ."""
     fast, ref = (_outcome(parse, path) for parse in (_parse_obj, parse_obj_per_line))
     if isinstance(fast, str) or isinstance(ref, str):
@@ -647,7 +648,12 @@ def obj_parse_differences(path) -> list[str]:
     got, want = np.asarray(fast[0], dtype=float), np.asarray(ref[0], dtype=float)
     if got.shape != want.shape or got.tobytes() != want.tobytes():
         differ.append("vertices")
-    if fast[1] != ref[1]:
+    faces = fast[1]
+    if isinstance(faces, np.ndarray):
+        same = faces.dtype == np.int64 and faces.ndim == 2 and faces.tolist() == ref[1]
+    else:
+        same = faces == ref[1]
+    if not same:
         differ.append("faces")
     return differ
 
@@ -688,10 +694,57 @@ def random_obj_text(nprng: np.random.Generator, faults: int = 0) -> str:
         lines.append(pick((" ", "\t")).join(["f", *tokens]))
     for _ in range(int(nprng.integers(0, 4))):
         lines.insert(int(nprng.integers(len(lines) + 1)), pick(_OBJ_EXTRAS))
+    return _faulty_obj_text(nprng, lines, faults)
+
+
+# number forms that numpy's parser and float() both read, the lines besides
+# records that the plain layout holds, and its faults: those of any text,
+# tags with nothing after them, which np.loadtxt would skip as blank rows,
+# and a comment after a face, which it would drop unless told not to
+_PLAIN_NUMBERS = tuple(x for x in _OBJ_NUMBERS if "_" not in x)
+_PLAIN_EXTRAS = ("", "# comment", "#", "#v 0 0 0", "#f 1 2")
+_PLAIN_FAULTS = _OBJ_FAULTS + ("f ", "v \t", "f 1 2 3 # x")
+
+
+def random_plain_obj_text(
+    nprng: np.random.Generator, faults: int = 0, width: int | None = None
+) -> str:
+    """An OBJ text in the plain layout `mesh._parse_obj` reads with numpy:
+    3 to 12 `v x y z` rows and up to 8 faces of `width` ids each (3 or 4 at
+    random when None), one space after each tag, numbers in the forms
+    float(), int() and numpy all read, space or tab separators, `#` comment
+    and empty lines, and CRLF, CR and form-feed line ends; then `faults`
+    faults as in random_obj_text."""
+    def pick(options):
+        return options[int(nprng.integers(len(options)))]
+
+    width = width or int(nprng.integers(3, 5))
+    nverts = int(nprng.integers(3, 13))
+    lines = []
+    for _ in range(nverts):
+        coords = [pick(_PLAIN_NUMBERS) if nprng.random() < 0.3 else repr(float(nprng.normal()))
+                  for _ in range(3)]
+        lines.append("v " + pick((" ", "\t", "  ")).join(coords))
+    for _ in range(int(nprng.integers(0, 9))):
+        ids = nprng.integers(1, nverts + 1, size=width).tolist()
+        lines.append("f " + " ".join(pick(("{}", "{}", "+{}", "0{}")).format(k) for k in ids))
+    for _ in range(int(nprng.integers(0, 4))):
+        lines.insert(int(nprng.integers(len(lines) + 1)), pick(_PLAIN_EXTRAS))
+    return _faulty_obj_text(nprng, lines, faults, _PLAIN_FAULTS)
+
+
+def _faulty_obj_text(
+    nprng: np.random.Generator, lines: list[str], faults: int, options: tuple = _OBJ_FAULTS
+) -> str:
+    """The lines with `faults` lines from `options`, or a token
+    overwritten, at random places, each ended by a random line end."""
+    def pick(options):
+        return options[int(nprng.integers(len(options)))]
+
     for _ in range(faults):
         k = int(nprng.integers(len(lines) + 1))
         if nprng.random() < 0.7 or not lines:
-            lines.insert(k, pick(_OBJ_FAULTS))
+            lines.insert(k, pick(options))
         else:  # one token of an existing line overwritten
             fields = lines[min(k, len(lines) - 1)].split() or ["#"]
             fields[int(nprng.integers(len(fields)))] = pick(("x", "0", "-2", "nan", "/", "1e999"))
@@ -1096,6 +1149,21 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     for _ in range(instances):
         nprng = np.random.default_rng(rng.randrange(2**32))
         inputs += [random_ring_surface(nprng), faulty_ring_surface(nprng, rng.randint(1, 3))]
+    # and each input's rings of one width, as the (F, k) table the OBJ
+    # reader gives, where their ids fit int64; each fixture's table also
+    # with one id past the vertices and one at -1
+    fixed = len(surfaces) + len(long_rings)
+    for k, (verts, rings) in enumerate(list(inputs)):
+        for width in sorted(set(map(len, rings))):
+            rows = [ring for ring in rings if len(ring) == width]
+            if not all(-(2**63) <= i < 2**63 for ring in rows for i in ring):
+                continue
+            table = np.array(rows, dtype=np.int64)
+            inputs.append((verts, table))
+            for bad in [len(verts), -1] if k < fixed else []:
+                wrong = table.copy()
+                wrong[-1, 0] = bad
+                inputs.append((verts, wrong))
     wrong = sum(bool(build_differences(verts, rings)) for verts, rings in inputs)
     results.append(
         ("surface-build", wrong == 0, f"{wrong} of {len(inputs)} surfaces differ")
@@ -1165,25 +1233,40 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     # seeded OBJ texts and graph documents, a third of them sound and the
     # rest with one or two faults, some behind a UTF-8 byte-order mark; every
     # seventh OBJ text is 150 texts long, over two blocks of the reader, with
-    # the faults in the last one
+    # the faults in the last one.  Each draw also makes two OBJ texts in the
+    # plain layout, one sound and one with k % 2 faults, from a stream of
+    # their own so that the later suites' inputs stay the same; about half
+    # of all texts are then read by numpy's path
     obj_wrong = obj_refused = graph_wrong = graph_refused = 0
     texts = 8 * instances
     with tempfile.TemporaryDirectory() as tmp:
         obj_path, graph_path = Path(tmp, "input.obj"), Path(tmp, "input.json")
-        for k in range(texts):
-            nprng = np.random.default_rng(rng.randrange(2**32))
-            bom = "\ufeff" if k % 5 == 4 else ""
-            sound = "".join(random_obj_text(nprng) for _ in range(149 if k % 7 == 6 else 0))
-            obj_path.write_text(bom + sound + random_obj_text(nprng, k % 3), encoding="utf-8")
+
+        def check_obj(text: str) -> None:
+            nonlocal obj_wrong, obj_refused
+            obj_path.write_text(text, encoding="utf-8")
             obj_wrong += bool(obj_parse_differences(obj_path))
             obj_refused += isinstance(_outcome(parse_obj_per_line, obj_path), str)
+
+        for k in range(texts):
+            draw = rng.randrange(2**32)
+            nprng = np.random.default_rng(draw)
+            bom = "\ufeff" if k % 5 == 4 else ""
+            repeats = 149 if k % 7 == 6 else 0
+            sound = "".join(random_obj_text(nprng) for _ in range(repeats))
+            check_obj(bom + sound + random_obj_text(nprng, k % 3))
             graph_path.write_text(
                 bom + json.dumps(random_graph_document(nprng, k % 3)), encoding="utf-8")
             graph_wrong += bool(graph_load_differences(graph_path))
             graph_refused += isinstance(_outcome(load_graph_json_per_node, graph_path), str)
+            plain = np.random.default_rng([draw, 1])
+            for faults in (0, k % 2):
+                width = int(plain.integers(3, 5))
+                sound = "".join(random_plain_obj_text(plain, 0, width) for _ in range(repeats))
+                check_obj(bom + sound + random_plain_obj_text(plain, faults, width))
     results.append((
         "obj-parse", obj_wrong == 0,
-        f"{obj_wrong} of {texts} texts differ, {obj_refused} refused",
+        f"{obj_wrong} of {3 * texts} texts differ, {obj_refused} refused",
     ))
     results.append((
         "graph-load", graph_wrong == 0,

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from navstruct import mesh
 from navstruct.fixtures import maze_graph, plus_hub, straight_corridor
 from navstruct.mesh import build_blocker_mesh
 
@@ -23,6 +24,23 @@ def hub():
 @pytest.fixture()
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture()
+def plain_obj_reads(monkeypatch):
+    """The outcome of every call of the OBJ reader's numpy path, in call
+    order: True when it read the text, False when it left it to the block
+    reader."""
+    outcomes = []
+    plain_obj = mesh._plain_obj
+
+    def spy(lines):
+        out = plain_obj(lines)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(mesh, "_plain_obj", spy)
+    return outcomes
 
 
 @contextmanager

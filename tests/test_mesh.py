@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_obj_parse_reads_long_files_block_by_block(tmp_path):
     path.write_text("\n".join(lines))
     verts, faces = _parse_obj(path)
     assert verts.tobytes() == points.tobytes()
-    assert faces == parse_obj_per_line(path)[1]
+    assert faces.dtype == np.int64 and faces.tolist() == parse_obj_per_line(path)[1]
     # a fault in a later block is named by its line, behind sound blocks
     for where, bad in ((2500, "v 1 2 nan"), (4000, "f 1 2 0"), (1025, "vx 0 0 0")):
         path.write_text("\n".join(lines[:where - 1] + [bad] + lines[where - 1:]))
@@ -163,6 +164,119 @@ def test_obj_parse_reads_long_files_block_by_block(tmp_path):
         assert str(info.value).startswith(f"{path}:{where}: ")
         assert (type(info.value), str(info.value)) == (
             type(_per_line_outcome(path)), str(_per_line_outcome(path)))
+
+
+def test_obj_parse_leaves_numpy_on_a_token_only_python_reads(tmp_path, plain_obj_reads):
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(3000, 3)) * 100.0
+    lines = ["v " + " ".join(map(repr, p)) for p in points.tolist()]
+    lines += ["f %d %d %d" % tuple(rng.integers(1, 3001, size=3)) for _ in range(1500)]
+    lines[2990] = "v 1 1_0 2"  # float() reads 10.0; numpy refuses it
+    path = tmp_path / "long.obj"
+    path.write_text("\n".join(lines))
+    verts, faces = _parse_obj(path)
+    assert plain_obj_reads == [False]
+    want_verts, want_faces = parse_obj_per_line(path)
+    assert verts.shape == (3000, 3) and verts.tobytes() == np.array(want_verts).tobytes()
+    assert verts[2990].tolist() == [1.0, 10.0, 2.0]
+    assert faces == want_faces and all(type(i) is int for ring in faces for i in ring)
+    # without the token the same text is read by numpy, to the same rows
+    lines[2990] = "v 1 10 2"
+    path.write_text("\n".join(lines))
+    verts, table = _parse_obj(path)
+    assert plain_obj_reads == [False, True]
+    assert verts.tobytes() == np.array(parse_obj_per_line(path)[0]).tobytes()
+    assert table.dtype == np.int64 and table.tolist() == want_faces
+
+
+def test_obj_parse_refuses_a_comment_after_a_face_both_ways(tmp_path, plain_obj_reads):
+    quad = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+    path = tmp_path / "tail.obj"
+    path.write_text(quad + "f 1 2 3 # x\n")
+    with pytest.raises(ParseError) as info:
+        _parse_obj(path)
+    assert str(info.value) == f"{path}:5: bad face index '#'"
+    assert str(info.value) == str(_per_line_outcome(path))
+    # a comment after a vertex's three numbers is read past, by both
+    path.write_text("v 1 2 3 # tail\nv 4 5 6\nv 7 8 10\nf 1 2 3\n")
+    verts, faces = _parse_obj(path)
+    want_verts, want_faces = parse_obj_per_line(path)
+    assert verts.tolist() == want_verts == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]
+    assert faces == want_faces == [[0, 1, 2]]
+    assert plain_obj_reads == [False, False]
+    # a tag with nothing after it, which loadtxt would skip as blank, and
+    # only such rows, on which it would warn
+    for text, where in [
+        (quad + "f 1 2 3\nf \n", 6), (quad + "f  \n", 5), ("v 1 2 3\nv \t\n", 2),
+    ]:
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as info:
+                _parse_obj(path)
+        assert str(info.value).startswith(f"{path}:{where}: ")
+        assert str(info.value) == str(_per_line_outcome(path))
+    assert plain_obj_reads == [False] * 5
+
+
+def test_obj_inputs_off_the_numpy_reader_keep_their_outcomes(tmp_path, capsys):
+    """A surface of triangles and quads, a -1 index and a 20-digit index:
+    the per-block reader reads them, and the CLI ends each as before."""
+    from navstruct.cli import main
+
+    quads = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 2 0 0\n"
+    surface, out = tmp_path / "surface.obj", tmp_path / "out"
+    argv = ["extract", "--surface", str(surface), "--out", str(out)]
+    big = "1" * 20
+    cases = [
+        (quads + "f 1 2 3 4\nf 2 5 3\n", 0, None),
+        (quads + "f 1 2 3 4\nf -1 5 3\n", 2,
+         f"error: {surface}:7: face indices must be positive (1-based)"),
+        (quads + f"f 1 2 3 4\nf 2 5 {big}\n", 2,
+         "error: polygon 1: vertex index out of range"),
+    ]
+    for text, code, message in cases:
+        surface.write_text(text)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message:
+            assert message in err.splitlines()
+    surface.write_text(cases[0][0])
+    loaded = load_walkable_surface(surface)
+    assert loaded.polygons == [[0, 1, 2, 3], [1, 4, 2]]
+    # the 20-digit index in a blocker triangle
+    walls = tmp_path / "walls.obj"
+    walls.write_text(quads + f"f 1 2 {big}\n")
+    with pytest.raises(ValidationError, match="blocker triangle index out of range"):
+        load_blocker_mesh(walls)
+
+
+def test_numpy_loadtxt_refuses_what_the_obj_fast_path_relies_on():
+    """np.loadtxt behaviour that `mesh._plain_obj` counts on to leave a text
+    to the per-block reader; a numpy that changes any of it fails here."""
+    def load(rows, dtype):
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+
+    for token in ("1_0", "\u0661", "0x1", "3/1", "1.0", "1e1"):
+        with pytest.raises(ValueError):
+            load([f"1 {token} 2"], np.int64)
+    for token in ("1_0", "\u0661", "0x1", "1d3"):
+        with pytest.raises(ValueError):
+            load([f"1 {token} 2"], float)
+    with pytest.raises(ValueError):  # past int64
+        load(["1 2 " + "1" * 20], np.int64)
+    with pytest.raises(ValueError):
+        load(["1 2 9223372036854775808"], np.int64)
+    for dtype in (float, np.int64):
+        with pytest.raises(ValueError):  # ragged rows
+            load(["1 2 3", "1 2 3 4"], dtype)
+        with pytest.raises(ValueError):  # `#` is a token, not a comment
+            load(["1 2 3 #"], dtype)
+    # and what it reads, it reads as float() does, bit for bit
+    tokens = ["+3", ".5", "2.", "1E-3", "-1e-320", "-0.0", "0.1", "1e400"]
+    got = load([" ".join(tokens)], float)[0]
+    assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
 
 def test_obj_and_json_inputs_skip_a_utf8_byte_order_mark(tmp_path):
@@ -517,8 +631,11 @@ def test_blocker_mesh_build_and_validation():
 def test_blocker_load_requires_triangles(tmp_path):
     path = tmp_path / "walls.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-    with pytest.raises(ParseError, match="must be triangles"):
+    with pytest.raises(ParseError) as info:
         load_blocker_mesh(path)
+    assert str(info.value) == (
+        f"{path}: blocker face 0 has 4 vertices; blocker faces must be triangles"
+    )
     # the first face that is not a triangle is named, by index and size
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf 1 2 3 4\nf 1 2 3 4 1\n")
     with pytest.raises(ParseError) as info:

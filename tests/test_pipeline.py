@@ -942,9 +942,13 @@ def test_cli_survives_seeded_config_mutations(tmp_path, capsys):
     assert set(codes) == {0, 2}
 
 
-def test_cli_oracle_suites_pass(capsys):
+def test_cli_oracle_suites_pass(capsys, plain_obj_reads):
     assert main(["oracle", "--instances", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
+    # at least a third of obj-parse's texts are read by numpy's reader
+    reads = plain_obj_reads
+    assert f"oracle obj-parse: PASS (0 of {len(reads)} texts differ" in "\n".join(lines)
+    assert sum(reads) >= len(reads) / 3, (sum(reads), len(reads))
     assert len(lines) >= 4
     assert any(line.startswith("oracle betweenness-forest: ") for line in lines)
     assert any(line.startswith("oracle los-funnel: ") for line in lines)

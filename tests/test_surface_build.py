@@ -51,6 +51,48 @@ def test_fixture_surfaces_match_the_reference(name):
     assert build_differences(surface.vertices, surface.polygons) == []
 
 
+@pytest.mark.parametrize("name", ["grid", "corridor", "ramp-60", "5000-gon"])
+def test_index_tables_build_as_their_rows(name):
+    """An (F, k) integer array, as the OBJ reader hands over, builds what
+    its rows as lists build, in every integer dtype, welded or not."""
+    surface = FIXTURES[name]()
+    verts, rings = surface.vertices, surface.polygons
+    for dtype in (np.int64, np.int32, np.uint64):
+        table = np.array(rings, dtype=dtype)
+        assert build_differences(verts, table) == []
+        built = build_walkable_surface(verts, table)
+        assert built.polygons == rings
+        assert all(type(i) is int for ring in built.polygons for i in ring)
+    welded = build_walkable_surface(verts, np.array(rings), weld_eps=1e-9)
+    assert welded.polygons == build_walkable_surface(verts, rings, weld_eps=1e-9).polygons
+
+
+def test_faulty_index_tables_raise_the_list_error():
+    square = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
+    cases = [
+        (np.array([[0, 1, 2], [0, 2, 3]]), None),
+        (np.array([[0, 1, 2], [0, 2, -1]]), "polygon 1: vertex index out of range"),
+        (np.array([[0, 1, 2], [0, 2, 4]]), "polygon 1: vertex index out of range"),
+        (np.array([[0, 1, 2], [0, 2, 2**63 + 5]], dtype=np.uint64),
+         "polygon 1: vertex index out of range"),
+        (np.array([[0, 1, 2], [0, 2, 2**64 - 1]], dtype=np.uint64),
+         "polygon 1: vertex index out of range"),
+        (np.array([[0, 1, 2], [0, 2, 2]]), "polygon 1: ring repeats a vertex"),
+        (np.array([[0, 1], [2, 3]]), "polygon 0: ring has fewer than 3 vertices"),
+        (np.zeros((0, 3), dtype=np.int64), "surface has no polygons"),
+    ]
+    for table, message in cases:
+        assert build_differences(square, table) == []
+        outcomes = []
+        for polygons in (table, table.tolist()):
+            try:
+                outcomes.append(build_walkable_surface(square, polygons).polygons)
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (message or table.tolist())
+
+
 def test_a_long_ring_builds_in_one_pass(time_limit):
     # one step per ring position took 0.65 s on this ring, against 31 ms
     # for the per-polygon reference (2-CPU x86-64 machine)
