@@ -1317,9 +1317,10 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
             wrong += surface.locate_point(p, tol) != locate_point_linear(surface, p, tol)
     results.append(("locate-linear", wrong == 0, f"{wrong} of {checked} points differ"))
 
-    # the batch kernel on rows of three probe rays from one origin, at a
-    # finite length, at an infinite one and with a NaN direction in some
-    # rows (whole-mesh balls); the scalar loop on each probe ray
+    # the batch kernel on rows of three probe rays from one origin and their
+    # negations, at a finite length, at an infinite one and with a NaN
+    # direction in some rows (whole-mesh balls), and on axis-aligned fans;
+    # the scalar loop on each probe ray
     checked = hits = wrong = 0
     plus = plus_hub()[1]
     for _ in range(instances):
@@ -1333,9 +1334,19 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
                                    for i in range(len(probes))])
             poisoned = directions.copy()
             poisoned[::4, 1, 0] = math.nan
-            for dirs, max_t in ((directions, 1.0), (directions, math.inf), (poisoned, 2.0)):
-                got = first_hit(blockers, origins, dirs, max_t)
-                for o, row, t_row in zip(origins, dirs, got):
+            batches = [(origins, directions, 1.0), (origins, directions, math.inf),
+                       (origins, poisoned, 2.0)]
+            batches += [([o], [fan], max_t) for o, fan, max_t in axis_fans(blockers, nprng, 8)]
+            for batch_origins, dirs, max_t in batches:
+                dirs = np.asarray(dirs)
+                got = first_hit(blockers, batch_origins, dirs, max_t)
+                if got.shape != (len(dirs), 2 * dirs.shape[1]):
+                    checked += 2 * dirs.shape[0] * dirs.shape[1]
+                    wrong += 2 * dirs.shape[0] * dirs.shape[1]
+                    continue
+                # column j is along dirs[:, j], column m + j along its negation
+                both = np.concatenate([dirs, -dirs], axis=1)
+                for o, row, t_row in zip(batch_origins, both, got):
                     for d, t in zip(row, t_row):
                         want = first_hit_all_triangles(blockers, o, d, max_t)
                         checked += 1
@@ -1552,6 +1563,22 @@ def _slide_face(blockers, grid, o: list, d: list, limit: float, k: int, face: in
             return o
         o[k] = math.nextafter(o[k], math.inf if got < want else -math.inf)
     return None
+
+
+def axis_fans(blockers: BlockerMesh, nprng: np.random.Generator, count: int):
+    """`count` rows (origin, directions (3, 3), max_t) of axis-aligned fans:
+    the +x, +y and +z directions at one length from a triangle corner moved
+    by whole and half units along each axis.  Against axis-aligned edges
+    many of Moller-Trumbore's product differences are then exactly 0, where
+    d and -d both round to +0 rather than to zeros of opposite sign."""
+    rows = []
+    for _ in range(count):
+        corner = blockers.vertices[blockers.triangles[nprng.integers(len(blockers.triangles))]][
+            nprng.integers(3)]
+        origin = corner + nprng.choice((-1.0, -0.5, 0.0, 0.5, 1.0), size=3)
+        length = nprng.choice((0.5, 1.0, 2.0))
+        rows.append((origin, np.eye(3) * length, nprng.choice((1.0, 2.0))))
+    return rows
 
 
 def _probe_rays(blockers: BlockerMesh, nprng: np.random.Generator):

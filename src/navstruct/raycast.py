@@ -1,12 +1,15 @@
 """Ray/segment queries against blocker triangle meshes (Moller-Trumbore).
 
-`first_hit` casts a batch of rays, m from each of n origins, in numpy array
-passes, and agrees bit for bit with `oracles.first_hit_all_triangles`.
-`segment_clear` tests one segment in a scalar any-hit loop in Python floats,
-which stops at the first triangle it accepts, so it answers only whether that
-oracle finds a hit.  `first_hit` finds each origin's candidate triangles with
-a ball query on the mesh's centroid tree, `segment_clear` in the cells of the
-mesh's grid of triangle boxes that the segment's box covers.
+`first_hit` casts a batch of rays, m from each of n origins and the m
+negated ones, in numpy array passes that answer each direction and its
+negation from one Moller-Trumbore evaluation, and agrees bit for bit with
+`oracles.first_hit_all_triangles` on every one of the 2m.  `segment_clear`
+tests one segment in a scalar any-hit loop in Python floats, which stops at
+the first triangle it accepts, so it answers only whether that oracle finds a
+hit.  `first_hit` finds the candidate triangles of all its origins in one
+pair query between a tree of the origins and the mesh's centroid tree,
+`segment_clear` in the cells of the mesh's grid of triangle boxes that the
+segment's box covers.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from itertools import chain
 from typing import Iterable
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .mesh import BlockerMesh, TriangleGrid, shorter_than
 
@@ -23,79 +27,102 @@ EPS = 1e-9
 # float64 machine epsilon
 _ROUNDOFF = float(np.finfo(float).eps)
 
-# most (ray, triangle) pairs one array pass of first_hit tests: a pass holds
-# about a dozen float arrays of this many entries (about 400 KB), so memory
-# stays bounded when every ball is the whole mesh
+# most (forward ray, triangle) pairs one array pass of first_hit tests, each
+# answering its ray and the negated one: a pass holds about a dozen float
+# arrays of this many entries (about 400 KB), so memory stays bounded when
+# every ball is the whole mesh
 PAIR_BUDGET = 4096
 
 
 def first_hit(blockers: BlockerMesh | None, origins, directions, max_t: float) -> np.ndarray:
-    """(n, m) array of the smallest t in (EPS, max_t] at which the ray
-    origins[i] + t*directions[i, j] hits a blocker triangle, inf where it
-    hits none.  `origins` is (n, 3), `directions` (n, m, 3); a direction need
-    not be unit length, and `max_t` is in multiples of it.  A missing or
-    empty blocker mesh never hits.  Boundary hits (on a triangle edge) count
-    as hits.
+    """(n, 2m) array of first-hit distances of the rays from each of n
+    origins along its m directions and their negations: entry (i, j) is the
+    smallest t in (EPS, max_t] at which origins[i] + t*directions[i, j] hits
+    a blocker triangle, entry (i, m + j) the same along -directions[i, j],
+    and inf where a ray hits none.  `origins` is (n, 3), `directions`
+    (n, m, 3); a direction need not be unit length, and `max_t` is in
+    multiples of it.  A missing or empty blocker mesh never hits.  Boundary
+    hits (on a triangle edge) count as hits.
 
-    One ball query per origin, all n in one call, picks the triangles near
-    all m of its rays: the ball is centred on the origin, with radius
-    (max_t + EPS) max|d| + (1 + 3 EPS) reach plus `_rounding`'s margin (see
-    `_origin_balls` and `_candidates`).  The (ray, triangle)
-    pairs then go through Moller-Trumbore as numpy elementwise operations,
-    at most max(PAIR_BUDGET, m) pairs at a time (see `_slice_hits`); fans
-    have m <= 2 * terminals.MAX_RAY_COUNT < PAIR_BUDGET.  The expressions
-    are np.cross's, and each dot product adds x, z, then y, as
-    `oracles.first_hit_all_triangles` does, so every t equals the oracle's
-    bit for bit."""
+    Each origin's candidates are the triangles whose centroid lies in a
+    ball around it that holds every triangle any of its 2m rays can hit
+    (`_origin_balls`; -d has d's length); `_candidates` finds those of all
+    n balls in one pair query, and the origins whose ball is the whole mesh
+    share one block of every id.  The (candidate, ray) pairs then go
+    through Moller-Trumbore as numpy elementwise operations, at most
+    max(PAIR_BUDGET, m) pairs of a forward ray at a time (see
+    `_slice_hits`); fans have m <= terminals.MAX_RAY_COUNT < PAIR_BUDGET.
+    The expressions are np.cross's, and each dot product adds x, z, then y,
+    as `oracles.first_hit_all_triangles` does, so every t equals the
+    oracle's bit for bit.
+
+    One pass answers both directions, exactly.  IEEE rounding is symmetric:
+    (-a) b = -(a b), a sum of negated terms is the negated sum and
+    1/(-det) = -(1/det).  So for -d, d x e2 and det come out negated, and
+    u, v and t, each a sum of products over det, as u, v and -t, with one
+    exception: a product difference or sum that is exactly 0 is +0 for d
+    and -d alike (x - x = +0), which can flip the sign of a zero u, v or t
+    (and inf or NaN operands give inf or NaN on both sides).  No test reads
+    the sign of a zero, and t = +-0 is never accepted, so -d's flags are
+    d's, and it accepts -t where t lies in [-limit, -EPS)."""
     directions = np.asarray(directions, dtype=float)
     n, m = directions.shape[:2]
     origins = np.asarray(origins, dtype=float).reshape(n, 3)
-    best = np.full((n, m), math.inf)
+    best = np.full((n, 2 * m), math.inf)
     if blockers is None or not len(blockers.triangles) or not best.size:
         return best
     radius, whole = _origin_balls(blockers, origins, directions, max_t)
-    ends, ids, shift = _candidates(blockers, origins, radius, whole)
+    rows, ids = _candidates(blockers, origins, radius, whole)
+    far = np.flatnonzero(whole)
+    count = len(blockers.triangles)
+    paired = len(rows)
+    total = paired + len(far) * count
     table = blockers.corner_table
     limit = max_t + EPS
     flat = best.reshape(-1)
     step = max(1, PAIR_BUDGET // m)  # candidates per pass, each with all m rays of its origin
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats' inf and NaN, unflagged
-        for c0 in range(0, ends[-1], step):
-            c = np.arange(c0, min(c0 + step, ends[-1]))
-            row = np.searchsorted(ends, c, side="right")
-            t, ok = _slice_hits(table[ids[c + shift[row]]], origins[row], directions[row], limit)
-            hit_c, hit_j = np.nonzero(ok)
-            np.minimum.at(flat, row[hit_c] * m + hit_j, t[hit_c, hit_j])
+        for c0 in range(0, total, step):
+            c1 = min(c0 + step, total)
+            row, tri = rows[c0:c1], ids[c0:c1]
+            if c1 > paired:  # whole-mesh origins share one block of every id
+                k = np.arange(max(c0, paired) - paired, c1 - paired)
+                row = np.concatenate([row, far[k // count]])
+                tri = np.concatenate([tri, k % count])
+            t, ahead, behind = _slice_hits(table[tri], origins[row], directions[row], limit)
+            hit_c, hit_j = np.nonzero(ahead)
+            np.minimum.at(flat, row[hit_c] * (2 * m) + hit_j, t[hit_c, hit_j])
+            hit_c, hit_j = np.nonzero(behind)
+            np.minimum.at(flat, row[hit_c] * (2 * m) + (m + hit_j), -t[hit_c, hit_j])
     return best
 
 
 def _candidates(blockers: BlockerMesh, origins: np.ndarray, radius: np.ndarray, whole: np.ndarray):
-    """The candidate triangles of every origin in a row, as (ends, ids,
-    shift): origin i's are run positions ends[i] - sizes[i] up to ends[i],
-    and position c is triangle ids[c + shift[i]].  One ball query finds
-    those of the origins in `radius`; whole-mesh origins share the block of
-    all ids at the end of `ids`."""
+    """The (origin row, triangle id) pairs of every origin not in `whole`,
+    as two arrays sorted by origin: a superset of the triangles whose
+    centroid lies within that origin's `radius`, found by one pair query
+    out to the largest radius.  A pair is kept where its distance is within
+    a few ulps of its own origin's radius, so rounding the query's squared
+    distances cannot drop one; an extra candidate only adds a test, and
+    never changes a minimum."""
     local = np.flatnonzero(~whole)
-    found = blockers.triangle_tree.query_ball_point(origins[local], radius[local])
-    lens = np.fromiter(map(len, found), dtype=np.intp, count=len(local))
-    sizes = np.full(len(origins), len(blockers.triangles))
-    sizes[local] = lens
-    ends = np.cumsum(sizes)
-    ids = np.concatenate([
-        np.fromiter(chain.from_iterable(found), dtype=np.intp, count=lens.sum()),
-        np.arange(len(blockers.triangles)),
-    ])
-    shift = np.full(len(origins), lens.sum())
-    shift[local] = np.cumsum(lens) - lens
-    shift -= ends - sizes
-    return ends, ids, shift
+    if not len(local):
+        return local, local
+    pairs = blockers.triangle_tree.sparse_distance_matrix(
+        cKDTree(origins[local]), radius[local].max(), output_type="ndarray")
+    ids, near, dist = pairs["i"], pairs["j"], pairs["v"]
+    keep = np.flatnonzero(dist <= radius[local][near] * (1.0 + 4.0 * _ROUNDOFF))
+    keep = keep[np.argsort(near[keep])]
+    return local[near[keep]], ids[keep]
 
 
 def _slice_hits(table: np.ndarray, o: np.ndarray, d: np.ndarray, limit: float):
-    """Moller-Trumbore for k candidates against w rays each: `table` (k, 9)
-    holds each triangle's corner and edges, `o` (k, 3) the origin and `d`
-    (k, w, 3) the rays.  Returns (t, ok), both (k, w): ok marks the pairs
-    first_hit accepts, with t in (EPS, limit]."""
+    """Moller-Trumbore for k candidates against w rays each and their
+    negations: `table` (k, 9) holds each triangle's corner and edges, `o`
+    (k, 3) the origin and `d` (k, w, 3) the rays.  Returns (t, ahead,
+    behind), all (k, w): ahead marks the pairs first_hit accepts along d,
+    with t in (EPS, limit], and behind those it accepts along -d, at
+    distance -t in (EPS, limit] (see first_hit)."""
     ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = table.T[:, :, None]
     ox, oy, oz = o.T[:, :, None]
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
@@ -114,8 +141,8 @@ def _slice_hits(table: np.ndarray, o: np.ndarray, d: np.ndarray, limit: float):
     v = (dx * qx + dz * qz + dy * qy) * inv_det
     ok &= (v >= -EPS) & (u + v <= 1.0 + EPS)
     t = (e2x * qx + e2z * qz + e2y * qy) * inv_det
-    ok &= (t > EPS) & (t <= limit)
-    return t, ok
+    # -t > EPS and -t <= limit, spelled without negating t
+    return t, ok & (t > EPS) & (t <= limit), ok & (t < -EPS) & (t >= -limit)
 
 
 def _rounding(blockers: BlockerMesh, length, near, segment):

@@ -31,9 +31,9 @@ DEFAULT_SHARPNESS_DEG = 45.0
 MAX_BOUNDARY_SAMPLES = 1_000_000
 # most rays one classification fan may cast
 MAX_RAY_COUNT = 1000
-# most fan rays one raycast.first_hit call casts: about 25 MB of directions
-# and 8 MB of hit distances, where all samples at the caps would take 66 GB;
-# it holds at least one whole sample's 2 * MAX_RAY_COUNT rays
+# most fan rays, both ways, one raycast.first_hit call casts: about 13 MB of
+# forward directions and 8 MB of hit distances, where all samples at the caps
+# would take 40 GB; it holds at least one whole sample's 2 * MAX_RAY_COUNT rays
 FAN_RAY_BUDGET = 1 << 20
 
 
@@ -118,12 +118,12 @@ def sample_boundary(
 def fan_directions(
     samples: BoundarySamples, ray_count: int, rows: slice = slice(None)
 ) -> np.ndarray:
-    """(n, 2 * ray_count, 3) directions: for each of the table's `rows`, the
-    sample's forward fan, then its backward fan.  The forward fan is the
-    sample's tangent rotated about its normal through ray_count angles spread
-    evenly over +/-45 degrees (the tangent itself for one ray); the backward
-    fan is its exact negation, which is what rotating the reversed tangent
-    gives, bit for bit.
+    """(n, ray_count, 3) directions: for each of the table's `rows`, the
+    sample's forward fan, its tangent rotated about its normal through
+    ray_count angles spread evenly over +/-45 degrees (the tangent itself for
+    one ray).  The backward fan is its exact negation, which is what
+    rotating the reversed tangent gives, bit for bit; `raycast.first_hit`
+    casts it from the forward fan.
 
     Rodrigues' rotation, v c + (axis x v) s + axis (axis . v) (1 - c), is
     evaluated in that order with np.cross's expressions for axis x v.  The
@@ -143,12 +143,10 @@ def fan_directions(
     axes, tangents = samples.normals[rows], samples.tangents[rows]
     dots = _row_dots(axes, tangents)[:, None]
     (ax, ay, az), (vx, vy, vz) = axes.T[:, :, None], tangents.T[:, :, None]
-    fans = np.empty((len(axes), 2 * ray_count, 3))
-    forward = fans[:, :ray_count]
-    forward[..., 0] = vx * c + (ay * vz - az * vy) * s + ax * dots * w
-    forward[..., 1] = vy * c + (az * vx - ax * vz) * s + ay * dots * w
-    forward[..., 2] = vz * c + (ax * vy - ay * vx) * s + az * dots * w
-    np.negative(forward, out=fans[:, ray_count:])
+    fans = np.empty((len(axes), ray_count, 3))
+    fans[..., 0] = vx * c + (ay * vz - az * vy) * s + ax * dots * w
+    fans[..., 1] = vy * c + (az * vx - ax * vz) * s + ay * dots * w
+    fans[..., 2] = vz * c + (ax * vy - ay * vx) * s + az * dots * w
     return fans
 
 
@@ -160,8 +158,9 @@ def classify_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(open_ahead, open_behind): per sample, whether its forward (backward)
     ray fan is unobstructed within `radius`, which makes it a potential
-    segment start (end).  The fans go to `raycast.first_hit` in runs of
-    whole samples, at most FAN_RAY_BUDGET rays per call; each sample's hits
+    segment start (end).  The forward fans go to `raycast.first_hit`, which
+    casts each one and its negation, the backward fan, in runs of whole
+    samples, at most FAN_RAY_BUDGET rays per call; each sample's hits
     depend on its own rays alone, so the flags are those of one call over
     every sample.  The table is not changed.  With no blocker mesh every
     sample is open both ways."""

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from navstruct import oracles, pipeline, trees
+from navstruct import oracles, pipeline, raycast, trees
 from navstruct.cli import EXIT_ORACLE_FAILED, _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, NavStructError, ValidationError
 from navstruct.fixtures import (
@@ -420,6 +420,41 @@ def test_cli_explicit_flags_beat_the_config_file(tmp_path):
     assert code == 0
     structure = json.loads((out / "structure.json").read_text())
     assert len(structure["trees"][0]["nodes"]) == 4  # leaves route, not top-2 metric
+
+
+def _written(out):
+    """Every file a CLI run wrote, by name; report.json without its timings,
+    and report.txt, which is mostly its timing table, left out."""
+    def untimed(value):
+        if isinstance(value, dict):
+            return {k: untimed(v) for k, v in value.items() if not k.endswith("millis")}
+        return [untimed(v) for v in value] if isinstance(value, list) else value
+
+    files = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "report.txt"}
+    files["report.json"] = untimed(json.loads(files["report.json"]))
+    return files
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state_between_runs(corridor, tmp_path):
+    surf, blk = write_corridor_files(corridor, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ray-count = 3\nformat = json\n")
+    inputs = ["--surface", str(surf), "--blockers", str(blk), "--interval", "1.0"]
+    runs = [
+        ["extract", *inputs, "--format", "json"],
+        ["analyze", *inputs, "--format", "obj", "--format", "dot", "--config", str(cfg)],
+    ]
+    build_parser.cache_clear()
+    for k, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"reused{k}")]) == 0
+    assert build_parser.cache_info()[:2] == (1, 1)  # one hit, one build
+    for k, argv in enumerate(runs):
+        build_parser.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / f"fresh{k}")]) == 0
+        assert _written(tmp_path / f"reused{k}") == _written(tmp_path / f"fresh{k}")
+    assert sorted(_written(tmp_path / "reused0")) == ["report.json", "structure.json"]
+    # the explicit formats win over the config file's
+    assert sorted(_written(tmp_path / "reused1")) == ["overlay.obj", "report.json", "structure.dot"]
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -978,20 +1013,22 @@ def test_cli_oracle_failure_exits_1(capsys, monkeypatch):
 
 
 class _CountingTree:
-    """A KD-tree that records how many ids each ball query returns."""
+    """A KD-tree that counts its ball and pair queries."""
 
     def __init__(self, tree):
         self.tree = tree
-        self.sizes = []
+        self.queries = 0
 
     def __getattr__(self, name):
         return getattr(self.tree, name)
 
-    def query_ball_point(self, x, *args, **kwargs):
-        ids = self.tree.query_ball_point(x, *args, **kwargs)
-        # an array query is one ball per point
-        self.sizes += list(map(len, ids)) if np.ndim(x) == 2 else [len(ids)]
-        return ids
+    def query_ball_point(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query_ball_point(*args, **kwargs)
+
+    def sparse_distance_matrix(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.sparse_distance_matrix(*args, **kwargs)
 
 
 def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
@@ -1016,6 +1053,15 @@ def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
     monkeypatch.setattr(WalkableSurface, "locate_point", counting_locate)
     tree = _CountingTree(blockers.triangle_tree)
     blockers = dataclasses.replace(blockers, triangle_tree=tree)
+    sizes = []  # per origin of each first_hit call, its candidate count
+    candidates = raycast._candidates
+
+    def recording(mesh, origins, radius, whole):
+        rows, ids = candidates(mesh, origins, radius, whole)
+        sizes.extend(np.bincount(rows, minlength=len(origins))[~whole].tolist())
+        return rows, ids
+
+    monkeypatch.setattr(raycast, "_candidates", recording)
     run_pipeline(PipelineConfig(terminals="entry-exit"), surface=surface, blockers=blockers)
     # the 4 terminal placements (simplify reads each anchor's stored polygon);
     # then every centre
@@ -1024,7 +1070,9 @@ def test_corridor200_point_location_and_ray_candidates_stay_local(monkeypatch):
         surface.locate_point(center)
     assert len(per_locate) > 200
     assert max(per_locate) <= 10
-    # the ball queries are the fans': one per boundary sample, for its ten rays
-    assert len(tree.sizes) == 804
-    assert max(tree.sizes) <= 64
-    assert sum(tree.sizes) == 11976
+    # the tree's one query is the fans' pair query: the balls of the 804
+    # boundary samples, each for its ten rays
+    assert tree.queries == 1
+    assert len(sizes) == 804
+    assert max(sizes) <= 64
+    assert sum(sizes) == 11976

@@ -12,6 +12,7 @@ from navstruct.mesh import BlockerMesh, build_blocker_mesh
 from navstruct.oracles import (
     _probe_rays,
     _random_soup,
+    axis_fans,
     cell_plane_rays,
     classify_per_ray,
     first_hit_all_triangles,
@@ -34,12 +35,13 @@ ROUNDOFF = float(np.finfo(float).eps)
 @pytest.fixture(scope="module")
 def corridor200_fan_rays():
     """The 200-square corridor's walls and every fan ray its terminals stage
-    casts (both fans of every boundary sample), as rays and as the batch."""
+    casts (both fans of every boundary sample), as rays, and the batch of
+    forward fans that casts them."""
     surface, blockers = straight_corridor(200)
     samples = sample_boundary(surface)
     origins = samples.positions
     directions = fan_directions(samples, DEFAULT_RAY_COUNT)
-    rays = [(o, d, DEFAULT_RADIUS) for o, row in zip(origins, directions) for d in row]
+    rays = [(o, d, DEFAULT_RADIUS) for o, row in zip(origins, _both_ways(directions)) for d in row]
     assert len(rays) == 8040
     return blockers, rays, (origins, directions, DEFAULT_RADIUS)
 
@@ -63,6 +65,13 @@ def _whole_mesh_rays(rays):
     return out
 
 
+def _both_ways(directions):
+    """Each row of m directions followed by their negations: the 2m rays
+    whose first hits first_hit returns for the row."""
+    directions = np.asarray(directions, dtype=float)
+    return np.concatenate([directions, -directions], axis=1)
+
+
 def _oracle(mesh, o, d, max_t):
     t = first_hit_all_triangles(mesh, o, d, max_t)
     return math.inf if t is None else t
@@ -75,11 +84,12 @@ def _segment_hit(mesh, o, d, max_t):
 
 
 def _batch_hits(mesh, origins, directions, max_t):
-    """first_hit's batch, each entry checked against the oracle; the number
-    of rays that hit."""
+    """first_hit's batch, each entry of both halves checked against the
+    oracle on the ray or its negation; the number of rays that hit."""
     got = raycast.first_hit(mesh, origins, directions, max_t)
-    assert got.shape == np.shape(directions)[:2]
-    for o, row, t_row in zip(origins, directions, got):
+    n, m = np.shape(directions)[:2]
+    assert got.shape == (n, 2 * m)
+    for o, row, t_row in zip(origins, _both_ways(directions), got):
         for d, t in zip(row, t_row):
             assert t == _oracle(mesh, o, d, max_t), (o, d, max_t)
     return int((got < math.inf).sum())
@@ -108,7 +118,7 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
         max_t = float(rng.uniform(0.5, 4.0))
         want = _oracle(blockers, origin, direction, max_t)
         got = raycast.first_hit(blockers, [origin], [[direction]], max_t)
-        assert got.tolist() == [[want]]
+        assert got.tolist() == [[want, _oracle(blockers, origin, -direction, max_t)]]
         assert _segment_hit(blockers, origin, direction, max_t) == (want < math.inf)
         hits += want < math.inf
     assert 50 < hits < 400
@@ -136,22 +146,49 @@ def test_first_hit_equals_np_cross_reference_exactly(corridor200_fan_rays, maze_
         # direction makes the whole row test the whole mesh
         rows = _rows(rays, 3)[::max(1, len(rays) // 200)]
         hits = sum(_batch_hits(mesh, [o], [row], max_t) for o, row, max_t in rows)
-        assert 0 < hits < 3 * len(rows), name
+        assert 0 < hits < 6 * len(rows), name
 
     nan_ray = ((0.0, 0.5, 0.0), (math.nan, 0.0, 0.0), 1.0)
     assert not _segment_hit(corridor, *nan_ray)
     assert first_hit_all_triangles(corridor, *nan_ray) is None
-    assert raycast.first_hit(corridor, [nan_ray[0]], [[nan_ray[1]]], 1.0).tolist() == [[math.inf]]
+    assert raycast.first_hit(corridor, [nan_ray[0]], [[nan_ray[1]]], 1.0).tolist() == [
+        [math.inf, math.inf]]
     assert raycast.first_hit(None, np.zeros((2, 3)), np.ones((2, 3, 3)), math.inf).tolist() == [
-        [math.inf] * 3] * 2
-    assert raycast.first_hit(corridor, np.zeros((0, 3)), np.zeros((0, 5, 3)), 1.0).shape == (0, 5)
+        [math.inf] * 6] * 2
+    assert raycast.first_hit(corridor, np.zeros((0, 3)), np.zeros((0, 5, 3)), 1.0).shape == (0, 10)
     empty = build_blocker_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     for max_t in (1.0, math.inf):
         assert not _segment_hit(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t)
         assert raycast.first_hit(empty, [(0.0, 0.0, 0.0)], [[(1.0, 0.0, 0.0)]], max_t).tolist() == [
-            [math.inf]]
+            [math.inf, math.inf]]
         assert first_hit_all_triangles(empty, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_t) is None
     assert raycast.segment_clear(None, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def _cross_terms(table, d):
+    """d x e2 for every (triangle, direction) pair, as first_hit spells it."""
+    e2x, e2y, e2z = table.T[6:, :, None]
+    dx, dy, dz = d[None, :, 0], d[None, :, 1], d[None, :, 2]
+    return np.stack([dy * e2z - dz * e2y, dz * e2x - dx * e2z, dx * e2y - dy * e2x])
+
+
+def test_axis_fans_reach_the_zero_that_negation_does_not_flip():
+    # d x e2 for -d is -(d x e2) except where a difference is exactly 0:
+    # both are +0 there.  The axis fans must meet that case on triangles
+    # they hit, and first_hit must still give the oracle's t both ways
+    _, corridor = straight_corridor(9)
+    rng = np.random.default_rng(5)
+    unflipped = hits = 0
+    for o, fan, max_t in axis_fans(corridor, rng, 60):
+        hits += _batch_hits(corridor, [o], [fan], max_t)
+        with np.errstate(invalid="ignore"):
+            p, q = _cross_terms(corridor.corner_table, fan), _cross_terms(corridor.corner_table, -fan)
+        same = (p == 0.0) & (np.signbit(p) == np.signbit(q))
+        for k, d in enumerate(fan):
+            ahead, behind = _accepted(corridor, o, d, max_t)
+            unflipped += int(same[:, sorted(ahead | behind), k].any(axis=0).sum())
+    assert hits > 20
+    assert unflipped > 20
 
 
 def test_blocker_mesh_keeps_its_triangles_as_python_float_rows():
@@ -223,14 +260,15 @@ def _ball(mesh, center, radius):
 
 
 def _accepted(mesh, o, d, max_t):
-    """The ids of every triangle whose Moller-Trumbore test accepts the ray,
-    as first_hit and _segment_hit evaluate it."""
+    """The ids of every triangle whose Moller-Trumbore test accepts the ray
+    and the ids of those that accept its negation, as first_hit evaluates
+    them."""
     table = mesh.corner_table
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ok = raycast._slice_hits(
+        _, ahead, behind = raycast._slice_hits(
             table, np.broadcast_to(o, (len(table), 3)),
             np.broadcast_to(d, (len(table), 1, 3)), max_t + EPS)
-    return set(np.flatnonzero(ok[:, 0]).tolist())
+    return set(np.flatnonzero(ahead[:, 0]).tolist()), set(np.flatnonzero(behind[:, 0]).tolist())
 
 
 def test_each_origin_ball_holds_every_triangle_its_rays_accept(corridor200_fan_rays):
@@ -244,27 +282,33 @@ def test_each_origin_ball_holds_every_triangle_its_rays_accept(corridor200_fan_r
     for mesh in (corridor, soup):
         for o, row, probe_t in _rows(_probe_rays(mesh, rng), 3):
             cases.append((mesh, [o], [row], probe_t))
-    local = whole = accepted = 0
+    local = whole = accepted = extra = 0
     for mesh, batch_origins, batch_directions, t in cases:
         batch_origins = np.asarray(batch_origins, dtype=float)
         batch_directions = np.asarray(batch_directions, dtype=float)
         radius, is_whole = raycast._origin_balls(mesh, batch_origins, batch_directions, t)
-        ends, ids, shift = raycast._candidates(mesh, batch_origins, radius, is_whole)
-        begins = np.concatenate([[0], ends[:-1]])
-        for o, row, r, w, b, e, s in zip(
-            batch_origins, batch_directions, radius, is_whole, begins, ends, shift
-        ):
-            # the run holds exactly the origin's ball, each id once
-            held = ids[b + s:e + s].tolist()
+        rows, ids = raycast._candidates(mesh, batch_origins, radius, is_whole)
+        assert (np.diff(rows) >= 0).all()  # sorted by origin
+        for i, (o, row, r, w) in enumerate(zip(batch_origins, batch_directions, radius, is_whole)):
+            held = ids[np.searchsorted(rows, i):np.searchsorted(rows, i, side="right")].tolist()
             assert len(held) == len(set(held))
-            assert set(held) == _ball(mesh, o, math.inf if w else r)
+            if w:
+                # a whole-mesh origin tests every triangle, outside the pairs
+                assert held == []
+                held = range(len(mesh.triangles))
+            else:
+                # the pairs hold the origin's ball, and only a few ulps more
+                ball = _ball(mesh, o, r)
+                assert ball <= set(held) <= _ball(mesh, o, r * (1.0 + 8.0 * ROUNDOFF))
+                extra += len(held) - len(ball)
             for d in row:
-                hits = _accepted(mesh, o, d, t)
-                assert hits <= set(held), (o, d, t)
-                accepted += len(hits)
+                ahead, behind = _accepted(mesh, o, d, t)
+                assert ahead | behind <= set(held), (o, d, t)
+                accepted += len(ahead) + len(behind)
             local += not w
             whole += bool(w)
-    assert local > 800 and whole > 5 and accepted > 1000
+    assert local > 800 and whole > 5 and accepted > 2000
+    assert extra == 0
 
 
 def test_whole_mesh_balls_keep_fans_exact_in_bounded_slices(monkeypatch):
@@ -275,15 +319,16 @@ def test_whole_mesh_balls_keep_fans_exact_in_bounded_slices(monkeypatch):
     original = raycast._slice_hits
 
     def recording(table, o, d, limit):
-        t, ok = original(table, o, d, limit)
+        t, ahead, behind = original(table, o, d, limit)
         slices.append(t.size)
-        return t, ok
+        return t, ahead, behind
 
     monkeypatch.setattr(raycast, "_slice_hits", recording)
     samples = sample_boundary(surface)
     open_ahead, open_behind = classify_samples(samples, blockers, radius=1e20)
     assert len(samples) == 804
-    assert sum(slices) == 804 * 800 * 10
+    # each pass tests the forward rays and answers their negations too
+    assert sum(slices) == 804 * 800 * 5
     assert max(slices) <= raycast.PAIR_BUDGET
     flags = list(zip(open_ahead.tolist(), open_behind.tolist()))
     assert flags == classify_per_ray(samples, blockers, 1e20, DEFAULT_RAY_COUNT)
@@ -302,7 +347,7 @@ def test_overflowing_rays_follow_python_floats():
         got = raycast.first_hit(blockers, origins, directions, max_t)
         with np.errstate(over="ignore", invalid="ignore"):
             want = [[_oracle(blockers, o, d, max_t) for d in row]
-                    for o, row in zip(origins, directions)]
+                    for o, row in zip(origins, _both_ways(directions))]
         assert got.tolist() == want
 
 
@@ -506,7 +551,7 @@ def test_the_empty_mesh_has_an_empty_grid():
 
 
 class _CountingTree:
-    """A KD-tree that counts its ball queries."""
+    """A KD-tree that counts its ball and pair queries."""
 
     def __init__(self, tree):
         self.tree = tree
@@ -518,6 +563,10 @@ class _CountingTree:
     def query_ball_point(self, *args, **kwargs):
         self.queries += 1
         return self.tree.query_ball_point(*args, **kwargs)
+
+    def sparse_distance_matrix(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.sparse_distance_matrix(*args, **kwargs)
 
 
 def test_segments_build_the_grid_once_and_make_no_ball_query(maze_walls, monkeypatch):
@@ -538,12 +587,12 @@ def test_segments_build_the_grid_once_and_make_no_ball_query(maze_walls, monkeyp
     assert 0 < blocked < len(rays)
     assert len(built) == 1 and walls.grid is not None
     assert tree.queries == 0
-    # the fans still query the centroid tree, one ball query a batch, and
+    # the fans still query the centroid tree, one pair query a batch, and
     # build no grid
-    raycast.first_hit(walls, [rays[0][0]], [[rays[0][1]]], 1.0)
+    _batch_hits(walls, [rays[0][0]], [[rays[0][1]]], 1.0)
     assert tree.queries == 1
     _, corridor = straight_corridor(3)
-    raycast.first_hit(corridor, [(0.5, 0.5, 0.0)], [[(1.0, 0.0, 0.0)]], 1.0)
+    _batch_hits(corridor, [(0.5, 0.5, 0.0)], [[(1.0, 0.0, 0.0)]], 1.0)
     assert corridor.grid is None and len(built) == 1
 
 

@@ -25,7 +25,12 @@ from navstruct.fixtures import (
 )
 from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
 from navstruct.mesh import build_walkable_surface
-from navstruct.oracles import eigenvector_oracle, katz_oracle, random_ring_surface
+from navstruct.oracles import (
+    eigenvector_oracle,
+    first_hit_all_triangles,
+    katz_oracle,
+    random_ring_surface,
+)
 from navstruct.terminals import (
     BoundarySamples,
     classify_samples,
@@ -161,7 +166,7 @@ def test_fan_directions_equal_the_np_cross_reference_exactly():
         samples = make_table(tangents, positions=positions)
         samples.normals = axes / np.linalg.norm(axes, axis=1)[:, None]
         fans = terminals.fan_directions(samples, ray_count)
-        assert fans.shape == (sample_count, 2 * ray_count, 3)
+        assert fans.shape == (sample_count, ray_count, 3)
         if ray_count == 1:
             angles = [0.0]
         else:
@@ -169,12 +174,13 @@ def test_fan_directions_equal_the_np_cross_reference_exactly():
         c = np.array([math.cos(a) for a in angles])[:, None]
         s = np.array([math.sin(a) for a in angles])[:, None]
         for axis, tangent, fan in zip(samples.normals, samples.tangents, fans):
-            for v, rows in ((tangent, fan[:ray_count]), (-tangent, fan[ray_count:])):
+            # the backward fan, the rotated reversed tangent, is the
+            # forward fan's exact negation, which first_hit casts
+            for v, rows in ((tangent, fan), (-tangent, -fan)):
                 want = v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
                 assert (rows == want).all()
-            assert (fan[ray_count:] == -fan[:ray_count]).all()
         assert (terminals.fan_directions(samples, ray_count, slice(3, 7)) == fans[3:7]).all()
-    assert terminals.fan_directions(make_table([]), 5).shape == (0, 10, 3)
+    assert terminals.fan_directions(make_table([]), 5).shape == (0, 5, 3)
 
 
 def test_classify_no_blockers_flags_everything(caplog):
@@ -241,10 +247,10 @@ def test_classify_casts_whole_samples_under_the_ray_budget(monkeypatch):
 
     def first_hit(blockers, origins, directions, max_t):
         # casts nothing: sample k's forward fan hits when k % 3 == 0, its
-        # backward fan when k % 3 == 1
+        # backward fan, the last m of the 2m columns, when k % 3 == 1
         shapes.append(directions.shape)
         k = origins[:, 0].astype(int) % 3
-        t = np.full(directions.shape[:2], math.inf)
+        t = np.full((len(directions), 2 * directions.shape[1]), math.inf)
         t[k == 0, 0] = 0.5
         t[k == 1, -1] = 0.5
         return t
@@ -253,7 +259,7 @@ def test_classify_casts_whole_samples_under_the_ray_budget(monkeypatch):
     samples = make_table(np.tile(X, (n, 1)))
     open_ahead, open_behind = classify_samples(samples, None, ray_count=ray_count)
     assert [rows for rows, _, _ in shapes] == [per_call] * (n // per_call) + [n % per_call]
-    assert {shape[1:] for shape in shapes} == {(2 * ray_count, 3)}
+    assert {shape[1:] for shape in shapes} == {(ray_count, 3)}
     assert per_call * 2 * ray_count <= terminals.FAN_RAY_BUDGET
     assert open_ahead.tolist() == [k % 3 != 0 for k in range(n)]
     assert open_behind.tolist() == [k % 3 != 1 for k in range(n)]
@@ -267,6 +273,37 @@ def test_classify_in_runs_flags_as_one_batch(monkeypatch, hub):
     runs = np.column_stack(classify_samples(samples, blockers))
     assert runs.tolist() == one.tolist()
     assert len({tuple(row) for row in one.tolist()}) > 1
+
+
+def _pillar_level(size: int = 10, pitch: int = 4):
+    """A walled square level with a lattice of walled pillar holes and one
+    doorway cell in the middle of each outer side."""
+    pillars = {(x, y) for x in range(2, size, pitch) for y in range(2, size, pitch)}
+    surface = surface_from_squares(
+        [(float(x), float(y)) for y in range(size) for x in range(size) if (x, y) not in pillars])
+    c, s = size // 2 + 0.5, float(size)
+    doors = [(c, 0.0, 0.0), (s, c, 0.0), (c, s, 0.0), (0.0, c, 0.0)]
+    return surface, boundary_walls(surface, doors)
+
+
+@pytest.mark.parametrize("scene", ["corridor200", "pillar level"])
+def test_classify_flags_equal_the_oracle_on_both_explicit_fans(scene):
+    # first_hit casts each backward fan as the negation of the forward one;
+    # the flags must be those of every ray of [d, -d] cast on its own
+    surface, blockers = straight_corridor(200) if scene == "corridor200" else _pillar_level()
+    samples = sample_boundary(surface)
+    ray_count = terminals.DEFAULT_RAY_COUNT
+    fans = terminals.fan_directions(samples, ray_count)
+    radius = terminals.DEFAULT_RADIUS
+    want = []
+    for o, fan in zip(samples.positions, fans):
+        want.append(tuple(
+            all(first_hit_all_triangles(blockers, o, d, radius) is None for d in rays)
+            for rays in (fan, -fan)
+        ))
+    open_ahead, open_behind = classify_samples(samples, blockers, radius, ray_count)
+    assert list(zip(open_ahead.tolist(), open_behind.tolist())) == want
+    assert {(True, False), (False, True), (False, False)} <= set(want)
 
 
 def test_classify_single_ray_is_the_fan_center():

@@ -38,15 +38,19 @@ def test_fan_rays_look_up_first_hit_through_the_raycast_module(monkeypatch):
     original = raycast.first_hit
 
     def counting(*args):
-        calls.append(args)
-        return original(*args)
+        hits = original(*args)
+        calls.append((args, hits))
+        return hits
 
     monkeypatch.setattr(raycast, "first_hit", counting)
     surface, blockers = straight_corridor(4)
     entry_exit_terminals(graph_from_navmesh(surface), surface, blockers, interval=1.0)
-    # one batch holds both fans of every boundary sample: 10 samples, 5 rays each way
+    # one batch casts both fans of every boundary sample: 10 samples, 5 rays
+    # each way, the backward fan as the negation of the forward one
     assert len(calls) == 1
-    assert calls[0][2].shape == (10, 10, 3)
+    (args, hits), = calls
+    assert args[2].shape == (10, 5, 3)
+    assert hits.shape == (10, 10)
 
 
 def test_steiner_makes_one_dijkstra_tree_call_from_all_terminals(monkeypatch):
