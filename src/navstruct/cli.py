@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import logging
 import os
 import sys
@@ -77,12 +76,7 @@ def _add_pipeline_options(p: argparse.ArgumentParser) -> dict[str, argparse.Acti
     return {a.dest: a for a in actions}
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing keeps no state in
-    it, since every run starts a fresh namespace from the defaults, the
-    append action copies its default list before adding to it and
-    `_apply_config` sets attributes on the namespace alone."""
     parser = argparse.ArgumentParser(
         prog="navstruct",
         description="Extract simplified tree structures from walkable-surface geometry.",

@@ -329,10 +329,11 @@ def _plain_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     every token the two read apart (`1_0`, a non-ASCII digit, an id past
     int64, `3/1`, a `#` after `comments=None`) makes it raise ValueError
     (pinned in tests/test_mesh.py)."""
-    rows = _plain_records(lines)
-    if rows is None:
+    vrows = [line[2:] for line in lines if line[:2] == "v "]
+    frows = [line[2:] for line in lines if line[:2] == "f "]
+    others = len(lines) - len(vrows) - len(frows) - lines.count("")
+    if others and others != sum(line[:1] == "#" for line in lines):
         return None
-    vrows, frows = rows
     try:
         verts = _loadtxt(vrows, float)
         faces = _loadtxt(frows, np.int64)
@@ -343,44 +344,6 @@ def _plain_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     if faces.shape[1] < 3 or faces.size and faces.min() < 1:
         return None
     return (verts if len(verts) else np.empty(0)), faces - 1
-
-
-def _plain_records(lines: list[str]) -> tuple[list[str], list[str]] | None:
-    """The text after the tag of each `v ` line and of each `f ` line, in
-    order; None when another line is neither empty nor a `#` comment.  When
-    each kind's lines form one run, as in written files, both are cut from
-    the joined text (`_tag_run`) rather than line by line."""
-    body = "\n" + "\n".join(lines)
-    runs = [_tag_run(body, "\nv "), _tag_run(body, "\nf ")]
-    if None in runs:
-        vrows = [line[2:] for line in lines if line[:2] == "v "]
-        frows = [line[2:] for line in lines if line[:2] == "f "]
-        others = len(lines) - len(vrows) - len(frows) - lines.count("")
-        if others and others != sum(line[:1] == "#" for line in lines):
-            return None
-        return vrows, frows
-    (a, b, _), (c, d, _) = sorted(runs, key=itemgetter(0))
-    if not all(line[:1] == "#" for line in (body[:a] + body[b:c] + body[d:]).split("\n") if line):
-        return None
-    return runs[0][2], runs[1][2]
-
-
-def _tag_run(body: str, key: str) -> tuple[int, int, list[str]] | None:
-    """(start, end, rows) of the lines of `body` that follow a `key` ("\\n"
-    and a two-character tag) when they form one run: body[start:end] is the
-    run with the line end before it, and rows the text after each tag.  No
-    line holds a line end, so a line starts with the tag just where `key`
-    stands.  An empty run is at the end of `body`; None when a line of
-    another kind lies inside the run."""
-    start = body.find(key)
-    if start < 0:
-        return len(body), len(body), []
-    end = body.find("\n", body.rfind(key) + 1)
-    end = len(body) if end < 0 else end
-    rows = body[start + len(key):end].split(key)
-    if body.count("\n", start + 1, end) != len(rows) - 1:
-        return None
-    return start, end, rows
 
 
 def _loadtxt(rows: list[str], dtype) -> np.ndarray:

@@ -17,8 +17,6 @@ from navstruct.fixtures import (
 )
 from navstruct.mesh import (
     _parse_obj,
-    _plain_records,
-    _tag_run,
     build_blocker_mesh,
     build_walkable_surface,
     load_blocker_mesh,
@@ -219,38 +217,6 @@ def test_obj_parse_refuses_a_comment_after_a_face_both_ways(tmp_path, plain_obj_
         assert str(info.value).startswith(f"{path}:{where}: ")
         assert str(info.value) == str(_per_line_outcome(path))
     assert plain_obj_reads == [False] * 5
-
-
-def test_plain_records_cut_from_runs_equal_the_line_by_line_split():
-    # written files hold one run of `v` lines and one of `f` lines, which the
-    # reader cuts from the joined text; any other layout is split line by
-    # line.  Both must give the per-line split, and refuse the same texts
-    def per_line(lines):
-        if any(line[:2] not in ("v ", "f ") and line[:1] not in ("", "#") for line in lines):
-            return None
-        return [line[2:] for line in lines if line[:2] == "v "], [
-            line[2:] for line in lines if line[:2] == "f "]
-
-    v, f = ["v 0 0 0", "v 1 0 0", "v 1 1 0"], ["f 1 2 3", "f 3 2 1"]
-    cases = {  # name: (lines, whether both kinds are cut as runs)
-        "runs": (v + f, True),
-        "faces first": (f + v, True),
-        "comments around": (["# a", ""] + v + ["", "#b"] + f + ["#"], True),
-        "vertices only": (v, True),
-        "no record": (["#", ""], True),
-        "no line": ([], True),
-        "blank tags": (["v ", "v \t"] + f + ["f "], True),
-        "record between runs": (v + ["vn 0 0 1"] + f, True),
-        "bare tag": (v + ["v"] + f, True),
-        "comment in a run": (v[:1] + ["# x"] + v[1:] + f, False),
-        "interleaved": (v[:2] + f[:1] + v[2:] + f[1:], False),
-        "record in a run": (v[:1] + ["vt 0 0"] + v[1:] + f, False),
-    }
-    for name, (lines, cut) in cases.items():
-        assert _plain_records(lines) == per_line(lines), name
-        body = "\n" + "\n".join(lines)
-        assert (None not in (_tag_run(body, "\nv "), _tag_run(body, "\nf "))) == cut, name
-    assert per_line(cases["record between runs"][0]) is per_line(cases["record in a run"][0]) is None
 
 
 def test_obj_inputs_off_the_numpy_reader_keep_their_outcomes(tmp_path, capsys):

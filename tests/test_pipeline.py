@@ -422,41 +422,6 @@ def test_cli_explicit_flags_beat_the_config_file(tmp_path):
     assert len(structure["trees"][0]["nodes"]) == 4  # leaves route, not top-2 metric
 
 
-def _written(out):
-    """Every file a CLI run wrote, by name; report.json without its timings,
-    and report.txt, which is mostly its timing table, left out."""
-    def untimed(value):
-        if isinstance(value, dict):
-            return {k: untimed(v) for k, v in value.items() if not k.endswith("millis")}
-        return [untimed(v) for v in value] if isinstance(value, list) else value
-
-    files = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "report.txt"}
-    files["report.json"] = untimed(json.loads(files["report.json"]))
-    return files
-
-
-def test_cli_parser_is_built_once_and_keeps_no_state_between_runs(corridor, tmp_path):
-    surf, blk = write_corridor_files(corridor, tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("ray-count = 3\nformat = json\n")
-    inputs = ["--surface", str(surf), "--blockers", str(blk), "--interval", "1.0"]
-    runs = [
-        ["extract", *inputs, "--format", "json"],
-        ["analyze", *inputs, "--format", "obj", "--format", "dot", "--config", str(cfg)],
-    ]
-    build_parser.cache_clear()
-    for k, argv in enumerate(runs):
-        assert main([*argv, "--out", str(tmp_path / f"reused{k}")]) == 0
-    assert build_parser.cache_info()[:2] == (1, 1)  # one hit, one build
-    for k, argv in enumerate(runs):
-        build_parser.cache_clear()
-        assert main([*argv, "--out", str(tmp_path / f"fresh{k}")]) == 0
-        assert _written(tmp_path / f"reused{k}") == _written(tmp_path / f"fresh{k}")
-    assert sorted(_written(tmp_path / "reused0")) == ["report.json", "structure.json"]
-    # the explicit formats win over the config file's
-    assert sorted(_written(tmp_path / "reused1")) == ["overlay.obj", "report.json", "structure.dot"]
-
-
 def test_cli_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["extract", "--surface", "s.obj"])
     assert _config_from_args(args, analyze=False) == PipelineConfig(
