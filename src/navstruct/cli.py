@@ -112,21 +112,34 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _apply_config(
-    args: argparse.Namespace, options: dict[str, argparse.Action], config: dict[str, str]
+    args: argparse.Namespace,
+    options: dict[str, argparse.Action],
+    config: dict[str, str],
+    given: set[str],
 ) -> None:
-    """Fill parsed args from the config file wherever the command line left
-    the default in place (explicit flags therefore win).  A list-valued flag
-    (one whose default is a list) takes a comma-separated value."""
+    """Fill parsed args from the config file for every flag not in `given`,
+    the flags the command line sets (explicit flags therefore win, even at
+    their default value).  A list-valued flag (one whose default is a list)
+    takes a comma-separated value."""
     for key, raw in config.items():
         if key not in options:
             raise ValidationError(f"unknown config key {key!r}")
+        if key in given:
+            continue
         action = options[key]
-        if getattr(args, key) != action.default:
-            continue  # explicitly set on the command line
         is_list = isinstance(action.default, list)
         values = [_config_value(key, action, text.strip())
                   for text in (raw.split(",") if is_list else [raw])]
         setattr(args, key, values if is_list else values[0])
+
+
+def _given_flags(argv: list[str] | None) -> set[str]:
+    """The destinations of the flags `argv` sets: a parse in which no
+    pipeline flag has a default leaves only those in its namespace."""
+    parser = build_parser()
+    for action in parser.parse_args(argv).options.values():
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
 
 
 def _config_value(key: str, action: argparse.Action, text: str):
@@ -172,6 +185,8 @@ def _run_pipeline_command(args: argparse.Namespace, analyze: bool) -> int:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    if args.instances < 1:
+        raise ValidationError(f"--instances must be at least 1, got {args.instances}")
     from .oracles import run_oracle_suites
 
     results = run_oracle_suites(seed=args.seed, instances=args.instances)
@@ -189,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, args.options, _read_config_file(args.config))
+            config = _read_config_file(args.config)
+            _apply_config(args, args.options, config, _given_flags(argv))
         if args.command == "extract":
             return _run_pipeline_command(args, analyze=False)
         if args.command == "analyze":

@@ -150,28 +150,67 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
     Euclidean weight.
 
     The records are checked and converted in passes over whole lists; when a
-    pass finds a fault, a scan of the records in file order raises the first
-    one's error, as `oracles.load_graph_json_per_node` reads the file."""
+    pass raises ValueError or OverflowError, `load_graph_json_per_node` reads
+    the document one record at a time and its answer stands: the graph, or
+    the first faulty record's error."""
     p = Path(path)
     data = read_json(p)
-    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
-        raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
-    records, links = data["nodes"], data["edges"]
-    if not isinstance(records, list) or not isinstance(links, list):
-        raise ParseError(f"{p}: 'nodes' and 'edges' must be lists")
+    records, links = _graph_lists(data, p)
     try:
         positions, normals = _node_arrays(records)
-    except (OverflowError, ValueError):
-        _scan_nodes(records, p)
-        raise
-    _check_coordinates(positions, "graph node")
-    try:
+        _check_coordinates(positions, "graph node")
         rows = _edge_rows(links, positions)
     except (OverflowError, ValueError):
-        _scan_edges(links, positions, p)
-        raise
+        return load_graph_json_per_node(p, data)
     nodes = list(map(GraphNode, positions, normals, repeat(None), repeat(SOURCE_SAMPLE)))
     return SurfaceGraph(nodes, rows)
+
+
+def load_graph_json_per_node(path: str | Path, data=None) -> SurfaceGraph:
+    """`load_graph_json` one record at a time: each node's vectors through
+    `_finite_vector`, each 2-element edge's weight through its own
+    np.linalg.norm call, and the edges passed on as a list of tuples.
+    `data` is the file's JSON document when the caller has read it already.
+    Raises the first faulty record's error, in file order."""
+    p = Path(path)
+    records, links = _graph_lists(read_json(p) if data is None else data, p)
+    nodes = []
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or "pos" not in rec:
+            raise ParseError(f"{p}: node {k} must be an object with 'pos'")
+        pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
+        normal = _finite_vector(rec.get("normal", [0.0, 0.0, 1.0]), f"{p}: node {k} 'normal'")
+        length = math.hypot(*normal.tolist())
+        if not 0.0 < length < math.inf:
+            raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
+        nodes.append(GraphNode(position=pos, normal=normal / length, source=SOURCE_SAMPLE))
+    _check_coordinates(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
+    edges = []
+    for rec in links:
+        if not isinstance(rec, list) or len(rec) not in (2, 3):
+            raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
+        i, j = as_index(rec[0], p), as_index(rec[1], p)
+        w = as_number(rec[2], p) if len(rec) == 3 else None
+        if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
+            raise ParseError(f"{p}: edge ({i}, {j}) out of range")
+        if w is None:
+            w = float(np.linalg.norm(nodes[i].position - nodes[j].position))
+        if not math.isfinite(w):
+            raise ParseError(f"{p}: edge ({i}, {j}) has non-finite weight")
+        if w <= 0.0:
+            raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
+        edges.append((i, j, w))
+    return SurfaceGraph(nodes, edges)
+
+
+def _graph_lists(data, p: Path) -> tuple[list, list]:
+    """The node and edge records of a graph document; ParseError unless it
+    is an object whose 'nodes' and 'edges' are lists."""
+    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
+        raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise ParseError(f"{p}: 'nodes' and 'edges' must be lists")
+    return data["nodes"], data["edges"]
 
 
 def _node_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
@@ -238,34 +277,6 @@ def _edge_rows(links: list, positions: np.ndarray) -> np.ndarray:
     if not (np.isfinite(w) & (w > 0.0)).all():
         raise ValueError("an edge weight is not finite and positive")
     return np.column_stack((ij, w))
-
-
-def _scan_nodes(records: list, p: Path) -> None:
-    """Raise the error of the first faulty node record in file order."""
-    for k, rec in enumerate(records):
-        if not isinstance(rec, dict) or "pos" not in rec:
-            raise ParseError(f"{p}: node {k} must be an object with 'pos'")
-        _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
-        normal = _finite_vector(rec.get("normal", [0.0, 0.0, 1.0]), f"{p}: node {k} 'normal'")
-        if not 0.0 < math.hypot(*normal.tolist()) < math.inf:
-            raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
-
-
-def _scan_edges(links: list, positions: np.ndarray, p: Path) -> None:
-    """Raise the error of the first faulty edge record in file order."""
-    for rec in links:
-        if not isinstance(rec, list) or len(rec) not in (2, 3):
-            raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
-        i, j = as_index(rec[0], p), as_index(rec[1], p)
-        w = as_number(rec[2], p) if len(rec) == 3 else None
-        if not (0 <= i < len(positions) and 0 <= j < len(positions)):
-            raise ParseError(f"{p}: edge ({i}, {j}) out of range")
-        if w is None:
-            w = float(np.linalg.norm(positions[i] - positions[j]))
-        if not math.isfinite(w):
-            raise ParseError(f"{p}: edge ({i}, {j}) has non-finite weight")
-        if w <= 0.0:
-            raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
 
 
 def _finite_vector(value, what: str) -> np.ndarray:

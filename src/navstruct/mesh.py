@@ -15,6 +15,11 @@ used only as a raycast target.
 all ring corners; `oracles.build_walkable_surface_per_polygon` does the same one
 polygon at a time and is the reference it must match, field for field and
 error for error.
+
+An OBJ input has two readers.  `_plain_obj` reads a text in the plain layout
+with numpy's C parser; every other text, sound or faulty, goes to
+`parse_obj_per_line`, which reads one line at a time and whose vertices,
+faces or error stand as the answer.
 """
 from __future__ import annotations
 
@@ -22,7 +27,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -281,45 +285,78 @@ def as_number(value, where: str | Path) -> float:
 
 _OBJ_IGNORED = {"vn", "vt", "vp", "o", "g", "s", "mtllib", "usemtl"}
 
-# lines the OBJ reader splits and converts at a time, so that the split rows
-# of one block are alive at once and not those of the whole file
-_OBJ_BLOCK = 1024
-
 
 def _parse_obj(path: Path) -> tuple[np.ndarray, np.ndarray | list[list[int]]]:
     """Vertices as a (V, 3) array and faces as 0-based index rings, read
     from the `v` and `f` records of an OBJ file.  A text in the plain layout
     is read by numpy's C parser (`_plain_obj`), and its faces come as one
-    (F, k) int64 table.  Any other text is read whole in passes over blocks
-    of records, its faces as lists: one split per line, one float() pass
-    over every vertex coordinate and one int() pass over every face index.
-    When a pass finds a fault, `_first_obj_fault` names the first faulty
-    line, as `oracles.parse_obj_per_line` reads the file.  A file with no
-    vertex reads as np.asarray([]) of shape (0,): build_walkable_surface
-    refuses it as not (N, 3), and load_blocker_mesh reads it as an empty
-    mesh."""
-    text = read_text(path)
-    lines = text.splitlines()
+    (F, k) int64 table.  Any other text, sound or faulty, is read one line
+    at a time by `parse_obj_per_line`, whose answer stands: its vertex rows
+    as an array and its faces as lists, or its ParseError naming the first
+    faulty line.  A file with no vertex reads as np.empty(0) of shape (0,):
+    build_walkable_surface refuses it as not (N, 3), and load_blocker_mesh
+    reads it as an empty mesh."""
+    lines = read_text(path).splitlines()
     plain = _plain_obj(lines)
     if plain is not None:
         return plain
-    slash = "/" in text  # v/vt/vn face tokens: the vertex index is the first field
-    try:
-        blocks = [_obj_block(lines[k:k + _OBJ_BLOCK], slash)
-                  for k in range(0, len(lines), _OBJ_BLOCK)]
-    except ValueError:
-        lineno, message = _first_obj_fault(lines)
-        raise ParseError(f"{path}:{lineno}: {message}") from None
-    verts = np.concatenate([np.empty(0), *(coords for coords, _ in blocks)])
-    faces = list(itertools.chain.from_iterable(rings for _, rings in blocks))
-    return (verts.reshape(-1, 3) if len(verts) else verts), faces
+    verts, faces = parse_obj_per_line(path, lines)
+    return (np.array(verts) if verts else np.empty(0)), faces
+
+
+def parse_obj_per_line(
+    path, lines: list[str] | None = None
+) -> tuple[list[list[float]], list[list[int]]]:
+    """The `v` and `f` records of an OBJ file read one line at a time:
+    vertex rows and face rings as lists, each token converted on its own.
+    `lines` are the file's lines when the caller has read them already.
+    ParseError names the first faulty line."""
+    if lines is None:
+        lines = read_text(Path(path)).splitlines()
+    verts: list[list[float]] = []
+    faces: list[list[int]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "v":
+            if len(fields) < 4:
+                raise ParseError(f"{path}:{lineno}: vertex record needs 3 coordinates")
+            try:
+                coords = [float(x) for x in fields[1:4]]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
+            if not all(math.isfinite(x) for x in coords):
+                raise ParseError(f"{path}:{lineno}: vertex coordinates must be finite")
+            verts.append(coords)
+        elif tag == "f":
+            ring = []
+            for tok in fields[1:]:
+                head = tok.split("/")[0]
+                try:
+                    idx = int(head)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from exc
+                if idx <= 0:
+                    raise ParseError(f"{path}:{lineno}: face indices must be positive (1-based)")
+                ring.append(idx - 1)
+            if len(ring) < 3:
+                raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+            faces.append(ring)
+        elif tag in _OBJ_IGNORED:
+            continue  # harmless metadata records
+        else:
+            raise ParseError(f"{path}:{lineno}: unsupported OBJ record {tag!r}")
+    return verts, faces
 
 
 def _plain_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """Vertices as a (V, 3) array and faces as one (F, k) int64 array of
     0-based ids, read by numpy's C parser, when the OBJ lines are in the
-    plain layout; None for any other text, which `_obj_block` then reads
-    whole.
+    plain layout; None for any other text, which `parse_obj_per_line` then
+    reads.
 
     The plain layout: every line is empty, a `#` comment, `v x y z` or
     `f i j k...` with one space after the tag; every face has the same
@@ -357,66 +394,6 @@ def _loadtxt(rows: list[str], dtype) -> np.ndarray:
     if len(table) != len(rows):
         raise ValueError("blank row")
     return table
-
-
-def _obj_block(lines: list[str], slash: bool) -> tuple[np.ndarray, list[list[int]]]:
-    """The vertex coordinates, flat, and the face rings of some OBJ lines;
-    ValueError when a record is at fault."""
-    rows = list(filter(None, map(str.split, lines)))
-    tags = list(map(itemgetter(0), rows))
-    if not all(tag.startswith("#") for tag in set(tags).difference(("v", "f"), _OBJ_IGNORED)):
-        raise ValueError("unsupported OBJ record")
-    vrows = list(itertools.compress(rows, map("v".__eq__, tags)))
-    frows = list(itertools.compress(rows, map("f".__eq__, tags)))
-    del rows, tags  # each kind's split rows are dropped once converted
-    if min(map(len, vrows), default=4) < 4:
-        raise ValueError("vertex record needs 3 coordinates")
-    coords = map(float, itertools.chain.from_iterable(map(itemgetter(1, 2, 3), vrows)))
-    verts = np.fromiter(coords, dtype=float, count=3 * len(vrows))
-    del vrows
-    if not np.isfinite(verts).all():
-        raise ValueError("vertex coordinates must be finite")
-    counts = [len(row) - 1 for row in frows]
-    if min(counts, default=3) < 3:
-        raise ValueError("face needs at least 3 vertices")
-    tokens = itertools.chain.from_iterable(map(itemgetter(slice(1, None)), frows))
-    if slash:
-        tokens = (token.partition("/")[0] for token in tokens)
-    ids = list(map(int, tokens))
-    del frows
-    if min(ids, default=1) < 1:
-        raise ValueError("face indices must be positive")
-    shifted = iter([i - 1 for i in ids])
-    return verts, list(map(list, map(itertools.islice, itertools.repeat(shifted), counts)))
-
-
-def _first_obj_fault(lines: list[str]) -> tuple[int, str] | None:
-    """Line number and message of the first OBJ record `_parse_obj` refuses,
-    checking the lines in file order."""
-    for lineno, fields in enumerate(map(str.split, lines), start=1):
-        tag = fields[0] if fields else "#"
-        if tag == "v":
-            if len(fields) < 4:
-                return lineno, "vertex record needs 3 coordinates"
-            try:
-                coords = list(map(float, fields[1:4]))
-            except ValueError:
-                return lineno, "bad vertex coordinate"
-            if not all(map(math.isfinite, coords)):
-                return lineno, "vertex coordinates must be finite"
-        elif tag == "f":
-            for token in fields[1:]:
-                try:
-                    index = int(token.partition("/")[0])
-                except ValueError:
-                    return lineno, f"bad face index {token!r}"
-                if index <= 0:
-                    return lineno, "face indices must be positive (1-based)"
-            if len(fields) < 4:
-                return lineno, "face needs at least 3 vertices"
-        elif not tag.startswith("#") and tag not in _OBJ_IGNORED:
-            return lineno, f"unsupported OBJ record {tag!r}"
-    return None
 
 
 def _parse_surface_json(

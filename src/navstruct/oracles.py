@@ -20,18 +20,16 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateEdge, NavStructError, ParseError, PointOffMesh, ValidationError
+from .errors import DegenerateEdge, NavStructError, PointOffMesh, ValidationError
 from .graph import (
     SOURCE_POLYGON,
-    SOURCE_SAMPLE,
     GraphNode,
     SurfaceGraph,
-    _finite_vector,
     graph_from_navmesh,
     load_graph_json,
+    load_graph_json_per_node,
 )
 from .mesh import (
-    _OBJ_IGNORED,
     DEFAULT_HEIGHT_TOL,
     GEOM_EPS,
     PLANE_EPS,
@@ -41,12 +39,9 @@ from .mesh import (
     _parse_obj,
     _stitch_boundary_loops,
     _weld,
-    as_index,
-    as_number,
     build_blocker_mesh,
     build_walkable_surface,
-    read_json,
-    read_text,
+    parse_obj_per_line,
 )
 from .raycast import EPS, _segment_box
 from .trees import SimplifyConfig
@@ -545,93 +540,12 @@ def _graph_outcome_differences(outcomes: list) -> list[str]:
     return differ
 
 
-def load_graph_json_per_node(path) -> SurfaceGraph:
-    """`graph.load_graph_json` one record at a time: each node's vectors
-    through `_finite_vector`, each 2-element edge's weight through its own
-    np.linalg.norm call, and the edges passed on as a list of tuples."""
-    p = Path(path)
-    data = read_json(p)
-    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
-        raise ParseError(f"{p}: expected object with 'nodes' and 'edges'")
-    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
-        raise ParseError(f"{p}: 'nodes' and 'edges' must be lists")
-    nodes = []
-    for k, rec in enumerate(data["nodes"]):
-        if not isinstance(rec, dict) or "pos" not in rec:
-            raise ParseError(f"{p}: node {k} must be an object with 'pos'")
-        pos = _finite_vector(rec["pos"], f"{p}: node {k} 'pos'")
-        normal = _finite_vector(rec.get("normal", [0.0, 0.0, 1.0]), f"{p}: node {k} 'normal'")
-        length = math.hypot(*normal.tolist())
-        if not 0.0 < length < math.inf:
-            raise ParseError(f"{p}: node {k} 'normal' must have a nonzero finite length")
-        nodes.append(GraphNode(position=pos, normal=normal / length, source=SOURCE_SAMPLE))
-    _check_coordinates(np.array([n.position for n in nodes]).reshape(-1, 3), "graph node")
-    edges = []
-    for rec in data["edges"]:
-        if not isinstance(rec, list) or len(rec) not in (2, 3):
-            raise ParseError(f"{p}: edge entries must be [i, j] or [i, j, w]")
-        i, j = as_index(rec[0], p), as_index(rec[1], p)
-        w = as_number(rec[2], p) if len(rec) == 3 else None
-        if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
-            raise ParseError(f"{p}: edge ({i}, {j}) out of range")
-        if w is None:
-            w = float(np.linalg.norm(nodes[i].position - nodes[j].position))
-        if not math.isfinite(w):
-            raise ParseError(f"{p}: edge ({i}, {j}) has non-finite weight")
-        if w <= 0.0:
-            raise DegenerateEdge(f"edge ({i}, {j}) has non-positive weight {w}")
-        edges.append((i, j, w))
-    return SurfaceGraph(nodes, edges)
-
-
 def graph_load_differences(path) -> list[str]:
     """How `graph.load_graph_json` differs from the per-record reference on
     one file, as graph_differences tells it."""
     return _graph_outcome_differences(
         [_outcome(load, path) for load in (load_graph_json, load_graph_json_per_node)]
     )
-
-
-def parse_obj_per_line(path) -> tuple[list[list[float]], list[list[int]]]:
-    """`mesh._parse_obj` one line at a time: vertex rows and face rings as
-    lists, each token converted on its own."""
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "v":
-            if len(fields) < 4:
-                raise ParseError(f"{path}:{lineno}: vertex record needs 3 coordinates")
-            try:
-                coords = [float(x) for x in fields[1:4]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            if not all(math.isfinite(x) for x in coords):
-                raise ParseError(f"{path}:{lineno}: vertex coordinates must be finite")
-            verts.append(coords)
-        elif tag == "f":
-            ring = []
-            for tok in fields[1:]:
-                head = tok.split("/")[0]
-                try:
-                    idx = int(head)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from exc
-                if idx <= 0:
-                    raise ParseError(f"{path}:{lineno}: face indices must be positive (1-based)")
-                ring.append(idx - 1)
-            if len(ring) < 3:
-                raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-            faces.append(ring)
-        elif tag in _OBJ_IGNORED:
-            continue  # harmless metadata records
-        else:
-            raise ParseError(f"{path}:{lineno}: unsupported OBJ record {tag!r}")
-    return verts, faces
 
 
 def obj_parse_differences(path) -> list[str]:
@@ -1232,11 +1146,11 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
 
     # seeded OBJ texts and graph documents, a third of them sound and the
     # rest with one or two faults, some behind a UTF-8 byte-order mark; every
-    # seventh OBJ text is 150 texts long, over two blocks of the reader, with
-    # the faults in the last one.  Each draw also makes two OBJ texts in the
-    # plain layout, one sound and one with k % 2 faults, from a stream of
-    # their own so that the later suites' inputs stay the same; about half
-    # of all texts are then read by numpy's path
+    # seventh OBJ text is 150 texts long, with the faults in the last one.
+    # Each draw also makes two OBJ texts in the plain layout, one sound and
+    # one with k % 2 faults, from a stream of their own so that the later
+    # suites' inputs stay the same; about half of all texts are then read by
+    # numpy's path
     obj_wrong = obj_refused = graph_wrong = graph_refused = 0
     texts = 8 * instances
     with tempfile.TemporaryDirectory() as tmp:

@@ -29,8 +29,8 @@ def rng():
 @pytest.fixture()
 def plain_obj_reads(monkeypatch):
     """The outcome of every call of the OBJ reader's numpy path, in call
-    order: True when it read the text, False when it left it to the block
-    reader."""
+    order: True when it read the text, False when it left it to the
+    per-line reader."""
     outcomes = []
     plain_obj = mesh._plain_obj
 

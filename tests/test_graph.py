@@ -251,6 +251,40 @@ def test_load_graph_json_names_the_first_fault_in_file_order(tmp_path):
         assert got == _load_outcome(load_graph_json_per_node, path)
 
 
+@pytest.mark.parametrize("name, error", [("_edge_rows", ValueError), ("_node_arrays", OverflowError)])
+def test_load_graph_json_returns_the_per_record_answer_when_an_array_pass_raises(
+    tmp_path, monkeypatch, capsys, name, error
+):
+    """An array pass that raises on a sound document hands it to the
+    per-record reader, whose graph stands, and the CLI runs on it."""
+    from navstruct import graph
+    from navstruct.cli import main
+
+    path = tmp_path / "graph.json"
+    nodes = [{"pos": [0, 0, 0]}, {"pos": [1, 0, 0], "normal": [0, 0, 2]},
+             {"pos": [1, 2, 0]}, {"pos": [3, 2, 0]}]
+    path.write_text(json.dumps({"nodes": nodes, "edges": [[0, 1], [1, 2, 2.5], [2, 3]]}))
+    want = load_graph_json(path)
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise error("refused")
+
+    monkeypatch.setattr(graph, name, refuse)
+    got = load_graph_json(path)
+    assert len(calls) == 1
+    assert got.edges == want.edges == [(0, 1, 1.0), (1, 2, 2.5), (2, 3, 2.0)]
+    for a, b in zip(got.nodes, want.nodes, strict=True):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert a.normal.tobytes() == b.normal.tobytes()
+        assert (a.polygon, a.source, a.terminal) == (b.polygon, b.source, b.terminal)
+    out = tmp_path / "out"
+    assert main(["extract", "--graph", str(path), "--terminals", "leaves", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(calls) == 2 and (out / "structure.json").exists()
+
+
 def test_load_graph_json_reads_integral_float_indices_and_refuses_bools(tmp_path):
     path = tmp_path / "graph.json"
     nodes = [{"pos": [0, 0, 0]}, {"pos": [3, 4, 0]}, {"pos": [3, 4, 12]}]

@@ -91,7 +91,7 @@ def test_obj_parse_rejects_bad_records(tmp_path):
         with pytest.raises(ParseError, match=needle):
             load_walkable_surface(path)
     # two faults of different kinds: the earlier line is the one named, with
-    # its path and line number, whichever kind the passes meet first
+    # its path and line number, whichever kind it is
     quad = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
     for text, where, message in [
         (quad + "f 1 2 x 4\nv nan 0 0\n", 5, "bad face index 'x'"),
@@ -144,9 +144,9 @@ def test_obj_parse_reads_separators_and_token_forms_like_the_per_line_reader(tmp
     assert _parse_obj(path)[0].shape == np.array(parse_obj_per_line(path)[0]).shape == (0,)
 
 
-def test_obj_parse_reads_long_files_block_by_block(tmp_path):
-    # 3,000 vertex lines, then faces over them: the reader's blocks split
-    # both the vertices and the faces
+def test_obj_parse_reads_long_files_plain_and_line_by_line(tmp_path):
+    # 3,000 vertex lines, then faces over them, in the plain layout and with
+    # a tab after each tag, which the per-line reader reads
     rng = np.random.default_rng(2)
     points = rng.normal(size=(3000, 3)) * 100.0
     lines = ["v " + " ".join(map(repr, p)) for p in points.tolist()]
@@ -156,14 +156,50 @@ def test_obj_parse_reads_long_files_block_by_block(tmp_path):
     verts, faces = _parse_obj(path)
     assert verts.tobytes() == points.tobytes()
     assert faces.dtype == np.int64 and faces.tolist() == parse_obj_per_line(path)[1]
-    # a fault in a later block is named by its line, behind sound blocks
-    for where, bad in ((2500, "v 1 2 nan"), (4000, "f 1 2 0"), (1025, "vx 0 0 0")):
-        path.write_text("\n".join(lines[:where - 1] + [bad] + lines[where - 1:]))
-        with pytest.raises(ParseError) as info:
-            _parse_obj(path)
-        assert str(info.value).startswith(f"{path}:{where}: ")
-        assert (type(info.value), str(info.value)) == (
-            type(_per_line_outcome(path)), str(_per_line_outcome(path)))
+    tabbed = [line.replace(" ", "\t", 1) for line in lines]
+    path.write_text("\n".join(tabbed))
+    verts, faces = _parse_obj(path)
+    assert verts.shape == (3000, 3) and verts.tobytes() == points.tobytes()
+    assert faces == parse_obj_per_line(path)[1]
+    assert all(type(i) is int for ring in faces for i in ring)
+    # a fault late in a long file is named by its line, behind sound lines
+    for text in (lines, tabbed):
+        for where, bad in ((2500, "v 1 2 nan"), (4000, "f 1 2 0"), (1025, "vx 0 0 0")):
+            path.write_text("\n".join(text[:where - 1] + [bad] + text[where - 1:]))
+            with pytest.raises(ParseError) as info:
+                _parse_obj(path)
+            assert str(info.value).startswith(f"{path}:{where}: ")
+            assert (type(info.value), str(info.value)) == (
+                type(_per_line_outcome(path)), str(_per_line_outcome(path)))
+
+
+def test_obj_parse_returns_the_per_line_answer_when_numpy_leaves_a_text(
+    tmp_path, monkeypatch, capsys
+):
+    """With numpy's path leaving every text, a plain text's vertices, faces
+    and errors come from the per-line reader, and the CLI runs on it."""
+    from navstruct import mesh
+    from navstruct.cli import main
+
+    quads = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 2 0 0\nv 2 1 0\n"
+    surface = tmp_path / "surface.obj"
+    surface.write_text(quads + "f 1 2 3 4\nf 2 5 6 3\n")
+    want_verts, want_table = _parse_obj(surface)
+    monkeypatch.setattr(mesh, "_plain_obj", lambda lines: None)
+    verts, faces = _parse_obj(surface)
+    assert verts.shape == (6, 3) and verts.tobytes() == want_verts.tobytes()
+    assert faces == want_table.tolist() == [[0, 1, 2, 3], [1, 4, 5, 2]]
+    out = tmp_path / "out"
+    assert main(["extract", "--surface", str(surface), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "structure.json").exists()
+    surface.write_text(quads + "f 1 2 3 4\nf 2 5 6 0\n")
+    with pytest.raises(ParseError) as info:
+        _parse_obj(surface)
+    assert str(info.value) == f"{surface}:8: face indices must be positive (1-based)"
+    surface.write_text("")
+    verts, faces = _parse_obj(surface)
+    assert verts.shape == (0,) and faces == []
 
 
 def test_obj_parse_leaves_numpy_on_a_token_only_python_reads(tmp_path, plain_obj_reads):
@@ -221,7 +257,7 @@ def test_obj_parse_refuses_a_comment_after_a_face_both_ways(tmp_path, plain_obj_
 
 def test_obj_inputs_off_the_numpy_reader_keep_their_outcomes(tmp_path, capsys):
     """A surface of triangles and quads, a -1 index and a 20-digit index:
-    the per-block reader reads them, and the CLI ends each as before."""
+    the per-line reader reads them, and the CLI ends each as before."""
     from navstruct.cli import main
 
     quads = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 2 0 0\n"
@@ -254,7 +290,7 @@ def test_obj_inputs_off_the_numpy_reader_keep_their_outcomes(tmp_path, capsys):
 
 def test_numpy_loadtxt_refuses_what_the_obj_fast_path_relies_on():
     """np.loadtxt behaviour that `mesh._plain_obj` counts on to leave a text
-    to the per-block reader; a numpy that changes any of it fails here."""
+    to the per-line reader; a numpy that changes any of it fails here."""
     def load(rows, dtype):
         return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
 

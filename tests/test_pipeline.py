@@ -422,6 +422,30 @@ def test_cli_explicit_flags_beat_the_config_file(tmp_path):
     assert len(structure["trees"][0]["nodes"]) == 4  # leaves route, not top-2 metric
 
 
+def test_cli_explicit_flags_beat_the_config_file_at_their_default(tmp_path, monkeypatch):
+    """A flag on the command line wins over the config file even when its
+    value is the flag's default; a flag left off takes the file's value."""
+    from navstruct import cli
+
+    gp = write_chain_json(tmp_path / "chain.json")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("terminals = metric\nk = 8\ninterval = 2.5\n")
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise ValidationError("stopped before the pipeline")
+
+    monkeypatch.setattr(cli, "run_extract", stop)
+    argv = ["extract", "--graph", str(gp), "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--k", "4", "--terminals", "entry-exit"]) == 2
+    assert main(argv + ["--k", "5"]) == 2
+    assert main(argv + ["--k=4"]) == 2
+    assert main(argv) == 2
+    assert [(c.k, c.terminals, c.interval) for c in seen] == [
+        (4, "entry-exit", 2.5), (5, "metric", 2.5), (4, "metric", 2.5), (8, "metric", 2.5)]
+
+
 def test_cli_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["extract", "--surface", "s.obj"])
     assert _config_from_args(args, analyze=False) == PipelineConfig(
@@ -940,6 +964,18 @@ def test_cli_survives_seeded_config_mutations(tmp_path, capsys):
             assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, (
                 case, cfg.read_bytes(), err)
     assert set(codes) == {0, 2}
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_oracle_refuses_fewer_than_one_instance(count, capsys, monkeypatch):
+    def run(**_kwargs):
+        raise AssertionError("the suites ran")
+
+    monkeypatch.setattr(oracles, "run_oracle_suites", run)
+    assert main(["oracle", "--instances", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --instances must be at least 1, got {count}" in captured.err.splitlines()
 
 
 def test_cli_oracle_suites_pass(capsys, plain_obj_reads):
