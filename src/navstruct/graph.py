@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -69,34 +70,55 @@ class SurfaceGraph:
     def __init__(
         self, nodes: list[GraphNode], edges: list[tuple[int, int, float]] | np.ndarray
     ) -> None:
-        rows = np.asarray(edges, dtype=float).reshape(-1, 3)
-        ends = rows[:, :2].astype(np.intp)
-        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
-        if len(loops):
-            raise ValidationError(f"self-loop on node {ends[loops[0], 0]}")
-        ends.sort(axis=1)
-        order = np.lexsort((ends[:, 1], ends[:, 0]))
-        i, j = ends[order].T
-        weights = rows[order, 2]
-        repeats = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
-        if len(repeats):
-            k = repeats[0]
-            raise ValidationError(f"duplicate edge ({i[k]}, {j[k]})")
+        i, j, weights = _sorted_edges(edges)
         listed = weights.tolist()
-        try:
-            total = math.fsum(listed)
-        except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
-            total = math.inf
-        if not math.isfinite(total):
-            raise ValidationError("edge weights sum past the float range")
+        _check_weight_sum(listed)
         self.nodes = nodes
         self.edges = list(zip(i.tolist(), j.tolist(), listed))
-        n = len(nodes)
-        tail, head = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.lexsort((head, tail))
-        tail, head, weight = tail[order], head[order], np.concatenate([weights, weights])[order]
-        matrix = csr_matrix((weight, head, np.searchsorted(tail, np.arange(n + 1))), shape=(n, n))
-        self.arcs = Arcs(matrix, tail, matrix.indices, matrix.data)
+        tail, head, weight = _sorted_arcs(i, j, weights)
+        self.arcs = _arcs(tail, head, weight, np.searchsorted(tail, np.arange(len(nodes) + 1)))
+
+    def with_leaves(
+        self, nodes: list[GraphNode], links: list[tuple[int, int, float]]
+    ) -> SurfaceGraph:
+        """The graph `SurfaceGraph(self.nodes + nodes, self.edges + links)`
+        returns, errors included, built without re-sorting the old edges.
+
+        Each link (i, j, w) must join a new node, one of id len(self) or
+        more, to any node (ValueError otherwise).  Every new id then
+        exceeds every old one, so each link sorts after the old edges from
+        its lower end and before those from the next node: `bisect` finds
+        its place in `edges`, and each new arc goes in at the end of its
+        tail's row of `arcs`.  The weights are summed in the order of the
+        merged edges, as the constructor sums them.  This graph is
+        untouched."""
+        n = len(self.nodes)
+        i, j, weights = _sorted_edges(links)
+        if len(j) and j.min() < n:
+            raise ValueError("every link must join a new node")
+        new = list(zip(i.tolist(), j.tolist(), weights.tolist()))
+        places = [bisect_left(self.edges, (a, b)) for a, b, _ in new]
+        edges, done = [], 0
+        for place, link in zip(places, new):
+            edges += self.edges[done:place]
+            edges.append(link)
+            done = place
+        edges += self.edges[done:]
+        old = self.arcs
+        _check_weight_sum(np.insert(old.weight[old.tail < old.head], places, weights).tolist())
+        # a new arc from an old node ends that node's row; the rest follow the old arcs
+        tail, head, weight = _sorted_arcs(i, j, weights)
+        at = old.matrix.indptr[np.minimum(tail + 1, n)]
+        ids = np.arange(n + len(nodes) + 1)
+        indptr = old.matrix.indptr[np.minimum(ids, n)] + np.searchsorted(tail, ids)
+        graph = object.__new__(type(self))
+        graph.nodes = self.nodes + nodes
+        graph.edges = edges
+        graph.arcs = _arcs(
+            np.insert(old.tail, at, tail), np.insert(old.head, at, head),
+            np.insert(old.weight, at, weight), indptr,
+        )
+        return graph
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -113,6 +135,52 @@ class SurfaceGraph:
 
     def centroid(self) -> np.ndarray:
         return self.positions().mean(axis=0)
+
+
+def _sorted_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (i, j, w) of `edges` as arrays i, j, w, each row turned so
+    that i < j and the rows sorted by (i, j).  ValidationError for the first
+    self-loop listed or the lowest repeated pair."""
+    rows = np.asarray(edges, dtype=float).reshape(-1, 3)
+    ends = rows[:, :2].astype(np.intp)
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    if len(loops):
+        raise ValidationError(f"self-loop on node {ends[loops[0], 0]}")
+    ends.sort(axis=1)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    i, j = ends[order].T
+    repeats = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+    if len(repeats):
+        k = repeats[0]
+        raise ValidationError(f"duplicate edge ({i[k]}, {j[k]})")
+    return i, j, rows[order, 2]
+
+
+def _check_weight_sum(weights: list[float]) -> None:
+    """ValidationError unless the weights, summed in the order given, have
+    a finite float sum."""
+    try:
+        total = math.fsum(weights)
+    except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError("edge weights sum past the float range")
+
+
+def _sorted_arcs(i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """The edges (i, j, w) as arcs in both directions, (tail, head, weight)
+    sorted by (tail, head)."""
+    tail, head = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((head, tail))
+    return tail[order], head[order], np.concatenate([w, w])[order]
+
+
+def _arcs(tail: np.ndarray, head: np.ndarray, weight: np.ndarray, indptr: np.ndarray) -> Arcs:
+    """`Arcs` of arcs sorted by (tail, head), row r of them starting at
+    indptr[r]."""
+    n = len(indptr) - 1
+    matrix = csr_matrix((weight, head, indptr), shape=(n, n))
+    return Arcs(matrix, tail, matrix.indices, matrix.data)
 
 
 def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:

@@ -749,8 +749,11 @@ def _edge_owners(corners, owner, sizes, starts):
     first, second = by_edge[shared], by_edge[shared + 1]
     across = np.full(len(corners), -1, dtype=np.intp)
     across[first], across[second] = owner[second], owner[first]
-    flat = across.tolist()
-    rings = [flat[s:s + n] for s, n in zip(starts.tolist(), sizes.tolist())]
+    if (sizes == sizes[0]).all():  # rings of one width: one row each
+        rings = across.reshape(-1, int(sizes[0])).tolist()
+    else:
+        flat = across.tolist()
+        rings = [flat[s:s + n] for s, n in zip(starts.tolist(), sizes.tolist())]
     edge = np.flatnonzero(across < 0)
     boundary = list(zip(a[edge].tolist(), b[edge].tolist(), owner[edge].tolist()))
     return rings, boundary

@@ -22,6 +22,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateEdge, NavStructError, PointOffMesh, ValidationError
 from .graph import (
+    SOURCE_ENTRY_EXIT,
     SOURCE_POLYGON,
     GraphNode,
     SurfaceGraph,
@@ -37,6 +38,7 @@ from .mesh import (
     WalkableSurface,
     _check_coordinates,
     _parse_obj,
+    _row_dots,
     _stitch_boundary_loops,
     _weld,
     build_blocker_mesh,
@@ -44,6 +46,14 @@ from .mesh import (
     parse_obj_per_line,
 )
 from .raycast import EPS, _segment_box
+from .terminals import (
+    BoundarySamples,
+    TerminalSet,
+    _end_positions,
+    classify_samples,
+    register_terminals,
+    sample_boundary,
+)
 from .trees import SimplifyConfig
 
 _TIE_TOL = 1e-12
@@ -939,6 +949,103 @@ def classify_per_ray(samples, blockers: BlockerMesh, radius: float, ray_count: i
     return flags
 
 
+def register_terminals_per_terminal(
+    g: SurfaceGraph, samples, segments, surface: WalkableSurface,
+    exit_offset: float = 0.0, height_tol: float = DEFAULT_HEIGHT_TOL,
+):
+    """`terminals.register_terminals` one position at a time: each position
+    is compared with every position kept before it and with every graph
+    node, and the graph is rebuilt by the constructor."""
+    pushed, normals = _end_positions(samples, segments, exit_offset)
+    positions = g.positions()
+    new_nodes: list[GraphNode] = []
+    new_edges: list[tuple[int, int, float]] = []
+    kept: list[int] = []  # rows of `pushed` registered so far
+    for k, (pos, normal) in enumerate(zip(pushed, normals)):
+        gaps = pushed[kept] - pos
+        if (np.sqrt(_row_dots(gaps, gaps)) < 1e-9).any():
+            continue
+        kept.append(k)
+        dists = np.linalg.norm(positions - pos, axis=1)
+        nearest = int(np.argmin(dists))  # ties resolve to the lowest id
+        w = float(dists[nearest])
+        if w < 1e-12:
+            raise ValidationError(f"entry/exit position coincides with node {nearest}")
+        pid = surface.locate_point(pos, height_tol)
+        new_edges.append((nearest, len(g.nodes) + len(new_nodes), w))
+        new_nodes.append(GraphNode(
+            position=pos, normal=normal, polygon=-1 if pid is None else pid,
+            source=SOURCE_ENTRY_EXIT,
+        ))
+    ids = list(range(len(g.nodes), len(g.nodes) + len(new_nodes)))
+    return SurfaceGraph(g.nodes + new_nodes, g.edges + new_edges), TerminalSet(ids)
+
+
+def register_differences(g: SurfaceGraph, samples, segments, surface, exit_offset, height_tol):
+    """How `terminals.register_terminals` differs from the per-terminal
+    reference on one table: the terminal ids, the nodes and edges as
+    graph_differences tells them, and the arc arrays and row pointers by
+    dtype and bytes; or both outcomes when either raises and their texts
+    differ."""
+    args = (g, samples, segments, surface, exit_offset, height_tol)
+    outcomes = [_outcome(fn, *args) for fn in (register_terminals, register_terminals_per_terminal)]
+    if any(isinstance(o, str) for o in outcomes):
+        return _graph_outcome_differences(outcomes)
+    (fast, fast_ids), (ref, ref_ids) = outcomes
+    differ = _graph_outcome_differences([fast, ref])
+    if fast_ids.node_ids != ref_ids.node_ids:
+        differ.append("terminals")
+
+    def arc_arrays(graph: SurfaceGraph):
+        arcs = graph.arcs
+        arrays = (arcs.tail, arcs.head, arcs.weight, arcs.matrix.indptr)
+        return [(a.dtype, a.tobytes()) for a in arrays]
+
+    if arc_arrays(fast) != arc_arrays(ref):
+        differ.append("arcs")
+    return differ
+
+
+def random_register_table(surface: WalkableSurface, nprng: np.random.Generator):
+    """Boundary samples of `surface` with extra rows, and segments over
+    them.  The extra rows copy a sample, or move one by 0.5e-9 to 1.5e-9
+    (some in chains of three such steps), or sit on a polygon corner, where
+    up to four centres are equally far, or, rarely, on a polygon centre,
+    each with the copied sample's tangent and normal.  The segments are
+    random row pairs, some repeated."""
+    base = sample_boundary(surface, float(nprng.choice([0.3, 0.5, 1.0])))
+    rows = list(range(len(base)))
+    positions = list(base.positions)
+    for _ in range(int(nprng.integers(1, 8))):
+        k = int(nprng.integers(len(base)))
+        kind = int(nprng.integers(4))
+        step = np.eye(3)[nprng.integers(3)] * nprng.uniform(0.5e-9, 1.5e-9)
+        if kind == 0:
+            moved = [base.positions[k]]
+        elif kind == 1:
+            moved = [base.positions[k] + step]
+        elif kind == 2:
+            moved = [base.positions[k] + step * m for m in (0.9, 1.8, 2.7)]
+        elif nprng.random() < 0.9:
+            moved = [surface.vertices[nprng.integers(len(surface.vertices))]]
+        else:  # on a node: refused
+            moved = [surface.polygon_centers[nprng.integers(len(surface.polygons))]]
+        rows += [k] * len(moved)
+        positions += moved
+    table = BoundarySamples(
+        positions=np.array(positions), tangents=base.tangents[rows],
+        normals=base.normals[rows], loops=base.loops[rows],
+    )
+    segments = []
+    for _ in range(int(nprng.integers(1, 12))):
+        first, last = sorted(nprng.integers(len(rows), size=2).tolist())
+        segments += [(first, last)] * int(nprng.integers(1, 3))
+    # the extra rows end segments of their own, so that they are registered
+    extra = list(range(len(base), len(rows)))
+    segments += [(k, k) for k in extra[: int(nprng.integers(len(extra) + 1))]]
+    return table, segments
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of (n, 3) arrays, adding x, z, then y.  That is
     the order in which np.einsum("ij,ij->i") reduces three products with
@@ -991,7 +1098,6 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
     )
     from .raycast import _segment_hit, first_hit
     from .steiner import build_steiner_tree
-    from .terminals import TerminalSet, classify_samples, sample_boundary
     from .trees import LosFunnel, surface_los
 
     rng = random.Random(seed)
@@ -1300,6 +1406,26 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
             checked += 1
             wrong += dijkstra_tree(g, sources) != dijkstra_tree_heap(g, sources)
     results.append(("dijkstra-tree", wrong == 0, f"{wrong} of {checked} source sets differ"))
+
+    # extended boundary tables on grids, corridors, ramps and stacked floors,
+    # pushed by no offset, by less than 1e-9, and off the surface
+    checked = wrong = raised = 0
+    for _ in range(instances):
+        nprng = np.random.default_rng(rng.randrange(2**32))
+        for surface in (grid_surface(rng.randint(1, 6), rng.randint(1, 6)),
+                        straight_corridor(rng.randint(2, 12))[0], ramp_corridor(60.0),
+                        stacked_floors()):
+            g = graph_from_navmesh(surface)
+            samples, segments = random_register_table(surface, nprng)
+            offset, tol = rng.choice((0.0, 0.0, 5e-10, 0.25, 3.0)), rng.choice((0.05, 0.5))
+            checked += 1
+            wrong += bool(register_differences(g, samples, segments, surface, offset, tol))
+            raised += isinstance(_outcome(register_terminals_per_terminal, g, samples,
+                                          segments, surface, offset, tol), str)
+    results.append((
+        "terminal-register", wrong == 0,
+        f"{wrong} of {checked} tables differ, {raised} refused",
+    ))
     return results
 
 

@@ -11,13 +11,22 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .algorithms import compute_centrality, degree_centrality
 from .errors import EmptyTerminalSet, ValidationError
 from .graph import SOURCE_ENTRY_EXIT, GraphNode, SurfaceGraph
-from .mesh import DEFAULT_HEIGHT_TOL, BlockerMesh, WalkableSurface, _row_dots
+from .mesh import (
+    DEFAULT_HEIGHT_TOL,
+    MAX_WRITTEN_COORDINATE,
+    BlockerMesh,
+    WalkableSurface,
+    _check_coordinates,
+    _row_dots,
+)
 from . import raycast
 
 log = logging.getLogger("navstruct")
@@ -235,29 +244,57 @@ def register_terminals(
     (tangent x surface normal), and a position within 1e-9 of one already
     registered is registered once.  Each new node's polygon is the
     lowest-id walkable polygon its final position lies on within
-    `height_tol`, -1 for none.  Returns a new graph; the input graph is
-    untouched.
+    `height_tol`, -1 for none.  Returns `g.with_leaves(...)`; the input
+    graph is untouched.  ValidationError when a pushed position or a node
+    lies beyond MAX_WRITTEN_COORDINATE, or when a position coincides with
+    its nearest node (within 1e-12).
+
+    Both searches take candidates from a k-d tree and decide on them with
+    the expressions of `oracles.register_terminals_per_terminal`, which
+    compares each position with every kept one and every node, so the
+    answers are its answers, bit for bit.  Within the coordinate limit no
+    squared distance overflows, and the tree's distance and numpy's are
+    each within a few ulps of the exact norm of the same coordinate
+    differences (squares rounded below the normal float range aside):
+
+    - Duplicates: every pair whose np.dot gap norm is below 1e-9 lies
+      within 2e-9 by the tree.  A row is dropped when its gap norm to an
+      earlier row that was kept is below 1e-9.
+    - Nearest node: with d0 the tree's nearest distance from p, the node
+      numpy puts nearest, and every node tied with it, lies within
+      d0 (1 + 10 eps) by the tree, so within d0 (1 + 1e-9) + 1e-100 (the
+      1e-100 covers the squares below the normal range).  Those nodes get
+      their np.linalg.norm distances; the least wins, the lowest id first.
     """
-    firsts, lasts = np.array(segments, dtype=np.intp).reshape(-1, 2).T
-    gaps = samples.positions[lasts] - samples.positions[firsts]
-    far = (np.sqrt(_row_dots(gaps, gaps)) > 1e-9).tolist()
-    ends = np.array(
-        [row for pair, two in zip(segments, far) for row in pair[: 1 + two]], dtype=np.intp
-    )
-    outward = np.cross(samples.tangents[ends], samples.normals[ends])
-    pushed = samples.positions[ends] + outward * exit_offset
+    pushed, normals = _end_positions(samples, segments, exit_offset)
     positions = g.positions()
+    _check_coordinates(pushed, "entry/exit", MAX_WRITTEN_COORDINATE)
+    _check_coordinates(positions, "graph node", MAX_WRITTEN_COORDINATE)
+    pairs = cKDTree(pushed).query_pairs(2e-9, output_type="ndarray")
+    gaps = pushed[pairs[:, 0]] - pushed[pairs[:, 1]]
+    close = pairs[np.sqrt(_row_dots(gaps, gaps)) < 1e-9]  # rows i < j
+    keep = [True] * len(pushed)
+    for j, i in sorted(close[:, ::-1].tolist()):  # by j, so keep[i] is final
+        if keep[i]:
+            keep[j] = False  # segments may share endpoints; register once
+    rows = np.flatnonzero(keep)
+    points = pushed[rows]
+    # sliding-midpoint splits build faster than median ones; the answers are the same
+    tree = cKDTree(positions, balanced_tree=False, compact_nodes=False)
+    d0 = tree.query(points)[0]
+    balls = tree.query_ball_point(points, d0 * (1.0 + 1e-9) + 1e-100, return_sorted=True)
+    sizes = np.fromiter(map(len, balls), np.intp, len(balls))
+    ids = np.fromiter(chain.from_iterable(balls), np.intp, sizes.sum())
+    owner = np.repeat(np.arange(len(points)), sizes)
+    dists = np.linalg.norm(positions[ids] - points[owner], axis=1)
+    # per position its least distance; lexsort is stable and each ball's ids
+    # ascend, so ties resolve to the lowest id
+    best = np.lexsort((dists, owner))[np.cumsum(sizes) - sizes]
     new_nodes: list[GraphNode] = []
     new_edges: list[tuple[int, int, float]] = []
-    kept: list[int] = []  # rows of `pushed` registered so far
-    for k, (pos, normal) in enumerate(zip(pushed, samples.normals[ends])):
-        gaps = pushed[kept] - pos
-        if (np.sqrt(_row_dots(gaps, gaps)) < 1e-9).any():
-            continue  # segments may share endpoints; register once
-        kept.append(k)
-        dists = np.linalg.norm(positions - pos, axis=1)
-        nearest = int(np.argmin(dists))  # ties resolve to the lowest id
-        w = float(dists[nearest])
+    for pos, normal, nearest, w in zip(
+        points, normals[rows], ids[best].tolist(), dists[best].tolist()
+    ):
         if w < 1e-12:
             raise ValidationError(f"entry/exit position coincides with node {nearest}")
         pid = surface.locate_point(pos, height_tol)
@@ -266,8 +303,24 @@ def register_terminals(
             position=pos, normal=normal, polygon=-1 if pid is None else pid,
             source=SOURCE_ENTRY_EXIT,
         ))
-    ids = list(range(len(g.nodes), len(g.nodes) + len(new_nodes)))
-    return SurfaceGraph(g.nodes + new_nodes, g.edges + new_edges), TerminalSet(ids)
+    added = list(range(len(g.nodes), len(g.nodes) + len(new_nodes)))
+    return g.with_leaves(new_nodes, new_edges), TerminalSet(added)
+
+
+def _end_positions(
+    samples: BoundarySamples, segments: list[tuple[int, int]], exit_offset: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The position and normal of every segment end, in segment order: each
+    end sample pushed `exit_offset` along tangent x normal, with a segment's
+    last end left out when it lies within 1e-9 of its first."""
+    firsts, lasts = np.array(segments, dtype=np.intp).reshape(-1, 2).T
+    gaps = samples.positions[lasts] - samples.positions[firsts]
+    far = (np.sqrt(_row_dots(gaps, gaps)) > 1e-9).tolist()
+    ends = np.array(
+        [row for pair, two in zip(segments, far) for row in pair[: 1 + two]], dtype=np.intp
+    )
+    outward = np.cross(samples.tangents[ends], samples.normals[ends])
+    return samples.positions[ends] + outward * exit_offset, samples.normals[ends]
 
 
 def entry_exit_terminals(

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from navstruct.fixtures import (
     double_shared_edge,
     graph_from_edges,
     grid_surface,
+    random_connected_graph,
     ramp_corridor,
     stacked_floors,
     turned_grid,
@@ -152,6 +154,65 @@ def test_extending_a_graph_leaves_the_original_untouched():
     assert len(g) == 2 and g.edges == [(0, 1, 1.0)] and g.arcs.matrix.shape == (2, 2)
     assert len(g2) == 3 and g2.edges == [(0, 1, 1.0), (1, 2, 1.0)]
     assert g2.arcs.matrix.shape == (3, 3)
+
+
+def _new_nodes(count: int) -> list[GraphNode]:
+    return [GraphNode(position=np.array([float(k), 0.0, 9.0]), normal=np.array([0.0, 0.0, 1.0]))
+            for k in range(count)]
+
+
+def _arc_bytes(g: SurfaceGraph) -> list:
+    arrays = (g.arcs.tail, g.arcs.head, g.arcs.weight, g.arcs.matrix.indptr)
+    return [(a.dtype, a.tobytes()) for a in arrays] + [g.arcs.matrix.shape]
+
+
+def _edge_bits(g: SurfaceGraph) -> list:
+    return [(type(i), i, type(j), j, type(w), w.hex()) for i, j, w in g.edges]
+
+
+def test_with_leaves_equals_the_constructor_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
+        n = len(g)
+        nodes = _new_nodes(rng.randint(0, 5))
+        links = []
+        for new in range(n, n + len(nodes)):
+            for other in rng.sample(range(new), min(new, rng.randint(1, 3))):
+                pair = [other, new] if rng.random() < 0.5 else [new, other]
+                links.append((*pair, 1.0 - rng.random()))
+        rng.shuffle(links)
+        before = (list(g.nodes), list(g.edges), _arc_bytes(g))
+        fast = g.with_leaves(nodes, links)
+        ref = SurfaceGraph(g.nodes + nodes, g.edges + links)
+        assert len(fast.nodes) == len(ref.nodes)
+        assert all(a is b for a, b in zip(fast.nodes, ref.nodes))
+        assert _edge_bits(fast) == _edge_bits(ref)
+        assert _arc_bytes(fast) == _arc_bytes(ref)
+        assert (list(g.nodes), list(g.edges), _arc_bytes(g)) == before
+
+
+def test_with_leaves_refuses_what_the_constructor_refuses():
+    three = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    for edges, links, message in [
+        ([(0, 1, 1e308)], [(2, 3, 1e308)], "^edge weights sum past the float range$"),
+        ([(0, 1, 1.0)], [(1, 3, math.inf)], "^edge weights sum past the float range$"),
+        # summed in sorted order, 1e308 + 1e308 - 1e308 overflows on the way;
+        # in list order, 1e308 - 1e308 + 1e308 would not
+        ([(0, 1, 1e308), (1, 2, -1e308)], [(0, 3, 1e308)],
+         "^edge weights sum past the float range$"),
+        ([(0, 1, 1.0)], [(3, 3, 1.0)], r"^self-loop on node 3$"),
+        ([(0, 1, 1.0)], [(3, 2, 1.0), (2, 3, 1.0)], r"^duplicate edge \(2, 3\)$"),
+    ]:
+        g = graph_from_edges(three, edges)
+        nodes = _new_nodes(1)
+        with pytest.raises(ValidationError, match=message):
+            SurfaceGraph(g.nodes + nodes, g.edges + links)
+        with pytest.raises(ValidationError, match=message):
+            g.with_leaves(nodes, links)
+    g = graph_from_edges(three, [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="every link must join a new node"):
+        g.with_leaves(_new_nodes(1), [(1, 2, 1.0)])
 
 
 def test_centroid():

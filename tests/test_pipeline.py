@@ -993,9 +993,10 @@ def test_cli_oracle_suites_pass(capsys, plain_obj_reads):
     assert any(line.startswith("oracle obj-parse: ") for line in lines)
     assert any(line.startswith("oracle graph-load: ") for line in lines)
     assert any(line.startswith("oracle los-walk: ") for line in lines)
-    assert lines[-3].startswith("oracle locate-linear: ")
-    assert lines[-2].startswith("oracle raycast-full: ")
-    assert lines[-1].startswith("oracle dijkstra-tree: ")
+    assert lines[-4].startswith("oracle locate-linear: ")
+    assert lines[-3].startswith("oracle raycast-full: ")
+    assert lines[-2].startswith("oracle dijkstra-tree: ")
+    assert lines[-1].startswith("oracle terminal-register: ")
     for line in lines:
         assert line.startswith("oracle ")
         assert ": PASS (" in line

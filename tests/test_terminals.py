@@ -23,13 +23,14 @@ from navstruct.fixtures import (
     surface_from_squares,
     vertical_strip,
 )
-from navstruct.graph import SOURCE_ENTRY_EXIT, graph_from_navmesh
+from navstruct.graph import SOURCE_ENTRY_EXIT, SurfaceGraph, graph_from_navmesh
 from navstruct.mesh import build_walkable_surface
 from navstruct.oracles import (
     eigenvector_oracle,
     first_hit_all_triangles,
     katz_oracle,
     random_ring_surface,
+    register_differences,
 )
 from navstruct.terminals import (
     BoundarySamples,
@@ -432,6 +433,7 @@ def test_register_terminals_exit_offset_moves_off_mesh(corridor):
     assert np.allclose(west.position, [-0.25, 1.0, 0.0])
     assert not east.on_navmesh
     assert not west.on_navmesh
+    assert east.polygon == west.polygon == -1
 
 
 def test_register_terminals_dedupes_shared_positions():
@@ -441,6 +443,95 @@ def test_register_terminals_dedupes_shared_positions():
     g2, terminals = register_terminals(g, samples, [(0, 0), (0, 0)], surface)
     assert terminals.node_ids == [1]  # the duplicate registers once
     assert len(g2) == 2
+
+
+def test_register_terminals_links_an_equidistant_end_to_the_lowest_id():
+    surface = grid_surface(2, 2)
+    g = graph_from_navmesh(surface)
+    # (1, 1) is sqrt(0.5) from all four centres; (1, 0.5) is 0.5 from 0 and 1
+    samples = make_table([X, X], positions=[(1.0, 1.0, 0.0), (1.0, 0.5, 0.0)])
+    g2, terminals_ = register_terminals(g, samples, [(0, 0), (1, 1)], surface)
+    assert terminals_.node_ids == [4, 5]
+    assert [e for e in g2.edges if e[1] >= 4] == [(0, 4, math.sqrt(0.5)), (0, 5, 0.5)]
+    far = graph_from_edges([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)],
+                           [(0, 1, 1.0), (1, 2, 1.0)])
+    origin = make_table([X], positions=[(0.0, 0.0, 0.0)])
+    g3, _ = register_terminals(far, origin, [(0, 0)], surface)
+    assert g3.edges[-1] == (1, 3, 1.0)
+
+
+@pytest.mark.parametrize("gap, count", [(0.9e-9, 1), (1.1e-9, 2)])
+def test_register_terminals_merges_ends_closer_than_1e_9(gap, count):
+    surface = surface_from_squares([(0, 0)])
+    g = graph_from_edges([(0.5, 0.5, 0.0)], [])
+    samples = make_table([X, X], positions=[(0.25, 0.25, 0.0), (0.25 + gap, 0.25, 0.0)])
+    g2, terminals_ = register_terminals(g, samples, [(0, 0), (1, 1)], surface)
+    assert terminals_.node_ids == list(range(1, 1 + count))
+    assert g2.nodes[1].position.tolist() == [0.25, 0.25, 0.0]
+
+
+def test_register_terminals_drops_only_ends_close_to_a_kept_one():
+    # a ~ b and b ~ c are within 1e-9, a and c are not: b merges into a, and
+    # c, close only to the dropped b, registers
+    surface = surface_from_squares([(0, 0)])
+    g = graph_from_edges([(0.5, 0.5, 0.0)], [])
+    xs = [0.25, 0.25 + 0.6e-9, 0.25 + 1.2e-9]
+    samples = make_table([X] * 3, positions=[(x, 0.25, 0.0) for x in xs])
+    g2, terminals_ = register_terminals(g, samples, [(0, 0), (1, 1), (2, 2)], surface)
+    assert terminals_.node_ids == [1, 2]
+    assert [g2.nodes[k].position[0] for k in (1, 2)] == [xs[0], xs[2]]
+
+
+def test_register_terminals_without_segments_adds_nothing():
+    surface = grid_surface(2, 1)
+    g = graph_from_navmesh(surface)
+    g2, terminals_ = register_terminals(g, sample_boundary(surface), [], surface)
+    assert terminals_.node_ids == []
+    assert g2.nodes == g.nodes and g2.edges == g.edges
+    for a, b in zip(g2.arcs, g.arcs):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (g2.arcs.matrix != g.arcs.matrix).nnz == 0
+
+
+def small_level():
+    """An 8x8 level with four pillar holes and two doorways on each outer
+    wall, walled everywhere else."""
+    pillars = {(2, 2), (2, 5), (5, 2), (5, 5)}
+    surface = surface_from_squares(
+        [(float(x), float(y)) for y in range(8) for x in range(8) if (x, y) not in pillars]
+    )
+    doors = [m for c in (2.5, 5.5)
+             for m in ((c, 0.0, 0.0), (c, 8.0, 0.0), (0.0, c, 0.0), (8.0, c, 0.0))]
+    return surface, boundary_walls(surface, doors)
+
+
+def test_register_terminals_extends_the_graph_without_rebuilding_it(monkeypatch):
+    surface, blockers = small_level()
+    g = graph_from_navmesh(surface)
+    samples = sample_boundary(surface)
+    segments = extract_segments(samples, *classify_samples(samples, blockers))
+    built = []
+    original = SurfaceGraph.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(SurfaceGraph, "__init__", counting)
+    g2, terminals_ = register_terminals(g, samples, segments, surface)
+    assert built == []
+    assert len(terminals_.node_ids) == 16 and len(g2) == len(g) + 16
+    assert register_differences(g, samples, segments, surface, 0.0, 0.5) == []
+
+
+def test_register_terminals_refuses_positions_past_the_written_limit():
+    surface = surface_from_squares([(0, 0)])
+    g = graph_from_edges([(0.5, 0.5, 0.0)], [])
+    samples = make_table([X], positions=[(0.0, 0.0, 0.0)])
+    for offset in (math.nan, 1e200, -3e50):
+        with pytest.raises(ValidationError, match="entry/exit coordinates"):
+            register_terminals(g, samples, [(0, 0)], surface, exit_offset=offset)
 
 
 def test_register_terminals_rejects_node_collision():
