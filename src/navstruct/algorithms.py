@@ -167,13 +167,12 @@ def betweenness_centrality(g: SurfaceGraph, weighted: bool = True) -> list[float
     vals = _forest_betweenness(g)
     if vals is not None:
         return vals
-    adj = g.adjacency()
-    n = len(adj)
-    if not weighted:
-        adj = [[(v, 1.0) for v, _ in lst] for lst in adj]
+    n = len(g.nodes)
+    ptr, head = g.arcs.matrix.indptr.tolist(), g.arcs.head.tolist()
+    weight = g.arcs.weight.tolist() if weighted else [1.0] * len(head)
     cb = [0.0] * n
     for s in range(n):
-        order, preds, sigma = _sssp_dijkstra(adj, s)
+        order, preds, sigma = _sssp_dijkstra(ptr, head, weight, s)
         delta = [0.0] * n
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
@@ -206,7 +205,7 @@ def _forest_betweenness(g: SurfaceGraph) -> list[float] | None:
                     parent[v] = u
                     order.append(v)
         components.append(order)
-    if len(g.edges) != n - len(components):
+    if len(g.arcs.tail) // 2 != n - len(components):
         return None
     size = [1] * n
     child_sq = [0] * n  # sum of squared child subtree sizes
@@ -224,8 +223,9 @@ def _forest_betweenness(g: SurfaceGraph) -> list[float] | None:
     return cb
 
 
-def _sssp_dijkstra(adj, s):
-    n = len(adj)
+def _sssp_dijkstra(ptr, head, weight, s):
+    """Brandes' forward phase from `s`: arc k of CSR row u runs to head[k]."""
+    n = len(ptr) - 1
     dist = [INF] * n
     sigma = [0.0] * n
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -240,10 +240,11 @@ def _sssp_dijkstra(adj, s):
             continue
         done[u] = True
         order.append(u)
-        for v, w in adj[u]:
+        for k in range(ptr[u], ptr[u + 1]):
+            v = head[k]
             if done[v]:
                 continue
-            nd = d + w
+            nd = d + weight[k]
             if nd < dist[v]:
                 dist[v] = nd
                 sigma[v] = sigma[u]
@@ -290,7 +291,7 @@ def eigenvector_centrality(g: SurfaceGraph) -> list[float]:
     vector: zero on each component whose largest eigenvalue is below the
     graph's, and on components that tie for it, each component's Perron
     vector weighted by its projection onto the ones vector."""
-    if not g.edges:
+    if not len(g.arcs.tail):
         raise EmptyGraph("eigenvector centrality needs at least one edge")
     vector = np.abs(_top_eigenpair(_sparse_adjacency(g))[1])
     return (vector / vector.max()).tolist()

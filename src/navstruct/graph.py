@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -49,138 +48,82 @@ class Arcs(NamedTuple):
     head: np.ndarray
     weight: np.ndarray
 
+    def ascending(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge once: the tail, head and weight of the arcs with
+        tail < head, in (tail, head) order."""
+        up = self.tail < self.head
+        return self.tail[up], self.head[up], self.weight[up]
+
 
 class SurfaceGraph:
     """Undirected simple graph with 3D node payloads.
 
     Node ids are dense 0..N-1: a node's id is its index in `nodes`.  The
     constructor takes the edges as rows of (i, j, w), a list of tuples or an
-    (E, 3) array, in any order and either orientation.  It refuses a
+    (E, 3) array, in any order and either orientation.  It refuses, with a
+    ValidationError, an end that is not a node id (the first such row), a
     self-loop (the first one listed), a repeated edge (the lowest pair) and
-    weights whose sum is not a finite float (no shortest path sums more than
-    all the weights, so none overflows) with a ValidationError.  It stores
-    `edges` once each as (i, j, w) tuples of Python ints and floats with
-    i < j, sorted, and builds `arcs` from the same arrays.
+    weights whose sum, taken in (i, j) order, is not a finite float (no
+    shortest path sums more than all the weights, so none overflows).  It
+    keeps each edge once, in `arcs`; `edges` reads them out.
     """
 
     nodes: list[GraphNode]
-    edges: list[tuple[int, int, float]]
     arcs: Arcs
 
     def __init__(
         self, nodes: list[GraphNode], edges: list[tuple[int, int, float]] | np.ndarray
     ) -> None:
-        i, j, weights = _sorted_edges(edges)
-        listed = weights.tolist()
-        _check_weight_sum(listed)
+        n = len(nodes)
+        rows = np.asarray(edges, dtype=float).reshape(-1, 3)
+        ends = rows[:, :2]
+        stray = np.flatnonzero(((ends < 0) | (ends >= n) | (ends != np.floor(ends))).any(axis=1))
+        if len(stray):
+            a, b = ends[stray[0]]
+            raise ValidationError(f"edge {stray[0]} ({a:g}, {b:g}) has an end outside the {n} node ids")
+        ends = ends.astype(np.intp)
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if len(loops):
+            raise ValidationError(f"self-loop on node {ends[loops[0], 0]}")
+        ends.sort(axis=1)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        i, j = ends[order].T
+        repeats = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+        if len(repeats):
+            k = repeats[0]
+            raise ValidationError(f"duplicate edge ({i[k]}, {j[k]})")
+        w = rows[order, 2]
+        try:
+            total = math.fsum(w.tolist())
+        except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValidationError("edge weights sum past the float range")
         self.nodes = nodes
-        self.edges = list(zip(i.tolist(), j.tolist(), listed))
-        tail, head, weight = _sorted_arcs(i, j, weights)
-        self.arcs = _arcs(tail, head, weight, np.searchsorted(tail, np.arange(len(nodes) + 1)))
-
-    def with_leaves(
-        self, nodes: list[GraphNode], links: list[tuple[int, int, float]]
-    ) -> SurfaceGraph:
-        """The graph `SurfaceGraph(self.nodes + nodes, self.edges + links)`
-        returns, errors included, built without re-sorting the old edges.
-
-        Each link (i, j, w) must join a new node, one of id len(self) or
-        more, to any node (ValueError otherwise).  Every new id then
-        exceeds every old one, so each link sorts after the old edges from
-        its lower end and before those from the next node: `bisect` finds
-        its place in `edges`, and each new arc goes in at the end of its
-        tail's row of `arcs`.  The weights are summed in the order of the
-        merged edges, as the constructor sums them.  This graph is
-        untouched."""
-        n = len(self.nodes)
-        i, j, weights = _sorted_edges(links)
-        if len(j) and j.min() < n:
-            raise ValueError("every link must join a new node")
-        new = list(zip(i.tolist(), j.tolist(), weights.tolist()))
-        places = [bisect_left(self.edges, (a, b)) for a, b, _ in new]
-        edges, done = [], 0
-        for place, link in zip(places, new):
-            edges += self.edges[done:place]
-            edges.append(link)
-            done = place
-        edges += self.edges[done:]
-        old = self.arcs
-        _check_weight_sum(np.insert(old.weight[old.tail < old.head], places, weights).tolist())
-        # a new arc from an old node ends that node's row; the rest follow the old arcs
-        tail, head, weight = _sorted_arcs(i, j, weights)
-        at = old.matrix.indptr[np.minimum(tail + 1, n)]
-        ids = np.arange(n + len(nodes) + 1)
-        indptr = old.matrix.indptr[np.minimum(ids, n)] + np.searchsorted(tail, ids)
-        graph = object.__new__(type(self))
-        graph.nodes = self.nodes + nodes
-        graph.edges = edges
-        graph.arcs = _arcs(
-            np.insert(old.tail, at, tail), np.insert(old.head, at, head),
-            np.insert(old.weight, at, weight), indptr,
+        # every edge in both directions, sorted by (tail, head)
+        tail, head = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((head, tail))
+        tail = tail[order]
+        matrix = csr_matrix(
+            (np.concatenate([w, w])[order], head[order], np.searchsorted(tail, np.arange(n + 1))),
+            shape=(n, n),
         )
-        return graph
+        self.arcs = Arcs(matrix, tail, matrix.indices, matrix.data)
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """Each edge once as (i, j, w), ints and a float, i < j, sorted: the
+        arcs with tail < head, read out into a new list on each read."""
+        return list(zip(*(col.tolist() for col in self.arcs.ascending())))
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-node (neighbor, weight) lists, neighbors ascending: the rows of
-        `arcs`, read out anew on each call."""
-        pairs = list(zip(self.arcs.head.tolist(), self.arcs.weight.tolist()))
-        ptr = self.arcs.matrix.indptr.tolist()
-        return [pairs[ptr[v]:ptr[v + 1]] for v in range(len(self.nodes))]
 
     def positions(self) -> np.ndarray:
         return np.array([n.position for n in self.nodes])
 
     def centroid(self) -> np.ndarray:
         return self.positions().mean(axis=0)
-
-
-def _sorted_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows (i, j, w) of `edges` as arrays i, j, w, each row turned so
-    that i < j and the rows sorted by (i, j).  ValidationError for the first
-    self-loop listed or the lowest repeated pair."""
-    rows = np.asarray(edges, dtype=float).reshape(-1, 3)
-    ends = rows[:, :2].astype(np.intp)
-    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
-    if len(loops):
-        raise ValidationError(f"self-loop on node {ends[loops[0], 0]}")
-    ends.sort(axis=1)
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
-    i, j = ends[order].T
-    repeats = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
-    if len(repeats):
-        k = repeats[0]
-        raise ValidationError(f"duplicate edge ({i[k]}, {j[k]})")
-    return i, j, rows[order, 2]
-
-
-def _check_weight_sum(weights: list[float]) -> None:
-    """ValidationError unless the weights, summed in the order given, have
-    a finite float sum."""
-    try:
-        total = math.fsum(weights)
-    except (OverflowError, ValueError):  # an exact sum past the float range, or inf - inf
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValidationError("edge weights sum past the float range")
-
-
-def _sorted_arcs(i: np.ndarray, j: np.ndarray, w: np.ndarray):
-    """The edges (i, j, w) as arcs in both directions, (tail, head, weight)
-    sorted by (tail, head)."""
-    tail, head = np.concatenate([i, j]), np.concatenate([j, i])
-    order = np.lexsort((head, tail))
-    return tail[order], head[order], np.concatenate([w, w])[order]
-
-
-def _arcs(tail: np.ndarray, head: np.ndarray, weight: np.ndarray, indptr: np.ndarray) -> Arcs:
-    """`Arcs` of arcs sorted by (tail, head), row r of them starting at
-    indptr[r]."""
-    n = len(indptr) - 1
-    matrix = csr_matrix((weight, head, indptr), shape=(n, n))
-    return Arcs(matrix, tail, matrix.indices, matrix.data)
 
 
 def graph_from_navmesh(surface: WalkableSurface) -> SurfaceGraph:
@@ -217,19 +160,26 @@ def load_graph_json(path: str | Path) -> SurfaceGraph:
     length (a zero normal is a ParseError); a 2-element edge entry gets a
     Euclidean weight.
 
-    The records are checked and converted in passes over whole lists; when a
-    pass raises ValueError or OverflowError, `load_graph_json_per_node` reads
-    the document one record at a time and its answer stands: the graph, or
-    the first faulty record's error."""
+    `_graph_from_arrays` reads the document in passes over whole lists; when
+    it declines, `load_graph_json_per_node` reads it one record at a time
+    and its answer stands: the graph, or the first faulty record's error."""
     p = Path(path)
     data = read_json(p)
+    graph = _graph_from_arrays(data, p)
+    return load_graph_json_per_node(p, data) if graph is None else graph
+
+
+def _graph_from_arrays(data, p: Path) -> SurfaceGraph | None:
+    """The graph of the JSON document `data` read from `p`, by passes over
+    whole lists; None when a pass raises ValueError or OverflowError.
+    ParseError unless 'nodes' and 'edges' are lists."""
     records, links = _graph_lists(data, p)
     try:
         positions, normals = _node_arrays(records)
         _check_coordinates(positions, "graph node")
         rows = _edge_rows(links, positions)
     except (OverflowError, ValueError):
-        return load_graph_json_per_node(p, data)
+        return None
     nodes = list(map(GraphNode, positions, normals, repeat(None), repeat(SOURCE_SAMPLE)))
     return SurfaceGraph(nodes, rows)
 

@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import mesh
 from .errors import DegenerateEdge, NavStructError, PointOffMesh, ValidationError
 from .graph import (
     SOURCE_ENTRY_EXIT,
     SOURCE_POLYGON,
     GraphNode,
     SurfaceGraph,
+    _graph_from_arrays,
     graph_from_navmesh,
-    load_graph_json,
     load_graph_json_per_node,
 )
 from .mesh import (
@@ -37,7 +38,6 @@ from .mesh import (
     BlockerMesh,
     WalkableSurface,
     _check_coordinates,
-    _parse_obj,
     _row_dots,
     _stitch_boundary_loops,
     _weld,
@@ -57,6 +57,14 @@ from .terminals import (
 from .trees import SimplifyConfig
 
 _TIE_TOL = 1e-12
+
+
+def adjacency(g: SurfaceGraph) -> list[list[tuple[int, float]]]:
+    """Per-node (neighbor, weight) lists, neighbors ascending: the rows of
+    `g.arcs`, read out anew on each call."""
+    pairs = list(zip(g.arcs.head.tolist(), g.arcs.weight.tolist()))
+    ptr = g.arcs.matrix.indptr.tolist()
+    return [pairs[ptr[v]:ptr[v + 1]] for v in range(len(g.nodes))]
 
 
 def weight_matrix(g: SurfaceGraph, weighted: bool = True) -> np.ndarray:
@@ -80,7 +88,7 @@ def dijkstra_tree_heap(g: SurfaceGraph, sources: list[int]) -> tuple[list[float]
     done = [False] * n
     for s in sources:
         dist[s] = 0.0
-    adj = g.adjacency()
+    adj = adjacency(g)
     heap = [(0.0, s) for s in sources]
     heapify(heap)
     while heap:
@@ -301,7 +309,7 @@ def katz_oracle(g: SurfaceGraph, alpha: float, terms: int = 10000) -> list[float
 def tree_path_interior_counts(g: SurfaceGraph) -> list[float]:
     """Betweenness on a tree by walking the unique path of every pair."""
     n = len(g.nodes)
-    adj = g.adjacency()
+    adj = adjacency(g)
     cb = [0.0] * n
 
     def path(s, t):
@@ -550,21 +558,29 @@ def _graph_outcome_differences(outcomes: list) -> list[str]:
     return differ
 
 
-def graph_load_differences(path) -> list[str]:
-    """How `graph.load_graph_json` differs from the per-record reference on
-    one file, as graph_differences tells it."""
-    return _graph_outcome_differences(
-        [_outcome(load, path) for load in (load_graph_json, load_graph_json_per_node)]
-    )
+def graph_load_differences(path, ref=None) -> list[str]:
+    """How the array passes of `graph.load_graph_json` differ from the
+    per-record reference (`ref`, its outcome, if the caller has it) on one
+    file, as graph_differences tells it; none when they decline the file."""
+    p = Path(path)
+    fast = _outcome(lambda: _graph_from_arrays(mesh.read_json(p), p))
+    if fast is None:
+        return []
+    ref = _outcome(load_graph_json_per_node, p) if ref is None else ref
+    return _graph_outcome_differences([fast, ref])
 
 
-def obj_parse_differences(path) -> list[str]:
-    """How `mesh._parse_obj` differs from the per-line reference on one
-    file: the vertices (as float arrays, by shape and bytes), the face rings
-    (by ==; an index table must be a 2-D int64 array whose rows are the
-    rings), or both outcomes when either raises and their exception types
-    or texts differ."""
-    fast, ref = (_outcome(parse, path) for parse in (_parse_obj, parse_obj_per_line))
+def obj_parse_differences(path, ref=None) -> list[str]:
+    """How numpy's reader of `mesh._parse_obj` (`_plain_obj`) differs from
+    the per-line reference (`ref`, its outcome, if the caller has it) on
+    one file: the vertices (as float arrays, by shape and bytes), the face
+    rings (by ==; an index table must be a 2-D int64 array whose rows are
+    the rings), or both outcomes when either raises and their exception
+    types or texts differ; none when numpy's reader declines the text."""
+    fast = _outcome(lambda: mesh._plain_obj(mesh.read_text(Path(path)).splitlines()))
+    if fast is None:
+        return []
+    ref = _outcome(parse_obj_per_line, path) if ref is None else ref
     if isinstance(fast, str) or isinstance(ref, str):
         fast, ref = (o if isinstance(o, str) else "a parse" for o in (fast, ref))
         return [] if fast == ref else [f"{fast} against {ref}"]
@@ -983,10 +999,10 @@ def register_terminals_per_terminal(
 
 def register_differences(g: SurfaceGraph, samples, segments, surface, exit_offset, height_tol):
     """How `terminals.register_terminals` differs from the per-terminal
-    reference on one table: the terminal ids, the nodes and edges as
-    graph_differences tells them, and the arc arrays and row pointers by
-    dtype and bytes; or both outcomes when either raises and their texts
-    differ."""
+    reference on one table: the terminal ids, and the nodes and edges as
+    graph_differences tells them (both graphs come from the constructor, so
+    equal edges give equal arcs); or both outcomes when either raises and
+    their texts differ."""
     args = (g, samples, segments, surface, exit_offset, height_tol)
     outcomes = [_outcome(fn, *args) for fn in (register_terminals, register_terminals_per_terminal)]
     if any(isinstance(o, str) for o in outcomes):
@@ -995,14 +1011,6 @@ def register_differences(g: SurfaceGraph, samples, segments, surface, exit_offse
     differ = _graph_outcome_differences([fast, ref])
     if fast_ids.node_ids != ref_ids.node_ids:
         differ.append("terminals")
-
-    def arc_arrays(graph: SurfaceGraph):
-        arcs = graph.arcs
-        arrays = (arcs.tail, arcs.head, arcs.weight, arcs.matrix.indptr)
-        return [(a.dtype, a.tobytes()) for a in arrays]
-
-    if arc_arrays(fast) != arc_arrays(ref):
-        differ.append("arcs")
     return differ
 
 
@@ -1265,8 +1273,9 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
         def check_obj(text: str) -> None:
             nonlocal obj_wrong, obj_refused
             obj_path.write_text(text, encoding="utf-8")
-            obj_wrong += bool(obj_parse_differences(obj_path))
-            obj_refused += isinstance(_outcome(parse_obj_per_line, obj_path), str)
+            ref = _outcome(parse_obj_per_line, obj_path)
+            obj_wrong += bool(obj_parse_differences(obj_path, ref))
+            obj_refused += isinstance(ref, str)
 
         for k in range(texts):
             draw = rng.randrange(2**32)
@@ -1277,8 +1286,9 @@ def run_oracle_suites(seed: int = 0, instances: int = 25) -> list[tuple[str, boo
             check_obj(bom + sound + random_obj_text(nprng, k % 3))
             graph_path.write_text(
                 bom + json.dumps(random_graph_document(nprng, k % 3)), encoding="utf-8")
-            graph_wrong += bool(graph_load_differences(graph_path))
-            graph_refused += isinstance(_outcome(load_graph_json_per_node, graph_path), str)
+            ref = _outcome(load_graph_json_per_node, graph_path)
+            graph_wrong += bool(graph_load_differences(graph_path, ref))
+            graph_refused += isinstance(ref, str)
             plain = np.random.default_rng([draw, 1])
             for faults in (0, k % 2):
                 width = int(plain.integers(3, 5))

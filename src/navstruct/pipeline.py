@@ -189,7 +189,7 @@ def run_pipeline(
 
     with _stage(stages, STAGE_INITIAL) as rec:
         g = graph_from_navmesh(surface) if surface is not None else graph
-        rec.nodes, rec.edges = len(g.nodes), len(g.edges)
+        rec.nodes, rec.edges = len(g.nodes), len(g.arcs.tail) // 2
 
     with _stage(stages, STAGE_TERMINALS) as rec:
         if cfg.terminals == "entry-exit":
@@ -204,7 +204,7 @@ def run_pipeline(
                 g, cfg.terminals, metric=cfg.metric, k=cfg.k,
                 weighted=cfg.centrality_weights == "euclidean", alpha=cfg.katz_alpha,
             )
-        rec.nodes, rec.edges = len(g.nodes), len(g.edges)
+        rec.nodes, rec.edges = len(g.nodes), len(g.arcs.tail) // 2
         rec.terminals = len(term_set.node_ids)
 
     with _stage(stages, STAGE_STEINER) as rec:

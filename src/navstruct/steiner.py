@@ -73,18 +73,21 @@ def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:
             raise EmptyTerminalSet(f"terminal {t} is not a node of the graph")
 
     dist, pred = dijkstra_tree(g, term_ids)
+    parent = np.array(pred)
     # pointer jumping: each step doubles how far up its chain a node points
-    region = np.array(pred)
-    region[region < 0] = np.flatnonzero(region < 0)
+    region = np.where(parent < 0, np.arange(len(parent)), parent)
     step = region[region]
     while not np.array_equal(step, region):
         region, step = step, step[step]
+    # the edges (u < v) whose ends lie in different regions, in (u, v) order
+    tail, head, weight = g.arcs.ascending()
+    across = region[tail] != region[head]
     region = region.tolist()
 
     bridges: dict[tuple[int, int], tuple[float, int, int, float]] = {}
-    for u, v, w in g.edges:
-        a, b = region[u], region[v]
-        if a != b and dist[u] < INF:
+    for u, v, w in zip(*(col[across].tolist() for col in (tail, head, weight))):
+        if dist[u] < INF:
+            a, b = region[u], region[v]
             key = (a, b) if a < b else (b, a)
             cand = (dist[u] + w + dist[v], u, v, w)
             if key not in bridges or cand < bridges[key]:
@@ -99,8 +102,13 @@ def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:
             (first, next(t for t in term_ids if labels[t] != labels[first]))
         )
 
-    # expand each bridge along the predecessors up to both region roots
-    weight_of = {(i, j): w for i, j, w in g.edges}
+    # expand each bridge along the predecessors up to both region roots; one
+    # search of the arcs, sorted by (tail, head), weighs each x -> pred[x]
+    arcs, n = g.arcs, len(g.nodes)
+    below = np.flatnonzero(parent >= 0)
+    up = np.zeros(n)
+    up[below] = arcs.weight[np.searchsorted(arcs.tail * n + arcs.head, below * n + parent[below])]
+    up = up.tolist()
     nodes = set(term_ids)
     edges = []
     for a, b, _cost in chosen.edges:
@@ -111,7 +119,7 @@ def build_steiner_tree(g: SurfaceGraph, terminals: TerminalSet) -> SteinerTree:
                 nodes.add(x)
                 p = pred[x]
                 key = (p, x) if p < x else (x, p)
-                edges.append((*key, weight_of[key]))
+                edges.append((*key, up[x]))
                 x = p
     edges.sort()
     total = float(sum(w for _, _, w in edges))

@@ -244,10 +244,10 @@ def register_terminals(
     (tangent x surface normal), and a position within 1e-9 of one already
     registered is registered once.  Each new node's polygon is the
     lowest-id walkable polygon its final position lies on within
-    `height_tol`, -1 for none.  Returns `g.with_leaves(...)`; the input
-    graph is untouched.  ValidationError when a pushed position or a node
-    lies beyond MAX_WRITTEN_COORDINATE, or when a position coincides with
-    its nearest node (within 1e-12).
+    `height_tol`, -1 for none.  Returns a new graph of `g`'s edges, read from
+    its arcs, and the new links; `g` is untouched.  ValidationError when a
+    pushed position or a node lies beyond MAX_WRITTEN_COORDINATE, or when a
+    position coincides with its nearest node (within 1e-12).
 
     Both searches take candidates from a k-d tree and decide on them with
     the expressions of `oracles.register_terminals_per_terminal`, which
@@ -304,7 +304,8 @@ def register_terminals(
             source=SOURCE_ENTRY_EXIT,
         ))
     added = list(range(len(g.nodes), len(g.nodes) + len(new_nodes)))
-    return g.with_leaves(new_nodes, new_edges), TerminalSet(added)
+    rows = np.vstack((np.column_stack(g.arcs.ascending()), np.reshape(new_edges, (-1, 3))))
+    return SurfaceGraph(g.nodes + new_nodes, rows), TerminalSet(added)
 
 
 def _end_positions(

@@ -30,6 +30,7 @@ from navstruct.fixtures import (
 )
 from navstruct.graph import SurfaceGraph, graph_from_navmesh
 from navstruct.oracles import (
+    adjacency,
     betweenness_oracle,
     dijkstra_tree_heap,
     eigenvector_oracle,
@@ -101,7 +102,7 @@ def test_dijkstra_tree_keeps_the_smallest_tied_predecessor(rng):
             [tuple(node.position) for node in g.nodes],
             [(i, j, float(rng.randint(1, 3))) for i, j, _w in g.edges],
         )
-        adj = g.adjacency()
+        adj = adjacency(g)
         for src in range(n):
             dist, pred = dijkstra_tree(g, [src])
             for v in range(n):

@@ -26,6 +26,7 @@ from navstruct.graph import (
 )
 from navstruct.mesh import build_walkable_surface
 from navstruct.oracles import (
+    adjacency,
     edge_polygons,
     graph_from_navmesh_per_edge,
     graph_load_differences,
@@ -133,10 +134,10 @@ def test_adjacency_neighbors_ascending():
         [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
         [(0, 3, 1.0), (0, 1, 1.0), (0, 2, 1.0)],
     )
-    adj = g.adjacency()
+    adj = adjacency(g)
     assert [v for v, _w in adj[0]] == [1, 2, 3]
     assert adj[3] == [(0, 1.0)]
-    # adjacency() reads the rows of arcs(), which are ordered by (tail, head)
+    # adjacency reads the rows of the arcs, which are ordered by (tail, head)
     arcs = g.arcs
     assert list(zip(arcs.tail.tolist(), arcs.head.tolist())) == [
         (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)
@@ -161,38 +162,32 @@ def _new_nodes(count: int) -> list[GraphNode]:
             for k in range(count)]
 
 
-def _arc_bytes(g: SurfaceGraph) -> list:
-    arrays = (g.arcs.tail, g.arcs.head, g.arcs.weight, g.arcs.matrix.indptr)
-    return [(a.dtype, a.tobytes()) for a in arrays] + [g.arcs.matrix.shape]
+def _edge_bits(edges) -> list:
+    return [(type(i), i, type(j), j, type(w), w.hex()) for i, j, w in edges]
 
 
-def _edge_bits(g: SurfaceGraph) -> list:
-    return [(type(i), i, type(j), j, type(w), w.hex()) for i, j, w in g.edges]
-
-
-def test_with_leaves_equals_the_constructor_on_random_graphs():
+def test_edges_reads_the_sorted_rows_out_of_the_arcs():
     rng = random.Random(7)
-    for _ in range(60):
+    for case in range(60):
         g = random_connected_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
-        n = len(g)
-        nodes = _new_nodes(rng.randint(0, 5))
-        links = []
-        for new in range(n, n + len(nodes)):
-            for other in rng.sample(range(new), min(new, rng.randint(1, 3))):
-                pair = [other, new] if rng.random() < 0.5 else [new, other]
-                links.append((*pair, 1.0 - rng.random()))
-        rng.shuffle(links)
-        before = (list(g.nodes), list(g.edges), _arc_bytes(g))
-        fast = g.with_leaves(nodes, links)
-        ref = SurfaceGraph(g.nodes + nodes, g.edges + links)
-        assert len(fast.nodes) == len(ref.nodes)
-        assert all(a is b for a, b in zip(fast.nodes, ref.nodes))
-        assert _edge_bits(fast) == _edge_bits(ref)
-        assert _arc_bytes(fast) == _arc_bytes(ref)
-        assert (list(g.nodes), list(g.edges), _arc_bytes(g)) == before
+        rows = [(j, i, w) if rng.random() < 0.5 else (i, j, w) for i, j, w in g.edges]
+        rng.shuffle(rows)
+        want = sorted((min(i, j), max(i, j), float(w)) for i, j, w in rows)
+        given = np.array(rows, dtype=float).reshape(-1, 3)
+        if case % 2:
+            given[:, :2] = given[:, 1::-1]  # every row turned the other way
+        for edges in (rows, given):
+            built = SurfaceGraph(g.nodes, edges)
+            assert _edge_bits(built.edges) == _edge_bits(want)
+            # each read is a new list: editing one leaves the graph as it was
+            read = built.edges
+            assert read is not built.edges
+            read.append((0, 1, 1.0))
+            read[:1] = []
+            assert _edge_bits(built.edges) == _edge_bits(want)
 
 
-def test_with_leaves_refuses_what_the_constructor_refuses():
+def test_constructor_refuses_faulty_links_added_to_a_graph():
     three = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
     for edges, links, message in [
         ([(0, 1, 1e308)], [(2, 3, 1e308)], "^edge weights sum past the float range$"),
@@ -205,14 +200,23 @@ def test_with_leaves_refuses_what_the_constructor_refuses():
         ([(0, 1, 1.0)], [(3, 2, 1.0), (2, 3, 1.0)], r"^duplicate edge \(2, 3\)$"),
     ]:
         g = graph_from_edges(three, edges)
-        nodes = _new_nodes(1)
         with pytest.raises(ValidationError, match=message):
-            SurfaceGraph(g.nodes + nodes, g.edges + links)
+            SurfaceGraph(g.nodes + _new_nodes(1), g.edges + links)
+
+
+@pytest.mark.parametrize("end, shown", [(5, "5"), (2, "2"), (-1, "-1"), (1.5, "1.5")],
+                         ids=["past-the-ids", "at-the-count", "negative", "not-integral"])
+def test_constructor_refuses_an_end_that_is_not_a_node_id(end, shown):
+    """The first such row is named, before any self-loop, in either
+    orientation and from a tuple list or an array."""
+    nodes = _new_nodes(2)
+    message = rf"^edge 2 \(0, {shown}\) has an end outside the 2 node ids$"
+    for edges in ([(0, 1, 1.0), (1, 1, 1.0), (0, end, 1.0), (end, 1, 1.0)],
+                  np.array([(0, 1, 1.0), (1, 1, 1.0), (0, end, 1.0), (end, 1, 1.0)])):
         with pytest.raises(ValidationError, match=message):
-            g.with_leaves(nodes, links)
-    g = graph_from_edges(three, [(0, 1, 1.0)])
-    with pytest.raises(ValueError, match="every link must join a new node"):
-        g.with_leaves(_new_nodes(1), [(1, 2, 1.0)])
+            SurfaceGraph(nodes, edges)
+    with pytest.raises(ValidationError, match=rf"^edge 0 \({shown}, 0\) has an end outside"):
+        SurfaceGraph(nodes, [(end, 0, 1.0)])
 
 
 def test_centroid():

@@ -15,11 +15,13 @@ from navstruct import oracles, pipeline, raycast, trees
 from navstruct.cli import EXIT_ORACLE_FAILED, _config_from_args, build_parser, main
 from navstruct.errors import AlphaTooLarge, NavStructError, ValidationError
 from navstruct.fixtures import (
+    boundary_walls,
     double_shared_edge,
     graph_from_edges,
     maze_graph,
     plus_hub,
     straight_corridor,
+    surface_from_squares,
 )
 from navstruct.export import structure_json_bytes
 from navstruct.graph import SurfaceGraph, load_graph_json
@@ -519,6 +521,30 @@ def test_cli_roots_a_maze_by_eigenvector_centrality(tmp_path):
     code = main(["analyze", "--graph", str(maze), "--terminals", "leaves",
                  "--root-metric", "eigenvector", "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_no_stage_reads_the_edge_tuples(tmp_path, monkeypatch):
+    """The stages read a graph's arcs; `SurfaceGraph.edges`, one new tuple
+    per edge on each read, is left to the oracles, fixtures and tests."""
+    pillars = {(2, 2), (2, 5), (5, 2), (5, 5)}
+    surface = surface_from_squares(
+        [(float(x), float(y)) for y in range(8) for x in range(8) if (x, y) not in pillars]
+    )
+    doors = [m for c in (2.5, 5.5)
+             for m in ((c, 0.0, 0.0), (c, 8.0, 0.0), (0.0, c, 0.0), (8.0, c, 0.0))]
+    surf, blk = write_corridor_files((surface, boundary_walls(surface, doors)), tmp_path)
+    maze = write_maze_json(tmp_path / "maze.json", 12, 3)
+    reads = []
+    edges = SurfaceGraph.edges
+    monkeypatch.setattr(SurfaceGraph, "edges", property(lambda g: reads.append(g) or edges.fget(g)))
+    for k, flags in enumerate([
+        ["analyze", "--surface", str(surf), "--blockers", str(blk)],
+        ["extract", "--surface", str(surf), "--terminals", "metric", "--metric", "eigenvector"],
+        ["analyze", "--graph", str(maze), "--terminals", "leaves"],
+    ]):
+        assert main(flags + ["--out", str(tmp_path / f"out{k}")]) == 0
+    assert reads == []
+    assert len(graph_from_edges([(0, 0, 0), (1, 0, 0)], [(0, 1, 1.0)]).edges) == len(reads) == 1
 
 
 @pytest.mark.parametrize("flags", [

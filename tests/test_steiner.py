@@ -8,6 +8,7 @@ from navstruct.fixtures import graph_from_edges, grid_surface, maze_graph, rando
 from navstruct.graph import graph_from_navmesh
 from navstruct.oracles import (
     _tie_heavy_graph,
+    adjacency,
     dijkstra_tree_heap,
     steiner_exhaustive,
     sub_ulp_graphs,
@@ -51,7 +52,7 @@ def assert_valid_steiner_tree(tree: SteinerTree, g, terminal_ids):
     # connected and acyclic over its own node set
     seen = set()
     stack = [0]
-    adj = tree.dense_graph(g).adjacency()
+    adj = adjacency(tree.dense_graph(g))
     while stack:
         k = stack.pop()
         if k in seen:
